@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench micro examples doc clean check trace-smoke fault-smoke workload-smoke sweep-smoke stabilize-smoke chord-smoke social-smoke bench-engine trace-bench-smoke smoke
+.PHONY: all build test bench micro examples doc clean check trace-smoke fault-smoke workload-smoke sweep-smoke stabilize-smoke chord-smoke social-smoke bench-engine trace-bench-smoke perfbench-smoke smoke
 
 all: build
 
@@ -161,12 +161,20 @@ trace-bench-smoke:
 	cmp /tmp/overlay_tb_export.jsonl /tmp/overlay_tb.jsonl
 	dune exec bench/main.exe -- trace
 
+# End-to-end benchmark harness at smoke size (~2 s): every workload at
+# n = 256, untraced and traced, with each run's outputs checked.  Catches
+# a harness build break or a determinism failure (see
+# perfbench/README.md).
+perfbench-smoke:
+	python3 perfbench/run.py --smoke
+
 # All the fast health checks in one target: traced-run validation, the
 # fault model under churn, the workload driver under attack, sweep
 # checkpoint/resume identity, corrupted-topology repair, the Chord
 # backend head-to-head, the social application's per-class SLOs, and the
-# engine and trace-sink micro-benchmarks.
-smoke: trace-smoke fault-smoke workload-smoke sweep-smoke stabilize-smoke chord-smoke social-smoke bench-engine trace-bench-smoke
+# engine and trace-sink micro-benchmarks, and the end-to-end benchmark
+# harness at smoke size.
+smoke: trace-smoke fault-smoke workload-smoke sweep-smoke stabilize-smoke chord-smoke social-smoke bench-engine trace-bench-smoke perfbench-smoke
 
 # The full release gate: build everything, run every test, regenerate
 # every experiment table.

@@ -149,6 +149,17 @@ let or_usage_error f =
     Printf.eprintf "%s\n" msg;
     Stdlib.exit 2
 
+(* A count knob that must be positive, rejected with a typed exit-2
+   diagnostic worded like Simnet.Scenario's own key errors. *)
+let require_positive knobs =
+  List.iter
+    (fun (key, v) ->
+      if v <= 0 then begin
+        Printf.eprintf "scenario: %s must be > 0, got %d\n" key v;
+        Stdlib.exit 2
+      end)
+    knobs
+
 (* Scenario.retry is a plain budget; the Section 3/4 drivers want it as a
    Retry.policy with escalating provisioning. *)
 let retry_policy (sc : Simnet.Scenario.t) =
@@ -985,6 +996,9 @@ let workload_cmd =
     let popularity =
       if zipf <= 0.0 then Workload.Spec.Uniform else Workload.Spec.Zipf zipf
     in
+    require_positive
+      [ ("rounds", rounds); ("clients", clients); ("keys", keys); ("slo", slo);
+        ("timeout", timeout) ];
     let spec =
       Workload.Spec.make ~clients ~rounds ~keys ~arrivals ~mix ~popularity ~slo
         ~timeout ()
@@ -1193,6 +1207,7 @@ let social_cmd =
               Printf.eprintf "%s\n" e;
               Stdlib.exit 2)
     in
+    require_positive [ ("users", users); ("topics", topics); ("rounds", rounds) ];
     let app =
       or_usage_error (fun () ->
           Apps.Social.config ~users ~topics ~rounds ~rate ~fanout ~zipf

@@ -1,163 +1,16 @@
 module Hypercube = Topology.Hypercube
-module Metrics = Simnet.Metrics
-module Msg_size = Simnet.Msg_size
 module Trace = Simnet.Trace
 
-let finish_traced trace metrics =
-  let s = Metrics.finish_round metrics in
-  if Trace.enabled trace then Trace.emit trace (Trace.round_of_summary s)
-
-(* Buckets are indexed by coordinate segment start.  At iteration i the
-   segments are the intervals [s, min(s + 2^i, d)) for s a multiple of 2^i;
-   the bucket of a segment lives at index s.  A segment whose right sibling
-   start s + 2^(i-1) falls outside [0, d) has nothing to merge with and its
-   bucket persists unchanged. *)
-
-let run_attempt ~eps ~c ~trace ~rng cube =
-  let d = Hypercube.dimension cube in
-  let n = Hypercube.node_count cube in
-  let iters = Params.iterations_hypercube ~d in
-  let schedule = Params.schedule_hypercube ~eps ~c ~n ~iters in
-  let id_bits = Msg_size.id_bits n in
-  (* A request carries (requester id, segment index); a response carries
-     (sampled id, segment index). *)
-  let request_bits = Msg_size.ids_msg ~id_bits ~count:1 + Msg_size.id_bits (max 2 d) in
-  let response_bits = request_bits in
-  let metrics = Metrics.create ~n in
-  let underflows = ref 0 in
-  (* m.(u).(j): bucket j of node u. *)
-  let m =
-    Array.init n (fun _ ->
-        Array.init d (fun _ -> Multiset.create ~capacity:schedule.(0) ()))
-  in
-  (* Phase 1: coordinate j randomized via a fair coin. *)
-  for u = 0 to n - 1 do
-    for j = 0 to d - 1 do
-      for _ = 1 to schedule.(0) do
-        let w = if Prng.Stream.bool rng then Hypercube.flip cube u j else u in
-        Multiset.add m.(u).(j) w
-      done
-    done
-  done;
-  (* requesters.(v) collects (requester, segment) pairs addressed to v. *)
-  let requesters = Array.init n (fun _ -> ref []) in
-  let fresh = Array.init n (fun _ -> Array.init d (fun _ -> Multiset.create ())) in
-  for i = 1 to iters do
-    let mi = schedule.(i) in
-    let step = 1 lsl i in
-    let half = 1 lsl (i - 1) in
-    (* Phase 2 (one round): for every left segment with a right sibling,
-       send m_i requests to nodes drawn from the left bucket. *)
-    for u = 0 to n - 1 do
-      let s = ref 0 in
-      while !s < d do
-        if !s + half < d then
-          for _ = 1 to mi do
-            match Multiset.extract_random m.(u).(!s) rng with
-            | None -> incr underflows
-            | Some v ->
-                Metrics.on_send metrics ~node:u ~bits:request_bits;
-                Metrics.on_recv metrics ~node:v ~bits:request_bits;
-                requesters.(v) := (u, !s) :: !(requesters.(v))
-          done;
-        s := !s + step
-      done
-    done;
-    finish_traced trace metrics;
-    (* Phase 3 + 4 (one round): serve from the right-sibling bucket. *)
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (u, s) ->
-          match Multiset.extract_random m.(v).(s + half) rng with
-          | None -> incr underflows
-          | Some w ->
-              Metrics.on_send metrics ~node:v ~bits:response_bits;
-              Metrics.on_recv metrics ~node:u ~bits:response_bits;
-              Multiset.add fresh.(u).(s) w)
-        (List.rev !(requesters.(v)));
-      requesters.(v) := []
-    done;
-    finish_traced trace metrics;
-    (* Install merged buckets: left starts get their fresh contents; right
-       siblings are consumed.  Untouched trailing buckets persist. *)
-    for u = 0 to n - 1 do
-      let s = ref 0 in
-      while !s < d do
-        if !s + half < d then begin
-          Multiset.clear m.(u).(!s);
-          Multiset.iter (fun w -> Multiset.add m.(u).(!s) w) fresh.(u).(!s);
-          Multiset.clear fresh.(u).(!s);
-          Multiset.clear m.(u).(!s + half)
-        end;
-        s := !s + step
-      done
-    done
-  done;
-  (* M is a multiset: expose it in uniformly random order (a free local
-     permutation).  Responses arrive grouped by server, and same-server
-     responses share the server's already-fixed coordinates; a consumer
-     taking a prefix of the arrival order would see correlated samples. *)
-  let samples =
-    Array.map
-      (fun buckets ->
-        let a = Multiset.to_array buckets.(0) in
-        Prng.Stream.shuffle_in_place rng a;
-        a)
-      m
-  in
-  {
-    Sampling_result.samples;
-    rounds = 2 * iters;
-    walk_length = d;
-    schedule;
-    underflows = !underflows;
-    retries = 0;
-    escalations = 0;
-    max_round_node_bits = Metrics.max_node_bits_ever metrics;
-    total_bits = Metrics.total_bits metrics;
-  }
+(* Phase 1 and the token walk randomize coordinate j with a fair coin. *)
+let coin_flip cube rng u j =
+  if Prng.Stream.bool rng then Hypercube.flip cube u j else u
 
 let run ?(eps = 0.5) ?(c = 2.0) ?(trace = Trace.null) ?(retry = Retry.fixed)
     ~rng cube =
   Retry.sampling_with_retry ~retry ~c ~trace ~attempt_fn:(fun ~c ->
-      run_attempt ~eps ~c ~trace ~rng cube)
+      Rapid_kary.alg2 ~eps ~c ~trace ~rng ~n:(Hypercube.node_count cube)
+        ~d:(Hypercube.dimension cube) ~redraw:(coin_flip cube rng))
 
 let run_plain ?(trace = Trace.null) ~k ~rng cube =
-  let d = Hypercube.dimension cube in
-  let n = Hypercube.node_count cube in
-  let id_bits = Msg_size.id_bits n in
-  let token_bits = Msg_size.ids_msg ~id_bits ~count:1 in
-  let metrics = Metrics.create ~n in
-  let origins = Array.init (n * k) (fun j -> j / k) in
-  let positions = Array.copy origins in
-  for dim = 0 to d - 1 do
-    for j = 0 to Array.length positions - 1 do
-      let cur = positions.(j) in
-      if Prng.Stream.bool rng then begin
-        let next = Hypercube.flip cube cur dim in
-        Metrics.on_send metrics ~node:cur ~bits:token_bits;
-        Metrics.on_recv metrics ~node:next ~bits:token_bits;
-        positions.(j) <- next
-      end
-    done;
-    finish_traced trace metrics
-  done;
-  let samples = Array.make n [] in
-  for j = 0 to Array.length positions - 1 do
-    let origin = origins.(j) and endpoint = positions.(j) in
-    Metrics.on_send metrics ~node:endpoint ~bits:token_bits;
-    Metrics.on_recv metrics ~node:origin ~bits:token_bits;
-    samples.(origin) <- endpoint :: samples.(origin)
-  done;
-  finish_traced trace metrics;
-  {
-    Sampling_result.samples = Array.map Array.of_list samples;
-    rounds = d + 1;
-    walk_length = d;
-    schedule = [| k |];
-    underflows = 0;
-    retries = 0;
-    escalations = 0;
-    max_round_node_bits = Metrics.max_node_bits_ever metrics;
-    total_bits = Metrics.total_bits metrics;
-  }
+  Rapid_kary.token_walk ~trace ~k ~n:(Hypercube.node_count cube)
+    ~d:(Hypercube.dimension cube) ~redraw:(coin_flip cube rng)

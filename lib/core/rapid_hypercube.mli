@@ -14,7 +14,16 @@
     The paper assumes d is a power of two for presentation; we support any
     d >= 1 by letting a trailing segment without a right sibling simply
     persist to the next iteration (the segment tree becomes left-leaning;
-    the invariant of Lemma 8 is unaffected). *)
+    the invariant of Lemma 8 is unaffected).
+
+    Both entry points run on the k-ary implementation with a fair-coin
+    redraw ({!Rapid_kary.alg2}, {!Rapid_kary.token_walk}).  The buckets
+    live in one flat plane of stride m_0, bucket [u·d + j] at offset
+    [(u·d + j)·m_0]; Phase 3 writes each reply straight into the drained
+    left bucket, since it reads only right siblings.  An attempt holds
+    n·d·m_0 bucket words plus the largest iteration's request buffer
+    (max_i n · left segments · m_i words), and allocates nothing per
+    draw. *)
 
 val run :
   ?eps:float ->

@@ -14,6 +14,47 @@
     groups of the k-ary supernode cube can rebuild themselves with the same
     O(log log n)-round machinery as the Section 5 network. *)
 
+val alg2 :
+  eps:float ->
+  c:float ->
+  trace:Simnet.Trace.t ->
+  rng:Prng.Stream.t ->
+  n:int ->
+  d:int ->
+  redraw:(int -> int -> int) ->
+  Sampling_result.t
+(** Algorithm 2 over any alphabet: the one implementation behind {!run} and
+    {!Rapid_hypercube.run}.  [redraw u j] is the Phase-1 draw, node [u] with
+    coordinate [j] randomized; it is called for every bucket slot in
+    (u, j, slot) order and may consume [rng].  [trace] receives one [Round]
+    event per communication round.
+
+    Layout: all n·d buckets share one [int array] plane of stride
+    m_0 = [schedule.(0)], bucket [u·d + j] at offset [(u·d + j)·m_0], with a
+    length per bucket.  Phase 2 leaves each left bucket's drawn targets in
+    its tail; a counting sort by target fills one request buffer with the
+    requesting buckets, grouped by server in arrival order; Phase 3 writes
+    each reply straight into the drained left bucket (it reads only right
+    siblings), so there is no second plane and no install copy.
+
+    Memory: n·d·m_0 bucket words plus the largest iteration's request
+    buffer, max_i n · (left segments of iteration i) · m_i words, plus
+    O(n·d) lengths and counters.  Besides those buffers and the returned
+    samples nothing is allocated per draw. *)
+
+val token_walk :
+  trace:Simnet.Trace.t ->
+  k:int ->
+  n:int ->
+  d:int ->
+  redraw:(int -> int -> int) ->
+  Sampling_result.t
+(** The baseline d-round token walk behind {!run_plain} and
+    {!Rapid_hypercube.run_plain}: each node releases [k] tokens; in round
+    [i] a holder at [u] moves the token to [redraw u i] (sending a message
+    unless it stays put); one final round reports endpoints to the
+    origins.  [trace] receives one [Round] event per round. *)
+
 val run :
   ?eps:float ->
   ?c:float ->
@@ -21,7 +62,8 @@ val run :
   Topology.Kary_hypercube.t ->
   Sampling_result.t
 (** Defaults [eps = 0.5], [c = 2.0], as in {!Rapid_hypercube.run};
-    [rounds = 2 ceil(log2 d)]; [walk_length] reports [d]. *)
+    [rounds = 2 ceil(log2 d)]; [walk_length] reports [d].  Phase 1 draws
+    the digit with [Prng.Stream.int rng k]. *)
 
 val run_plain :
   k:int -> rng:Prng.Stream.t -> Topology.Kary_hypercube.t -> Sampling_result.t

@@ -20,6 +20,18 @@ val copy : t -> t
 val next : t -> int64
 (** Next 64 random bits. *)
 
+val below : t -> int -> int
+(** [below t bound] is uniform on [0, bound): 63 random bits with the final
+    incomplete block rejected, so the result is exactly uniform.  Allocates
+    nothing.  Raises [Invalid_argument] if [bound <= 0]. *)
+
+val bool : t -> bool
+(** The low bit of the next output.  Allocates nothing. *)
+
+val float : t -> float -> float
+(** [float t bound] is the top 53 bits of the next output mapped to [0, 1)
+    and scaled by [bound].  Only the returned float is allocated. *)
+
 val jump : t -> unit
 (** [jump t] advances [t] by 2^128 steps.  Starting from a shared state and
     jumping k times yields 2^128-spaced, effectively independent streams. *)

@@ -103,6 +103,145 @@ let qcheck_kary_uniform_marginals =
         (Array.for_all (fun v -> v >= 0 && v < n))
         r.Core.Sampling_result.samples)
 
+(* Reference Algorithm 2: the per-node Multiset formulation the flat
+   sampler in Core.Rapid_kary replaced, kept as its oracle.  [redraw u j]
+   is the Phase-1 draw; requesters are served in arrival order from
+   (u, s) lists and replies install through a second set of buckets. *)
+let reference_alg2 ~c ~rng ~n ~d ~redraw =
+  let module Ms = Core.Multiset in
+  let module Metrics = Simnet.Metrics in
+  let iters = Core.Params.iterations_hypercube ~d in
+  let schedule = Core.Params.schedule_hypercube ~eps:0.5 ~c ~n ~iters in
+  let bits =
+    Simnet.Msg_size.ids_msg ~id_bits:(Simnet.Msg_size.id_bits n) ~count:1
+    + Simnet.Msg_size.id_bits (max 2 d)
+  in
+  let metrics = Metrics.create ~n in
+  let message ~src ~dst =
+    Metrics.on_send metrics ~node:src ~bits;
+    Metrics.on_recv metrics ~node:dst ~bits
+  in
+  let underflows = ref 0 in
+  let m =
+    Array.init n (fun u ->
+        Array.init d (fun j ->
+            let b = Ms.create () in
+            for _ = 1 to schedule.(0) do
+              Ms.add b (redraw u j)
+            done;
+            b))
+  in
+  let requesters = Array.make n [] in
+  let fresh = Array.init n (fun _ -> Array.init d (fun _ -> Ms.create ())) in
+  let lefts half =
+    List.filter (fun s -> s mod (2 * half) = 0 && s + half < d) (List.init d Fun.id)
+  in
+  for i = 1 to iters do
+    let half = 1 lsl (i - 1) in
+    for u = 0 to n - 1 do
+      List.iter
+        (fun s ->
+          for _ = 1 to schedule.(i) do
+            match Ms.extract_random m.(u).(s) rng with
+            | None -> incr underflows
+            | Some v ->
+                message ~src:u ~dst:v;
+                requesters.(v) <- (u, s) :: requesters.(v)
+          done)
+        (lefts half)
+    done;
+    ignore (Metrics.finish_round metrics);
+    for v = 0 to n - 1 do
+      List.iter
+        (fun (u, s) ->
+          match Ms.extract_random m.(v).(s + half) rng with
+          | None -> incr underflows
+          | Some w ->
+              message ~src:v ~dst:u;
+              Ms.add fresh.(u).(s) w)
+        (List.rev requesters.(v));
+      requesters.(v) <- []
+    done;
+    ignore (Metrics.finish_round metrics);
+    for u = 0 to n - 1 do
+      List.iter
+        (fun s ->
+          Ms.clear m.(u).(s);
+          Ms.iter (Ms.add m.(u).(s)) fresh.(u).(s);
+          Ms.clear fresh.(u).(s);
+          Ms.clear m.(u).(s + half))
+        (lefts half)
+    done
+  done;
+  let samples =
+    Array.map
+      (fun buckets ->
+        let a = Ms.to_array buckets.(0) in
+        Prng.Stream.shuffle_in_place rng a;
+        a)
+      m
+  in
+  {
+    Core.Sampling_result.samples;
+    rounds = 2 * iters;
+    walk_length = d;
+    schedule;
+    underflows = !underflows;
+    retries = 0;
+    escalations = 0;
+    max_round_node_bits = Metrics.max_node_bits_ever metrics;
+    total_bits = Metrics.total_bits metrics;
+  }
+
+(* Both samplers on one seed: equal results and equal rng positions
+   afterwards, i.e. the same draws. *)
+let agree ~seed sample reference =
+  let rng_a = Prng.Stream.of_seed seed and rng_b = Prng.Stream.of_seed seed in
+  let a = sample rng_a and b = reference rng_b in
+  a = b && Prng.Stream.bits64 rng_a = Prng.Stream.bits64 rng_b
+
+let kary_agrees ~seed ~k ~d ~c =
+  let cube = Topology.Kary_hypercube.create ~k ~d in
+  agree ~seed
+    (fun rng -> Core.Rapid_kary.run ~c ~rng cube)
+    (fun rng ->
+      reference_alg2 ~c ~rng ~n:(Topology.Kary_hypercube.node_count cube) ~d
+        ~redraw:(fun u j ->
+          Topology.Kary_hypercube.with_coord cube u j (Prng.Stream.int rng k)))
+
+let hypercube_agrees ~seed ~d ~c =
+  let cube = Topology.Hypercube.create d in
+  agree ~seed
+    (fun rng -> Core.Rapid_hypercube.run ~c ~rng cube)
+    (fun rng ->
+      reference_alg2 ~c ~rng ~n:(Topology.Hypercube.node_count cube) ~d
+        ~redraw:(fun u j ->
+          if Prng.Stream.bool rng then Topology.Hypercube.flip cube u j else u))
+
+let test_oracle_underflow () =
+  (* c = 1 at k = 2, d = 7 underflows, so the oracle covers the path that
+     records an underflow without consuming a draw. *)
+  let cube = Topology.Kary_hypercube.create ~k:2 ~d:7 in
+  let r = Core.Rapid_kary.run ~c:1.0 ~rng:(Prng.Stream.of_seed 3L) cube in
+  Alcotest.(check bool) "underflows occur" true
+    (r.Core.Sampling_result.underflows > 0);
+  Alcotest.(check bool) "k-ary matches the reference" true
+    (kary_agrees ~seed:3L ~k:2 ~d:7 ~c:1.0);
+  Alcotest.(check bool) "binary matches the reference" true
+    (hypercube_agrees ~seed:3L ~d:7 ~c:1.0)
+
+(* d is capped so that k^d <= 2^10 (k = 2 keeps d <= 7), which keeps a
+   case under a tenth of a second. *)
+let qcheck_sampler_matches_reference =
+  QCheck.Test.make ~name:"flat Alg. 2 equals the Multiset reference"
+    ~count:40
+    QCheck.(
+      quad int64 (int_range 2 5) (int_range 1 7)
+        (oneofl [ 1.0; 2.0; 6.8 ]))
+    (fun (seed, k, d, c) ->
+      let max_d = [| 0; 0; 7; 6; 5; 4 |].(k) in
+      kary_agrees ~seed ~k ~d:(min d max_d) ~c && hypercube_agrees ~seed ~d ~c)
+
 let () =
   Alcotest.run "core-kary"
     [
@@ -117,8 +256,11 @@ let () =
           Alcotest.test_case "round separation" `Quick test_separation;
           Alcotest.test_case "dht reshuffle balanced" `Quick
             test_dht_reshuffle_balanced;
+          Alcotest.test_case "oracle covers underflow" `Quick
+            test_oracle_underflow;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_kary_uniform_marginals ]
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_kary_uniform_marginals; qcheck_sampler_matches_reference ]
       );
     ]

@@ -56,6 +56,119 @@ let test_xoshiro_zero_state_rejected () =
     (Invalid_argument "Xoshiro256.of_state: all-zero state") (fun () ->
       ignore (Prng.Xoshiro256.of_state 0L 0L 0L 0L))
 
+(* Known answers, generated before the xoshiro state moved from int64
+   fields to a byte buffer: the representation must not change the bit
+   stream. *)
+let xoshiro_kat =
+  [
+    ( 0L,
+      [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+        7684712102626143532L; -4925340083591827879L; -4640532413560118L;
+        7788427924976520344L; -8565655843838424513L ] );
+    ( 7L,
+      [ -5523389002881075622L; 5142052590334782674L; -2958351167216911978L;
+        -348685429060373952L; -168598097271454952L; -2346906591474643895L;
+        1120678062349637716L; 1926500276298015196L ] );
+  ]
+
+(* Stream.int answers for Stream.of_seed 12345L, one fresh stream per
+   bound.  3 lsl 60 rejects a quarter of the raw draws, so the rejection
+   loop is on the pinned path. *)
+let int_kat =
+  [
+    (2, [ 1; 1; 0; 1; 0; 0; 0; 1; 1; 0; 1; 0; 1; 0; 0; 0 ]);
+    (7, [ 5; 6; 0; 3; 1; 1; 6; 4; 0; 5; 3; 1; 6; 0; 3; 1 ]);
+    ( 1000,
+      [ 741; 499; 628; 697; 172; 698; 404; 855; 107; 590; 529; 438; 797; 912;
+        584; 188 ] );
+    ( 1 lsl 40,
+      [ 118660033101; 13351732323; 478027606468; 301306966041; 375652934436;
+        60396046274; 171635276620; 987245768543; 348269338267; 143452490414;
+        584257786345; 922991409134; 1062470619821; 628994005240;
+        753966324176; 1083096487740 ] );
+    ( 3 lsl 60,
+      [ 3401654899022260813; 1199458347604198499; 445858863439900697;
+        1661893509338686244; 98487714942453698; 1473685501948099404;
+        2728314846757973855; 101141124373569179; 1495997543255062510;
+        1253947585956485584; 765438512119106824; 1524850661724811311;
+        526539913618463085; 847974783280965743; 3054856479391108609;
+        1210380413045561114 ] );
+  ]
+
+let bool_kat =
+  [ true; false; false; true; false; false; true; false; false; true; false;
+    false; true; true; true; true ]
+
+let float_kat =
+  [ 0x1.7cd46c6e82c1ap-1; 0x1.0a555031bd344p-3; 0x1.ed3a2dbd32a9ap-1;
+    0x1.8c009189d2dcp-5; 0x1.1c40ed5ddaa38p-1; 0x1.5de60e0fe284p-7;
+    0x1.4739527f64278p-3; 0x1.2ee75f2ee3776p-2; 0x1.8b3a9a88b3c2ep-2;
+    0x1.d23be08599bd2p-1; 0x1.904de22021e94p-1; 0x1.130b675b9a4cdp-1;
+    0x1.add843dd80bc4p-1; 0x1.e217fa49cbdb6p-1; 0x1.166eaaf8be518p-3;
+    0x1.ba8ee7f0b6535p-1 ]
+
+let draws f expected = List.map (fun _ -> f ()) expected
+
+let test_xoshiro_known_answers () =
+  List.iter
+    (fun (seed, expected) ->
+      let g = Prng.Xoshiro256.of_seed seed in
+      Alcotest.(check (list int64))
+        (Printf.sprintf "seed %Ld" seed)
+        expected
+        (draws (fun () -> Prng.Xoshiro256.next g) expected))
+    xoshiro_kat
+
+let test_stream_known_answers () =
+  List.iter
+    (fun (bound, expected) ->
+      let s = stream () in
+      Alcotest.(check (list int))
+        (Printf.sprintf "int %d" bound)
+        expected
+        (draws (fun () -> Prng.Stream.int s bound) expected))
+    int_kat;
+  let s = stream () in
+  Alcotest.(check (list bool)) "bool" bool_kat
+    (draws (fun () -> Prng.Stream.bool s) bool_kat);
+  let s = stream () in
+  Alcotest.(check (list (float 0.0))) "float" float_kat
+    (draws (fun () -> Prng.Stream.float s 1.0) float_kat)
+
+(* Minor-heap words per call of [f], over 10^5 calls. *)
+let words_per_draw f =
+  let s = stream () in
+  f s;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    f s
+  done;
+  (Gc.minor_words () -. w0) /. 1e5
+
+let test_draws_allocation_free () =
+  let check name f =
+    let w = words_per_draw f in
+    Alcotest.(check bool) (Printf.sprintf "%s: %.3f words/draw" name w) true
+      (w < 0.01)
+  in
+  check "int" (fun s -> ignore (Prng.Stream.int s 1000));
+  check "int with rejection" (fun s -> ignore (Prng.Stream.int s (3 lsl 60)));
+  check "bool" (fun s -> ignore (Prng.Stream.bool s));
+  (* A float returned across a module boundary is boxed (2 words); the draw
+     itself allocates nothing. *)
+  let w = words_per_draw (fun s -> ignore (Prng.Stream.float s 1.0)) in
+  Alcotest.(check bool) (Printf.sprintf "float: %.3f words/draw" w) true
+    (w < 2.01)
+
+let test_kary_sampler_allocation () =
+  (* The robust DHT's reshuffle shape: only the result arrays and the
+     major-heap planes are allocated, no per-draw garbage. *)
+  let cube = Topology.Kary_hypercube.create ~k:4 ~d:6 in
+  let w0 = Gc.minor_words () in
+  ignore (Core.Rapid_kary.run ~c:6.8 ~rng:(stream ()) cube);
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words" w) true (w < 1e6)
+
 let test_stream_determinism () =
   let a = stream () and b = stream () in
   for _ = 1 to 200 do
@@ -380,6 +493,7 @@ let () =
             test_xoshiro_jump_changes_stream;
           Alcotest.test_case "zero state rejected" `Quick
             test_xoshiro_zero_state_rejected;
+          Alcotest.test_case "known answers" `Quick test_xoshiro_known_answers;
         ] );
       ( "stream",
         [
@@ -396,6 +510,11 @@ let () =
           Alcotest.test_case "permutation uniform" `Slow test_permutation_uniform;
           Alcotest.test_case "sample_distinct" `Quick test_sample_distinct;
           Alcotest.test_case "choose" `Quick test_choose;
+          Alcotest.test_case "known answers" `Quick test_stream_known_answers;
+          Alcotest.test_case "draws allocation-free" `Quick
+            test_draws_allocation_free;
+          Alcotest.test_case "k-ary sampler allocation" `Quick
+            test_kary_sampler_allocation;
         ] );
       ( "dist",
         [
