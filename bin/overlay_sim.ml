@@ -1261,7 +1261,7 @@ let social_cmd =
       (if static then "static" else "reconfig")
       period
       (Workload.Attack.strategy_to_string attack)
-      frac cfg.Workload.Social.lateness;
+      frac cfg.Workload.Social.base.Workload.Driver.lateness;
     List.iter print_endline (Workload.Social.table_lines report);
     Printf.printf "\nhop messages:   %d\n" report.Workload.Social.hop_msgs;
     Printf.printf "max group load: %d\n" report.Workload.Social.max_group_load;

@@ -1,4 +1,6 @@
-let max_bits = 30
+(* the largest m for which [1 lsl m] and [mask m] stay positive in a
+   63-bit native int, and [id + 2^i] (i < m) cannot overflow *)
+let max_bits = 61
 
 let check_m m =
   if m < 1 || m > max_bits then

@@ -191,7 +191,11 @@ let apply t (key, v) =
       | _ -> err key (Printf.sprintf "expects ONLINE:EPOCH, got %S" v))
   | "rounds" ->
       parse_int key v (fun rounds ->
-          if rounds < -1 then err key "must be >= -1" else Ok { t with rounds })
+          (* -1 is the unset default; 0 would run nothing (or trip a
+             driver's own untyped check), so it is rejected here, once *)
+          if rounds = 0 then err key "must be > 0, got 0"
+          else if rounds < -1 then err key "must be >= -1"
+          else Ok { t with rounds })
   | "domains" ->
       parse_int key v (fun domains ->
           if domains < 0 then err key "must be >= 0 (0 = runtime default)"

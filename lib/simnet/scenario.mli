@@ -50,7 +50,9 @@ type t = {
       (** user session cycle [ONLINE:EPOCH]: every [epoch] rounds a fresh
           [1 - online] fraction of users goes offline ([None] = always
           online) *)
-  rounds : int;  (** rounds/epochs/windows to run; -1 = driver default *)
+  rounds : int;
+      (** rounds/epochs/windows to run; -1 = driver default (0 is
+          rejected) *)
   domains : int;
       (** worker domains for intra-round engine parallelism and parallel
           schedule generation; 0 = runtime default

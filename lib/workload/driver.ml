@@ -125,23 +125,42 @@ let total_of classes =
             c.hist (List.rev rest));
   }
 
-type pending = { req : Gen.request; mutable attempts : int }
-
-type attempt_outcome =
+type attempt =
   | Served of { service : int; hops : int }
   | Attempt_failed of { hops : int }
 
-let payload_of req =
-  Printf.sprintf "v%d.%d" req.Gen.client req.Gen.seq
+type server = {
+  get : entry:int -> int -> Backend_intf.op_result;
+  put : entry:int -> int -> string -> Backend_intf.op_result;
+  publish : entry:int -> topic:int -> string -> Backend_intf.op_result;
+  last_seq : entry:int -> topic:int -> Backend_intf.op_result;
+}
 
-(* The whole request plane — admissions, retries, latency/SLO accounting,
-   churn draws, fault legs, round and trace emission — runs here, once,
-   against any {!Backend_intf.S}.  Every backend-specific decision
-   (routing cost, maintenance, adversary binding) goes through the hooks,
-   and the hook call order reproduces the pre-refactor hard-coded paths
-   draw-for-draw, so fault-free same-seed traces are byte-identical. *)
-let run_backend (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ~seed
-    ~n (cfg : config) =
+type 'r source = {
+  name : string;
+  fields : (string * Simnet.Trace.value) list;
+  classes : string array;
+  class_of : 'r -> int;
+  arrival : 'r -> int;
+  client : 'r -> int;
+  slo : int array;
+  timeout : int array;
+  retries : int array;
+  admit : round:int -> ('r -> unit) -> unit;
+  release : 'r -> at:int -> unit;
+  exec : server -> entry:int -> 'r -> attempt;
+  on_churn : Simnet.Runtime.t -> round:int -> epoch:int -> down:int -> unit;
+  health : string option;
+}
+
+type 'r pending = { req : 'r; mutable attempts : int }
+
+(* The one round loop.  Overlay decisions go through the backend's hooks,
+   workload decisions through the source's; the call order reproduces the
+   pre-refactor hard-coded loops draw-for-draw, so same-seed traces are
+   byte-identical. *)
+let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
+    ~who ~seed ~n (cfg : config) make_source =
   let spec = cfg.spec in
   (* fixed split order: every stream is a function of (seed, purpose) *)
   let root = Prng.Stream.of_seed seed in
@@ -155,7 +174,7 @@ let run_backend (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ~seed
   let rt =
     Simnet.Runtime.create ~trace ?faults:cfg.faults
       ~supports:[ `Drop; `Duplicate; `Delay; `Crash; `Recover ]
-      ~who:"Workload.Driver" ?domains:cfg.domains ~n ()
+      ~who ?domains:cfg.domains ~n ()
   in
   let blocked = Array.make n false in
   let ctx =
@@ -170,7 +189,7 @@ let run_backend (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ~seed
       staleness = cfg.staleness;
       retries = cfg.retries;
       spec;
-      hot_keys = None;
+      hot_keys;
       chord = (match cfg.backend with Chord cp -> cp | Robust -> chord_defaults);
       rng = backend_rng;
       attack_rng;
@@ -179,83 +198,50 @@ let run_backend (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ~seed
     }
   in
   let b = B.create ctx in
+  let server =
+    { get = B.get b; put = B.put b; publish = B.publish b;
+      last_seq = B.last_seq b }
+  in
   let churn_down = Array.make n false in
-  let read_acc = acc_create "read"
-  and write_acc = acc_create "write"
-  and pub_acc = acc_create "publish" in
-  let acc_for = function
-    | Gen.Read -> read_acc
-    | Gen.Write -> write_acc
-    | Gen.Publish -> pub_acc
-  in
+  (* the source (its request schedule above all) is built only now, after
+     the backend: the set-up it costs ends at the run-header note *)
+  let src = make_source () in
+  let accs = Array.map acc_create src.classes in
   let hop_msgs = ref 0 and total_bits = ref 0 in
-  let queue : pending Queue.t = Queue.create () in
-  (* closed-loop client state (unused arrays stay empty for open loop) *)
-  let closed_think =
-    match spec.Spec.arrivals with
-    | Spec.Closed_loop { think } -> Some think
-    | Spec.Open_loop _ -> None
-  in
-  let client_streams =
-    match closed_think with
-    | None -> [||]
-    | Some _ ->
-        Array.init spec.Spec.clients (fun client ->
-            Gen.client_stream ~seed ~client)
-  in
-  let next_issue = Array.make spec.Spec.clients 0 in
-  let next_seq = Array.make spec.Spec.clients 0 in
-  let outstanding = Array.make spec.Spec.clients false in
-  let schedule =
-    match closed_think with
-    | Some _ -> [||]
-    | None -> Gen.open_schedule ?domains:cfg.domains ~spec ~seed ()
-  in
-  let sched_pos = ref 0 in
-  Simnet.Runtime.note rt ~name:"workload/run"
+  let queue = Queue.create () in
+  Simnet.Runtime.note rt ~name:src.name
     ((("n", Simnet.Trace.Int n) :: B.note_fields b)
+    @ src.fields
     @ [
-        ("clients", Simnet.Trace.Int spec.Spec.clients);
-        ("rounds", Simnet.Trace.Int spec.Spec.rounds);
-        ( "arrivals",
-          Simnet.Trace.String (Spec.arrivals_to_string spec.Spec.arrivals) );
-        ("mix", Simnet.Trace.String (Spec.mix_to_string spec.Spec.mix));
         ( "mode",
           Simnet.Trace.String
             (match cfg.mode with Reconfig -> "reconfig" | Static -> "static") );
         ("attack", Simnet.Trace.String (Attack.strategy_to_string cfg.attack));
       ]);
-  let record_gave_up p ~round ~status ~hops =
-    let a = acc_for p.req.Gen.op in
-    let latency = round - p.req.Gen.arrival in
+  (* a request's completion or abandonment: the [Request] event, then
+     its client is free again from round [at] *)
+  let finish req c ~round ~latency ~hops ~status ~at =
+    Simnet.Runtime.request rt ~op:src.classes.(c) ~round
+      ~client:(src.client req) ~latency ~hops ~status;
+    src.release req ~at
+  in
+  let record_gave_up req c ~round ~status ~hops =
+    let a = accs.(c) in
     (match status with
     | `Timeout -> a.a_timed_out <- a.a_timed_out + 1
     | `Failed -> a.a_failed <- a.a_failed + 1);
-    Simnet.Runtime.request rt
-      ~op:(Gen.class_name p.req.Gen.op)
-      ~round ~client:p.req.Gen.client ~latency ~hops
-      ~status:(match status with `Timeout -> "timeout" | `Failed -> "failed");
-    match closed_think with
-    | Some think ->
-        outstanding.(p.req.Gen.client) <- false;
-        next_issue.(p.req.Gen.client) <- round + 1 + think
-    | None -> ()
+    finish req c ~round ~latency:(round - src.arrival req) ~hops
+      ~status:(match status with `Timeout -> "timeout" | `Failed -> "failed")
+      ~at:(round + 1)
   in
-  let record_served p ~round ~service ~hops =
-    let a = acc_for p.req.Gen.op in
-    let latency = round - p.req.Gen.arrival + service in
+  let record_served req c ~round ~service ~hops =
+    let a = accs.(c) in
+    let latency = round - src.arrival req + service in
     a.a_ok <- a.a_ok + 1;
-    if latency > spec.Spec.slo then a.a_slo_miss <- a.a_slo_miss + 1;
+    if latency > src.slo.(c) then a.a_slo_miss <- a.a_slo_miss + 1;
     if hops > a.a_max_hops then a.a_max_hops <- hops;
     Stats.Log_histogram.add a.a_hist latency;
-    Simnet.Runtime.request rt
-      ~op:(Gen.class_name p.req.Gen.op)
-      ~round ~client:p.req.Gen.client ~latency ~hops ~status:"ok";
-    match closed_think with
-    | Some think ->
-        outstanding.(p.req.Gen.client) <- false;
-        next_issue.(p.req.Gen.client) <- round + service + think
-    | None -> ()
+    finish req c ~round ~latency ~hops ~status:"ok" ~at:(round + service)
   in
   let attempt p =
     (* Request leg, then reply leg.  Both legs are always rolled (the seed
@@ -267,26 +253,11 @@ let run_backend (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ~seed
     else
       match B.entry b ~rng:service_rng with
       | None -> Attempt_failed { hops = 0 }
-      | Some entry ->
-          let res, base_ops =
-            match p.req.Gen.op with
-            | Gen.Read -> (B.get b ~entry p.req.Gen.key, 1)
-            | Gen.Write -> (B.put b ~entry p.req.Gen.key (payload_of p.req), 1)
-            | Gen.Publish ->
-                (* topic = key + 1: composite (topic, seq) then never
-                   collides with the plain key space the reads/writes use *)
-                (B.publish b ~entry ~topic:(p.req.Gen.key + 1) (payload_of p.req), 3)
-          in
-          if res.Backend_intf.ok then
-            Served
-              {
-                service = base_ops + res.Backend_intf.hops + res.Backend_intf.waits;
-                hops = res.Backend_intf.hops;
-              }
-          else Attempt_failed { hops = res.Backend_intf.hops }
+      | Some entry -> src.exec server ~entry p.req
   in
   let issue req =
-    (acc_for req.Gen.op).a_issued <- (acc_for req.Gen.op).a_issued + 1;
+    let a = accs.(src.class_of req) in
+    a.a_issued <- a.a_issued + 1;
     Queue.add { req; attempts = 0 } queue
   in
   for r = 0 to spec.Spec.rounds - 1 do
@@ -308,7 +279,8 @@ let run_backend (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ~seed
         end;
         B.churn b ~rng:churn_rng ~was_down ~down:churn_down;
         Simnet.Runtime.adversary rt ~kind:"churn"
-          [ ("round", Simnet.Trace.Int r); ("down", Simnet.Trace.Int down) ]
+          [ ("round", Simnet.Trace.Int r); ("down", Simnet.Trace.Int down) ];
+        src.on_churn rt ~round:r ~epoch:(r / epoch) ~down
     | _ -> ());
     (* 4. scheduled crash / recover transitions *)
     ignore (Simnet.Runtime.tick rt);
@@ -320,41 +292,31 @@ let run_backend (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ~seed
     let blocked_count =
       Array.fold_left (fun a b -> if b then a + 1 else a) 0 blocked
     in
-    (* 6. per-round counters, then one maintenance slice *)
+    (* 6. per-round counters, then one maintenance slice and, at each
+       reconfiguration period, the source's health probe *)
     B.begin_round b;
     B.maintain b;
+    (match src.health with
+    | Some name when r > 0 && r mod cfg.period = 0 ->
+        Simnet.Runtime.note rt ~name
+          (("round", Simnet.Trace.Int r) :: B.health b)
+    | _ -> ());
     (* 7. admissions *)
-    (match closed_think with
-    | None ->
-        while
-          !sched_pos < Array.length schedule
-          && schedule.(!sched_pos).Gen.arrival = r
-        do
-          issue schedule.(!sched_pos);
-          incr sched_pos
-        done
-    | Some _ ->
-        for c = 0 to spec.Spec.clients - 1 do
-          if (not outstanding.(c)) && next_issue.(c) <= r then begin
-            let op, key = Gen.draw_request spec client_streams.(c) in
-            issue { Gen.client = c; seq = next_seq.(c); arrival = r; op; key };
-            next_seq.(c) <- next_seq.(c) + 1;
-            outstanding.(c) <- true
-          end
-        done);
+    src.admit ~round:r issue;
     (* 8. one service attempt per pending request; retries requeue behind
        this round's snapshot and wait for the next round *)
     let in_flight = Queue.length queue in
     for _ = 1 to in_flight do
       let p = Queue.pop queue in
       p.attempts <- p.attempts + 1;
+      let c = src.class_of p.req in
       match attempt p with
-      | Served { service; hops } -> record_served p ~round:r ~service ~hops
+      | Served { service; hops } -> record_served p.req c ~round:r ~service ~hops
       | Attempt_failed { hops } ->
-          if p.attempts > cfg.retries then
-            record_gave_up p ~round:r ~status:`Failed ~hops
-          else if r + 1 > p.req.Gen.arrival + spec.Spec.timeout then
-            record_gave_up p ~round:r ~status:`Timeout ~hops
+          if p.attempts > src.retries.(c) then
+            record_gave_up p.req c ~round:r ~status:`Failed ~hops
+          else if r + 1 > src.arrival p.req + src.timeout.(c) then
+            record_gave_up p.req c ~round:r ~status:`Timeout ~hops
           else Queue.add p queue
     done;
     (* 9. round boundary *)
@@ -368,10 +330,12 @@ let run_backend (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ~seed
   done;
   (* drain: whatever is still pending never completed in time *)
   Queue.iter
-    (fun p -> record_gave_up p ~round:spec.Spec.rounds ~status:`Timeout ~hops:0)
+    (fun p ->
+      record_gave_up p.req (src.class_of p.req) ~round:spec.Spec.rounds
+        ~status:`Timeout ~hops:0)
     queue;
   Queue.clear queue;
-  let classes = [ freeze read_acc; freeze write_acc; freeze pub_acc ] in
+  let classes = Array.to_list (Array.map freeze accs) in
   {
     config = cfg;
     n;
@@ -381,6 +345,99 @@ let run_backend (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ~seed
     max_group_load = B.max_group_load b;
     total_bits = !total_bits;
   }
+
+let admit_schedule ~arrival schedule =
+  let pos = ref 0 in
+  fun ~(round : int) issue ->
+    while !pos < Array.length schedule && arrival schedule.(!pos) = round do
+      issue schedule.(!pos);
+      incr pos
+    done
+
+let payload_of req =
+  Printf.sprintf "v%d.%d" req.Gen.client req.Gen.seq
+
+let spec_exec server ~entry req =
+  let res, base_ops =
+    match req.Gen.op with
+    | Gen.Read -> (server.get ~entry req.Gen.key, 1)
+    | Gen.Write -> (server.put ~entry req.Gen.key (payload_of req), 1)
+    | Gen.Publish ->
+        (* topic = key + 1: composite (topic, seq) then never collides
+           with the plain key space the reads/writes use *)
+        (server.publish ~entry ~topic:(req.Gen.key + 1) (payload_of req), 3)
+  in
+  if res.Backend_intf.ok then
+    Served
+      {
+        service = base_ops + res.Backend_intf.hops + res.Backend_intf.waits;
+        hops = res.Backend_intf.hops;
+      }
+  else Attempt_failed { hops = res.Backend_intf.hops }
+
+(* The client workload of {!Spec}: three classes sharing one budget,
+   admitted from the open-loop schedule or by the closed-loop clients. *)
+let spec_source ~seed (cfg : config) () =
+  let spec = cfg.spec in
+  let admit, release =
+    match spec.Spec.arrivals with
+    | Spec.Open_loop _ ->
+        ( admit_schedule
+            ~arrival:(fun req -> req.Gen.arrival)
+            (Gen.open_schedule ?domains:cfg.domains ~spec ~seed ()),
+          fun _ ~at:_ -> () )
+    | Spec.Closed_loop { think } ->
+        let clients = spec.Spec.clients in
+        let streams =
+          Array.init clients (fun client -> Gen.client_stream ~seed ~client)
+        in
+        let next_issue = Array.make clients 0 in
+        let next_seq = Array.make clients 0 in
+        let outstanding = Array.make clients false in
+        ( (fun ~round issue ->
+            for c = 0 to clients - 1 do
+              if (not outstanding.(c)) && next_issue.(c) <= round then begin
+                let op, key = Gen.draw_request spec streams.(c) in
+                issue
+                  { Gen.client = c; seq = next_seq.(c); arrival = round; op;
+                    key };
+                next_seq.(c) <- next_seq.(c) + 1;
+                outstanding.(c) <- true
+              end
+            done),
+          fun req ~at ->
+            outstanding.(req.Gen.client) <- false;
+            next_issue.(req.Gen.client) <- at + think )
+  in
+  let all v = Array.make 3 v in
+  {
+    name = "workload/run";
+    fields =
+      [
+        ("clients", Simnet.Trace.Int spec.Spec.clients);
+        ("rounds", Simnet.Trace.Int spec.Spec.rounds);
+        ( "arrivals",
+          Simnet.Trace.String (Spec.arrivals_to_string spec.Spec.arrivals) );
+        ("mix", Simnet.Trace.String (Spec.mix_to_string spec.Spec.mix));
+      ];
+    classes = Array.map Gen.class_name [| Gen.Read; Gen.Write; Gen.Publish |];
+    class_of =
+      (fun req -> match req.Gen.op with Read -> 0 | Write -> 1 | Publish -> 2);
+    arrival = (fun req -> req.Gen.arrival);
+    client = (fun req -> req.Gen.client);
+    slo = all spec.Spec.slo;
+    timeout = all spec.Spec.timeout;
+    retries = all cfg.retries;
+    admit;
+    release;
+    exec = spec_exec;
+    on_churn = (fun _ ~round:_ ~epoch:_ ~down:_ -> ());
+    health = None;
+  }
+
+let run_backend backend ?trace ~seed ~n cfg =
+  serve backend ?trace ~who:"Workload.Driver" ~seed ~n cfg
+    (spec_source ~seed cfg)
 
 let run ?trace ~seed ~n (cfg : config) =
   match cfg.backend with
@@ -407,6 +464,6 @@ let table_header =
   Printf.sprintf row_format "class" "issued" "ok" "goodput" "p50" "p90" "p99"
     "slo-miss" "timeout" "failed" "max-hops"
 
-let table_lines report =
+let table_lines (report : report) =
   table_header
   :: (List.map table_row report.classes @ [ table_row report.total ])

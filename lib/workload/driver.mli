@@ -1,31 +1,37 @@
-(** Round-by-round workload execution against the robust DHT / pub-sub
-    stack, under the full hostile environment: reconfiguration (or a static
+(** The request plane: one round loop ({!serve}) that runs a request
+    source ({!source}) against any overlay backend ({!Backend_intf.S})
+    under the full hostile environment: reconfiguration (or a static
     baseline), a t-late blocking adversary ({!Attack}), coarse churn, and
-    ordinary faults ({!Simnet.Faults}).
+    ordinary faults ({!Simnet.Faults}).  The {!Spec} client workload
+    ({!run}) and the social application ({!Social}) are its sources.
 
-    Time is rounds.  Each round the driver (1) reshuffles the network if the
-    reconfiguration period elapsed, (2) redraws the churned-out server set at
-    epoch boundaries, (3) applies scheduled crash/recover transitions,
-    (4) lets the adversary observe and spend its blocking budget, (5) admits
-    new arrivals, and (6) gives every pending request one service attempt.
+    Time is rounds.  Each round the loop (1) lets the backend reconfigure
+    (the robust reshuffle when the period elapsed), (2) lets the adversary
+    observe, (3) redraws the churned-out server set at epoch boundaries,
+    (4) applies scheduled crash/recover transitions, (5) builds the
+    blocked set (churn, crashes, the adversary's budget), (6) runs one
+    maintenance slice, (7) admits the source's arrivals, (8) gives every
+    pending request one service attempt, and (9) emits the [Round] event.
 
-    An attempt costs [1 + hops] service rounds per DHT operation (a publish
-    is three chained operations: counter read, payload write, counter
-    write, and is idempotent under retry because the counter is written
-    last).  A failed attempt retries next round until the retry budget is
-    spent (["failed"]) or the next attempt would start past
-    [arrival + timeout] (["timeout"]).  Latency of a served request is
-    (attempt round - arrival) + service rounds; it misses the SLO when it
-    exceeds [spec.slo].  Served latencies feed one {!Stats.Log_histogram}
-    per request class, merged into the overall histogram with
-    {!Stats.Log_histogram.merge}.
+    An attempt rolls a request leg and a reply leg through the fault
+    runtime, picks a random available entry server, and executes the
+    request there; each DHT operation costs [1 + hops + waits] service
+    rounds (a publish is three chained operations: counter read, payload
+    write, counter write, and is idempotent under retry because the
+    counter is written last).  A failed attempt retries next round until
+    its class's retry budget is spent (["failed"]) or the next attempt
+    would start past [arrival + timeout] (["timeout"]).  Latency of a
+    served request is (attempt round - arrival) + service rounds; it
+    misses the SLO when it exceeds its class's.  Served latencies feed
+    one {!Stats.Log_histogram} per class, merged into the overall
+    histogram with {!Stats.Log_histogram.merge}.
 
     Determinism: every random decision draws from a stream that is a pure
     function of [(seed, purpose)] — per-client request streams
     ({!Gen.client_stream}), a service stream for entry picks, dedicated
     churn/attack/topology streams, and the fault plan's own stream — so a
     run is byte-identical for any [domains] value (the only parallel part,
-    open-loop schedule generation, is keyed per client). *)
+    schedule generation, is keyed per client). *)
 
 type mode = Backend_intf.mode = Reconfig | Static
 
@@ -123,11 +129,6 @@ val goodput : class_report -> float
 val percentile : class_report -> float -> int
 (** Latency percentile over served requests; 0 when nothing was served. *)
 
-val total_of : class_report list -> class_report
-(** Aggregate a class list into an ["all"] row; the histogram is the
-    {!Stats.Log_histogram.merge} of the class histograms (exact cell-wise
-    sums, so the merge order cannot matter). *)
-
 type report = {
   config : config;
   n : int;
@@ -147,13 +148,84 @@ type report = {
           backend, maintenance traffic (successor-list sized) *)
 }
 
+type attempt =
+  | Served of { service : int; hops : int }
+      (** [service]: rounds the attempt took, [base_ops + hops + waits]
+          summed over its DHT operations *)
+  | Attempt_failed of { hops : int }
+
+type server = {
+  get : entry:int -> int -> Backend_intf.op_result;
+  put : entry:int -> int -> string -> Backend_intf.op_result;
+  publish : entry:int -> topic:int -> string -> Backend_intf.op_result;
+  last_seq : entry:int -> topic:int -> Backend_intf.op_result;
+}
+(** The run's backend instance, as the operations an attempt may chain. *)
+
+type 'r source = {
+  name : string;  (** run-header note name, e.g. ["workload/run"] *)
+  fields : (string * Simnet.Trace.value) list;
+      (** header fields, spliced between the backend's fields and the
+          loop's own [mode] / [attack] *)
+  classes : string array;
+      (** class names, in report order; the [op] of [Request] events *)
+  class_of : 'r -> int;  (** index into [classes] *)
+  arrival : 'r -> int;  (** round the request entered the system *)
+  client : 'r -> int;
+  slo : int array;  (** per class: latency SLO in rounds *)
+  timeout : int array;
+      (** per class: a failed attempt is abandoned when the next one
+          would start past [arrival + timeout] *)
+  retries : int array;  (** per class: re-attempts beyond the first *)
+  admit : round:int -> ('r -> unit) -> unit;
+      (** hand this round's arrivals to the issue callback, in order *)
+  release : 'r -> at:int -> unit;
+      (** the request completed or was abandoned; [at] is the round its
+          client is free again (the closed loop's think time counts from
+          there) *)
+  exec : server -> entry:int -> 'r -> attempt;
+      (** one attempt on an available entry server; runs only after both
+          fault legs were delivered *)
+  on_churn : Simnet.Runtime.t -> round:int -> epoch:int -> down:int -> unit;
+      (** after each churn redraw ([epoch] = [round / churn.epoch]), for
+          the source's own trace note *)
+  health : string option;
+      (** note name for the backend's {!Backend_intf.S.health} probe,
+          emitted at every reconfiguration period ([None] = never) *)
+}
+(** A request source: a workload, seen by the round loop. *)
+
+val admit_schedule :
+  arrival:('r -> int) -> 'r array -> round:int -> ('r -> unit) -> unit
+(** An open-loop [admit] over a schedule sorted by arrival round.  The
+    partial application [admit_schedule ~arrival schedule] owns a cursor:
+    build one per run. *)
+
+val serve :
+  (module Backend_intf.S) ->
+  ?trace:Simnet.Trace.t ->
+  ?hot_keys:(int * float) array ->
+  who:string ->
+  seed:int64 ->
+  n:int ->
+  config ->
+  (unit -> 'r source) ->
+  report
+(** [serve (module B) ~who ~seed ~n cfg make_source] runs
+    [cfg.spec.rounds] rounds of [make_source ()] on a fresh [n]-server
+    [B].  [make_source] runs after [B.create] and before the run-header
+    note, the run's first trace event, so set-up (schedule generation
+    above all) ends there.  [hot_keys] overrides the adversary's key
+    ranking ({!Backend_intf.ctx}); [who] prefixes fault-plan errors.
+    Requests still pending at the end are abandoned as timeouts at round
+    [cfg.spec.rounds]. *)
+
 val run : ?trace:Simnet.Trace.t -> seed:int64 -> n:int -> config -> report
-(** Execute the workload on a fresh [n]-server DHT.  Emits, when [trace] is
-    given: one [Note] run header, one [Round] per round (messages, bits,
-    busiest-node load, blocked-set size), one [Request] per request at
-    completion or abandonment, [Adversary]/[Fault] events for churn draws
-    and crash transitions.  Requests still pending when the run ends are
-    abandoned as timeouts at round [spec.rounds]. *)
+(** Execute the {!Spec} workload on a fresh [n]-server DHT.  Emits, when
+    [trace] is given: one [workload/run] header note, one [Round] per
+    round (messages, bits, busiest-node load, blocked-set size), one
+    [Request] per request at completion or abandonment,
+    [Adversary]/[Fault] events for churn draws and crash transitions. *)
 
 val run_backend :
   (module Backend_intf.S) ->
@@ -162,22 +234,13 @@ val run_backend :
   n:int ->
   config ->
   report
-(** [run] generalized over the overlay: the whole request plane
-    (admissions, retries, SLO/latency accounting, churn draws, fault legs,
-    round and trace emission) runs against any {!Backend_intf.S}, so new
-    overlays plug in without editing the driver.  [cfg.backend] is only
-    consulted for the Chord knobs ([ctx.chord]); the module argument
-    decides the overlay.  [run] is
+(** [run] over any overlay: {!serve} with the {!Spec} source (three
+    classes sharing [spec.slo], [spec.timeout] and [cfg.retries]).
+    [cfg.backend] is only consulted for the Chord knobs ([ctx.chord]);
+    the module argument decides the overlay.  [run] is
     [run_backend (module Backends.Robust)] / [(module Backends.Chord_ring)]. *)
 
 val table_lines : report -> string list
 (** The default per-class result table (fixed-width, one string per line,
     no trailing newline) printed by [overlay_sim workload] and pinned by the
     cram test. *)
-
-val table_header : string
-(** The table's header line, shared with any driver reporting
-    {!class_report} rows (e.g. {!Social}). *)
-
-val table_row : class_report -> string
-(** One formatted table row. *)

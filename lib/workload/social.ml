@@ -1,41 +1,36 @@
-type config = {
-  app : Apps.Social.config;
-  k : int;
-  mode : Driver.mode;
-  period : int;
-  backend : Driver.backend;
-  attack : Attack.strategy;
-  frac : float;
-  lateness : int;
-  staleness : Simnet.Snapshots.staleness option;
-  faults : Simnet.Faults.plan option;
-  domains : int option;
-}
+type config = { app : Apps.Social.config; base : Driver.config }
 
-let config ?(k = 4) ?(mode = Backend_intf.Reconfig) ?(period = 8)
-    ?(backend = Driver.Robust) ?(attack = Attack.No_attack) ?(frac = 0.1)
-    ?lateness ?staleness ?faults ?domains app =
-  let lateness = Option.value lateness ~default:period in
-  if k < 2 then invalid_arg "Workload.Social: arity k < 2";
-  if period <= 0 then invalid_arg "Workload.Social: period <= 0";
-  if lateness < 0 then invalid_arg "Workload.Social: negative lateness";
-  (match backend with
-  | Driver.Robust -> ()
-  | Driver.Chord { fingers; succs; period } ->
-      let knob name = function
-        | Some v when v <= 0 ->
-            invalid_arg
-              (Printf.sprintf "Workload.Social: chord %s must be > 0" name)
-        | _ -> ()
-      in
-      knob "fingers" fingers;
-      knob "succs" succs;
-      knob "period" period);
-  { app; k; mode; period; backend; attack; frac; lateness; staleness; faults;
-    domains }
+let config ?k ?mode ?period ?backend ?attack ?frac ?lateness ?staleness ?faults
+    ?domains (app : Apps.Social.config) =
+  (* the overlay sees the application as a spec over its topics: its key
+     space and popularity rank the adversary's default targets *)
+  let spec =
+    Spec.make ~clients:app.users ~rounds:app.rounds ~keys:app.topics
+      ~arrivals:(Spec.Open_loop { rate = app.rate })
+      ~popularity:(Spec.Zipf app.zipf) ()
+  in
+  (* the session cycle's server side is the driver's coarse churn *)
+  let churn =
+    Option.map
+      (fun (online, epoch) -> { Driver.frac = 1.0 -. online; epoch })
+      app.session
+  in
+  (* the chord backend's internal lookup-retry policy gets the most
+     patient class's budget; per-request retries are per class *)
+  let retries =
+    List.fold_left
+      (fun a c -> max a (Apps.Social.budget c).retries)
+      0 Apps.Social.classes
+  in
+  {
+    app;
+    base =
+      Driver.config ?k ?mode ?period ?backend ?attack ?frac ?lateness
+        ?staleness ?churn ?faults ~retries ?domains spec;
+  }
 
-type report = {
-  config : config;
+type report = Driver.report = {
+  config : Driver.config;
   n : int;
   classes : Driver.class_report list;
   total : Driver.class_report;
@@ -44,305 +39,103 @@ type report = {
   total_bits : int;
 }
 
-(* mutable per-class accumulator; frozen into Driver.class_report *)
-type acc = {
-  a_cls : Apps.Social.cls;
-  mutable a_issued : int;
-  mutable a_ok : int;
-  mutable a_slo_miss : int;
-  mutable a_timed_out : int;
-  mutable a_failed : int;
-  mutable a_max_hops : int;
-  a_hist : Stats.Log_histogram.t;
-}
-
-let acc_create cls =
-  { a_cls = cls; a_issued = 0; a_ok = 0; a_slo_miss = 0; a_timed_out = 0;
-    a_failed = 0; a_max_hops = 0; a_hist = Stats.Log_histogram.create () }
-
-let freeze a =
-  {
-    Driver.cls = Apps.Social.class_name a.a_cls;
-    issued = a.a_issued;
-    ok = a.a_ok;
-    slo_miss = a.a_slo_miss;
-    timed_out = a.a_timed_out;
-    failed = a.a_failed;
-    max_hops = a.a_max_hops;
-    hist = a.a_hist;
-  }
-
-let cls_index = function
-  | Apps.Social.Feed -> 0
-  | Apps.Social.Post -> 1
-  | Apps.Social.Comment -> 2
-  | Apps.Social.Vote -> 3
-  | Apps.Social.Dm -> 4
-
-type pending = { req : Apps.Social.request; mutable attempts : int }
-
-type attempt_outcome =
-  | Served of { service : int; hops : int }
-  | Attempt_failed of { hops : int }
-
 let payload_of (req : Apps.Social.request) =
-  Printf.sprintf "u%d.%d" req.Apps.Social.user req.Apps.Social.seq
+  Printf.sprintf "u%d.%d" req.user req.seq
 
 let mix_to_string (m : Apps.Social.mix) =
   String.concat ","
     (List.map2
        (fun name w -> Printf.sprintf "%s=%s" name (Stats.Float_text.repr w))
        [ "feed"; "post"; "comment"; "vote"; "dm" ]
-       [ m.Apps.Social.feed; m.post; m.comment; m.vote; m.dm ])
+       [ m.feed; m.post; m.comment; m.vote; m.dm ])
 
-(* The social request plane: {!Driver.run_backend}'s structure (same
-   stream split order, same round steps, same fault legs) with five
-   per-class budgets/histograms, chained-operation attempts, session
-   churn, and the [social/*] span family. *)
-let run_backend (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ~seed
-    ~n (cfg : config) =
-  let app = cfg.app in
-  (* fixed split order, as in {!Driver.run_backend} *)
-  let root = Prng.Stream.of_seed seed in
-  let backend_rng = Prng.Stream.split root in
-  let service_rng = Prng.Stream.split root in
-  let churn_rng = Prng.Stream.split root in
-  let attack_rng = Prng.Stream.split root in
-  let rt =
-    Simnet.Runtime.create ~trace ?faults:cfg.faults
-      ~supports:[ `Drop; `Duplicate; `Delay; `Crash; `Recover ]
-      ~who:"Workload.Social" ?domains:cfg.domains ~n ()
+(* One attempt serves the whole chain or nothing; a post's repost fan-out
+   rides in the same chain. *)
+let exec (server : Driver.server) ~entry (req : Apps.Social.request) =
+  let payload = payload_of req in
+  let rec go ops ~service ~hops : Driver.attempt =
+    match ops with
+    | [] -> Served { service; hops }
+    | op :: rest ->
+        let res =
+          match op with
+          | Apps.Social.Probe topic -> server.last_seq ~entry ~topic
+          | Publish topic -> server.publish ~entry ~topic payload
+          | Store key -> server.put ~entry key payload
+        in
+        let hops = hops + res.Backend_intf.hops in
+        if res.ok then
+          go rest
+            ~service:(service + Apps.Social.base_ops op + res.hops + res.waits)
+            ~hops
+        else Attempt_failed { hops }
   in
-  let blocked = Array.make n false in
-  (* The chord backend's internal lookup-retry policy gets the most
-     patient class's budget; per-request retries are per-class below. *)
-  let max_retries =
-    List.fold_left
-      (fun a c -> max a (Apps.Social.budget c).Apps.Social.retries)
-      0 Apps.Social.classes
-  in
-  let spec =
-    Spec.make ~clients:app.Apps.Social.users ~rounds:app.Apps.Social.rounds
-      ~keys:app.Apps.Social.topics
-      ~arrivals:(Spec.Open_loop { rate = app.Apps.Social.rate })
-      ~popularity:(Spec.Zipf app.Apps.Social.zipf) ()
-  in
-  let ctx =
-    {
-      Backend_intf.n;
-      k = cfg.k;
-      mode = cfg.mode;
-      period = cfg.period;
-      attack = cfg.attack;
-      frac = cfg.frac;
-      lateness = cfg.lateness;
-      staleness = cfg.staleness;
-      retries = max_retries;
-      spec;
-      (* the adversary targets the application's real hot spots: the
-         subreddit publication counters, hottest first *)
-      hot_keys = Some (Apps.Social.hot_keys app);
-      chord =
-        (match cfg.backend with
-        | Driver.Chord cp -> cp
-        | Driver.Robust -> Driver.chord_defaults);
-      rng = backend_rng;
-      attack_rng;
-      rt;
-      blocked;
-    }
-  in
-  let b = B.create ctx in
-  let churn_down = Array.make n false in
+  go req.ops ~service:0 ~hops:0
+
+let source ~seed { app; base } () : Apps.Social.request Driver.source =
   let offline = Apps.Social.offline app ~seed in
-  let schedule = Apps.Social.schedule ?domains:cfg.domains app ~seed in
-  let sched_pos = ref 0 in
-  let accs = Array.of_list (List.map acc_create Apps.Social.classes) in
-  let acc_for cls = accs.(cls_index cls) in
-  let hop_msgs = ref 0 and total_bits = ref 0 in
-  let queue : pending Queue.t = Queue.create () in
-  Simnet.Runtime.note rt ~name:"social/run"
-    ((("n", Simnet.Trace.Int n) :: B.note_fields b)
-    @ [
-        ("users", Simnet.Trace.Int app.Apps.Social.users);
-        ("topics", Simnet.Trace.Int app.Apps.Social.topics);
-        ("rounds", Simnet.Trace.Int app.Apps.Social.rounds);
-        ("fanout", Simnet.Trace.Int app.Apps.Social.fanout);
-        ("rate", Simnet.Trace.Float app.Apps.Social.rate);
-        ("mix", Simnet.Trace.String (mix_to_string app.Apps.Social.mix));
+  let schedule = Apps.Social.schedule ?domains:base.domains app ~seed in
+  let per_class f = Array.of_list (List.map f Apps.Social.classes) in
+  let budget f = per_class (fun c -> f (Apps.Social.budget c)) in
+  {
+    name = "social/run";
+    fields =
+      [
+        ("users", Simnet.Trace.Int app.users);
+        ("topics", Simnet.Trace.Int app.topics);
+        ("rounds", Simnet.Trace.Int app.rounds);
+        ("fanout", Simnet.Trace.Int app.fanout);
+        ("rate", Simnet.Trace.Float app.rate);
+        ("mix", Simnet.Trace.String (mix_to_string app.mix));
         ( "session",
           Simnet.Trace.String
-            (match app.Apps.Social.session with
+            (match app.session with
             | None -> "-"
             | Some (online, epoch) ->
                 Printf.sprintf "%s:%d" (Stats.Float_text.repr online) epoch) );
-        ( "mode",
-          Simnet.Trace.String
-            (match cfg.mode with
-            | Backend_intf.Reconfig -> "reconfig"
-            | Backend_intf.Static -> "static") );
-        ("attack", Simnet.Trace.String (Attack.strategy_to_string cfg.attack));
-      ]);
-  let record_gave_up p ~round ~status ~hops =
-    let a = acc_for p.req.Apps.Social.cls in
-    let latency = round - p.req.Apps.Social.arrival in
-    (match status with
-    | `Timeout -> a.a_timed_out <- a.a_timed_out + 1
-    | `Failed -> a.a_failed <- a.a_failed + 1);
-    Simnet.Runtime.request rt
-      ~op:(Apps.Social.class_name p.req.Apps.Social.cls)
-      ~round ~client:p.req.Apps.Social.user ~latency ~hops
-      ~status:(match status with `Timeout -> "timeout" | `Failed -> "failed")
-  in
-  let record_served p ~round ~service ~hops =
-    let a = acc_for p.req.Apps.Social.cls in
-    let budget = Apps.Social.budget p.req.Apps.Social.cls in
-    let latency = round - p.req.Apps.Social.arrival + service in
-    a.a_ok <- a.a_ok + 1;
-    if latency > budget.Apps.Social.slo then a.a_slo_miss <- a.a_slo_miss + 1;
-    if hops > a.a_max_hops then a.a_max_hops <- hops;
-    Stats.Log_histogram.add a.a_hist latency;
-    Simnet.Runtime.request rt
-      ~op:(Apps.Social.class_name p.req.Apps.Social.cls)
-      ~round ~client:p.req.Apps.Social.user ~latency ~hops ~status:"ok"
-  in
-  let attempt p =
-    let lost_req = not (Simnet.Runtime.leg rt ()) in
-    let lost_rep = not (Simnet.Runtime.leg rt ()) in
-    if lost_req || lost_rep then Attempt_failed { hops = 0 }
-    else
-      match B.entry b ~rng:service_rng with
-      | None -> Attempt_failed { hops = 0 }
-      | Some entry ->
-          let payload = payload_of p.req in
-          (* the whole chain must succeed within this attempt; a post's
-             repost fan-out rides in the same chain *)
-          let rec exec ops ~service ~hops =
-            match ops with
-            | [] -> Served { service; hops }
-            | op :: rest ->
-                let res =
-                  match op with
-                  | Apps.Social.Probe topic -> B.last_seq b ~entry ~topic
-                  | Apps.Social.Publish topic -> B.publish b ~entry ~topic payload
-                  | Apps.Social.Store key -> B.put b ~entry key payload
-                in
-                let hops = hops + res.Backend_intf.hops in
-                if res.Backend_intf.ok then
-                  exec rest
-                    ~service:
-                      (service + Apps.Social.base_ops op
-                     + res.Backend_intf.hops + res.Backend_intf.waits)
-                    ~hops
-                else Attempt_failed { hops }
-          in
-          exec p.req.Apps.Social.ops ~service:0 ~hops:0
-  in
-  let issue req =
-    let a = acc_for req.Apps.Social.cls in
-    a.a_issued <- a.a_issued + 1;
-    Queue.add { req; attempts = 0 } queue
-  in
-  let rounds = app.Apps.Social.rounds in
-  for r = 0 to rounds - 1 do
-    B.reconfigure b ~round:r;
-    B.observe b;
-    (* session epoch boundary: the offline users already issue nothing
-       (schedule generation); here the same cycle churns the servers *)
-    (match app.Apps.Social.session with
-    | Some (online, epoch) when r mod epoch = 0 ->
-        let was_down = Array.copy churn_down in
-        Array.fill churn_down 0 n false;
-        let down = int_of_float ((1.0 -. online) *. float_of_int n) in
-        if down > 0 then begin
-          let picks = Prng.Stream.sample_distinct churn_rng n ~k:down in
-          Array.iter (fun v -> churn_down.(v) <- true) picks
-        end;
-        B.churn b ~rng:churn_rng ~was_down ~down:churn_down;
-        Simnet.Runtime.adversary rt ~kind:"churn"
-          [ ("round", Simnet.Trace.Int r); ("down", Simnet.Trace.Int down) ];
-        let e = r / epoch in
+      ];
+    classes = per_class Apps.Social.class_name;
+    class_of =
+      (fun req ->
+        match req.cls with
+        | Feed -> 0 | Post -> 1 | Comment -> 2 | Vote -> 3 | Dm -> 4);
+    arrival = (fun req -> req.arrival);
+    client = (fun req -> req.user);
+    slo = budget (fun b -> b.slo);
+    timeout = budget (fun b -> b.timeout);
+    retries = budget (fun b -> b.retries);
+    admit =
+      Driver.admit_schedule
+        ~arrival:(fun (req : Apps.Social.request) -> req.arrival)
+        schedule;
+    release = (fun _ ~at:_ -> ());
+    exec;
+    (* the session boundary: offline users already issue nothing (the
+       schedule skips them); the driver has just churned the servers *)
+    on_churn =
+      (fun rt ~round ~epoch:e ~down ->
         let off_users =
           if e < Array.length offline then
-            Array.fold_left
-              (fun a o -> if o then a + 1 else a)
-              0
-              offline.(e)
+            Array.fold_left (fun a o -> if o then a + 1 else a) 0 offline.(e)
           else 0
         in
         Simnet.Runtime.note rt ~name:"social/session"
           [
-            ("round", Simnet.Trace.Int r);
+            ("round", Simnet.Trace.Int round);
             ("epoch", Simnet.Trace.Int e);
             ("offline_users", Simnet.Trace.Int off_users);
             ("down_servers", Simnet.Trace.Int down);
-          ]
-    | _ -> ());
-    ignore (Simnet.Runtime.tick rt);
-    for v = 0 to n - 1 do
-      blocked.(v) <- churn_down.(v) || Simnet.Runtime.crashed rt v
-    done;
-    B.mark_attack b ~into:blocked;
-    let blocked_count =
-      Array.fold_left (fun a b -> if b then a + 1 else a) 0 blocked
-    in
-    B.begin_round b;
-    B.maintain b;
-    if r > 0 && r mod cfg.period = 0 then
-      Simnet.Runtime.note rt ~name:"social/health"
-        (("round", Simnet.Trace.Int r) :: B.health b);
-    while
-      !sched_pos < Array.length schedule
-      && schedule.(!sched_pos).Apps.Social.arrival = r
-    do
-      issue schedule.(!sched_pos);
-      incr sched_pos
-    done;
-    let in_flight = Queue.length queue in
-    for _ = 1 to in_flight do
-      let p = Queue.pop queue in
-      p.attempts <- p.attempts + 1;
-      let budget = Apps.Social.budget p.req.Apps.Social.cls in
-      match attempt p with
-      | Served { service; hops } -> record_served p ~round:r ~service ~hops
-      | Attempt_failed { hops } ->
-          if p.attempts > budget.Apps.Social.retries then
-            record_gave_up p ~round:r ~status:`Failed ~hops
-          else if
-            r + 1 > p.req.Apps.Social.arrival + budget.Apps.Social.timeout
-          then record_gave_up p ~round:r ~status:`Timeout ~hops
-          else Queue.add p queue
-    done;
-    let e = B.emit_round b in
-    hop_msgs := !hop_msgs + e.Backend_intf.req_msgs;
-    total_bits := !total_bits + e.Backend_intf.bits;
-    Simnet.Runtime.emit_round rt ~msgs:e.Backend_intf.msgs
-      ~bits:e.Backend_intf.bits ~max_node_bits:e.Backend_intf.max_node_bits
-      ~max_node_msgs:e.Backend_intf.max_node_msgs ~blocked:blocked_count;
-    Simnet.Runtime.advance rt ~rounds:1
-  done;
-  Queue.iter
-    (fun p -> record_gave_up p ~round:rounds ~status:`Timeout ~hops:0)
-    queue;
-  Queue.clear queue;
-  let classes = Array.to_list (Array.map freeze accs) in
-  {
-    config = cfg;
-    n;
-    classes;
-    total = Driver.total_of classes;
-    hop_msgs = !hop_msgs;
-    max_group_load = B.max_group_load b;
-    total_bits = !total_bits;
+          ]);
+    health = Some "social/health";
   }
 
 let run ?trace ~seed ~n (cfg : config) =
-  match cfg.backend with
-  | Driver.Robust -> run_backend (module Backends.Robust) ?trace ~seed ~n cfg
-  | Driver.Chord _ ->
-      run_backend (module Backends.Chord_ring) ?trace ~seed ~n cfg
+  let backend : (module Backend_intf.S) =
+    match cfg.base.backend with
+    | Driver.Robust -> (module Backends.Robust)
+    | Chord _ -> (module Backends.Chord_ring)
+  in
+  Driver.serve backend ?trace ~hot_keys:(Apps.Social.hot_keys cfg.app)
+    ~who:"Workload.Social" ~seed ~n cfg.base (source ~seed cfg)
 
-let table_lines report =
-  Driver.table_header
-  :: (List.map Driver.table_row report.classes
-     @ [ Driver.table_row report.total ])
+let table_lines = Driver.table_lines

@@ -1,46 +1,38 @@
-(** Round-by-round execution of the Reddit-style composite application
-    ({!Apps.Social}) against any overlay backend ({!Backend_intf.S}),
-    under the full hostile environment: reconfiguration or a static
-    baseline, the t-late blocking adversary, session churn, and ordinary
-    faults.
+(** The Reddit-style composite application ({!Apps.Social}) as a request
+    source for {!Driver.serve}: the driver's round loop runs it against any
+    overlay backend under the full hostile environment (reconfiguration
+    or a static baseline, the t-late blocking adversary, session churn,
+    ordinary faults), and this module says only what is particular to
+    the application.
 
-    The request plane mirrors {!Driver.run_backend} (same stream split
-    order, same round structure, same fault legs) but accounts the five
-    social traffic classes separately: each class has its own arrival mix
-    share, its own retry/timeout budget and SLO ({!Apps.Social.budget}),
-    and its own {!Stats.Log_histogram}, reported per class and merged
-    overall with {!Stats.Log_histogram.merge}.  A request is a chain of
-    DHT operations (a post carries its repost fan-out); one attempt must
-    serve the whole chain, and its service time is the sum of the chain's
-    operation costs ([base_ops + hops + waits] each).
-
-    The session cycle compiles onto the existing coarse-churn plan: with
-    [session = (online, epoch)], every [epoch] rounds the offline users
-    stop issuing (enforced at schedule generation) {e and} a fresh
-    [1 - online] fraction of servers is down for the epoch, drawn from the
-    churn stream exactly as {!Driver.run_backend} draws its churn set.
-
-    Tracing adds one span family, [social/*]: a [social/run] header note,
-    a [social/session] note per churn epoch, and a [social/health] note
-    (the backend's {!Backend_intf.S.health} probe) per reconfiguration
-    period.  Requests are ordinary typed [Request] events whose [op]
-    field carries the class name.
+    - {b Classes and budgets.}  Five traffic classes, each with its own
+      arrival mix share and its own SLO, timeout and retry budget
+      ({!Apps.Social.budget}), reported per class with their own
+      {!Stats.Log_histogram}s.
+    - {b Op chains.}  A request is a chain of DHT operations (a post
+      carries its repost fan-out); one attempt must serve the whole
+      chain, and its service time is the sum of the chain's operation
+      costs ([base_ops + hops + waits] each).
+    - {b Sessions.}  With [session = (online, epoch)] the offline users
+      stop issuing (enforced at schedule generation), and the same cycle
+      is the driver's coarse churn: [{frac = 1 - online; epoch}], a fresh
+      [1 - online] fraction of servers down for each epoch.
+    - {b Trace.}  One span family, [social/*]: the [social/run] header
+      note (the run's first event, emitted once the schedule is built), a
+      [social/session] note after each churn draw, and a [social/health]
+      note (the backend's {!Backend_intf.S.health} probe) per
+      reconfiguration period.  Requests are ordinary typed [Request]
+      events whose [op] field carries the class name.
 
     Determinism: every decision draws from a [(seed, purpose)]-keyed
     stream, so traces and reports are byte-identical for any [domains]. *)
 
 type config = {
   app : Apps.Social.config;
-  k : int;  (** cube arity of the underlying DHT *)
-  mode : Driver.mode;
-  period : int;  (** reshuffle / health-probe period in rounds *)
-  backend : Driver.backend;
-  attack : Attack.strategy;
-  frac : float;  (** adversary budget as a fraction of [n] *)
-  lateness : int;  (** adversary observation delay, in rounds *)
-  staleness : Simnet.Snapshots.staleness option;
-  faults : Simnet.Faults.plan option;
-  domains : int option;
+  base : Driver.config;
+      (** the request plane: the app's topics as [spec], its session as
+          [churn], the most patient class's retries as [retries] (the
+          Chord backend's lookup-retry budget) *)
 }
 
 val config :
@@ -56,13 +48,11 @@ val config :
   ?domains:int ->
   Apps.Social.config ->
   config
-(** Defaults as {!Driver.config}: [k = 4], the [Robust] backend,
-    [Reconfig] every [period = 8] rounds, [No_attack] with [frac = 0.1]
-    and [lateness = period].  Raises [Invalid_argument] on the same bound
-    violations. *)
+(** Defaults and [Invalid_argument] bounds as {!Driver.config}, which
+    builds [base]. *)
 
-type report = {
-  config : config;
+type report = Driver.report = {
+  config : Driver.config;  (** the [base] config *)
   n : int;
   classes : Driver.class_report list;
       (** feed, post, comment, vote, dm — in that order *)
@@ -79,6 +69,5 @@ val run : ?trace:Simnet.Trace.t -> seed:int64 -> n:int -> config -> report
     [Group_kill] lands on the servers the feed reads actually hit. *)
 
 val table_lines : report -> string list
-(** Per-class result table ({!Driver.table_header} format), one string
-    per line, printed by [overlay_sim social] and pinned by the cram
-    test. *)
+(** {!Driver.table_lines}: printed by [overlay_sim social] and pinned by
+    the cram test. *)

@@ -349,7 +349,8 @@ let scenario_gen =
   let* session =
     opt (pair (float_range 0.05 1.0) (int_range 1 32))
   in
-  let* rounds = int_range (-1) 99 in
+  (* -1 is the unset default; 0 is not a valid round count *)
+  let* rounds = oneof [ return (-1); int_range 1 99 ] in
   let* domains = int_range 0 8 in
   let* trace = opt_string [ "/tmp/t.jsonl" ] in
   let* trace_format =
