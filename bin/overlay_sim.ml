@@ -840,6 +840,110 @@ let dht_cmd =
 
 (* ---------- workload ---------- *)
 
+(* ---------- request-plane overlay flags (workload, social) ---------- *)
+
+(* --attack, --frac, --static, --period, --backend and --chord-*: which
+   overlay serves the requests and what attacks it, as both request-plane
+   subcommands take them *)
+type overlay = {
+  attack : Workload.Attack.strategy;
+  frac : float;
+  static : bool;
+  period : int;
+  backend : string;
+  chord : Workload.Driver.chord_params;
+}
+
+let overlay_term =
+  let attack_conv =
+    let parse s =
+      match Workload.Attack.parse_strategy s with
+      | Ok a -> Ok a
+      | Error e -> Error (`Msg e)
+    in
+    Arg.conv
+      ( parse,
+        fun fmt a ->
+          Format.pp_print_string fmt (Workload.Attack.strategy_to_string a) )
+  in
+  let attack_arg =
+    Arg.(
+      value
+      & opt attack_conv Workload.Attack.No_attack
+      & info [ "attack" ] ~docv:"S"
+          ~doc:"Adversary: none, random, or group-kill.")
+  in
+  let wfrac_arg =
+    Arg.(
+      value & opt float 0.1
+      & info [ "frac" ] ~docv:"F"
+          ~doc:"Fraction of servers the adversary blocks per round.")
+  in
+  let static_arg =
+    Arg.(
+      value & flag
+      & info [ "static" ]
+          ~doc:
+            "Never reconfigure (the static baseline the paper's networks are \
+             measured against).")
+  in
+  let period_arg =
+    Arg.(
+      value & opt int 8
+      & info [ "period" ] ~docv:"P" ~doc:"Reconfiguration period in rounds.")
+  in
+  let backend_arg =
+    Arg.(
+      value & opt string "reconfig"
+      & info [ "backend" ] ~docv:"B"
+          ~doc:
+            "Overlay backend serving the requests: $(b,reconfig) (the \
+             paper's reconfigurable supernode DHT) or $(b,chord) \
+             (iterative Chord lookups under the same request plane).")
+  in
+  let chord_knob_arg name doc =
+    Arg.(value & opt int (-1) & info [ name ] ~docv:"K" ~doc)
+  in
+  let overlay attack frac static period backend fingers succs cperiod =
+    let knob v = if v = -1 then None else Some v in
+    { attack; frac; static; period; backend;
+      chord =
+        { Workload.Driver.fingers = knob fingers; succs = knob succs;
+          period = knob cperiod } }
+  in
+  Term.(
+    const overlay $ attack_arg $ wfrac_arg $ static_arg $ period_arg
+    $ backend_arg
+    $ chord_knob_arg "chord-fingers"
+        "Chord finger-table length (-1 = the id-space width m)."
+    $ chord_knob_arg "chord-succs"
+        "Chord successor-list length (-1 = the backend default)."
+    $ chord_knob_arg "chord-period"
+        "Chord maintenance period in rounds (-1 = the --period value).")
+
+let overlay_mode o =
+  if o.static then Workload.Driver.Static else Workload.Driver.Reconfig
+
+let overlay_backend o =
+  match o.backend with
+  | "reconfig" -> Workload.Driver.Robust
+  | "chord" -> Workload.Driver.Chord o.chord
+  | other ->
+      Printf.eprintf "unknown backend %S (reconfig|chord)\n" other;
+      Stdlib.exit 2
+
+(* Only the chord backend prints a line, so the reconfig goldens stay
+   byte-identical. *)
+let print_backend o = if o.backend = "chord" then print_string "backend: chord\n"
+
+(* the report preamble's overlay settings, up to [lateness] *)
+let overlay_line o ~n ~lateness =
+  Printf.sprintf "n=%d mode=%s period=%d attack=%s frac=%.2f lateness=%d" n
+    (if o.static then "static" else "reconfig")
+    o.period
+    (Workload.Attack.strategy_to_string o.attack)
+    o.frac lateness
+
 let workload_cmd =
   let arrivals_conv =
     let parse s =
@@ -862,17 +966,6 @@ let workload_cmd =
       ( parse,
         fun fmt m -> Format.pp_print_string fmt (Workload.Spec.mix_to_string m)
       )
-  in
-  let attack_conv =
-    let parse s =
-      match Workload.Attack.parse_strategy s with
-      | Ok a -> Ok a
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv
-      ( parse,
-        fun fmt a ->
-          Format.pp_print_string fmt (Workload.Attack.strategy_to_string a) )
   in
   let rounds_arg =
     Arg.(
@@ -924,19 +1017,6 @@ let workload_cmd =
       & info [ "timeout" ] ~docv:"T"
           ~doc:"Rounds after arrival before a request is abandoned.")
   in
-  let attack_arg =
-    Arg.(
-      value
-      & opt attack_conv Workload.Attack.No_attack
-      & info [ "attack" ] ~docv:"S"
-          ~doc:"Adversary: none, random, or group-kill.")
-  in
-  let wfrac_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "frac" ] ~docv:"F"
-          ~doc:"Fraction of servers the adversary blocks per round.")
-  in
   let churn_arg =
     Arg.(
       value & opt float 0.0
@@ -948,46 +1028,8 @@ let workload_cmd =
       value & opt int 8
       & info [ "churn-epoch" ] ~docv:"E" ~doc:"Churn epoch length in rounds.")
   in
-  let static_arg =
-    Arg.(
-      value & flag
-      & info [ "static" ]
-          ~doc:
-            "Never reconfigure (the static baseline the paper's networks are \
-             measured against).")
-  in
-  let period_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "period" ] ~docv:"P" ~doc:"Reconfiguration period in rounds.")
-  in
-  let backend_arg =
-    Arg.(
-      value & opt string "reconfig"
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Overlay backend serving the requests: $(b,reconfig) (the \
-             paper's reconfigurable supernode DHT) or $(b,chord) \
-             (iterative Chord lookups under the same request plane).")
-  in
-  let chord_knob_arg name doc =
-    Arg.(value & opt int (-1) & info [ name ] ~docv:"K" ~doc)
-  in
-  let chord_fingers_arg =
-    chord_knob_arg "chord-fingers"
-      "Chord finger-table length (-1 = the id-space width m)."
-  in
-  let chord_succs_arg =
-    chord_knob_arg "chord-succs"
-      "Chord successor-list length (-1 = the backend default)."
-  in
-  let chord_period_arg =
-    chord_knob_arg "chord-period"
-      "Chord maintenance period in rounds (-1 = the --period value)."
-  in
-  let run sc rounds clients arrivals mix keys zipf slo timeout attack frac
-      lateness churn churn_epoch static period backend chord_fingers
-      chord_succs chord_period json () =
+  let run sc rounds clients arrivals mix keys zipf slo timeout ov lateness
+      churn churn_epoch json () =
     let n = sc.Simnet.Scenario.n in
     let trace = Simnet.Scenario.trace_sink sc in
     let faults = sc.Simnet.Scenario.faults in
@@ -1003,25 +1045,10 @@ let workload_cmd =
       Workload.Spec.make ~clients ~rounds ~keys ~arrivals ~mix ~popularity ~slo
         ~timeout ()
     in
-    let backend =
-      match backend with
-      | "reconfig" -> Workload.Driver.Robust
-      | "chord" ->
-          let knob v = if v = -1 then None else Some v in
-          Workload.Driver.Chord
-            {
-              Workload.Driver.fingers = knob chord_fingers;
-              succs = knob chord_succs;
-              period = knob chord_period;
-            }
-      | other ->
-          Printf.eprintf "unknown backend %S (reconfig|chord)\n" other;
-          Stdlib.exit 2
-    in
+    let backend = overlay_backend ov in
     let cfg =
-      Workload.Driver.config
-        ~mode:(if static then Workload.Driver.Static else Workload.Driver.Reconfig)
-        ~period ~backend ~attack ~frac
+      Workload.Driver.config ~mode:(overlay_mode ov) ~period:ov.period
+        ~backend ~attack:ov.attack ~frac:ov.frac
         ?lateness:(if lateness < 0 then None else Some lateness)
         ?churn:
           (if churn > 0.0 then
@@ -1036,11 +1063,7 @@ let workload_cmd =
           Workload.Driver.run ~trace ~seed:(Int64.of_int seed) ~n cfg)
     in
     Simnet.Trace.close trace;
-    (* only the chord backend prints an extra line, so the reconfig
-       goldens stay byte-identical *)
-    (match backend with
-    | Workload.Driver.Robust -> ()
-    | Workload.Driver.Chord _ -> Printf.printf "backend: chord\n");
+    print_backend ov;
     Printf.printf "workload: %s, mix %s, %d keys (%s)\n"
       (Workload.Spec.arrivals_to_string arrivals)
       (Workload.Spec.mix_to_string mix)
@@ -1048,14 +1071,9 @@ let workload_cmd =
       (match popularity with
       | Workload.Spec.Uniform -> "uniform"
       | Workload.Spec.Zipf s -> Printf.sprintf "zipf %.2f" s);
-    Printf.printf
-      "n=%d mode=%s period=%d attack=%s frac=%.2f lateness=%d churn=%.2f \
-       retry=%d\n\n"
-      n
-      (if static then "static" else "reconfig")
-      period
-      (Workload.Attack.strategy_to_string attack)
-      frac cfg.Workload.Driver.lateness churn wretry;
+    Printf.printf "%s churn=%.2f retry=%d\n\n"
+      (overlay_line ov ~n ~lateness:cfg.Workload.Driver.lateness)
+      churn wretry;
     List.iter print_endline (Workload.Driver.table_lines report);
     Printf.printf "\nhop messages:   %d\n" report.Workload.Driver.hop_msgs;
     Printf.printf "max group load: %d\n" report.Workload.Driver.max_group_load;
@@ -1080,25 +1098,12 @@ let workload_cmd =
       const run
       $ scenario_term ~default_n:1024 ()
       $ rounds_arg $ clients_arg $ arrivals_arg $ mix_arg $ keys_arg
-      $ zipf_arg $ slo_arg $ timeout_arg $ attack_arg $ wfrac_arg
-      $ lateness_arg $ churn_arg $ churn_epoch_arg $ static_arg $ period_arg
-      $ backend_arg $ chord_fingers_arg $ chord_succs_arg $ chord_period_arg
-      $ json_term $ verbose_term)
+      $ zipf_arg $ slo_arg $ timeout_arg $ overlay_term $ lateness_arg
+      $ churn_arg $ churn_epoch_arg $ json_term $ verbose_term)
 
 (* ---------- social ---------- *)
 
 let social_cmd =
-  let attack_conv =
-    let parse s =
-      match Workload.Attack.parse_strategy s with
-      | Ok a -> Ok a
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv
-      ( parse,
-        fun fmt a ->
-          Format.pp_print_string fmt (Workload.Attack.strategy_to_string a) )
-  in
   let users_arg =
     Arg.(
       value & opt int 64 & info [ "users" ] ~docv:"U" ~doc:"Application users.")
@@ -1140,57 +1145,7 @@ let social_cmd =
              fraction of users goes offline, and the same fraction of \
              servers churns out (default: everyone always online).")
   in
-  let attack_arg =
-    Arg.(
-      value
-      & opt attack_conv Workload.Attack.No_attack
-      & info [ "attack" ] ~docv:"S"
-          ~doc:"Adversary: none, random, or group-kill.")
-  in
-  let sfrac_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "frac" ] ~docv:"F"
-          ~doc:"Fraction of servers the adversary blocks per round.")
-  in
-  let static_arg =
-    Arg.(
-      value & flag
-      & info [ "static" ]
-          ~doc:
-            "Never reconfigure (the static baseline the paper's networks are \
-             measured against).")
-  in
-  let period_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "period" ] ~docv:"P" ~doc:"Reconfiguration period in rounds.")
-  in
-  let backend_arg =
-    Arg.(
-      value & opt string "reconfig"
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Overlay backend serving the requests: $(b,reconfig) or \
-             $(b,chord).")
-  in
-  let chord_knob_arg name doc =
-    Arg.(value & opt int (-1) & info [ name ] ~docv:"K" ~doc)
-  in
-  let chord_fingers_arg =
-    chord_knob_arg "chord-fingers"
-      "Chord finger-table length (-1 = the id-space width m)."
-  in
-  let chord_succs_arg =
-    chord_knob_arg "chord-succs"
-      "Chord successor-list length (-1 = the backend default)."
-  in
-  let chord_period_arg =
-    chord_knob_arg "chord-period"
-      "Chord maintenance period in rounds (-1 = the --period value)."
-  in
-  let run sc users topics rounds rate fanout zipf session attack frac lateness
-      staleness static period backend chord_fingers chord_succs chord_period
+  let run sc users topics rounds rate fanout zipf session ov lateness staleness
       json () =
     let n = sc.Simnet.Scenario.n in
     let seed = sc.Simnet.Scenario.seed in
@@ -1213,28 +1168,11 @@ let social_cmd =
           Apps.Social.config ~users ~topics ~rounds ~rate ~fanout ~zipf
             ?session ())
     in
-    let backend =
-      match backend with
-      | "reconfig" -> Workload.Driver.Robust
-      | "chord" ->
-          let knob v = if v = -1 then None else Some v in
-          Workload.Driver.Chord
-            {
-              Workload.Driver.fingers = knob chord_fingers;
-              succs = knob chord_succs;
-              period = knob chord_period;
-            }
-      | other ->
-          Printf.eprintf "unknown backend %S (reconfig|chord)\n" other;
-          Stdlib.exit 2
-    in
+    let backend = overlay_backend ov in
     let cfg =
       or_usage_error (fun () ->
-          Workload.Social.config
-            ~mode:
-              (if static then Workload.Driver.Static
-               else Workload.Driver.Reconfig)
-            ~period ~backend ~attack ~frac
+          Workload.Social.config ~mode:(overlay_mode ov) ~period:ov.period
+            ~backend ~attack:ov.attack ~frac:ov.frac
             ?lateness:(if lateness < 0 then None else Some lateness)
             ?staleness:(parse_staleness staleness)
             ?faults:sc.Simnet.Scenario.faults
@@ -1246,9 +1184,7 @@ let social_cmd =
           Workload.Social.run ~trace ~seed:(Int64.of_int seed) ~n cfg)
     in
     Simnet.Trace.close trace;
-    (match backend with
-    | Workload.Driver.Robust -> ()
-    | Workload.Driver.Chord _ -> Printf.printf "backend: chord\n");
+    print_backend ov;
     Printf.printf
       "social: %d users, %d topics, fanout %d, rate %.2f, zipf %.2f, \
        session %s\n"
@@ -1256,12 +1192,9 @@ let social_cmd =
       (match session with
       | None -> "-"
       | Some (online, epoch) -> Printf.sprintf "%g:%d" online epoch);
-    Printf.printf "n=%d mode=%s period=%d attack=%s frac=%.2f lateness=%d\n\n"
-      n
-      (if static then "static" else "reconfig")
-      period
-      (Workload.Attack.strategy_to_string attack)
-      frac cfg.Workload.Social.base.Workload.Driver.lateness;
+    Printf.printf "%s\n\n"
+      (overlay_line ov ~n
+         ~lateness:cfg.Workload.Social.base.Workload.Driver.lateness);
     List.iter print_endline (Workload.Social.table_lines report);
     Printf.printf "\nhop messages:   %d\n" report.Workload.Social.hop_msgs;
     Printf.printf "max group load: %d\n" report.Workload.Social.max_group_load;
@@ -1287,9 +1220,7 @@ let social_cmd =
       const run
       $ scenario_term ~default_n:1024 ()
       $ users_arg $ topics_arg $ rounds_arg $ rate_arg $ fanout_arg
-      $ zipf_arg $ session_arg $ attack_arg $ sfrac_arg $ lateness_arg
-      $ staleness_arg $ static_arg $ period_arg $ backend_arg
-      $ chord_fingers_arg $ chord_succs_arg $ chord_period_arg
+      $ zipf_arg $ session_arg $ overlay_term $ lateness_arg $ staleness_arg
       $ json_term $ verbose_term)
 
 (* ---------- chord ---------- *)
