@@ -46,62 +46,33 @@ fault-smoke:
 	  --trace /tmp/overlay_fault_trace.jsonl > /dev/null
 	dune exec bin/trace_check.exe -- /tmp/overlay_fault_trace.jsonl
 
-# Run a traced workload (group-kill DoS + message drops + retries) and
-# validate the trace (see docs/workloads.md).  WORKLOAD_DROP is the
-# per-attempt message drop rate; at 0 the fault plan is inert and the run
-# is byte-identical to a fault-free one.
+# Run a traced workload (group-kill DoS + message drops + retries) at one
+# and at two worker domains, check the traces are byte-identical and
+# validate them; then validate the request plane's other hooks: the closed
+# loop with churn, and the Chord backend (see docs/workloads.md).
+# WORKLOAD_DROP is the per-attempt message drop rate; at 0 the fault plan
+# is inert and the run is byte-identical to a fault-free one.
 WORKLOAD_DROP ?= 0.05
+WORKLOAD_HOOKS = -n 256 --rounds 24 --clients 16 --seed 11 --attack group-kill --frac 0.2 --retry 2
 workload-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe
 	dune exec bin/overlay_sim.exe -- workload -n 256 --rounds 30 --clients 32 \
 	  --attack group-kill --frac 0.2 --faults drop=$(WORKLOAD_DROP) --retry 3 \
-	  --trace /tmp/overlay_workload_trace.jsonl > /dev/null
+	  --domains 1 --trace /tmp/overlay_workload_trace.jsonl > /dev/null
+	dune exec bin/overlay_sim.exe -- workload -n 256 --rounds 30 --clients 32 \
+	  --attack group-kill --frac 0.2 --faults drop=$(WORKLOAD_DROP) --retry 3 \
+	  --domains 2 --trace /tmp/overlay_workload_trace_d2.jsonl > /dev/null
+	cmp /tmp/overlay_workload_trace.jsonl /tmp/overlay_workload_trace_d2.jsonl
 	dune exec bin/trace_check.exe -- /tmp/overlay_workload_trace.jsonl
+	dune exec bin/overlay_sim.exe -- workload $(WORKLOAD_HOOKS) \
+	  --arrivals closed:2 --churn 0.2 --churn-epoch 8 --faults drop=0.05,seed=3 \
+	  --trace /tmp/overlay_workload_closed.jsonl > /dev/null
+	dune exec bin/trace_check.exe -- /tmp/overlay_workload_closed.jsonl
+	dune exec bin/overlay_sim.exe -- workload $(WORKLOAD_HOOKS) \
+	  --backend chord --churn 0.1 --faults drop=0.02,seed=5 \
+	  --trace /tmp/overlay_workload_chord.jsonl > /dev/null
+	dune exec bin/trace_check.exe -- /tmp/overlay_workload_chord.jsonl
 
-# Run a small sweep grid twice through its checkpoint (once fresh, once
-# resumed from a truncated file) and check both artifacts are
-# byte-identical and the progress trace validates (see docs/sweeps.md).
-SWEEP_SPEC ?= sweep=smoke;run=sample;axis:n=64|128;var:c=1.5|2
-sweep-smoke:
-	dune build bin/overlay_sim.exe bin/trace_check.exe
-	rm -f /tmp/overlay_sweep.jsonl /tmp/overlay_sweep_cut.jsonl
-	dune exec bin/overlay_sim.exe -- sweep --spec '$(SWEEP_SPEC)' \
-	  --checkpoint /tmp/overlay_sweep.jsonl \
-	  --trace /tmp/overlay_sweep_trace.jsonl > /dev/null
-	head -n 2 /tmp/overlay_sweep.jsonl > /tmp/overlay_sweep_cut.jsonl
-	printf '{"torn' >> /tmp/overlay_sweep_cut.jsonl
-	dune exec bin/overlay_sim.exe -- sweep --spec '$(SWEEP_SPEC)' \
-	  --checkpoint /tmp/overlay_sweep_cut.jsonl --domains 4 > /dev/null
-	cmp /tmp/overlay_sweep.jsonl /tmp/overlay_sweep_cut.jsonl
-	dune exec bin/trace_check.exe -- --require progress \
-	  /tmp/overlay_sweep_trace.jsonl
-
-# Run a small corrupted-topology repair twice with the same seed, check
-# the traces are byte-identical and the converged note was emitted, then
-# regenerate the self-stabilization experiments (writes BENCH_e17.json
-# and BENCH_e18.json to the repository root; see docs/fault_model.md for
-# the corruption spec grammar).
-STABILIZE_SPEC ?= class=split,severity=0.5
-stabilize-smoke:
-	dune build bin/overlay_sim.exe bin/trace_check.exe bench/main.exe
-	dune exec bin/overlay_sim.exe -- stabilize -n 128 \
-	  --corruption '$(STABILIZE_SPEC)' \
-	  --trace /tmp/overlay_stab_a.jsonl > /dev/null
-	dune exec bin/overlay_sim.exe -- stabilize -n 128 \
-	  --corruption '$(STABILIZE_SPEC)' \
-	  --trace /tmp/overlay_stab_b.jsonl > /dev/null
-	cmp /tmp/overlay_stab_a.jsonl /tmp/overlay_stab_b.jsonl
-	dune exec bin/trace_check.exe -- --require converged \
-	  /tmp/overlay_stab_a.jsonl
-	dune exec bin/trace_check.exe -- --require 'repair/*' \
-	  /tmp/overlay_stab_a.jsonl
-	dune exec bench/main.exe -- e17 e18 > /dev/null
-
-# Run the Chord backend twice with the same seed under churn, faults and
-# the stale-view successor-list attack, check the traces are
-# byte-identical and the staggered maintenance spans were emitted, then
-# regenerate the head-to-head comparison experiment (writes
-# BENCH_e19.json to the repository root; see docs/chord.md).
 CHORD_SPEC ?= --n 256 --rounds 32 --attack succ-kill --frac 0.2 --churn 0.1 --faults drop=0.02,seed=5 --retry 3
 chord-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe bench/main.exe
@@ -114,17 +85,18 @@ chord-smoke:
 	  /tmp/overlay_chord_a.jsonl
 	dune exec bench/main.exe -- e19 > /dev/null
 
-# Run the Reddit-style social application twice with the same seed —
-# sessions, hot-key group-kill and faults all active — check the traces
-# are byte-identical and the social/* span family was emitted, then
+# Run the Reddit-style social application twice with the same seed, at
+# one and at two worker domains — sessions, hot-key group-kill and faults
+# all active — check the traces are byte-identical and the social/* span
+# family was emitted, then
 # regenerate the per-class SLO experiment (writes BENCH_e20.json to the
 # repository root; see docs/workloads.md).
 SOCIAL_SPEC ?= --n 256 --users 32 --rounds 32 --session 0.85:8 --attack group-kill --frac 0.2 --faults drop=0.02,seed=5
 social-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe bench/main.exe
-	dune exec bin/overlay_sim.exe -- social $(SOCIAL_SPEC) \
+	dune exec bin/overlay_sim.exe -- social $(SOCIAL_SPEC) --domains 1 \
 	  --trace /tmp/overlay_social_a.jsonl > /dev/null
-	dune exec bin/overlay_sim.exe -- social $(SOCIAL_SPEC) \
+	dune exec bin/overlay_sim.exe -- social $(SOCIAL_SPEC) --domains 2 \
 	  --trace /tmp/overlay_social_b.jsonl > /dev/null
 	cmp /tmp/overlay_social_a.jsonl /tmp/overlay_social_b.jsonl
 	dune exec bin/trace_check.exe -- --require 'social/*' \
