@@ -1,7 +1,7 @@
-(** The request-plane contract between {!Driver} (and {!Social}) and an
-    overlay backend.
+(** The request-plane contract between the round loop ({!Driver.serve})
+    and an overlay backend.
 
-    The driver owns the workload: admissions, retries, timeout/SLO
+    The loop owns the workload: admissions, retries, timeout/SLO
     accounting, the churn draw, the fault legs, and round/trace emission.
     A backend owns the overlay: how requests route and what they cost
     ({!S.get}/{!S.put}/{!S.publish}), what periodic structure change means

@@ -156,9 +156,8 @@ type 'r source = {
 type 'r pending = { req : 'r; mutable attempts : int }
 
 (* The one round loop.  Overlay decisions go through the backend's hooks,
-   workload decisions through the source's; the call order reproduces the
-   pre-refactor hard-coded loops draw-for-draw, so same-seed traces are
-   byte-identical. *)
+   workload decisions through the source's.  The call order is part of
+   the determinism contract: the same-seed goldens pin it draw for draw. *)
 let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
     ~who ~seed ~n (cfg : config) make_source =
   let spec = cfg.spec in
@@ -203,8 +202,9 @@ let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
       last_seq = B.last_seq b }
   in
   let churn_down = Array.make n false in
-  (* the source (its request schedule above all) is built only now, after
-     the backend: the set-up it costs ends at the run-header note *)
+  (* the source (its request schedule above all) is built after the
+     backend: building the schedule first raised the social workload's
+     peak RSS by ~4 MB.  Its set-up ends at the run-header note. *)
   let src = make_source () in
   let accs = Array.map acc_create src.classes in
   let hop_msgs = ref 0 and total_bits = ref 0 in
