@@ -934,7 +934,8 @@ let overlay_backend o =
 
 (* Only the chord backend prints a line, so the reconfig goldens stay
    byte-identical. *)
-let print_backend o = if o.backend = "chord" then print_string "backend: chord\n"
+let print_backend o =
+  if o.backend = "chord" then print_string "backend: chord\n"
 
 (* the report preamble's overlay settings, up to [lateness] *)
 let overlay_line o ~n ~lateness =

@@ -22,8 +22,9 @@
 
     Everything here is pure schedule generation; [Workload.Social] turns
     it into a request source, and the request plane's round loop
-    ([Workload.Driver.serve]) executes, accounts and traces it.  Determinism: each
-    user's randomness is a pure function of [(seed, user)]
+    ([Workload.Driver.serve]) executes, accounts and traces it.
+    Determinism: each user's randomness is a pure function of
+    [(seed, user)]
     ({!schedule} is domain-count independent), and the offline sets of
     {!offline} are drawn from a dedicated session stream. *)
 

@@ -311,7 +311,8 @@ let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
       p.attempts <- p.attempts + 1;
       let c = src.class_of p.req in
       match attempt p with
-      | Served { service; hops } -> record_served p.req c ~round:r ~service ~hops
+      | Served { service; hops } ->
+          record_served p.req c ~round:r ~service ~hops
       | Attempt_failed { hops } ->
           if p.attempts > src.retries.(c) then
             record_gave_up p.req c ~round:r ~status:`Failed ~hops
