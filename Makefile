@@ -73,6 +73,50 @@ workload-smoke:
 	  --trace /tmp/overlay_workload_chord.jsonl > /dev/null
 	dune exec bin/trace_check.exe -- /tmp/overlay_workload_chord.jsonl
 
+# Run a small sweep grid twice through its checkpoint (once fresh, once
+# resumed from a truncated file) and check both artifacts are
+# byte-identical and the progress trace validates (see docs/sweeps.md).
+SWEEP_SPEC ?= sweep=smoke;run=sample;axis:n=64|128;var:c=1.5|2
+sweep-smoke:
+	dune build bin/overlay_sim.exe bin/trace_check.exe
+	rm -f /tmp/overlay_sweep.jsonl /tmp/overlay_sweep_cut.jsonl
+	dune exec bin/overlay_sim.exe -- sweep --spec '$(SWEEP_SPEC)' \
+	  --checkpoint /tmp/overlay_sweep.jsonl \
+	  --trace /tmp/overlay_sweep_trace.jsonl > /dev/null
+	head -n 2 /tmp/overlay_sweep.jsonl > /tmp/overlay_sweep_cut.jsonl
+	printf '{"torn' >> /tmp/overlay_sweep_cut.jsonl
+	dune exec bin/overlay_sim.exe -- sweep --spec '$(SWEEP_SPEC)' \
+	  --checkpoint /tmp/overlay_sweep_cut.jsonl --domains 4 > /dev/null
+	cmp /tmp/overlay_sweep.jsonl /tmp/overlay_sweep_cut.jsonl
+	dune exec bin/trace_check.exe -- --require progress \
+	  /tmp/overlay_sweep_trace.jsonl
+
+# Run a small corrupted-topology repair twice with the same seed, check
+# the traces are byte-identical and the converged note was emitted, then
+# regenerate the self-stabilization experiments (writes BENCH_e17.json
+# and BENCH_e18.json to the repository root; see docs/fault_model.md for
+# the corruption spec grammar).
+STABILIZE_SPEC ?= class=split,severity=0.5
+stabilize-smoke:
+	dune build bin/overlay_sim.exe bin/trace_check.exe bench/main.exe
+	dune exec bin/overlay_sim.exe -- stabilize -n 128 \
+	  --corruption '$(STABILIZE_SPEC)' \
+	  --trace /tmp/overlay_stab_a.jsonl > /dev/null
+	dune exec bin/overlay_sim.exe -- stabilize -n 128 \
+	  --corruption '$(STABILIZE_SPEC)' \
+	  --trace /tmp/overlay_stab_b.jsonl > /dev/null
+	cmp /tmp/overlay_stab_a.jsonl /tmp/overlay_stab_b.jsonl
+	dune exec bin/trace_check.exe -- --require converged \
+	  /tmp/overlay_stab_a.jsonl
+	dune exec bin/trace_check.exe -- --require 'repair/*' \
+	  /tmp/overlay_stab_a.jsonl
+	dune exec bench/main.exe -- e17 e18 > /dev/null
+
+# Run the Chord backend twice with the same seed under churn, faults and
+# the stale-view successor-list attack, check the traces are
+# byte-identical and the staggered maintenance spans were emitted, then
+# regenerate the head-to-head comparison experiment (writes
+# BENCH_e19.json to the repository root; see docs/chord.md).
 CHORD_SPEC ?= --n 256 --rounds 32 --attack succ-kill --frac 0.2 --churn 0.1 --faults drop=0.02,seed=5 --retry 3
 chord-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe bench/main.exe
