@@ -49,7 +49,9 @@ fault-smoke:
 # Run a traced workload (group-kill DoS + message drops + retries) at one
 # and at two worker domains, check the traces are byte-identical and
 # validate them; then validate the request plane's other hooks: the closed
-# loop with churn, and the Chord backend (see docs/workloads.md).
+# loop with churn, and the Chord backend (see docs/workloads.md).  Last,
+# overflow one pub-sub topic with 1.2 M open-loop publishes: the run must
+# exit 0 with the publishes past the topic's capacity counted as failed.
 # WORKLOAD_DROP is the per-attempt message drop rate; at 0 the fault plan
 # is inert and the run is byte-identical to a fault-free one.
 WORKLOAD_DROP ?= 0.05
@@ -72,6 +74,11 @@ workload-smoke:
 	  --backend chord --churn 0.1 --faults drop=0.02,seed=5 \
 	  --trace /tmp/overlay_workload_chord.jsonl > /dev/null
 	dune exec bin/trace_check.exe -- /tmp/overlay_workload_chord.jsonl
+	dune exec bin/overlay_sim.exe -- workload -n 64 --keys 1 --mix publish=1 \
+	  --clients 4096 --rounds 300 --arrivals open:1 --static --domains 1 \
+	  > /tmp/overlay_workload_topic_full.txt
+	awk '$$1 == "publish" && $$10 > 0 { full = 1 } END { exit !full }' \
+	  /tmp/overlay_workload_topic_full.txt
 
 # Run a small sweep grid twice through its checkpoint (once fresh, once
 # resumed from a truncated file) and check both artifacts are

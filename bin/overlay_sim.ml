@@ -111,9 +111,9 @@ let scenario_term ?(with_faults = true) ?(with_retry = true) ~default_n () =
   in
   let domains_arg =
     let doc =
-      "Worker domains for intra-round engine parallelism and parallel \
-       schedule generation (0 = runtime default, honoring \
-       $(b,OVERLAY_DOMAINS)).  Results are byte-identical for every value."
+      "Worker domains for intra-round engine parallelism (0 = runtime \
+       default, honoring $(b,OVERLAY_DOMAINS)).  Results are \
+       byte-identical for every value."
     in
     Arg.(value & opt int 0 & info [ "domains" ] ~docv:"D" ~doc)
   in

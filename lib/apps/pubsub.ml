@@ -27,6 +27,9 @@ let composite topic seq =
 
 let counter_key topic = composite topic 0
 
+let next_slot ~topic last =
+  if last >= max_seq then None else Some (last + 1, composite topic (last + 1))
+
 (* The counter of a fresh topic is absent, which reads as zero; None means
    the DHT could not be reached at all. *)
 let read_counter t ~blocked topic =

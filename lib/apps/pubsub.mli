@@ -33,6 +33,12 @@ val counter_key : int -> int
 (** The DHT key holding a topic's publication counter m(k)
     ([composite topic 0]). *)
 
+val next_slot : topic:int -> int -> (int * int) option
+(** [next_slot ~topic m] is the publication after counter value [m]: its
+    sequence number [m + 1] and {!composite} key, or [None] when the topic
+    is full ([m >= max_seq]).  The request plane's publish chain checks
+    through it and fails the attempt instead of raising {!Topic_full}. *)
+
 val create : dht:Robust_dht.t -> t
 
 val publish :

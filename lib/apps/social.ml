@@ -153,35 +153,23 @@ let draw_ops cfg s = function
   | Vote -> [ Store (vote_key cfg (draw_topic cfg s)) ]
   | Dm -> [ Publish (dm_topic cfg (Prng.Stream.int s cfg.users)) ]
 
-let user_schedule cfg ~seed ~offline user =
-  let s = user_stream ~seed ~user in
+let arrivals cfg ~seed ~offline =
+  let streams = Array.init cfg.users (fun user -> user_stream ~seed ~user) in
+  let next_seq = Array.make cfg.users 0 in
   let epoch_len =
     match cfg.session with Some (_, e) -> e | None -> cfg.rounds
   in
-  let out = ref [] and seq = ref 0 in
-  for arrival = 0 to cfg.rounds - 1 do
-    let away =
-      Array.length offline > 0 && offline.(arrival / epoch_len).(user)
-    in
-    if not away then begin
-      let burst = Prng.Dist.poisson s cfg.rate in
-      for _ = 1 to burst do
-        let cls = draw_class cfg s in
-        let ops = draw_ops cfg s cls in
-        out := { user; seq = !seq; arrival; cls; ops } :: !out;
-        incr seq
-      done
-    end
-  done;
-  Array.of_list (List.rev !out)
-
-let schedule ?domains cfg ~seed =
-  let offline = offline cfg ~seed in
-  let per_user =
-    Parallel.map ?domains
-      (user_schedule cfg ~seed ~offline)
-      (Array.init cfg.users Fun.id)
-  in
-  let all = Array.concat (Array.to_list per_user) in
-  Array.stable_sort (fun a b -> compare a.arrival b.arrival) all;
-  all
+  fun ~round issue ->
+    for user = 0 to cfg.users - 1 do
+      if Array.length offline = 0 || not offline.(round / epoch_len).(user)
+      then begin
+        let s = streams.(user) in
+        for _ = 1 to Prng.Dist.poisson s cfg.rate do
+          let cls = draw_class cfg s in
+          let ops = draw_ops cfg s cls in
+          let seq = next_seq.(user) in
+          next_seq.(user) <- seq + 1;
+          issue { user; seq; arrival = round; cls; ops }
+        done
+      end
+    done

@@ -20,13 +20,12 @@
     client absence and server churn move together as they do when a
     participant's machine leaves the overlay.
 
-    Everything here is pure schedule generation; [Workload.Social] turns
-    it into a request source, and the request plane's round loop
-    ([Workload.Driver.serve]) executes, accounts and traces it.
-    Determinism: each user's randomness is a pure function of
-    [(seed, user)]
-    ({!schedule} is domain-count independent), and the offline sets of
-    {!offline} are drawn from a dedicated session stream. *)
+    Everything here is request generation, one round at a time
+    ({!arrivals}); [Workload.Social] turns it into a request source, and
+    the request plane's round loop ([Workload.Driver.serve]) executes,
+    accounts and traces it.  Determinism: each user's randomness is a
+    pure function of [(seed, user)], and the offline sets of {!offline}
+    are drawn from a dedicated session stream. *)
 
 type cls = Feed | Post | Comment | Vote | Dm
 
@@ -143,11 +142,20 @@ val offline : config -> seed:int64 -> bool array array
 (** Epoch-indexed offline sets ([.(e).(u)] = user [u] is offline during
     epoch [e]); [[||]] when [session = None].  Drawn sequentially from a
     session stream keyed only by [seed], so the sets are independent of
-    how the schedule itself is generated. *)
+    the users' request streams. *)
 
-val schedule : ?domains:int -> config -> seed:int64 -> request array
-(** The full open-loop request schedule, sorted by arrival round (stable:
-    within a round, requests stay in (user, seq) order).  Offline users
-    issue nothing during their offline epochs.  Each user's randomness is
-    a pure function of [(seed, user)], so the result is byte-identical
-    for every [domains] value. *)
+val arrivals :
+  config ->
+  seed:int64 ->
+  offline:bool array array ->
+  round:int ->
+  (request -> unit) ->
+  unit
+(** [arrivals cfg ~seed ~offline] is the open-loop request generator: a
+    closure owning one keyed stream per user, so build one per run.
+    Calling it with [~round] for rounds 0, 1, ... in order hands that
+    round's requests to the callback in (user, seq) order.  It walks users
+    0 .. [users - 1], skips those [offline] in epoch [round / epoch], and
+    draws each online user's Poisson burst and its requests from the
+    user's stream, a pure function of [(seed, user)].  State is
+    O([users]), whatever the run length. *)

@@ -59,8 +59,11 @@ let find ring ~rt ~avail ?(accept = fun _ -> true) ?max_hops ~from ~id () =
       else begin
         (* greedy routing: every known pointer strictly inside (cur, id),
            farthest (closest preceding the target) first; successor
-           entries ride along as the walking fallback *)
-        let dtarget = Id.dist ~m cid id in
+           entries ride along as the walking fallback; a target equal to
+           [cur]'s own id lies a full turn away, as in [Id.in_oo a a] *)
+        let dtarget =
+          match Id.dist ~m cid id with 0 -> Id.space m | d -> d
+        in
         let cands = ref [] in
         let consider v =
           if v >= 0 && not (List.mem v !cands) then begin

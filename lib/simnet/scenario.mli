@@ -54,10 +54,9 @@ type t = {
       (** rounds/epochs/windows to run; -1 = driver default (0 is
           rejected) *)
   domains : int;
-      (** worker domains for intra-round engine parallelism and parallel
-          schedule generation; 0 = runtime default
-          ({!Parallel.default_domains}, so [OVERLAY_DOMAINS] applies).
-          Results are byte-identical for every value. *)
+      (** worker domains for intra-round engine parallelism; 0 = runtime
+          default ({!Parallel.default_domains}, so [OVERLAY_DOMAINS]
+          applies).  Results are byte-identical for every value. *)
   trace : string option;  (** trace sink path ([None] = no tracing) *)
   trace_format : Trace.format option;
       (** trace sink format; [None] = by [trace] path suffix

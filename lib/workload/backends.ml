@@ -13,6 +13,32 @@ let ok_of_dht (r : Apps.Robust_dht.op_result) =
     waits = 0;
     value = r.Apps.Robust_dht.value }
 
+(* The publish chain both backends run: counter read, payload write under
+   the next sequence number, counter write.  The counter goes last, so a
+   retried attempt re-reads the same value and rewrites (topic, seq) with
+   the same payload.  A full topic fails the chain after the read, before
+   any write.  [last] gives the counter value behind the read; [commit]
+   sees the sequence number of a completed chain. *)
+let publish_chain ~read ~write ~last ~commit ~topic payload =
+  let failed hops = { ok = false; hops; waits = 0; value = None } in
+  let ckey = Apps.Pubsub.counter_key topic in
+  let c = read ckey in
+  let slot = if c.ok then Apps.Pubsub.next_slot ~topic (last c) else None in
+  match slot with
+  | None -> failed c.hops
+  | Some (seq, pkey) ->
+      let w = write pkey payload in
+      if not w.ok then failed (c.hops + w.hops)
+      else
+        let u = write ckey (string_of_int seq) in
+        let hops = c.hops + w.hops + u.hops in
+        if not u.ok then failed hops
+        else begin
+          commit seq;
+          { ok = true; hops; waits = c.waits + w.waits + u.waits;
+            value = Some (string_of_int seq) }
+        end
+
 (* ---------- the reconfigurable supernode DHT ---------- *)
 
 module Robust : S = struct
@@ -75,29 +101,10 @@ module Robust : S = struct
     ok_of_dht (sub_op t ~entry (Apps.Robust_dht.Write (key, payload)))
 
   let publish t ~entry ~topic payload =
-    let ckey = Apps.Pubsub.counter_key topic in
-    let c = sub_op t ~entry (Apps.Robust_dht.Read ckey) in
-    if not c.Apps.Robust_dht.ok then
-      { ok = false; hops = c.Apps.Robust_dht.hops; waits = 0; value = None }
-    else
-      let m =
-        match c.Apps.Robust_dht.value with
-        | None -> 0
-        | Some s -> Option.value (int_of_string_opt s) ~default:0
-      in
-      let seq = m + 1 in
-      let pkey = Apps.Pubsub.composite topic seq in
-      let w = sub_op t ~entry (Apps.Robust_dht.Write (pkey, payload)) in
-      let hops_so_far = c.Apps.Robust_dht.hops + w.Apps.Robust_dht.hops in
-      if not w.Apps.Robust_dht.ok then
-        { ok = false; hops = hops_so_far; waits = 0; value = None }
-      else
-        (* counter updated last: a retried attempt re-reads the same m and
-           overwrites (topic, seq) with the same payload *)
-        let u = sub_op t ~entry (Apps.Robust_dht.Write (ckey, string_of_int seq)) in
-        let hops = hops_so_far + u.Apps.Robust_dht.hops in
-        { ok = u.Apps.Robust_dht.ok; hops; waits = 0;
-          value = (if u.Apps.Robust_dht.ok then Some (string_of_int seq) else None) }
+    publish_chain ~read:(get t ~entry) ~write:(put t ~entry)
+      ~last:(fun c ->
+        Option.value (Option.bind c.value int_of_string_opt) ~default:0)
+      ~commit:ignore ~topic payload
 
   let last_seq t ~entry ~topic =
     get t ~entry (Apps.Pubsub.counter_key topic)
@@ -263,30 +270,11 @@ module Chord_ring : S = struct
   let get t ~entry key = ok_of_lookup (lookup t ~entry key)
   let put t ~entry key _payload = ok_of_lookup (lookup t ~entry key)
 
-  let publish t ~entry ~topic _payload =
-    let ckey = Apps.Pubsub.counter_key topic in
-    let c = lookup t ~entry ckey in
-    if not c.Chord.Lookup.ok then
-      { ok = false; hops = c.Chord.Lookup.hops; waits = 0; value = None }
-    else
-      let seq = 1 + Option.value (Hashtbl.find_opt t.counters topic) ~default:0 in
-      let pkey = Apps.Pubsub.composite topic seq in
-      let w = lookup t ~entry pkey in
-      let hops_so_far = c.Chord.Lookup.hops + w.Chord.Lookup.hops in
-      if not w.Chord.Lookup.ok then
-        { ok = false; hops = hops_so_far; waits = 0; value = None }
-      else
-        let u = lookup t ~entry ckey in
-        let hops = hops_so_far + u.Chord.Lookup.hops in
-        if u.Chord.Lookup.ok then begin
-          Hashtbl.replace t.counters topic seq;
-          let waits =
-            c.Chord.Lookup.timeouts + w.Chord.Lookup.timeouts
-            + u.Chord.Lookup.timeouts
-          in
-          { ok = true; hops; waits; value = Some (string_of_int seq) }
-        end
-        else { ok = false; hops; waits = 0; value = None }
+  let publish t ~entry ~topic payload =
+    publish_chain ~read:(get t ~entry) ~write:(put t ~entry)
+      ~last:(fun _ ->
+        Option.value (Hashtbl.find_opt t.counters topic) ~default:0)
+      ~commit:(Hashtbl.replace t.counters topic) ~topic payload
 
   let last_seq t ~entry ~topic =
     let value =

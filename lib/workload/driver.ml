@@ -159,7 +159,7 @@ type 'r pending = { req : 'r; mutable attempts : int }
    workload decisions through the source's.  The call order is part of
    the determinism contract: the same-seed goldens pin it draw for draw. *)
 let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
-    ~who ~seed ~n (cfg : config) make_source =
+    ~who ~seed ~n (cfg : config) (src : _ source) =
   let spec = cfg.spec in
   (* fixed split order: every stream is a function of (seed, purpose) *)
   let root = Prng.Stream.of_seed seed in
@@ -202,10 +202,6 @@ let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
       last_seq = B.last_seq b }
   in
   let churn_down = Array.make n false in
-  (* the source (its request schedule above all) is built after the
-     backend: building the schedule first raised the social workload's
-     peak RSS by ~4 MB.  Its set-up ends at the run-header note. *)
-  let src = make_source () in
   let accs = Array.map acc_create src.classes in
   let hop_msgs = ref 0 and total_bits = ref 0 in
   let queue = Queue.create () in
@@ -347,14 +343,6 @@ let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
     total_bits = !total_bits;
   }
 
-let admit_schedule ~arrival schedule =
-  let pos = ref 0 in
-  fun ~(round : int) issue ->
-    while !pos < Array.length schedule && arrival schedule.(!pos) = round do
-      issue schedule.(!pos);
-      incr pos
-    done
-
 let payload_of req =
   Printf.sprintf "v%d.%d" req.Gen.client req.Gen.seq
 
@@ -376,33 +364,39 @@ let spec_exec server ~entry req =
       }
   else Attempt_failed { hops = res.Backend_intf.hops }
 
-(* The client workload of {!Spec}: three classes sharing one budget,
-   admitted from the open-loop schedule or by the closed-loop clients. *)
-let spec_source ~seed (cfg : config) () =
+(* Both arrival modes advance the clients' keyed streams one round at a
+   time, in client order, so requests come out in (arrival, client, seq)
+   order. *)
+let spec_source ~seed (cfg : config) =
   let spec = cfg.spec in
+  let clients = spec.Spec.clients in
+  let streams =
+    Array.init clients (fun client -> Gen.client_stream ~seed ~client)
+  in
+  let next_seq = Array.make clients 0 in
+  let draw c ~round =
+    let op, key = Gen.draw_request spec streams.(c) in
+    let seq = next_seq.(c) in
+    next_seq.(c) <- seq + 1;
+    { Gen.client = c; seq; arrival = round; op; key }
+  in
   let admit, release =
     match spec.Spec.arrivals with
-    | Spec.Open_loop _ ->
-        ( admit_schedule
-            ~arrival:(fun req -> req.Gen.arrival)
-            (Gen.open_schedule ?domains:cfg.domains ~spec ~seed ()),
+    | Spec.Open_loop { rate } ->
+        ( (fun ~round issue ->
+            for c = 0 to clients - 1 do
+              for _ = 1 to Prng.Dist.poisson streams.(c) rate do
+                issue (draw c ~round)
+              done
+            done),
           fun _ ~at:_ -> () )
     | Spec.Closed_loop { think } ->
-        let clients = spec.Spec.clients in
-        let streams =
-          Array.init clients (fun client -> Gen.client_stream ~seed ~client)
-        in
         let next_issue = Array.make clients 0 in
-        let next_seq = Array.make clients 0 in
         let outstanding = Array.make clients false in
         ( (fun ~round issue ->
             for c = 0 to clients - 1 do
               if (not outstanding.(c)) && next_issue.(c) <= round then begin
-                let op, key = Gen.draw_request spec streams.(c) in
-                issue
-                  { Gen.client = c; seq = next_seq.(c); arrival = round; op;
-                    key };
-                next_seq.(c) <- next_seq.(c) + 1;
+                issue (draw c ~round);
                 outstanding.(c) <- true
               end
             done),

@@ -30,8 +30,9 @@
     function of [(seed, purpose)] — per-client request streams
     ({!Gen.client_stream}), a service stream for entry picks, dedicated
     churn/attack/topology streams, and the fault plan's own stream — so a
-    run is byte-identical for any [domains] value (the only parallel part,
-    schedule generation, is keyed per client). *)
+    run is byte-identical for any [domains] value.  Sources generate
+    arrivals round by round, so request-plane state is O(clients + in
+    flight), independent of the run length. *)
 
 type mode = Backend_intf.mode = Reconfig | Static
 
@@ -85,9 +86,8 @@ type config = {
           (vacuous on single-message legs) raises [Invalid_argument]. *)
   retries : int;  (** re-attempts allowed beyond the first *)
   domains : int option;
-      (** worker domains for schedule generation and the runtime
-          ([None] = {!Parallel.default_domains}); results are identical
-          for every value *)
+      (** worker domains, passed on to {!Simnet.Runtime.create} ([None] =
+          its default); results are identical for every value *)
 }
 
 val config :
@@ -178,7 +178,8 @@ type 'r source = {
           would start past [arrival + timeout] *)
   retries : int array;  (** per class: re-attempts beyond the first *)
   admit : round:int -> ('r -> unit) -> unit;
-      (** hand this round's arrivals to the issue callback, in order *)
+      (** hand this round's arrivals to the issue callback, in order;
+          called once per round, rounds in order *)
   release : 'r -> at:int -> unit;
       (** the request completed or was abandoned; [at] is the round its
           client is free again (the closed loop's think time counts from
@@ -195,12 +196,6 @@ type 'r source = {
 }
 (** A request source: a workload, seen by the round loop. *)
 
-val admit_schedule :
-  arrival:('r -> int) -> 'r array -> round:int -> ('r -> unit) -> unit
-(** An open-loop [admit] over a schedule sorted by arrival round.  The
-    partial application [admit_schedule ~arrival schedule] owns a cursor:
-    build one per run. *)
-
 val serve :
   (module Backend_intf.S) ->
   ?trace:Simnet.Trace.t ->
@@ -209,16 +204,23 @@ val serve :
   seed:int64 ->
   n:int ->
   config ->
-  (unit -> 'r source) ->
+  'r source ->
   report
-(** [serve (module B) ~who ~seed ~n cfg make_source] runs
-    [cfg.spec.rounds] rounds of [make_source ()] on a fresh [n]-server
-    [B].  [make_source] runs after [B.create] and before the run-header
-    note, the run's first trace event, so set-up (schedule generation
-    above all) ends there.  [hot_keys] overrides the adversary's key
-    ranking ({!Backend_intf.ctx}); [who] prefixes fault-plan errors.
-    Requests still pending at the end are abandoned as timeouts at round
+(** [serve (module B) ~who ~seed ~n cfg source] runs [cfg.spec.rounds]
+    rounds of [source] on a fresh [n]-server [B].  Set-up ([B.create]
+    above all) ends at the run-header note, the run's first trace event.
+    [hot_keys] overrides the adversary's key ranking
+    ({!Backend_intf.ctx}); [who] prefixes fault-plan errors.  Requests
+    still pending at the end are abandoned as timeouts at round
     [cfg.spec.rounds]. *)
+
+val spec_source : seed:int64 -> config -> Gen.request source
+(** The {!Spec} client workload as a source: three classes sharing
+    [spec.slo], [spec.timeout] and [cfg.retries].  Each round its [admit]
+    walks clients 0 .. [clients - 1] and advances each client's keyed
+    stream ({!Gen.client_stream}) by one round: a Poisson burst of
+    requests (open loop) or one request when the client is free (closed
+    loop).  It owns that per-client state, so build one per run. *)
 
 val run : ?trace:Simnet.Trace.t -> seed:int64 -> n:int -> config -> report
 (** Execute the {!Spec} workload on a fresh [n]-server DHT.  Emits, when
@@ -234,8 +236,7 @@ val run_backend :
   n:int ->
   config ->
   report
-(** [run] over any overlay: {!serve} with the {!Spec} source (three
-    classes sharing [spec.slo], [spec.timeout] and [cfg.retries]).
+(** [run] over any overlay: {!serve} with {!spec_source}.
     [cfg.backend] is only consulted for the Chord knobs ([ctx.chord]);
     the module argument decides the overlay.  [run] is
     [run_backend (module Backends.Robust)] / [(module Backends.Chord_ring)]. *)

@@ -35,34 +35,3 @@ let draw_request (spec : Spec.t) s =
     | Spec.Zipf z -> Prng.Dist.zipf s ~n:spec.Spec.keys ~s:z - 1
   in
   (op, key)
-
-let client_schedule ~spec ~seed ~rate client =
-  let s = client_stream ~seed ~client in
-  let out = ref [] and seq = ref 0 in
-  for arrival = 0 to spec.Spec.rounds - 1 do
-    let burst = Prng.Dist.poisson s rate in
-    for _ = 1 to burst do
-      let op, key = draw_request spec s in
-      out := { client; seq = !seq; arrival; op; key } :: !out;
-      incr seq
-    done
-  done;
-  Array.of_list (List.rev !out)
-
-let open_schedule ?domains ~spec ~seed () =
-  let rate =
-    match spec.Spec.arrivals with
-    | Spec.Open_loop { rate } -> rate
-    | Spec.Closed_loop _ ->
-        invalid_arg "Gen.open_schedule: closed-loop spec"
-  in
-  let per_client =
-    Parallel.map ?domains
-      (client_schedule ~spec ~seed ~rate)
-      (Array.init spec.Spec.clients Fun.id)
-  in
-  let all = Array.concat (Array.to_list per_client) in
-  (* stable on the per-client concatenation: within a round, requests stay
-     in (client, seq) order *)
-  Array.stable_sort (fun a b -> compare a.arrival b.arrival) all;
-  all

@@ -2,9 +2,9 @@
 
     Every client owns a private {!Prng.Stream} derived purely from
     [(seed, client id)] — not by sequential splitting — so a client's
-    request stream is independent of how many clients exist, which domain
-    generates it, and in what order: {!open_schedule} fans generation out
-    with {!Parallel.map} and is byte-identical at any domain count. *)
+    request stream is independent of how many clients exist and of the
+    order clients are visited in.  The request plane ({!Driver.run})
+    advances each client's stream one round at a time. *)
 
 type op_kind = Read | Write | Publish
 
@@ -26,12 +26,4 @@ val client_stream : seed:int64 -> client:int -> Prng.Stream.t
 val draw_request : Spec.t -> Prng.Stream.t -> op_kind * int
 (** One (op, key) draw: the operation class from the mix, then the key
     from the popularity distribution.  Exactly this order, so closed-loop
-    clients and the open-loop scheduler consume streams identically. *)
-
-val open_schedule :
-  ?domains:int -> spec:Spec.t -> seed:int64 -> unit -> request array
-(** All open-loop arrivals of the run, ordered by (arrival round, client,
-    seq).  Generation is per-client-parallel ({!Parallel.map} with
-    [domains] workers, default {!Parallel.default_domains}); the result is
-    the same for every [domains] value.  Raises [Invalid_argument] if the
-    spec is closed-loop. *)
+    and open-loop clients consume streams identically. *)

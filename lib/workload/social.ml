@@ -72,9 +72,8 @@ let exec (server : Driver.server) ~entry (req : Apps.Social.request) =
   in
   go req.ops ~service:0 ~hops:0
 
-let source ~seed { app; base } () : Apps.Social.request Driver.source =
+let source ~seed { app; _ } : Apps.Social.request Driver.source =
   let offline = Apps.Social.offline app ~seed in
-  let schedule = Apps.Social.schedule ?domains:base.domains app ~seed in
   let per_class f = Array.of_list (List.map f Apps.Social.classes) in
   let budget f = per_class (fun c -> f (Apps.Social.budget c)) in
   {
@@ -104,14 +103,11 @@ let source ~seed { app; base } () : Apps.Social.request Driver.source =
     slo = budget (fun b -> b.slo);
     timeout = budget (fun b -> b.timeout);
     retries = budget (fun b -> b.retries);
-    admit =
-      Driver.admit_schedule
-        ~arrival:(fun (req : Apps.Social.request) -> req.arrival)
-        schedule;
+    admit = Apps.Social.arrivals app ~seed ~offline;
     release = (fun _ ~at:_ -> ());
     exec;
-    (* the session boundary: offline users already issue nothing (the
-       schedule skips them); the driver has just churned the servers *)
+    (* the session boundary: offline users already issue nothing
+       ([arrivals] skips them); the driver has just churned the servers *)
     on_churn =
       (fun rt ~round ~epoch:e ~down ->
         let off_users =

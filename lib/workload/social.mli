@@ -14,11 +14,11 @@
       chain, and its service time is the sum of the chain's operation
       costs ([base_ops + hops + waits] each).
     - {b Sessions.}  With [session = (online, epoch)] the offline users
-      stop issuing (enforced at schedule generation), and the same cycle
+      stop issuing ({!Apps.Social.arrivals} skips them), and the same cycle
       is the driver's coarse churn: [{frac = 1 - online; epoch}], a fresh
       [1 - online] fraction of servers down for each epoch.
     - {b Trace.}  One span family, [social/*]: the [social/run] header
-      note (the run's first event, emitted once the schedule is built), a
+      note (the run's first event, emitted once the backend is built), a
       [social/session] note after each churn draw, and a [social/health]
       note (the backend's {!Backend_intf.S.health} probe) per
       reconfiguration period.  Requests are ordinary typed [Request]

@@ -212,6 +212,25 @@ let test_lookup_degrades_to_succ_walk () =
   Alcotest.(check int) "oracle owner" (Chord.Ring.oracle_owner ring kid)
     o.Chord.Lookup.owner
 
+(* a target equal to the entry node's own id is owned by the entry node;
+   the route goes a full turn round to its predecessor and back *)
+let test_lookup_own_id () =
+  List.iter
+    (fun n ->
+      let ring = make_ring n in
+      let bound = Chord.Ring.m ring + Chord.Ring.r ring in
+      for from = 0 to n - 1 do
+        let rt = Simnet.Runtime.create ~n () in
+        let kid = Chord.Ring.id ring from in
+        let o =
+          Chord.Lookup.find ring ~rt ~avail:(fun _ -> true) ~from ~id:kid ()
+        in
+        Alcotest.(check bool) "succeeds" true o.Chord.Lookup.ok;
+        Alcotest.(check int) "owner is the entry node" from o.Chord.Lookup.owner;
+        Alcotest.(check bool) "hop bound" true (o.Chord.Lookup.hops <= bound)
+      done)
+    [ 8; 37; 128 ]
+
 (* ---------- adversary ---------- *)
 
 let test_adversary_budget () =
@@ -389,7 +408,8 @@ let () =
         Alcotest.test_case "degrades to successor walk" `Quick
           test_lookup_degrades_to_succ_walk
         :: List.map QCheck_alcotest.to_alcotest [ qcheck_lookup_matches_oracle ]
-      );
+        @ [ Alcotest.test_case "own id routes a full turn" `Quick
+              test_lookup_own_id ] );
       ( "adversary",
         [
           Alcotest.test_case "budget discipline" `Quick test_adversary_budget;

@@ -1,6 +1,6 @@
-(* Reddit-style social application: schedule determinism, session gating,
-   per-class accounting, and the reconfiguration-vs-static claim on the
-   social workload. *)
+(* Reddit-style social application: streamed request generation against
+   its whole-run oracle, session gating, per-class accounting, and the
+   reconfiguration-vs-static claim on the social workload. *)
 
 let seed = 11L
 
@@ -8,31 +8,88 @@ let app ?session () =
   Apps.Social.config ~users:32 ~topics:8 ~rounds:32 ~rate:0.3 ~fanout:2
     ?session ()
 
-(* ---------- schedule generation ---------- *)
+(* ---------- request generation ---------- *)
 
-let test_schedule_domains_invariant () =
-  let cfg = Apps.Social.config ~users:32 ~topics:8 ~rounds:32 ~rate:0.3 () in
-  let s1 = Apps.Social.schedule ~domains:1 cfg ~seed in
-  let s4 = Apps.Social.schedule ~domains:4 cfg ~seed in
-  Alcotest.(check bool) "schedules identical" true (s1 = s4);
-  Alcotest.(check bool)
-    "sorted by arrival" true
-    (Array.for_all2
-       (fun a b -> a.Apps.Social.arrival <= b.Apps.Social.arrival)
-       (Array.sub s1 0 (Array.length s1 - 1))
-       (Array.sub s1 1 (Array.length s1 - 1)))
+let streamed (cfg : Apps.Social.config) =
+  let offline = Apps.Social.offline cfg ~seed in
+  Testutil.admitted ~rounds:cfg.rounds (Apps.Social.arrivals cfg ~seed ~offline)
+
+(* The oracle: the whole run's schedule built at once — each user's
+   requests from its own keyed stream, concatenated and stable-sorted by
+   arrival round.  Stream keying and draw order are restated here rather
+   than shared, so the oracle is independent of the code under test. *)
+let reference_social_schedule (cfg : Apps.Social.config) ~seed ~offline =
+  let user_stream user =
+    Prng.Stream.of_seed
+      (Prng.Splitmix64.mix
+         (Int64.add (Prng.Splitmix64.mix seed) (Int64.of_int (2 * (user + 1)))))
+  in
+  let topic s = Prng.Dist.zipf s ~n:cfg.topics ~s:cfg.zipf - 1 in
+  let draw_class s =
+    let r = Prng.Stream.float s 1.0 and m = cfg.mix in
+    if r < m.feed then Apps.Social.Feed
+    else if r < m.feed +. m.post then Post
+    else if r < m.feed +. m.post +. m.comment then Comment
+    else if r < m.feed +. m.post +. m.comment +. m.vote then Vote
+    else Dm
+  in
+  let draw_ops s : Apps.Social.cls -> Apps.Social.op list = function
+    | Feed -> [ Probe (Apps.Social.content_topic cfg (topic s)) ]
+    | Post ->
+        let t = topic s in
+        let followers =
+          List.init cfg.fanout (fun _ -> Prng.Stream.int s cfg.users)
+        in
+        Publish (Apps.Social.content_topic cfg t)
+        :: List.map
+             (fun u -> Apps.Social.Publish (Apps.Social.feed_topic cfg u))
+             followers
+    | Comment -> [ Publish (Apps.Social.comment_topic cfg (topic s)) ]
+    | Vote -> [ Store (Apps.Social.vote_key cfg (topic s)) ]
+    | Dm -> [ Publish (Apps.Social.dm_topic cfg (Prng.Stream.int s cfg.users)) ]
+  in
+  let epoch_len =
+    match cfg.session with Some (_, e) -> e | None -> cfg.rounds
+  in
+  let user_schedule user =
+    let s = user_stream user in
+    let out = ref [] and seq = ref 0 in
+    for arrival = 0 to cfg.rounds - 1 do
+      let away =
+        Array.length offline > 0 && offline.(arrival / epoch_len).(user)
+      in
+      if not away then begin
+        let burst = Prng.Dist.poisson s cfg.rate in
+        for _ = 1 to burst do
+          let cls = draw_class s in
+          let ops = draw_ops s cls in
+          out := { Apps.Social.user; seq = !seq; arrival; cls; ops } :: !out;
+          incr seq
+        done
+      end
+    done;
+    Array.of_list (List.rev !out)
+  in
+  let all = Array.concat (List.init cfg.users user_schedule) in
+  Array.stable_sort
+    (fun (a : Apps.Social.request) b -> compare a.arrival b.arrival)
+    all;
+  all
 
 let test_schedule_shape () =
   let cfg =
     Apps.Social.config ~users:16 ~topics:4 ~rounds:24 ~rate:0.5 ~fanout:3 ()
   in
-  let s = Apps.Social.schedule cfg ~seed in
+  let s = streamed cfg in
   Alcotest.(check bool) "non-empty" true (Array.length s > 0);
-  Array.iter
-    (fun r ->
+  Array.iteri
+    (fun i r ->
       Alcotest.(check bool)
         "arrival in range" true
         (r.Apps.Social.arrival >= 0 && r.Apps.Social.arrival < 24);
+      if i > 0 then
+        Alcotest.(check bool) "sorted by arrival" true
+          (s.(i - 1).Apps.Social.arrival <= r.Apps.Social.arrival);
       match (r.Apps.Social.cls, r.Apps.Social.ops) with
       | Apps.Social.Post, Apps.Social.Publish _ :: rest ->
           (* the repost fan-out rides in the same chain *)
@@ -55,14 +112,70 @@ let test_session_gates_offline_users () =
       let off = Array.fold_left (fun a o -> if o then a + 1 else a) 0 set in
       Alcotest.(check int) "half the users offline" 16 off)
     offline;
-  let s = Apps.Social.schedule cfg ~seed in
   Array.iter
     (fun r ->
       let e = r.Apps.Social.arrival / 8 in
       Alcotest.(check bool)
         "offline users issue nothing" false
         offline.(e).(r.Apps.Social.user))
-    s
+    (streamed cfg)
+
+(* Streamed arrivals over every round equal the whole-run reference.  The
+   generator then runs [extra] rounds past the end, which read each online
+   user's next draws: a stream left at the wrong position shows there. *)
+let extra = 4
+
+let gen_app =
+  QCheck.Gen.(
+    map
+      (fun ((users, rounds, rate), (topics, fanout, zipf), (mix, session)) ->
+        Apps.Social.config ~users ~topics ~rounds ~rate ~fanout ~zipf ~mix
+          ?session ())
+      (triple
+         (triple (int_range 1 40) (int_range 1 30)
+            (oneofl [ 0.05; 0.3; 1.0; 2.5 ]))
+         (triple (int_range 1 20) (int_range 0 3) (oneofl [ 0.6; 1.1; 2.0 ]))
+         (pair
+            (map
+               (fun ws ->
+                 match ws with
+                 | [ feed; post; comment; vote; dm ] ->
+                     if feed +. post +. comment +. vote +. dm = 0.0 then
+                       Apps.Social.default_mix
+                     else { Apps.Social.feed; post; comment; vote; dm }
+                 | _ -> Apps.Social.default_mix)
+               (list_repeat 5 (oneofl [ 0.0; 0.1; 0.5; 1.0 ])))
+            (opt
+               (pair (oneofl [ 0.3; 0.5; 0.85; 1.0 ]) (int_range 1 12))))))
+
+let qcheck_streamed_matches_reference =
+  QCheck.Test.make ~name:"streamed arrivals equal the whole-run reference"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (seed, (cfg : Apps.Social.config)) ->
+         Printf.sprintf
+           "seed=%Ld users=%d rounds=%d rate=%g topics=%d fanout=%d session=%s"
+           seed cfg.users cfg.rounds cfg.rate cfg.topics cfg.fanout
+           (match cfg.session with
+           | None -> "-"
+           | Some (online, epoch) -> Printf.sprintf "%g:%d" online epoch))
+       QCheck.Gen.(pair ui64 gen_app))
+    (fun (seed, cfg) ->
+      let longer = { cfg with rounds = cfg.rounds + extra } in
+      let offline = Apps.Social.offline longer ~seed in
+      let got =
+        Testutil.admitted ~rounds:longer.rounds
+          (Apps.Social.arrivals cfg ~seed ~offline)
+      in
+      let in_run =
+        List.filter
+          (fun (r : Apps.Social.request) -> r.arrival < cfg.rounds)
+          (Array.to_list got)
+      in
+      Array.of_list in_run
+      = reference_social_schedule cfg ~seed
+          ~offline:(Apps.Social.offline cfg ~seed)
+      && got = reference_social_schedule longer ~seed ~offline)
 
 (* ---------- the runner ---------- *)
 
@@ -146,6 +259,22 @@ let test_domains_invariant () =
     run ~attack:Workload.Attack.Group_kill ~session:(0.85, 8) ~domains:4 ()
   in
   Alcotest.(check bool) "domains 1 = domains 4" true (reports_equal a b)
+
+let test_setup_independent_of_rounds () =
+  let words rounds =
+    let app = Apps.Social.config ~users:256 ~rounds ~rate:1.0 () in
+    Testutil.setup_words (fun trace ->
+        Workload.Social.run ~trace ~seed ~n:256
+          (Workload.Social.config ~domains:1 app))
+  in
+  (* a first run fills one-time caches (Zipf weight tables) *)
+  ignore (words 64);
+  let short = words 64 and long = words 512 in
+  Alcotest.(check bool)
+    (Printf.sprintf "set-up words %.0f (64 rounds) vs %.0f (512 rounds)" short
+       long)
+    true
+    (Float.abs (long -. short) <= 1000.0)
 
 (* Theorem 8 on the social workload: reconfiguration holds every class's
    SLO under a 20% hot-key group-kill; the static ablation loses classes. *)
@@ -233,12 +362,12 @@ let () =
     [
       ( "schedule",
         [
-          Alcotest.test_case "domains invariant" `Quick
-            test_schedule_domains_invariant;
           Alcotest.test_case "shape and fan-out" `Quick test_schedule_shape;
           Alcotest.test_case "session gates offline users" `Quick
             test_session_gates_offline_users;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ qcheck_streamed_matches_reference ] );
       ( "runner",
         [
           Alcotest.test_case "accounting invariants" `Quick
@@ -249,6 +378,8 @@ let () =
             test_domains_invariant;
           Alcotest.test_case "reconfig holds, static loses (Thm 8)" `Quick
             test_reconfig_holds_static_loses;
+          Alcotest.test_case "set-up independent of rounds" `Quick
+            test_setup_independent_of_rounds;
         ] );
       ( "config",
         [

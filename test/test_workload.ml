@@ -45,15 +45,49 @@ let test_spec_parsers () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown class accepted"
 
-(* ---------- Gen ---------- *)
+(* ---------- Gen: streamed admission ---------- *)
 
 let spec_small =
   Workload.Spec.make ~clients:16 ~rounds:20 ~keys:64
     ~arrivals:(Workload.Spec.Open_loop { rate = 0.5 })
     ()
 
+let streamed spec =
+  let src = Workload.Driver.spec_source ~seed (Workload.Driver.config spec) in
+  Testutil.admitted ~rounds:spec.Workload.Spec.rounds src.Workload.Driver.admit
+
+(* The oracle: the whole run's open-loop schedule built at once —
+   per-client request lists, concatenated and stable-sorted by arrival
+   round. *)
+let reference_open_schedule ~spec ~seed =
+  let rate =
+    match spec.Workload.Spec.arrivals with
+    | Workload.Spec.Open_loop { rate } -> rate
+    | Workload.Spec.Closed_loop _ -> invalid_arg "closed-loop spec"
+  in
+  let client_schedule client =
+    let s = Workload.Gen.client_stream ~seed ~client in
+    let out = ref [] and seq = ref 0 in
+    for arrival = 0 to spec.Workload.Spec.rounds - 1 do
+      let burst = Prng.Dist.poisson s rate in
+      for _ = 1 to burst do
+        let op, key = Workload.Gen.draw_request spec s in
+        out := { Workload.Gen.client; seq = !seq; arrival; op; key } :: !out;
+        incr seq
+      done
+    done;
+    Array.of_list (List.rev !out)
+  in
+  let all =
+    Array.concat (List.init spec.Workload.Spec.clients client_schedule)
+  in
+  Array.stable_sort
+    (fun a b -> compare a.Workload.Gen.arrival b.Workload.Gen.arrival)
+    all;
+  all
+
 let test_gen_schedule_sorted_and_in_range () =
-  let sched = Workload.Gen.open_schedule ~spec:spec_small ~seed () in
+  let sched = streamed spec_small in
   Alcotest.(check bool) "non-empty" true (Array.length sched > 0);
   Array.iteri
     (fun i r ->
@@ -68,29 +102,76 @@ let test_gen_schedule_sorted_and_in_range () =
           (sched.(i - 1).Workload.Gen.arrival <= r.Workload.Gen.arrival))
     sched
 
-let test_gen_schedule_domain_independent () =
-  let a = Workload.Gen.open_schedule ~domains:1 ~spec:spec_small ~seed () in
-  let b = Workload.Gen.open_schedule ~domains:4 ~spec:spec_small ~seed () in
-  Alcotest.(check bool) "identical schedules" true (a = b)
-
 let test_gen_client_streams_are_keyed () =
   (* client 3's requests do not depend on how many other clients exist *)
-  let wide =
-    Workload.Spec.make ~clients:32 ~rounds:20 ~keys:64
-      ~arrivals:(Workload.Spec.Open_loop { rate = 0.5 })
-      ()
-  in
+  let wide = { spec_small with Workload.Spec.clients = 32 } in
   let of_client c sched =
-    Array.to_list
-      (Array.of_seq
-         (Seq.filter
-            (fun r -> r.Workload.Gen.client = c)
-            (Array.to_seq sched)))
+    List.filter (fun r -> r.Workload.Gen.client = c) (Array.to_list sched)
   in
-  let narrow_sched = Workload.Gen.open_schedule ~spec:spec_small ~seed () in
-  let wide_sched = Workload.Gen.open_schedule ~spec:wide ~seed () in
   Alcotest.(check bool) "client 3 stream unchanged" true
-    (of_client 3 narrow_sched = of_client 3 wide_sched)
+    (of_client 3 (streamed spec_small) = of_client 3 (streamed wide))
+
+(* Streamed admission over every round equals the whole-run reference.
+   The source then runs [extra] rounds past the end, which read each
+   client's next draws: a stream left at the wrong position shows there. *)
+let extra = 4
+
+let gen_mix =
+  QCheck.Gen.(
+    map3
+      (fun read write publish ->
+        if read +. write +. publish = 0.0 then
+          { Workload.Spec.read = 1.0; write; publish }
+        else { Workload.Spec.read; write; publish })
+      (oneofl [ 0.0; 0.2; 0.7; 1.0 ])
+      (oneofl [ 0.0; 0.2; 1.0 ])
+      (oneofl [ 0.0; 0.1; 1.0 ]))
+
+let gen_open_spec =
+  QCheck.Gen.(
+    map
+      (fun ((clients, rounds, rate), (keys, popularity, mix)) ->
+        Workload.Spec.make ~clients ~rounds ~keys
+          ~arrivals:(Workload.Spec.Open_loop { rate })
+          ~popularity ~mix ())
+      (pair
+         (triple (int_range 1 40) (int_range 1 30)
+            (oneofl [ 0.05; 0.3; 1.0; 2.5 ]))
+         (triple (int_range 1 300)
+            (oneof
+               [ return Workload.Spec.Uniform;
+                 map
+                   (fun z -> Workload.Spec.Zipf z)
+                   (oneofl [ 0.6; 1.1; 2.0 ]) ])
+            gen_mix)))
+
+let qcheck_streamed_matches_reference =
+  QCheck.Test.make ~name:"streamed open loop equals the whole-run reference"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (seed, spec) ->
+         Printf.sprintf "seed=%Ld clients=%d rounds=%d keys=%d %s %s" seed
+           spec.Workload.Spec.clients spec.Workload.Spec.rounds
+           spec.Workload.Spec.keys
+           (Workload.Spec.arrivals_to_string spec.Workload.Spec.arrivals)
+           (Workload.Spec.mix_to_string spec.Workload.Spec.mix))
+       QCheck.Gen.(pair ui64 gen_open_spec))
+    (fun (seed, spec) ->
+      let rounds = spec.Workload.Spec.rounds in
+      let longer = { spec with Workload.Spec.rounds = rounds + extra } in
+      let src =
+        Workload.Driver.spec_source ~seed (Workload.Driver.config spec)
+      in
+      let got =
+        Testutil.admitted ~rounds:(rounds + extra) src.Workload.Driver.admit
+      in
+      let in_run =
+        List.filter
+          (fun r -> r.Workload.Gen.arrival < rounds)
+          (Array.to_list got)
+      in
+      Array.of_list in_run = reference_open_schedule ~spec ~seed
+      && got = reference_open_schedule ~spec:longer ~seed)
 
 (* ---------- Driver ---------- *)
 
@@ -201,6 +282,75 @@ let test_driver_closed_loop_one_outstanding () =
     (issued <= 8 * 30);
   Alcotest.(check int) "all served" issued ok
 
+let test_driver_setup_independent_of_rounds () =
+  let words rounds =
+    let spec =
+      Workload.Spec.make ~clients:256 ~rounds
+        ~arrivals:(Workload.Spec.Open_loop { rate = 1.0 })
+        ()
+    in
+    Testutil.setup_words (fun trace ->
+        run_with ~trace (Workload.Driver.config ~domains:1 spec))
+  in
+  (* a first run fills one-time caches (Zipf weight tables) *)
+  ignore (words 64);
+  let short = words 64 and long = words 512 in
+  Alcotest.(check bool)
+    (Printf.sprintf "set-up words %.0f (64 rounds) vs %.0f (512 rounds)" short
+       long)
+    true
+    (Float.abs (long -. short) <= 1000.0)
+
+(* A publish to a topic whose counter is at [max_seq] fails the attempt
+   before any write; it does not escape as [Topic_full]. *)
+let test_driver_full_topic_fails_attempt () =
+  let spec = Workload.Spec.make ~clients:1 ~rounds:1 ~keys:1 () in
+  let put_ok = ref false and published = ref None and counter = ref None in
+  let exec (server : Workload.Driver.server) ~entry () =
+    put_ok :=
+      (server.put ~entry (Apps.Pubsub.counter_key 1)
+         (string_of_int Apps.Pubsub.max_seq))
+        .Workload.Backend_intf.ok;
+    let res = server.publish ~entry ~topic:1 "full" in
+    published := Some res.Workload.Backend_intf.ok;
+    counter := (server.get ~entry (Apps.Pubsub.counter_key 1)).value;
+    if res.ok then Workload.Driver.Served { service = 3; hops = res.hops }
+    else Attempt_failed { hops = res.hops }
+  in
+  let source : unit Workload.Driver.source =
+    {
+      name = "test/run";
+      fields = [];
+      classes = [| "publish" |];
+      class_of = (fun () -> 0);
+      arrival = (fun () -> 0);
+      client = (fun () -> 0);
+      slo = [| 8 |];
+      timeout = [| 16 |];
+      retries = [| 0 |];
+      admit = (fun ~round issue -> if round = 0 then issue ());
+      release = (fun () ~at:_ -> ());
+      exec;
+      on_churn = (fun _ ~round:_ ~epoch:_ ~down:_ -> ());
+      health = None;
+    }
+  in
+  let r =
+    Workload.Driver.serve
+      (module Workload.Backends.Robust)
+      ~who:"test" ~seed ~n:64
+      (Workload.Driver.config ~domains:1 spec)
+      source
+  in
+  Alcotest.(check bool) "counter preset" true !put_ok;
+  Alcotest.(check (option bool)) "publish refused" (Some false) !published;
+  Alcotest.(check (option string)) "counter untouched"
+    (Some (string_of_int Apps.Pubsub.max_seq))
+    !counter;
+  let issued, ok, _, failed = counts r in
+  Alcotest.(check (list int)) "issued, ok, failed" [ 1; 0; 1 ]
+    [ issued; ok; failed ]
+
 (* The E16 / Theorem 8 shape, on a test-sized instance. *)
 let test_driver_reconfig_survives_static_collapses () =
   let spec =
@@ -241,11 +391,11 @@ let () =
         [
           Alcotest.test_case "schedule sorted, in range" `Quick
             test_gen_schedule_sorted_and_in_range;
-          Alcotest.test_case "domain independent" `Quick
-            test_gen_schedule_domain_independent;
           Alcotest.test_case "client streams keyed" `Quick
             test_gen_client_streams_are_keyed;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ qcheck_streamed_matches_reference ] );
       ( "driver",
         [
           Alcotest.test_case "no attack serves everything" `Quick
@@ -260,6 +410,10 @@ let () =
             test_driver_inert_fault_plan_is_identity;
           Alcotest.test_case "closed loop" `Quick
             test_driver_closed_loop_one_outstanding;
+          Alcotest.test_case "set-up independent of rounds" `Quick
+            test_driver_setup_independent_of_rounds;
+          Alcotest.test_case "full topic fails the attempt" `Quick
+            test_driver_full_topic_fails_attempt;
           Alcotest.test_case "reconfig survives, static collapses (Thm 8)"
             `Slow test_driver_reconfig_survives_static_collapses;
         ] );

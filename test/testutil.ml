@@ -7,3 +7,33 @@ let contains haystack needle =
 
 (* A fixed-seed stream per test, split so tests do not interfere. *)
 let rng ?(seed = 0xC0FFEEL) () = Prng.Stream.of_seed seed
+
+(* Every request [admit] hands out over rounds [0, rounds), in order. *)
+let admitted ~rounds admit =
+  let out = ref [] in
+  for round = 0 to rounds - 1 do
+    admit ~round (fun r -> out := r :: !out)
+  done;
+  Array.of_list (List.rev !out)
+
+exception First_event of float
+
+(* Words allocated from calling [run] to the run's first trace event (the
+   run-header note, which ends set-up).  Each reading flushes the minor
+   heap first, since OCaml 5 counts minor words at collections only.
+   Single-domain runs only: the counters are this domain's. *)
+let setup_words run =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let trace =
+    Simnet.Trace.make
+      ~emit:(fun _ -> raise (First_event (words ())))
+      ~close:ignore
+  in
+  let before = words () in
+  match run trace with
+  | _ -> Alcotest.fail "the run emitted no trace event"
+  | exception First_event after -> after -. before
