@@ -80,23 +80,34 @@ workload-smoke:
 	awk '$$1 == "publish" && $$10 > 0 { full = 1 } END { exit !full }' \
 	  /tmp/overlay_workload_topic_full.txt
 
-# Run a small sweep grid twice through its checkpoint (once fresh, once
-# resumed from a truncated file) and check both artifacts are
-# byte-identical and the progress trace validates (see docs/sweeps.md).
-SWEEP_SPEC ?= sweep=smoke;run=sample;axis:n=64|128;var:c=1.5|2
+# For every registered run kind (the list comes from the binary's own
+# runner diagnostic), run a small sweep grid twice through its checkpoint
+# (once fresh, once resumed from a truncated file at another domain
+# count) and check both artifacts are byte-identical and the progress
+# trace validates (see docs/sweeps.md).
+SWEEP_GRID ?= n=64;rounds=2;axis:seed=1|2
+SWEEP_BIN = _build/default/bin/overlay_sim.exe
 sweep-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe
-	rm -f /tmp/overlay_sweep.jsonl /tmp/overlay_sweep_cut.jsonl
-	dune exec bin/overlay_sim.exe -- sweep --spec '$(SWEEP_SPEC)' \
-	  --checkpoint /tmp/overlay_sweep.jsonl \
-	  --trace /tmp/overlay_sweep_trace.jsonl > /dev/null
-	head -n 2 /tmp/overlay_sweep.jsonl > /tmp/overlay_sweep_cut.jsonl
-	printf '{"torn' >> /tmp/overlay_sweep_cut.jsonl
-	dune exec bin/overlay_sim.exe -- sweep --spec '$(SWEEP_SPEC)' \
-	  --checkpoint /tmp/overlay_sweep_cut.jsonl --domains 4 > /dev/null
-	cmp /tmp/overlay_sweep.jsonl /tmp/overlay_sweep_cut.jsonl
-	dune exec bin/trace_check.exe -- --require progress \
-	  /tmp/overlay_sweep_trace.jsonl
+	set -e; \
+	kinds=$$($(SWEEP_BIN) sweep --spec 'run=?' 2>&1 \
+	  | sed -n 's/^unknown sweep runner.*(\(.*\))$$/\1/p' | tr '|' ' '); \
+	test -n "$$kinds"; \
+	for k in $$kinds; do \
+	  spec="sweep=smoke;run=$$k;$(SWEEP_GRID)"; \
+	  rm -f /tmp/overlay_sweep.jsonl /tmp/overlay_sweep_cut.jsonl; \
+	  $(SWEEP_BIN) sweep --spec "$$spec" \
+	    --checkpoint /tmp/overlay_sweep.jsonl --domains 1 \
+	    --trace /tmp/overlay_sweep_trace.jsonl > /dev/null; \
+	  head -n 1 /tmp/overlay_sweep.jsonl > /tmp/overlay_sweep_cut.jsonl; \
+	  printf '{"torn' >> /tmp/overlay_sweep_cut.jsonl; \
+	  $(SWEEP_BIN) sweep --spec "$$spec" \
+	    --checkpoint /tmp/overlay_sweep_cut.jsonl --domains 4 > /dev/null; \
+	  cmp /tmp/overlay_sweep.jsonl /tmp/overlay_sweep_cut.jsonl; \
+	  _build/default/bin/trace_check.exe --require progress \
+	    /tmp/overlay_sweep_trace.jsonl > /dev/null; \
+	  echo "sweep-smoke: run=$$k resumes byte-identical"; \
+	done
 
 # Run a small corrupted-topology repair twice with the same seed, check
 # the traces are byte-identical and the converged note was emitted, then

@@ -1,47 +1,1222 @@
 (* overlay_sim: command-line driver for every scenario in the library.
 
-   The subcommand list below is the single source for both the cmdliner
-   group and the unknown-subcommand diagnostic, so the usage text can
-   never drift from the commands that actually exist. *)
-
-let subcommand_index =
-  [
-    ("sample", "run a node sampling primitive (Section 3)");
-    ("churn", "drive the churn-resistant expander network (Section 4)");
-    ("dos", "drive the DoS-resistant hypercube network (Section 5)");
-    ("stabilize", "repair a corrupted topology via detect-and-repair \
-                   reconfiguration");
-    ("churndos", "drive the combined churn + DoS network (Section 6)");
-    ("groupsim", "replay the Section 5 group machinery message-by-message \
-                  (Lemmas 14/15)");
-    ("anonymize", "issue anonymous requests through the relay overlay \
-                   (Section 7.1)");
-    ("dht", "run a read/write batch against the robust DHT (Section 7.2)");
-    ("workload", "run an open/closed-loop request workload against the DHT \
-                  / pub-sub stack under reconfiguration, DoS, churn, and \
-                  faults (Section 7)");
-    ("chord", "run the Chord backend: ring maintenance + probe lookups \
-               under churn, faults, and the stale-view adversary");
-    ("social", "run the Reddit-style social application: five traffic \
-                classes with per-class SLOs over the pub-sub / DHT stack, \
-                with repost fan-out and online/offline sessions");
-    ("sweep", "run a declarative experiment grid (checkpointed, resumable, \
-               domain-parallel)");
-  ]
-
-let subcommand_doc name = List.assoc name subcommand_index
+   Each run kind is one registry entry ({!kind}): its knobs, a run
+   function of one sweep cell, the report its subcommand prints and the
+   payload row a sweep records.  The [kinds] list generates the cmdliner
+   group, the unknown-subcommand index and the sweep runner lookup, so a
+   subcommand is a one-cell grid run through the same code as a sweep
+   cell, and no list of run kinds can drift from another. *)
 
 open Cmdliner
+module Grid = Sweep.Grid
+module Scenario = Simnet.Scenario
+module Trace = Simnet.Trace
 
-let seed_arg =
-  let doc = "PRNG seed (runs are deterministic given the seed)." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
+(* ---------- knobs ---------- *)
 
-let n_arg default =
-  let doc = "Number of nodes." in
-  Arg.(value & opt int default & info [ "n"; "nodes" ] ~docv:"N" ~doc)
+(* How a knob's value is checked before a run sees it: [Pos] is a count
+   that must be positive, [Flag] a boolean CLI flag (["true"] or
+   ["false"] in a sweep). *)
+type ty = Str | Int | Pos | Float | Flag
 
-let rng_of_seed seed = Prng.Stream.of_seed (Int64.of_int seed)
+type knob = {
+  flag : string;  (** CLI option; also a free knob's sweep [var:] name *)
+  key : string option;  (** the Scenario key it sets; [None] = free *)
+  ty : ty;
+  default : string option;
+      (** CLI default, and a free knob's sweep default ([None]: the
+          driver's own default, or the scenario's) *)
+  docv : string;
+  doc : string;
+}
+
+let knob ?key ?default ?(ty = Str) ?(docv = "V") flag doc =
+  { flag; key; ty; default; docv; doc }
+
+(* Typed diagnostics, worded like Simnet.Scenario's own key errors. *)
+let check_knob k v =
+  let name = Option.value k.key ~default:k.flag in
+  let bad what = Error (Printf.sprintf "scenario: %s %s, got %S" name what v) in
+  match (k.ty, int_of_string_opt v) with
+  | Str, _ -> Ok ()
+  | Flag, _ ->
+      if v = "true" || v = "false" then Ok () else bad "expects true or false"
+  | Float, _ ->
+      if float_of_string_opt v = None then bad "expects a number" else Ok ()
+  | (Int | Pos), None -> bad "expects an integer"
+  | Pos, Some i when i <= 0 ->
+      Error (Printf.sprintf "scenario: %s must be > 0, got %d" name i)
+  | (Int | Pos), Some _ -> Ok ()
+
+(* Free-knob values of a prepared cell: every one is bound and checked. *)
+let str (cell : Grid.cell) name = Grid.binding cell name
+let int cell name = int_of_string (str cell name)
+let float cell name = float_of_string (str cell name)
+let bool cell name = str cell name = "true"
+
+(* Knobs several kinds share. *)
+let rounds_knob ~flag ~docv ~default doc =
+  knob flag ~key:"rounds" ~default ~ty:Pos ~docv doc
+
+let frac_knob default doc = knob "frac" ~key:"frac" ~default ~docv:"F" doc
+
+let lateness_knob =
+  knob "lateness" ~key:"lateness" ~docv:"L"
+    "Adversary lateness in rounds (default: one reconfiguration period)."
+
+let staleness_knob =
+  knob "staleness" ~key:"staleness" ~docv:"DIST"
+    "Draw the adversary's lateness per round instead of fixing it: $(b,3) \
+     (fixed), $(b,0.25) (expected lateness, floor plus Bernoulli on the \
+     fraction) or $(b,1..4) (uniform).  Overrides --lateness."
+
+let churn_knobs =
+  [
+    knob "churn" ~default:"0.0" ~ty:Float ~docv:"F"
+      "Fraction of servers churned out per epoch (0 = no churn).";
+    knob "churn-epoch" ~default:"8" ~ty:Int ~docv:"E"
+      "Churn epoch length in rounds.";
+  ]
+
+(* ---------- run kinds ---------- *)
+
+type kind =
+  | Kind : {
+      name : string;
+      doc : string;
+      default_n : int;
+      knobs : knob list;
+      cannot : string list;
+          (** ["faults"], ["retry"]: rejected, as the driver cannot honour
+              them *)
+      run : trace:Trace.t -> Grid.cell -> 'r;
+      print : Grid.cell -> 'r -> unit;  (** the subcommand's report *)
+      json : (Grid.cell -> 'r -> string) option;
+          (** the --json line; [None] prints the row *)
+      row : 'r -> Sweep.Exec.record;  (** the sweep payload *)
+    }
+      -> kind
+
+let fail msg =
+  prerr_endline msg;
+  exit 2
+
+let or_fail = function Ok v -> v | Error e -> fail e
+let ( let* ) = Result.bind
+
+(* [f] on each of [xs] in turn, up to the first error *)
+let all f xs = List.fold_left (fun acc x -> let* () = acc in f x) (Ok ()) xs
+
+(* Drivers and knob parsers raise Invalid_argument on input they reject;
+   this is the one place that becomes an exit-2 CLI error. *)
+let or_usage_error f = try f () with Invalid_argument msg -> fail msg
+let usage fmt = Printf.ksprintf invalid_arg fmt
+let or_usage = function Ok v -> v | Error e -> invalid_arg e
+
+(* Scenario.retry is a plain budget; the Section 3/4 drivers want it as a
+   Retry.policy with escalating provisioning. *)
+let retry_policy (sc : Scenario.t) =
+  if sc.retry = 0 then Core.Retry.fixed
+  else Core.Retry.make ~max_retries:sc.retry ()
+
+(* Scenario.domains = 0 means "runtime default"; drivers take an option. *)
+let domains_opt (sc : Scenario.t) =
+  if sc.domains <= 0 then None else Some sc.domains
+
+(* Scenario.lateness = -1 means "the driver's default". *)
+let lateness_opt (sc : Scenario.t) =
+  if sc.lateness < 0 then None else Some sc.lateness
+
+(* rounds, epochs or windows: the scenario's, else the kind's default *)
+let rounds (sc : Scenario.t) default =
+  if sc.rounds < 0 then default else sc.rounds
+
+let find_strategy what strategies to_string s =
+  match List.find_opt (fun x -> to_string x = s) strategies with
+  | Some x -> x
+  | None -> usage "unknown %s strategy %S" what s
+
+(* A uniformly random [frac] of the [n] nodes, blocked. *)
+let blocked_fraction rng ~n frac =
+  let b = Array.make n false in
+  if frac > 0.0 then
+    Array.iter
+      (fun v -> b.(v) <- true)
+      (Prng.Stream.sample_distinct rng n
+         ~k:(int_of_float (frac *. float_of_int n)));
+  b
+
+(* ---------- sample ---------- *)
+
+let sample =
+  let module R = Core.Sampling_result in
+  Kind
+    {
+      name = "sample";
+      doc = "run a node sampling primitive (Section 3)";
+      default_n = 1024;
+      cannot = [ "faults" ];
+      knobs =
+        [
+          knob "topology" ~default:"hgraph" ~docv:"T"
+            "Topology: hgraph or hypercube.";
+          knob "plain" ~default:"false" ~ty:Flag
+            "Use the plain random-walk baseline instead of rapid sampling.";
+          knob "c" ~default:"2.0" ~ty:Float ~docv:"C"
+            "Schedule constant c (samples per node = c log2 n).";
+          knob "eps" ~default:"0.5" ~ty:Float ~docv:"EPS"
+            "Schedule slack eps in (0, 1].";
+        ];
+      run =
+        (fun ~trace cell ->
+          let sc = cell.scenario in
+          let rng = Grid.cell_rng cell and retry = retry_policy sc in
+          let eps = float cell "eps" and c = float cell "c" in
+          let plain = bool cell "plain" in
+          match str cell "topology" with
+          | "hgraph" ->
+              let g =
+                Topology.Hgraph.random (Prng.Stream.split rng) ~n:sc.n ~d:sc.d
+              in
+              let rng = Prng.Stream.split rng in
+              ( sc.n,
+                if plain then Core.Rapid_hgraph.run_plain ~trace ~k:4 ~rng g
+                else Core.Rapid_hgraph.run ~eps ~c ~trace ~retry ~rng g )
+          | "hypercube" ->
+              let d = Core.Params.log2i_ceil sc.n in
+              let cube = Topology.Hypercube.create d in
+              let rng = Prng.Stream.split rng in
+              let module H = Core.Rapid_hypercube in
+              ( 1 lsl d,
+                if plain then H.run_plain ~trace ~k:4 ~rng cube
+                else H.run ~eps ~c ~trace ~retry ~rng cube )
+          | other -> usage "unknown topology %S (hgraph|hypercube)" other);
+      print =
+        (fun cell (n, r) ->
+          Printf.printf "topology:        %s over %d nodes\n"
+            (str cell "topology") n;
+          Printf.printf "mode:            %s\n"
+            (if bool cell "plain" then "plain random walks"
+             else "rapid (pointer doubling)");
+          Printf.printf "rounds:          %d\n" r.R.rounds;
+          Printf.printf "walk length:     %d\n" r.walk_length;
+          Printf.printf "samples/node:    %d\n" (R.samples_per_node r);
+          Printf.printf "underflows:      %d\n" r.underflows;
+          if cell.scenario.retry > 0 then
+            Printf.printf "retries:         %d (%d escalated)\n" r.retries
+              r.escalations;
+          Printf.printf "max work/round:  %d bits\n" r.max_round_node_bits;
+          let counts = Array.make n 0 in
+          Array.iter
+            (Array.iter (fun v -> counts.(v) <- counts.(v) + 1))
+            r.samples;
+          Printf.printf
+            "uniformity:      chi2 p = %.3f, TV = %.4f (floor %.4f)\n"
+            (Stats.Chi_square.test_uniform counts)
+            (Stats.Distance.tv_counts_uniform counts)
+            (Stats.Distance.expected_tv_noise_floor
+               ~samples:(Array.fold_left ( + ) 0 counts)
+               ~cells:n));
+      json =
+        Some
+          (fun cell (n, r) ->
+            Printf.sprintf
+              {|{"cmd":"sample","topology":"%s","n":%d,"plain":%b,"rounds":%d,"walk_length":%d,"samples_per_node":%d,"underflows":%d,"retries":%d,"escalations":%d,"max_round_node_bits":%d}|}
+              (str cell "topology") n (bool cell "plain") r.R.rounds
+              r.walk_length (R.samples_per_node r) r.underflows r.retries
+              r.escalations r.max_round_node_bits);
+      row =
+        (fun (_, r) ->
+          [
+            ("rounds", Trace.Int r.R.rounds);
+            ("samples_per_node", Trace.Int (R.samples_per_node r));
+            ("underflows", Trace.Int r.underflows);
+            ("max_node_bits", Trace.Int r.max_round_node_bits);
+          ]);
+    }
+
+(* ---------- churn ---------- *)
+
+let churn =
+  let module N = Core.Churn_network in
+  (* epochs, epochs ok, rounds, sampling retries, reply retries, stale
+     pointers, min reachable fraction *)
+  let totals (rs, _) =
+    List.fold_left
+      (fun (e, ok, rounds, sr, rr, st, reach) (r : N.epoch_report) ->
+        ( e + 1,
+          (ok + if r.valid && r.connected then 1 else 0),
+          rounds + r.rounds,
+          sr + r.sampling_retries,
+          rr + r.reply_retries,
+          st + r.stale_pointers,
+          Float.min reach r.reachable_fraction ))
+      (0, 0, 0, 0, 0, 0, 1.0) rs
+  in
+  Kind
+    {
+      name = "churn";
+      doc = "drive the churn-resistant expander network (Section 4)";
+      default_n = 1024;
+      cannot = [];
+      knobs =
+        [
+          rounds_knob ~flag:"epochs" ~docv:"E" ~default:"10" "Epochs to run.";
+          knob "leave-frac" ~default:"0.3" ~ty:Float ~docv:"F"
+            "Fraction leaving per epoch.";
+          knob "join-frac" ~default:"0.3" ~ty:Float ~docv:"F"
+            "Fraction joining per epoch.";
+          knob "strategy" ~default:"random" ~docv:"S"
+            "Adversary: random, segment, or heavy-introducer.";
+        ];
+      run =
+        (fun ~trace cell ->
+          let sc = cell.scenario in
+          let rng = Grid.cell_rng cell in
+          let strategy =
+            find_strategy "churn" Core.Churn_adversary.all
+              Core.Churn_adversary.to_string (str cell "strategy")
+          in
+          let leave_frac = float cell "leave-frac" in
+          let join_frac = float cell "join-frac" in
+          let net =
+            Core.Churn_network.create ~trace ?faults:sc.faults
+              ~retry:(retry_policy sc) ?domains:(domains_opt sc)
+              ~rng:(Prng.Stream.split rng) ~n:sc.n ()
+          in
+          let epoch _ =
+            let plan =
+              Core.Churn_adversary.plan ~trace strategy
+                ~rng:(Prng.Stream.split rng) ~graph:(N.graph net) ~leave_frac
+                ~join_frac
+            in
+            N.epoch net ~leaves:plan.leaves
+              ~join_introducers:plan.join_introducers
+          in
+          let epochs = List.init (rounds sc 4) epoch in
+          (epochs, N.size net));
+      print =
+        (fun cell ((rs, _) as report) ->
+          Printf.printf "%-6s %-8s %-8s %-7s %-7s %-10s %-6s %s\n" "epoch"
+            "before" "after" "left" "joined" "rounds" "valid" "connected";
+          List.iteri
+            (fun e (r : N.epoch_report) ->
+              Printf.printf "%-6d %-8d %-8d %-7d %-7d %-10d %-6b %b\n" (e + 1)
+                r.n_before r.n_after r.left r.joined r.rounds r.valid
+                r.connected)
+            rs;
+          if Scenario.fault_model_active cell.scenario then
+            let _, _, _, sr, rr, st, reach = totals report in
+            Printf.printf
+              "faults: sampling retries=%d reply retries=%d stale \
+               pointers=%d min reachable=%.3f\n"
+              sr rr st reach);
+      json =
+        Some
+          (fun _ ((_, size) as report) ->
+            let e, ok, rounds, sr, rr, st, reach = totals report in
+            Printf.sprintf
+              {|{"cmd":"churn","epochs":%d,"epochs_ok":%d,"rounds":%d,"final_n":%d,"sampling_retries":%d,"reply_retries":%d,"stale_pointers":%d,"min_reachable_fraction":%.4f}|}
+              e ok rounds size sr rr st reach);
+      row =
+        (fun ((_, size) as report) ->
+          let e, ok, rounds, _, _, _, _ = totals report in
+          [
+            ("epochs", Trace.Int e);
+            ("epochs_ok", Trace.Int ok);
+            ("rounds", Trace.Int rounds);
+            ("final_n", Trace.Int size);
+          ]);
+    }
+
+(* ---------- dos ---------- *)
+
+type dos_report = {
+  period : int;
+  supernodes : int;
+  lateness : int;
+  windows : (int * int * Core.Dos_network.window_report option) list;
+      (** starved rounds, disconnected rounds, the reconfiguration *)
+}
+
+let dos =
+  let module N = Core.Dos_network in
+  (* reconfigured windows, starved rounds, disconnected rounds, sampling
+     retries, fallback draws, the last c multiplier *)
+  let totals r =
+    List.fold_left
+      (fun (ok, st, dc, re, fb, boost) (s, d, lw) ->
+        match (lw : N.window_report option) with
+        | Some lw ->
+            ( (ok + if lw.reconfigured then 1 else 0),
+              st + s,
+              dc + d,
+              re + lw.sampling_retries,
+              fb + lw.sampling_fallbacks,
+              lw.c_multiplier )
+        | None -> (ok, st + s, dc + d, re, fb, boost))
+      (0, 0, 0, 0, 0, 1.0) r.windows
+  in
+  Kind
+    {
+      name = "dos";
+      doc = "drive the DoS-resistant hypercube network (Section 5)";
+      default_n = 4096;
+      cannot = [];
+      knobs =
+        [
+          rounds_knob ~flag:"windows" ~docv:"W" ~default:"6" "Windows to run.";
+          frac_knob "0.25" "Fraction of nodes blocked per round.";
+          lateness_knob;
+          staleness_knob;
+          knob "strategy" ~default:"group-kill" ~docv:"S"
+            "Adversary: random, group-kill, or isolate.";
+        ];
+      run =
+        (fun ~trace cell ->
+          let sc = cell.scenario in
+          let n = sc.n and rng = Grid.cell_rng cell in
+          let strategy =
+            find_strategy "DoS" Core.Dos_adversary.all
+              Core.Dos_adversary.to_string (str cell "strategy")
+          in
+          let net =
+            N.create ~c:2.0 ~trace ?faults:sc.faults ~retry:(retry_policy sc)
+              ?domains:(domains_opt sc) ~rng:(Prng.Stream.split rng) ~n ()
+          in
+          let p = N.period net in
+          let lateness = Option.value (lateness_opt sc) ~default:p in
+          let cube = Topology.Hypercube.create (N.dimension net) in
+          let adv =
+            Core.Dos_adversary.create ~trace ?staleness:sc.staleness strategy
+              ~rng:(Prng.Stream.split rng) ~lateness ~frac:sc.frac
+          in
+          let window _ =
+            let starved = ref 0 and disconnected = ref 0 in
+            for _ = 1 to p do
+              Core.Dos_adversary.observe adv ~group_of:(N.group_of net);
+              let blocked = Core.Dos_adversary.blocked_set adv ~cube ~n in
+              let r = N.run_round net ~blocked in
+              if r.starved_groups > 0 then incr starved;
+              if not r.connected then incr disconnected
+            done;
+            (!starved, !disconnected, N.last_window net)
+          in
+          let windows = List.init (rounds sc 6) window in
+          let supernodes = N.supernode_count net in
+          { period = p; supernodes; lateness; windows });
+      print =
+        (fun cell r ->
+          let sc = cell.scenario in
+          Printf.printf
+            "n=%d, %d supernodes, period=%d rounds, adversary=%s lateness=%s \
+             frac=%.2f\n\n"
+            sc.n r.supernodes r.period (str cell "strategy")
+            (match sc.staleness with
+            | None -> string_of_int r.lateness
+            | Some d -> Simnet.Snapshots.staleness_to_string d)
+            sc.frac;
+          Printf.printf "%-7s %-15s %-13s %s\n" "window" "starved rounds"
+            "disconnected" "reconfigured";
+          List.iteri
+            (fun w (s, d, (lw : N.window_report option)) ->
+              Printf.printf "%-7d %-15s %-13s %b\n" (w + 1)
+                (Printf.sprintf "%d/%d" s r.period)
+                (Printf.sprintf "%d/%d" d r.period)
+                (match lw with Some lw -> lw.reconfigured | None -> false))
+            r.windows;
+          if Scenario.fault_model_active sc then
+            let _, _, _, re, fb, boost = totals r in
+            Printf.printf
+              "faults: sampling retries=%d fallback draws=%d c \
+               multiplier=%.2f\n"
+              re fb boost);
+      json =
+        Some
+          (fun _ r ->
+            let ok, st, dc, re, fb, boost = totals r in
+            let w = List.length r.windows in
+            Printf.sprintf
+              {|{"cmd":"dos","windows":%d,"rounds":%d,"starved_rounds":%d,"disconnected_rounds":%d,"reconfigured_windows":%d,"sampling_retries":%d,"sampling_fallbacks":%d,"c_multiplier":%.4f}|}
+              w (w * r.period) st dc ok re fb boost);
+      row =
+        (fun r ->
+          let ok, st, dc, re, fb, boost = totals r in
+          let w = List.length r.windows in
+          [
+            ("windows", Trace.Int w);
+            ("rounds", Trace.Int (w * r.period));
+            ("starved_rounds", Trace.Int st);
+            ("disconnected_rounds", Trace.Int dc);
+            ("reconfigured_windows", Trace.Int ok);
+            ("sampling_retries", Trace.Int re);
+            ("sampling_fallbacks", Trace.Int fb);
+            ("c_multiplier", Trace.Float boost);
+          ]);
+    }
+
+(* ---------- stabilize ---------- *)
+
+let stabilize =
+  let module S = Core.Stabilize in
+  Kind
+    {
+      name = "stabilize";
+      doc = "repair a corrupted topology via detect-and-repair reconfiguration";
+      default_n = 64;
+      cannot = [];
+      knobs =
+        [
+          knob "corruption" ~key:"corruption" ~default:"class=split"
+            ~docv:"SPEC"
+            "Corrupted initial topology, e.g. \
+             $(b,class=branch,severity=0.3,seed=7).  Comma-separated \
+             KEY=VALUE pairs; classes: branch, split, range, crosslink, \
+             partition, stale.  See docs/fault_model.md.";
+          knob "mode" ~default:"repair" ~docv:"M"
+            "$(b,repair) runs detect-and-repair epochs; $(b,static) only \
+             detects (the baseline that never converges).";
+          rounds_knob ~flag:"epochs" ~docv:"E" ~default:"16"
+            "Detect-and-repair epoch budget.";
+        ];
+      run =
+        (fun ~trace cell ->
+          let sc = cell.scenario in
+          let corruption =
+            match sc.corruption with
+            | Some c -> c
+            | None -> Simnet.Corruption.make Simnet.Corruption.Split
+          in
+          let mode = or_usage (S.mode_of_string (str cell "mode")) in
+          ( corruption,
+            mode,
+            Core.Stabilize.run ~trace ~mode ~max_epochs:(rounds sc 16)
+              ~retry:(retry_policy sc) ?faults:sc.faults
+              ?domains:(domains_opt sc) ~corruption
+              ~rng:(Prng.Stream.split (Grid.cell_rng cell))
+              ~n:sc.n ~d:sc.d () ));
+      print =
+        (fun cell (corruption, mode, r) ->
+          Printf.printf "stabilize: n=%d d=%d corruption=%s mode=%s\n\n"
+            cell.scenario.n cell.scenario.d
+            (Simnet.Corruption.to_spec corruption)
+            (S.mode_to_string mode);
+          let row k v = Printf.printf "%-18s %s\n" k v in
+          row "converged" (string_of_bool r.S.converged);
+          List.iter
+            (fun (k, v) -> row k (string_of_int v))
+            [
+              ("epochs", r.epochs); ("rounds", r.rounds); ("bits", r.bits);
+              ("initial violations", r.initial_violations);
+              ("residual", List.length r.residual); ("patches", r.patches);
+              ("splices", r.splices); ("reconfigs", r.reconfigs);
+              ("retries", r.retries);
+            ];
+          (* cap the residual listing: the count is in the row above, the
+             first few examples are what a human needs *)
+          List.iteri
+            (fun i v ->
+              if i < 6 then row "  violation" (Simnet.Invariants.describe v))
+            r.residual;
+          let extra = List.length r.residual - 6 in
+          if extra > 0 then
+            row "  violation" (Printf.sprintf "... and %d more" extra));
+      json =
+        Some
+          (fun _ (corruption, mode, r) ->
+            Printf.sprintf
+              {|{"cmd":"stabilize","class":"%s","severity":%s,"mode":"%s","converged":%b,"epochs":%d,"rounds":%d,"bits":%d,"initial_violations":%d,"residual":%d,"patches":%d,"splices":%d,"reconfigs":%d,"retries":%d}|}
+              (Simnet.Corruption.class_to_string corruption.cls)
+              (Stats.Float_text.json_repr corruption.severity)
+              (S.mode_to_string mode) r.S.converged r.epochs r.rounds r.bits
+              r.initial_violations (List.length r.residual) r.patches
+              r.splices r.reconfigs r.retries);
+      row =
+        (fun (_, _, r) ->
+          [
+            ("converged", Trace.Bool r.S.converged);
+            ("epochs", Trace.Int r.epochs);
+            ("rounds", Trace.Int r.rounds);
+            ("bits", Trace.Int r.bits);
+            ("residual", Trace.Int (List.length r.residual));
+            ("patches", Trace.Int r.patches);
+            ("splices", Trace.Int r.splices);
+          ]);
+    }
+
+(* ---------- churndos ---------- *)
+
+let churndos =
+  let module N = Core.Churndos_network in
+  Kind
+    {
+      name = "churndos";
+      doc = "drive the combined churn + DoS network (Section 6)";
+      default_n = 4096;
+      cannot = [ "retry" ];
+      knobs =
+        [
+          rounds_knob ~flag:"windows" ~docv:"W" ~default:"10" "Windows to run.";
+          knob "gamma" ~default:"1.5" ~ty:Float ~docv:"G"
+            "Per-window churn factor (grow then shrink alternately).";
+          frac_knob "0.25" "Fraction of nodes blocked per round.";
+          lateness_knob;
+        ];
+      run =
+        (fun ~trace cell ->
+          let sc = cell.scenario in
+          let rng = Grid.cell_rng cell and gamma = float cell "gamma" in
+          let net =
+            N.create ~trace ?faults:sc.faults ?domains:(domains_opt sc)
+              ~rng:(Prng.Stream.split rng) ~n:sc.n ()
+          in
+          let lateness =
+            Option.value (lateness_opt sc) ~default:(2 * N.period net)
+          in
+          let cube = Topology.Hypercube.create 12 in
+          let adv =
+            Core.Dos_adversary.create Core.Dos_adversary.Group_kill
+              ~rng:(Prng.Stream.split rng) ~lateness ~frac:sc.frac
+          in
+          let blocked_for_round ~round:_ ~group_of ~n =
+            Core.Dos_adversary.observe adv ~group_of;
+            Core.Dos_adversary.blocked_set adv ~cube ~n
+          in
+          (* the 1st, 3rd, ... window grows the network by gamma, the
+             others shrink it back *)
+          let window w =
+            let cur = float_of_int (N.n net) in
+            if w mod 2 = 0 then
+              N.run_window net ~blocked_for_round ~leave_frac:0.0
+                ~joins:(int_of_float ((gamma -. 1.0) *. cur))
+            else
+              N.run_window net ~blocked_for_round ~joins:0
+                ~leave_frac:(1.0 -. (1.0 /. gamma))
+          in
+          List.init (rounds sc 10) window);
+      print =
+        (fun _ rs ->
+          Printf.printf "%-7s %-8s %-8s %-9s %-7s %-11s %-8s %s\n" "window"
+            "before" "after" "starved" "spread" "supernodes" "dims"
+            "reconfigured";
+          List.iteri
+            (fun w (r : N.window_report) ->
+              Printf.printf "%-7d %-8d %-8d %-9d %-7d %-11d [%d..%d] %b\n"
+                (w + 1) r.n_before r.n_after r.starved_rounds r.dim_spread
+                r.supernodes r.min_dim r.max_dim r.reconfigured)
+            rs);
+      json = None;
+      row =
+        (fun rs ->
+          let fold g = Trace.Int (List.fold_left g 0 rs) in
+          [
+            ("windows", Trace.Int (List.length rs));
+            ("final_n", fold (fun _ r -> r.N.n_after));
+            ("starved_rounds", fold (fun s r -> s + r.N.starved_rounds));
+            ("max_dim_spread", fold (fun m r -> max m r.N.dim_spread));
+            ( "reconfigured_windows",
+              fold (fun k r -> k + Bool.to_int r.N.reconfigured) );
+          ]);
+    }
+
+(* ---------- groupsim ---------- *)
+
+let groupsim =
+  let module G = Core.Group_sim in
+  let states gs supernodes =
+    List.filter_map (G.state_of gs) (List.init supernodes Fun.id)
+  in
+  Kind
+    {
+      name = "groupsim";
+      doc =
+        "replay the Section 5 group machinery message-by-message (Lemmas \
+         14/15)";
+      default_n = 2048;
+      cannot = [];
+      knobs =
+        [
+          frac_knob "0.25" "Fraction of nodes blocked per round.";
+          knob "kill-group" ~default:"-1" ~ty:Int ~docv:"G"
+            "Block every member of group G for the first simulation step.";
+        ];
+      run =
+        (fun ~trace cell ->
+          let sc = cell.scenario in
+          let n = sc.n and kill = int cell "kill-group" in
+          let rng = Grid.cell_rng cell in
+          let d = Core.Params.dos_dimension ~c:2.0 ~n in
+          let cube = Topology.Hypercube.create d in
+          let supernodes = Topology.Hypercube.node_count cube in
+          let group_of =
+            Array.init n (fun _ -> Prng.Stream.int rng supernodes)
+          in
+          let proto =
+            Core.Supernode_sampling.protocol ~c:2.0 ~trace
+              ~fallback:(sc.retry > 0) ~cube ()
+          in
+          let gs =
+            G.create ~trace ?faults:sc.faults ?domains:(domains_opt sc)
+              ~rng:(Prng.Stream.split rng) ~n ~group_of proto
+          in
+          let arng = Prng.Stream.split rng in
+          G.run_all gs ~blocked_for_round:(fun ~round ->
+              let b = blocked_fraction arng ~n sc.frac in
+              if kill >= 0 && round < 3 then
+                Array.iteri
+                  (fun v g -> if g = kill then b.(v) <- true)
+                  group_of;
+              b);
+          (supernodes, gs));
+      print =
+        (fun cell (supernodes, gs) ->
+          Printf.printf
+            "message-level group simulation: %d nodes, %d supernodes, %d \
+             network rounds\n"
+            cell.scenario.n supernodes
+            (G.network_rounds_total gs);
+          let lost = G.lost_groups gs in
+          Printf.printf "lost groups:   [%s]\n"
+            (String.concat "; " (List.map string_of_int lost));
+          let counts = Array.make supernodes 0 in
+          List.iter
+            (fun st ->
+              Array.iter
+                (fun v -> counts.(v) <- counts.(v) + 1)
+                (Core.Supernode_sampling.samples st))
+            (states gs supernodes);
+          if List.length lost < supernodes then
+            Printf.printf "sample chi2 p: %.3f\n"
+              (Stats.Chi_square.test_uniform counts);
+          let m = G.metrics gs in
+          Printf.printf "messages:      %d\nmax work:      %d bits/node/round\n"
+            (Simnet.Metrics.total_msgs m)
+            (Simnet.Metrics.max_node_bits_ever m);
+          if Scenario.fault_model_active cell.scenario then
+            let sum g =
+              List.fold_left (fun acc st -> acc + g st) 0 (states gs supernodes)
+            in
+            Printf.printf "faults:        underflows=%d fallback draws=%d\n"
+              (sum Core.Supernode_sampling.underflows)
+              (sum Core.Supernode_sampling.fallbacks));
+      json =
+        Some
+          (fun cell (supernodes, gs) ->
+            let m = G.metrics gs in
+            Printf.sprintf
+              {|{"cmd":"groupsim","n":%d,"supernodes":%d,"net_rounds":%d,"lost_groups":%d,"messages":%d,"max_node_bits":%d}|}
+              cell.scenario.n supernodes (G.network_rounds_total gs)
+              (List.length (G.lost_groups gs))
+              (Simnet.Metrics.total_msgs m)
+              (Simnet.Metrics.max_node_bits_ever m));
+      row =
+        (fun (supernodes, gs) ->
+          let m = G.metrics gs in
+          [
+            ("supernodes", Trace.Int supernodes);
+            ("net_rounds", Trace.Int (G.network_rounds_total gs));
+            ("lost_groups", Trace.Int (List.length (G.lost_groups gs)));
+            ("messages", Trace.Int (Simnet.Metrics.total_msgs m));
+            ("max_node_bits", Trace.Int (Simnet.Metrics.max_node_bits_ever m));
+          ]);
+    }
+
+(* ---------- anonymize ---------- *)
+
+let anonymize =
+  Kind
+    {
+      name = "anonymize";
+      doc = "issue anonymous requests through the relay overlay (Section 7.1)";
+      default_n = 4096;
+      cannot = [ "faults"; "retry" ];
+      knobs =
+        [
+          knob "requests" ~default:"1000" ~ty:Int ~docv:"R"
+            "Requests to issue.";
+          frac_knob "0.25" "Fraction of nodes blocked per round.";
+        ];
+      run =
+        (fun ~trace:_ cell ->
+          let sc = cell.scenario in
+          let rng = Grid.cell_rng cell and requests = int cell "requests" in
+          let split () = Prng.Stream.split rng in
+          let net = Core.Dos_network.create ~c:2.0 ~rng:(split ()) ~n:sc.n () in
+          let anon = Apps.Anonymizer.create ~net ~rng:(split ()) in
+          let blocked = blocked_fraction (split ()) ~n:sc.n sc.frac in
+          let delivered = ref 0 in
+          let exits = Array.make (Core.Dos_network.supernode_count net) 0 in
+          for _ = 1 to requests do
+            let r = Apps.Anonymizer.request anon ~blocked in
+            if r.delivered then begin
+              incr delivered;
+              Option.iter (fun g -> exits.(g) <- exits.(g) + 1) r.exit_group
+            end
+          done;
+          (requests, !delivered, Stats.Entropy.normalized_of_counts exits));
+      print =
+        (fun _ (requests, delivered, entropy) ->
+          Printf.printf "delivered:      %d/%d\n" delivered requests;
+          Printf.printf "exit entropy:   %.4f of maximum\n" entropy;
+          Printf.printf "rounds/request: 4\n");
+      json = None;
+      row =
+        (fun (requests, delivered, entropy) ->
+          [
+            ("requests", Trace.Int requests);
+            ("delivered", Trace.Int delivered);
+            ("exit_entropy", Trace.Float entropy);
+          ]);
+    }
+
+(* ---------- dht ---------- *)
+
+let dht =
+  let module D = Apps.Robust_dht in
+  Kind
+    {
+      name = "dht";
+      doc = "run a read/write batch against the robust DHT (Section 7.2)";
+      default_n = 2048;
+      cannot = [ "faults"; "retry" ];
+      knobs =
+        [
+          knob "ops" ~default:"1000" ~ty:Int ~docv:"OPS"
+            "Write+read pairs to execute.";
+          knob "k" ~default:"4" ~ty:Int ~docv:"K" "Hypercube arity.";
+          frac_knob "0.25" "Fraction of nodes blocked per round.";
+        ];
+      run =
+        (fun ~trace:_ cell ->
+          let sc = cell.scenario in
+          let rng = Grid.cell_rng cell in
+          let split () = Prng.Stream.split rng in
+          let dht = D.create ~k:(int cell "k") ~rng:(split ()) ~n:sc.n () in
+          let blocked = blocked_fraction (split ()) ~n:sc.n sc.frac in
+          let ops =
+            List.concat_map
+              (fun i -> [ D.Write (i, string_of_int i); D.Read i ])
+              (List.init (int cell "ops") Fun.id)
+          in
+          (dht, D.execute_batch dht ~blocked ops));
+      print =
+        (fun cell (dht, r) ->
+          Printf.printf "supernodes:     %d (k=%d, d=%d)\n"
+            (D.supernode_count dht) (int cell "k") (D.dimension dht);
+          Printf.printf "served:         %d\n" r.D.served;
+          Printf.printf "failed:         %d\n" r.failed;
+          Printf.printf "max hops:       %d\n" r.max_hops;
+          Printf.printf "max group load: %d\n" r.max_group_load);
+      json = None;
+      row =
+        (fun (dht, r) ->
+          [
+            ("supernodes", Trace.Int (D.supernode_count dht));
+            ("served", Trace.Int r.D.served);
+            ("failed", Trace.Int r.failed);
+            ("max_hops", Trace.Int r.max_hops);
+            ("max_group_load", Trace.Int r.max_group_load);
+          ]);
+    }
+
+(* ---------- the request plane (workload, social) ---------- *)
+
+module W = Workload.Driver
+
+(* --attack, --frac, --static, --period, --backend, --chord-* and
+   --lateness: which overlay serves the requests and what attacks it *)
+let overlay_knobs =
+  let chord_knob key doc = knob key ~key ~docv:"K" doc in
+  [
+    knob "attack" ~key:"adversary" ~docv:"S"
+      "Adversary: none, random, or group-kill.";
+    frac_knob "0.1" "Fraction of servers the adversary blocks per round.";
+    knob "static" ~default:"false" ~ty:Flag
+      "Never reconfigure (the static baseline the paper's networks are \
+       measured against).";
+    knob "period" ~default:"8" ~ty:Int ~docv:"P"
+      "Reconfiguration period in rounds.";
+    knob "backend" ~key:"backend" ~docv:"B"
+      "Overlay backend serving the requests: $(b,reconfig) (the paper's \
+       reconfigurable supernode DHT, the default), $(b,static) (the same \
+       DHT, never reconfigured) or $(b,chord) (iterative Chord lookups \
+       under the same request plane).";
+    chord_knob "chord-fingers"
+      "Chord finger-table length (-1 = the id-space width m).";
+    chord_knob "chord-succs"
+      "Chord successor-list length (-1 = the backend default).";
+    chord_knob "chord-period"
+      "Chord maintenance period in rounds (-1 = the --period value).";
+    lateness_knob;
+  ]
+
+(* The mode, backend and attack the overlay knobs select. *)
+let overlay (cell : Grid.cell) =
+  let sc = cell.scenario in
+  let mode, backend =
+    match sc.backend with
+    | None | Some "reconfig" -> (W.Reconfig, W.Robust)
+    | Some "static" -> (W.Static, W.Robust)
+    | Some "chord" ->
+        ( W.Reconfig,
+          W.Chord
+            {
+              fingers = sc.chord_fingers;
+              succs = sc.chord_succs;
+              period = sc.chord_period;
+            } )
+    | Some other -> usage "unknown backend %S (reconfig|static|chord)" other
+  in
+  ( (if bool cell "static" then W.Static else mode),
+    backend,
+    match sc.adversary with
+    | None -> Workload.Attack.No_attack
+    | Some s -> or_usage (Workload.Attack.parse_strategy s) )
+
+(* A request-plane report: a chord backend line (the reconfig goldens
+   have none), the source's [head] line, the overlay settings up to the
+   adversary's lateness and then [tail], and the per-class [table]. *)
+let print_report ~head ~tail ~table (r : W.report) =
+  let c = r.config in
+  (match c.backend with
+  | W.Chord _ -> print_string "backend: chord\n"
+  | W.Robust -> ());
+  print_endline head;
+  Printf.printf "n=%d mode=%s period=%d attack=%s frac=%.2f lateness=%d%s\n\n"
+    r.n
+    (match c.mode with W.Static -> "static" | W.Reconfig -> "reconfig")
+    c.period
+    (Workload.Attack.strategy_to_string c.attack)
+    c.frac c.lateness tail;
+  List.iter print_endline (table r);
+  Printf.printf "\nhop messages:   %d\n" r.hop_msgs;
+  Printf.printf "max group load: %d\n" r.max_group_load
+
+(* ---------- workload ---------- *)
+
+let workload =
+  Kind
+    {
+      name = "workload";
+      doc =
+        "run an open/closed-loop request workload against the DHT / pub-sub \
+         stack under reconfiguration, DoS, churn, and faults (Section 7)";
+      default_n = 1024;
+      cannot = [];
+      knobs =
+        [
+          rounds_knob ~flag:"rounds" ~docv:"R" ~default:"48"
+            "Rounds to simulate.";
+          knob "clients" ~default:"64" ~ty:Pos ~docv:"C" "Workload clients.";
+          knob "arrivals" ~default:"open:0.25" ~docv:"A"
+            "Arrival discipline: $(b,open:RATE) (Poisson arrivals per client \
+             per round) or $(b,closed:THINK) (one outstanding request per \
+             client, THINK idle rounds between completions).";
+          knob "mix" ~docv:"MIX"
+            "Request mix as $(b,read=W,write=W,publish=W) (weights are \
+             normalized; default read=0.7,write=0.2,publish=0.1).";
+          knob "keys" ~default:"256" ~ty:Pos ~docv:"K" "Distinct keys.";
+          knob "zipf" ~default:"1.1" ~ty:Float ~docv:"S"
+            "Zipf popularity exponent; 0 selects uniform key popularity.";
+          knob "slo" ~default:"8" ~ty:Pos ~docv:"L" "Latency SLO in rounds.";
+          knob "timeout" ~default:"16" ~ty:Pos ~docv:"T"
+            "Rounds after arrival before a request is abandoned.";
+        ]
+        @ overlay_knobs @ churn_knobs;
+      run =
+        (fun ~trace cell ->
+          let sc = cell.scenario in
+          let zipf = float cell "zipf" and churn = float cell "churn" in
+          let spec =
+            Workload.Spec.make ~clients:(int cell "clients")
+              ~rounds:(rounds sc 48) ~keys:(int cell "keys")
+              ~arrivals:
+                (or_usage (Workload.Spec.parse_arrivals (str cell "arrivals")))
+              ?mix:
+                (Option.map
+                   (fun m -> or_usage (Workload.Spec.parse_mix m))
+                   (List.assoc_opt "mix" cell.bindings))
+              ~popularity:
+                (if zipf <= 0.0 then Workload.Spec.Uniform
+                 else Workload.Spec.Zipf zipf)
+              ~slo:(int cell "slo") ~timeout:(int cell "timeout") ()
+          in
+          let mode, backend, attack = overlay cell in
+          let churn =
+            if churn > 0.0 then
+              Some { W.frac = churn; epoch = int cell "churn-epoch" }
+            else None
+          in
+          let cfg =
+            W.config ~mode ~period:(int cell "period") ~backend ~attack
+              ~frac:sc.frac ?lateness:(lateness_opt sc)
+              ?staleness:sc.staleness ?churn ?faults:sc.faults
+              ~retries:sc.retry ?domains:(domains_opt sc) spec
+          in
+          Workload.Driver.run ~trace ~seed:cell.seed ~n:sc.n cfg);
+      print =
+        (fun _ r ->
+          let c = r.config in
+          let s = c.spec in
+          print_report r ~table:W.table_lines
+            ~head:
+              (Printf.sprintf "workload: %s, mix %s, %d keys (%s)"
+                 (Workload.Spec.arrivals_to_string s.arrivals)
+                 (Workload.Spec.mix_to_string s.mix)
+                 s.keys
+                 (match s.popularity with
+                 | Workload.Spec.Uniform -> "uniform"
+                 | Workload.Spec.Zipf z -> Printf.sprintf "zipf %.2f" z))
+            ~tail:
+              (Printf.sprintf " churn=%.2f retry=%d"
+                 (match c.churn with Some ch -> ch.frac | None -> 0.0)
+                 c.retries));
+      json =
+        Some
+          (fun _ r ->
+            let t = r.total in
+            Printf.sprintf
+              {|{"cmd":"workload","n":%d,"issued":%d,"ok":%d,"goodput":%.4f,"p50":%d,"p90":%d,"p99":%d,"slo_miss":%d,"timeout":%d,"failed":%d,"max_hops":%d,"hop_msgs":%d,"max_group_load":%d}|}
+              r.n t.issued t.ok (W.goodput t) (W.percentile t 0.50)
+              (W.percentile t 0.90) (W.percentile t 0.99) t.slo_miss
+              t.timed_out t.failed t.max_hops r.hop_msgs r.max_group_load);
+      row =
+        (fun r ->
+          let t = r.W.total in
+          [
+            ("issued", Trace.Int t.issued);
+            ("ok", Trace.Int t.ok);
+            ("goodput", Trace.Float (W.goodput t));
+            ("p50", Trace.Int (W.percentile t 0.50));
+            ("p90", Trace.Int (W.percentile t 0.90));
+            ("p99", Trace.Int (W.percentile t 0.99));
+            ("slo_miss", Trace.Int t.slo_miss);
+            ("timeout", Trace.Int t.timed_out);
+            ("failed", Trace.Int t.failed);
+            ("max_hops", Trace.Int t.max_hops);
+            ("hop_msgs", Trace.Int r.hop_msgs);
+            ("max_group_load", Trace.Int r.max_group_load);
+          ]);
+    }
+
+(* ---------- chord ---------- *)
+
+let chord =
+  let module C = Chord.Sim in
+  Kind
+    {
+      name = "chord";
+      doc =
+        "run the Chord backend: ring maintenance + probe lookups under churn, \
+         faults, and the stale-view adversary";
+      default_n = 256;
+      cannot = [];
+      knobs =
+        [
+          rounds_knob ~flag:"rounds" ~docv:"R" ~default:"64"
+            "Rounds to simulate.";
+          knob "keys" ~default:"256" ~ty:Int ~docv:"K" "Distinct keys.";
+          knob "lookups" ~default:"8" ~ty:Int ~docv:"L"
+            "Probe lookups per round.";
+          knob "zipf" ~default:"1.1" ~ty:Float ~docv:"S"
+            "Zipf popularity exponent; 0 selects uniform key popularity.";
+          knob "attack" ~key:"adversary" ~docv:"S"
+            "Adversary: $(b,none), $(b,random), or $(b,succ-kill) (the \
+             stale-view successor-list attack; $(b,group-kill) is accepted \
+             as an alias so one spec drives both backends).";
+          frac_knob "0.1" "Fraction of nodes the adversary blocks per round.";
+          lateness_knob;
+          staleness_knob;
+          knob "fingers" ~key:"chord-fingers" ~docv:"NF"
+            "Finger-table length (-1 = the id-space width m).";
+          knob "succs" ~key:"chord-succs" ~docv:"R"
+            "Successor-list length (-1 = max 2 (log2 n)).";
+          knob "period" ~key:"chord-period" ~docv:"P"
+            "Maintenance period in rounds (-1 = 8).";
+        ]
+        @ churn_knobs;
+      run =
+        (fun ~trace cell ->
+          let sc = cell.scenario in
+          let strategy =
+            match sc.adversary with
+            | None -> Chord.Adversary.No_attack
+            | Some s -> or_usage (Chord.Adversary.parse_strategy s)
+          in
+          let churn = float cell "churn" in
+          let cfg =
+            C.config ~rounds:(rounds sc 32) ?fingers:sc.chord_fingers
+              ?succs:sc.chord_succs ?period:sc.chord_period
+              ~keys:(int cell "keys") ~lookups:(int cell "lookups")
+              ~zipf:(float cell "zipf") ~strategy ~frac:sc.frac
+              ~lateness:sc.lateness ?staleness:sc.staleness
+              ?churn:
+                (if churn > 0.0 then Some (churn, int cell "churn-epoch")
+                 else None)
+              ?faults:sc.faults ~retries:sc.retry ~n:sc.n ()
+          in
+          Chord.Sim.run ~trace ?domains:(domains_opt sc) ~seed:cell.seed cfg);
+      print = (fun _ r -> List.iter print_endline (C.summary_lines r));
+      json =
+        Some
+          (fun _ r ->
+            Printf.sprintf
+              {|{"cmd":"chord","n":%d,"m":%d,"issued":%d,"ok":%d,"goodput":%.4f,"p50":%d,"p99":%d,"max_hops":%d,"timeouts":%d,"lookup_msgs":%d,"maint_msgs":%d,"total_bits":%d,"succ_ok":%.4f,"connected":%b,"members":%d}|}
+              r.C.config.n r.m r.issued r.ok (C.goodput r)
+              (C.percentile r 0.50) (C.percentile r 0.99) r.max_hops
+              r.lookup_timeouts r.lookup_msgs r.maint.msgs r.total_bits
+              r.succ_ok r.connected r.members);
+      row =
+        (fun r ->
+          [
+            ("goodput", Trace.Float (C.goodput r));
+            ("p50", Trace.Int (C.percentile r 0.50));
+            ("p99", Trace.Int (C.percentile r 0.99));
+            ("max_hops", Trace.Int r.C.max_hops);
+            ("maint_msgs", Trace.Int r.maint.msgs);
+            ("total_bits", Trace.Int r.total_bits);
+            ("succ_ok", Trace.Float r.succ_ok);
+            ("connected", Trace.Bool r.connected);
+            ("members", Trace.Int r.members);
+          ]);
+    }
+
+(* ---------- social ---------- *)
+
+let social =
+  Kind
+    {
+      name = "social";
+      doc =
+        "run the Reddit-style social application: five traffic classes with \
+         per-class SLOs over the pub-sub / DHT stack, with repost fan-out and \
+         online/offline sessions";
+      default_n = 1024;
+      (* each traffic class carries its own retry budget *)
+      cannot = [ "retry" ];
+      knobs =
+        [
+          knob "users" ~default:"64" ~ty:Pos ~docv:"U" "Application users.";
+          knob "topics" ~key:"topics" ~ty:Pos ~docv:"T"
+            "Subreddit-like topics (default 16).";
+          rounds_knob ~flag:"rounds" ~docv:"R" ~default:"48"
+            "Rounds to simulate.";
+          knob "rate" ~default:"0.25" ~ty:Float ~docv:"RATE"
+            "Mean new requests per online user per round (Poisson).";
+          knob "fanout" ~key:"fanout" ~docv:"F"
+            "Follower-feed publishes triggered per post (the repost fan-out; \
+             default 2).";
+          knob "zipf" ~default:"1.1" ~ty:Float ~docv:"S"
+            "Topic popularity exponent (s > 0).";
+          knob "session" ~key:"session" ~docv:"ONLINE:EPOCH"
+            "User session cycle: every EPOCH rounds a fresh 1-ONLINE fraction \
+             of users goes offline, and the same fraction of servers churns \
+             out (default: everyone always online).";
+          staleness_knob;
+        ]
+        @ overlay_knobs;
+      run =
+        (fun ~trace cell ->
+          let sc = cell.scenario in
+          (match sc.app with
+          | None | Some "social" -> ()
+          | Some other -> usage "run=social cannot serve app=%s" other);
+          let app =
+            Apps.Social.config ~users:(int cell "users") ~rounds:(rounds sc 48)
+              ~rate:(float cell "rate") ~zipf:(float cell "zipf")
+              ?topics:sc.topics ?fanout:sc.fanout ?session:sc.session ()
+          in
+          let mode, backend, attack = overlay cell in
+          let cfg =
+            Workload.Social.config ~mode ~period:(int cell "period") ~backend
+              ~attack ~frac:sc.frac ?lateness:(lateness_opt sc)
+              ?staleness:sc.staleness ?faults:sc.faults
+              ?domains:(domains_opt sc) app
+          in
+          (app, Workload.Social.run ~trace ~seed:cell.seed ~n:sc.n cfg));
+      print =
+        (fun _ ((app : Apps.Social.config), r) ->
+          print_report r ~table:Workload.Social.table_lines ~tail:""
+            ~head:
+              (Printf.sprintf
+                 "social: %d users, %d topics, fanout %d, rate %.2f, zipf \
+                  %.2f, session %s"
+                 app.users app.topics app.fanout app.rate app.zipf
+                 (match app.session with
+                 | None -> "-"
+                 | Some (on, epoch) -> Printf.sprintf "%g:%d" on epoch)));
+      json =
+        Some
+          (fun _ (_, r) ->
+            let cls (c : W.class_report) =
+              Printf.sprintf
+                {|"%s":{"issued":%d,"ok":%d,"goodput":%.4f,"p99":%d,"slo_miss":%d}|}
+                c.cls c.issued c.ok (W.goodput c) (W.percentile c 0.99)
+                c.slo_miss
+            in
+            Printf.sprintf {|{"cmd":"social","n":%d,%s,%s}|} r.W.n
+              (String.concat "," (List.map cls r.classes))
+              (cls r.total));
+      row =
+        (fun (_, r) ->
+          List.concat_map
+            (fun (c : W.class_report) ->
+              [
+                (c.cls ^ "_goodput", Trace.Float (W.goodput c));
+                (c.cls ^ "_p99", Trace.Int (W.percentile c 0.99));
+              ])
+            r.W.classes
+          @ [
+              ("goodput", Trace.Float (W.goodput r.total));
+              ("slo_miss", Trace.Int r.total.slo_miss);
+              ("hop_msgs", Trace.Int r.hop_msgs);
+              ("total_bits", Trace.Int r.total_bits);
+            ]);
+    }
+
+(* The registry, in subcommand order. *)
+let kinds =
+  [
+    sample; churn; dos; stabilize; churndos; groupsim; anonymize; dht;
+    workload; chord; social;
+  ]
+
+let kind_names = String.concat "|" (List.map (fun (Kind k) -> k.name) kinds)
+
+(* Checks a cell against its kind: every free binding names one of the
+   kind's free knobs and holds a well-typed value, and no fault plan or
+   retry budget reaches a driver that cannot honour it.  Then binds each
+   unbound free knob to its default. *)
+let prepare (Kind k) (cell : Grid.cell) =
+  let sc = cell.scenario in
+  let free = List.filter (fun kn -> kn.key = None) k.knobs in
+  let check ((name, v) as kv) =
+    (* a scenario axis binds its label too; the scenario reflects it *)
+    if Scenario.of_args ~base:sc [ kv ] = Ok sc then Ok ()
+    else
+      match List.find_opt (fun kn -> kn.flag = name) free with
+      | Some kn -> check_knob kn v
+      | None ->
+          Error
+            (Printf.sprintf "sweep: run=%s has no knob %S (knobs: %s)" k.name
+               name
+               (String.concat ", " (List.map (fun kn -> kn.flag) free)))
+  in
+  let honour key =
+    if (if key = "faults" then sc.faults = None else sc.retry = 0) then Ok ()
+    else Error (Printf.sprintf "scenario: %s does not take %s" k.name key)
+  in
+  let* () = all check cell.bindings in
+  let* () = all honour k.cannot in
+  let unbound kn =
+    match kn.default with
+    | Some d when not (List.mem_assoc kn.flag cell.bindings) ->
+        Some (kn.flag, d)
+    | _ -> None
+  in
+  Ok { cell with bindings = cell.bindings @ List.filter_map unbound free }
+
+(* ---------- the subcommands ---------- *)
 
 (* --verbose turns on the Logs debug tracing the networks emit at epoch and
    window boundaries. *)
@@ -61,1602 +1236,177 @@ let json_term =
     & info [ "json" ]
         ~doc:"Also print a one-line machine-readable JSON summary.")
 
-(* The run-shape flags shared by the driver subcommands — -n, --seed,
-   --faults SPEC, --retry R, --trace FILE — funnel through a single
-   Simnet.Scenario.of_args call, so their parsing, validation, and error
-   wording live in one place instead of being duplicated per subcommand.
-   All default off, leaving the paper's fault-free behaviour — and the
-   golden CLI outputs — untouched. *)
-let scenario_term ?(with_faults = true) ?(with_retry = true) ~default_n () =
-  let trace_arg =
-    let doc =
-      "Write structured trace events to $(docv) as JSONL (CSV if the name \
-       ends in .csv, compact binary if it ends in .bin).  See \
-       docs/observability.md for the schema."
-    in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let trace_format_arg =
-    let doc =
-      "Trace sink format: $(b,jsonl), $(b,csv) or $(b,bin) (default: by \
-       the --trace path suffix).  Binary traces decode back to the exact \
-       JSONL bytes via trace_check --export-jsonl."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-format" ] ~docv:"FORMAT" ~doc)
-  in
-  let faults_arg =
-    let doc =
-      "Inject deterministic faults, e.g. \
-       $(b,drop=0.05,dup=0.01,delay=2,crash=3).  Comma-separated KEY=VALUE \
-       pairs; keys: drop, dup, delayp, delay, reorder, crash, crashround, \
-       recover, seed.  Same seed and spec reproduce the run byte for byte.  \
-       See docs/fault_model.md."
-    in
-    if with_faults then
-      Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
-    else Term.const None
-  in
-  let retry_arg =
-    let doc =
-      "Give the protocol drivers a recovery budget of $(docv) retries with \
-       escalating provisioning (0, the default, reproduces the paper's \
-       fault-free drivers)."
-    in
-    if with_retry then
-      Arg.(value & opt int 0 & info [ "retry" ] ~docv:"R" ~doc)
-    else Term.const 0
-  in
-  let domains_arg =
-    let doc =
-      "Worker domains for intra-round engine parallelism (0 = runtime \
-       default, honoring $(b,OVERLAY_DOMAINS)).  Results are \
-       byte-identical for every value."
-    in
-    Arg.(value & opt int 0 & info [ "domains" ] ~docv:"D" ~doc)
-  in
+(* The run-shape flags every kind shares, as Simnet.Scenario key/value
+   pairs, so their parsing, validation and error wording live in one
+   place.  All default off, leaving the paper's fault-free behaviour. *)
+let str_opt name docv doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv ~doc)
+
+let shared_term ~default_n =
   Term.(
-    const (fun n seed faults retry domains trace trace_format ->
-        let add key v kvs =
-          match v with Some v -> (key, v) :: kvs | None -> kvs
-        in
-        let kvs =
-          [
-            ("n", string_of_int n);
-            ("seed", string_of_int seed);
-            ("retry", string_of_int retry);
-            ("domains", string_of_int domains);
-          ]
-          |> add "faults" faults |> add "trace" trace
-          |> add "trace-format" trace_format
-        in
-        match Simnet.Scenario.of_args kvs with
-        | Ok sc -> sc
-        | Error e ->
-            Printf.eprintf "%s\n" e;
-            Stdlib.exit 2)
-    $ n_arg default_n $ seed_arg $ faults_arg $ retry_arg $ domains_arg
-    $ trace_arg $ trace_format_arg)
+    const (fun n seed retry domains faults trace trace_format ->
+        let given key = Option.map (fun v -> (key, v)) in
+        [
+          ("n", string_of_int n); ("seed", string_of_int seed);
+          ("retry", string_of_int retry); ("domains", string_of_int domains);
+        ]
+        @ List.filter_map Fun.id
+            [
+              given "faults" faults; given "trace" trace;
+              given "trace-format" trace_format;
+            ])
+    $ Arg.(
+        value & opt int default_n
+        & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
+    $ Arg.(
+        value & opt int 42
+        & info [ "seed" ] ~docv:"SEED"
+            ~doc:"PRNG seed (runs are deterministic given the seed).")
+    $ Arg.(
+        value & opt int 0
+        & info [ "retry" ] ~docv:"R"
+            ~doc:
+              "Give the protocol drivers a recovery budget of $(docv) \
+               retries with escalating provisioning (0, the default, \
+               reproduces the paper's fault-free drivers).")
+    $ Arg.(
+        value & opt int 0
+        & info [ "domains" ] ~docv:"D"
+            ~doc:
+              "Worker domains for intra-round engine parallelism (0 = \
+               runtime default, honoring $(b,OVERLAY_DOMAINS)).  Results \
+               are byte-identical for every value.")
+    $ str_opt "faults" "SPEC"
+        "Inject deterministic faults, e.g. \
+         $(b,drop=0.05,dup=0.01,delay=2,crash=3).  Comma-separated \
+         KEY=VALUE pairs; keys: drop, dup, delayp, delay, reorder, crash, \
+         crashround, recover, seed.  Same seed and spec reproduce the run \
+         byte for byte.  See docs/fault_model.md."
+    $ str_opt "trace" "FILE"
+        "Write structured trace events to $(docv) as JSONL (CSV if the name \
+         ends in .csv, compact binary if it ends in .bin).  See \
+         docs/observability.md for the schema."
+    $ str_opt "trace-format" "FORMAT"
+        "Trace sink format: $(b,jsonl), $(b,csv) or $(b,bin) (default: by \
+         the --trace path suffix).  Binary traces decode back to the exact \
+         JSONL bytes via trace_check --export-jsonl.")
 
-(* A fault-plan field the driver cannot honor raises Invalid_argument
-   (see docs/fault_model.md); surface it as a clean CLI error instead of
-   an uncaught exception. *)
-let or_usage_error f =
-  try f ()
-  with Invalid_argument msg ->
-    Printf.eprintf "%s\n" msg;
-    Stdlib.exit 2
+(* A kind's knobs as (knob, value) pairs: each given or defaulted one. *)
+let knobs_term knobs =
+  let arg k =
+    let i = Arg.info [ k.flag ] ~docv:k.docv ~doc:k.doc in
+    match (k.ty, k.default) with
+    | Flag, _ ->
+        Term.(const (fun v -> Some (string_of_bool v)) $ Arg.(value & flag i))
+    | _, Some d -> Term.(const Option.some $ Arg.(value & opt string d i))
+    | _, None -> Arg.(value & opt (some string) None i)
+  in
+  List.fold_right
+    (fun k rest ->
+      let add v kvs = Option.fold v ~none:kvs ~some:(fun v -> (k, v) :: kvs) in
+      Term.(const add $ arg k $ rest))
+    knobs (Term.const [])
 
-(* A count knob that must be positive, rejected with a typed exit-2
-   diagnostic worded like Simnet.Scenario's own key errors. *)
-let require_positive knobs =
-  List.iter
-    (fun (key, v) ->
-      if v <= 0 then begin
-        Printf.eprintf "scenario: %s must be > 0, got %d\n" key v;
-        Stdlib.exit 2
-      end)
-    knobs
-
-(* Scenario.retry is a plain budget; the Section 3/4 drivers want it as a
-   Retry.policy with escalating provisioning. *)
-let retry_policy (sc : Simnet.Scenario.t) =
-  if sc.Simnet.Scenario.retry = 0 then Core.Retry.fixed
-  else Core.Retry.make ~max_retries:sc.Simnet.Scenario.retry ()
-
-(* Scenario.domains = 0 means "runtime default"; drivers take an option. *)
-let domains_opt (sc : Simnet.Scenario.t) =
-  if sc.Simnet.Scenario.domains <= 0 then None
-  else Some sc.Simnet.Scenario.domains
-
-(* ---------- sample ---------- *)
-
-let sample_cmd =
-  let topology_arg =
-    let doc = "Topology: hgraph or hypercube." in
-    Arg.(value & opt string "hgraph" & info [ "topology" ] ~docv:"T" ~doc)
-  in
-  let plain_arg =
-    let doc = "Use the plain random-walk baseline instead of rapid sampling." in
-    Arg.(value & flag & info [ "plain" ] ~doc)
-  in
-  let c_arg =
-    let doc = "Schedule constant c (samples per node = c log2 n)." in
-    Arg.(value & opt float 2.0 & info [ "c" ] ~docv:"C" ~doc)
-  in
-  let eps_arg =
-    let doc = "Schedule slack eps in (0, 1]." in
-    Arg.(value & opt float 0.5 & info [ "eps" ] ~docv:"EPS" ~doc)
-  in
-  let run sc topology plain c eps json () =
-    let n = sc.Simnet.Scenario.n in
-    let trace = Simnet.Scenario.trace_sink sc in
-    let retry = retry_policy sc in
-    let rng = Simnet.Scenario.rng sc in
-    let result =
-      match topology with
-      | "hgraph" ->
-          let g = Topology.Hgraph.random (Prng.Stream.split rng) ~n ~d:8 in
-          if plain then
-            Core.Rapid_hgraph.run_plain ~trace ~k:4
-              ~rng:(Prng.Stream.split rng) g
-          else
-            Core.Rapid_hgraph.run ~eps ~c ~trace ~retry
-              ~rng:(Prng.Stream.split rng) g
-      | "hypercube" ->
-          let d = Core.Params.log2i_ceil n in
-          let cube = Topology.Hypercube.create d in
-          if plain then
-            Core.Rapid_hypercube.run_plain ~trace ~k:4
-              ~rng:(Prng.Stream.split rng) cube
-          else
-            Core.Rapid_hypercube.run ~eps ~c ~trace ~retry
-              ~rng:(Prng.Stream.split rng) cube
-      | other ->
-          Printf.eprintf "unknown topology %S (hgraph|hypercube)\n" other;
-          exit 2
-    in
-    Simnet.Trace.close trace;
-    let actual_n =
-      if topology = "hypercube" then 1 lsl Core.Params.log2i_ceil n else n
-    in
-    Printf.printf "topology:        %s over %d nodes\n" topology actual_n;
-    Printf.printf "mode:            %s\n"
-      (if plain then "plain random walks" else "rapid (pointer doubling)");
-    Printf.printf "rounds:          %d\n" result.Core.Sampling_result.rounds;
-    Printf.printf "walk length:     %d\n" result.Core.Sampling_result.walk_length;
-    Printf.printf "samples/node:    %d\n"
-      (Core.Sampling_result.samples_per_node result);
-    Printf.printf "underflows:      %d\n" result.Core.Sampling_result.underflows;
-    if Core.Retry.enabled retry then
-      Printf.printf "retries:         %d (%d escalated)\n"
-        result.Core.Sampling_result.retries
-        result.Core.Sampling_result.escalations;
-    Printf.printf "max work/round:  %d bits\n"
-      result.Core.Sampling_result.max_round_node_bits;
-    let counts = Array.make actual_n 0 in
-    Array.iter
-      (Array.iter (fun v -> counts.(v) <- counts.(v) + 1))
-      result.Core.Sampling_result.samples;
-    Printf.printf "uniformity:      chi2 p = %.3f, TV = %.4f (floor %.4f)\n"
-      (Stats.Chi_square.test_uniform counts)
-      (Stats.Distance.tv_counts_uniform counts)
-      (Stats.Distance.expected_tv_noise_floor
-         ~samples:(Array.fold_left ( + ) 0 counts)
-         ~cells:actual_n);
-    if json then begin
-      Printf.printf
-        {|{"cmd":"sample","topology":"%s","n":%d,"plain":%b,"rounds":%d,"walk_length":%d,"samples_per_node":%d,"underflows":%d,"retries":%d,"escalations":%d,"max_round_node_bits":%d}|}
-        topology actual_n plain result.Core.Sampling_result.rounds
-        result.Core.Sampling_result.walk_length
-        (Core.Sampling_result.samples_per_node result)
-        result.Core.Sampling_result.underflows
-        result.Core.Sampling_result.retries
-        result.Core.Sampling_result.escalations
-        result.Core.Sampling_result.max_round_node_bits;
-      print_newline ()
-    end
-  in
-  Cmd.v
-    (Cmd.info "sample" ~doc:(subcommand_doc "sample"))
-    Term.(
-      const run
-      $ scenario_term ~with_faults:false ~default_n:1024 ()
-      $ topology_arg $ plain_arg $ c_arg $ eps_arg $ json_term $ verbose_term)
-
-(* ---------- churn ---------- *)
-
-let strategy_conv =
-  let parse s =
-    match
-      List.find_opt
-        (fun st -> Core.Churn_adversary.to_string st = s)
-        Core.Churn_adversary.all
-    with
-    | Some st -> Ok st
-    | None -> Error (`Msg (Printf.sprintf "unknown churn strategy %S" s))
-  in
-  Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Core.Churn_adversary.to_string s))
-
-let churn_cmd =
-  let epochs_arg =
-    Arg.(value & opt int 10 & info [ "epochs" ] ~docv:"E" ~doc:"Epochs to run.")
-  in
-  let leave_arg =
-    Arg.(
-      value & opt float 0.3
-      & info [ "leave-frac" ] ~docv:"F" ~doc:"Fraction leaving per epoch.")
-  in
-  let join_arg =
-    Arg.(
-      value & opt float 0.3
-      & info [ "join-frac" ] ~docv:"F" ~doc:"Fraction joining per epoch.")
-  in
-  let strat_arg =
-    Arg.(
-      value
-      & opt strategy_conv Core.Churn_adversary.Random_churn
-      & info [ "strategy" ] ~docv:"S"
-          ~doc:"Adversary: random, segment, or heavy-introducer.")
-  in
-  let run sc epochs leave_frac join_frac strategy json () =
-    let n = sc.Simnet.Scenario.n in
-    let trace = Simnet.Scenario.trace_sink sc in
-    let rng = Simnet.Scenario.rng sc in
-    let net =
-      or_usage_error (fun () ->
-          Core.Churn_network.create ~trace ?faults:sc.Simnet.Scenario.faults
-            ~retry:(retry_policy sc) ?domains:(domains_opt sc)
-            ~rng:(Prng.Stream.split rng) ~n ())
-    in
-    Printf.printf "%-6s %-8s %-8s %-7s %-7s %-10s %-6s %s\n" "epoch" "before"
-      "after" "left" "joined" "rounds" "valid" "connected";
-    let ok = ref 0 and total_rounds = ref 0 in
-    let tot_retries = ref 0
-    and tot_reply_retries = ref 0
-    and tot_stale = ref 0
-    and min_reach = ref 1.0 in
-    for e = 1 to epochs do
-      let plan =
-        Core.Churn_adversary.plan ~trace strategy ~rng:(Prng.Stream.split rng)
-          ~graph:(Core.Churn_network.graph net) ~leave_frac ~join_frac
+(* A subcommand runs its kind on a one-cell grid: the shared flags and the
+   scenario-key knobs build the cell's scenario, the free knobs bind. *)
+let kind_cmd (Kind k as kind) =
+  let run shared knobs json () =
+    let cell =
+      let* () = all (fun (kn, v) -> check_knob kn v) knobs in
+      let keyed, free = List.partition (fun (kn, _) -> kn.key <> None) knobs in
+      let* sc =
+        Scenario.of_args
+          (shared @ List.map (fun (kn, v) -> (Option.get kn.key, v)) keyed)
       in
-      let r =
-        Core.Churn_network.epoch net ~leaves:plan.Core.Churn_adversary.leaves
-          ~join_introducers:plan.Core.Churn_adversary.join_introducers
-      in
-      if r.Core.Churn_network.valid && r.Core.Churn_network.connected then
-        incr ok;
-      total_rounds := !total_rounds + r.Core.Churn_network.rounds;
-      tot_retries := !tot_retries + r.Core.Churn_network.sampling_retries;
-      tot_reply_retries := !tot_reply_retries + r.Core.Churn_network.reply_retries;
-      tot_stale := !tot_stale + r.Core.Churn_network.stale_pointers;
-      min_reach := Float.min !min_reach r.Core.Churn_network.reachable_fraction;
-      Printf.printf "%-6d %-8d %-8d %-7d %-7d %-10d %-6b %b\n" e
-        r.Core.Churn_network.n_before r.Core.Churn_network.n_after
-        r.Core.Churn_network.left r.Core.Churn_network.joined
-        r.Core.Churn_network.rounds r.Core.Churn_network.valid
-        r.Core.Churn_network.connected
-    done;
-    if Simnet.Scenario.fault_model_active sc then
-      Printf.printf
-        "faults: sampling retries=%d reply retries=%d stale pointers=%d min \
-         reachable=%.3f\n"
-        !tot_retries !tot_reply_retries !tot_stale !min_reach;
-    Simnet.Trace.close trace;
-    if json then begin
-      Printf.printf
-        {|{"cmd":"churn","epochs":%d,"epochs_ok":%d,"rounds":%d,"final_n":%d,"sampling_retries":%d,"reply_retries":%d,"stale_pointers":%d,"min_reachable_fraction":%.4f}|}
-        epochs !ok !total_rounds
-        (Core.Churn_network.size net)
-        !tot_retries !tot_reply_retries !tot_stale !min_reach;
-      print_newline ()
-    end
-  in
-  Cmd.v
-    (Cmd.info "churn" ~doc:(subcommand_doc "churn"))
-    Term.(
-      const run
-      $ scenario_term ~default_n:1024 ()
-      $ epochs_arg $ leave_arg $ join_arg $ strat_arg $ json_term
-      $ verbose_term)
-
-(* ---------- dos ---------- *)
-
-let dos_strategy_conv =
-  let parse s =
-    match
-      List.find_opt
-        (fun st -> Core.Dos_adversary.to_string st = s)
-        Core.Dos_adversary.all
-    with
-    | Some st -> Ok st
-    | None -> Error (`Msg (Printf.sprintf "unknown DoS strategy %S" s))
-  in
-  Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Core.Dos_adversary.to_string s))
-
-let frac_arg =
-  Arg.(
-    value & opt float 0.25
-    & info [ "frac" ] ~docv:"F" ~doc:"Fraction of nodes blocked per round.")
-
-let lateness_arg =
-  Arg.(
-    value & opt int (-1)
-    & info [ "lateness" ] ~docv:"L"
-        ~doc:
-          "Adversary lateness in rounds (default: one reconfiguration \
-           period).")
-
-let staleness_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "staleness" ] ~docv:"DIST"
-        ~doc:
-          "Draw the adversary's lateness per round instead of fixing it: \
-           $(b,3) (fixed), $(b,0.25) (expected lateness, floor plus \
-           Bernoulli on the fraction) or $(b,1..4) (uniform).  Overrides \
-           --lateness.")
-
-let parse_staleness = function
-  | None -> None
-  | Some s -> (
-      match Simnet.Snapshots.staleness_of_string s with
-      | Ok d -> Some d
-      | Error e ->
-          Printf.eprintf "%s\n" e;
-          Stdlib.exit 2)
-
-let dos_cmd =
-  let windows_arg =
-    Arg.(
-      value & opt int 6 & info [ "windows" ] ~docv:"W" ~doc:"Windows to run.")
-  in
-  let strat_arg =
-    Arg.(
-      value
-      & opt dos_strategy_conv Core.Dos_adversary.Group_kill
-      & info [ "strategy" ] ~docv:"S"
-          ~doc:"Adversary: random, group-kill, or isolate.")
-  in
-  let run sc windows frac lateness staleness strategy json () =
-    let n = sc.Simnet.Scenario.n in
-    let trace = Simnet.Scenario.trace_sink sc in
-    let rng = Simnet.Scenario.rng sc in
-    let net =
-      or_usage_error (fun () ->
-          Core.Dos_network.create ~c:2.0 ~trace
-            ?faults:sc.Simnet.Scenario.faults ~retry:(retry_policy sc)
-            ?domains:(domains_opt sc) ~rng:(Prng.Stream.split rng) ~n ())
+      prepare kind
+        {
+          Grid.index = 0; id = k.name; scenario = sc;
+          bindings = List.map (fun (kn, v) -> (kn.flag, v)) free;
+          seed = Int64.of_int sc.seed;
+        }
     in
-    let p = Core.Dos_network.period net in
-    let lateness = if lateness < 0 then p else lateness in
-    let staleness = parse_staleness staleness in
-    let cube = Topology.Hypercube.create (Core.Dos_network.dimension net) in
-    let adv =
-      Core.Dos_adversary.create ~trace ?staleness strategy
-        ~rng:(Prng.Stream.split rng) ~lateness ~frac
-    in
-    Printf.printf
-      "n=%d, %d supernodes, period=%d rounds, adversary=%s lateness=%s \
-       frac=%.2f\n\n"
-      n
-      (Core.Dos_network.supernode_count net)
-      p
-      (Core.Dos_adversary.to_string strategy)
-      (match staleness with
-      | None -> string_of_int lateness
-      | Some d -> Simnet.Snapshots.staleness_to_string d)
-      frac;
-    Printf.printf "%-7s %-15s %-13s %s\n" "window" "starved rounds"
-      "disconnected" "reconfigured";
-    let tot_starved = ref 0 and tot_disc = ref 0 and reconf_ok = ref 0 in
-    let tot_fallbacks = ref 0
-    and tot_retries = ref 0
-    and last_boost = ref 1.0 in
-    for w = 1 to windows do
-      let starved = ref 0 and disconnected = ref 0 in
-      for _ = 1 to p do
-        Core.Dos_adversary.observe adv ~group_of:(Core.Dos_network.group_of net);
-        let blocked = Core.Dos_adversary.blocked_set adv ~cube ~n in
-        let r = Core.Dos_network.run_round net ~blocked in
-        if r.Core.Dos_network.starved_groups > 0 then incr starved;
-        if not r.Core.Dos_network.connected then incr disconnected
-      done;
-      let reconf =
-        match Core.Dos_network.last_window net with
-        | Some lw ->
-            tot_fallbacks := !tot_fallbacks + lw.Core.Dos_network.sampling_fallbacks;
-            tot_retries := !tot_retries + lw.Core.Dos_network.sampling_retries;
-            last_boost := lw.Core.Dos_network.c_multiplier;
-            lw.Core.Dos_network.reconfigured
-        | None -> false
-      in
-      tot_starved := !tot_starved + !starved;
-      tot_disc := !tot_disc + !disconnected;
-      if reconf then incr reconf_ok;
-      Printf.printf "%-7d %-15s %-13s %b\n" w
-        (Printf.sprintf "%d/%d" !starved p)
-        (Printf.sprintf "%d/%d" !disconnected p)
-        reconf
-    done;
-    if Simnet.Scenario.fault_model_active sc then
-      Printf.printf
-        "faults: sampling retries=%d fallback draws=%d c multiplier=%.2f\n"
-        !tot_retries !tot_fallbacks !last_boost;
-    Simnet.Trace.close trace;
-    if json then begin
-      Printf.printf
-        {|{"cmd":"dos","windows":%d,"rounds":%d,"starved_rounds":%d,"disconnected_rounds":%d,"reconfigured_windows":%d,"sampling_retries":%d,"sampling_fallbacks":%d,"c_multiplier":%.4f}|}
-        windows (windows * p) !tot_starved !tot_disc !reconf_ok !tot_retries
-        !tot_fallbacks !last_boost;
-      print_newline ()
-    end
+    let cell = or_fail cell in
+    let trace = Scenario.trace_sink cell.scenario in
+    let r = or_usage_error (fun () -> k.run ~trace cell) in
+    Trace.close trace;
+    k.print cell r;
+    if json then
+      print_endline
+        (match k.json with
+        | Some j -> j cell r
+        | None ->
+            Trace.jsonl_of_pairs (("cmd", Trace.String k.name) :: k.row r))
   in
-  Cmd.v
-    (Cmd.info "dos" ~doc:(subcommand_doc "dos"))
+  Cmd.v (Cmd.info k.name ~doc:k.doc)
     Term.(
-      const run
-      $ scenario_term ~default_n:4096 ()
-      $ windows_arg $ frac_arg $ lateness_arg $ staleness_arg $ strat_arg
+      const run $ shared_term ~default_n:k.default_n $ knobs_term k.knobs
       $ json_term $ verbose_term)
-
-(* ---------- stabilize ---------- *)
-
-let stabilize_cmd =
-  let corruption_arg =
-    Arg.(
-      value
-      & opt string "class=split"
-      & info [ "corruption" ] ~docv:"SPEC"
-          ~doc:
-            "Corrupted initial topology, e.g. \
-             $(b,class=branch,severity=0.3,seed=7).  Comma-separated \
-             KEY=VALUE pairs; classes: branch, split, range, crosslink, \
-             partition, stale.  See docs/fault_model.md.")
-  in
-  let mode_arg =
-    Arg.(
-      value & opt string "repair"
-      & info [ "mode" ] ~docv:"M"
-          ~doc:
-            "$(b,repair) runs detect-and-repair epochs; $(b,static) only \
-             detects (the baseline that never converges).")
-  in
-  let epochs_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "epochs" ] ~docv:"E" ~doc:"Detect-and-repair epoch budget.")
-  in
-  let run sc corruption mode epochs json () =
-    let sc =
-      match Simnet.Scenario.of_args ~base:sc [ ("corruption", corruption) ] with
-      | Ok sc -> sc
-      | Error e ->
-          Printf.eprintf "%s\n" e;
-          Stdlib.exit 2
-    in
-    let corruption = Option.get sc.Simnet.Scenario.corruption in
-    let mode =
-      match Core.Stabilize.mode_of_string mode with
-      | Ok m -> m
-      | Error e ->
-          Printf.eprintf "%s\n" e;
-          Stdlib.exit 2
-    in
-    let trace = Simnet.Scenario.trace_sink sc in
-    let r =
-      or_usage_error (fun () ->
-          Core.Stabilize.run ~trace ~mode ~max_epochs:epochs
-            ~retry:(retry_policy sc) ?faults:sc.Simnet.Scenario.faults
-            ?domains:(domains_opt sc) ~corruption
-            ~rng:(Simnet.Scenario.rng sc)
-            ~n:sc.Simnet.Scenario.n ~d:sc.Simnet.Scenario.d ())
-    in
-    Simnet.Trace.close trace;
-    Printf.printf "stabilize: n=%d d=%d corruption=%s mode=%s\n\n"
-      sc.Simnet.Scenario.n sc.Simnet.Scenario.d
-      (Simnet.Corruption.to_spec corruption)
-      (Core.Stabilize.mode_to_string mode);
-    let row k v = Printf.printf "%-18s %s\n" k v in
-    row "converged" (string_of_bool r.Core.Stabilize.converged);
-    row "epochs" (string_of_int r.Core.Stabilize.epochs);
-    row "rounds" (string_of_int r.Core.Stabilize.rounds);
-    row "bits" (string_of_int r.Core.Stabilize.bits);
-    row "initial violations" (string_of_int r.Core.Stabilize.initial_violations);
-    row "residual" (string_of_int (List.length r.Core.Stabilize.residual));
-    row "patches" (string_of_int r.Core.Stabilize.patches);
-    row "splices" (string_of_int r.Core.Stabilize.splices);
-    row "reconfigs" (string_of_int r.Core.Stabilize.reconfigs);
-    row "retries" (string_of_int r.Core.Stabilize.retries);
-    (* cap the residual listing: the count is in the row above, the first
-       few examples are what a human needs *)
-    List.iteri
-      (fun i v ->
-        if i < 6 then row "  violation" (Simnet.Invariants.describe v))
-      r.Core.Stabilize.residual;
-    (let extra = List.length r.Core.Stabilize.residual - 6 in
-     if extra > 0 then row "  violation" (Printf.sprintf "... and %d more" extra));
-    if json then begin
-      Printf.printf
-        {|{"cmd":"stabilize","class":"%s","severity":%s,"mode":"%s","converged":%b,"epochs":%d,"rounds":%d,"bits":%d,"initial_violations":%d,"residual":%d,"patches":%d,"splices":%d,"reconfigs":%d,"retries":%d}|}
-        (Simnet.Corruption.class_to_string corruption.Simnet.Corruption.cls)
-        (Stats.Float_text.json_repr corruption.Simnet.Corruption.severity)
-        (Core.Stabilize.mode_to_string mode)
-        r.Core.Stabilize.converged r.Core.Stabilize.epochs
-        r.Core.Stabilize.rounds r.Core.Stabilize.bits
-        r.Core.Stabilize.initial_violations
-        (List.length r.Core.Stabilize.residual)
-        r.Core.Stabilize.patches r.Core.Stabilize.splices
-        r.Core.Stabilize.reconfigs r.Core.Stabilize.retries;
-      print_newline ()
-    end
-  in
-  Cmd.v
-    (Cmd.info "stabilize" ~doc:(subcommand_doc "stabilize"))
-    Term.(
-      const run
-      $ scenario_term ~default_n:64 ()
-      $ corruption_arg $ mode_arg $ epochs_arg $ json_term $ verbose_term)
-
-(* ---------- churndos ---------- *)
-
-let churndos_cmd =
-  let windows_arg =
-    Arg.(
-      value & opt int 10 & info [ "windows" ] ~docv:"W" ~doc:"Windows to run.")
-  in
-  let gamma_arg =
-    Arg.(
-      value & opt float 1.5
-      & info [ "gamma" ] ~docv:"G"
-          ~doc:"Per-window churn factor (grow then shrink alternately).")
-  in
-  let run sc windows gamma frac lateness () =
-    let n = sc.Simnet.Scenario.n in
-    let trace = Simnet.Scenario.trace_sink sc in
-    let rng = Simnet.Scenario.rng sc in
-    let net =
-      or_usage_error (fun () ->
-          Core.Churndos_network.create ~trace
-            ?faults:sc.Simnet.Scenario.faults ?domains:(domains_opt sc)
-            ~rng:(Prng.Stream.split rng) ~n ())
-    in
-    let lateness =
-      if lateness < 0 then 2 * Core.Churndos_network.period net else lateness
-    in
-    let cube = Topology.Hypercube.create 12 in
-    let adv =
-      Core.Dos_adversary.create Core.Dos_adversary.Group_kill
-        ~rng:(Prng.Stream.split rng) ~lateness ~frac
-    in
-    let blocked_for_round ~round:_ ~group_of ~n =
-      Core.Dos_adversary.observe adv ~group_of;
-      Core.Dos_adversary.blocked_set adv ~cube ~n
-    in
-    Printf.printf "%-7s %-8s %-8s %-9s %-7s %-11s %-8s %s\n" "window" "before"
-      "after" "starved" "spread" "supernodes" "dims" "reconfigured";
-    for w = 1 to windows do
-      let cur = Core.Churndos_network.n net in
-      let joins, leave_frac =
-        if w mod 2 = 1 then
-          (int_of_float ((gamma -. 1.0) *. float_of_int cur), 0.0)
-        else (0, 1.0 -. (1.0 /. gamma))
-      in
-      let r =
-        Core.Churndos_network.run_window net ~blocked_for_round ~joins
-          ~leave_frac
-      in
-      Printf.printf "%-7d %-8d %-8d %-9d %-7d %-11d [%d..%d] %b\n" w
-        r.Core.Churndos_network.n_before r.Core.Churndos_network.n_after
-        r.Core.Churndos_network.starved_rounds
-        r.Core.Churndos_network.dim_spread r.Core.Churndos_network.supernodes
-        r.Core.Churndos_network.min_dim r.Core.Churndos_network.max_dim
-        r.Core.Churndos_network.reconfigured
-    done;
-    Simnet.Trace.close trace
-  in
-  Cmd.v
-    (Cmd.info "churndos" ~doc:(subcommand_doc "churndos"))
-    Term.(
-      const run
-      $ scenario_term ~with_retry:false ~default_n:4096 ()
-      $ windows_arg $ gamma_arg $ frac_arg $ lateness_arg $ verbose_term)
-
-(* ---------- groupsim ---------- *)
-
-let groupsim_cmd =
-  let run sc frac kill_group json () =
-    let n = sc.Simnet.Scenario.n in
-    let trace = Simnet.Scenario.trace_sink sc in
-    let retry = retry_policy sc in
-    let faults = sc.Simnet.Scenario.faults in
-    let rng = Simnet.Scenario.rng sc in
-    let d = Core.Params.dos_dimension ~c:2.0 ~n in
-    let cube = Topology.Hypercube.create d in
-    let supernodes = Topology.Hypercube.node_count cube in
-    let group_of =
-      Array.init n (fun _ -> Prng.Stream.int rng supernodes)
-    in
-    let proto =
-      Core.Supernode_sampling.protocol ~c:2.0 ~trace
-        ~fallback:(Core.Retry.enabled retry) ~cube ()
-    in
-    let gs =
-      Core.Group_sim.create ~trace ?faults ?domains:(domains_opt sc)
-        ~rng:(Prng.Stream.split rng) ~n ~group_of proto
-    in
-    let arng = Prng.Stream.split rng in
-    Printf.printf
-      "message-level group simulation: %d nodes, %d supernodes, %d network \
-       rounds\n"
-      n supernodes
-      (Core.Group_sim.network_rounds_total gs);
-    Core.Group_sim.run_all gs ~blocked_for_round:(fun ~round ->
-        let b = Array.make n false in
-        if frac > 0.0 then
-          Array.iter
-            (fun v -> b.(v) <- true)
-            (Prng.Stream.sample_distinct arng n
-               ~k:(int_of_float (frac *. float_of_int n)));
-        if kill_group >= 0 && round < 3 then
-          Array.iteri (fun v g -> if g = kill_group then b.(v) <- true) group_of;
-        b);
-    let lost = Core.Group_sim.lost_groups gs in
-    Printf.printf "lost groups:   [%s]\n"
-      (String.concat "; " (List.map string_of_int lost));
-    let counts = Array.make supernodes 0 in
-    for x = 0 to supernodes - 1 do
-      match Core.Group_sim.state_of gs x with
-      | None -> ()
-      | Some st ->
-          Array.iter
-            (fun v -> counts.(v) <- counts.(v) + 1)
-            (Core.Supernode_sampling.samples st)
-    done;
-    if List.length lost < supernodes then
-      Printf.printf "sample chi2 p: %.3f\n" (Stats.Chi_square.test_uniform counts);
-    let m = Core.Group_sim.metrics gs in
-    Printf.printf "messages:      %d\nmax work:      %d bits/node/round\n"
-      (Simnet.Metrics.total_msgs m)
-      (Simnet.Metrics.max_node_bits_ever m);
-    if Simnet.Scenario.fault_model_active sc then begin
-      let underflows = ref 0 and fallbacks = ref 0 in
-      for x = 0 to supernodes - 1 do
-        match Core.Group_sim.state_of gs x with
-        | None -> ()
-        | Some st ->
-            underflows := !underflows + Core.Supernode_sampling.underflows st;
-            fallbacks := !fallbacks + Core.Supernode_sampling.fallbacks st
-      done;
-      Printf.printf "faults:        underflows=%d fallback draws=%d\n"
-        !underflows !fallbacks
-    end;
-    Simnet.Trace.close trace;
-    if json then begin
-      Printf.printf
-        {|{"cmd":"groupsim","n":%d,"supernodes":%d,"net_rounds":%d,"lost_groups":%d,"messages":%d,"max_node_bits":%d}|}
-        n supernodes
-        (Core.Group_sim.network_rounds_total gs)
-        (List.length lost)
-        (Simnet.Metrics.total_msgs m)
-        (Simnet.Metrics.max_node_bits_ever m);
-      print_newline ()
-    end
-  in
-  let kill_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "kill-group" ] ~docv:"G"
-          ~doc:"Block every member of group G for the first simulation step.")
-  in
-  Cmd.v
-    (Cmd.info "groupsim" ~doc:(subcommand_doc "groupsim"))
-    Term.(
-      const run
-      $ scenario_term ~default_n:2048 ()
-      $ frac_arg $ kill_arg $ json_term $ verbose_term)
-
-(* ---------- anonymize ---------- *)
-
-let anonymize_cmd =
-  let requests_arg =
-    Arg.(
-      value & opt int 1000
-      & info [ "requests" ] ~docv:"R" ~doc:"Requests to issue.")
-  in
-  let run n requests frac seed () =
-    let rng = rng_of_seed seed in
-    let net = Core.Dos_network.create ~c:2.0 ~rng:(Prng.Stream.split rng) ~n () in
-    let anon = Apps.Anonymizer.create ~net ~rng:(Prng.Stream.split rng) in
-    let blocked = Array.make n false in
-    if frac > 0.0 then
-      Array.iter
-        (fun v -> blocked.(v) <- true)
-        (Prng.Stream.sample_distinct (Prng.Stream.split rng) n
-           ~k:(int_of_float (frac *. float_of_int n)));
-    let delivered = ref 0 in
-    let exits = Array.make (Core.Dos_network.supernode_count net) 0 in
-    for _ = 1 to requests do
-      let r = Apps.Anonymizer.request anon ~blocked in
-      if r.Apps.Anonymizer.delivered then begin
-        incr delivered;
-        match r.Apps.Anonymizer.exit_group with
-        | Some g -> exits.(g) <- exits.(g) + 1
-        | None -> ()
-      end
-    done;
-    Printf.printf "delivered:      %d/%d\n" !delivered requests;
-    Printf.printf "exit entropy:   %.4f of maximum\n"
-      (Stats.Entropy.normalized_of_counts exits);
-    Printf.printf "rounds/request: 4\n"
-  in
-  Cmd.v
-    (Cmd.info "anonymize" ~doc:(subcommand_doc "anonymize"))
-    Term.(const run $ n_arg 4096 $ requests_arg $ frac_arg $ seed_arg $ verbose_term)
-
-(* ---------- dht ---------- *)
-
-let dht_cmd =
-  let ops_arg =
-    Arg.(
-      value & opt int 1000
-      & info [ "ops" ] ~docv:"OPS" ~doc:"Write+read pairs to execute.")
-  in
-  let k_arg =
-    Arg.(value & opt int 4 & info [ "k" ] ~docv:"K" ~doc:"Hypercube arity.")
-  in
-  let run n ops k frac seed () =
-    let rng = rng_of_seed seed in
-    let dht = Apps.Robust_dht.create ~k ~rng:(Prng.Stream.split rng) ~n () in
-    let blocked = Array.make n false in
-    if frac > 0.0 then
-      Array.iter
-        (fun v -> blocked.(v) <- true)
-        (Prng.Stream.sample_distinct (Prng.Stream.split rng) n
-           ~k:(int_of_float (frac *. float_of_int n)));
-    let op_list =
-      List.concat_map
-        (fun i ->
-          [ Apps.Robust_dht.Write (i, string_of_int i); Apps.Robust_dht.Read i ])
-        (List.init ops (fun i -> i))
-    in
-    let b = Apps.Robust_dht.execute_batch dht ~blocked op_list in
-    Printf.printf "supernodes:     %d (k=%d, d=%d)\n"
-      (Apps.Robust_dht.supernode_count dht)
-      k
-      (Apps.Robust_dht.dimension dht);
-    Printf.printf "served:         %d\n" b.Apps.Robust_dht.served;
-    Printf.printf "failed:         %d\n" b.Apps.Robust_dht.failed;
-    Printf.printf "max hops:       %d\n" b.Apps.Robust_dht.max_hops;
-    Printf.printf "max group load: %d\n" b.Apps.Robust_dht.max_group_load
-  in
-  Cmd.v
-    (Cmd.info "dht" ~doc:(subcommand_doc "dht"))
-    Term.(const run $ n_arg 2048 $ ops_arg $ k_arg $ frac_arg $ seed_arg $ verbose_term)
-
-(* ---------- workload ---------- *)
-
-(* ---------- request-plane overlay flags (workload, social) ---------- *)
-
-(* --attack, --frac, --static, --period, --backend and --chord-*: which
-   overlay serves the requests and what attacks it, as both request-plane
-   subcommands take them *)
-type overlay = {
-  attack : Workload.Attack.strategy;
-  frac : float;
-  static : bool;
-  period : int;
-  backend : string;
-  chord : Workload.Driver.chord_params;
-}
-
-let overlay_term =
-  let attack_conv =
-    let parse s =
-      match Workload.Attack.parse_strategy s with
-      | Ok a -> Ok a
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv
-      ( parse,
-        fun fmt a ->
-          Format.pp_print_string fmt (Workload.Attack.strategy_to_string a) )
-  in
-  let attack_arg =
-    Arg.(
-      value
-      & opt attack_conv Workload.Attack.No_attack
-      & info [ "attack" ] ~docv:"S"
-          ~doc:"Adversary: none, random, or group-kill.")
-  in
-  let wfrac_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "frac" ] ~docv:"F"
-          ~doc:"Fraction of servers the adversary blocks per round.")
-  in
-  let static_arg =
-    Arg.(
-      value & flag
-      & info [ "static" ]
-          ~doc:
-            "Never reconfigure (the static baseline the paper's networks are \
-             measured against).")
-  in
-  let period_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "period" ] ~docv:"P" ~doc:"Reconfiguration period in rounds.")
-  in
-  let backend_arg =
-    Arg.(
-      value & opt string "reconfig"
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Overlay backend serving the requests: $(b,reconfig) (the \
-             paper's reconfigurable supernode DHT) or $(b,chord) \
-             (iterative Chord lookups under the same request plane).")
-  in
-  let chord_knob_arg name doc =
-    Arg.(value & opt int (-1) & info [ name ] ~docv:"K" ~doc)
-  in
-  let overlay attack frac static period backend fingers succs cperiod =
-    let knob v = if v = -1 then None else Some v in
-    { attack; frac; static; period; backend;
-      chord =
-        { Workload.Driver.fingers = knob fingers; succs = knob succs;
-          period = knob cperiod } }
-  in
-  Term.(
-    const overlay $ attack_arg $ wfrac_arg $ static_arg $ period_arg
-    $ backend_arg
-    $ chord_knob_arg "chord-fingers"
-        "Chord finger-table length (-1 = the id-space width m)."
-    $ chord_knob_arg "chord-succs"
-        "Chord successor-list length (-1 = the backend default)."
-    $ chord_knob_arg "chord-period"
-        "Chord maintenance period in rounds (-1 = the --period value).")
-
-let overlay_mode o =
-  if o.static then Workload.Driver.Static else Workload.Driver.Reconfig
-
-let overlay_backend o =
-  match o.backend with
-  | "reconfig" -> Workload.Driver.Robust
-  | "chord" -> Workload.Driver.Chord o.chord
-  | other ->
-      Printf.eprintf "unknown backend %S (reconfig|chord)\n" other;
-      Stdlib.exit 2
-
-(* Only the chord backend prints a line, so the reconfig goldens stay
-   byte-identical. *)
-let print_backend o =
-  if o.backend = "chord" then print_string "backend: chord\n"
-
-(* the report preamble's overlay settings, up to [lateness] *)
-let overlay_line o ~n ~lateness =
-  Printf.sprintf "n=%d mode=%s period=%d attack=%s frac=%.2f lateness=%d" n
-    (if o.static then "static" else "reconfig")
-    o.period
-    (Workload.Attack.strategy_to_string o.attack)
-    o.frac lateness
-
-let workload_cmd =
-  let arrivals_conv =
-    let parse s =
-      match Workload.Spec.parse_arrivals s with
-      | Ok a -> Ok a
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv
-      ( parse,
-        fun fmt a ->
-          Format.pp_print_string fmt (Workload.Spec.arrivals_to_string a) )
-  in
-  let mix_conv =
-    let parse s =
-      match Workload.Spec.parse_mix s with
-      | Ok m -> Ok m
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv
-      ( parse,
-        fun fmt m -> Format.pp_print_string fmt (Workload.Spec.mix_to_string m)
-      )
-  in
-  let rounds_arg =
-    Arg.(
-      value & opt int 48 & info [ "rounds" ] ~docv:"R" ~doc:"Rounds to simulate.")
-  in
-  let clients_arg =
-    Arg.(
-      value & opt int 64 & info [ "clients" ] ~docv:"C" ~doc:"Workload clients.")
-  in
-  let arrivals_arg =
-    Arg.(
-      value
-      & opt arrivals_conv (Workload.Spec.Open_loop { rate = 0.25 })
-      & info [ "arrivals" ] ~docv:"A"
-          ~doc:
-            "Arrival discipline: $(b,open:RATE) (Poisson arrivals per client \
-             per round) or $(b,closed:THINK) (one outstanding request per \
-             client, THINK idle rounds between completions).")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt mix_conv
-          { Workload.Spec.read = 0.7; write = 0.2; publish = 0.1 }
-      & info [ "mix" ] ~docv:"MIX"
-          ~doc:
-            "Request mix as $(b,read=W,write=W,publish=W) (weights are \
-             normalized).")
-  in
-  let keys_arg =
-    Arg.(
-      value & opt int 256 & info [ "keys" ] ~docv:"K" ~doc:"Distinct keys.")
-  in
-  let zipf_arg =
-    Arg.(
-      value & opt float 1.1
-      & info [ "zipf" ] ~docv:"S"
-          ~doc:
-            "Zipf popularity exponent; 0 selects uniform key popularity.")
-  in
-  let slo_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "slo" ] ~docv:"L" ~doc:"Latency SLO in rounds.")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "timeout" ] ~docv:"T"
-          ~doc:"Rounds after arrival before a request is abandoned.")
-  in
-  let churn_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "churn" ] ~docv:"F"
-          ~doc:"Fraction of servers churned out per epoch (0 = no churn).")
-  in
-  let churn_epoch_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "churn-epoch" ] ~docv:"E" ~doc:"Churn epoch length in rounds.")
-  in
-  let run sc rounds clients arrivals mix keys zipf slo timeout ov lateness
-      churn churn_epoch json () =
-    let n = sc.Simnet.Scenario.n in
-    let trace = Simnet.Scenario.trace_sink sc in
-    let faults = sc.Simnet.Scenario.faults in
-    let wretry = sc.Simnet.Scenario.retry in
-    let seed = sc.Simnet.Scenario.seed in
-    let popularity =
-      if zipf <= 0.0 then Workload.Spec.Uniform else Workload.Spec.Zipf zipf
-    in
-    require_positive
-      [ ("rounds", rounds); ("clients", clients); ("keys", keys); ("slo", slo);
-        ("timeout", timeout) ];
-    let spec =
-      Workload.Spec.make ~clients ~rounds ~keys ~arrivals ~mix ~popularity ~slo
-        ~timeout ()
-    in
-    let backend = overlay_backend ov in
-    let cfg =
-      Workload.Driver.config ~mode:(overlay_mode ov) ~period:ov.period
-        ~backend ~attack:ov.attack ~frac:ov.frac
-        ?lateness:(if lateness < 0 then None else Some lateness)
-        ?churn:
-          (if churn > 0.0 then
-             Some { Workload.Driver.frac = churn; epoch = churn_epoch }
-           else None)
-        ?faults ~retries:wretry
-        ?domains:(domains_opt sc)
-        spec
-    in
-    let report =
-      or_usage_error (fun () ->
-          Workload.Driver.run ~trace ~seed:(Int64.of_int seed) ~n cfg)
-    in
-    Simnet.Trace.close trace;
-    print_backend ov;
-    Printf.printf "workload: %s, mix %s, %d keys (%s)\n"
-      (Workload.Spec.arrivals_to_string arrivals)
-      (Workload.Spec.mix_to_string mix)
-      keys
-      (match popularity with
-      | Workload.Spec.Uniform -> "uniform"
-      | Workload.Spec.Zipf s -> Printf.sprintf "zipf %.2f" s);
-    Printf.printf "%s churn=%.2f retry=%d\n\n"
-      (overlay_line ov ~n ~lateness:cfg.Workload.Driver.lateness)
-      churn wretry;
-    List.iter print_endline (Workload.Driver.table_lines report);
-    Printf.printf "\nhop messages:   %d\n" report.Workload.Driver.hop_msgs;
-    Printf.printf "max group load: %d\n" report.Workload.Driver.max_group_load;
-    if json then begin
-      let t = report.Workload.Driver.total in
-      Printf.printf
-        {|{"cmd":"workload","n":%d,"issued":%d,"ok":%d,"goodput":%.4f,"p50":%d,"p90":%d,"p99":%d,"slo_miss":%d,"timeout":%d,"failed":%d,"max_hops":%d,"hop_msgs":%d,"max_group_load":%d}|}
-        n t.Workload.Driver.issued t.Workload.Driver.ok
-        (Workload.Driver.goodput t)
-        (Workload.Driver.percentile t 0.50)
-        (Workload.Driver.percentile t 0.90)
-        (Workload.Driver.percentile t 0.99)
-        t.Workload.Driver.slo_miss t.Workload.Driver.timed_out
-        t.Workload.Driver.failed t.Workload.Driver.max_hops
-        report.Workload.Driver.hop_msgs report.Workload.Driver.max_group_load;
-      print_newline ()
-    end
-  in
-  Cmd.v
-    (Cmd.info "workload" ~doc:(subcommand_doc "workload"))
-    Term.(
-      const run
-      $ scenario_term ~default_n:1024 ()
-      $ rounds_arg $ clients_arg $ arrivals_arg $ mix_arg $ keys_arg
-      $ zipf_arg $ slo_arg $ timeout_arg $ overlay_term $ lateness_arg
-      $ churn_arg $ churn_epoch_arg $ json_term $ verbose_term)
-
-(* ---------- social ---------- *)
-
-let social_cmd =
-  let users_arg =
-    Arg.(
-      value & opt int 64 & info [ "users" ] ~docv:"U" ~doc:"Application users.")
-  in
-  let topics_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "topics" ] ~docv:"T" ~doc:"Subreddit-like topics.")
-  in
-  let rounds_arg =
-    Arg.(
-      value & opt int 48 & info [ "rounds" ] ~docv:"R" ~doc:"Rounds to simulate.")
-  in
-  let rate_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "rate" ] ~docv:"RATE"
-          ~doc:"Mean new requests per online user per round (Poisson).")
-  in
-  let fanout_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "fanout" ] ~docv:"F"
-          ~doc:"Follower-feed publishes triggered per post (the repost \
-                fan-out).")
-  in
-  let zipf_arg =
-    Arg.(
-      value & opt float 1.1
-      & info [ "zipf" ] ~docv:"S" ~doc:"Topic popularity exponent (s > 0).")
-  in
-  let session_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "session" ] ~docv:"ONLINE:EPOCH"
-          ~doc:
-            "User session cycle: every EPOCH rounds a fresh 1-ONLINE \
-             fraction of users goes offline, and the same fraction of \
-             servers churns out (default: everyone always online).")
-  in
-  let run sc users topics rounds rate fanout zipf session ov lateness staleness
-      json () =
-    let n = sc.Simnet.Scenario.n in
-    let seed = sc.Simnet.Scenario.seed in
-    let trace = Simnet.Scenario.trace_sink sc in
-    (* the session flag reuses the scenario key's parser (and its error
-       wording) so CLI and sweep specs cannot drift *)
-    let session =
-      match session with
-      | None -> None
-      | Some s -> (
-          match Simnet.Scenario.of_args [ ("session", s) ] with
-          | Ok sc' -> sc'.Simnet.Scenario.session
-          | Error e ->
-              Printf.eprintf "%s\n" e;
-              Stdlib.exit 2)
-    in
-    require_positive [ ("users", users); ("topics", topics); ("rounds", rounds) ];
-    let app =
-      or_usage_error (fun () ->
-          Apps.Social.config ~users ~topics ~rounds ~rate ~fanout ~zipf
-            ?session ())
-    in
-    let backend = overlay_backend ov in
-    let cfg =
-      or_usage_error (fun () ->
-          Workload.Social.config ~mode:(overlay_mode ov) ~period:ov.period
-            ~backend ~attack:ov.attack ~frac:ov.frac
-            ?lateness:(if lateness < 0 then None else Some lateness)
-            ?staleness:(parse_staleness staleness)
-            ?faults:sc.Simnet.Scenario.faults
-            ?domains:(domains_opt sc)
-            app)
-    in
-    let report =
-      or_usage_error (fun () ->
-          Workload.Social.run ~trace ~seed:(Int64.of_int seed) ~n cfg)
-    in
-    Simnet.Trace.close trace;
-    print_backend ov;
-    Printf.printf
-      "social: %d users, %d topics, fanout %d, rate %.2f, zipf %.2f, \
-       session %s\n"
-      users topics fanout rate zipf
-      (match session with
-      | None -> "-"
-      | Some (online, epoch) -> Printf.sprintf "%g:%d" online epoch);
-    Printf.printf "%s\n\n"
-      (overlay_line ov ~n
-         ~lateness:cfg.Workload.Social.base.Workload.Driver.lateness);
-    List.iter print_endline (Workload.Social.table_lines report);
-    Printf.printf "\nhop messages:   %d\n" report.Workload.Social.hop_msgs;
-    Printf.printf "max group load: %d\n" report.Workload.Social.max_group_load;
-    if json then begin
-      let cls c =
-        Printf.sprintf
-          {|"%s":{"issued":%d,"ok":%d,"goodput":%.4f,"p99":%d,"slo_miss":%d}|}
-          c.Workload.Driver.cls c.Workload.Driver.issued c.Workload.Driver.ok
-          (Workload.Driver.goodput c)
-          (Workload.Driver.percentile c 0.99)
-          c.Workload.Driver.slo_miss
-      in
-      Printf.printf {|{"cmd":"social","n":%d,%s,%s}|} n
-        (String.concat ","
-           (List.map cls report.Workload.Social.classes))
-        (cls report.Workload.Social.total);
-      print_newline ()
-    end
-  in
-  Cmd.v
-    (Cmd.info "social" ~doc:(subcommand_doc "social"))
-    Term.(
-      const run
-      $ scenario_term ~default_n:1024 ()
-      $ users_arg $ topics_arg $ rounds_arg $ rate_arg $ fanout_arg
-      $ zipf_arg $ session_arg $ overlay_term $ lateness_arg $ staleness_arg
-      $ json_term $ verbose_term)
-
-(* ---------- chord ---------- *)
-
-let chord_cmd =
-  let rounds_arg =
-    Arg.(
-      value & opt int 64 & info [ "rounds" ] ~docv:"R" ~doc:"Rounds to simulate.")
-  in
-  let keys_arg =
-    Arg.(
-      value & opt int 256 & info [ "keys" ] ~docv:"K" ~doc:"Distinct keys.")
-  in
-  let lookups_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "lookups" ] ~docv:"L" ~doc:"Probe lookups per round.")
-  in
-  let zipf_arg =
-    Arg.(
-      value & opt float 1.1
-      & info [ "zipf" ] ~docv:"S"
-          ~doc:"Zipf popularity exponent; 0 selects uniform key popularity.")
-  in
-  let attack_arg =
-    Arg.(
-      value & opt string "none"
-      & info [ "attack" ] ~docv:"S"
-          ~doc:
-            "Adversary: $(b,none), $(b,random), or $(b,succ-kill) (the \
-             stale-view successor-list attack; $(b,group-kill) is accepted \
-             as an alias so one spec drives both backends).")
-  in
-  let cfrac_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "frac" ] ~docv:"F"
-          ~doc:"Fraction of nodes the adversary blocks per round.")
-  in
-  let churn_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "churn" ] ~docv:"F"
-          ~doc:"Fraction of nodes churned out per epoch (0 = no churn).")
-  in
-  let churn_epoch_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "churn-epoch" ] ~docv:"E" ~doc:"Churn epoch length in rounds.")
-  in
-  let fingers_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "fingers" ] ~docv:"NF"
-          ~doc:"Finger-table length (-1 = the id-space width m).")
-  in
-  let succs_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "succs" ] ~docv:"R"
-          ~doc:"Successor-list length (-1 = max 2 (log2 n)).")
-  in
-  let period_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "period" ] ~docv:"P"
-          ~doc:"Maintenance period in rounds (-1 = 8).")
-  in
-  let run sc rounds keys lookups zipf attack frac lateness staleness churn
-      churn_epoch fingers succs period json () =
-    let strategy =
-      match Chord.Adversary.parse_strategy attack with
-      | Ok s -> s
-      | Error e ->
-          Printf.eprintf "%s\n" e;
-          Stdlib.exit 2
-    in
-    let cfg =
-      or_usage_error (fun () ->
-          Chord.Sim.config ~rounds ~fingers ~succs ~period ~keys ~lookups ~zipf
-            ~strategy ~frac ~lateness
-            ?staleness:(parse_staleness staleness)
-            ?churn:(if churn > 0.0 then Some (churn, churn_epoch) else None)
-            ?faults:sc.Simnet.Scenario.faults ~retries:sc.Simnet.Scenario.retry
-            ~n:sc.Simnet.Scenario.n ())
-    in
-    let trace = Simnet.Scenario.trace_sink sc in
-    let r =
-      or_usage_error (fun () ->
-          Chord.Sim.run ~trace ?domains:(domains_opt sc)
-            ~seed:(Int64.of_int sc.Simnet.Scenario.seed)
-            cfg)
-    in
-    Simnet.Trace.close trace;
-    List.iter print_endline (Chord.Sim.summary_lines r);
-    if json then begin
-      Printf.printf
-        {|{"cmd":"chord","n":%d,"m":%d,"issued":%d,"ok":%d,"goodput":%.4f,"p50":%d,"p99":%d,"max_hops":%d,"timeouts":%d,"lookup_msgs":%d,"maint_msgs":%d,"total_bits":%d,"succ_ok":%.4f,"connected":%b,"members":%d}|}
-        cfg.Chord.Sim.n r.Chord.Sim.m r.Chord.Sim.issued r.Chord.Sim.ok
-        (Chord.Sim.goodput r)
-        (Chord.Sim.percentile r 0.50)
-        (Chord.Sim.percentile r 0.99)
-        r.Chord.Sim.max_hops r.Chord.Sim.lookup_timeouts
-        r.Chord.Sim.lookup_msgs r.Chord.Sim.maint.Chord.Net.msgs
-        r.Chord.Sim.total_bits r.Chord.Sim.succ_ok r.Chord.Sim.connected
-        r.Chord.Sim.members;
-      print_newline ()
-    end
-  in
-  Cmd.v
-    (Cmd.info "chord" ~doc:(subcommand_doc "chord"))
-    Term.(
-      const run
-      $ scenario_term ~default_n:256 ()
-      $ rounds_arg $ keys_arg $ lookups_arg $ zipf_arg $ attack_arg
-      $ cfrac_arg $ lateness_arg $ staleness_arg $ churn_arg $ churn_epoch_arg
-      $ fingers_arg $ succs_arg $ period_arg $ json_term $ verbose_term)
 
 (* ---------- sweep ---------- *)
 
-(* Per-cell runners for `overlay_sim sweep`.  Each runner is a pure
-   function of its cell: scenario fields come from the cell scenario,
-   free-axis knobs from the cell bindings, randomness from the cell's
-   (sweep-name, cell-id)-derived stream — so results are independent of
-   sharding, domain count, and which other cells exist. *)
-
-let sweep_float_binding cell key ~default =
-  if List.mem_assoc key cell.Sweep.Grid.bindings then
-    Sweep.Grid.float_binding cell key
-  else default
-
-let sweep_run_sample ~trace (cell : Sweep.Grid.cell) =
-  let sc = cell.Sweep.Grid.scenario in
-  let rng = Sweep.Grid.cell_rng cell in
-  let c = sweep_float_binding cell "c" ~default:2.0 in
-  let g =
-    Topology.Hgraph.random (Prng.Stream.split rng) ~n:sc.Simnet.Scenario.n
-      ~d:sc.Simnet.Scenario.d
-  in
-  let r =
-    Core.Rapid_hgraph.run ~c ~trace ~retry:(retry_policy sc)
-      ~rng:(Prng.Stream.split rng) g
-  in
-  [
-    ("rounds", Simnet.Trace.Int r.Core.Sampling_result.rounds);
-    ( "samples_per_node",
-      Simnet.Trace.Int (Core.Sampling_result.samples_per_node r) );
-    ("underflows", Simnet.Trace.Int r.Core.Sampling_result.underflows);
-    ( "max_node_bits",
-      Simnet.Trace.Int r.Core.Sampling_result.max_round_node_bits );
-  ]
-
-let sweep_run_churn ~trace (cell : Sweep.Grid.cell) =
-  let sc = cell.Sweep.Grid.scenario in
-  let rng = Sweep.Grid.cell_rng cell in
-  let epochs =
-    if sc.Simnet.Scenario.rounds < 0 then 4 else sc.Simnet.Scenario.rounds
-  in
-  let leave_frac = sweep_float_binding cell "leave" ~default:0.3 in
-  let join_frac = sweep_float_binding cell "join" ~default:0.3 in
-  let net =
-    Core.Churn_network.create ?faults:sc.Simnet.Scenario.faults ~trace
-      ~retry:(retry_policy sc) ?domains:(domains_opt sc)
-      ~rng:(Prng.Stream.split rng) ~n:sc.Simnet.Scenario.n ()
-  in
-  let ok = ref 0 and rounds = ref 0 in
-  for _ = 1 to epochs do
-    let plan =
-      Core.Churn_adversary.plan Core.Churn_adversary.Random_churn
-        ~rng:(Prng.Stream.split rng)
-        ~graph:(Core.Churn_network.graph net) ~leave_frac ~join_frac
-    in
-    let r =
-      Core.Churn_network.epoch net ~leaves:plan.Core.Churn_adversary.leaves
-        ~join_introducers:plan.Core.Churn_adversary.join_introducers
-    in
-    if r.Core.Churn_network.valid && r.Core.Churn_network.connected then
-      incr ok;
-    rounds := !rounds + r.Core.Churn_network.rounds
-  done;
-  [
-    ("epochs", Simnet.Trace.Int epochs);
-    ("epochs_ok", Simnet.Trace.Int !ok);
-    ("rounds", Simnet.Trace.Int !rounds);
-    ("final_n", Simnet.Trace.Int (Core.Churn_network.size net));
-  ]
-
-let sweep_run_stabilize ~trace (cell : Sweep.Grid.cell) =
-  let sc = cell.Sweep.Grid.scenario in
-  let rng = Sweep.Grid.cell_rng cell in
-  let corruption =
-    match sc.Simnet.Scenario.corruption with
-    | Some c -> c
-    | None -> Simnet.Corruption.make Simnet.Corruption.Split
-  in
-  let mode =
-    if List.mem_assoc "mode" cell.Sweep.Grid.bindings then
-      match Core.Stabilize.mode_of_string (Sweep.Grid.binding cell "mode") with
-      | Ok m -> m
-      | Error e -> invalid_arg e
-    else Core.Stabilize.Repair
-  in
-  let max_epochs =
-    if sc.Simnet.Scenario.rounds < 0 then 16 else sc.Simnet.Scenario.rounds
-  in
-  let r =
-    Core.Stabilize.run ~trace ~mode ~max_epochs ~retry:(retry_policy sc)
-      ?faults:sc.Simnet.Scenario.faults ?domains:(domains_opt sc) ~corruption
-      ~rng:(Prng.Stream.split rng) ~n:sc.Simnet.Scenario.n
-      ~d:sc.Simnet.Scenario.d ()
-  in
-  [
-    ("converged", Simnet.Trace.Bool r.Core.Stabilize.converged);
-    ("epochs", Simnet.Trace.Int r.Core.Stabilize.epochs);
-    ("rounds", Simnet.Trace.Int r.Core.Stabilize.rounds);
-    ("bits", Simnet.Trace.Int r.Core.Stabilize.bits);
-    ("residual", Simnet.Trace.Int (List.length r.Core.Stabilize.residual));
-    ("patches", Simnet.Trace.Int r.Core.Stabilize.patches);
-    ("splices", Simnet.Trace.Int r.Core.Stabilize.splices);
-  ]
-
-let sweep_run_chord ~trace (cell : Sweep.Grid.cell) =
-  let sc = cell.Sweep.Grid.scenario in
-  let strategy =
-    match sc.Simnet.Scenario.adversary with
-    | None -> Chord.Adversary.No_attack
-    | Some s -> (
-        match Chord.Adversary.parse_strategy s with
-        | Ok st -> st
-        | Error e -> invalid_arg e)
-  in
-  let rounds =
-    if sc.Simnet.Scenario.rounds < 0 then 32 else sc.Simnet.Scenario.rounds
-  in
-  let churn = sweep_float_binding cell "churn" ~default:0.0 in
-  let churn_epoch =
-    if List.mem_assoc "churn-epoch" cell.Sweep.Grid.bindings then
-      Sweep.Grid.int_binding cell "churn-epoch"
-    else 8
-  in
-  let cfg =
-    Chord.Sim.config ~rounds ?fingers:sc.Simnet.Scenario.chord_fingers
-      ?succs:sc.Simnet.Scenario.chord_succs
-      ?period:sc.Simnet.Scenario.chord_period ~strategy
-      ~frac:sc.Simnet.Scenario.frac ~lateness:sc.Simnet.Scenario.lateness
-      ?staleness:sc.Simnet.Scenario.staleness
-      ?churn:(if churn > 0.0 then Some (churn, churn_epoch) else None)
-      ?faults:sc.Simnet.Scenario.faults ~retries:sc.Simnet.Scenario.retry
-      ~n:sc.Simnet.Scenario.n ()
-  in
-  let r =
-    Chord.Sim.run ~trace ?domains:(domains_opt sc) ~seed:cell.Sweep.Grid.seed
-      cfg
-  in
-  [
-    ("goodput", Simnet.Trace.Float (Chord.Sim.goodput r));
-    ("p50", Simnet.Trace.Int (Chord.Sim.percentile r 0.50));
-    ("p99", Simnet.Trace.Int (Chord.Sim.percentile r 0.99));
-    ("max_hops", Simnet.Trace.Int r.Chord.Sim.max_hops);
-    ("maint_msgs", Simnet.Trace.Int r.Chord.Sim.maint.Chord.Net.msgs);
-    ("total_bits", Simnet.Trace.Int r.Chord.Sim.total_bits);
-    ("succ_ok", Simnet.Trace.Float r.Chord.Sim.succ_ok);
-    ("connected", Simnet.Trace.Bool r.Chord.Sim.connected);
-    ("members", Simnet.Trace.Int r.Chord.Sim.members);
-  ]
-
-(* The social application through the sweep engine.  The scenario keys
-   app/topics/fanout/session drive the application shape; backend= picks
-   reconfig, static (the no-reshuffle ablation on the robust DHT) or
-   chord.  Free axes: var:users, var:rate, var:period. *)
-let sweep_run_social ~trace (cell : Sweep.Grid.cell) =
-  let sc = cell.Sweep.Grid.scenario in
-  (match sc.Simnet.Scenario.app with
-  | None | Some "social" -> ()
-  | Some other ->
-      invalid_arg (Printf.sprintf "run=social cannot serve app=%s" other));
-  let attack =
-    match sc.Simnet.Scenario.adversary with
-    | None -> Workload.Attack.No_attack
-    | Some s -> (
-        match Workload.Attack.parse_strategy s with
-        | Ok a -> a
-        | Error e -> invalid_arg e)
-  in
-  let rounds =
-    if sc.Simnet.Scenario.rounds < 0 then 48 else sc.Simnet.Scenario.rounds
-  in
-  let users =
-    if List.mem_assoc "users" cell.Sweep.Grid.bindings then
-      Sweep.Grid.int_binding cell "users"
-    else 64
-  in
-  let rate = sweep_float_binding cell "rate" ~default:0.25 in
-  let period =
-    if List.mem_assoc "period" cell.Sweep.Grid.bindings then
-      Sweep.Grid.int_binding cell "period"
-    else 8
-  in
-  let app =
-    Apps.Social.config ~users ~rounds ~rate
-      ?topics:sc.Simnet.Scenario.topics ?fanout:sc.Simnet.Scenario.fanout
-      ?session:sc.Simnet.Scenario.session ()
-  in
-  let mode, backend =
-    match sc.Simnet.Scenario.backend with
-    | Some "chord" ->
-        ( Workload.Driver.Reconfig,
-          Workload.Driver.Chord
-            {
-              Workload.Driver.fingers = sc.Simnet.Scenario.chord_fingers;
-              succs = sc.Simnet.Scenario.chord_succs;
-              period = sc.Simnet.Scenario.chord_period;
-            } )
-    | Some "static" -> (Workload.Driver.Static, Workload.Driver.Robust)
-    | _ -> (Workload.Driver.Reconfig, Workload.Driver.Robust)
-  in
-  let cfg =
-    Workload.Social.config ~mode ~period ~backend ~attack
-      ~frac:sc.Simnet.Scenario.frac
-      ?lateness:
-        (if sc.Simnet.Scenario.lateness < 0 then None
-         else Some sc.Simnet.Scenario.lateness)
-      ?staleness:sc.Simnet.Scenario.staleness
-      ?faults:sc.Simnet.Scenario.faults
-      ?domains:(domains_opt sc) app
-  in
-  let r =
-    Workload.Social.run ~trace ~seed:cell.Sweep.Grid.seed
-      ~n:sc.Simnet.Scenario.n cfg
-  in
-  let per_class c =
-    [
-      ( c.Workload.Driver.cls ^ "_goodput",
-        Simnet.Trace.Float (Workload.Driver.goodput c) );
-      ( c.Workload.Driver.cls ^ "_p99",
-        Simnet.Trace.Int (Workload.Driver.percentile c 0.99) );
-    ]
-  in
-  List.concat_map per_class r.Workload.Social.classes
-  @ [
-      ( "goodput",
-        Simnet.Trace.Float (Workload.Driver.goodput r.Workload.Social.total) );
-      ("slo_miss", Simnet.Trace.Int r.Workload.Social.total.Workload.Driver.slo_miss);
-      ("hop_msgs", Simnet.Trace.Int r.Workload.Social.hop_msgs);
-      ("total_bits", Simnet.Trace.Int r.Workload.Social.total_bits);
-    ]
-
-let sweep_runner = function
-  | "sample" -> sweep_run_sample
-  | "churn" -> sweep_run_churn
-  | "stabilize" -> sweep_run_stabilize
-  | "chord" -> sweep_run_chord
-  | "social" -> sweep_run_social
-  | other ->
-      Printf.eprintf
-        "unknown sweep runner %S (sample|churn|stabilize|chord|social)\n"
-        other;
-      exit 2
+let sweep_doc =
+  "run a declarative experiment grid (checkpointed, resumable, \
+   domain-parallel)"
 
 let sweep_value_string = function
-  | Simnet.Trace.Int i -> string_of_int i
-  | Simnet.Trace.Bool b -> string_of_bool b
-  | Simnet.Trace.String s -> s
-  | Simnet.Trace.Float f -> Stats.Float_text.repr f
+  | Trace.Int i -> string_of_int i
+  | Trace.Bool b -> string_of_bool b
+  | Trace.String s -> s
+  | Trace.Float f -> Stats.Float_text.repr f
 
 (* Cell table: one row per cell, one column per payload key, widths fit
    the data.  Cached/fresh status is deliberately not printed — stdout
    must be identical between a fresh run and a resumed one. *)
 let sweep_print_table (outcomes : Sweep.Exec.record Sweep.Exec.outcome list) =
   let keys =
-    match outcomes with
-    | [] -> []
-    | o :: _ -> List.map fst o.Sweep.Exec.value
+    match outcomes with [] -> [] | o :: _ -> List.map fst o.Sweep.Exec.value
+  in
+  let value (o : _ Sweep.Exec.outcome) k =
+    Option.fold ~none:"-" ~some:sweep_value_string (List.assoc_opt k o.value)
   in
   let rows =
-    List.map
-      (fun (o : _ Sweep.Exec.outcome) ->
-        ( o.Sweep.Exec.cell.Sweep.Grid.id,
-          List.map
-            (fun k ->
-              match List.assoc_opt k o.Sweep.Exec.value with
-              | Some v -> sweep_value_string v
-              | None -> "-")
-            keys ))
-      outcomes
+    ("cell" :: keys)
+    :: List.map (fun o -> o.Sweep.Exec.cell.Grid.id :: List.map (value o) keys)
+         outcomes
   in
-  let width header col =
+  let widths =
     List.fold_left
-      (fun w s -> max w (String.length s))
-      (String.length header) col
+      (List.map2 (fun w s -> max w (String.length s)))
+      (List.map (fun _ -> 0) (List.hd rows))
+      rows
   in
-  let cell_w = width "cell" (List.map fst rows) in
-  let col_ws =
-    List.mapi (fun i k -> width k (List.map (fun (_, vs) -> List.nth vs i) rows))
-      keys
+  (* the cell column is left-aligned, the payload columns right-aligned *)
+  let cell i (w, s) =
+    let pad = String.make (w - String.length s) ' ' in
+    if i = 0 then s ^ pad else pad ^ s
   in
-  let pad_left w s = String.make (w - String.length s) ' ' ^ s in
-  let pad_right w s = s ^ String.make (w - String.length s) ' ' in
-  Printf.printf "%s" (pad_right cell_w "cell");
-  List.iter2 (fun k w -> Printf.printf "  %s" (pad_left w k)) keys col_ws;
-  print_newline ();
   List.iter
-    (fun (id, vs) ->
-      Printf.printf "%s" (pad_right cell_w id);
-      List.iter2 (fun v w -> Printf.printf "  %s" (pad_left w v)) vs col_ws;
-      print_newline ())
+    (fun row ->
+      print_endline
+        (String.concat "  " (List.mapi cell (List.combine widths row))))
     rows
 
 let sweep_cmd =
   let spec_arg =
-    let doc =
-      "Grid spec string, e.g. \
-       $(b,sweep=demo;run=sample;axis:n=64|128;var:c=1.5|2).  Segments \
-       separated by ';': $(b,sweep=NAME) names the sweep, $(b,run=R) picks \
-       the per-cell runner (sample|churn), $(b,axis:KEY=v1|v2|...) adds a \
-       scenario axis, $(b,var:KEY=v1|v2|...) a free axis the runner reads, \
-       and any other KEY=VALUE sets the base scenario.  See docs/sweeps.md."
-    in
-    Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"SPEC" ~doc)
+    str_opt "spec" "SPEC"
+      ("Grid spec string, e.g. \
+        $(b,sweep=demo;run=sample;axis:n=64|128;var:c=1.5|2).  Segments \
+        separated by ';': $(b,sweep=NAME) names the sweep, $(b,run=R) picks \
+        the run kind (" ^ kind_names ^ "), $(b,axis:KEY=v1|v2|...) adds a \
+        scenario axis, $(b,var:KEY=v1|v2|...) an axis over one of the \
+        kind's other knobs, and any other KEY=VALUE sets the base scenario.  \
+        See docs/sweeps.md.")
   in
   let file_arg =
-    let doc =
-      "Read the grid spec from $(docv) (same syntax; newlines also \
-       separate segments, '#' starts a comment)."
-    in
-    Arg.(value & opt (some string) None & info [ "file" ] ~docv:"FILE" ~doc)
+    str_opt "file" "FILE"
+      "Read the grid spec from $(docv) (same syntax; newlines also separate \
+       segments, '#' starts a comment)."
   in
   let checkpoint_arg =
-    let doc =
+    str_opt "checkpoint" "FILE"
       "Stream one JSONL record per completed cell to $(docv); rerunning \
        with the same file skips recorded cells and resumes to a \
        byte-identical artifact."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
   in
   let domains_arg =
     let doc =
@@ -1666,74 +1416,75 @@ let sweep_cmd =
     Arg.(value & opt int 0 & info [ "domains" ] ~docv:"D" ~doc)
   in
   let trace_arg =
-    let doc =
-      "Write per-cell progress events to $(docv) as JSONL (CSV if the \
-       name ends in .csv, compact binary if it ends in .bin)."
-    in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+    str_opt "trace" "FILE"
+      "Write per-cell progress events to $(docv) as JSONL (CSV if the name \
+       ends in .csv, compact binary if it ends in .bin)."
   in
   let cell_traces_arg =
-    let doc =
+    str_opt "cell-traces" "DIR"
       "Write one compact binary trace per freshly computed cell under \
        directory $(docv) (created if missing); checkpoint records \
-       reference each cell's file under the reserved 'trace' key.  \
-       Decode with trace_check --export-jsonl."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cell-traces" ] ~docv:"DIR" ~doc)
+       reference each cell's file under the reserved 'trace' key.  Decode \
+       with trace_check --export-jsonl."
   in
   let run spec file checkpoint domains trace_path cell_traces json () =
-    let parsed =
-      match (spec, file) with
-      | Some s, None -> Sweep.Spec.parse s
-      | None, Some f -> Sweep.Spec.load f
-      | Some _, Some _ -> Error "pass --spec or --file, not both"
-      | None, None -> Error "pass --spec STRING or --file FILE"
+    let sp, cells =
+      or_fail
+        (let* sp =
+           match (spec, file) with
+           | Some s, None -> Sweep.Spec.parse s
+           | None, Some f -> Sweep.Spec.load f
+           | Some _, Some _ -> Error "pass --spec or --file, not both"
+           | None, None -> Error "pass --spec STRING or --file FILE"
+         in
+         let* cells = Sweep.Spec.cells sp in
+         Ok (sp, cells))
     in
-    let parsed =
-      Result.bind parsed (fun sp ->
-          Result.map (fun cells -> (sp, cells)) (Sweep.Spec.cells sp))
+    let (Kind k as kind) =
+      match List.find_opt (fun (Kind k) -> k.name = sp.run) kinds with
+      | Some kind -> kind
+      | None ->
+          fail (Printf.sprintf "unknown sweep runner %S (%s)" sp.run kind_names)
     in
-    match parsed with
-    | Error e ->
-        Printf.eprintf "%s\n" e;
-        exit 2
-    | Ok (sp, cells) ->
-        let runner = sweep_runner sp.Sweep.Spec.run in
-        let trace =
-          match trace_path with
-          | None -> Simnet.Trace.null
-          | Some p -> Simnet.Trace.open_file p
-        in
-        let outcomes =
-          or_usage_error (fun () ->
-              Sweep.Exec.run
-                ?domains:(if domains <= 0 then None else Some domains)
-                ?checkpoint ~trace ?cell_traces ~sweep:sp.Sweep.Spec.name
-                ~codec:Sweep.Exec.record_codec cells runner)
-        in
-        Simnet.Trace.close trace;
-        Printf.printf "sweep %s: %d cells (run=%s)\n\n" sp.Sweep.Spec.name
-          (List.length outcomes) sp.Sweep.Spec.run;
-        sweep_print_table outcomes;
-        if json then
-          List.iter
-            (fun (o : _ Sweep.Exec.outcome) ->
-              print_endline
-                (Simnet.Trace.jsonl_of_pairs
-                   (("cell", Simnet.Trace.String o.Sweep.Exec.cell.Sweep.Grid.id)
-                   :: o.Sweep.Exec.value)))
-            outcomes
+    (* every cell is checked before the first one runs *)
+    let prepared cell = or_fail (prepare kind cell) in
+    List.iter (fun c -> ignore (prepared c)) cells;
+    let trace =
+      match trace_path with
+      | None -> Trace.null
+      | Some p -> Trace.open_file p
+    in
+    let outcomes =
+      or_usage_error (fun () ->
+          Sweep.Exec.run
+            ?domains:(if domains <= 0 then None else Some domains)
+            ?checkpoint ~trace ?cell_traces ~sweep:sp.name
+            ~codec:Sweep.Exec.record_codec cells
+            (fun ~trace cell -> k.row (k.run ~trace (prepared cell))))
+    in
+    Trace.close trace;
+    Printf.printf "sweep %s: %d cells (run=%s)\n\n" sp.name
+      (List.length outcomes) sp.run;
+    sweep_print_table outcomes;
+    if json then
+      List.iter
+        (fun (o : _ Sweep.Exec.outcome) ->
+          print_endline
+            (Trace.jsonl_of_pairs
+               (("cell", Trace.String o.Sweep.Exec.cell.Grid.id)
+               :: o.Sweep.Exec.value)))
+        outcomes
   in
   Cmd.v
-    (Cmd.info "sweep" ~doc:(subcommand_doc "sweep"))
+    (Cmd.info "sweep" ~doc:sweep_doc)
     Term.(
       const run $ spec_arg $ file_arg $ checkpoint_arg $ domains_arg
       $ trace_arg $ cell_traces_arg $ json_term $ verbose_term)
 
 let () =
+  let index =
+    List.map (fun (Kind k) -> (k.name, k.doc)) kinds @ [ ("sweep", sweep_doc) ]
+  in
   (* An unknown subcommand gets a deterministic exit-2 diagnostic listing
      every subcommand with its one-liner (cmdliner's own error goes to a
      pager-formatted usage block with a different exit code). *)
@@ -1742,11 +1493,11 @@ let () =
     when String.length arg > 0
          && arg.[0] <> '-'
          && arg <> "help"
-         && not (List.mem_assoc arg subcommand_index) ->
+         && not (List.mem_assoc arg index) ->
       Printf.eprintf "overlay_sim: unknown subcommand %S\n\nSubcommands:\n" arg;
       List.iter
         (fun (name, doc) -> Printf.eprintf "  %-9s  %s\n" name doc)
-        subcommand_index;
+        index;
       Stdlib.exit 2
   | _ -> ());
   let doc =
@@ -1754,11 +1505,4 @@ let () =
      reconfiguration (SPAA 2016)"
   in
   let info = Cmd.info "overlay_sim" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            sample_cmd; churn_cmd; dos_cmd; stabilize_cmd; churndos_cmd;
-            groupsim_cmd; anonymize_cmd; dht_cmd; workload_cmd; chord_cmd;
-            social_cmd; sweep_cmd;
-          ]))
+  exit (Cmd.eval (Cmd.group info (List.map kind_cmd kinds @ [ sweep_cmd ])))
