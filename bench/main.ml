@@ -11,8 +11,8 @@
    summary (rounds, total bits, max per-node round bits, wall time) to the
    current directory; `--json` echoes it to stdout as well.  `--trace FILE`
    streams structured events (round summaries, protocol phases) from the
-   traced protocol runs to FILE — JSONL, or CSV if FILE ends in `.csv`;
-   see docs/observability.md for the schema. *)
+   traced protocol runs to FILE — JSONL, or compact binary if FILE ends in
+   `.bin`; see docs/observability.md for the schema. *)
 
 let experiments =
   [

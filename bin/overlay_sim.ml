@@ -1283,11 +1283,11 @@ let shared_term ~default_n =
          crashround, recover, seed.  Same seed and spec reproduce the run \
          byte for byte.  See docs/fault_model.md."
     $ str_opt "trace" "FILE"
-        "Write structured trace events to $(docv) as JSONL (CSV if the name \
-         ends in .csv, compact binary if it ends in .bin).  See \
+        "Write structured trace events to $(docv) as JSONL (compact binary \
+         if the name ends in .bin).  See \
          docs/observability.md for the schema."
     $ str_opt "trace-format" "FORMAT"
-        "Trace sink format: $(b,jsonl), $(b,csv) or $(b,bin) (default: by \
+        "Trace sink format: $(b,jsonl) or $(b,bin) (default: by \
          the --trace path suffix).  Binary traces decode back to the exact \
          JSONL bytes via trace_check --export-jsonl.")
 
@@ -1417,8 +1417,8 @@ let sweep_cmd =
   in
   let trace_arg =
     str_opt "trace" "FILE"
-      "Write per-cell progress events to $(docv) as JSONL (CSV if the name \
-       ends in .csv, compact binary if it ends in .bin)."
+      "Write per-cell progress events to $(docv) as JSONL (compact binary \
+       if the name ends in .bin)."
   in
   let cell_traces_arg =
     str_opt "cell-traces" "DIR"

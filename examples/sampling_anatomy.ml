@@ -46,15 +46,6 @@ let () =
   let p = Core.Rapid_hgraph.run_plain ~alpha ~k:4 ~rng:(Prng.Stream.split rng) g in
   Printf.printf
     "plain random walks of the same length: %d rounds - the gap is the \n\
-     paper's exponential improvement (%d = O(log log n) vs %d = O(log n)).\n\n"
+     paper's exponential improvement (%d = O(log log n) vs %d = O(log n)).\n"
     p.Core.Sampling_result.rounds r.Core.Sampling_result.rounds
-    p.Core.Sampling_result.rounds;
-
-  (* And the message-level execution agrees with the array implementation. *)
-  let e = Core.Rapid_hgraph.run_on_engine ~eps ~c ~alpha ~rng:(Prng.Stream.split rng) g in
-  Printf.printf
-    "the same algorithm run message-by-message on the synchronous engine:\n\
-     %d rounds, %d samples/node - identical semantics, every request and\n\
-     response a real delivered message.\n"
-    e.Core.Sampling_result.rounds
-    (Core.Sampling_result.samples_per_node e)
+    p.Core.Sampling_result.rounds

@@ -96,89 +96,6 @@ let run ?(eps = 0.5) ?(c = 2.0) ?(alpha = 1.0) ?(trace = Trace.null)
   Retry.sampling_with_retry ~retry ~c ~trace ~attempt_fn:(fun ~c ->
       run_attempt ~eps ~c ~alpha ~trace ~rng g)
 
-(* Wire format for the engine-backed execution. *)
-type engine_msg = Request | Response of int
-
-let run_on_engine ?(eps = 0.5) ?(c = 2.0) ?(alpha = 1.0)
-    ?(trace = Trace.null) ?faults ?domains ~rng g =
-  let n = Hgraph.n g in
-  let d = Hgraph.degree g in
-  let t = Params.iterations_hgraph ~alpha ~d ~n in
-  let schedule = Params.schedule_hgraph ~eps ~c ~n ~t in
-  let id_bits = Msg_size.id_bits n in
-  let msg_bits = function
-    | Request -> Msg_size.ids_msg ~id_bits ~count:1
-    | Response _ -> Msg_size.ids_msg ~id_bits ~count:1
-  in
-  let eng = Simnet.Engine.create ~trace ?faults ?domains ~n ~msg_bits () in
-  let node_rng = Prng.Stream.split_n rng n in
-  let underflows = ref 0 in
-  let m = Array.init n (fun _ -> Multiset.create ~capacity:schedule.(0) ()) in
-  for v = 0 to n - 1 do
-    for _ = 1 to schedule.(0) do
-      Multiset.add m.(v) (Hgraph.random_neighbor g node_rng.(v) v)
-    done
-  done;
-  let install me inbox =
-    (* Phase 4 of the previous iteration: M is replaced by the responses. *)
-    let any = List.exists (fun (_, w) -> w <> Request) inbox in
-    if any then begin
-      Multiset.clear m.(me);
-      List.iter
-        (fun (_, w) ->
-          match w with Response x -> Multiset.add m.(me) x | Request -> ())
-        inbox
-    end
-  in
-  for i = 1 to t do
-    let mi = schedule.(i) in
-    (* Round A: install last iteration's responses, then send requests. *)
-    Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
-        if i > 1 then install me inbox;
-        for _ = 1 to mi do
-          match Multiset.extract_random m.(me) node_rng.(me) with
-          | None -> incr underflows
-          | Some u -> Simnet.Engine.send eng ~src:me ~dst:u Request
-        done);
-    (* Round B: serve the requests that just arrived. *)
-    Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
-        List.iter
-          (fun (requester, w) ->
-            match w with
-            | Request -> (
-                match Multiset.extract_random m.(me) node_rng.(me) with
-                | None -> incr underflows
-                | Some x ->
-                    Simnet.Engine.send eng ~src:me ~dst:requester (Response x))
-            | Response _ -> ())
-          inbox)
-  done;
-  (* Delivery of the final responses (the receive step of the round after
-     the last send; no further sends, so it adds no communication round in
-     the paper's accounting). *)
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
-      install me inbox);
-  let metrics = Simnet.Engine.metrics eng in
-  let samples =
-    Array.mapi
-      (fun v ms ->
-        let a = Multiset.to_array ms in
-        Prng.Stream.shuffle_in_place node_rng.(v) a;
-        a)
-      m
-  in
-  {
-    Sampling_result.samples;
-    rounds = 2 * t;
-    walk_length = 1 lsl t;
-    schedule;
-    underflows = !underflows;
-    retries = 0;
-    escalations = 0;
-    max_round_node_bits = Metrics.max_node_bits_ever metrics;
-    total_bits = Metrics.total_bits metrics;
-  }
-
 let run_plain ?(alpha = 1.0) ?(trace = Trace.null) ~k ~rng g =
   let n = Hgraph.n g in
   let d = Hgraph.degree g in

@@ -34,26 +34,6 @@ val run :
     note.  With the fixed policy the run is byte-identical to the paper's
     single-attempt driver. *)
 
-val run_on_engine :
-  ?eps:float ->
-  ?c:float ->
-  ?alpha:float ->
-  ?trace:Simnet.Trace.t ->
-  ?faults:Simnet.Faults.plan ->
-  ?domains:int ->
-  rng:Prng.Stream.t ->
-  Topology.Hgraph.t ->
-  Sampling_result.t
-(** The same algorithm executed message-by-message on {!Simnet.Engine}:
-    every request and response is a real engine message delivered one round
-    after it is sent.  Functionally equivalent to {!run} (same schedules,
-    same round count, same distribution); exists as a differential check
-    that the direct array implementation matches an actual synchronous
-    message-passing execution, and as a harness for blocking and
-    fault-injection experiments on the primitive itself ([faults] is handed
-    to {!Simnet.Engine.create}; lost responses surface as underflows and
-    short sample arrays, never as a crash). *)
-
 val run_plain :
   ?alpha:float ->
   ?trace:Simnet.Trace.t ->

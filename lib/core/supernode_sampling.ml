@@ -171,14 +171,15 @@ let protocol ?(eps = 0.5) ?(c = 2.0) ?(trace = Simnet.Trace.null)
   in
   let step ~supernode:_ ~step_index st ~inbox ~rng =
     span_step step_index;
-    if step_index = 0 then send_requests st ~iteration:1 ~rng
-    else if step_index mod 2 = 1 then
+    if step_index mod 2 = 1 then
       (* odd steps serve iteration (step_index + 1) / 2 *)
       serve_requests st ~iteration:((step_index + 1) / 2) ~inbox ~rng
     else begin
-      (* even steps install iteration step_index / 2, then request the next *)
+      (* even steps install iteration step_index / 2 (step 0 has nothing to
+         install), then request the next; with [iters = 0] (d = 1) step 0
+         sends nothing and the samples are bucket 0's Phase-1 draws *)
       let k = step_index / 2 in
-      let st = install_responses st ~iteration:k ~inbox in
+      let st = if k = 0 then st else install_responses st ~iteration:k ~inbox in
       if k >= st.iters then (st, [])
       else send_requests st ~iteration:(k + 1) ~rng
     end

@@ -3,7 +3,6 @@ type losses = {
   duplicated : int;
   delayed : int;
   crash_lost : int;
-  subset_lost : int;
 }
 
 (* ---------- sharded struct-of-arrays round core ----------
@@ -88,9 +87,6 @@ type 'msg t = {
   shards : shard array;
   lanes : lane array; (* shard_count^2, row-major by sender shard *)
   domains : int;
-  (* Hosted engines (Runtime.engine) share the runtime's fault handle and
-     leave crash/recover ticking to it. *)
-  owns_tick : bool;
   mutable round : int;
   mutable blocked : int -> bool;
   (* Messages held back by a delay fault, keyed by destination:
@@ -114,7 +110,6 @@ type 'msg t = {
   mutable lost_duplicated : int;
   mutable lost_delayed : int;
   mutable lost_crash : int;
-  mutable lost_subset : int;
   metrics : Metrics.t option;
   trace : Trace.t;
 }
@@ -133,8 +128,8 @@ let default_shard_bits () =
   in
   min 20 (max 4 bits)
 
-let make ?(metrics = true) ?(trace = Trace.null) ?shard_bits ~domains ~faults
-    ~owns_tick ~n ~msg_bits () =
+let create ?(metrics = true) ?(trace = Trace.null) ?faults ?domains ?shard_bits
+    ~n ~msg_bits () =
   if n <= 0 then invalid_arg "Engine.create: n <= 0";
   let shard_bits =
     match shard_bits with
@@ -169,8 +164,9 @@ let make ?(metrics = true) ?(trace = Trace.null) ?shard_bits ~domains ~faults
     shard_count;
     shards;
     lanes;
-    domains = max 1 domains;
-    owns_tick;
+    domains =
+      max 1
+        (match domains with Some d -> d | None -> Parallel.default_domains ());
     round = 0;
     blocked = nobody_blocked;
     delayed = [||];
@@ -179,34 +175,19 @@ let make ?(metrics = true) ?(trace = Trace.null) ?shard_bits ~domains ~faults
     touched_len = 0;
     cleanup = `None;
     sent_this_round = false;
-    faults;
+    faults =
+      (match faults with
+      | Some plan when not (Faults.is_none plan) -> Some (Faults.install plan ~n)
+      | _ -> None);
     lost_dropped = 0;
     lost_duplicated = 0;
     lost_delayed = 0;
     lost_crash = 0;
-    lost_subset = 0;
     metrics = (if metrics then Some (Metrics.create ~n) else None);
     trace;
   }
 
-let create ?metrics ?trace ?faults ?domains ?shard_bits ~n ~msg_bits () =
-  let faults =
-    match faults with
-    | Some plan when not (Faults.is_none plan) -> Some (Faults.install plan ~n)
-    | _ -> None
-  in
-  let domains =
-    match domains with Some d -> d | None -> Parallel.default_domains ()
-  in
-  make ?metrics ?trace ?shard_bits ~domains ~faults ~owns_tick:true ~n ~msg_bits ()
-
-let create_hosted ?metrics ?shard_bits ~trace ~domains ~faults ~n ~msg_bits () =
-  make ?metrics ~trace ?shard_bits ~domains ~faults ~owns_tick:false ~n ~msg_bits
-    ()
-
-let n t = t.n
 let round t = t.round
-let domains t = t.domains
 let shard_count t = t.shard_count
 
 let losses t =
@@ -215,7 +196,6 @@ let losses t =
     duplicated = t.lost_duplicated;
     delayed = t.lost_delayed;
     crash_lost = t.lost_crash;
-    subset_lost = t.lost_subset;
   }
 
 let fault_plan t = Option.map Faults.plan t.faults
@@ -227,8 +207,6 @@ let set_blocked t f =
   if t.sent_this_round then
     invalid_arg "Engine.set_blocked: called after sends in this round";
   t.blocked <- f
-
-let is_blocked t v = t.blocked v
 
 let check_node t v name =
   if v < 0 || v >= t.n then invalid_arg ("Engine." ^ name ^ ": node out of range")
@@ -478,12 +456,11 @@ let build_lists_shard t ki =
   done;
   Array.fill sh.sh_msgs 0 sh.sh_len obj_nil
 
-(* Full per-destination delivery: crash / blocked / subset accounting,
+(* Full per-destination delivery: crash / blocked accounting,
    matured delays, fault rolls and metrics, in global destination order so
    the fault stream consumption is unchanged from the unsharded engine.
    Sequential by construction. *)
-let deliver_slow t computes =
-  let subset_lost_now = ref 0 in
+let deliver_slow t =
   let have_delayed = Array.length t.delayed > 0 in
   for dst = 0 to t.n - 1 do
     let ki = dst lsr t.shard_bits in
@@ -516,11 +493,6 @@ let deliver_slow t computes =
       else if t.blocked dst then
         (* Lost per the Section 1.1 blocking rule; not a fault, not counted. *)
         ()
-      else if not (computes dst) then begin
-        let k = queued_len + List.length matured in
-        t.lost_subset <- t.lost_subset + k;
-        subset_lost_now := !subset_lost_now + k
-      end
       else begin
         let fresh = slice_to_list sh lo hi in
         let inbox =
@@ -541,27 +513,15 @@ let deliver_slow t computes =
       end
     end
   done;
-  if !subset_lost_now > 0 && Trace.enabled t.trace then
-    Trace.emit t.trace
-      (Trace.Note
-         {
-           name = "engine/subset_lost";
-           fields =
-             [
-               ("round", Trace.Int t.round);
-               ("msgs", Trace.Int !subset_lost_now);
-             ];
-         });
   (* Inbox lists hold their own (src, msg) cells; drop the merged planes'
      payload refs now so the round retains nothing it delivered. *)
   Array.iter (fun sh -> Array.fill sh.sh_msgs 0 sh.sh_len obj_nil) t.shards
 
 let tick_faults t =
   (* Crash/recover transitions fire at the round boundary, before this
-     round's deliveries.  Hosted engines leave this to their runtime. *)
+     round's deliveries. *)
   match t.faults with
   | None -> ()
-  | Some f when not t.owns_tick -> ignore f
   | Some f ->
       let transitions = Faults.tick f ~round:t.round in
       if Trace.enabled t.trace then
@@ -576,18 +536,15 @@ let tick_faults t =
                  }))
           transitions
 
-(* Merge the staged lanes and fill [t.inboxes] for this round.
-   [computes dst] says whether dst runs its compute step this round; if
-   not, the inbox content is lost (and counted). *)
-let deliver_lists t ~all_compute computes =
+(* Merge the staged lanes and fill [t.inboxes] for this round. *)
+let deliver_lists t =
   tick_faults t;
   let staged = staged_total t in
   let parallel = use_parallel t ~staged in
   each_shard t ~parallel (merge_shard t);
   ensure_inboxes t;
   let fast =
-    all_compute
-    && (match t.faults with None -> true | Some _ -> false)
+    (match t.faults with None -> true | Some _ -> false)
     && match t.metrics with None -> true | Some _ -> false
   in
   if fast then begin
@@ -595,7 +552,7 @@ let deliver_lists t ~all_compute computes =
     t.cleanup <- `Offs
   end
   else begin
-    deliver_slow t computes;
+    deliver_slow t;
     t.cleanup <- `Touched
   end
 
@@ -652,31 +609,13 @@ let end_round t =
   t.sent_this_round <- false
 
 let deliver_and_step t f =
-  deliver_lists t ~all_compute:true (fun _ -> true);
+  deliver_lists t;
   let r = t.round in
   let inboxes = t.inboxes in
   for v = 0 to t.n - 1 do
     if not (t.blocked v) && not (is_crashed t v) then
       f ~round:r ~me:v ~inbox:inboxes.(v)
   done;
-  clear_inboxes t;
-  end_round t
-
-let deliver_and_step_subset t ~nodes f =
-  let member = Array.make t.n false in
-  Array.iter
-    (fun v ->
-      check_node t v "deliver_and_step_subset";
-      member.(v) <- true)
-    nodes;
-  deliver_lists t ~all_compute:false (fun v -> member.(v));
-  let r = t.round in
-  let inboxes = t.inboxes in
-  Array.iter
-    (fun v ->
-      if not (t.blocked v) && not (is_crashed t v) then
-        f ~round:r ~me:v ~inbox:inboxes.(v))
-    nodes;
   clear_inboxes t;
   end_round t
 

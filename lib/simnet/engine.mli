@@ -55,9 +55,6 @@ type losses = {
   duplicated : int;  (** duplicate copies injected by a duplication fault *)
   delayed : int;  (** messages held back by a delay fault (later delivered) *)
   crash_lost : int;  (** messages lost to a crashed endpoint *)
-  subset_lost : int;
-      (** inbox messages discarded because the destination did not compute in
-          the delivery round ({!deliver_and_step_subset}) *)
 }
 
 val create :
@@ -86,35 +83,15 @@ val create :
     results are independent of it for compute-driven sends, so it is a
     tuning/testing knob, not a semantic one. *)
 
-val create_hosted :
-  ?metrics:bool ->
-  ?shard_bits:int ->
-  trace:Trace.t ->
-  domains:int ->
-  faults:Faults.t option ->
-  n:int ->
-  msg_bits:('msg -> int) ->
-  unit ->
-  'msg t
-(** Build an engine that shares an already-installed fault handle —
-    {!Runtime.engine} uses this so an engine and its hosting runtime draw
-    from one fault stream in program order.  The hosted engine never calls
-    {!Faults.tick}: crash/recover transitions (and their trace events) are
-    the host's responsibility, once per round. *)
-
-val n : _ t -> int
 val round : _ t -> int
 (** Index of the current round, starting at 0. *)
-
-val domains : _ t -> int
-(** The engine's worker-domain bound (at least 1). *)
 
 val shard_count : _ t -> int
 (** Number of destination shards, [ceil (n / 2^shard_bits)].  A function
     of [n] and [shard_bits] only — never of [domains]. *)
 
 val losses : _ t -> losses
-(** Running totals of injected faults and lost inboxes since creation. *)
+(** Running totals of injected faults and crash losses since creation. *)
 
 val fault_plan : _ t -> Faults.plan option
 (** The installed plan, if any ([None] when fault-free). *)
@@ -128,8 +105,6 @@ val set_blocked : _ t -> (int -> bool) -> unit
     Raises [Invalid_argument] if any [send] already happened this round:
     queued messages were filtered against the old blocked-set, so swapping
     it mid-round would silently mis-apply the blocking rule. *)
-
-val is_blocked : _ t -> int -> bool
 
 val is_crashed : _ t -> int -> bool
 (** Whether the node is currently crash-stopped by the fault plan (always
@@ -154,17 +129,6 @@ val deliver_and_step :
     round counter.  The compute function performs its sends via [send].
     Compute runs sequentially over ascending node ids, so the callback may
     freely share state. *)
-
-val deliver_and_step_subset :
-  'msg t ->
-  nodes:int array ->
-  (round:int -> me:int -> inbox:(int * 'msg) list -> unit) ->
-  unit
-(** Same, but only the given nodes compute.  Messages delivered to a node
-    that does not compute this round are lost, matching the synchronous
-    model where an unprocessed inbox is overwritten next round; each such
-    loss is counted as [subset_lost] and summarized per round in an
-    ["engine/subset_lost"] trace note. *)
 
 (** {2 Flat delivery — the million-node path}
 

@@ -28,7 +28,6 @@ type losses = {
   duplicated : int;
   delayed : int;
   crash_lost : int;
-  subset_lost : int;
 }
 
 type t = {
@@ -42,10 +41,6 @@ type t = {
   mutable lost_duplicated : int;
   mutable lost_delayed : int;
   mutable lost_crash : int;
-  (* Loss readers of the engines this runtime hosts ({!engine}); folded
-     into {!losses} so epoch accounting covers leg and message losses
-     alike. *)
-  mutable engine_losses : (unit -> Engine.losses) list;
 }
 
 let create ?(trace = Trace.null) ?faults ?(supports = all_features)
@@ -82,7 +77,6 @@ let create ?(trace = Trace.null) ?faults ?(supports = all_features)
     lost_duplicated = 0;
     lost_delayed = 0;
     lost_crash = 0;
-    engine_losses = [];
   }
 
 let trace t = t.trace
@@ -93,14 +87,6 @@ let n t = t.n
 let domains t = t.domains
 let round t = t.round
 let epoch t = t.epoch
-
-let engine ?metrics ?shard_bits t ~msg_bits () =
-  let eng =
-    Engine.create_hosted ?metrics ?shard_bits ~trace:t.trace ~domains:t.domains
-      ~faults:t.faults ~n:t.n ~msg_bits ()
-  in
-  t.engine_losses <- t.engine_losses @ [ (fun () -> Engine.losses eng) ];
-  eng
 
 let advance t ~rounds =
   if rounds < 0 then invalid_arg "Runtime.advance: rounds < 0";
@@ -134,24 +120,12 @@ let crashed t v =
   match t.faults with Some f -> Faults.crashed f v | None -> false
 
 let losses t =
-  List.fold_left
-    (fun acc read ->
-      let e = read () in
-      {
-        dropped = acc.dropped + e.Engine.dropped;
-        duplicated = acc.duplicated + e.Engine.duplicated;
-        delayed = acc.delayed + e.Engine.delayed;
-        crash_lost = acc.crash_lost + e.Engine.crash_lost;
-        subset_lost = acc.subset_lost + e.Engine.subset_lost;
-      })
-    {
-      dropped = t.lost_dropped;
-      duplicated = t.lost_duplicated;
-      delayed = t.lost_delayed;
-      crash_lost = t.lost_crash;
-      subset_lost = 0;
-    }
-    t.engine_losses
+  {
+    dropped = t.lost_dropped;
+    duplicated = t.lost_duplicated;
+    delayed = t.lost_delayed;
+    crash_lost = t.lost_crash;
+  }
 
 let fault_event t ~kind fields =
   if Trace.enabled t.trace then
@@ -283,6 +257,5 @@ let run_epoch t driver =
         duplicated = after.duplicated - before.duplicated;
         delayed = after.delayed - before.delayed;
         crash_lost = after.crash_lost - before.crash_lost;
-        subset_lost = after.subset_lost - before.subset_lost;
       };
   }

@@ -3,7 +3,7 @@
 
     {!Engine} applies the paper's Section 1.1 blocking rule and the
     {!Faults} plan at per-message granularity for protocols that run
-    *inside* the synchronous network (rapid sampling, group simulation).
+    *inside* the synchronous network (the group simulation).
     The protocol drivers above it — churn/DoS/churn+DoS networks,
     reconfiguration's reply-retry path, and the workload driver — model
     whole request/reply {e legs} rather than individual inbox messages.
@@ -56,8 +56,9 @@ val create :
     partial plan.  An inert plan ({!Faults.is_none}) is not installed and
     costs one [option] check per call.  [domains] (default
     {!Parallel.default_domains}, so [OVERLAY_DOMAINS] applies; clamped to
-    at least 1) bounds the worker domains of engines hosted via
-    {!engine}; all results are byte-identical for every value.  Raises
+    at least 1) is the worker-domain bound a driver hands to the engines
+    it creates ({!domains}); all results are byte-identical for every
+    value.  Raises
     [Invalid_argument] if [n <= 0]. *)
 
 val trace : t -> Trace.t
@@ -71,26 +72,7 @@ val faulty : t -> bool
 val n : t -> int
 
 val domains : t -> int
-(** The runtime's worker-domain bound (at least 1), inherited by hosted
-    engines. *)
-
-val engine :
-  ?metrics:bool ->
-  ?shard_bits:int ->
-  t ->
-  msg_bits:('msg -> int) ->
-  unit ->
-  'msg Engine.t
-(** Host a sharded {!Engine} on this runtime: the engine shares the
-    runtime's trace, [domains], and — crucially — its installed fault
-    handle, so engine deliveries and runtime {!leg} rolls consume one
-    fault stream in program order, and a single plan spec drives both
-    granularities deterministically.  The hosted engine never ticks
-    crash/recover transitions itself; call {!tick} once per round (the
-    engine's crash checks observe the shared schedule either way).  The
-    engine's {!Engine.losses} are folded into this runtime's {!losses}
-    and epoch accounting.  The engine is sized at the current {!n};
-    create it after any initial {!resize}. *)
+(** The runtime's worker-domain bound (at least 1). *)
 
 val round : t -> int
 
@@ -122,14 +104,11 @@ type losses = {
   duplicated : int;
   delayed : int;
   crash_lost : int;
-  subset_lost : int;
 }
-(** Loss counters, mirroring {!Engine.losses}.  Leg rolls never charge
-    [subset_lost] (drivers have no subset delivery); it is non-zero only
-    when a hosted engine ({!engine}) used subset delivery. *)
+(** Loss counters, mirroring {!Engine.losses}. *)
 
 val losses : t -> losses
-(** Leg-level losses plus the {!Engine.losses} of every hosted engine. *)
+(** Running totals of the losses charged by {!leg} rolls. *)
 
 val leg : t -> ?src:int -> ?dst:int -> unit -> bool
 (** Roll the fault plan for one communication leg (a request or a reply

@@ -55,13 +55,11 @@ let default =
 
 let format_of_string = function
   | "jsonl" -> Ok Trace.Jsonl
-  | "csv" -> Ok Trace.Csv
   | "bin" | "binary" -> Ok Trace.Binary
   | other -> Error other
 
 let string_of_format = function
   | Trace.Jsonl -> "jsonl"
-  | Trace.Csv -> "csv"
   | Trace.Binary -> "bin"
 
 let err key what = Error (Printf.sprintf "scenario: %s %s" key what)
@@ -205,7 +203,7 @@ let apply t (key, v) =
       match format_of_string (String.trim v) with
       | Ok f -> Ok { t with trace_format = Some f }
       | Error other ->
-          err key (Printf.sprintf "expects jsonl, csv or bin, got %S" other))
+          err key (Printf.sprintf "expects jsonl or bin, got %S" other))
   | other -> unknown_key other
 
 let of_args ?(base = default) kvs =

@@ -60,7 +60,7 @@ type t = {
   trace : string option;  (** trace sink path ([None] = no tracing) *)
   trace_format : Trace.format option;
       (** trace sink format; [None] = by [trace] path suffix
-          ([.csv] → CSV, [.bin] → binary, else JSONL) *)
+          ([.bin] → binary, else JSONL) *)
 }
 
 val default : t
@@ -74,7 +74,7 @@ val of_args : ?base:t -> (string * string) list -> (t, string) result
     (a {!Faults.parse_spec} sub-spec), [retry], [workload], [backend],
     [chord-fingers], [chord-succs], [chord-period] ([-1] = default, i.e.
     [None]), [app], [topics], [fanout], [session] ([ONLINE:EPOCH]),
-    [rounds], [domains], [trace], [trace-format] ([jsonl], [csv] or
+    [rounds], [domains], [trace], [trace-format] ([jsonl] or
     [bin]).  Later pairs override earlier ones.  Returns [Error] on an
     unknown key (suggesting the nearest valid key when the typo is
     close), an unparsable value, or a violated bound ([n <= 0],

@@ -31,7 +31,7 @@ type event =
       cached : bool;
     }
 
-type format = Jsonl | Csv | Binary
+type format = Jsonl | Binary
 
 type t = {
   enabled : bool;
@@ -168,61 +168,6 @@ let jsonl_of_pairs ?float_repr pairs =
   Buffer.contents buf
 
 let jsonl_of_event ev = jsonl_of_pairs (pairs_of_event ev)
-
-let csv_header = "ev,name,round,rounds,msgs,bits,max_node_bits,max_node_msgs,blocked,fields"
-
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let string_of_value = function
-  | Int i -> string_of_int i
-  | Float f -> Stats.Float_text.repr f
-  | Bool b -> string_of_bool b
-  | String s -> s
-
-let csv_fields fields =
-  csv_escape
-    (String.concat ";"
-       (List.map (fun (k, v) -> k ^ "=" ^ string_of_value v) fields))
-
-let csv_of_event = function
-  | Round r ->
-      Printf.sprintf "round,,%d,1,%d,%d,%d,%d,%d," r.round r.msgs r.bits
-        r.max_node_bits r.max_node_msgs r.blocked
-  | Span s ->
-      Printf.sprintf "span,%s,,%d,,,,,,%s" (csv_escape s.name) s.rounds
-        (csv_fields s.fields)
-  | Adversary a ->
-      Printf.sprintf "adversary,%s,,,,,,,,%s" (csv_escape a.kind)
-        (csv_fields a.fields)
-  | Note n ->
-      Printf.sprintf "note,%s,,,,,,,,%s" (csv_escape n.name)
-        (csv_fields n.fields)
-  | Fault f ->
-      Printf.sprintf "fault,%s,%d,,,,,,,%s" (csv_escape f.kind) f.round
-        (csv_fields f.fields)
-  | Request r ->
-      Printf.sprintf "request,%s,%d,,,,,,,%s" (csv_escape r.op) r.round
-        (csv_fields
-           [
-             ("client", Int r.client);
-             ("latency", Int r.latency);
-             ("hops", Int r.hops);
-             ("status", String r.status);
-           ])
-  | Progress p ->
-      Printf.sprintf "progress,%s,,,,,,,,%s" (csv_escape p.sweep)
-        (csv_fields
-           [
-             ("cell", String p.cell);
-             ("index", Int p.index);
-             ("completed", Int p.completed);
-             ("total", Int p.total);
-             ("wall_s", Float p.wall_s);
-             ("cached", Bool p.cached);
-           ])
 
 let kind_of_event = function
   | Round _ -> "round"
@@ -711,18 +656,10 @@ let of_channel ?(format = Jsonl) oc =
           Buffer.output_buffer oc w.wbuf;
           Buffer.clear w.wbuf;
           flush oc)
-  | Jsonl | Csv ->
-      (match format with
-      | Csv ->
-          output_string oc csv_header;
-          output_char oc '\n'
-      | _ -> ());
-      let line =
-        match format with Csv -> csv_of_event | _ -> jsonl_of_event
-      in
+  | Jsonl ->
       make
         ~emit:(fun ev ->
-          output_string oc (line ev);
+          output_string oc (jsonl_of_event ev);
           output_char oc '\n')
         ~close:(fun () -> flush oc)
 
@@ -731,8 +668,7 @@ let open_file ?format path =
     match format with
     | Some f -> f
     | None ->
-        if Filename.check_suffix path ".csv" then Csv
-        else if Filename.check_suffix path ".bin" then Binary
+        if Filename.check_suffix path ".bin" then Binary
         else Jsonl
   in
   let oc = open_out_bin path in

@@ -2,7 +2,7 @@
 
     A trace is a stream of typed events — round boundaries with their
     {!Metrics.round_summary}, protocol-phase spans, and adversary actions —
-    written to a pluggable sink (null, JSONL file, CSV file, or a custom
+    written to a pluggable sink (null, JSONL file, binary file, or a custom
     callback).  Drivers thread an optional trace through
     {!Engine.create} and the protocol entry points; when the trace is
     {!null} (the default everywhere) instrumentation reduces to one boolean
@@ -64,7 +64,7 @@ type event =
           guarantee above (the checkpoint artifact, not the progress
           stream, is the deterministic record of a sweep). *)
 
-type format = Jsonl | Csv | Binary
+type format = Jsonl | Binary
 
 type t
 
@@ -80,14 +80,13 @@ val make : emit:(event -> unit) -> close:(unit -> unit) -> t
 
 val of_channel : ?format:format -> out_channel -> t
 (** Sink writing to the channel ([format] defaults to [Jsonl]).  [Jsonl]
-    and [Csv] write one line per event; [Binary] writes the compact
+    writes one line per event; [Binary] writes the compact
     record stream described below (header eagerly, records through a
     64 KiB buffer).  {!close} flushes but does not close the channel. *)
 
 val open_file : ?format:format -> string -> t
 (** Sink writing to a fresh file (truncated).  Without [format], a path
-    ending in [.csv] selects [Csv], one ending in [.bin] selects
-    [Binary], anything else [Jsonl].  {!close} flushes and closes the
+    ending in [.bin] selects [Binary], anything else [Jsonl].  {!close} flushes and closes the
     file. *)
 
 val emit : t -> event -> unit
@@ -113,9 +112,6 @@ val jsonl_of_pairs :
     zero included); [float_repr] overrides that rendering and is only
     consulted for finite floats (nan and infinities keep their string
     encoding). *)
-
-val csv_header : string
-val csv_of_event : event -> string
 
 val kind_of_event : event -> string
 (** The wire discriminator of the event: ["round"], ["span"],

@@ -195,6 +195,36 @@ let test_sampling_protocol_uniform () =
   Alcotest.(check bool) "samples uniform over supernodes" true
     (Stats.Chi_square.test_uniform counts > 0.001)
 
+let test_sampling_protocol_dimension_one () =
+  (* d = 1 (what Params.dos_dimension gives for n = 3..40): Alg. 2 has no
+     doubling iteration, so the one supernode round sends nothing and each
+     supernode keeps its Phase-1 draws over {x, flip x 0}. *)
+  let cube = Topology.Hypercube.create 1 in
+  let n = 8 and c = 2.0 in
+  let proto = Core.Supernode_sampling.protocol ~c ~cube () in
+  let gs =
+    Core.Group_sim.create ~rng:(rng ()) ~n
+      ~group_of:(uniform_groups ~n ~supernodes:2)
+      proto
+  in
+  Core.Group_sim.run_all gs ~blocked_for_round:(fun ~round:_ ->
+      Array.make n false);
+  Alcotest.(check int) "one supernode round" 2
+    (Core.Group_sim.network_rounds_total gs);
+  Alcotest.(check (list int)) "no losses" [] (Core.Group_sim.lost_groups gs);
+  let m0 = (Core.Params.schedule_hypercube ~eps:0.5 ~c ~n:2 ~iters:0).(0) in
+  for x = 0 to 1 do
+    match Core.Group_sim.state_of gs x with
+    | None -> Alcotest.fail "state missing"
+    | Some st ->
+        let samples = Core.Supernode_sampling.samples st in
+        Alcotest.(check int) "Phase-1 draws kept" m0 (Array.length samples);
+        Alcotest.(check int) "no underflows" 0
+          (Core.Supernode_sampling.underflows st);
+        Alcotest.(check bool) "samples are supernodes" true
+          (Array.for_all (fun v -> v = 0 || v = 1) samples)
+  done
+
 let test_sampling_protocol_under_blocking () =
   (* 25% random blocking per round must not stop the simulated primitive:
      every group keeps an available member w.h.p. at these sizes. *)
@@ -369,6 +399,8 @@ let () =
             test_sampling_protocol_under_blocking;
           Alcotest.test_case "round count matches direct" `Quick
             test_sampling_matches_direct_round_count;
+          Alcotest.test_case "d = 1 keeps Phase-1 draws" `Quick
+            test_sampling_protocol_dimension_one;
         ] );
       ( "virtual-sampling",
         [

@@ -204,13 +204,97 @@ let test_exponential_separation_hgraph () =
         (2 * fast.Core.Sampling_result.rounds < slow.Core.Sampling_result.rounds))
     [ 256; 1024; 4096 ]
 
+(* Alg. 1 executed message-by-message on the synchronous engine: every
+   request and response is a real engine message delivered one round after
+   it is sent.  The reference for [test_engine_matches_direct], which checks
+   that the direct array implementation [Core.Rapid_hgraph.run] matches an
+   actual synchronous message-passing execution. *)
+type engine_msg = Request | Response of int
+
+let rapid_hgraph_on_engine ~eps ~c ~rng g =
+  let module Multiset = Core.Multiset in
+  let n = Topology.Hgraph.n g in
+  let d = Topology.Hgraph.degree g in
+  let t = Core.Params.iterations_hgraph ~alpha:1.0 ~d ~n in
+  let schedule = Core.Params.schedule_hgraph ~eps ~c ~n ~t in
+  let id_bits = Simnet.Msg_size.id_bits n in
+  let msg_bits (_ : engine_msg) = Simnet.Msg_size.ids_msg ~id_bits ~count:1 in
+  let eng = Simnet.Engine.create ~n ~msg_bits () in
+  let node_rng = Prng.Stream.split_n rng n in
+  let underflows = ref 0 in
+  let m = Array.init n (fun _ -> Multiset.create ~capacity:schedule.(0) ()) in
+  for v = 0 to n - 1 do
+    for _ = 1 to schedule.(0) do
+      Multiset.add m.(v) (Topology.Hgraph.random_neighbor g node_rng.(v) v)
+    done
+  done;
+  let install me inbox =
+    (* Phase 4 of the previous iteration: M is replaced by the responses. *)
+    let any = List.exists (fun (_, w) -> w <> Request) inbox in
+    if any then begin
+      Multiset.clear m.(me);
+      List.iter
+        (fun (_, w) ->
+          match w with Response x -> Multiset.add m.(me) x | Request -> ())
+        inbox
+    end
+  in
+  for i = 1 to t do
+    let mi = schedule.(i) in
+    (* Round A: install last iteration's responses, then send requests. *)
+    Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
+        if i > 1 then install me inbox;
+        for _ = 1 to mi do
+          match Multiset.extract_random m.(me) node_rng.(me) with
+          | None -> incr underflows
+          | Some u -> Simnet.Engine.send eng ~src:me ~dst:u Request
+        done);
+    (* Round B: serve the requests that just arrived. *)
+    Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
+        List.iter
+          (fun (requester, w) ->
+            match w with
+            | Request -> (
+                match Multiset.extract_random m.(me) node_rng.(me) with
+                | None -> incr underflows
+                | Some x ->
+                    Simnet.Engine.send eng ~src:me ~dst:requester (Response x))
+            | Response _ -> ())
+          inbox)
+  done;
+  (* Delivery of the final responses (the receive step of the round after
+     the last send; no further sends, so it adds no communication round in
+     the paper's accounting). *)
+  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
+      install me inbox);
+  let metrics = Simnet.Engine.metrics eng in
+  let samples =
+    Array.mapi
+      (fun v ms ->
+        let a = Multiset.to_array ms in
+        Prng.Stream.shuffle_in_place node_rng.(v) a;
+        a)
+      m
+  in
+  {
+    Core.Sampling_result.samples;
+    rounds = 2 * t;
+    walk_length = 1 lsl t;
+    schedule;
+    underflows = !underflows;
+    retries = 0;
+    escalations = 0;
+    max_round_node_bits = Simnet.Metrics.max_node_bits_ever metrics;
+    total_bits = Simnet.Metrics.total_bits metrics;
+  }
+
 let test_engine_matches_direct () =
   (* Differential check: the message-level engine execution and the direct
      array implementation must agree on rounds, schedules, per-node sample
      counts (absent underflow) and distribution. *)
   let g = Topology.Hgraph.random (rng ()) ~n:512 ~d:8 in
   let direct = Core.Rapid_hgraph.run ~eps:1.0 ~c:4.0 ~rng:(rng ()) g in
-  let engine = Core.Rapid_hgraph.run_on_engine ~eps:1.0 ~c:4.0 ~rng:(rng ()) g in
+  let engine = rapid_hgraph_on_engine ~eps:1.0 ~c:4.0 ~rng:(rng ()) g in
   Alcotest.(check int) "same rounds" direct.Core.Sampling_result.rounds
     engine.Core.Sampling_result.rounds;
   Alcotest.(check (array int)) "same schedule" direct.Core.Sampling_result.schedule

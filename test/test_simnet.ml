@@ -147,25 +147,6 @@ let test_blocked_node_does_not_compute () =
       ran := me :: !ran);
   Alcotest.(check (list int)) "only 0 and 2 compute" [ 2; 0 ] !ran
 
-(* ---------- Engine: subset computation ---------- *)
-
-let test_subset_step () =
-  let eng = Simnet.Engine.create ~n:4 ~msg_bits () in
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
-      if me = 0 then begin
-        Simnet.Engine.send eng ~src:0 ~dst:1 "for-member";
-        Simnet.Engine.send eng ~src:0 ~dst:3 "for-nonmember"
-      end);
-  let got = ref [] in
-  Simnet.Engine.deliver_and_step_subset eng ~nodes:[| 0; 1 |]
-    (fun ~round:_ ~me ~inbox -> if inbox <> [] then got := (me, inbox) :: !got);
-  Alcotest.(check int) "member got its message" 1 (List.length !got);
-  (* node 3's message is lost: it was not computing that round *)
-  let got3 = ref [] in
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
-      if me = 3 then got3 := inbox);
-  Alcotest.(check int) "non-member message lost" 0 (List.length !got3)
-
 (* ---------- Engine: metrics accounting ---------- *)
 
 let test_engine_metrics () =
@@ -203,23 +184,6 @@ let test_engine_metrics_not_charged_on_delivery_block () =
   Alcotest.(check int) "no message delivered" 0 (Simnet.Metrics.total_msgs m);
   Alcotest.(check int) "only the send side charged" 10
     (Simnet.Metrics.total_bits m)
-
-let test_subset_lost_inbox_not_charged () =
-  (* deliver_and_step_subset: a message to a node outside the computing
-     subset is lost, and the receive side is not charged for it. *)
-  let eng = Simnet.Engine.create ~n:4 ~msg_bits:(fun _ -> 10) () in
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
-      if me = 0 then begin
-        Simnet.Engine.send eng ~src:0 ~dst:1 "for-member";
-        Simnet.Engine.send eng ~src:0 ~dst:3 "for-nonmember"
-      end);
-  Simnet.Engine.deliver_and_step_subset eng ~nodes:[| 0; 1 |]
-    (fun ~round:_ ~me:_ ~inbox:_ -> ());
-  let m = Simnet.Engine.metrics eng in
-  Alcotest.(check int) "only the member's message delivered" 1
-    (Simnet.Metrics.total_msgs m);
-  (* two sends (20 bits) + one receive (10 bits) *)
-  Alcotest.(check int) "lost inbox not charged" 30 (Simnet.Metrics.total_bits m)
 
 let test_set_blocked_after_send_raises () =
   let eng = Simnet.Engine.create ~n:2 ~msg_bits () in
@@ -889,14 +853,11 @@ let () =
             test_blocking_resets_each_round;
           Alcotest.test_case "blocked nodes do not compute" `Quick
             test_blocked_node_does_not_compute;
-          Alcotest.test_case "subset step" `Quick test_subset_step;
           Alcotest.test_case "metrics accounting" `Quick test_engine_metrics;
           Alcotest.test_case "dropped not charged" `Quick
             test_engine_metrics_not_charged_when_dropped;
           Alcotest.test_case "delivery-round block not charged" `Quick
             test_engine_metrics_not_charged_on_delivery_block;
-          Alcotest.test_case "subset lost inbox not charged" `Quick
-            test_subset_lost_inbox_not_charged;
           Alcotest.test_case "set_blocked after send raises" `Quick
             test_set_blocked_after_send_raises;
           Alcotest.test_case "metrics disabled" `Quick

@@ -24,15 +24,6 @@ let run_workload ?faults ?(trace = Simnet.Trace.null) ~n ~rounds () =
   done;
   (eng, !received)
 
-let value_testable =
-  let pp fmt = function
-    | Simnet.Trace.Int i -> Format.fprintf fmt "Int %d" i
-    | Simnet.Trace.Float f -> Format.fprintf fmt "Float %g" f
-    | Simnet.Trace.Bool b -> Format.fprintf fmt "Bool %b" b
-    | Simnet.Trace.String s -> Format.fprintf fmt "String %S" s
-  in
-  Alcotest.testable pp ( = )
-
 let read_file path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
@@ -101,8 +92,7 @@ let test_none_plan_metrics_identical () =
       Alcotest.(check bool) "no losses" true
         (l.Simnet.Engine.dropped = 0 && l.Simnet.Engine.duplicated = 0
         && l.Simnet.Engine.delayed = 0
-        && l.Simnet.Engine.crash_lost = 0
-        && l.Simnet.Engine.subset_lost = 0))
+        && l.Simnet.Engine.crash_lost = 0))
     [ eng_none; eng_inert ]
 
 (* ---------- per-fault accounting ---------- *)
@@ -177,40 +167,6 @@ let test_crash_recover () =
   (* crash at round 1, recover after 2 rounds: down in rounds 1 and 2 only *)
   Alcotest.(check (list int)) "down exactly two rounds" [ 2; 1 ]
     !crashed_rounds
-
-(* ---------- subset_lost regression ---------- *)
-
-let test_subset_lost_counted_and_traced () =
-  let path = Filename.temp_file "subset_lost" ".jsonl" in
-  let trace = Simnet.Trace.open_file path in
-  let eng = Simnet.Engine.create ~trace ~n:4 ~msg_bits () in
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
-      if me = 0 then begin
-        Simnet.Engine.send eng ~src:0 ~dst:1 "kept";
-        Simnet.Engine.send eng ~src:0 ~dst:3 "lost";
-        Simnet.Engine.send eng ~src:0 ~dst:3 "lost-too"
-      end);
-  Simnet.Engine.deliver_and_step_subset eng ~nodes:[| 0; 1 |]
-    (fun ~round:_ ~me:_ ~inbox:_ -> ());
-  Simnet.Trace.close trace;
-  Alcotest.(check int) "two messages lost to the subset" 2
-    (Simnet.Engine.losses eng).Simnet.Engine.subset_lost;
-  let contents = read_file path in
-  Sys.remove path;
-  Alcotest.(check bool) "loss summarized in the trace" true
-    (let found = ref false in
-     String.split_on_char '\n' contents
-     |> List.iter (fun line ->
-            match Simnet.Trace.parse_jsonl_line line with
-            | Some fields
-              when List.assoc_opt "name" fields
-                   = Some (Simnet.Trace.String "engine/subset_lost") ->
-                found := true;
-                Alcotest.(check (option value_testable)) "msgs field"
-                  (Some (Simnet.Trace.Int 2))
-                  (List.assoc_opt "msgs" fields)
-            | _ -> ());
-     !found)
 
 (* ---------- spec parsing ---------- *)
 
@@ -319,8 +275,6 @@ let () =
             test_delay_shifts_arrival;
           Alcotest.test_case "crash-stop" `Quick test_crash_stop_and_accounting;
           Alcotest.test_case "crash-recover" `Quick test_crash_recover;
-          Alcotest.test_case "subset_lost counted and traced" `Quick
-            test_subset_lost_counted_and_traced;
         ] );
       ( "spec",
         [

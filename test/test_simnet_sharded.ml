@@ -268,77 +268,6 @@ let test_million_node_create_is_lean () =
     true
     (total < 4.0 *. 1024.0 *. 1024.0)
 
-(* ---------- runtime hosting ---------- *)
-
-let test_runtime_engine_losses_fold () =
-  let plan = Simnet.Faults.make ~drop:1.0 () in
-  let rt = Simnet.Runtime.create ~faults:plan ~n:8 () in
-  let eng = Simnet.Runtime.engine ~metrics:false rt ~msg_bits () in
-  for _ = 1 to 2 do
-    ignore (Simnet.Runtime.tick rt);
-    Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
-        Alcotest.(check (list (pair int string))) "all dropped" [] inbox;
-        Simnet.Engine.send eng ~src:me ~dst:((me + 1) mod 8) "m")
-  done;
-  (* 8 sends per round; round 1's batch is dropped at round 2's delivery,
-     round 2's batch is still staged. *)
-  let el = Simnet.Engine.losses eng in
-  Alcotest.(check int) "engine dropped" 8 el.Simnet.Engine.dropped;
-  let rl = Simnet.Runtime.losses rt in
-  Alcotest.(check int) "runtime folds engine drops" 8 rl.Simnet.Runtime.dropped;
-  (* A leg roll of the shared handle also lands in the same accounting. *)
-  Alcotest.(check bool) "leg dropped too" false (Simnet.Runtime.leg rt ());
-  Alcotest.(check int) "leg + engine drops" 9
-    (Simnet.Runtime.losses rt).Simnet.Runtime.dropped
-
-let test_runtime_engine_subset_lost_in_epoch () =
-  let rt = Simnet.Runtime.create ~n:8 () in
-  let eng = Simnet.Runtime.engine ~metrics:false rt ~msg_bits () in
-  let report =
-    Simnet.Runtime.run_epoch rt (fun rt ->
-        Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
-            Simnet.Engine.send eng ~src:me ~dst:((me + 1) mod 8) "m");
-        (* Nobody computes next round: all 8 queued messages are lost. *)
-        Simnet.Engine.deliver_and_step_subset eng ~nodes:[||]
-          (fun ~round:_ ~me:_ ~inbox:_ -> ());
-        ignore rt;
-        ((), 2))
-  in
-  Alcotest.(check int) "epoch subset_lost" 8
-    report.Simnet.Runtime.epoch_losses.Simnet.Runtime.subset_lost;
-  Alcotest.(check int) "total subset_lost" 8
-    (Simnet.Runtime.losses rt).Simnet.Runtime.subset_lost
-
-let test_runtime_hosted_engine_does_not_tick () =
-  (* The crash schedule fires on the runtime's tick, not inside the hosted
-     engine: before any tick nobody is crashed, after tick the schedule's
-     victims are, and the hosted engine observes the shared handle. *)
-  let plan = Simnet.Faults.make ~crash:2 ~crash_round:0 () in
-  let rt = Simnet.Runtime.create ~faults:plan ~n:16 () in
-  let eng = Simnet.Runtime.engine ~metrics:false rt ~msg_bits () in
-  let crashed_count () =
-    let c = ref 0 in
-    for v = 0 to 15 do
-      if Simnet.Engine.is_crashed eng v then incr c
-    done;
-    !c
-  in
-  (* An engine round before any runtime tick must not apply transitions. *)
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox:_ -> ());
-  Alcotest.(check int) "no crashes before the host ticks" 0 (crashed_count ());
-  (* Victim [i] crashes at crash_round + i: one per tick here. *)
-  ignore (Simnet.Runtime.tick rt);
-  Alcotest.(check int) "first victim applied by the host" 1 (crashed_count ());
-  Simnet.Runtime.advance rt ~rounds:1;
-  ignore (Simnet.Runtime.tick rt);
-  Alcotest.(check int) "second victim applied by the host" 2 (crashed_count ())
-
-let test_runtime_domains_inherited () =
-  let rt = Simnet.Runtime.create ~domains:3 ~n:8 () in
-  Alcotest.(check int) "runtime domains" 3 (Simnet.Runtime.domains rt);
-  let eng = Simnet.Runtime.engine ~metrics:false rt ~msg_bits () in
-  Alcotest.(check int) "hosted engine inherits" 3 (Simnet.Engine.domains eng)
-
 let () =
   Alcotest.run "simnet_sharded"
     [
@@ -365,17 +294,6 @@ let () =
             test_no_stale_retention_flat_path;
           Alcotest.test_case "million-node create is lean" `Quick
             test_million_node_create_is_lean;
-        ] );
-      ( "hosting",
-        [
-          Alcotest.test_case "losses fold through the runtime" `Quick
-            test_runtime_engine_losses_fold;
-          Alcotest.test_case "subset_lost in epoch accounting" `Quick
-            test_runtime_engine_subset_lost_in_epoch;
-          Alcotest.test_case "hosted engine defers ticking" `Quick
-            test_runtime_hosted_engine_does_not_tick;
-          Alcotest.test_case "domains inherited" `Quick
-            test_runtime_domains_inherited;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -354,7 +354,7 @@ let scenario_gen =
   let* domains = int_range 0 8 in
   let* trace = opt_string [ "/tmp/t.jsonl" ] in
   let* trace_format =
-    opt (oneofl [ Simnet.Trace.Jsonl; Simnet.Trace.Csv; Simnet.Trace.Binary ])
+    opt (oneofl [ Simnet.Trace.Jsonl; Simnet.Trace.Binary ])
   in
   return
     {
