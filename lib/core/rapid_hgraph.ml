@@ -1,95 +1,119 @@
 module Hgraph = Topology.Hgraph
-module Metrics = Simnet.Metrics
-module Msg_size = Simnet.Msg_size
 module Trace = Simnet.Trace
 
-(* Close a metrics round and mirror its summary into the trace (used by the
-   direct array implementations, which bypass the engine). *)
-let finish_traced trace metrics =
-  let s = Metrics.finish_round metrics in
-  if Trace.enabled trace then Trace.emit trace (Trace.round_of_summary s)
+(* Node ids are stored as 32-bit words: half the memory of an [int array]. *)
+let[@inline] get b i = Int32.to_int (Bytes.get_int32_le b (4 * i))
+let[@inline] set b i x = Bytes.set_int32_le b (4 * i) (Int32.of_int x)
 
+(* Node v's M is plane.(start.(v) .. start.(v) + len.(v) - 1); see the .mli. *)
 let run_attempt ~eps ~c ~alpha ~trace ~rng g =
   let n = Hgraph.n g in
   let d = Hgraph.degree g in
   let t = Params.iterations_hgraph ~alpha ~d ~n in
   let schedule = Params.schedule_hgraph ~eps ~c ~n ~t in
-  let id_bits = Msg_size.id_bits n in
-  let request_bits = Msg_size.ids_msg ~id_bits ~count:1 in
-  let response_bits = Msg_size.ids_msg ~id_bits ~count:1 in
-  let metrics = Metrics.create ~n in
+  let m0 = schedule.(0) in
+  let tally = Sampling_result.tally ~n trace in
+  let load = Sampling_result.load tally in
+  let plane = Bytes.create (4 * n * m0) in
+  let reqs = Bytes.create (if t = 0 then 0 else 4 * n * schedule.(1)) in
+  let start = Array.init n (fun v -> v * m0) and len = Array.make n m0 in
+  (* next.(u): during Phase 2 the count of requests to u-1, then u's cursor
+     into [reqs], finally the end of u's requests. *)
+  let resp = Array.make n 0 and next = Array.make (n + 1) 0 in
   let underflows = ref 0 in
   (* Phase 1: every node fills M with m_0 uniformly random neighbors, i.e.
-     endpoints of independent walks of length 1. *)
-  let m = Array.init n (fun _ -> Multiset.create ~capacity:schedule.(0) ()) in
+     endpoints of independent walks of length 1, drawn as
+     [Hgraph.random_neighbor] draws them. *)
+  let nbr = Array.make d 0 in
   for v = 0 to n - 1 do
-    for _ = 1 to schedule.(0) do
-      Multiset.add m.(v) (Hgraph.random_neighbor g rng v)
+    for e = 0 to d - 1 do
+      nbr.(e) <- Hgraph.neighbor g v e
+    done;
+    for x = v * m0 to ((v + 1) * m0) - 1 do
+      set plane x nbr.(Prng.Stream.int rng d)
     done
   done;
   (* Each iteration doubles the walk length behind the ids in M (Lemma 5):
      an id w in M(v) is the endpoint of a walk of length 2^(i-1) from v; v
      asks w for an endpoint of one of w's walks of the same length; the
      composition is a walk of length 2^i from v. *)
-  let requesters = Array.init n (fun _ -> Topology.Intvec.create ()) in
-  let fresh = Array.init n (fun _ -> Multiset.create ()) in
   for i = 1 to t do
     let mi = schedule.(i) in
-    (* Phase 2 (one round): send m_i requests. *)
+    (* Phase 2 (one round): send m_i requests; resp.(v) marks the end of
+       v's targets until the counting sort has read them. *)
+    Array.fill next 0 (n + 1) 0;
+    let sent = ref 0 in
     for v = 0 to n - 1 do
-      for _ = 1 to mi do
-        match Multiset.extract_random m.(v) rng with
-        | None -> incr underflows
-        | Some u ->
-            Metrics.on_send metrics ~node:v ~bits:request_bits;
-            Metrics.on_recv metrics ~node:u ~bits:request_bits;
-            Topology.Intvec.push requesters.(u) v
-      done
+      let base = start.(v) and l = len.(v) in
+      let e = min mi l in
+      underflows := !underflows + mi - e;
+      for x = 0 to e - 1 do
+        let last = base + l - 1 - x in
+        let p = base + Prng.Stream.int rng (l - x) in
+        let u = get plane p in
+        set plane p (get plane last);
+        set plane last u;
+        next.(u + 1) <- next.(u + 1) + 1;
+        load.(u) <- load.(u) + 1
+      done;
+      load.(v) <- load.(v) + e;
+      sent := !sent + e;
+      len.(v) <- l - e;
+      resp.(v) <- base + l
     done;
-    finish_traced trace metrics;
+    Sampling_result.finish_round tally ~round:(2 * (i - 1)) ~msgs:!sent;
+    for u = 1 to n do
+      next.(u) <- next.(u) + next.(u - 1)
+    done;
+    for v = 0 to n - 1 do
+      let rest = start.(v) + len.(v) in
+      for p = resp.(v) - 1 downto rest do
+        let u = get plane p in
+        set reqs next.(u) v;
+        next.(u) <- next.(u) + 1
+      done;
+      resp.(v) <- rest
+    done;
     (* Phase 3 + 4 (one round): serve each request from the remainder of M
-       and deliver responses into the requesters' fresh multisets. *)
+       and deliver the response into the requester's tail. *)
+    let served = ref 0 and first = ref 0 in
     for u = 0 to n - 1 do
-      Topology.Intvec.iter
-        (fun v ->
-          match Multiset.extract_random m.(u) rng with
-          | None -> incr underflows
-          | Some w ->
-              Metrics.on_send metrics ~node:u ~bits:response_bits;
-              Metrics.on_recv metrics ~node:v ~bits:response_bits;
-              Multiset.add fresh.(v) w)
-        requesters.(u);
-      Topology.Intvec.clear requesters.(u)
+      let base = start.(u) and rlen = ref len.(u) in
+      for q = !first to next.(u) - 1 do
+        let v = get reqs q in
+        if !rlen = 0 then incr underflows
+        else begin
+          let p = base + Prng.Stream.int rng !rlen in
+          let w = get plane p in
+          set plane p (get plane (base + !rlen - 1));
+          decr rlen;
+          set plane resp.(v) w;
+          resp.(v) <- resp.(v) + 1;
+          load.(u) <- load.(u) + 1;
+          load.(v) <- load.(v) + 1;
+          incr served
+        end
+      done;
+      first := next.(u)
     done;
-    finish_traced trace metrics;
+    Sampling_result.finish_round tally ~round:((2 * i) - 1) ~msgs:!served;
     for v = 0 to n - 1 do
-      Multiset.clear m.(v);
-      Multiset.iter (fun w -> Multiset.add m.(v) w) fresh.(v);
-      Multiset.clear fresh.(v)
+      let rest = start.(v) + len.(v) in
+      start.(v) <- rest;
+      len.(v) <- resp.(v) - rest
     done
   done;
   (* M is a multiset: expose it in uniformly random order (a free local
      permutation) so prefix-consumers do not see the server-grouped arrival
      order of the responses. *)
   let samples =
-    Array.map
-      (fun ms ->
-        let a = Multiset.to_array ms in
+    Array.init n (fun v ->
+        let a = Array.init len.(v) (fun x -> get plane (start.(v) + x)) in
         Prng.Stream.shuffle_in_place rng a;
         a)
-      m
   in
-  {
-    Sampling_result.samples;
-    rounds = 2 * t;
-    walk_length = 1 lsl t;
-    schedule;
-    underflows = !underflows;
-    retries = 0;
-    escalations = 0;
-    max_round_node_bits = Metrics.max_node_bits_ever metrics;
-    total_bits = Metrics.total_bits metrics;
-  }
+  Sampling_result.result tally ~samples ~rounds:(2 * t)
+    ~walk_length:(1 lsl t) ~schedule ~underflows:!underflows
 
 let run ?(eps = 0.5) ?(c = 2.0) ?(alpha = 1.0) ?(trace = Trace.null)
     ?(retry = Retry.fixed) ~rng g =
@@ -98,44 +122,36 @@ let run ?(eps = 0.5) ?(c = 2.0) ?(alpha = 1.0) ?(trace = Trace.null)
 
 let run_plain ?(alpha = 1.0) ?(trace = Trace.null) ~k ~rng g =
   let n = Hgraph.n g in
-  let d = Hgraph.degree g in
-  let len = Params.walk_length ~alpha ~d ~n in
-  let id_bits = Msg_size.id_bits n in
+  let len = Params.walk_length ~alpha ~d:(Hgraph.degree g) ~n in
   (* A token carries its origin's id; the final report carries the endpoint
      id back to the origin. *)
-  let token_bits = Msg_size.ids_msg ~id_bits ~count:1 in
-  let metrics = Metrics.create ~n in
+  let tally = Sampling_result.tally ~n trace in
+  let load = Sampling_result.load tally in
+  let send src dst =
+    load.(src) <- load.(src) + 1;
+    load.(dst) <- load.(dst) + 1
+  in
   (* positions.(j) = current node of token j; origins.(j) = its owner. *)
   let origins = Array.init (n * k) (fun j -> j / k) in
   let positions = Array.copy origins in
-  for _ = 1 to len do
+  for round = 0 to len - 1 do
     for j = 0 to Array.length positions - 1 do
       let cur = positions.(j) in
       let next = Hgraph.random_neighbor g rng cur in
-      Metrics.on_send metrics ~node:cur ~bits:token_bits;
-      Metrics.on_recv metrics ~node:next ~bits:token_bits;
+      send cur next;
       positions.(j) <- next
     done;
-    finish_traced trace metrics
+    Sampling_result.finish_round tally ~round ~msgs:(n * k)
   done;
   (* Final round: endpoints report to origins (overlay: the token carries
      the origin's id, so the holder can address it directly). *)
   let samples = Array.make n [] in
   for j = 0 to Array.length positions - 1 do
     let origin = origins.(j) and endpoint = positions.(j) in
-    Metrics.on_send metrics ~node:endpoint ~bits:token_bits;
-    Metrics.on_recv metrics ~node:origin ~bits:token_bits;
+    send endpoint origin;
     samples.(origin) <- endpoint :: samples.(origin)
   done;
-  finish_traced trace metrics;
-  {
-    Sampling_result.samples = Array.map Array.of_list samples;
-    rounds = len + 1;
-    walk_length = len;
-    schedule = [| k |];
-    underflows = 0;
-    retries = 0;
-    escalations = 0;
-    max_round_node_bits = Metrics.max_node_bits_ever metrics;
-    total_bits = Metrics.total_bits metrics;
-  }
+  Sampling_result.finish_round tally ~round:len ~msgs:(n * k);
+  Sampling_result.result tally
+    ~samples:(Array.map Array.of_list samples)
+    ~rounds:(len + 1) ~walk_length:len ~schedule:[| k |] ~underflows:0

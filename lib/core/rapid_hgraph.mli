@@ -9,7 +9,20 @@
 
     Messages are accounted per the paper's model: a request carries the
     requester's id, a response carries one sampled id; both are charged
-    [Msg_size.header_bits] plus [Msg_size.id_bits n] per id. *)
+    [Msg_size.header_bits] plus [Msg_size.id_bits n] per id.
+
+    Layout: every M lives in one byte plane of 32-bit ids, node v's as a
+    slice of its own block of m_0 = [schedule.(0)] slots (the schedule
+    decreases, so m_0 bounds M).  Phase 2 swaps each drawn target to the
+    end of the live slice, so the live prefix evolves exactly as under
+    swap-removal; a stable counting sort by target fills one request
+    buffer with the requesters, grouped by server in arrival order.
+    Phase 3 serves them from each server's remainder and writes each reply
+    in place into the requester's drained tail, from where its remainder
+    ended after Phase 2 (a remainder only shrinks while its node serves,
+    so replies never overwrite one); that tail is M for the next
+    iteration.  Memory: 4·n·(m_0 + m_1) bytes for the plane and the
+    request buffer, and no allocation per draw or message. *)
 
 val run :
   ?eps:float ->

@@ -18,12 +18,12 @@
 
     Both entry points run on the k-ary implementation with a fair-coin
     redraw ({!Rapid_kary.alg2}, {!Rapid_kary.token_walk}).  The buckets
-    live in one flat plane of stride m_0, bucket [u·d + j] at offset
-    [(u·d + j)·m_0]; Phase 3 writes each reply straight into the drained
-    left bucket, since it reads only right siblings.  An attempt holds
-    n·d·m_0 bucket words plus the largest iteration's request buffer
-    (max_i n · left segments · m_i words), and allocates nothing per
-    draw. *)
+    live in one flat plane of 32-bit ids of stride m_0, bucket [u·d + j]
+    at offset [(u·d + j)·m_0]; Phase 3 writes each reply straight into the
+    drained left bucket, since it reads only right siblings.  An attempt
+    holds 4·n·d·m_0 bytes of buckets plus the largest iteration's request
+    buffer (4 · max_i n · left segments · m_i bytes), and allocates
+    nothing per draw. *)
 
 val run :
   ?eps:float ->

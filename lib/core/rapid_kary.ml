@@ -1,7 +1,10 @@
 module Kary = Topology.Kary_hypercube
-module Metrics = Simnet.Metrics
 module Msg_size = Simnet.Msg_size
 module Trace = Simnet.Trace
+
+(* Ids are stored as 32-bit words: half the memory of an [int array]. *)
+let[@inline] get b i = Int32.to_int (Bytes.get_int32_le b (4 * i))
+let[@inline] set b i x = Bytes.set_int32_le b (4 * i) (Int32.of_int x)
 
 (* Bucket b = u*d + j (node u, coordinate j) is the slice
    plane.(b*m0) .. plane.(b*m0 + mlen.(b) - 1); m0 = schedule.(0) bounds
@@ -22,44 +25,27 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~redraw =
   let m0 = schedule.(0) in
   (* A request carries (requester id, segment index); a response carries
      (sampled id, segment index). *)
-  let msg_bits =
-    Msg_size.ids_msg ~id_bits:(Msg_size.id_bits n) ~count:1
-    + Msg_size.id_bits (max 2 d)
+  let tally =
+    Sampling_result.tally ~index_bits:(Msg_size.id_bits (max 2 d)) ~n trace
   in
-  let plane = Array.make (n * d * m0) 0 and mlen = Array.make (n * d) m0 in
+  let load = Sampling_result.load tally in
+  let plane = Bytes.create (4 * n * d * m0) and mlen = Array.make (n * d) m0 in
   let left_segments i = ((d - (1 lsl (i - 1)) - 1) lsr i) + 1 in
   let max_requests = ref 0 in
   for i = 1 to iters do
     max_requests := max !max_requests (n * left_segments i * schedule.(i))
   done;
-  let reqs = Array.make !max_requests 0 in
+  let reqs = Bytes.create (4 * !max_requests) in
   (* next.(v): during Phase 2 the count of requests to v-1, then v's
      cursor into [reqs], finally the end of v's requests. *)
   let next = Array.make (n + 1) 0 in
-  (* load.(v): messages node v sent or received in the current round. *)
-  let load = Array.make n 0 in
-  let underflows = ref 0 and total_bits = ref 0 and max_node_bits = ref 0 in
-  let finish_round round msgs =
-    let busiest = ref 0 in
-    for v = 0 to n - 1 do
-      if load.(v) > !busiest then busiest := load.(v);
-      load.(v) <- 0
-    done;
-    let bits = 2 * msgs * msg_bits and node_bits = !busiest * msg_bits in
-    total_bits := !total_bits + bits;
-    max_node_bits := max !max_node_bits node_bits;
-    if Trace.enabled trace then
-      Trace.emit trace
-        (Trace.Round
-           { round; msgs; bits; max_node_bits = node_bits;
-             max_node_msgs = !busiest; blocked = 0 })
-  in
+  let underflows = ref 0 in
   (* Phase 1: bucket j holds m0 copies of u with coordinate j redrawn. *)
   for u = 0 to n - 1 do
     for j = 0 to d - 1 do
       let base = ((u * d) + j) * m0 in
       for x = base to base + m0 - 1 do
-        plane.(x) <- redraw u j
+        set plane x (redraw u j)
       done
     done
   done;
@@ -79,9 +65,9 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~redraw =
         for x = 0 to e - 1 do
           let last = base + len - 1 - x in
           let p = base + Prng.Stream.int rng (len - x) in
-          let v = plane.(p) in
-          plane.(p) <- plane.(last);
-          plane.(last) <- v;
+          let v = get plane p in
+          set plane p (get plane last);
+          set plane last v;
           next.(v + 1) <- next.(v + 1) + 1;
           load.(v) <- load.(v) + 1
         done;
@@ -90,7 +76,7 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~redraw =
         s := !s + step
       done
     done;
-    finish_round (2 * (i - 1)) !sent;
+    Sampling_result.finish_round tally ~round:(2 * (i - 1)) ~msgs:!sent;
     for v = 1 to n do
       next.(v) <- next.(v) + next.(v - 1)
     done;
@@ -100,8 +86,8 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~redraw =
         let b = (u * d) + !s in
         let top = (b * m0) + mlen.(b) - 1 in
         for x = 0 to min mi mlen.(b) - 1 do
-          let v = plane.(top - x) in
-          reqs.(next.(v)) <- b;
+          let v = get plane (top - x) in
+          set reqs next.(v) b;
           next.(v) <- next.(v) + 1
         done;
         mlen.(b) <- 0;
@@ -113,7 +99,7 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~redraw =
     let served = ref 0 and first = ref 0 in
     for v = 0 to n - 1 do
       for q = !first to next.(v) - 1 do
-        let b = reqs.(q) in
+        let b = get reqs q in
         let u = b / d in
         let r = (v * d) + (b - (u * d)) + half in
         let rlen = mlen.(r) in
@@ -121,10 +107,10 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~redraw =
         else begin
           let rbase = r * m0 in
           let p = rbase + Prng.Stream.int rng rlen in
-          let w = plane.(p) in
-          plane.(p) <- plane.(rbase + rlen - 1);
+          let w = get plane p in
+          set plane p (get plane (rbase + rlen - 1));
           mlen.(r) <- rlen - 1;
-          plane.((b * m0) + mlen.(b)) <- w;
+          set plane ((b * m0) + mlen.(b)) w;
           mlen.(b) <- mlen.(b) + 1;
           load.(v) <- load.(v) + 1;
           load.(u) <- load.(u) + 1;
@@ -133,7 +119,7 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~redraw =
       done;
       first := next.(v)
     done;
-    finish_round ((2 * i) - 1) !served
+    Sampling_result.finish_round tally ~round:((2 * i) - 1) ~msgs:!served
   done;
   (* M is a multiset: expose it in uniformly random order (a free local
      permutation).  Responses arrive grouped by server, and same-server
@@ -141,34 +127,27 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~redraw =
      taking a prefix of the arrival order would see correlated samples. *)
   let samples =
     Array.init n (fun u ->
-        let a = Array.sub plane (u * d * m0) mlen.(u * d) in
+        let base = u * d * m0 in
+        let a = Array.init mlen.(u * d) (fun x -> get plane (base + x)) in
         Prng.Stream.shuffle_in_place rng a;
         a)
   in
-  {
-    Sampling_result.samples;
-    rounds = 2 * iters;
-    walk_length = d;
-    schedule;
-    underflows = !underflows;
-    retries = 0;
-    escalations = 0;
-    max_round_node_bits = !max_node_bits;
-    total_bits = !total_bits;
-  }
+  Sampling_result.result tally ~samples ~rounds:(2 * iters) ~walk_length:d
+    ~schedule ~underflows:!underflows
 
 (* The d-round token walk: in round [dim] each holder redraws coordinate
    [dim] and forwards the token unless it stays put. *)
 let token_walk ~trace ~k ~n ~d ~redraw =
-  let token_bits = Msg_size.ids_msg ~id_bits:(Msg_size.id_bits n) ~count:1 in
-  let metrics = Metrics.create ~n in
+  let tally = Sampling_result.tally ~n trace and msgs = ref 0 in
+  let load = Sampling_result.load tally in
   let send ~src ~dst =
-    Metrics.on_send metrics ~node:src ~bits:token_bits;
-    Metrics.on_recv metrics ~node:dst ~bits:token_bits
+    load.(src) <- load.(src) + 1;
+    load.(dst) <- load.(dst) + 1;
+    incr msgs
   in
-  let finish_round () =
-    let s = Metrics.finish_round metrics in
-    if Trace.enabled trace then Trace.emit trace (Trace.round_of_summary s)
+  let finish_round round =
+    Sampling_result.finish_round tally ~round ~msgs:!msgs;
+    msgs := 0
   in
   let origins = Array.init (n * k) (fun j -> j / k) in
   let positions = Array.copy origins in
@@ -181,7 +160,7 @@ let token_walk ~trace ~k ~n ~d ~redraw =
           positions.(j) <- next
         end)
       positions;
-    finish_round ()
+    finish_round dim
   done;
   let samples = Array.make n [] in
   Array.iteri
@@ -190,18 +169,10 @@ let token_walk ~trace ~k ~n ~d ~redraw =
       send ~src:endpoint ~dst:origin;
       samples.(origin) <- endpoint :: samples.(origin))
     positions;
-  finish_round ();
-  {
-    Sampling_result.samples = Array.map Array.of_list samples;
-    rounds = d + 1;
-    walk_length = d;
-    schedule = [| k |];
-    underflows = 0;
-    retries = 0;
-    escalations = 0;
-    max_round_node_bits = Metrics.max_node_bits_ever metrics;
-    total_bits = Metrics.total_bits metrics;
-  }
+  finish_round d;
+  Sampling_result.result tally
+    ~samples:(Array.map Array.of_list samples)
+    ~rounds:(d + 1) ~walk_length:d ~schedule:[| k |] ~underflows:0
 
 let redraw_digit cube rng =
   let k = Kary.k cube in

@@ -29,7 +29,7 @@ val alg2 :
     (u, j, slot) order and may consume [rng].  [trace] receives one [Round]
     event per communication round.
 
-    Layout: all n·d buckets share one [int array] plane of stride
+    Layout: all n·d buckets share one byte plane of 32-bit ids, of stride
     m_0 = [schedule.(0)], bucket [u·d + j] at offset [(u·d + j)·m_0], with a
     length per bucket.  Phase 2 leaves each left bucket's drawn targets in
     its tail; a counting sort by target fills one request buffer with the
@@ -37,10 +37,10 @@ val alg2 :
     each reply straight into the drained left bucket (it reads only right
     siblings), so there is no second plane and no install copy.
 
-    Memory: n·d·m_0 bucket words plus the largest iteration's request
-    buffer, max_i n · (left segments of iteration i) · m_i words, plus
-    O(n·d) lengths and counters.  Besides those buffers and the returned
-    samples nothing is allocated per draw. *)
+    Memory: 4·n·d·m_0 bytes of buckets plus the largest iteration's
+    request buffer, 4 · max_i n · (left segments of iteration i) · m_i
+    bytes, plus O(n·d) lengths and counters.  Besides those buffers and the
+    returned samples nothing is allocated per draw. *)
 
 val token_walk :
   trace:Simnet.Trace.t ->

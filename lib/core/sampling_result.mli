@@ -23,9 +23,24 @@ type t = {
   total_bits : int;
 }
 
-val succeeded : t -> bool
 val samples_per_node : t -> int
 (** Minimum number of samples delivered to any node. *)
 
-val flatten : t -> int array
-(** All samples of all nodes in one array (for distribution tests). *)
+(** Per-round message accounting of the direct samplers: a per-node load
+    counter giving the [Round] events and bit totals {!Simnet.Metrics}
+    would give, for messages that all have the same size. *)
+type tally
+
+val tally : ?index_bits:int -> n:int -> Simnet.Trace.t -> tally
+(** Every message carries one node id plus [index_bits] (default 0). *)
+
+val load : tally -> int array
+(** [(load t).(v)]: messages node [v] sent or received this round. *)
+
+val finish_round : tally -> round:int -> msgs:int -> unit
+(** Close a round of [msgs] messages: fold the loads into the totals, emit
+    one [Round] event and reset the loads. *)
+
+val result : tally -> samples:int array array -> rounds:int ->
+  walk_length:int -> schedule:int array -> underflows:int -> t
+(** One attempt's result (no retries), with the tally's bit totals. *)

@@ -32,19 +32,22 @@ let fallbacks st = st.fallbacks
    uniform supernode instead of underflowing — the sample stays uniform,
    it just stops being walk-derived. *)
 let draw ?fallback rng bucket count =
-  let ms = Multiset.of_array bucket in
+  let a = Array.copy bucket and len = ref (Array.length bucket) in
   let drawn = ref [] and missing = ref 0 and degraded = ref 0 in
   for _ = 1 to count do
-    match Multiset.extract_random ms rng with
-    | Some v -> drawn := v :: !drawn
-    | None -> (
-        match fallback with
-        | Some n ->
-            incr degraded;
-            drawn := Prng.Stream.int rng n :: !drawn
-        | None -> incr missing)
+    match fallback with
+    | _ when !len > 0 ->
+        (* swap-removal: the last live element fills the drawn slot *)
+        let i = Prng.Stream.int rng !len in
+        drawn := a.(i) :: !drawn;
+        decr len;
+        a.(i) <- a.(!len)
+    | Some n ->
+        incr degraded;
+        drawn := Prng.Stream.int rng n :: !drawn
+    | None -> incr missing
   done;
-  (!drawn, Multiset.to_array ms, !missing, !degraded)
+  (!drawn, Array.sub a 0 !len, !missing, !degraded)
 
 let left_starts ~d ~iteration =
   let step = 1 lsl iteration and half = 1 lsl (iteration - 1) in

@@ -59,9 +59,13 @@ let rec draw_below t bound =
     draw_below t bound
   else Int64.to_int v
 
+(* For bound = 2^k the last block is complete, so no draw is rejected and
+   r mod 2^k is r land (2^k - 1): the same result without a division. *)
 let below t bound =
   if bound <= 0 then invalid_arg "Xoshiro256.below: bound <= 0";
-  draw_below t bound
+  if bound land (bound - 1) = 0 then
+    Int64.to_int (Int64.shift_right_logical (step t) 1) land (bound - 1)
+  else draw_below t bound
 
 let bool t = Int64.logand (step t) 1L = 1L
 

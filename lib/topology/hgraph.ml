@@ -82,20 +82,13 @@ let succ_array t ~cycle =
   check_cycle t cycle;
   Array.copy t.succ.(cycle)
 
-let random_neighbor t rng v =
+let neighbor t v e =
   check_node t v;
-  let d = degree t in
-  let e = Prng.Stream.int rng d in
+  if e < 0 || e >= degree t then invalid_arg "Hgraph: bad edge";
   let c = e / 2 in
   if e land 1 = 0 then t.succ.(c).(v) else t.pred.(c).(v)
 
-let walk t rng ~start ~length =
-  check_node t start;
-  let v = ref start in
-  for _ = 1 to length do
-    v := random_neighbor t rng !v
-  done;
-  !v
+let random_neighbor t rng v = neighbor t v (Prng.Stream.int rng (degree t))
 
 let to_graph t =
   let g = Graph.create ~n:t.n in

@@ -33,12 +33,13 @@ val pred : t -> cycle:int -> int -> int
 val succ_array : t -> cycle:int -> int array
 (** Copy of a cycle's successor table. *)
 
-val random_neighbor : t -> Prng.Stream.t -> int -> int
-(** Uniform step of the simple random walk: choose one of the d incident
-    edges (cycle x direction) uniformly and return its far endpoint. *)
+val neighbor : t -> int -> int -> int
+(** [neighbor t v e] is the far endpoint of [v]'s edge [e] in [0, d): the
+    successor in cycle [e / 2] for even [e], else the predecessor. *)
 
-val walk : t -> Prng.Stream.t -> start:int -> length:int -> int
-(** End node of a simple random walk. *)
+val random_neighbor : t -> Prng.Stream.t -> int -> int
+(** Uniform step of the simple random walk: [neighbor t v e] for a uniform
+    edge [e] (one draw of [Prng.Stream.int rng d]). *)
 
 val to_graph : t -> Graph.t
 (** The underlying undirected multigraph (2 parallel edges arise where two

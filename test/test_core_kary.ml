@@ -108,7 +108,7 @@ let qcheck_kary_uniform_marginals =
    is the Phase-1 draw; requesters are served in arrival order from
    (u, s) lists and replies install through a second set of buckets. *)
 let reference_alg2 ~c ~rng ~n ~d ~redraw =
-  let module Ms = Core.Multiset in
+  let module Ms = Testutil.Multiset in
   let module Metrics = Simnet.Metrics in
   let iters = Core.Params.iterations_hypercube ~d in
   let schedule = Core.Params.schedule_hypercube ~eps:0.5 ~c ~n ~iters in

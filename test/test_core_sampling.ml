@@ -64,26 +64,26 @@ let test_loglog_estimate () =
 (* ---------- Multiset ---------- *)
 
 let test_multiset_extract_all () =
-  let m = Core.Multiset.of_array [| 5; 5; 7 |] in
+  let m = Testutil.Multiset.of_array [| 5; 5; 7 |] in
   let r = rng () in
   let extracted = List.init 3 (fun _ ->
-      Option.get (Core.Multiset.extract_random m r)) in
+      Option.get (Testutil.Multiset.extract_random m r)) in
   Alcotest.(check (list int)) "multiset preserved" [ 5; 5; 7 ]
     (List.sort compare extracted);
   Alcotest.(check (option int)) "now empty" None
-    (Core.Multiset.extract_random m r)
+    (Testutil.Multiset.extract_random m r)
 
 let test_multiset_peek_keeps () =
-  let m = Core.Multiset.of_array [| 1; 2; 3 |] in
-  ignore (Core.Multiset.peek_random m (rng ()));
-  Alcotest.(check int) "peek does not remove" 3 (Core.Multiset.size m)
+  let m = Testutil.Multiset.of_array [| 1; 2; 3 |] in
+  ignore (Testutil.Multiset.peek_random m (rng ()));
+  Alcotest.(check int) "peek does not remove" 3 (Testutil.Multiset.size m)
 
 let test_multiset_extract_uniform () =
   let r = rng () in
   let counts = Array.make 4 0 in
   for _ = 1 to 40_000 do
-    let m = Core.Multiset.of_array [| 0; 1; 2; 3 |] in
-    let v = Option.get (Core.Multiset.extract_random m r) in
+    let m = Testutil.Multiset.of_array [| 0; 1; 2; 3 |] in
+    let v = Option.get (Testutil.Multiset.extract_random m r) in
     counts.(v) <- counts.(v) + 1
   done;
   Alcotest.(check bool) "uniform extraction" true
@@ -212,7 +212,7 @@ let test_exponential_separation_hgraph () =
 type engine_msg = Request | Response of int
 
 let rapid_hgraph_on_engine ~eps ~c ~rng g =
-  let module Multiset = Core.Multiset in
+  let module Multiset = Testutil.Multiset in
   let n = Topology.Hgraph.n g in
   let d = Topology.Hgraph.degree g in
   let t = Core.Params.iterations_hgraph ~alpha:1.0 ~d ~n in
@@ -323,6 +323,189 @@ let test_engine_matches_direct () =
     engine.Core.Sampling_result.samples;
   Alcotest.(check bool) "engine samples uniform" true
     (Stats.Chi_square.test_uniform counts > 0.001)
+
+(* Reference Algorithm 1: the per-node Multiset formulation the flat plane
+   in Core.Rapid_hgraph replaced, kept as its oracle.  Requesters are
+   queued per server in arrival order, responses land in a second set of
+   multisets that replaces M after each iteration, and Simnet.Metrics
+   charges every message. *)
+let reference_alg1 ~eps ~c ~alpha ~trace ~rng g =
+  let module Multiset = Testutil.Multiset in
+  let module Metrics = Simnet.Metrics in
+  let n = Topology.Hgraph.n g in
+  let d = Topology.Hgraph.degree g in
+  let t = Core.Params.iterations_hgraph ~alpha ~d ~n in
+  let schedule = Core.Params.schedule_hgraph ~eps ~c ~n ~t in
+  let bits =
+    Simnet.Msg_size.ids_msg ~id_bits:(Simnet.Msg_size.id_bits n) ~count:1
+  in
+  let metrics = Metrics.create ~n in
+  let message ~src ~dst =
+    Metrics.on_send metrics ~node:src ~bits;
+    Metrics.on_recv metrics ~node:dst ~bits
+  in
+  let finish_round () =
+    let s = Metrics.finish_round metrics in
+    if Simnet.Trace.enabled trace then
+      Simnet.Trace.emit trace (Simnet.Trace.round_of_summary s)
+  in
+  let underflows = ref 0 in
+  let m = Array.init n (fun _ -> Multiset.create ~capacity:schedule.(0) ()) in
+  for v = 0 to n - 1 do
+    for _ = 1 to schedule.(0) do
+      Multiset.add m.(v) (Topology.Hgraph.random_neighbor g rng v)
+    done
+  done;
+  let requesters = Array.init n (fun _ -> Topology.Intvec.create ()) in
+  let fresh = Array.init n (fun _ -> Multiset.create ()) in
+  for i = 1 to t do
+    for v = 0 to n - 1 do
+      for _ = 1 to schedule.(i) do
+        match Multiset.extract_random m.(v) rng with
+        | None -> incr underflows
+        | Some u ->
+            message ~src:v ~dst:u;
+            Topology.Intvec.push requesters.(u) v
+      done
+    done;
+    finish_round ();
+    for u = 0 to n - 1 do
+      Topology.Intvec.iter
+        (fun v ->
+          match Multiset.extract_random m.(u) rng with
+          | None -> incr underflows
+          | Some w ->
+              message ~src:u ~dst:v;
+              Multiset.add fresh.(v) w)
+        requesters.(u);
+      Topology.Intvec.clear requesters.(u)
+    done;
+    finish_round ();
+    for v = 0 to n - 1 do
+      Multiset.clear m.(v);
+      Multiset.iter (Multiset.add m.(v)) fresh.(v);
+      Multiset.clear fresh.(v)
+    done
+  done;
+  let samples =
+    Array.map
+      (fun ms ->
+        let a = Multiset.to_array ms in
+        Prng.Stream.shuffle_in_place rng a;
+        a)
+      m
+  in
+  {
+    Core.Sampling_result.samples;
+    rounds = 2 * t;
+    walk_length = 1 lsl t;
+    schedule;
+    underflows = !underflows;
+    retries = 0;
+    escalations = 0;
+    max_round_node_bits = Metrics.max_node_bits_ever metrics;
+    total_bits = Metrics.total_bits metrics;
+  }
+
+(* A trace that keeps its events, newest first. *)
+let recording () =
+  let events = ref [] in
+  (Simnet.Trace.make ~emit:(fun e -> events := e :: !events) ~close:ignore,
+   events)
+
+(* [Rapid_hgraph.run] and the reference (under the same retry policy) on
+   one graph and seed: equal results, equal traces and equal rng positions
+   afterwards, i.e. the same draws. *)
+let alg1_agrees ~seed ~n ~eps ~c ~alpha ~retry =
+  let g = Topology.Hgraph.random (Prng.Stream.of_seed seed) ~n ~d:8 in
+  let rng_a = Prng.Stream.of_seed seed and rng_b = Prng.Stream.of_seed seed in
+  let trace_a, events_a = recording () and trace_b, events_b = recording () in
+  let a = Core.Rapid_hgraph.run ~eps ~c ~alpha ~retry ~trace:trace_a ~rng:rng_a g in
+  let b =
+    Core.Retry.sampling_with_retry ~retry ~c ~trace:trace_b
+      ~attempt_fn:(fun ~c ->
+        reference_alg1 ~eps ~c ~alpha ~trace:trace_b ~rng:rng_b g)
+  in
+  a = b && !events_a = !events_b
+  && Prng.Stream.bits64 rng_a = Prng.Stream.bits64 rng_b
+
+let test_alg1_oracle_underflow () =
+  (* c = 1 at n = 512 underflows (the cli.t pin), so the oracle covers the
+     path that records an underflow without consuming a draw, and the
+     retry policy re-runs escalated attempts; alpha = 0.02 gives T = 0,
+     where no iteration runs and schedule.(1) does not exist. *)
+  let g = Topology.Hgraph.random (Prng.Stream.of_seed 11L) ~n:512 ~d:8 in
+  let r = Core.Rapid_hgraph.run ~c:1.0 ~rng:(Prng.Stream.of_seed 11L) g in
+  Alcotest.(check bool) "underflows occur" true
+    (r.Core.Sampling_result.underflows > 0);
+  Alcotest.(check bool) "underflowing run matches the reference" true
+    (alg1_agrees ~seed:11L ~n:512 ~eps:0.5 ~c:1.0 ~alpha:1.0
+       ~retry:Core.Retry.fixed);
+  let retry = Core.Retry.make ~max_retries:2 ~factor:2.0 () in
+  let r =
+    Core.Rapid_hgraph.run ~c:1.0 ~retry ~rng:(Prng.Stream.of_seed 11L) g
+  in
+  Alcotest.(check bool) "escalated attempts run" true
+    (r.Core.Sampling_result.escalations > 0);
+  Alcotest.(check bool) "retried run matches the reference" true
+    (alg1_agrees ~seed:11L ~n:512 ~eps:0.5 ~c:1.0 ~alpha:1.0 ~retry);
+  Alcotest.(check int) "alpha = 0.02 gives T = 0" 0
+    (Core.Params.iterations_hgraph ~alpha:0.02 ~d:8 ~n:512);
+  Alcotest.(check bool) "T = 0 matches the reference" true
+    (alg1_agrees ~seed:11L ~n:512 ~eps:0.5 ~c:1.0 ~alpha:0.02
+       ~retry:Core.Retry.fixed)
+
+let qcheck_alg1_matches_reference =
+  QCheck.Test.make ~name:"flat Alg. 1 equals the Multiset reference"
+    ~count:30
+    QCheck.(
+      pair
+        (triple int64 (int_range 3 512) (oneofl [ 1.0; 2.0; 4.0 ]))
+        (triple (oneofl [ 0.5; 1.0 ]) (oneofl [ 0.02; 0.5; 1.0 ]) bool))
+    (fun ((seed, n, c), (eps, alpha, retried)) ->
+      let retry =
+        if retried then Core.Retry.make ~max_retries:2 ~factor:1.5 ()
+        else Core.Retry.fixed
+      in
+      alg1_agrees ~seed ~n ~eps ~c ~alpha ~retry)
+
+(* Words allocated by [f ()]: minor words, and all words (minor plus
+   direct major allocations).  Single-domain; the minor heap is flushed
+   first since OCaml 5 counts minor words at collections. *)
+let allocated f =
+  let read () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    (s.Gc.minor_words, s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words)
+  in
+  let minor0, all0 = read () in
+  let r = f () in
+  let minor1, all1 = read () in
+  (r, minor1 -. minor0, all1 -. all0)
+
+let test_alg1_allocation () =
+  (* The flat plane holds 32-bit ids: 4·n·(m_0 + m_1) bytes for M and the
+     request buffer, plus the samples and O(n) words of per-node cursors,
+     counters and sample-copying closures (about 12·n measured). *)
+  let n = 1024 in
+  let g = Topology.Hgraph.random (rng ()) ~n ~d:8 in
+  let r, minor, all =
+    allocated (fun () -> Core.Rapid_hgraph.run ~c:2.0 ~rng:(rng ()) g)
+  in
+  let s = r.Core.Sampling_result.schedule in
+  let plane_words = n * (s.(0) + s.(1)) / 2 in
+  let sample_words =
+    Array.fold_left (fun a x -> a + Array.length x + 1) 0
+      r.Core.Sampling_result.samples
+  in
+  let bound = plane_words + sample_words + (16 * n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words < 1M" minor) true (minor < 1e6);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= %d (plane %d, samples %d)" all bound
+       plane_words sample_words)
+    true
+    (all <= float_of_int bound)
 
 (* ---------- Rapid sampling: hypercube (Algorithm 2 / Theorem 3) ---------- *)
 
@@ -523,6 +706,9 @@ let () =
             test_exponential_separation_hgraph;
           Alcotest.test_case "engine matches direct" `Quick
             test_engine_matches_direct;
+          Alcotest.test_case "oracle covers underflow" `Quick
+            test_alg1_oracle_underflow;
+          Alcotest.test_case "allocation" `Quick test_alg1_allocation;
         ] );
       ( "rapid-hypercube",
         [
@@ -546,5 +732,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_schedule_monotone; qcheck_samples_in_range ] );
+          [ qcheck_schedule_monotone; qcheck_samples_in_range;
+            qcheck_alg1_matches_reference ] );
     ]

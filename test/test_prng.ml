@@ -475,6 +475,34 @@ let qcheck_sample_distinct_distinct =
           fresh && v >= 0 && v < n)
         a)
 
+(* The rejection loop of [Xoshiro256.below], restated over raw outputs. *)
+let rec rejection_below g bound =
+  let b = Int64.of_int bound in
+  let r = Int64.shift_right_logical (Prng.Xoshiro256.next g) 1 in
+  let v = Int64.rem r b in
+  if Int64.sub r v > Int64.sub Int64.max_int (Int64.sub b 1L) then
+    rejection_below g bound
+  else Int64.to_int v
+
+(* [below] masks instead of dividing when the bound is 2^k.  From copied
+   states it must return what the rejection loop returns and consume the
+   same draws, for every power of two that is an OCaml int (k <= 61;
+   1 lsl 62 is min_int, which [below] rejects). *)
+let qcheck_below_power_of_two =
+  QCheck.Test.make ~name:"below 2^k equals the rejection loop" ~count:50
+    QCheck.int64
+    (fun seed ->
+      let g = Prng.Xoshiro256.of_seed seed in
+      List.for_all
+        (fun k ->
+          let h = Prng.Xoshiro256.copy g in
+          List.for_all
+            (fun _ ->
+              Prng.Xoshiro256.below g (1 lsl k) = rejection_below h (1 lsl k))
+            [ 1; 2; 3; 4 ]
+          && Prng.Xoshiro256.next g = Prng.Xoshiro256.next h)
+        (List.init 62 Fun.id))
+
 let () =
   Alcotest.run "prng"
     [
@@ -539,5 +567,6 @@ let () =
             qcheck_permutation_is_bijection;
             qcheck_shuffle_preserves_multiset;
             qcheck_sample_distinct_distinct;
+            qcheck_below_power_of_two;
           ] );
     ]

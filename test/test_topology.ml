@@ -254,6 +254,24 @@ let test_hgraph_succ_pred_inverse () =
     done
   done
 
+let test_hgraph_neighbor_edges () =
+  (* Edge 2c is the successor in cycle c, edge 2c + 1 the predecessor; the
+     rapid sampler's Phase 1 tabulates them in this order. *)
+  let g = Topology.Hgraph.random (rng ()) ~n:30 ~d:6 in
+  for v = 0 to 29 do
+    for c = 0 to 2 do
+      Alcotest.(check int) "even edge" (Topology.Hgraph.succ g ~cycle:c v)
+        (Topology.Hgraph.neighbor g v (2 * c));
+      Alcotest.(check int) "odd edge" (Topology.Hgraph.pred g ~cycle:c v)
+        (Topology.Hgraph.neighbor g v ((2 * c) + 1))
+    done
+  done;
+  List.iter
+    (fun e ->
+      Alcotest.check_raises "bad edge" (Invalid_argument "Hgraph: bad edge")
+        (fun () -> ignore (Topology.Hgraph.neighbor g 0 e)))
+    [ -1; 6 ]
+
 let test_hgraph_to_graph_regular_connected () =
   let g = Topology.Hgraph.random (rng ()) ~n:100 ~d:8 in
   let gr = Topology.Hgraph.to_graph g in
@@ -514,6 +532,7 @@ let () =
           Alcotest.test_case "random valid" `Quick test_hgraph_random_valid;
           Alcotest.test_case "succ/pred inverse" `Quick
             test_hgraph_succ_pred_inverse;
+          Alcotest.test_case "neighbor edges" `Quick test_hgraph_neighbor_edges;
           Alcotest.test_case "regular + connected" `Quick
             test_hgraph_to_graph_regular_connected;
           Alcotest.test_case "of_cycles validation" `Quick

@@ -37,3 +37,34 @@ let setup_words run =
   match run trace with
   | _ -> Alcotest.fail "the run emitted no trace event"
   | exception First_event after -> after -. before
+
+(* The multiset M of the paper's sampling algorithms (Section 3): O(1)
+   insertion and uniform extraction by swap-removal.  The reference
+   formulations of Algorithms 1 and 2 that the flat samplers are checked
+   against are written over it. *)
+module Multiset = struct
+  module V = Topology.Intvec
+
+  let create = V.create
+  let size = V.length
+  let add = V.push
+  let clear = V.clear
+  let iter = V.iter
+  let of_array = V.of_array
+  let to_array = V.to_array
+
+  let extract_random t rng =
+    let len = size t in
+    if len = 0 then None
+    else begin
+      let i = Prng.Stream.int rng len in
+      let v = V.get t i in
+      V.set t i (V.get t (len - 1));
+      V.truncate_last t;
+      Some v
+    end
+
+  let peek_random t rng =
+    let len = size t in
+    if len = 0 then None else Some (V.get t (Prng.Stream.int rng len))
+end
