@@ -35,9 +35,10 @@ trace-smoke:
 	  --trace /tmp/overlay_trace.jsonl e1 > /dev/null
 	dune exec bin/trace_check.exe -- /tmp/overlay_trace.jsonl
 
-# Run a traced churn scenario under the fault model (see
-# docs/fault_model.md) and validate the trace.  FAULT_DROP is the
-# per-message drop rate; at 0 the plan is inert and the run is fault-free.
+# Run a traced churn scenario and a traced message-level group
+# simulation under the fault model (see docs/fault_model.md) and validate
+# both traces.  FAULT_DROP is the per-message drop rate; at 0 the drop
+# leg is off and only the duplicate, delay and crash legs fire.
 FAULT_DROP ?= 0.1
 fault-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe
@@ -45,6 +46,10 @@ fault-smoke:
 	  --faults drop=$(FAULT_DROP),dup=0.01,delay=2,crash=2 --retry 3 \
 	  --trace /tmp/overlay_fault_trace.jsonl > /dev/null
 	dune exec bin/trace_check.exe -- /tmp/overlay_fault_trace.jsonl
+	dune exec bin/overlay_sim.exe -- groupsim -n 256 \
+	  --faults drop=$(FAULT_DROP),dup=0.01,delay=2,crash=2 \
+	  --trace /tmp/overlay_fault_groupsim.jsonl > /dev/null
+	dune exec bin/trace_check.exe -- /tmp/overlay_fault_groupsim.jsonl
 
 # Run a traced workload (group-kill DoS + message drops + retries) at one
 # and at two worker domains, check the traces are byte-identical and

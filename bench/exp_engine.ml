@@ -1,160 +1,9 @@
-(* Engine mailbox micro-benchmark: flat buffers vs the seed's lists.
-
-   The engine's per-destination mailboxes used to be [(src, msg) list]
-   cells, re-consed and reversed every round; they are now grow-once flat
-   buffers (see Simnet.Engine).  This bench pits the real engine against
-   an in-bench replica of the seed's list-based delivery path on an
-   identical deterministic workload, and writes BENCH_engine.json with
-   messages/sec and Gc.allocated_bytes per round for both, plus the
-   speedup.  The replica performs the same per-message checks (blocked
-   src/dst, message pricing) as the engine's fault-free hot path, so the
-   difference measured is the mailbox representation, not bookkeeping. *)
-
-let scenario =
-  match Simnet.Scenario.parse "n=1024;seed=7;rounds=120" with
-  | Ok sc -> sc
-  | Error e -> failwith e
-
-let n = scenario.Simnet.Scenario.n
-let rounds = scenario.Simnet.Scenario.rounds
-let fanout = 16
-let msg_bits _ = 32
-
-(* Fixed fan-out offsets: node [me] sends to [(me + offsets.(j)) mod n]
-   every round.  No PRNG in the hot loop, identical traffic both sides. *)
-let offsets =
-  let rng = Simnet.Scenario.rng scenario in
-  Array.init fanout (fun _ -> 1 + Prng.Stream.int rng (n - 1))
-
-(* A transliteration of the seed engine's fault-free path with the old
-   [(src, msg) list] mailboxes: same two-phase round (deliver every inbox,
-   then compute), same per-send crash/blocked/metrics option checks, same
-   round bookkeeping — only the mailbox representation differs. *)
-module List_replica = struct
-  type t = {
-    n : int;
-    mutable round : int;
-    mutable blocked : int -> bool;
-    pending : (int * int) list array;
-    mutable sent_this_round : bool;
-    faults : unit option;
-    metrics : unit option;
-  }
-
-  let nobody_blocked _ = false
-
-  let create () =
-    {
-      n;
-      round = 0;
-      blocked = nobody_blocked;
-      pending = Array.make n [];
-      sent_this_round = false;
-      faults = None;
-      metrics = None;
-    }
-
-  let is_crashed t _v = match t.faults with Some _ -> assert false | None -> false
-
-  let check_node t v = if v < 0 || v >= t.n then invalid_arg "replica: node"
-
-  let send t ~src ~dst msg =
-    check_node t src;
-    check_node t dst;
-    t.sent_this_round <- true;
-    if is_crashed t src || is_crashed t dst then ()
-    else if (not (t.blocked src)) && not (t.blocked dst) then begin
-      (match t.metrics with Some _ -> ignore (msg_bits msg) | None -> ());
-      t.pending.(dst) <- (src, msg) :: t.pending.(dst)
-    end
-
-  let deliver_and_step t f =
-    let inboxes = Array.make t.n [] in
-    for dst = 0 to t.n - 1 do
-      let queued = t.pending.(dst) in
-      t.pending.(dst) <- [];
-      if queued <> [] then begin
-        if is_crashed t dst then ()
-        else if t.blocked dst then ()
-        else begin
-          let fresh = List.rev queued in
-          (match t.metrics with Some _ -> () | None -> ());
-          inboxes.(dst) <- fresh
-        end
-      end
-    done;
-    let r = t.round in
-    for v = 0 to t.n - 1 do
-      if (not (t.blocked v)) && not (is_crashed t v) then
-        f ~round:r ~me:v ~inbox:inboxes.(v)
-    done;
-    t.round <- t.round + 1;
-    t.blocked <- nobody_blocked;
-    t.sent_this_round <- false
-end
-
-(* One measured run: returns (messages/sec, allocated bytes/round) and a
-   checksum so the work cannot be dead-code-eliminated. *)
-let measure run =
-  let wall0 = Unix.gettimeofday () in
-  let alloc0 = Gc.allocated_bytes () in
-  let checksum = run () in
-  let alloc = Gc.allocated_bytes () -. alloc0 in
-  let wall = Unix.gettimeofday () -. wall0 in
-  let msgs = n * fanout * rounds in
-  (float_of_int msgs /. wall, alloc /. float_of_int rounds, checksum)
-
-let run_replica () =
-  let t = List_replica.create () in
-  let sum = ref 0 in
-  for _ = 1 to rounds do
-    List_replica.deliver_and_step t (fun ~round:_ ~me ~inbox ->
-        List.iter (fun (_, msg) -> sum := !sum + msg) inbox;
-        for j = 0 to fanout - 1 do
-          List_replica.send t ~src:me ~dst:((me + offsets.(j)) mod n) me
-        done)
-  done;
-  !sum
-
-let run_engine () =
-  let eng = Simnet.Engine.create ~metrics:false ~n ~msg_bits () in
-  let sum = ref 0 in
-  for _ = 1 to rounds do
-    Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
-        List.iter (fun (_, msg) -> sum := !sum + msg) inbox;
-        for j = 0 to fanout - 1 do
-          Simnet.Engine.send eng ~src:me ~dst:((me + offsets.(j)) mod n) me
-        done)
-  done;
-  !sum
-
-let best side run =
-  (* Warm caches and buffer growth once, then keep the fastest of three
-     measured runs (allocation is identical across runs; rate is noisy). *)
-  ignore (run ());
-  let rate, bytes, checksum = ref 0.0, ref infinity, ref 0 in
-  for _ = 1 to 3 do
-    let r, b, c = measure run in
-    if r > !rate then begin
-      rate := r;
-      bytes := b;
-      checksum := c
-    end
-  done;
-  let rate, bytes, checksum = (!rate, !bytes, !checksum) in
-  Printf.printf "  %-12s %10.2f Mmsg/s  %12.0f bytes/round\n%!" side
-    (rate /. 1e6) bytes;
-  (rate, bytes, checksum)
-
-(* ---------- scaling curve ----------
-
-   The mailbox A/B above fixes n=1024; the ROADMAP target is evidence the
-   engine itself scales to overlay-network sizes.  The curve runs the
-   sharded engine's flat delivery path ({!Simnet.Engine.deliver_and_step_flat})
-   at n up to 10^6 with a fixed fan-out, sweeping the worker-domain count,
-   and records throughput plus the engine's resident heap per node (live
-   words after a major GC, minus the pre-creation baseline — the
-   steady-state footprint of the grown-once planes).
+(* Engine scaling curve: the sharded engine's one delivery path
+   ({!Simnet.Engine.deliver_and_step}) at n up to 10^6 with a fixed
+   fan-out, sweeping the worker-domain count, and writes BENCH_engine.json
+   with throughput plus the engine's resident heap per node (live words
+   after a major GC, minus the pre-creation baseline — the steady-state
+   footprint of the grown-once planes).
 
    Two guards keep the numbers honest: every point runs the same total
    message budget (never fewer than 4 timed rounds, so large-n points are
@@ -172,19 +21,15 @@ let curve_budget = 16 * 1024 * 1024
 let curve_point ~domains:dd cn =
   let crounds = max 4 (curve_budget / (cn * curve_fanout)) in
   let coffsets =
-    let rng = Simnet.Scenario.rng scenario in
+    let rng = Prng.Stream.of_seed 7L in
     Array.init curve_fanout (fun _ -> 1 + Prng.Stream.int rng (cn - 1))
   in
   Gc.full_major ();
   let live0 = (Gc.stat ()).Gc.live_words in
-  let eng =
-    Simnet.Engine.create ~metrics:false ~domains:dd ~n:cn ~msg_bits ()
-  in
-  (* Per-node accumulators: the flat path runs compute shard-parallel, so
-     a shared ref would race; acc.(me) is owned by exactly one domain. *)
+  let eng = Simnet.Engine.create ~domains:dd ~n:cn () in
   let acc = Array.make cn 0 in
   let step () =
-    Simnet.Engine.deliver_and_step_flat eng (fun ~round:_ ~me ~inbox ->
+    Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
         Simnet.Engine.slice_iter
           (fun ~src:_ msg -> acc.(me) <- acc.(me) + msg)
           inbox;
@@ -242,28 +87,19 @@ let curve_points cn =
 
 let run () =
   Printf.printf
-    "engine mailbox bench: n=%d fanout=%d rounds=%d (best of 3 after warmup)\n%!"
-    n fanout rounds;
-  let list_rate, list_bytes, list_sum = best "list (seed)" run_replica in
-  let flat_rate, flat_bytes, flat_sum = best "flat buffers" run_engine in
-  if list_sum <> flat_sum then
-    failwith "engine bench: checksum mismatch between list and flat runs";
-  let speedup = flat_rate /. list_rate in
-  let bytes_ratio = flat_bytes /. list_bytes in
-  Printf.printf "  speedup: %.2fx msgs/sec, %.2fx bytes/round\n%!" speedup
-    bytes_ratio;
-  Printf.printf
     "engine scaling curve: fanout=%d, ~%d msgs per point, domains in \
      {%s}\n\
      %!"
     curve_fanout curve_budget
     (String.concat "," (List.map string_of_int curve_domains));
   let curve = List.concat_map curve_points curve_ns in
+  (* The header's "n" is the largest point of the curve; bench_gate skips
+     the first "n" field before it scans the curve entries. *)
   let json =
     Printf.sprintf
-      {|{"name":"engine","n":%d,"fanout":%d,"rounds":%d,"list":{"msgs_per_sec":%.0f,"bytes_per_round":%.0f},"flat":{"msgs_per_sec":%.0f,"bytes_per_round":%.0f},"speedup":%.4f,"bytes_ratio":%.4f,"curve":[%s]}|}
-      n fanout rounds list_rate list_bytes flat_rate flat_bytes speedup
-      bytes_ratio (String.concat "," curve)
+      {|{"name":"engine","n":%d,"fanout":%d,"budget":%d,"curve":[%s]}|}
+      (List.fold_left max 0 curve_ns)
+      curve_fanout curve_budget (String.concat "," curve)
   in
   let oc = open_out "BENCH_engine.json" in
   output_string oc json;

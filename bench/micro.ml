@@ -82,11 +82,11 @@ let test_staged_batch =
 let test_engine_roundtrip =
   (* Guards the zero-cost-when-off claim for tracing: an engine round-trip
      with the null trace must not regress when trace emission sites land in
-     end_round/send. *)
+     delivery or send. *)
   Test.make ~name:"engine round-trip n=1024"
     (Staged.stage (fun () ->
          let n = 1024 in
-         let eng = Simnet.Engine.create ~n ~msg_bits:(fun () -> 1) () in
+         let eng = Simnet.Engine.create ~n () in
          for _ = 1 to 4 do
            Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
                Simnet.Engine.send eng ~src:me ~dst:((me + 1) mod n) ())

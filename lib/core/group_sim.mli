@@ -54,15 +54,19 @@ val create :
   ('state, 'msg) t
 (** [group_of] maps each of the [n] physical nodes to its supernode;
     supernodes are [0 .. max group_of].  Every group must be non-empty.
-    [trace] (default {!Simnet.Trace.null}) is threaded into the underlying
-    engine (one [Round] event per network round) and additionally receives
-    a ["groupsim/sim"] / ["groupsim/sync"] [Span] per half of each
-    supernode round.  [faults] is handed to the engine: dropped proposals
-    or bundles degrade members out of sync exactly like blocking does, and
-    crashed members stop proposing — the redundancy argument of Lemma 14
-    then decides whether the group survives.  [domains] bounds the
-    engine's worker domains (default {!Parallel.default_domains}); runs
-    are byte-identical for every value. *)
+    [trace] (default {!Simnet.Trace.null}) receives one [Round] event per
+    network round, from the simulation's own metrics, then a
+    ["groupsim/sim"] / ["groupsim/sync"] [Span] per half of each
+    supernode round; the underlying engine adds its [Fault] events.
+    [faults] is handed to the engine: dropped proposals or bundles degrade
+    members out of sync exactly like blocking does, and crashed members
+    stop proposing — the redundancy argument of Lemma 14 then decides
+    whether the group survives.  A delayed wire that arrives in a later
+    supernode step than the one it was built for is late, and late means
+    lost in the synchronous model: it is charged as received and
+    otherwise ignored.  [domains] bounds the engine's worker domains
+    (default {!Parallel.default_domains}); runs are byte-identical for
+    every value. *)
 
 val supernode_count : _ t -> int
 val network_rounds_total : _ t -> int
@@ -88,5 +92,7 @@ val synced_members : _ t -> int -> int
 (** Members of the group currently holding the canonical state. *)
 
 val metrics : _ t -> Simnet.Metrics.t
-(** Communication-work accounting of the underlying engine (all proposal
-    broadcasts, state broadcasts, and inter-group fan-outs are charged). *)
+(** Communication-work accounting of the simulation: every wire is priced
+    once when it is built (a proposal at [state_bits] plus its outgoing
+    messages, a bundle at its messages), each copy the engine accepts is
+    charged to its sender and each delivered copy to its receiver. *)

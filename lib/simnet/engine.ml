@@ -35,14 +35,13 @@ type losses = {
    order differs from strict chronology; the .mli documents the order
    contract as sender-shard-major.)
 
-   Domain parallelism: with [domains > 1] the merge phase (and, on the
-   fault-free fast paths, inbox construction / sharded compute) runs one
-   shard per task via [Parallel.iter].  Each task touches only its own
-   shard's planes and its own row of lanes, so the phases are data-race
-   free, and the merged order above is position-determined — parallelism
-   cannot reorder anything.  Fault rolls, metrics, and trace emission
-   stay sequential: the fault stream's consumption must remain a pure
-   function of the traffic, in global destination order. *)
+   Domain parallelism: with [domains > 1] the merge phase runs one shard
+   per task via [Parallel.iter].  Each task touches only its own shard's
+   planes and its own row of lanes, so the merge is data-race free, and
+   the merged order above is position-determined — parallelism cannot
+   reorder anything.  Fault rolls and compute stay sequential: the fault
+   stream's consumption must remain a pure function of the traffic, in
+   global destination order, and compute callbacks may share state. *)
 
 type iplane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -70,8 +69,20 @@ type shard = {
   mutable sh_len : int;
 }
 
-(* A node's merged inbox as a zero-allocation window over its shard's
-   planes; reused across nodes, valid only during the compute callback. *)
+(* The messages that survive a round's fault pass, in global destination
+   order: node [v]'s inbox is [f_offs.(v) .. f_offs.(v+1)) of the planes.
+   One per faulted engine, grown by doubling and reused across rounds. *)
+type faulted = {
+  f_offs : iplane;
+  mutable f_srcs : iplane;
+  mutable f_msgs : Obj.t array;
+  mutable f_len : int;
+  mutable f_cap : int;
+}
+
+(* A node's inbox as a zero-allocation window over a shard's merged planes
+   or the faulted planes; reused across nodes, valid only during the
+   compute callback. *)
 type 'msg slice = {
   mutable s_srcs : iplane;
   mutable s_msgs : Obj.t array;
@@ -81,7 +92,6 @@ type 'msg slice = {
 
 type 'msg t = {
   n : int;
-  msg_bits : 'msg -> int;
   shard_bits : int;
   shard_count : int;
   shards : shard array;
@@ -94,23 +104,14 @@ type 'msg t = {
      fault fires, so fault-free million-node runs never pay n empty
      lists. *)
   mutable delayed : (int * int * 'msg) list array;
-  (* Reusable inbox-list cells for the list-based delivery path; [[||]]
-     until that path first runs (the flat path never allocates them). *)
-  mutable inboxes : (int * 'msg) list array;
-  (* Destinations whose [inboxes] cell was set this round (slow path), so
-     the post-compute clear touches exactly those. *)
-  mutable touched : int array;
-  mutable touched_len : int;
-  mutable cleanup : [ `None | `Offs | `Touched ];
   (* Whether any [send] was attempted this round; a [set_blocked] after that
      point would mis-apply the blocking rule to already-queued messages. *)
   mutable sent_this_round : bool;
-  faults : Faults.t option;
+  faults : (Faults.t * faulted) option;
   mutable lost_dropped : int;
   mutable lost_duplicated : int;
   mutable lost_delayed : int;
   mutable lost_crash : int;
-  metrics : Metrics.t option;
   trace : Trace.t;
 }
 
@@ -128,8 +129,7 @@ let default_shard_bits () =
   in
   min 20 (max 4 bits)
 
-let create ?(metrics = true) ?(trace = Trace.null) ?faults ?domains ?shard_bits
-    ~n ~msg_bits () =
+let create ?(trace = Trace.null) ?faults ?domains ?shard_bits ~n () =
   if n <= 0 then invalid_arg "Engine.create: n <= 0";
   let shard_bits =
     match shard_bits with
@@ -159,7 +159,6 @@ let create ?(metrics = true) ?(trace = Trace.null) ?faults ?domains ?shard_bits
   in
   {
     n;
-    msg_bits;
     shard_bits;
     shard_count;
     shards;
@@ -170,20 +169,24 @@ let create ?(metrics = true) ?(trace = Trace.null) ?faults ?domains ?shard_bits
     round = 0;
     blocked = nobody_blocked;
     delayed = [||];
-    inboxes = [||];
-    touched = [||];
-    touched_len = 0;
-    cleanup = `None;
     sent_this_round = false;
     faults =
       (match faults with
-      | Some plan when not (Faults.is_none plan) -> Some (Faults.install plan ~n)
+      | Some plan when not (Faults.is_none plan) ->
+          Some
+            ( Faults.install plan ~n,
+              {
+                f_offs = iplane (n + 1);
+                f_srcs = iplane 0;
+                f_msgs = [||];
+                f_len = 0;
+                f_cap = 0;
+              } )
       | _ -> None);
     lost_dropped = 0;
     lost_duplicated = 0;
     lost_delayed = 0;
     lost_crash = 0;
-    metrics = (if metrics then Some (Metrics.create ~n) else None);
     trace;
   }
 
@@ -198,10 +201,10 @@ let losses t =
     crash_lost = t.lost_crash;
   }
 
-let fault_plan t = Option.map Faults.plan t.faults
+let fault_plan t = Option.map (fun (f, _) -> Faults.plan f) t.faults
 
 let is_crashed t v =
-  match t.faults with Some f -> Faults.crashed f v | None -> false
+  match t.faults with Some (f, _) -> Faults.crashed f v | None -> false
 
 let set_blocked t f =
   if t.sent_this_round then
@@ -242,9 +245,6 @@ let send t ~src ~dst msg =
        and dst non-blocked in the send round. *)
     not (t.blocked src) && not (t.blocked dst)
   then begin
-    (match t.metrics with
-    | Some m -> Metrics.on_send m ~node:src ~bits:(t.msg_bits msg)
-    | None -> ());
     let lane =
       Array.unsafe_get t.lanes
         (((src lsr t.shard_bits) * t.shard_count) + (dst lsr t.shard_bits))
@@ -318,202 +318,133 @@ let staged_total t =
    this many staged messages even an 8-domain merge runs sequentially. *)
 let parallel_threshold = 1 lsl 15
 
-let use_parallel t ~staged =
-  t.domains > 1 && t.shard_count > 1 && staged >= parallel_threshold
-
-let each_shard t ~parallel f =
-  if parallel then Parallel.iter ~domains:t.domains f t.shard_count
+let merge t =
+  let staged = staged_total t in
+  if t.domains > 1 && t.shard_count > 1 && staged >= parallel_threshold then
+    Parallel.iter ~domains:t.domains (merge_shard t) t.shard_count
   else
     for ki = 0 to t.shard_count - 1 do
-      f ki
+      merge_shard t ki
     done
 
-(* ---------- list-based delivery (the compatibility path) ---------- *)
-
-let ensure_inboxes t =
-  if Array.length t.inboxes = 0 then t.inboxes <- Array.make t.n []
+(* ---------- fault pass ---------- *)
 
 let ensure_delayed t =
   if Array.length t.delayed = 0 then t.delayed <- Array.make t.n []
 
-let touch t dst =
-  if t.touched_len = Array.length t.touched then begin
-    let cap' = max 64 (2 * t.touched_len) in
-    let touched' = Array.make cap' 0 in
-    Array.blit t.touched 0 touched' 0 t.touched_len;
-    t.touched <- touched'
+let push fp src msg =
+  if fp.f_len = fp.f_cap then begin
+    let cap' = max 1024 (2 * fp.f_cap) in
+    let srcs' = iplane cap' in
+    if fp.f_len > 0 then
+      Bigarray.Array1.blit
+        (Bigarray.Array1.sub fp.f_srcs 0 fp.f_len)
+        (Bigarray.Array1.sub srcs' 0 fp.f_len);
+    let msgs' = Array.make cap' obj_nil in
+    Array.blit fp.f_msgs 0 msgs' 0 fp.f_len;
+    fp.f_srcs <- srcs';
+    fp.f_msgs <- msgs';
+    fp.f_cap <- cap'
   end;
-  t.touched.(t.touched_len) <- dst;
-  t.touched_len <- t.touched_len + 1
+  Bigarray.Array1.unsafe_set fp.f_srcs fp.f_len src;
+  Array.unsafe_set fp.f_msgs fp.f_len msg;
+  fp.f_len <- fp.f_len + 1
 
-(* The merged slice as an oldest-first [(src, msg)] list — the order the
-   list-based engine produced after its [List.rev]. *)
-let slice_to_list sh lo hi : (int * _) list =
-  let m_srcs = sh.sh_srcs and m_msgs = sh.sh_msgs in
-  let acc = ref [] in
-  for i = hi - 1 downto lo do
-    acc :=
-      (Bigarray.Array1.unsafe_get m_srcs i, Obj.obj (Array.unsafe_get m_msgs i))
-      :: !acc
-  done;
-  !acc
+let emit_fault t kind fields =
+  Trace.emit t.trace (Trace.Fault { kind; round = t.round; fields })
 
-(* Apply per-message fault rolls to an inbox (oldest first), returning the
-   surviving messages in order.  Rolls are drawn in arrival order so the
-   fault stream's consumption is a pure function of the traffic. *)
-let apply_message_faults t f ~dst inbox =
+(* Roll one fresh arrival: drop, else delay, else duplicate, pushing what
+   survives this round onto the faulted planes. *)
+let roll_message t f fp ~dst src msg =
   let traced = Trace.enabled t.trace in
-  let out = ref [] in
-  List.iter
-    (fun (src, msg) ->
-      if Faults.roll_drop f then begin
-        t.lost_dropped <- t.lost_dropped + 1;
-        if traced then
-          Trace.emit t.trace
-            (Trace.Fault
-               {
-                 kind = "drop";
-                 round = t.round;
-                 fields = [ ("src", Trace.Int src); ("dst", Trace.Int dst) ];
-               })
-      end
-      else
-        let hold = Faults.roll_delay f in
-        if hold > 0 then begin
-          let due = t.round + hold in
-          t.lost_delayed <- t.lost_delayed + 1;
-          ensure_delayed t;
-          t.delayed.(dst) <- (due, src, msg) :: t.delayed.(dst);
-          if traced then
-            Trace.emit t.trace
-              (Trace.Fault
-                 {
-                   kind = "delay";
-                   round = t.round;
-                   fields =
-                     [
-                       ("src", Trace.Int src);
-                       ("dst", Trace.Int dst);
-                       ("until", Trace.Int due);
-                     ];
-                 })
-        end
-        else if Faults.roll_duplicate f then begin
-          t.lost_duplicated <- t.lost_duplicated + 1;
-          out := (src, msg) :: (src, msg) :: !out;
-          if traced then
-            Trace.emit t.trace
-              (Trace.Fault
-                 {
-                   kind = "duplicate";
-                   round = t.round;
-                   fields = [ ("src", Trace.Int src); ("dst", Trace.Int dst) ];
-                 })
-        end
-        else out := (src, msg) :: !out)
-    inbox;
-  List.rev !out
-
-let apply_reorder t f ~dst inbox =
-  match inbox with
-  | [] | [ _ ] -> inbox
-  | _ ->
-      let arr = Array.of_list inbox in
-      if Faults.roll_reorder f arr then begin
-        if Trace.enabled t.trace then
-          Trace.emit t.trace
-            (Trace.Fault
-               {
-                 kind = "reorder";
-                 round = t.round;
-                 fields =
-                   [
-                     ("dst", Trace.Int dst);
-                     ("msgs", Trace.Int (Array.length arr));
-                   ];
-               });
-        Array.to_list arr
-      end
-      else inbox
-
-(* Fast-path inbox construction for dest shard [ki]: no faults, no
-   metrics, every node computes — only the delivery-time blocked check
-   remains.  Writes only this shard's [inboxes] cells, so shards can run
-   in parallel. *)
-let build_lists_shard t ki =
-  let sh = Array.unsafe_get t.shards ki in
-  let offs = sh.sh_offs in
-  let inboxes = t.inboxes in
-  for d = 0 to sh.sh_size - 1 do
-    let lo = Bigarray.Array1.unsafe_get offs d in
-    let hi = Bigarray.Array1.unsafe_get offs (d + 1) in
-    if hi > lo then begin
-      let dst = sh.sh_base + d in
-      (* Lost per the Section 1.1 blocking rule; not a fault, not counted. *)
-      if not (t.blocked dst) then
-        Array.unsafe_set inboxes dst (slice_to_list sh lo hi)
+  if Faults.roll_drop f then begin
+    t.lost_dropped <- t.lost_dropped + 1;
+    if traced then
+      emit_fault t "drop" [ ("src", Trace.Int src); ("dst", Trace.Int dst) ]
+  end
+  else
+    let hold = Faults.roll_delay f in
+    if hold > 0 then begin
+      let due = t.round + hold in
+      t.lost_delayed <- t.lost_delayed + 1;
+      ensure_delayed t;
+      t.delayed.(dst) <- (due, src, Obj.obj msg) :: t.delayed.(dst);
+      if traced then
+        emit_fault t "delay"
+          [ ("src", Trace.Int src); ("dst", Trace.Int dst); ("until", Trace.Int due) ]
     end
-  done;
-  Array.fill sh.sh_msgs 0 sh.sh_len obj_nil
+    else begin
+      if Faults.roll_duplicate f then begin
+        t.lost_duplicated <- t.lost_duplicated + 1;
+        push fp src msg;
+        if traced then
+          emit_fault t "duplicate" [ ("src", Trace.Int src); ("dst", Trace.Int dst) ]
+      end;
+      push fp src msg
+    end
 
-(* Full per-destination delivery: crash / blocked accounting,
-   matured delays, fault rolls and metrics, in global destination order so
-   the fault stream consumption is unchanged from the unsharded engine.
-   Sequential by construction. *)
-let deliver_slow t =
-  let have_delayed = Array.length t.delayed > 0 in
+(* One reorder roll over [dst]'s whole surviving inbox [lo, f_len). *)
+let roll_reorder t f fp ~dst lo =
+  let len = fp.f_len - lo in
+  if len > 1 then begin
+    let perm = Array.init len (fun i -> lo + i) in
+    if Faults.roll_reorder f perm then begin
+      if Trace.enabled t.trace then
+        emit_fault t "reorder" [ ("dst", Trace.Int dst); ("msgs", Trace.Int len) ];
+      let srcs = Array.map (Bigarray.Array1.unsafe_get fp.f_srcs) perm in
+      let msgs = Array.map (Array.unsafe_get fp.f_msgs) perm in
+      for i = 0 to len - 1 do
+        Bigarray.Array1.unsafe_set fp.f_srcs (lo + i) srcs.(i);
+        Array.unsafe_set fp.f_msgs (lo + i) msgs.(i)
+      done
+    end
+  end
+
+(* Crash and blocked losses, matured delays, and the per-message fault
+   rolls, in global destination order so the fault stream's consumption
+   is a pure function of the traffic at any shard count.  Sequential by
+   construction; fills [fp] with every node's surviving inbox. *)
+let fault_pass t f fp =
+  fp.f_len <- 0;
   for dst = 0 to t.n - 1 do
-    let ki = dst lsr t.shard_bits in
-    let sh = Array.unsafe_get t.shards ki in
+    let sh = Array.unsafe_get t.shards (dst lsr t.shard_bits) in
     let d = dst - sh.sh_base in
     let lo = Bigarray.Array1.unsafe_get sh.sh_offs d in
     let hi = Bigarray.Array1.unsafe_get sh.sh_offs (d + 1) in
-    let queued_len = hi - lo in
+    Bigarray.Array1.unsafe_set fp.f_offs dst fp.f_len;
     (* Messages whose delay expired this round re-enter ahead of fresh
-       traffic; they already passed their fault rolls when first delayed. *)
+       traffic, oldest first; they already passed their fault rolls when
+       first delayed. *)
     let matured =
-      match t.faults with
-      | None -> []
-      | Some _ ->
-          if not have_delayed then []
-          else
-            let held = t.delayed.(dst) in
-            if held = [] then []
-            else begin
-              let due, still =
-                List.partition (fun (due, _, _) -> due <= t.round) held
-              in
-              t.delayed.(dst) <- still;
-              List.rev_map (fun (_, src, msg) -> (src, msg)) due
-            end
+      if Array.length t.delayed = 0 || t.delayed.(dst) = [] then []
+      else begin
+        let due, still =
+          List.partition (fun (due, _, _) -> due <= t.round) t.delayed.(dst)
+        in
+        t.delayed.(dst) <- still;
+        List.rev_map (fun (_, src, msg) -> (src, msg)) due
+      end
     in
-    if queued_len > 0 || matured <> [] then begin
-      if is_crashed t dst then
-        t.lost_crash <- t.lost_crash + queued_len + List.length matured
+    if hi > lo || matured <> [] then begin
+      if Faults.crashed f dst then
+        t.lost_crash <- t.lost_crash + (hi - lo) + List.length matured
       else if t.blocked dst then
         (* Lost per the Section 1.1 blocking rule; not a fault, not counted. *)
         ()
       else begin
-        let fresh = slice_to_list sh lo hi in
-        let inbox =
-          match t.faults with
-          | None -> fresh
-          | Some f ->
-              apply_reorder t f ~dst
-                (matured @ apply_message_faults t f ~dst fresh)
-        in
-        (match t.metrics with
-        | Some m ->
-            List.iter
-              (fun (_, msg) -> Metrics.on_recv m ~node:dst ~bits:(t.msg_bits msg))
-              inbox
-        | None -> ());
-        t.inboxes.(dst) <- inbox;
-        touch t dst
+        let start = fp.f_len in
+        List.iter (fun (src, msg) -> push fp src (Obj.repr msg)) matured;
+        for i = lo to hi - 1 do
+          roll_message t f fp ~dst
+            (Bigarray.Array1.unsafe_get sh.sh_srcs i)
+            (Array.unsafe_get sh.sh_msgs i)
+        done;
+        roll_reorder t f fp ~dst start
       end
     end
   done;
-  (* Inbox lists hold their own (src, msg) cells; drop the merged planes'
+  Bigarray.Array1.unsafe_set fp.f_offs t.n fp.f_len;
+  (* The faulted planes hold their own refs; drop the merged planes'
      payload refs now so the round retains nothing it delivered. *)
   Array.iter (fun sh -> Array.fill sh.sh_msgs 0 sh.sh_len obj_nil) t.shards
 
@@ -522,104 +453,17 @@ let tick_faults t =
      round's deliveries. *)
   match t.faults with
   | None -> ()
-  | Some f ->
+  | Some (f, _) ->
       let transitions = Faults.tick f ~round:t.round in
       if Trace.enabled t.trace then
         List.iter
           (fun (node, kind) ->
-            Trace.emit t.trace
-              (Trace.Fault
-                 {
-                   kind = (match kind with `Crash -> "crash" | `Recover -> "recover");
-                   round = t.round;
-                   fields = [ ("node", Trace.Int node) ];
-                 }))
+            emit_fault t
+              (match kind with `Crash -> "crash" | `Recover -> "recover")
+              [ ("node", Trace.Int node) ])
           transitions
 
-(* Merge the staged lanes and fill [t.inboxes] for this round. *)
-let deliver_lists t =
-  tick_faults t;
-  let staged = staged_total t in
-  let parallel = use_parallel t ~staged in
-  each_shard t ~parallel (merge_shard t);
-  ensure_inboxes t;
-  let fast =
-    (match t.faults with None -> true | Some _ -> false)
-    && match t.metrics with None -> true | Some _ -> false
-  in
-  if fast then begin
-    each_shard t ~parallel (build_lists_shard t);
-    t.cleanup <- `Offs
-  end
-  else begin
-    deliver_slow t;
-    t.cleanup <- `Touched
-  end
-
-(* Reset the inbox cells set this round, after compute consumed them.
-   Must run before the next merge overwrites the offset tables. *)
-let clear_inboxes t =
-  (match t.cleanup with
-  | `None -> ()
-  | `Touched ->
-      for i = 0 to t.touched_len - 1 do
-        t.inboxes.(t.touched.(i)) <- []
-      done;
-      t.touched_len <- 0
-  | `Offs ->
-      Array.iter
-        (fun sh ->
-          let offs = sh.sh_offs in
-          for d = 0 to sh.sh_size - 1 do
-            if
-              Bigarray.Array1.unsafe_get offs (d + 1)
-              > Bigarray.Array1.unsafe_get offs d
-            then t.inboxes.(sh.sh_base + d) <- []
-          done)
-        t.shards);
-  t.cleanup <- `None
-
-let end_round t =
-  let summary =
-    match t.metrics with Some m -> Some (Metrics.finish_round m) | None -> None
-  in
-  if Trace.enabled t.trace then begin
-    let blocked = ref 0 in
-    for v = 0 to t.n - 1 do
-      if t.blocked v then incr blocked
-    done;
-    let ev =
-      match summary with
-      | Some s -> Trace.round_of_summary ~blocked:!blocked s
-      | None ->
-          Trace.Round
-            {
-              round = t.round;
-              msgs = 0;
-              bits = 0;
-              max_node_bits = 0;
-              max_node_msgs = 0;
-              blocked = !blocked;
-            }
-    in
-    Trace.emit t.trace ev
-  end;
-  t.round <- t.round + 1;
-  t.blocked <- nobody_blocked;
-  t.sent_this_round <- false
-
-let deliver_and_step t f =
-  deliver_lists t;
-  let r = t.round in
-  let inboxes = t.inboxes in
-  for v = 0 to t.n - 1 do
-    if not (t.blocked v) && not (is_crashed t v) then
-      f ~round:r ~me:v ~inbox:inboxes.(v)
-  done;
-  clear_inboxes t;
-  end_round t
-
-(* ---------- flat delivery (the scale path) ---------- *)
+(* ---------- delivery ---------- *)
 
 let slice_len s = s.s_hi - s.s_lo
 
@@ -638,47 +482,39 @@ let slice_iter f s =
       (Obj.obj (Array.unsafe_get s.s_msgs i))
   done
 
-let slice_fold f init s =
-  let acc = ref init in
-  for i = s.s_lo to s.s_hi - 1 do
-    acc :=
-      f !acc
-        ~src:(Bigarray.Array1.unsafe_get s.s_srcs i)
-        (Obj.obj (Array.unsafe_get s.s_msgs i))
-  done;
-  !acc
-
-let deliver_and_step_flat t f =
-  (match t.faults with
-  | Some _ ->
-      invalid_arg
-        "Engine.deliver_and_step_flat: fault plans need the list delivery path"
-  | None -> ());
-  (match t.metrics with
-  | Some _ -> invalid_arg "Engine.deliver_and_step_flat: requires ~metrics:false"
-  | None -> ());
-  let staged = staged_total t in
-  let parallel = use_parallel t ~staged in
-  each_shard t ~parallel (merge_shard t);
+let deliver_and_step t f =
+  tick_faults t;
+  merge t;
   let r = t.round in
-  each_shard t ~parallel (fun ki ->
-      let sh = Array.unsafe_get t.shards ki in
-      let offs = sh.sh_offs in
-      let view = { s_srcs = sh.sh_srcs; s_msgs = sh.sh_msgs; s_lo = 0; s_hi = 0 } in
-      for d = 0 to sh.sh_size - 1 do
-        let me = sh.sh_base + d in
-        (* A blocked node neither computes nor receives; its slice is lost
-           per the blocking rule (uncounted, as on the list paths). *)
-        if not (t.blocked me) then begin
-          view.s_lo <- Bigarray.Array1.unsafe_get offs d;
-          view.s_hi <- Bigarray.Array1.unsafe_get offs (d + 1);
+  (match t.faults with
+  | None ->
+      Array.iter
+        (fun sh ->
+          let offs = sh.sh_offs in
+          let view = { s_srcs = sh.sh_srcs; s_msgs = sh.sh_msgs; s_lo = 0; s_hi = 0 } in
+          for d = 0 to sh.sh_size - 1 do
+            let me = sh.sh_base + d in
+            (* A blocked node neither computes nor receives; its slice is
+               lost per the blocking rule (uncounted). *)
+            if not (t.blocked me) then begin
+              view.s_lo <- Bigarray.Array1.unsafe_get offs d;
+              view.s_hi <- Bigarray.Array1.unsafe_get offs (d + 1);
+              f ~round:r ~me ~inbox:view
+            end
+          done;
+          Array.fill sh.sh_msgs 0 sh.sh_len obj_nil)
+        t.shards
+  | Some (fl, fp) ->
+      fault_pass t fl fp;
+      let view = { s_srcs = fp.f_srcs; s_msgs = fp.f_msgs; s_lo = 0; s_hi = 0 } in
+      for me = 0 to t.n - 1 do
+        if not (t.blocked me) && not (Faults.crashed fl me) then begin
+          view.s_lo <- Bigarray.Array1.unsafe_get fp.f_offs me;
+          view.s_hi <- Bigarray.Array1.unsafe_get fp.f_offs (me + 1);
           f ~round:r ~me ~inbox:view
         end
       done;
-      Array.fill sh.sh_msgs 0 sh.sh_len obj_nil);
-  end_round t
-
-let metrics t =
-  match t.metrics with
-  | Some m -> m
-  | None -> invalid_arg "Engine.metrics: metrics disabled"
+      Array.fill fp.f_msgs 0 fp.f_len obj_nil);
+  t.round <- t.round + 1;
+  t.blocked <- nobody_blocked;
+  t.sent_this_round <- false

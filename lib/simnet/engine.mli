@@ -3,7 +3,8 @@
     A round has three steps: every node (1) receives the messages sent to it
     in the previous round, (2) computes locally, (3) sends one message per
     destination it chooses.  The engine drives the mailbox plumbing; a
-    protocol driver supplies the compute step.
+    protocol driver supplies the compute step and does its own
+    communication-work accounting (the engine prices nothing).
 
     Blocking semantics under DoS-attacks (Section 1.1): a message sent from
     [v] to [w] in round [i] is received and processed by [w] iff [v] is
@@ -19,7 +20,7 @@
     from the plan's own random stream, so the protocol's coin flips are
     unperturbed and same-seed runs stay byte-identical.  Each applied fault
     emits a typed {!Trace.Fault} event; without a plan the overhead is one
-    [option] check per delivery.
+    [option] check per round.
 
     {2 Sharded round core}
 
@@ -28,8 +29,10 @@
     contiguous grow-once planes (Bigarrays for the int columns), and
     delivery merges each dest shard's lanes with a counting sort — a linear
     sweep per shard instead of n random mailbox hops.  With [domains > 1]
-    the merge (and the fault-free delivery paths) runs one shard per
-    worker domain.
+    the merge runs one shard per worker domain.  With a fault plan, one
+    sequential pass in global destination order then applies the crash and
+    blocking losses and the fault rolls, writing the surviving messages into
+    one reused plane.
 
     Inbox order contract: a destination receives its messages grouped by
     sender shard (ascending), in send order within each sender shard.
@@ -41,10 +44,12 @@
 
     Typical use:
     {[
-      let eng = Engine.create ~n ~msg_bits () in
+      let eng = Engine.create ~n () in
       for _ = 1 to rounds do
         Engine.set_blocked eng (adversary ());
-        Engine.deliver_and_step eng (fun ~round ~me ~inbox -> ... sends ...)
+        Engine.deliver_and_step eng (fun ~round ~me ~inbox ->
+            Engine.slice_iter (fun ~src msg -> ...) inbox;
+            ... sends ...)
       done
     ]} *)
 
@@ -58,30 +63,25 @@ type losses = {
 }
 
 val create :
-  ?metrics:bool ->
   ?trace:Trace.t ->
   ?faults:Faults.plan ->
   ?domains:int ->
   ?shard_bits:int ->
   n:int ->
-  msg_bits:('msg -> int) ->
   unit ->
   'msg t
-(** [msg_bits] prices each message for communication-work accounting.
-    [metrics] defaults to [true].  [trace] (default {!Trace.null}) receives
-    one [Round] event per completed round, carrying the round's metrics
-    summary and the size of its blocked set; with the null trace the
-    instrumentation is a single boolean check per round.  [faults] installs
-    a fault plan ({!Faults.install}); omitting it, or passing a plan for
-    which {!Faults.is_none} holds, runs the fault-free engine.
+(** [trace] (default {!Trace.null}) receives one [Fault] event per applied
+    fault; the engine emits no other events.  [faults] installs a fault
+    plan ({!Faults.install}); omitting it, or passing a plan for which
+    {!Faults.is_none} holds, runs the fault-free engine.
 
     [domains] (default {!Parallel.default_domains}, so [OVERLAY_DOMAINS]
-    applies) bounds the worker domains used for intra-round shard
-    parallelism; results are byte-identical for every value.  [shard_bits]
-    (default 14, clamped to [4, 20]; the [OVERLAY_SHARD_BITS] environment
-    variable overrides the default) sets the destination-shard width —
-    results are independent of it for compute-driven sends, so it is a
-    tuning/testing knob, not a semantic one. *)
+    applies) bounds the worker domains used for the per-shard merge;
+    results are byte-identical for every value.  [shard_bits] (default
+    14, clamped to [4, 20]; the [OVERLAY_SHARD_BITS] environment variable
+    overrides the default) sets the destination-shard width — results are
+    independent of it for compute-driven sends, so it is a tuning/testing
+    knob, not a semantic one. *)
 
 val round : _ t -> int
 (** Index of the current round, starting at 0. *)
@@ -114,58 +114,31 @@ val is_crashed : _ t -> int -> bool
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Queue a message during the current round; it is delivered at the start
-    of the next round, subject to the blocking rule.  Sends from a currently
-    blocked [src] are dropped immediately (and not charged); sends touching
-    a crashed endpoint are dropped and counted as [crash_lost]. *)
-
-val deliver_and_step :
-  'msg t ->
-  (round:int -> me:int -> inbox:(int * 'msg) list -> unit) ->
-  unit
-(** Run one full round: deliver last round's messages, invoke the compute
-    function for every non-blocked, non-crashed node (inbox pairs are
-    [(sender, msg)] in arrival order per the inbox order contract above;
-    messages released from a delay fault come first), then advance the
-    round counter.  The compute function performs its sends via [send].
-    Compute runs sequentially over ascending node ids, so the callback may
-    freely share state. *)
-
-(** {2 Flat delivery — the million-node path}
-
-    [deliver_and_step_flat] exposes each inbox as a {!slice}: a reused
-    window over the engine's merged per-shard planes.  A round allocates
-    nothing per message — no list cells, no tuples — and with
-    [domains > 1] the compute step itself runs one dest shard per worker
-    domain.  Same inbox contents and order as {!deliver_and_step},
-    verified by the sharded-engine equivalence tests. *)
+    of the next round, subject to the blocking rule.  A send is accepted
+    iff neither endpoint is crashed ({!is_crashed}) nor blocked this round
+    (the send-time half of the rule).  Sends touching a crashed endpoint
+    are dropped and counted as [crash_lost]; sends touching a blocked one
+    are dropped uncounted. *)
 
 type 'msg slice
-(** A borrowed view of one node's inbox.  Valid only for the duration of
-    the compute callback it was passed to; do not store it. *)
+(** A borrowed view of one node's inbox: a window over the engine's
+    reused merged planes, so a round allocates nothing per message.  Valid
+    only for the duration of the compute callback it was passed to; do not
+    store it. *)
 
 val slice_len : _ slice -> int
 val slice_src : _ slice -> int -> int
 val slice_msg : 'msg slice -> int -> 'msg
 val slice_iter : (src:int -> 'msg -> unit) -> 'msg slice -> unit
-val slice_fold : ('a -> src:int -> 'msg -> 'a) -> 'a -> 'msg slice -> 'a
 
-val deliver_and_step_flat :
+val deliver_and_step :
   'msg t ->
   (round:int -> me:int -> inbox:'msg slice -> unit) ->
   unit
-(** Run one full round on the flat path.  Requires a fault-free engine
-    created with [~metrics:false] (raises [Invalid_argument] otherwise):
-    fault rolls and metrics accounting are inherently sequential and list
-    shaped, so they live on {!deliver_and_step}.  Blocking is honored
-    exactly as on the list path.
-
-    When the engine has [domains > 1] and more than one shard, compute
-    callbacks run concurrently (one dest shard per worker).  The callback
-    must then confine itself to [me]-local state and send with [~src:me]
-    — true of every round-based protocol in this repository.  Determinism
-    is unaffected: inbox order and send order are position-determined
-    regardless of the domain count. *)
-
-val metrics : _ t -> Metrics.t
-(** Raises [Invalid_argument] if the engine was created with
-    [~metrics:false]. *)
+(** Run one full round: deliver last round's messages, invoke the compute
+    function for every non-blocked, non-crashed node (the slice lists
+    [(sender, msg)] in arrival order per the inbox order contract above;
+    messages released from a delay fault come first), then advance the
+    round counter.  The compute function performs its sends via [send].
+    Compute runs sequentially over ascending node ids, so the callback may
+    freely share state. *)

@@ -284,6 +284,145 @@ let test_metrics_charged () =
   Alcotest.(check bool) "messages counted" true (Simnet.Metrics.total_msgs m > 0);
   Alcotest.(check bool) "bits counted" true (Simnet.Metrics.total_bits m > 0)
 
+(* One group of two members running one step of a protocol that sends
+   nothing: every proposal costs exactly [proposal_bits], so each copy's
+   charge is exact.  Returns the run's metrics. *)
+let proposal_bits = 10 + Simnet.Msg_size.header_bits
+
+let two_member_metrics ?faults ~blocked () =
+  let proto =
+    {
+      Core.Group_sim.init = (fun ~supernode:_ ~rng:_ -> ());
+      step = (fun ~supernode:_ ~step_index:_ () ~inbox:_ ~rng:_ -> ((), []));
+      steps = 1;
+      state_bits = (fun () -> 10);
+      msg_bits = (fun () -> 8);
+    }
+  in
+  let gs =
+    Core.Group_sim.create ?faults ~rng:(rng ()) ~n:2 ~group_of:[| 0; 0 |] proto
+  in
+  Core.Group_sim.run_all gs ~blocked_for_round:(fun ~round ->
+      Array.init 2 (fun v -> blocked ~round v));
+  Core.Group_sim.metrics gs
+
+let test_metrics_accounting () =
+  (* Both members propose to both: four copies sent, four received. *)
+  let m = two_member_metrics ~blocked:(fun ~round:_ _ -> false) () in
+  Alcotest.(check int) "every copy delivered" 4 (Simnet.Metrics.total_msgs m);
+  Alcotest.(check int) "bits counted on both ends" (8 * proposal_bits)
+    (Simnet.Metrics.total_bits m)
+
+let test_metrics_not_charged_when_dropped () =
+  (* Member 1 is blocked in the simulation round: it proposes nothing, and
+     member 0's copy to it is refused at send time, so only member 0's
+     copy to itself is charged, once per end. *)
+  let m = two_member_metrics ~blocked:(fun ~round v -> round = 0 && v = 1) () in
+  Alcotest.(check int) "one copy delivered" 1 (Simnet.Metrics.total_msgs m);
+  Alcotest.(check int) "refused copy not charged" (2 * proposal_bits)
+    (Simnet.Metrics.total_bits m);
+  (* The same holds for a copy to a crashed member. *)
+  let m =
+    two_member_metrics
+      ~faults:(Simnet.Faults.make ~crash:1 ~crash_round:0 ())
+      ~blocked:(fun ~round:_ _ -> false)
+      ()
+  in
+  Alcotest.(check int) "one copy delivered past a crash" 1
+    (Simnet.Metrics.total_msgs m);
+  Alcotest.(check int) "copy to a crashed member not charged"
+    (2 * proposal_bits) (Simnet.Metrics.total_bits m)
+
+let test_metrics_not_charged_on_delivery_block () =
+  (* All four copies pass the send-time checks, so their senders pay;
+     member 1 is blocked in the synchronization round, so its two copies
+     are lost at delivery and never charged to it. *)
+  let m = two_member_metrics ~blocked:(fun ~round v -> round = 1 && v = 1) () in
+  Alcotest.(check int) "two copies delivered" 2 (Simnet.Metrics.total_msgs m);
+  Alcotest.(check int) "only the send side charged for lost copies"
+    (6 * proposal_bits) (Simnet.Metrics.total_bits m)
+
+let test_wire_priced_once () =
+  (* A wire is priced when it is built, never per copy: one state price
+     per proposal, and one message price per message a proposal or a
+     forwarded bundle carries.  In a clean run every member of a group
+     adopts the lowest-id member's proposal, whose bundles are built once
+     and shared, so bundles carry 1/8 of the proposals' messages. *)
+  let cube = Topology.Hypercube.create 3 in
+  let base = counting_protocol ~cube ~steps:3 in
+  let proposals = ref 0 and out_msgs = ref 0 in
+  let state_prices = ref 0 and msg_prices = ref 0 in
+  let proto =
+    {
+      base with
+      Core.Group_sim.step =
+        (fun ~supernode ~step_index st ~inbox ~rng ->
+          let ((_, out) as r) = base.step ~supernode ~step_index st ~inbox ~rng in
+          incr proposals;
+          out_msgs := !out_msgs + List.length out;
+          r);
+      state_bits =
+        (fun st ->
+          incr state_prices;
+          base.state_bits st);
+      msg_bits =
+        (fun m ->
+          incr msg_prices;
+          base.msg_bits m);
+    }
+  in
+  let n = 64 in
+  let gs =
+    Core.Group_sim.create ~rng:(rng ()) ~n
+      ~group_of:(uniform_groups ~n ~supernodes:8)
+      proto
+  in
+  Core.Group_sim.run_all gs ~blocked_for_round:(fun ~round:_ -> Array.make n false);
+  Alcotest.(check int) "proposals made" (n * 3) !proposals;
+  Alcotest.(check int) "one state price per proposal" !proposals !state_prices;
+  Alcotest.(check int) "one price per built message"
+    (!out_msgs + (!out_msgs / 8))
+    !msg_prices
+
+let test_late_wires_ignored () =
+  (* A delay of two rounds carries a Proposal into the next step's
+     synchronization round and a Super bundle into the next step's
+     simulation round.  Late means lost: no stale state is adopted ... *)
+  let plan = Simnet.Faults.make ~delay_p:0.3 ~delay_max:2 ~seed:5L () in
+  let steps = 6 and n = 64 in
+  let proto =
+    {
+      Core.Group_sim.init = (fun ~supernode:_ ~rng:_ -> 0);
+      step = (fun ~supernode:_ ~step_index:_ st ~inbox:_ ~rng:_ -> (st + 1, []));
+      steps;
+      state_bits = (fun _ -> 8);
+      msg_bits = (fun () -> 8);
+    }
+  in
+  let gs =
+    Core.Group_sim.create ~faults:plan ~rng:(rng ()) ~n
+      ~group_of:(uniform_groups ~n ~supernodes:8)
+      proto
+  in
+  Core.Group_sim.run_all gs ~blocked_for_round:(fun ~round:_ -> Array.make n false);
+  for x = 0 to 7 do
+    match Core.Group_sim.state_of gs x with
+    | None -> ()
+    | Some st -> Alcotest.(check int) "adopted state is current" steps st
+  done;
+  (* ... and no stale sampling request reaches the next iteration. *)
+  let cube = Topology.Hypercube.create 4 in
+  let n = 512 in
+  let gs =
+    Core.Group_sim.create
+      ~faults:(Simnet.Faults.make ~delay_p:0.3 ~delay_max:2 ~seed:7L ())
+      ~rng:(Prng.Stream.of_seed 7L) ~n
+      ~group_of:(uniform_groups ~n ~supernodes:16)
+      (Core.Supernode_sampling.protocol ~cube ())
+  in
+  Core.Group_sim.run_all gs ~blocked_for_round:(fun ~round:_ -> Array.make n false);
+  Alcotest.(check bool) "run finished" true (Core.Group_sim.finished gs)
+
 let test_virtual_sampling_weighted_distribution () =
   (* The Section 6 weighted primitive executed at message level: groups of
      a variable-dimension tree sample leaves with probability 2^-d(x). *)
@@ -391,6 +530,14 @@ let () =
           Alcotest.test_case "lost set matches canonical model" `Slow
             test_lost_matches_canonical_model;
           Alcotest.test_case "metrics charged" `Quick test_metrics_charged;
+          Alcotest.test_case "metrics accounting" `Quick test_metrics_accounting;
+          Alcotest.test_case "dropped not charged" `Quick
+            test_metrics_not_charged_when_dropped;
+          Alcotest.test_case "delivery-round block not charged" `Quick
+            test_metrics_not_charged_on_delivery_block;
+          Alcotest.test_case "each wire priced once" `Quick test_wire_priced_once;
+          Alcotest.test_case "late wires are ignored" `Quick
+            test_late_wires_ignored;
         ] );
       ( "sampling-protocol",
         [

@@ -219,7 +219,15 @@ let rapid_hgraph_on_engine ~eps ~c ~rng g =
   let schedule = Core.Params.schedule_hgraph ~eps ~c ~n ~t in
   let id_bits = Simnet.Msg_size.id_bits n in
   let msg_bits (_ : engine_msg) = Simnet.Msg_size.ids_msg ~id_bits ~count:1 in
-  let eng = Simnet.Engine.create ~n ~msg_bits () in
+  let eng = Simnet.Engine.create ~n () in
+  (* Nothing is blocked or crashed, so every send is accepted: each is
+     charged to its sender here and to its receiver by the metered step. *)
+  let metrics = Simnet.Metrics.create ~n in
+  let meter = (metrics, msg_bits) in
+  let send ~src ~dst w =
+    Simnet.Metrics.on_send metrics ~node:src ~bits:(msg_bits w);
+    Simnet.Engine.send eng ~src ~dst w
+  in
   let node_rng = Prng.Stream.split_n rng n in
   let underflows = ref 0 in
   let m = Array.init n (fun _ -> Multiset.create ~capacity:schedule.(0) ()) in
@@ -242,15 +250,15 @@ let rapid_hgraph_on_engine ~eps ~c ~rng g =
   for i = 1 to t do
     let mi = schedule.(i) in
     (* Round A: install last iteration's responses, then send requests. *)
-    Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
+    Testutil.step ~meter eng (fun ~round:_ ~me ~inbox ->
         if i > 1 then install me inbox;
         for _ = 1 to mi do
           match Multiset.extract_random m.(me) node_rng.(me) with
           | None -> incr underflows
-          | Some u -> Simnet.Engine.send eng ~src:me ~dst:u Request
+          | Some u -> send ~src:me ~dst:u Request
         done);
     (* Round B: serve the requests that just arrived. *)
-    Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
+    Testutil.step ~meter eng (fun ~round:_ ~me ~inbox ->
         List.iter
           (fun (requester, w) ->
             match w with
@@ -258,16 +266,14 @@ let rapid_hgraph_on_engine ~eps ~c ~rng g =
                 match Multiset.extract_random m.(me) node_rng.(me) with
                 | None -> incr underflows
                 | Some x ->
-                    Simnet.Engine.send eng ~src:me ~dst:requester (Response x))
+                    send ~src:me ~dst:requester (Response x))
             | Response _ -> ())
           inbox)
   done;
   (* Delivery of the final responses (the receive step of the round after
      the last send; no further sends, so it adds no communication round in
      the paper's accounting). *)
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
-      install me inbox);
-  let metrics = Simnet.Engine.metrics eng in
+  Testutil.step ~meter eng (fun ~round:_ ~me ~inbox -> install me inbox);
   let samples =
     Array.mapi
       (fun v ms ->

@@ -3,8 +3,6 @@
    round i is processed iff v is non-blocked in round i and w is non-blocked
    in rounds i and i+1. *)
 
-let msg_bits (_ : string) = 64
-
 (* ---------- Msg_size ---------- *)
 
 let test_id_bits () =
@@ -51,28 +49,28 @@ let test_metrics_max_ever () =
 (* ---------- Engine: plain delivery ---------- *)
 
 let test_engine_delivery_next_round () =
-  let eng = Simnet.Engine.create ~n:2 ~msg_bits () in
+  let eng = Simnet.Engine.create ~n:2 () in
   let got = ref [] in
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
+  Testutil.step eng (fun ~round:_ ~me ~inbox ->
       if me = 0 then Simnet.Engine.send eng ~src:0 ~dst:1 "hello";
       if inbox <> [] then got := inbox @ !got);
   Alcotest.(check (list (pair int string))) "nothing in round 0" [] !got;
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox ->
+  Testutil.step eng (fun ~round:_ ~me:_ ~inbox ->
       got := inbox @ !got);
   Alcotest.(check (list (pair int string))) "delivered in round 1"
     [ (0, "hello") ] !got;
   Alcotest.(check int) "round advanced" 2 (Simnet.Engine.round eng)
 
 let test_engine_arrival_order () =
-  let eng = Simnet.Engine.create ~n:3 ~msg_bits () in
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
+  let eng = Simnet.Engine.create ~n:3 () in
+  Testutil.step eng (fun ~round:_ ~me ~inbox:_ ->
       if me = 0 then begin
         Simnet.Engine.send eng ~src:0 ~dst:2 "a";
         Simnet.Engine.send eng ~src:0 ~dst:2 "b"
       end;
       if me = 1 then Simnet.Engine.send eng ~src:1 ~dst:2 "c");
   let got = ref [] in
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
+  Testutil.step eng (fun ~round:_ ~me ~inbox ->
       if me = 2 then got := inbox);
   Alcotest.(check int) "three messages" 3 (List.length !got);
   (* messages from node 0 keep their send order *)
@@ -84,14 +82,14 @@ let test_engine_arrival_order () =
 
 let run_blocking_scenario ~sender_blocked_at_send ~recv_blocked_at_send
     ~recv_blocked_at_delivery =
-  let eng = Simnet.Engine.create ~n:2 ~msg_bits () in
+  let eng = Simnet.Engine.create ~n:2 () in
   Simnet.Engine.set_blocked eng (fun v ->
       (v = 0 && sender_blocked_at_send) || (v = 1 && recv_blocked_at_send));
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
+  Testutil.step eng (fun ~round:_ ~me ~inbox:_ ->
       if me = 0 then Simnet.Engine.send eng ~src:0 ~dst:1 "m");
   Simnet.Engine.set_blocked eng (fun v -> v = 1 && recv_blocked_at_delivery);
   let got = ref [] in
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
+  Testutil.step eng (fun ~round:_ ~me ~inbox ->
       if me = 1 then got := inbox);
   !got
 
@@ -120,86 +118,42 @@ let test_blocking_receiver_at_delivery () =
           ~recv_blocked_at_send:false ~recv_blocked_at_delivery:true))
 
 let test_send_from_blocked_dropped () =
-  let eng = Simnet.Engine.create ~n:2 ~msg_bits () in
+  let eng = Simnet.Engine.create ~n:2 () in
   Simnet.Engine.set_blocked eng (fun v -> v = 0);
   (* the engine's send-time check drops this immediately *)
   Simnet.Engine.send eng ~src:0 ~dst:1 "m";
   let got = ref [ (9, "sentinel") ] in
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
+  Testutil.step eng (fun ~round:_ ~me ~inbox ->
       if me = 1 then got := inbox);
   Alcotest.(check (list (pair int string))) "dropped at send time" [] !got
 
 let test_blocking_resets_each_round () =
-  let eng = Simnet.Engine.create ~n:2 ~msg_bits () in
+  let eng = Simnet.Engine.create ~n:2 () in
   Simnet.Engine.set_blocked eng (fun _ -> true);
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox:_ ->
+  Testutil.step eng (fun ~round:_ ~me:_ ~inbox:_ ->
       Alcotest.fail "blocked nodes must not compute");
   (* next round: nobody blocked by default again *)
   let ran = ref 0 in
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox:_ -> incr ran);
+  Testutil.step eng (fun ~round:_ ~me:_ ~inbox:_ -> incr ran);
   Alcotest.(check int) "all nodes compute after reset" 2 !ran
 
 let test_blocked_node_does_not_compute () =
-  let eng = Simnet.Engine.create ~n:3 ~msg_bits () in
+  let eng = Simnet.Engine.create ~n:3 () in
   Simnet.Engine.set_blocked eng (fun v -> v = 1);
   let ran = ref [] in
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
+  Testutil.step eng (fun ~round:_ ~me ~inbox:_ ->
       ran := me :: !ran);
   Alcotest.(check (list int)) "only 0 and 2 compute" [ 2; 0 ] !ran
 
-(* ---------- Engine: metrics accounting ---------- *)
-
-let test_engine_metrics () =
-  let eng = Simnet.Engine.create ~n:2 ~msg_bits:(fun _ -> 10) () in
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
-      if me = 0 then Simnet.Engine.send eng ~src:0 ~dst:1 "x");
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox:_ -> ());
-  let m = Simnet.Engine.metrics eng in
-  Alcotest.(check int) "one delivered message" 1 (Simnet.Metrics.total_msgs m);
-  (* 10 bits sent + 10 bits received *)
-  Alcotest.(check int) "bits counted on both ends" 20 (Simnet.Metrics.total_bits m)
-
-let test_engine_metrics_not_charged_when_dropped () =
-  let eng = Simnet.Engine.create ~n:2 ~msg_bits:(fun _ -> 10) () in
-  Simnet.Engine.set_blocked eng (fun v -> v = 1);
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
-      if me = 0 then Simnet.Engine.send eng ~src:0 ~dst:1 "x");
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox:_ -> ());
-  let m = Simnet.Engine.metrics eng in
-  Alcotest.(check int) "nothing delivered" 0 (Simnet.Metrics.total_msgs m);
-  Alcotest.(check int) "no bits charged" 0 (Simnet.Metrics.total_bits m)
-
-let test_engine_metrics_not_charged_on_delivery_block () =
-  (* The message passes the send-time checks (round i), so the sender pays;
-     the receiver is blocked in round i+1, so it is dropped at delivery and
-     the receive side must not be charged. *)
-  let eng = Simnet.Engine.create ~n:2 ~msg_bits:(fun _ -> 10) () in
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
-      if me = 0 then Simnet.Engine.send eng ~src:0 ~dst:1 "x");
-  Simnet.Engine.set_blocked eng (fun v -> v = 1);
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
-      if me = 1 then Alcotest.fail "blocked receiver must not compute"
-      else Alcotest.(check int) "nothing delivered to 0" 0 (List.length inbox));
-  let m = Simnet.Engine.metrics eng in
-  Alcotest.(check int) "no message delivered" 0 (Simnet.Metrics.total_msgs m);
-  Alcotest.(check int) "only the send side charged" 10
-    (Simnet.Metrics.total_bits m)
-
 let test_set_blocked_after_send_raises () =
-  let eng = Simnet.Engine.create ~n:2 ~msg_bits () in
+  let eng = Simnet.Engine.create ~n:2 () in
   Simnet.Engine.send eng ~src:0 ~dst:1 "m";
   Alcotest.check_raises "set_blocked after send"
     (Invalid_argument "Engine.set_blocked: called after sends in this round")
     (fun () -> Simnet.Engine.set_blocked eng (fun _ -> false));
   (* after the round boundary the guard resets *)
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox:_ -> ());
+  Testutil.step eng (fun ~round:_ ~me:_ ~inbox:_ -> ());
   Simnet.Engine.set_blocked eng (fun _ -> false)
-
-let test_engine_disabled_metrics () =
-  let eng = Simnet.Engine.create ~metrics:false ~n:2 ~msg_bits () in
-  Alcotest.check_raises "metrics disabled"
-    (Invalid_argument "Engine.metrics: metrics disabled") (fun () ->
-      ignore (Simnet.Engine.metrics eng))
 
 (* ---------- Trace ---------- *)
 
@@ -217,18 +171,26 @@ let check_field fields key expected =
     (List.assoc_opt key fields)
 
 let test_trace_jsonl_engine_roundtrip () =
-  (* End-to-end: an engine with a JSONL file sink emits exactly one
-     well-formed round record per simulated round, and parsing them back
-     recovers the round indices and blocked-set sizes. *)
+  (* End-to-end: an engine-backed group simulation with a JSONL file sink
+     emits exactly one well-formed round record per network round, and
+     parsing them back recovers the round indices and blocked-set sizes. *)
   let path = Filename.temp_file "simnet_trace" ".jsonl" in
   let trace = Simnet.Trace.open_file path in
   let n = 3 in
-  let eng = Simnet.Engine.create ~trace ~n ~msg_bits:(fun _ -> 8) () in
+  let gs =
+    Core.Group_sim.create ~trace ~rng:(Testutil.rng ()) ~n
+      ~group_of:(Array.make n 0)
+      {
+        Core.Group_sim.init = (fun ~supernode:_ ~rng:_ -> ());
+        step = (fun ~supernode:_ ~step_index:_ () ~inbox:_ ~rng:_ -> ((), []));
+        steps = 3;
+        state_bits = (fun () -> 8);
+        msg_bits = (fun () -> 8);
+      }
+  in
   let rounds = 5 in
   for r = 0 to rounds - 1 do
-    if r = 2 then Simnet.Engine.set_blocked eng (fun v -> v = 1);
-    Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
-        Simnet.Engine.send eng ~src:me ~dst:((me + 1) mod n) "m")
+    Core.Group_sim.run_round gs ~blocked:(Array.init n (fun v -> r = 2 && v = 1))
   done;
   Simnet.Trace.close trace;
   let ic = open_in path in
@@ -240,7 +202,11 @@ let test_trace_jsonl_engine_roundtrip () =
    with End_of_file -> ());
   close_in ic;
   Sys.remove path;
-  let lines = List.rev !lines in
+  let lines =
+    List.filter
+      (fun line -> Testutil.contains line {|"ev":"round"|})
+      (List.rev !lines)
+  in
   Alcotest.(check int) "one line per round" rounds (List.length lines);
   List.iteri
     (fun i line ->
@@ -743,15 +709,15 @@ let qcheck_engine_conserves_messages =
     QCheck.(pair int64 (int_range 2 20))
     (fun (seed, n) ->
       let rng = Prng.Stream.of_seed seed in
-      let eng = Simnet.Engine.create ~n ~msg_bits:(fun _ -> 1) () in
+      let eng = Simnet.Engine.create ~n () in
       let sent = ref 0 in
-      Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
+      Testutil.step eng (fun ~round:_ ~me ~inbox:_ ->
           for _ = 1 to Prng.Stream.int rng 5 do
             incr sent;
             Simnet.Engine.send eng ~src:me ~dst:(Prng.Stream.int rng n) "m"
           done);
       let received = ref 0 in
-      Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox ->
+      Testutil.step eng (fun ~round:_ ~me:_ ~inbox ->
           received := !received + List.length inbox);
       !sent = !received)
 
@@ -767,15 +733,15 @@ let qcheck_blocking_rule_reference_model =
       let rng = Prng.Stream.of_seed seed in
       let b0 = Array.init n (fun _ -> Prng.Stream.bool rng) in
       let b1 = Array.init n (fun _ -> Prng.Stream.bool rng) in
-      let eng = Simnet.Engine.create ~n ~msg_bits:(fun _ -> 1) () in
+      let eng = Simnet.Engine.create ~n () in
       Simnet.Engine.set_blocked eng (fun v -> b0.(v));
-      Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
+      Testutil.step eng (fun ~round:_ ~me ~inbox:_ ->
           for dst = 0 to n - 1 do
             Simnet.Engine.send eng ~src:me ~dst (Printf.sprintf "%d->%d" me dst)
           done);
       Simnet.Engine.set_blocked eng (fun v -> b1.(v));
       let received = Hashtbl.create 64 in
-      Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
+      Testutil.step eng (fun ~round:_ ~me ~inbox ->
           List.iter (fun (src, _) -> Hashtbl.replace received (src, me) ()) inbox);
       let ok = ref true in
       for src = 0 to n - 1 do
@@ -853,15 +819,8 @@ let () =
             test_blocking_resets_each_round;
           Alcotest.test_case "blocked nodes do not compute" `Quick
             test_blocked_node_does_not_compute;
-          Alcotest.test_case "metrics accounting" `Quick test_engine_metrics;
-          Alcotest.test_case "dropped not charged" `Quick
-            test_engine_metrics_not_charged_when_dropped;
-          Alcotest.test_case "delivery-round block not charged" `Quick
-            test_engine_metrics_not_charged_on_delivery_block;
           Alcotest.test_case "set_blocked after send raises" `Quick
             test_set_blocked_after_send_raises;
-          Alcotest.test_case "metrics disabled" `Quick
-            test_engine_disabled_metrics;
         ] );
       ( "trace",
         [

@@ -12,17 +12,18 @@ let msg_bits (_ : string) = 16
    sending to its next three neighbours each round, with a rotating blocked
    set thrown in so faults compose with the Section 1.1 rule. *)
 let run_workload ?faults ?(trace = Simnet.Trace.null) ~n ~rounds () =
-  let eng = Simnet.Engine.create ~trace ?faults ~n ~msg_bits () in
+  let eng = Simnet.Engine.create ~trace ?faults ~n () in
+  let metrics = Simnet.Metrics.create ~n in
   let received = ref 0 in
   for r = 0 to rounds - 1 do
     Simnet.Engine.set_blocked eng (fun v -> (r + v) mod 5 = 0);
-    Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
+    Testutil.step ~meter:(metrics, msg_bits) eng (fun ~round:_ ~me ~inbox ->
         received := !received + List.length inbox;
         for k = 1 to 3 do
           Simnet.Engine.send eng ~src:me ~dst:((me + k) mod n) "m"
         done)
   done;
-  (eng, !received)
+  (eng, !received, metrics)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -40,7 +41,7 @@ let chaos_plan =
 let traced_run_bytes plan =
   let path = Filename.temp_file "faults_trace" ".jsonl" in
   let trace = Simnet.Trace.open_file path in
-  let eng, received = run_workload ~faults:plan ~trace ~n:8 ~rounds:12 () in
+  let eng, received, _ = run_workload ~faults:plan ~trace ~n:8 ~rounds:12 () in
   Simnet.Trace.close trace;
   let bytes = read_file path in
   Sys.remove path;
@@ -65,22 +66,20 @@ let test_different_fault_seed_differs () =
 (* ---------- inert plans cost nothing ---------- *)
 
 let test_none_plan_metrics_identical () =
-  let eng_plain, r_plain = run_workload ~n:10 ~rounds:8 () in
-  let eng_none, r_none =
+  let _, r_plain, m0 = run_workload ~n:10 ~rounds:8 () in
+  let eng_none, r_none, m_none =
     run_workload ~faults:Simnet.Faults.none ~n:10 ~rounds:8 ()
   in
   (* delay_p > 0 with delay_max = 0 can never fire either *)
   let inert = Simnet.Faults.make ~delay_p:0.5 ~delay_max:0 () in
   Alcotest.(check bool) "inert plan is none" true (Simnet.Faults.is_none inert);
-  let eng_inert, r_inert = run_workload ~faults:inert ~n:10 ~rounds:8 () in
+  let eng_inert, r_inert, m_inert = run_workload ~faults:inert ~n:10 ~rounds:8 () in
   Alcotest.(check int) "none: same deliveries" r_plain r_none;
   Alcotest.(check int) "inert: same deliveries" r_plain r_inert;
   Alcotest.(check bool) "no plan installed" true
     (Option.is_none (Simnet.Engine.fault_plan eng_none));
   List.iter
-    (fun eng ->
-      let m0 = Simnet.Engine.metrics eng_plain in
-      let m = Simnet.Engine.metrics eng in
+    (fun (eng, m) ->
       Alcotest.(check int) "total msgs" (Simnet.Metrics.total_msgs m0)
         (Simnet.Metrics.total_msgs m);
       Alcotest.(check int) "total bits" (Simnet.Metrics.total_bits m0)
@@ -93,16 +92,16 @@ let test_none_plan_metrics_identical () =
         (l.Simnet.Engine.dropped = 0 && l.Simnet.Engine.duplicated = 0
         && l.Simnet.Engine.delayed = 0
         && l.Simnet.Engine.crash_lost = 0))
-    [ eng_none; eng_inert ]
+    [ (eng_none, m_none); (eng_inert, m_inert) ]
 
 (* ---------- per-fault accounting ---------- *)
 
 let count_point_to_point ~faults ~sends =
   (* node 0 sends [sends] messages to node 1, one per round, no blocking *)
-  let eng = Simnet.Engine.create ?faults ~n:2 ~msg_bits () in
+  let eng = Simnet.Engine.create ?faults ~n:2 () in
   let received = ref 0 in
   for _ = 1 to sends + 5 do
-    Simnet.Engine.deliver_and_step eng (fun ~round ~me ~inbox ->
+    Testutil.step eng (fun ~round ~me ~inbox ->
         if me = 1 then received := !received + List.length inbox
         else if round < sends then Simnet.Engine.send eng ~src:0 ~dst:1 "m")
   done;
@@ -124,10 +123,10 @@ let test_duplicate_every_message () =
 let test_delay_shifts_arrival () =
   (* delay_p = 1, delay_max = 1: every message is held exactly one round. *)
   let plan = Simnet.Faults.make ~delay_p:1.0 ~delay_max:1 () in
-  let eng = Simnet.Engine.create ~faults:plan ~n:2 ~msg_bits () in
+  let eng = Simnet.Engine.create ~faults:plan ~n:2 () in
   let arrivals = ref [] in
   for _ = 0 to 4 do
-    Simnet.Engine.deliver_and_step eng (fun ~round ~me ~inbox ->
+    Testutil.step eng (fun ~round ~me ~inbox ->
         if me = 1 && inbox <> [] then arrivals := round :: !arrivals;
         if me = 0 && round = 0 then Simnet.Engine.send eng ~src:0 ~dst:1 "m")
   done;
@@ -139,10 +138,10 @@ let test_delay_shifts_arrival () =
 let test_crash_stop_and_accounting () =
   let plan = Simnet.Faults.make ~crash:1 ~crash_round:1 () in
   let n = 4 in
-  let eng = Simnet.Engine.create ~faults:plan ~n ~msg_bits () in
+  let eng = Simnet.Engine.create ~faults:plan ~n () in
   let computed_while_crashed = ref 0 in
   for _ = 0 to 5 do
-    Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox:_ ->
+    Testutil.step eng (fun ~round:_ ~me ~inbox:_ ->
         if Simnet.Engine.is_crashed eng me then incr computed_while_crashed;
         for dst = 0 to n - 1 do
           if dst <> me then Simnet.Engine.send eng ~src:me ~dst "m"
@@ -156,10 +155,10 @@ let test_crash_stop_and_accounting () =
 
 let test_crash_recover () =
   let plan = Simnet.Faults.make ~crash:1 ~crash_round:1 ~recover_after:2 () in
-  let eng = Simnet.Engine.create ~faults:plan ~n:3 ~msg_bits () in
+  let eng = Simnet.Engine.create ~faults:plan ~n:3 () in
   let crashed_rounds = ref [] in
   for r = 0 to 6 do
-    Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox:_ -> ());
+    Testutil.step eng (fun ~round:_ ~me:_ ~inbox:_ -> ());
     for v = 0 to 2 do
       if Simnet.Engine.is_crashed eng v then crashed_rounds := r :: !crashed_rounds
     done
@@ -234,10 +233,10 @@ let qcheck_drop_conservation =
     QCheck.(pair int64 (int_range 2 12))
     (fun (seed, n) ->
       let plan = Simnet.Faults.make ~drop:0.25 ~seed () in
-      let eng = Simnet.Engine.create ~faults:plan ~n ~msg_bits () in
+      let eng = Simnet.Engine.create ~faults:plan ~n () in
       let sent = ref 0 and received = ref 0 in
       for r = 0 to 9 do
-        Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
+        Testutil.step eng (fun ~round:_ ~me ~inbox ->
             received := !received + List.length inbox;
             if r < 9 then begin
               incr sent;
@@ -245,7 +244,7 @@ let qcheck_drop_conservation =
             end)
       done;
       (* drain the last in-flight round *)
-      Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox ->
+      Testutil.step eng (fun ~round:_ ~me:_ ~inbox ->
           received := !received + List.length inbox);
       let l = Simnet.Engine.losses eng in
       !received + l.Simnet.Engine.dropped = !sent)

@@ -3,13 +3,10 @@
    The load-bearing properties: the shard width and the worker-domain
    count are pure tuning knobs — same-seed runs produce byte-identical
    binary traces and identical loss accounting at any (shard_bits,
-   domains), with drop/duplicate/delay/crash plans active; the flat
-   delivery path delivers exactly the list path's inboxes; delivered
-   message payloads are not retained by the engine's buffers; and the
-   delay/inbox planes at n = 10^6 are allocated lazily. *)
-
-let msg_bits (_ : string) = 16
-let int_bits (_ : int) = 16
+   domains), with drop/duplicate/delay/crash plans active and without
+   them; delivered message payloads are not retained by the engine's
+   buffers, faulted or not; and the delay and fault planes at n = 10^6
+   are allocated lazily. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -25,11 +22,11 @@ let read_file path =
 let run_workload ?faults ?(trace = Simnet.Trace.null) ?domains ?shard_bits
     ?log ~n ~rounds () =
   let eng =
-    Simnet.Engine.create ~trace ?faults ?domains ?shard_bits ~n ~msg_bits ()
+    Simnet.Engine.create ~trace ?faults ?domains ?shard_bits ~n ()
   in
   for r = 0 to rounds - 1 do
     Simnet.Engine.set_blocked eng (fun v -> (r + v) mod 7 = 0);
-    Simnet.Engine.deliver_and_step eng (fun ~round ~me ~inbox ->
+    Testutil.step eng (fun ~round ~me ~inbox ->
         (match log with
         | Some log ->
             List.iter
@@ -112,32 +109,27 @@ let test_cross_shard_inbox_order () =
   (* Manual out-of-compute sends from two different sender shards, issued
      in descending-shard order.  The contract says dst receives them
      grouped by sender shard ascending, send order within. *)
-  let eng = Simnet.Engine.create ~shard_bits:4 ~n:48 ~msg_bits:int_bits () in
+  let eng = Simnet.Engine.create ~shard_bits:4 ~n:48 () in
   Simnet.Engine.send eng ~src:40 ~dst:0 1;
   Simnet.Engine.send eng ~src:5 ~dst:0 2;
   Simnet.Engine.send eng ~src:40 ~dst:0 3;
   Simnet.Engine.send eng ~src:6 ~dst:0 4;
   let got = ref [] in
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
+  Testutil.step eng (fun ~round:_ ~me ~inbox ->
       if me = 0 then got := inbox);
   Alcotest.(check (list (pair int int)))
     "sender-shard-major order"
     [ (5, 2); (6, 4); (40, 1); (40, 3) ]
     !got
 
-(* ---------- flat path ---------- *)
+(* ---------- fault-free slices ---------- *)
 
-let flat_transcript ~domains ~n ~rounds =
-  let eng =
-    Simnet.Engine.create ~metrics:false ~shard_bits:4 ~domains ~n
-      ~msg_bits:int_bits ()
-  in
-  (* Per-node logs: with domains > 1 compute runs shard-parallel, so the
-     callback must only touch me-local state. *)
+let transcript ~shard_bits ~n ~rounds =
+  let eng = Simnet.Engine.create ~shard_bits ~domains:1 ~n () in
   let logs = Array.make n [] in
   for r = 0 to rounds - 1 do
     Simnet.Engine.set_blocked eng (fun v -> (r + v) mod 7 = 0);
-    Simnet.Engine.deliver_and_step_flat eng (fun ~round ~me ~inbox ->
+    Simnet.Engine.deliver_and_step eng (fun ~round ~me ~inbox ->
         Simnet.Engine.slice_iter
           (fun ~src msg -> logs.(me) <- (round, src, msg) :: logs.(me))
           inbox;
@@ -147,41 +139,21 @@ let flat_transcript ~domains ~n ~rounds =
   done;
   Array.map List.rev logs
 
-let list_transcript ~n ~rounds =
-  let eng =
-    Simnet.Engine.create ~metrics:false ~shard_bits:4 ~n ~msg_bits:int_bits ()
-  in
-  let logs = Array.make n [] in
-  for r = 0 to rounds - 1 do
-    Simnet.Engine.set_blocked eng (fun v -> (r + v) mod 7 = 0);
-    Simnet.Engine.deliver_and_step eng (fun ~round ~me ~inbox ->
-        List.iter
-          (fun (src, msg) -> logs.(me) <- (round, src, msg) :: logs.(me))
-          inbox;
-        for k = 1 to 3 do
-          Simnet.Engine.send eng ~src:me ~dst:((me + (k * 7)) mod n) (me + (r * n))
-        done)
-  done;
-  Array.map List.rev logs
+let test_shard_width_keeps_inboxes () =
+  (* shard_bits=14 is one shard at n=100, shard_bits=4 is seven. *)
+  Alcotest.(check bool) "seven shards deliver the one-shard inboxes" true
+    (transcript ~shard_bits:4 ~n:100 ~rounds:8
+    = transcript ~shard_bits:14 ~n:100 ~rounds:8)
 
-let test_flat_matches_list () =
-  let flat = flat_transcript ~domains:1 ~n:100 ~rounds:8 in
-  let list = list_transcript ~n:100 ~rounds:8 in
-  Alcotest.(check bool) "flat path delivers the list path's inboxes" true
-    (flat = list)
-
-let test_flat_parallel_deterministic () =
+let test_parallel_merge_deterministic () =
   (* Enough staged traffic to clear the parallel threshold (2^15), so
-     domains=4 really runs the merge and compute shard-parallel. *)
+     domains=4 really runs the merge shard-parallel. *)
   let n = 4096 and rounds = 3 in
   let run domains =
-    let eng =
-      Simnet.Engine.create ~metrics:false ~shard_bits:8 ~domains ~n
-        ~msg_bits:int_bits ()
-    in
+    let eng = Simnet.Engine.create ~shard_bits:8 ~domains ~n () in
     let acc = Array.make n 0 in
     for r = 0 to rounds - 1 do
-      Simnet.Engine.deliver_and_step_flat eng (fun ~round:_ ~me ~inbox ->
+      Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
           Simnet.Engine.slice_iter (fun ~src msg -> acc.(me) <- acc.(me) + src + msg) inbox;
           for k = 1 to 10 do
             Simnet.Engine.send eng ~src:me ~dst:((me + (k * 131)) mod n) (me + r)
@@ -191,67 +163,47 @@ let test_flat_parallel_deterministic () =
   in
   Alcotest.(check bool) "domains=4 matches domains=1" true (run 1 = run 4)
 
-let test_flat_rejects_faults_and_metrics () =
-  let faulted =
-    Simnet.Engine.create ~metrics:false ~faults:chaos_plan ~n:8
-      ~msg_bits:int_bits ()
-  in
-  Alcotest.check_raises "fault plans need the list path"
-    (Invalid_argument
-       "Engine.deliver_and_step_flat: fault plans need the list delivery path")
-    (fun () ->
-      Simnet.Engine.deliver_and_step_flat faulted (fun ~round:_ ~me:_ ~inbox:_ ->
-          ()));
-  let metered = Simnet.Engine.create ~n:8 ~msg_bits:int_bits () in
-  Alcotest.check_raises "metrics need the list path"
-    (Invalid_argument "Engine.deliver_and_step_flat: requires ~metrics:false")
-    (fun () ->
-      Simnet.Engine.deliver_and_step_flat metered (fun ~round:_ ~me:_ ~inbox:_ ->
-          ()))
-
 (* ---------- payload retention ---------- *)
 
 (* Plant a weakly-held payload in a fresh stack frame so no local binding
    keeps it alive after the send. *)
-let[@inline never] plant_list eng w =
+let[@inline never] plant eng w =
   let payload = Bytes.make 16 'x' in
   Weak.set w 0 (Some payload);
   Simnet.Engine.send eng ~src:0 ~dst:1 payload
 
-let test_no_stale_retention_list_path () =
-  let eng =
-    Simnet.Engine.create ~metrics:false ~n:8 ~msg_bits:(fun (_ : bytes) -> 8) ()
-  in
+let delivered_payload_collected ?faults () =
+  let eng = Simnet.Engine.create ?faults ~n:8 () in
   let w = Weak.create 1 in
-  plant_list eng w;
+  plant eng w;
   (* Deliver it (without keeping a reference) and finish the round. *)
-  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox -> ignore inbox);
-  Gc.full_major ();
-  Alcotest.(check bool) "payload collected after delivery" true
-    (Weak.get w 0 = None)
-
-let test_no_stale_retention_flat_path () =
-  let eng =
-    Simnet.Engine.create ~metrics:false ~n:8 ~msg_bits:(fun (_ : bytes) -> 8) ()
-  in
-  let w = Weak.create 1 in
-  plant_list eng w;
-  Simnet.Engine.deliver_and_step_flat eng (fun ~round:_ ~me:_ ~inbox ->
+  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox ->
       ignore (Simnet.Engine.slice_len inbox));
   Gc.full_major ();
-  Alcotest.(check bool) "payload collected after flat delivery" true
-    (Weak.get w 0 = None)
+  Weak.get w 0 = None
+
+let test_no_stale_retention () =
+  Alcotest.(check bool) "payload collected after delivery" true
+    (delivered_payload_collected ())
+
+let test_no_stale_retention_faulted () =
+  (* A duplicate fault routes the payload through the faulted planes
+     twice; neither copy may outlive the round. *)
+  Alcotest.(check bool) "payload collected after faulted delivery" true
+    (delivered_payload_collected
+       ~faults:(Simnet.Faults.make ~duplicate:1.0 ())
+       ())
 
 (* ---------- lazy allocation at scale ---------- *)
 
 let test_million_node_create_is_lean () =
   (* A fault-free million-node engine must not eagerly allocate the
-     per-node delay and inbox arrays (8 MB each at n = 2^20): creation
-     stays under 4 MB of OCaml heap allocation, and a flat round on
+     per-node delay array or the fault planes (8 MB each at n = 2^20):
+     creation stays under 4 MB of OCaml heap allocation, and a round on
      sparse traffic does not change that. *)
   let n = 1 lsl 20 in
   let before = Gc.allocated_bytes () in
-  let eng = Simnet.Engine.create ~metrics:false ~n ~msg_bits:int_bits () in
+  let eng = Simnet.Engine.create ~n () in
   let created = Gc.allocated_bytes () -. before in
   Alcotest.(check bool)
     (Printf.sprintf "create allocates < 4MB (got %.0f)" created)
@@ -259,12 +211,12 @@ let test_million_node_create_is_lean () =
     (created < 4.0 *. 1024.0 *. 1024.0);
   Simnet.Engine.send eng ~src:0 ~dst:(n - 1) 7;
   let got = ref 0 in
-  Simnet.Engine.deliver_and_step_flat eng (fun ~round:_ ~me:_ ~inbox ->
+  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox ->
       got := !got + Simnet.Engine.slice_len inbox);
   let total = Gc.allocated_bytes () -. before in
   Alcotest.(check int) "message arrived" 1 !got;
   Alcotest.(check bool)
-    (Printf.sprintf "flat round stays < 4MB (got %.0f)" total)
+    (Printf.sprintf "a round stays < 4MB (got %.0f)" total)
     true
     (total < 4.0 *. 1024.0 *. 1024.0)
 
@@ -280,18 +232,17 @@ let () =
         ] );
       ( "flat",
         [
-          Alcotest.test_case "flat matches list" `Quick test_flat_matches_list;
+          Alcotest.test_case "shard width keeps fault-free inboxes" `Quick
+            test_shard_width_keeps_inboxes;
           Alcotest.test_case "parallel flat is deterministic" `Quick
-            test_flat_parallel_deterministic;
-          Alcotest.test_case "flat rejects faults/metrics" `Quick
-            test_flat_rejects_faults_and_metrics;
+            test_parallel_merge_deterministic;
         ] );
       ( "memory",
         [
-          Alcotest.test_case "no stale retention (list)" `Quick
-            test_no_stale_retention_list_path;
+          Alcotest.test_case "no stale retention (faulted)" `Quick
+            test_no_stale_retention_faulted;
           Alcotest.test_case "no stale retention (flat)" `Quick
-            test_no_stale_retention_flat_path;
+            test_no_stale_retention;
           Alcotest.test_case "million-node create is lean" `Quick
             test_million_node_create_is_lean;
         ] );

@@ -68,3 +68,27 @@ module Multiset = struct
     let len = size t in
     if len = 0 then None else Some (V.get t (Prng.Stream.int rng len))
 end
+
+(* An engine inbox slice as an oldest-first (src, msg) list. *)
+let inbox_list inbox =
+  List.init (Simnet.Engine.slice_len inbox) (fun i ->
+      (Simnet.Engine.slice_src inbox i, Simnet.Engine.slice_msg inbox i))
+
+(* One engine round whose compute step sees each inbox as a list.  With
+   [meter = (metrics, bits)], every delivered message is charged to its
+   receiver at [bits msg] and the round is closed with
+   [Metrics.finish_round] — the receive half of a metering driver's
+   accounting; the sending side charges its own copies. *)
+let step ?meter eng f =
+  Simnet.Engine.deliver_and_step eng (fun ~round ~me ~inbox ->
+      let inbox = inbox_list inbox in
+      (match meter with
+      | Some (m, bits) ->
+          List.iter
+            (fun (_, msg) -> Simnet.Metrics.on_recv m ~node:me ~bits:(bits msg))
+            inbox
+      | None -> ());
+      f ~round ~me ~inbox);
+  match meter with
+  | Some (m, _) -> ignore (Simnet.Metrics.finish_round m)
+  | None -> ()
