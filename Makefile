@@ -38,8 +38,14 @@ trace-smoke:
 # Run a traced churn scenario and a traced message-level group
 # simulation under the fault model (see docs/fault_model.md) and validate
 # both traces.  FAULT_DROP is the per-message drop rate; at 0 the drop
-# leg is off and only the duplicate, delay and crash legs fire.
+# leg is off and only the duplicate, delay and crash legs fire.  Then
+# check the inert plan end to end: churn, groupsim and a workload run each
+# write the same trace with --faults drop=0 as without --faults, and the
+# workload (the loop's last run) the same report; groupsim's report gains
+# a `faults:` line, so only its trace is compared.
 FAULT_DROP ?= 0.1
+INERT_RUNS = "churn -n 256 --epochs 3 --retry 3" "groupsim -n 256" \
+  "workload -n 256 --rounds 30 --clients 32 --attack group-kill --frac 0.2 --retry 3 --domains 1"
 fault-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe
 	dune exec bin/overlay_sim.exe -- churn -n 256 --epochs 3 \
@@ -50,6 +56,14 @@ fault-smoke:
 	  --faults drop=$(FAULT_DROP),dup=0.01,delay=2,crash=2 \
 	  --trace /tmp/overlay_fault_groupsim.jsonl > /dev/null
 	dune exec bin/trace_check.exe -- /tmp/overlay_fault_groupsim.jsonl
+	for run in $(INERT_RUNS); do \
+	  dune exec bin/overlay_sim.exe -- $$run \
+	    --trace /tmp/overlay_inert_free.jsonl > /tmp/overlay_inert_free.out && \
+	  dune exec bin/overlay_sim.exe -- $$run --faults drop=0 \
+	    --trace /tmp/overlay_inert.jsonl > /tmp/overlay_inert.out && \
+	  cmp /tmp/overlay_inert_free.jsonl /tmp/overlay_inert.jsonl || exit 1; \
+	done; \
+	cmp /tmp/overlay_inert_free.out /tmp/overlay_inert.out
 
 # Run a traced workload (group-kill DoS + message drops + retries) at one
 # and at two worker domains, check the traces are byte-identical and

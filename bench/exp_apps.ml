@@ -361,8 +361,9 @@ let e12 () =
         fun _ -> List.init 4000 (fun i -> (9, Printf.sprintf "p%d" i)) );
       ( "zipf over 64 topics",
         fun s ->
+          let table = Prng.Dist.zipf_table ~n:64 ~s:1.2 in
           List.init 4000 (fun i ->
-              (Prng.Dist.zipf s ~n:64 ~s:1.2, Printf.sprintf "p%d" i)) );
+              (Prng.Dist.zipf_draw s table, Printf.sprintf "p%d" i)) );
       ( "uniform over 256 topics",
         fun s ->
           List.init 4000 (fun i ->
@@ -411,8 +412,9 @@ let e12 () =
     [
       ("1 hot key", Array.make 2048 7);
       ( "zipf over 256 keys",
+        let table = Prng.Dist.zipf_table ~n:256 ~s:1.2 in
         Array.init 2048 (fun _ ->
-            Prng.Dist.zipf (Prng.Stream.split s4) ~n:256 ~s:1.2 - 1) );
+            Prng.Dist.zipf_draw (Prng.Stream.split s4) table - 1) );
       ( "uniform over 256 keys",
         Array.init 2048 (fun _ -> Prng.Stream.int s4 256) );
     ];

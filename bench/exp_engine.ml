@@ -10,7 +10,8 @@
    not a single noisy round), and one untimed warm-up round grows every
    lane and shard plane to steady state before the clock starts.  The
    delivered-payload checksum must agree across all domain counts at each
-   n — the determinism contract, spot-checked on every bench run. *)
+   n — the determinism contract, spot-checked on every bench run.  The
+   file's header records the core count and the OCaml version. *)
 
 let curve_ns = [ 4096; 16384; 65536; 262144; 1048576 ]
 let curve_domains = [ 1; 2; 4; 8 ]
@@ -94,12 +95,16 @@ let run () =
     (String.concat "," (List.map string_of_int curve_domains));
   let curve = List.concat_map curve_points curve_ns in
   (* The header's "n" is the largest point of the curve; bench_gate skips
-     the first "n" field before it scans the curve entries. *)
+     the first "n" field before it scans the curve entries.  The header
+     also records the host's core count and the compiler, since a rate
+     means little without them. *)
   let json =
     Printf.sprintf
-      {|{"name":"engine","n":%d,"fanout":%d,"budget":%d,"curve":[%s]}|}
+      {|{"name":"engine","n":%d,"fanout":%d,"budget":%d,"cores":%d,"ocaml_version":%S,"curve":[%s]}|}
       (List.fold_left max 0 curve_ns)
-      curve_fanout curve_budget (String.concat "," curve)
+      curve_fanout curve_budget
+      (Domain.recommended_domain_count ())
+      Sys.ocaml_version (String.concat "," curve)
   in
   let oc = open_out "BENCH_engine.json" in
   output_string oc json;

@@ -7,6 +7,8 @@ type t = {
   mutable group_of : int array;
   mutable members : int array array;
   stores : (int, string) Hashtbl.t array; (* per supernode *)
+  digit : int array; (* digit.(x * d + i): coordinate i of supernode x *)
+  stride : int array; (* stride.(i) = k^i: the step of coordinate i *)
 }
 
 type op = Read of int | Write of int * string
@@ -25,6 +27,26 @@ let rebuild_members ~supernodes group_of =
   Array.iteri (fun v x -> Topology.Intvec.push vecs.(x) v) group_of;
   Array.map Topology.Intvec.to_array vecs
 
+(* Every supernode's coordinates, row x = x written in base k (least
+   significant digit first).  Row x is row x - 1 plus one, counted up
+   odometer-style in one pass, so the table costs no division. *)
+let digit_table ~k ~d supernodes =
+  let digit = Array.make (supernodes * d) 0 in
+  for x = 1 to supernodes - 1 do
+    let row = x * d in
+    let carry = ref true in
+    for i = 0 to d - 1 do
+      let prev = digit.(row - d + i) in
+      if not !carry then digit.(row + i) <- prev
+      else if prev = k - 1 then digit.(row + i) <- 0
+      else begin
+        digit.(row + i) <- prev + 1;
+        carry := false
+      end
+    done
+  done;
+  digit
+
 let create ?(c = 1.0) ?(k = 4) ~rng ~n () =
   if n < 64 then invalid_arg "Robust_dht.create: n too small";
   if k < 2 then invalid_arg "Robust_dht.create: k < 2";
@@ -39,6 +61,10 @@ let create ?(c = 1.0) ?(k = 4) ~rng ~n () =
   let cube = Kary.create ~k ~d in
   let supernodes = Kary.node_count cube in
   let group_of = Array.init n (fun _ -> Prng.Stream.int rng supernodes) in
+  let stride = Array.make d 1 in
+  for i = 1 to d - 1 do
+    stride.(i) <- stride.(i - 1) * k
+  done;
   {
     rng;
     cube;
@@ -46,6 +72,8 @@ let create ?(c = 1.0) ?(k = 4) ~rng ~n () =
     group_of;
     members = rebuild_members ~supernodes group_of;
     stores = Array.init supernodes (fun _ -> Hashtbl.create 16);
+    digit = digit_table ~k ~d supernodes;
+    stride;
   }
 
 let n t = t.n
@@ -55,8 +83,16 @@ let supernode_count t = Kary.node_count t.cube
 let group_of t = Array.copy t.group_of
 let cube t = t.cube
 
+(* {!Prng.Splitmix64.mix}, restated so the hash stays unboxed: a call
+   across the library boundary boxes its int64 argument and result (six
+   words a request). *)
+let[@inline] mix x =
+  let x = Int64.(mul (logxor x (shift_right_logical x 30)) 0xBF58476D1CE4E5B9L) in
+  let x = Int64.(mul (logxor x (shift_right_logical x 27)) 0x94D049BB133111EBL) in
+  Int64.(logxor x (shift_right_logical x 31))
+
 let supernode_of_key t key =
-  let h = Prng.Splitmix64.mix (Int64.of_int key) in
+  let h = mix (Int64.of_int key) in
   Int64.to_int (Int64.rem (Int64.shift_right_logical h 1)
                   (Int64.of_int (supernode_count t)))
 
@@ -89,37 +125,45 @@ let reshuffle t =
   t.members <- rebuild_members ~supernodes t.group_of
 
 let occupied t ~blocked x =
-  Array.exists (fun v -> not blocked.(v)) t.members.(x)
+  let m = t.members.(x) in
+  let len = Array.length m in
+  let i = ref 0 in
+  while !i < len && blocked.(m.(!i)) do
+    incr i
+  done;
+  !i < len
 
 (* Dimension-correction routing from supernode [src] to [dst]: repeatedly
    move to a neighboring occupied group that agrees with [dst] on one more
-   coordinate.  Any correction order works, so the route detours around
-   starved groups; it fails only when every remaining correction leads to a
-   starved group. *)
+   coordinate, trying coordinates in ascending order.  Any correction
+   order works, so the route detours around starved groups; it fails only
+   when every remaining correction leads to a starved group.  Returns the
+   hop count, or -1 when stuck.  Digits and strides come from the tables
+   [create] built, so a hop costs no division and no allocation. *)
 let route t ~blocked ~load ~src ~dst =
   let d = dimension t in
-  let cur = ref src and hops = ref 0 and stuck = ref false in
-  while !cur <> dst && not !stuck do
-    let moved = ref false in
+  let digit = t.digit and stride = t.stride in
+  let dst_row = dst * d in
+  let cur = ref src and hops = ref 0 in
+  while !cur <> dst && !hops >= 0 do
+    let row = !cur * d in
     let i = ref 0 in
-    while (not !moved) && !i < d do
-      let ci = Kary.coord t.cube !cur !i and di = Kary.coord t.cube dst !i in
-      if ci <> di then begin
-        let next = Kary.with_coord t.cube !cur !i di in
-        if occupied t ~blocked next then begin
-          cur := next;
-          incr hops;
-          (match load with
-          | Some counts -> counts.(next) <- counts.(next) + 1
-          | None -> ());
-          moved := true
-        end
-      end;
-      incr i
+    while !i < d do
+      let ci = digit.(row + !i) and di = digit.(dst_row + !i) in
+      let next = !cur + ((di - ci) * stride.(!i)) in
+      if ci <> di && occupied t ~blocked next then begin
+        cur := next;
+        incr hops;
+        (match load with
+        | Some counts -> counts.(next) <- counts.(next) + 1
+        | None -> ());
+        i := d + 1
+      end
+      else incr i
     done;
-    if not !moved then stuck := true
+    if !i = d then hops := -1
   done;
-  if !stuck then None else Some !hops
+  !hops
 
 let group_members t x = Array.copy t.members.(x)
 
@@ -166,16 +210,16 @@ let execute_from t ~blocked ~load ~entry op =
   (match load with Some counts -> counts.(src) <- counts.(src) + 1 | None -> ());
   if not (occupied t ~blocked dst) then { ok = false; hops = 0; value = None }
   else
-    match route t ~blocked ~load ~src ~dst with
-    | None -> { ok = false; hops = 0; value = None }
-    | Some hops -> (
-        match op with
-        | Read key ->
-            let value = Hashtbl.find_opt t.stores.(dst) key in
-            { ok = true; hops; value }
-        | Write (key, v) ->
-            Hashtbl.replace t.stores.(dst) key v;
-            { ok = true; hops; value = None })
+    let hops = route t ~blocked ~load ~src ~dst in
+    if hops < 0 then { ok = false; hops = 0; value = None }
+    else
+      match op with
+      | Read key ->
+          let value = Hashtbl.find_opt t.stores.(dst) key in
+          { ok = true; hops; value }
+      | Write (key, v) ->
+          Hashtbl.replace t.stores.(dst) key v;
+          { ok = true; hops; value = None }
 
 let execute t ~blocked op =
   if Array.length blocked <> t.n then

@@ -78,7 +78,15 @@ val execute_at :
     entry yields [ok = false] without routing).  [load], if given, has one
     cell per supernode and accumulates per-group congestion as in
     {!execute_batch}.  Raises [Invalid_argument] if [entry] is out of
-    range. *)
+    range.
+
+    Cost: O(d) hops of O(d) digit comparisons each, every correction
+    probing its target group with a scan that stops at the first
+    non-blocked member.  Digits and strides come from tables built once in
+    {!create} (d words per supernode), so a hop does no division.  The
+    call allocates nothing beyond its [op_result] and, for a read that
+    finds its key, the [Some] around the value; a caller that passes
+    [?load] as a preallocated option avoids boxing it per call. *)
 
 type batch_result = {
   served : int;

@@ -128,7 +128,7 @@ let offline cfg ~seed =
               (Prng.Stream.sample_distinct s cfg.users ~k:off);
           set)
 
-let draw_topic cfg s = Prng.Dist.zipf s ~n:cfg.topics ~s:cfg.zipf - 1
+let draw_topic zipf s = Prng.Dist.zipf_draw s zipf - 1
 
 let draw_class cfg s =
   let r = Prng.Stream.float s 1.0 in
@@ -139,23 +139,24 @@ let draw_class cfg s =
   else if r < m.feed +. m.post +. m.comment +. m.vote then Vote
   else Dm
 
-let draw_ops cfg s = function
-  | Feed -> [ Probe (content_topic cfg (draw_topic cfg s)) ]
+let draw_ops cfg zipf s = function
+  | Feed -> [ Probe (content_topic cfg (draw_topic zipf s)) ]
   | Post ->
-      let t = draw_topic cfg s in
+      let t = draw_topic zipf s in
       (* the repost fan-out: one action, 1 + fanout chained publishes *)
       let followers =
         List.init cfg.fanout (fun _ -> Prng.Stream.int s cfg.users)
       in
       Publish (content_topic cfg t)
       :: List.map (fun u -> Publish (feed_topic cfg u)) followers
-  | Comment -> [ Publish (comment_topic cfg (draw_topic cfg s)) ]
-  | Vote -> [ Store (vote_key cfg (draw_topic cfg s)) ]
+  | Comment -> [ Publish (comment_topic cfg (draw_topic zipf s)) ]
+  | Vote -> [ Store (vote_key cfg (draw_topic zipf s)) ]
   | Dm -> [ Publish (dm_topic cfg (Prng.Stream.int s cfg.users)) ]
 
 let arrivals cfg ~seed ~offline =
   let streams = Array.init cfg.users (fun user -> user_stream ~seed ~user) in
   let next_seq = Array.make cfg.users 0 in
+  let zipf = Prng.Dist.zipf_table ~n:cfg.topics ~s:cfg.zipf in
   let epoch_len =
     match cfg.session with Some (_, e) -> e | None -> cfg.rounds
   in
@@ -166,7 +167,7 @@ let arrivals cfg ~seed ~offline =
         let s = streams.(user) in
         for _ = 1 to Prng.Dist.poisson s cfg.rate do
           let cls = draw_class cfg s in
-          let ops = draw_ops cfg s cls in
+          let ops = draw_ops cfg zipf s cls in
           let seq = next_seq.(user) in
           next_seq.(user) <- seq + 1;
           issue { user; seq; arrival = round; cls; ops }

@@ -68,6 +68,10 @@ let run ?(trace = Simnet.Trace.null) ?domains ~seed (cfg : config) =
   let service_rng = Prng.Stream.split root in
   let churn_rng = Prng.Stream.split root in
   let attack_rng = Prng.Stream.split root in
+  let zipf =
+    if cfg.zipf > 0.0 then Some (Prng.Dist.zipf_table ~n:cfg.keys ~s:cfg.zipf)
+    else None
+  in
   let n = cfg.n in
   let ring =
     Ring.create
@@ -166,9 +170,9 @@ let run ?(trace = Simnet.Trace.null) ?domains ~seed (cfg : config) =
     for i = 0 to cfg.lookups - 1 do
       incr issued;
       let key =
-        if cfg.zipf > 0.0 then
-          Prng.Dist.zipf service_rng ~n:cfg.keys ~s:cfg.zipf - 1
-        else Prng.Stream.int service_rng cfg.keys
+        match zipf with
+        | Some table -> Prng.Dist.zipf_draw service_rng table - 1
+        | None -> Prng.Stream.int service_rng cfg.keys
       in
       let kid = Ring.key_id ring key in
       let status, latency, hops =

@@ -30,13 +30,14 @@ let publish_chain ~read ~write ~last ~commit ~topic payload =
       let w = write pkey payload in
       if not w.ok then failed (c.hops + w.hops)
       else
-        let u = write ckey (string_of_int seq) in
+        let counter = Decimal.of_int seq in
+        let u = write ckey counter in
         let hops = c.hops + w.hops + u.hops in
         if not u.ok then failed hops
         else begin
           commit seq;
           { ok = true; hops; waits = c.waits + w.waits + u.waits;
-            value = Some (string_of_int seq) }
+            value = Some counter }
         end
 
 (* ---------- the reconfigurable supernode DHT ---------- *)
@@ -47,6 +48,7 @@ module Robust : S = struct
     dht : Apps.Robust_dht.t;
     adv : Attack.t;
     load : int array;  (* per-supernode congestion within the round *)
+    load_arg : int array option;  (* [Some load], boxed once *)
     per_msg_bits : int;
     mutable round_msgs : int;
     mutable max_group_load : int;
@@ -64,7 +66,8 @@ module Robust : S = struct
       Simnet.Msg_size.ids_msg ~id_bits:(Simnet.Msg_size.id_bits ctx.n) ~count:1
       + 64
     in
-    { ctx; dht; adv; load = Array.make sns 0; per_msg_bits; round_msgs = 0;
+    let load = Array.make sns 0 in
+    { ctx; dht; adv; load; load_arg = Some load; per_msg_bits; round_msgs = 0;
       max_group_load = 0 }
 
   let note_fields _ = []
@@ -89,7 +92,7 @@ module Robust : S = struct
   (* one DHT operation; accounts hop messages and per-group congestion *)
   let sub_op t ~entry op =
     let r =
-      Apps.Robust_dht.execute_at t.dht ~blocked:t.ctx.blocked ~load:t.load
+      Apps.Robust_dht.execute_at t.dht ~blocked:t.ctx.blocked ?load:t.load_arg
         ~entry op
     in
     t.round_msgs <- t.round_msgs + 1 + r.Apps.Robust_dht.hops;

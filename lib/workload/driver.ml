@@ -343,8 +343,7 @@ let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
     total_bits = !total_bits;
   }
 
-let payload_of req =
-  Printf.sprintf "v%d.%d" req.Gen.client req.Gen.seq
+let payload_of req = Decimal.pair 'v' req.Gen.client req.Gen.seq
 
 let spec_exec server ~entry req =
   let res, base_ops =
@@ -374,8 +373,9 @@ let spec_source ~seed (cfg : config) =
     Array.init clients (fun client -> Gen.client_stream ~seed ~client)
   in
   let next_seq = Array.make clients 0 in
+  let draw_request = Gen.draw_request spec in
   let draw c ~round =
-    let op, key = Gen.draw_request spec streams.(c) in
+    let op, key = draw_request streams.(c) in
     let seq = next_seq.(c) in
     next_seq.(c) <- seq + 1;
     { Gen.client = c; seq; arrival = round; op; key }

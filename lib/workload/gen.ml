@@ -22,16 +22,21 @@ let client_stream ~seed ~client =
     (Prng.Splitmix64.mix
        (Int64.add (Prng.Splitmix64.mix seed) (Int64.of_int (2 * client + 1))))
 
-let draw_request (spec : Spec.t) s =
-  let r = Prng.Stream.float s 1.0 in
-  let op =
-    if r < spec.Spec.mix.Spec.read then Read
-    else if r < spec.Spec.mix.Spec.read +. spec.Spec.mix.Spec.write then Write
-    else Publish
-  in
+(* The popularity table is built when [draw_request] is applied to the
+   spec, so a run that keeps the partial application builds it once. *)
+let draw_request (spec : Spec.t) =
   let key =
     match spec.Spec.popularity with
-    | Spec.Uniform -> Prng.Stream.int s spec.Spec.keys
-    | Spec.Zipf z -> Prng.Dist.zipf s ~n:spec.Spec.keys ~s:z - 1
+    | Spec.Uniform -> fun s -> Prng.Stream.int s spec.Spec.keys
+    | Spec.Zipf z ->
+        let table = Prng.Dist.zipf_table ~n:spec.Spec.keys ~s:z in
+        fun s -> Prng.Dist.zipf_draw s table - 1
   in
-  (op, key)
+  let read = spec.Spec.mix.Spec.read in
+  let read_write = read +. spec.Spec.mix.Spec.write in
+  fun s ->
+    let r = Prng.Stream.float s 1.0 in
+    let op =
+      if r < read then Read else if r < read_write then Write else Publish
+    in
+    (op, key s)

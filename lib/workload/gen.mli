@@ -26,4 +26,7 @@ val client_stream : seed:int64 -> client:int -> Prng.Stream.t
 val draw_request : Spec.t -> Prng.Stream.t -> op_kind * int
 (** One (op, key) draw: the operation class from the mix, then the key
     from the popularity distribution.  Exactly this order, so closed-loop
-    and open-loop clients consume streams identically. *)
+    and open-loop clients consume streams identically.  Apply it to the
+    spec once and keep the result: that partial application builds the
+    spec's Zipf table, and the sampler it returns draws from any
+    client's stream. *)

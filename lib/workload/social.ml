@@ -39,8 +39,7 @@ type report = Driver.report = {
   total_bits : int;
 }
 
-let payload_of (req : Apps.Social.request) =
-  Printf.sprintf "u%d.%d" req.user req.seq
+let payload_of (req : Apps.Social.request) = Decimal.pair 'u' req.user req.seq
 
 let mix_to_string (m : Apps.Social.mix) =
   String.concat ","
@@ -50,27 +49,34 @@ let mix_to_string (m : Apps.Social.mix) =
        [ m.feed; m.post; m.comment; m.vote; m.dm ])
 
 (* One attempt serves the whole chain or nothing; a post's repost fan-out
-   rides in the same chain. *)
-let exec (server : Driver.server) ~entry (req : Apps.Social.request) =
-  let payload = payload_of req in
-  let rec go ops ~service ~hops : Driver.attempt =
-    match ops with
-    | [] -> Served { service; hops }
-    | op :: rest ->
-        let res =
-          match op with
-          | Apps.Social.Probe topic -> server.last_seq ~entry ~topic
-          | Publish topic -> server.publish ~entry ~topic payload
-          | Store key -> server.put ~entry key payload
-        in
-        let hops = hops + res.Backend_intf.hops in
-        if res.ok then
-          go rest
-            ~service:(service + Apps.Social.base_ops op + res.hops + res.waits)
-            ~hops
-        else Attempt_failed { hops }
-  in
-  go req.ops ~service:0 ~hops:0
+   rides in the same chain.  The payload is built at the chain's first
+   write ([""] until then), so a feed's lone probe never formats one. *)
+let rec exec_chain (server : Driver.server) ~entry req ~payload ops ~service
+    ~hops : Driver.attempt =
+  match ops with
+  | [] -> Served { service; hops }
+  | op :: rest ->
+      let payload =
+        match op with
+        | Apps.Social.Probe _ -> payload
+        | Publish _ | Store _ ->
+            if String.length payload = 0 then payload_of req else payload
+      in
+      let res =
+        match op with
+        | Apps.Social.Probe topic -> server.last_seq ~entry ~topic
+        | Publish topic -> server.publish ~entry ~topic payload
+        | Store key -> server.put ~entry key payload
+      in
+      let hops = hops + res.Backend_intf.hops in
+      if res.ok then
+        exec_chain server ~entry req ~payload rest
+          ~service:(service + Apps.Social.base_ops op + res.hops + res.waits)
+          ~hops
+      else Attempt_failed { hops }
+
+let exec server ~entry (req : Apps.Social.request) =
+  exec_chain server ~entry req ~payload:"" req.ops ~service:0 ~hops:0
 
 let source ~seed { app; _ } : Apps.Social.request Driver.source =
   let offline = Apps.Social.offline app ~seed in

@@ -182,6 +182,11 @@ let test_dht_hash_stable_and_in_range () =
     let a = Apps.Robust_dht.supernode_of_key dht key in
     let b = Apps.Robust_dht.supernode_of_key dht key in
     Alcotest.(check int) "deterministic" a b;
+    let h = Prng.Splitmix64.mix (Int64.of_int key) in
+    Alcotest.(check int) "SplitMix64 finalizer" a
+      (Int64.to_int
+         (Int64.rem (Int64.shift_right_logical h 1)
+            (Int64.of_int (Apps.Robust_dht.supernode_count dht))));
     Alcotest.(check bool) "in range" true
       (a >= 0 && a < Apps.Robust_dht.supernode_count dht)
   done
@@ -638,6 +643,145 @@ let qcheck_dht_read_your_writes =
       done;
       !ok)
 
+(* The routing reference: [execute_at]'s request path as it was written
+   over [Kary.coord]/[Kary.with_coord] and [Array.exists] on the groups.
+   Returns (ok, hops) and bumps [load] as [execute_at] does. *)
+let reference_execute dht ~blocked ~group_of ~load ~entry key =
+  let cube = Apps.Robust_dht.cube dht in
+  let module K = Topology.Kary_hypercube in
+  let occupied x =
+    Array.exists (fun v -> not blocked.(v)) (Apps.Robust_dht.group_members dht x)
+  in
+  if blocked.(entry) then (false, 0)
+  else begin
+    let dst = Apps.Robust_dht.supernode_of_key dht key in
+    let src = group_of.(entry) in
+    load.(src) <- load.(src) + 1;
+    if not (occupied dst) then (false, 0)
+    else begin
+      let cur = ref src and hops = ref 0 and stuck = ref false in
+      while !cur <> dst && not !stuck do
+        let moved = ref false and i = ref 0 in
+        while (not !moved) && !i < K.d cube do
+          let ci = K.coord cube !cur !i and di = K.coord cube dst !i in
+          if ci <> di then begin
+            let next = K.with_coord cube !cur !i di in
+            if occupied next then begin
+              cur := next;
+              incr hops;
+              load.(next) <- load.(next) + 1;
+              moved := true
+            end
+          end;
+          incr i
+        done;
+        if not !moved then stuck := true
+      done;
+      if !stuck then (false, 0) else (true, !hops)
+    end
+  end
+
+(* One DHT under one blocked mask: a [full] fraction of the groups is
+   blocked whole (starving routes through them), and every other server
+   is blocked with probability [partial].  Returns whether [execute_at]
+   agreed with the reference on every request (ok, hops and the whole
+   [load] array after each), how many requests were served, and how many
+   failed although the target group was occupied (a starved route). *)
+let route_agreement ~seed ~n ~k ~full ~partial =
+  let s = Prng.Stream.of_seed seed in
+  let dht = Apps.Robust_dht.create ~k ~rng:(Prng.Stream.split s) ~n () in
+  let groups = Apps.Robust_dht.supernode_count dht in
+  let agree = ref true and served = ref 0 and starved = ref 0 in
+  for phase = 0 to 1 do
+    if phase = 1 then Apps.Robust_dht.reshuffle dht;
+    let group_of = Apps.Robust_dht.group_of dht in
+    let dead = Array.init groups (fun _ -> Prng.Stream.bernoulli s full) in
+    let blocked =
+      Array.map (fun x -> dead.(x) || Prng.Stream.bernoulli s partial) group_of
+    in
+    let load = Array.make groups 0 and ref_load = Array.make groups 0 in
+    for _ = 1 to 100 do
+      let entry = Prng.Stream.int s n and key = Prng.Stream.int s 100_000 in
+      let r =
+        Apps.Robust_dht.execute_at dht ~blocked ~load ~entry
+          (Apps.Robust_dht.Read key)
+      in
+      let ok, hops =
+        reference_execute dht ~blocked ~group_of ~load:ref_load ~entry key
+      in
+      if r.Apps.Robust_dht.ok <> ok || r.Apps.Robust_dht.hops <> hops
+         || load <> ref_load
+      then agree := false;
+      if ok then incr served
+      else if (not blocked.(entry))
+              && not dead.(Apps.Robust_dht.supernode_of_key dht key)
+      then incr starved
+    done
+  done;
+  (!agree, !served, !starved)
+
+let qcheck_route_matches_reference =
+  QCheck.Test.make ~name:"route equals the Kary.coord reference" ~count:40
+    QCheck.(
+      pair
+        (triple int64 (int_range 64 1500) (oneofl [ 2; 3; 4; 5 ]))
+        (pair (oneofl [ 0.0; 0.2; 0.5; 0.8; 1.0 ]) (oneofl [ 0.0; 0.3; 0.9 ])))
+    (fun ((seed, n, k), (full, partial)) ->
+      let agree, _, _ = route_agreement ~seed ~n ~k ~full ~partial in
+      agree)
+
+(* Fixed cases that reach every outcome: served requests, and requests
+   whose target group is occupied but whose every correction order is
+   starved. *)
+let test_dht_route_reference () =
+  List.iter
+    (fun k ->
+      let agree, served, starved =
+        route_agreement ~seed:(Int64.of_int k) ~n:1024 ~k ~full:0.5
+          ~partial:0.3
+      in
+      Alcotest.(check bool) (Printf.sprintf "k=%d agrees" k) true agree;
+      Alcotest.(check bool)
+        (Printf.sprintf "k=%d: %d served, %d starved routes" k served starved)
+        true
+        (served > 0 && starved > 0))
+    [ 2; 3; 4; 5 ]
+
+(* A warmed DHT serves a request without allocating: the only words are
+   the [op_result] record (4 words) and, for a read that finds its key,
+   the [Some] around the value (2 words). *)
+let test_dht_execute_at_allocation () =
+  let dht = make_dht () in
+  let n = Apps.Robust_dht.n dht in
+  let blocked = Array.init n (fun v -> v mod 3 = 0) in
+  let load = Some (Array.make (Apps.Robust_dht.supernode_count dht) 0) in
+  let writes = Array.init 64 (fun key -> Apps.Robust_dht.Write (key, "v")) in
+  let reads = Array.init 64 (fun key -> Apps.Robust_dht.Read key) in
+  let entries = Array.init 64 (fun i -> (3 * i) + 1) in
+  let served = ref 0 in
+  let serve ops =
+    for i = 0 to 63 do
+      let r =
+        Apps.Robust_dht.execute_at dht ~blocked ?load ~entry:entries.(i) ops.(i)
+      in
+      if r.Apps.Robust_dht.ok then incr served
+    done
+  in
+  serve writes;
+  let per_call ops =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1_000 do
+      serve ops
+    done;
+    (Gc.minor_words () -. w0) /. 64_000.0
+  in
+  let w = per_call writes and r = per_call reads in
+  Alcotest.(check bool) "requests served" true (!served > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "write: %.2f words/call" w) true (w <= 4.01);
+  Alcotest.(check bool) (Printf.sprintf "read: %.2f words/call" r) true
+    (r <= 6.01)
+
 let qcheck_pubsub_counter_monotone =
   QCheck.Test.make ~name:"pub-sub counters are monotone" ~count:10
     QCheck.(pair int64 (int_range 1 20))
@@ -685,6 +829,9 @@ let () =
           Alcotest.test_case "heavy blocking fails (control)" `Quick
             test_dht_heavy_blocking_can_fail;
           Alcotest.test_case "hash stable" `Quick test_dht_hash_stable_and_in_range;
+          Alcotest.test_case "route reference" `Quick test_dht_route_reference;
+          Alcotest.test_case "execute_at allocation" `Quick
+            test_dht_execute_at_allocation;
           Alcotest.test_case "random entry: all blocked" `Quick
             test_dht_random_entry_all_blocked;
           Alcotest.test_case "random entry: one survivor" `Quick
@@ -737,5 +884,6 @@ let () =
             qcheck_pubsub_counter_monotone;
             qcheck_butterfly_totals_conserved;
             qcheck_staged_matches_peek;
+            qcheck_route_matches_reference;
           ] );
     ]

@@ -325,11 +325,42 @@ let test_dist_poisson () =
   let mean = float_of_int !acc /. 20_000.0 in
   Alcotest.(check bool) "mean near 4" true (abs_float (mean -. 4.0) < 0.15)
 
+(* Knuth's method alone stops near 745: exp (-2000) underflows to 0, so
+   the draw was capped there.  The pieced draw keeps the mean and the
+   variance of Poisson(2000). *)
+let test_dist_poisson_large () =
+  let s = stream () in
+  let draws = Array.init 2_000 (fun _ -> Prng.Dist.poisson s 2000.0) in
+  let mean =
+    float_of_int (Array.fold_left ( + ) 0 draws) /. 2_000.0
+  in
+  let var =
+    Array.fold_left
+      (fun a x -> a +. ((float_of_int x -. mean) ** 2.0))
+      0.0 draws
+    /. 1_999.0
+  in
+  (* the mean's standard error is sqrt (2000 / 2000) = 1 *)
+  Alcotest.(check bool)
+    (Printf.sprintf "mean %.1f near 2000" mean)
+    true
+    (abs_float (mean -. 2000.0) < 5.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "variance %.0f near 2000" var)
+    true
+    (var > 1600.0 && var < 2400.0);
+  Alcotest.check_raises "negative" (Invalid_argument "Dist.poisson: lambda < 0")
+    (fun () -> ignore (Prng.Dist.poisson s (-1.0)));
+  Alcotest.check_raises "infinite"
+    (Invalid_argument "Dist.poisson: lambda not finite") (fun () ->
+      ignore (Prng.Dist.poisson s Float.infinity))
+
 let test_dist_zipf () =
   let s = stream () in
   let counts = Array.make 11 0 in
+  let table = Prng.Dist.zipf_table ~n:10 ~s:1.0 in
   for _ = 1 to 50_000 do
-    let r = Prng.Dist.zipf s ~n:10 ~s:1.0 in
+    let r = Prng.Dist.zipf_draw s table in
     Alcotest.(check bool) "rank in [1,10]" true (r >= 1 && r <= 10);
     counts.(r) <- counts.(r) + 1
   done;
@@ -503,6 +534,20 @@ let qcheck_below_power_of_two =
           && Prng.Xoshiro256.next g = Prng.Xoshiro256.next h)
         (List.init 62 Fun.id))
 
+(* The table API draws what the cached [zipf] drew, from the same stream
+   state, over several (n, s) pairs and seeds. *)
+let qcheck_zipf_draw_matches_reference =
+  QCheck.Test.make ~name:"zipf_draw equals the old zipf" ~count:50
+    QCheck.(triple int64 (int_range 1 300) (float_range 0.1 3.0))
+    (fun (seed, n, s) ->
+      let table = Prng.Dist.zipf_table ~n ~s in
+      let a = Prng.Stream.of_seed seed and b = Prng.Stream.of_seed seed in
+      List.for_all
+        (fun _ ->
+          Prng.Dist.zipf_draw a table = Testutil.reference_zipf b ~n ~s)
+        (List.init 64 Fun.id)
+      && Prng.Stream.bits64 a = Prng.Stream.bits64 b)
+
 let () =
   Alcotest.run "prng"
     [
@@ -550,6 +595,8 @@ let () =
           Alcotest.test_case "binomial" `Slow test_dist_binomial;
           Alcotest.test_case "poisson" `Slow test_dist_poisson;
           Alcotest.test_case "zipf" `Slow test_dist_zipf;
+          Alcotest.test_case "poisson at mean 2000" `Slow
+            test_dist_poisson_large;
           Alcotest.test_case "categorical" `Slow test_dist_categorical;
         ] );
       ( "quality",
@@ -568,5 +615,6 @@ let () =
             qcheck_shuffle_preserves_multiset;
             qcheck_sample_distinct_distinct;
             qcheck_below_power_of_two;
+            qcheck_zipf_draw_matches_reference;
           ] );
     ]

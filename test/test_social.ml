@@ -24,7 +24,7 @@ let reference_social_schedule (cfg : Apps.Social.config) ~seed ~offline =
       (Prng.Splitmix64.mix
          (Int64.add (Prng.Splitmix64.mix seed) (Int64.of_int (2 * (user + 1)))))
   in
-  let topic s = Prng.Dist.zipf s ~n:cfg.topics ~s:cfg.zipf - 1 in
+  let topic s = Testutil.reference_zipf s ~n:cfg.topics ~s:cfg.zipf - 1 in
   let draw_class s =
     let r = Prng.Stream.float s 1.0 and m = cfg.mix in
     if r < m.feed then Apps.Social.Feed

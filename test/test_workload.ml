@@ -65,13 +65,14 @@ let reference_open_schedule ~spec ~seed =
     | Workload.Spec.Open_loop { rate } -> rate
     | Workload.Spec.Closed_loop _ -> invalid_arg "closed-loop spec"
   in
+  let draw_request = Workload.Gen.draw_request spec in
   let client_schedule client =
     let s = Workload.Gen.client_stream ~seed ~client in
     let out = ref [] and seq = ref 0 in
     for arrival = 0 to spec.Workload.Spec.rounds - 1 do
       let burst = Prng.Dist.poisson s rate in
       for _ = 1 to burst do
-        let op, key = Workload.Gen.draw_request spec s in
+        let op, key = draw_request s in
         out := { Workload.Gen.client; seq = !seq; arrival; op; key } :: !out;
         incr seq
       done
@@ -378,6 +379,30 @@ let test_driver_reconfig_survives_static_collapses () =
     true (g_s < 0.9);
   Alcotest.(check bool) "visible gap" true (g_r -. g_s >= 0.1)
 
+(* Payloads and counters are formatted without Printf; the text must be
+   what Printf and string_of_int print, byte for byte. *)
+let decimal_agrees a b =
+  Workload.Decimal.of_int a = string_of_int a
+  && Workload.Decimal.pair 'v' a b = Printf.sprintf "%c%d.%d" 'v' a b
+  && Workload.Decimal.pair 'u' b a = Printf.sprintf "%c%d.%d" 'u' b a
+
+let test_decimal_edges () =
+  let edges = [ 0; 1; 9; 10; 99; 100; 1_000_000; max_int; -1; min_int ] in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d, %d" a b)
+            true (decimal_agrees a b))
+        edges)
+    edges
+
+let qcheck_decimal_matches_printf =
+  QCheck.Test.make ~name:"decimal text equals Printf" ~count:1000
+    QCheck.(pair (oneof [ int; small_nat; int_bound 1_000_000 ]) small_nat)
+    (fun (a, b) -> decimal_agrees a b && decimal_agrees (abs a) b)
+
 let () =
   Alcotest.run "workload"
     [
@@ -393,9 +418,11 @@ let () =
             test_gen_schedule_sorted_and_in_range;
           Alcotest.test_case "client streams keyed" `Quick
             test_gen_client_streams_are_keyed;
+          Alcotest.test_case "decimal text" `Quick test_decimal_edges;
         ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ qcheck_streamed_matches_reference ] );
+            [ qcheck_streamed_matches_reference; qcheck_decimal_matches_printf ]
+      );
       ( "driver",
         [
           Alcotest.test_case "no attack serves everything" `Quick

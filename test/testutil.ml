@@ -16,6 +16,24 @@ let admitted ~rounds admit =
   done;
   Array.of_list (List.rev !out)
 
+(* The Zipf draw as [Prng.Dist] wrote it before it had tables: the
+   cumulative weights (cached per (n, s) there), then a binary search on
+   one [Stream.float].  [Dist.zipf_draw] must reproduce it draw for draw. *)
+let reference_zipf st ~n ~s =
+  let table = Array.make n 0.0 in
+  let acc = ref 0.0 in
+  for i = 0 to n - 1 do
+    acc := !acc +. (1.0 /. Float.pow (float_of_int (i + 1)) s);
+    table.(i) <- !acc
+  done;
+  let u = Prng.Stream.float st table.(n - 1) in
+  let lo = ref 0 and hi = ref (n - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if table.(mid) > u then hi := mid else lo := mid + 1
+  done;
+  !lo + 1
+
 exception First_event of float
 
 (* Words allocated from calling [run] to the run's first trace event (the
