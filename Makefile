@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench micro examples doc clean check trace-smoke fault-smoke workload-smoke sweep-smoke small-n-smoke stabilize-smoke chord-smoke social-smoke bench-engine trace-bench-smoke perfbench-smoke smoke
+.PHONY: all build test bench micro examples doc clean check trace-smoke fault-smoke workload-smoke sweep-smoke small-n-smoke stabilize-smoke chord-smoke social-smoke bench-engine trace-bench-smoke perfbench-smoke surface-check smoke
 
 all: build
 
@@ -253,14 +253,20 @@ trace-bench-smoke:
 perfbench-smoke:
 	python3 perfbench/run.py --smoke
 
+# Check that every value lib/ exports has a caller outside test/ or an
+# allowlist entry with a reason; a stale entry (one that gained a caller
+# or no longer exists) fails too (see tools/surface_check.py).
+surface-check:
+	python3 tools/surface_check.py
+
 # All the fast health checks in one target: traced-run validation, the
 # fault model under churn, the workload driver under attack, sweep
 # checkpoint/resume identity, every run kind at small n,
 # corrupted-topology repair, the Chord
 # backend head-to-head, the social application's per-class SLOs, and the
-# engine and trace-sink micro-benchmarks, and the end-to-end benchmark
-# harness at smoke size.
-smoke: trace-smoke fault-smoke workload-smoke sweep-smoke small-n-smoke stabilize-smoke chord-smoke social-smoke bench-engine trace-bench-smoke perfbench-smoke
+# engine and trace-sink micro-benchmarks, the end-to-end benchmark
+# harness at smoke size, and the library surface check.
+smoke: trace-smoke fault-smoke workload-smoke sweep-smoke small-n-smoke stabilize-smoke chord-smoke social-smoke bench-engine trace-bench-smoke perfbench-smoke surface-check
 
 # The full release gate: build everything, run every test, regenerate
 # every experiment table.

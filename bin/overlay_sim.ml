@@ -87,8 +87,8 @@ type kind =
       default_n : int;
       knobs : knob list;
       cannot : string list;
-          (** ["faults"], ["retry"]: rejected, as the driver cannot honour
-              them *)
+          (** scenario keys rejected, as the driver cannot honour them:
+              ["faults"], ["retry"], ["trace"] and ["trace-format"] *)
       run : trace:Trace.t -> Grid.cell -> 'r;
       print : Grid.cell -> 'r -> unit;  (** the subcommand's report *)
       json : (Grid.cell -> 'r -> string) option;
@@ -729,7 +729,7 @@ let anonymize =
       name = "anonymize";
       doc = "issue anonymous requests through the relay overlay (Section 7.1)";
       default_n = 4096;
-      cannot = [ "faults"; "retry" ];
+      cannot = [ "faults"; "retry"; "trace"; "trace-format" ];
       knobs =
         [
           knob "requests" ~default:"1000" ~ty:Int ~docv:"R"
@@ -778,7 +778,7 @@ let dht =
       name = "dht";
       doc = "run a read/write batch against the robust DHT (Section 7.2)";
       default_n = 2048;
-      cannot = [ "faults"; "retry" ];
+      cannot = [ "faults"; "retry"; "trace"; "trace-format" ];
       knobs =
         [
           knob "ops" ~default:"1000" ~ty:Int ~docv:"OPS"
@@ -1203,8 +1203,17 @@ let prepare (Kind k) (cell : Grid.cell) =
                (String.concat ", " (List.map (fun kn -> kn.flag) free)))
   in
   let honour key =
-    if (if key = "faults" then sc.faults = None else sc.retry = 0) then Ok ()
-    else Error (Printf.sprintf "scenario: %s does not take %s" k.name key)
+    let given =
+      match key with
+      | "faults" -> sc.faults <> None
+      | "retry" -> sc.retry <> 0
+      | "trace" -> sc.trace <> None
+      | "trace-format" -> sc.trace_format <> None
+      | _ -> invalid_arg ("overlay_sim: unknown scenario key " ^ key)
+    in
+    if given then
+      Error (Printf.sprintf "scenario: %s does not take %s" k.name key)
+    else Ok ()
   in
   let* () = all check cell.bindings in
   let* () = all honour k.cannot in
@@ -1285,11 +1294,13 @@ let shared_term ~default_n =
     $ str_opt "trace" "FILE"
         "Write structured trace events to $(docv) as JSONL (compact binary \
          if the name ends in .bin).  See \
-         docs/observability.md for the schema."
+         docs/observability.md for the schema.  The $(b,dht) and \
+         $(b,anonymize) kinds emit no trace and reject this flag."
     $ str_opt "trace-format" "FORMAT"
         "Trace sink format: $(b,jsonl) or $(b,bin) (default: by \
          the --trace path suffix).  Binary traces decode back to the exact \
-         JSONL bytes via trace_check --export-jsonl.")
+         JSONL bytes via trace_check --export-jsonl.  Rejected, like \
+         --trace, by $(b,dht) and $(b,anonymize).")
 
 (* A kind's knobs as (knob, value) pairs: each given or defaulted one. *)
 let knobs_term knobs =

@@ -8,8 +8,8 @@
 
 val max_bits : int
 (** Largest supported [m]: 61, the widest ring whose [2^m] and [mask]
-    stay positive in a 63-bit native [int] ({!Ring.default_m} exceeds 30
-    from n = 2{^15} on). *)
+    stay positive in a 63-bit native [int] ({!Ring.create}'s default [m]
+    exceeds 30 from n = 2{^15} on). *)
 
 val space : int -> int
 (** [space m] = [2^m].  Raises [Invalid_argument] outside [1..max_bits]. *)

@@ -47,7 +47,6 @@ let create ring ~rt ?(period = 8) ?(retry = Core.Retry.fixed) () =
       };
   }
 
-let ring t = t.ring
 let stats t = t.stats
 
 (* request/reply probe of [v], re-tried within the slice's budget *)

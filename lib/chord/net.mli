@@ -49,7 +49,6 @@ val create :
     bounds re-probes of an unresponsive contact within one slice.  Raises
     [Invalid_argument] if [period <= 0]. *)
 
-val ring : t -> Ring.t
 val stats : t -> stats
 
 val tick : t -> avail:(int -> bool) -> unit

@@ -29,18 +29,13 @@ type t
 val create :
   ?m:int -> ?fingers:int -> ?succs:int -> rng:Prng.Stream.t -> n:int -> unit -> t
 (** Hash [n] node indices into the [2^m] space (salt drawn from [rng];
-    collisions probed deterministically).  Defaults: [m = default_m n],
-    [fingers = m] (clamped to [m]), [succs = default_succs n] (clamped to
-    [n - 1]).  All nodes start alive with empty routing state; call
-    {!reset_ideal} or {!Net.join} to populate.  Raises [Invalid_argument]
+    collisions probed deterministically).  Defaults:
+    [m = max 8 (2 * ceil(log2 n) + 2)] (enough slack that collisions are
+    rare and arcs are well separated), [fingers = m] (clamped to [m]),
+    [succs = max 2 (ceil(log2 n))] (the paper's O(log n) successor list,
+    clamped to [n - 1]).  All nodes start alive with empty routing
+    state; call {!reset_ideal} or {!Net.join} to populate.  Raises [Invalid_argument]
     if [n < 2] or [2^m < 2 n]. *)
-
-val default_m : int -> int
-(** [max 8 (2 * ceil(log2 n) + 2)] — enough slack that collisions are
-    rare and arcs are well separated. *)
-
-val default_succs : int -> int
-(** [max 2 (ceil(log2 n))] — the paper's O(log n) successor list. *)
 
 val n : t -> int
 val m : t -> int

@@ -14,9 +14,9 @@
 type config = {
   n : int;
   rounds : int;
-  m : int;  (** id bits; [-1] = {!Ring.default_m} *)
+  m : int;  (** id bits; [-1] = the {!Ring.create} default *)
   fingers : int;  (** finger-table length; [-1] = [m] *)
-  succs : int;  (** successor-list length; [-1] = {!Ring.default_succs} *)
+  succs : int;  (** successor-list length; [-1] = the {!Ring.create} default *)
   period : int;  (** maintenance period; [-1] = 8 *)
   keys : int;
   lookups : int;  (** probe lookups per round *)

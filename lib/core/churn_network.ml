@@ -65,7 +65,6 @@ let create ?(d = 8) ?(sampler = Rapid) ?(trace = Simnet.Trace.null) ?faults
   }
 
 let size t = Hgraph.n t.graph
-let degree t = Hgraph.degree t.graph
 let graph t = t.graph
 let ids t = Array.copy t.ids
 

@@ -92,7 +92,6 @@ val create :
     old topology stands, never a wrong cycle. *)
 
 val size : t -> int
-val degree : t -> int
 val graph : t -> Topology.Hgraph.t
 val ids : t -> int array
 (** [ids t].(p) is the persistent global id of the node at position [p]. *)

@@ -145,10 +145,8 @@ let create ?(c = 8) ?(trace = Simnet.Trace.null) ?faults ?domains ~rng ~n () =
   t
 
 let n t = t.n
-let c t = t.c
 let supernode_count t = Sm.leaf_count t.tree
 let group_of t = Array.copy t.group_of
-let group_labels t = Array.copy t.labels
 let dims t = Array.map (fun (l : Sm.label) -> l.Sm.dim) t.labels
 
 let period t =

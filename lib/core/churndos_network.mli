@@ -62,16 +62,14 @@ val create :
     them. *)
 
 val n : t -> int
-val c : t -> int
 val period : t -> int
 (** Rounds per window under the current size. *)
 
 val supernode_count : t -> int
 val group_of : t -> int array
 (** Current node -> group assignment as dense group indices aligned with
-    [group_labels]. *)
+    {!dims}. *)
 
-val group_labels : t -> Split_merge.label array
 val dims : t -> int array
 
 val run_window :

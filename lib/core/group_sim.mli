@@ -68,7 +68,6 @@ val create :
     (default {!Parallel.default_domains}); runs are byte-identical for
     every value. *)
 
-val supernode_count : _ t -> int
 val network_rounds_total : _ t -> int
 (** 2 * steps. *)
 

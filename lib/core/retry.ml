@@ -1,7 +1,6 @@
 type policy = { max_retries : int; factor : float; c_cap : float }
 
 let fixed = { max_retries = 0; factor = 1.0; c_cap = infinity }
-let default = { max_retries = 3; factor = 1.5; c_cap = 8.0 }
 
 let make ?(max_retries = 3) ?(factor = 1.5) ?(c_cap = 8.0) () =
   if max_retries < 0 then invalid_arg "Retry.make: max_retries < 0";

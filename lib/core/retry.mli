@@ -16,13 +16,10 @@ type policy = {
 val fixed : policy
 (** No retries: [max_retries = 0].  The default everywhere. *)
 
-val default : policy
-(** A forgiving default for fault experiments:
-    [max_retries = 3], [factor = 1.5], [c_cap = 8.0]. *)
-
 val make : ?max_retries:int -> ?factor:float -> ?c_cap:float -> unit -> policy
-(** Same defaults as {!default}.  Raises [Invalid_argument] on a negative
-    retry count, [factor < 1] or a non-positive [c_cap]. *)
+(** Defaults: [max_retries = 3], [factor = 1.5], [c_cap = 8.0], a
+    forgiving policy for fault experiments.  Raises [Invalid_argument] on
+    a negative retry count, [factor < 1] or a non-positive [c_cap]. *)
 
 val enabled : policy -> bool
 (** [max_retries > 0]. *)

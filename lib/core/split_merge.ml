@@ -57,10 +57,6 @@ let add_leaf t l v =
   if conflicts t l then invalid_arg "Split_merge.add_leaf: conflicting leaf";
   Hashtbl.replace t.table (key l) v
 
-let remove_leaf t l =
-  if not (mem t l) then invalid_arg "Split_merge.remove_leaf: no such leaf";
-  Hashtbl.remove t.table (key l)
-
 let leaf_count t = Hashtbl.length t.table
 
 let leaves t =

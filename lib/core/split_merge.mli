@@ -40,9 +40,7 @@ val add_leaf : 'a t -> label -> 'a -> unit
 (** Raises [Invalid_argument] if the label conflicts with an existing leaf
     (equal, prefix, or extension). *)
 
-val mem : 'a t -> label -> bool
 val find : 'a t -> label -> 'a option
-val remove_leaf : 'a t -> label -> unit
 val leaf_count : 'a t -> int
 val leaves : 'a t -> (label * 'a) list
 (** Sorted by (dim, bits) for determinism. *)

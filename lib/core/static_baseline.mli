@@ -12,7 +12,6 @@ val alive_count : t -> int
 val node_count : t -> int
 (** All nodes ever, dead or alive. *)
 
-val is_alive : t -> int -> bool
 val alive_positions : t -> int array
 
 val apply :

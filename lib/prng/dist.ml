@@ -1,22 +1,3 @@
-let geometric s p =
-  if p <= 0. || p > 1. then invalid_arg "Dist.geometric: p out of (0,1]";
-  if p = 1. then 0
-  else
-    (* Inversion: floor(log(U) / log(1-p)) with U uniform on (0,1). *)
-    let u = 1.0 -. Stream.float s 1.0 in
-    int_of_float (Float.floor (log u /. log (1. -. p)))
-
-let binomial s ~n ~p =
-  if n < 0 then invalid_arg "Dist.binomial: n < 0";
-  if p <= 0. then 0
-  else if p >= 1. then n
-  else begin
-    let count = ref 0 in
-    for _ = 1 to n do
-      if Stream.bernoulli s p then incr count
-    done;
-    !count
-  end
 
 (* Knuth's method: multiply uniforms until the product drops below
    exp(-lambda).  Past lambda ~ 745, exp(-lambda) underflows to 0 and the
@@ -67,16 +48,3 @@ let zipf_draw st table =
     if table.(mid) > u then hi := mid else lo := mid + 1
   done;
   !lo + 1
-
-let categorical s w =
-  let total = Array.fold_left ( +. ) 0.0 w in
-  if total <= 0. then invalid_arg "Dist.categorical: non-positive total";
-  let u = Stream.float s total in
-  let n = Array.length w in
-  let rec go i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. w.(i) in
-      if u < acc then i else go (i + 1) acc
-  in
-  go 0 0.0

@@ -1,14 +1,6 @@
 (** Non-uniform distributions on top of {!Stream}, used by workload
     generators (churn schedules, request traces). *)
 
-val geometric : Stream.t -> float -> int
-(** [geometric s p] is the number of failures before the first success of a
-    Bernoulli(p) sequence; support [0, 1, 2, ...].  Requires [0 < p <= 1]. *)
-
-val binomial : Stream.t -> n:int -> p:float -> int
-(** [binomial s ~n ~p] draws from Bin(n, p) by inversion for small means and
-    by summing Bernoulli trials otherwise.  Exact distribution. *)
-
 val poisson : Stream.t -> float -> int
 (** [poisson s lambda] draws from Poisson(lambda) by Knuth's method.  A
     [lambda] above 500 is drawn as a sum of independent pieces of mean at
@@ -30,7 +22,3 @@ val zipf_table : n:int -> s:float -> zipf_table
 val zipf_draw : Stream.t -> zipf_table -> int
 (** [zipf_draw st table] draws a rank in [1, n]: one [Stream.float] scaled
     to the total weight, then a binary search, O(log n). *)
-
-val categorical : Stream.t -> float array -> int
-(** [categorical s w] draws index [i] with probability [w.(i) / sum w].
-    Weights must be non-negative with a positive sum. *)

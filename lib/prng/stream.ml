@@ -5,15 +5,11 @@ type t = {
   splitter : Splitmix64.t;
 }
 
-let default_seed = 0x5EED_0CA1_2016_DA7AL
-
 let of_seed seed =
   {
     gen = Xoshiro256.of_seed seed;
     splitter = Splitmix64.create (Splitmix64.mix (Int64.lognot seed));
   }
-
-let create ?(seed = default_seed) () = of_seed seed
 
 let split t = of_seed (Splitmix64.next t.splitter)
 

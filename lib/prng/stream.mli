@@ -8,10 +8,6 @@
 
 type t
 
-val create : ?seed:int64 -> unit -> t
-(** Fresh root stream.  Default seed is a fixed constant so that runs are
-    reproducible unless the caller opts out. *)
-
 val of_seed : int64 -> t
 (** Root stream from an explicit seed. *)
 

@@ -73,20 +73,3 @@ let float t bound =
   (* 53 random bits mapped to [0,1), scaled. *)
   let r = Int64.to_float (Int64.shift_right_logical (step t) 11) in
   bound *. (r *. 0x1p-53)
-
-let jump_constants = [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL;
-                        0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
-
-let jump t =
-  let acc = Bytes.make 32 '\000' in
-  Array.iter
-    (fun c ->
-      for b = 0 to 63 do
-        if Int64.(logand c (shift_left 1L b)) <> 0L then
-          for i = 0 to 3 do
-            set acc i (Int64.logxor (get acc i) (get t i))
-          done;
-        ignore (step t)
-      done)
-    jump_constants;
-  Bytes.blit acc 0 t 0 32

@@ -31,7 +31,3 @@ val bool : t -> bool
 val float : t -> float -> float
 (** [float t bound] is the top 53 bits of the next output mapped to [0, 1)
     and scaled by [bound].  Only the returned float is allocated. *)
-
-val jump : t -> unit
-(** [jump t] advances [t] by 2^128 steps.  Starting from a shared state and
-    jumping k times yields 2^128-spaced, effectively independent streams. *)

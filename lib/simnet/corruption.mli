@@ -54,8 +54,6 @@ val advertised : cls -> string
 
 type spec = { cls : cls; severity : float; seed : int64 }
 
-val default_seed : int64
-
 val make : ?severity:float -> ?seed:int64 -> cls -> spec
 (** Raises [Invalid_argument] unless [severity] is in [(0, 1]]. *)
 

@@ -465,16 +465,6 @@ let tick_faults t =
 
 (* ---------- delivery ---------- *)
 
-let slice_len s = s.s_hi - s.s_lo
-
-let slice_src s i =
-  if i < 0 || i >= slice_len s then invalid_arg "Engine.slice_src: index";
-  Bigarray.Array1.unsafe_get s.s_srcs (s.s_lo + i)
-
-let slice_msg s i =
-  if i < 0 || i >= slice_len s then invalid_arg "Engine.slice_msg: index";
-  Obj.obj (Array.unsafe_get s.s_msgs (s.s_lo + i))
-
 let slice_iter f s =
   for i = s.s_lo to s.s_hi - 1 do
     f

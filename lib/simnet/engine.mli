@@ -126,9 +126,6 @@ type 'msg slice
     only for the duration of the compute callback it was passed to; do not
     store it. *)
 
-val slice_len : _ slice -> int
-val slice_src : _ slice -> int -> int
-val slice_msg : 'msg slice -> int -> 'msg
 val slice_iter : (src:int -> 'msg -> unit) -> 'msg slice -> unit
 
 val deliver_and_step :

@@ -34,13 +34,11 @@ type plan = {
   seed : int64;  (** seed of the dedicated fault stream *)
 }
 
-val none : plan
-(** The null plan: every rate 0, no crashes.  Engines reject it at
-    installation time ({!install} is never called on it), so a run under
-    [none] costs one boolean check per delivery and nothing else. *)
-
 val is_none : plan -> bool
-(** Whether the plan can never fire a fault. *)
+(** Whether the plan can never fire a fault, e.g. [make ()].  Engines
+    reject such a plan at installation time ({!install} is never called
+    on it), so a run under it costs one boolean check per delivery and
+    nothing else. *)
 
 val make :
   ?drop:float ->
@@ -110,8 +108,3 @@ val roll_delay : t -> int
 
 val roll_reorder : t -> 'a array -> bool
 (** Maybe shuffle the inbox in place; returns whether it did. *)
-
-val bernoulli : t -> float -> bool
-(** A raw draw from the fault stream, for drivers that simulate message
-    loss outside the engine (e.g. {!Core.Reconfig} pointer-doubling
-    replies).  [bernoulli t 0.] never fires and consumes nothing. *)

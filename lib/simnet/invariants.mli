@@ -49,35 +49,28 @@ val check_cycles : m:int -> int array array -> (unit, violation) result
     H-graph shape rebuilt by Algorithm 3): sizes match and each array
     passes {!check_cycle}. *)
 
-val fold_cycle :
-  ?cycle:int -> init:'a -> f:('a -> violation -> 'a) -> int array -> 'a
-(** Fold over {e every} defect of one successor array, in deterministic
-    order: each out-of-range entry and each successor collision in node
-    order first; then — only when the array is a clean permutation, since
+val check_cycle_all : ?cycle:int -> int array -> violation list
+(** {e Every} defect of one successor array, in deterministic order: each
+    out-of-range entry and each successor collision in node order first;
+    then — only when the array is a clean permutation, since
     orbit-chasing a broken map is meaningless — one [Not_single_cycle] per
     orbit beyond the one containing node 0 ([reached] is that orbit's
-    length).  {!check_cycle} stops at the first of these; this API exists
-    so corruption triage can report all of them. *)
-
-val check_cycle_all : ?cycle:int -> int array -> violation list
-(** All defects of one successor array ({!fold_cycle} collected in order);
-    [[]] iff {!check_cycle} returns [Ok ()]. *)
+    length).  {!check_cycle} stops at the first of these; this list lets
+    corruption triage report all of them.  [[]] iff {!check_cycle}
+    returns [Ok ()]. *)
 
 val check_cycles_all : m:int -> int array array -> violation list
 (** All defects of a cycle family: per cycle, a [Size_mismatch] when its
     length differs from [m] plus its {!check_cycle_all} list. *)
 
-val check_succs_connected :
-  m:int -> int array array -> (unit, violation) result
-(** BFS connectivity of the union multigraph of the successor arrays over
-    [m] nodes, following only in-range pointers (both directions) — the
-    part of a corrupted topology a node can still route over. *)
-
 val check_all : m:int -> int array array -> violation list
-(** {!check_cycles_all} followed by the {!check_succs_connected}
-    violation, if any — the complete defect list of a (possibly
-    corrupted) topology, and the convergence oracle of
-    {!Core.Stabilize}: a state is repaired exactly when this is [[]]. *)
+(** {!check_cycles_all} followed by the connectivity violation, if any,
+    of the union multigraph of the successor arrays over [m] nodes
+    (following only in-range pointers, both directions: the part of a
+    corrupted topology a node can still route over) — the complete
+    defect list of a (possibly corrupted) topology, and the convergence
+    oracle of {!Core.Stabilize}: a state is repaired exactly when this
+    is [[]]. *)
 
 val reachable : n:int -> start:int -> neighbors:(int -> int array) -> int
 (** Number of nodes reachable from [start] (including it) following

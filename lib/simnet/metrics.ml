@@ -14,8 +14,6 @@ type t = {
   mutable total_msgs : int;
   mutable total_bits : int;
   mutable max_node_bits_ever : int;
-  mutable max_node_msgs_ever : int;
-  mutable history : round_summary list; (* newest first *)
   mutable cur_msgs : int;
   mutable cur_bits : int;
 }
@@ -30,8 +28,6 @@ let create ~n =
     total_msgs = 0;
     total_bits = 0;
     max_node_bits_ever = 0;
-    max_node_msgs_ever = 0;
-    history = [];
     cur_msgs = 0;
     cur_bits = 0;
   }
@@ -75,8 +71,6 @@ let finish_round t =
   t.total_msgs <- t.total_msgs + t.cur_msgs;
   t.total_bits <- t.total_bits + t.cur_bits;
   if !max_bits > t.max_node_bits_ever then t.max_node_bits_ever <- !max_bits;
-  if !max_msgs > t.max_node_msgs_ever then t.max_node_msgs_ever <- !max_msgs;
-  t.history <- summary :: t.history;
   t.round <- t.round + 1;
   t.cur_msgs <- 0;
   t.cur_bits <- 0;
@@ -86,5 +80,3 @@ let rounds t = t.round
 let total_msgs t = t.total_msgs
 let total_bits t = t.total_bits
 let max_node_bits_ever t = t.max_node_bits_ever
-let max_node_msgs_ever t = t.max_node_msgs_ever
-let history t = List.rev t.history

@@ -28,7 +28,3 @@ val total_msgs : t -> int
 val total_bits : t -> int
 val max_node_bits_ever : t -> int
 (** Max per-node per-round communication work seen over the whole run. *)
-
-val max_node_msgs_ever : t -> int
-val history : t -> round_summary list
-(** Oldest first. *)

@@ -83,7 +83,6 @@ let trace t = t.trace
 let traced t = Trace.enabled t.trace
 let plan t = Option.map Faults.plan t.faults
 let faulty t = t.faults <> None
-let n t = t.n
 let domains t = t.domains
 let round t = t.round
 let epoch t = t.epoch

@@ -35,11 +35,6 @@ type t
 type feature = [ `Drop | `Duplicate | `Delay | `Reorder | `Crash | `Recover ]
 (** The independently supportable parts of a {!Faults.plan}. *)
 
-val all_features : feature list
-
-val features_of_plan : Faults.plan -> feature list
-(** The features a plan actually uses (empty for {!Faults.none}). *)
-
 val create :
   ?trace:Trace.t ->
   ?faults:Faults.plan ->
@@ -68,8 +63,6 @@ val plan : t -> Faults.plan option
 (** The installed plan, if any ([None] for inert plans). *)
 
 val faulty : t -> bool
-
-val n : t -> int
 
 val domains : t -> int
 (** The runtime's worker-domain bound (at least 1). *)

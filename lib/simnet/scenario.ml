@@ -273,5 +273,3 @@ let trace_sink t =
   | Some path -> Trace.open_file ?format:t.trace_format path
 
 let fault_model_active t = t.faults <> None || t.retry > 0
-
-let rng t = Prng.Stream.of_seed (Int64.of_int t.seed)

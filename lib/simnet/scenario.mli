@@ -87,19 +87,13 @@ val parse : ?base:t -> string -> (t, string) result
     comma-separated fault sub-spec nests without quoting.  Empty
     segments are ignored. *)
 
-val to_args : t -> string list
-(** Inverse of {!of_args}: the list of [KEY=VALUE] segments (in a fixed
+val to_spec : t -> string
+(** Inverse of {!parse}: the [;]-joined [KEY=VALUE] segments (in a fixed
     key order) that rebuild [t] from {!default}.  Only fields differing
     from {!default} are emitted; floats use the shortest decimal form
-    that parses back to the same value, so
-    [of_args (segments split on their first '=')] — and equally
-    [parse (String.concat ";" (to_args t))] — returns exactly [t].
-    Sweep checkpoint records embed this as the cell's copy-pasteable
-    reproduction command line. *)
-
-val to_spec : t -> string
-(** Round-trippable inverse of {!parse}:
-    [String.concat ";" (to_args t)]. *)
+    that parses back to the same value, so [parse (to_spec t)] returns
+    exactly [t].  Sweep checkpoint records embed this as the cell's
+    copy-pasteable reproduction command line. *)
 
 val trace_sink : t -> Trace.t
 (** {!Trace.open_file} on the [trace] path ([Trace.null] when unset),
@@ -109,6 +103,3 @@ val trace_sink : t -> Trace.t
 val fault_model_active : t -> bool
 (** Whether the run leaves the paper's fault-free model: a plan is
     installed or a retry budget armed. *)
-
-val rng : t -> Prng.Stream.t
-(** Root PRNG stream for the run, derived from [seed]. *)

@@ -79,7 +79,6 @@ let create_drawn ~staleness ~rng =
     current = max_l;
   }
 
-let lateness t = staleness_max t.dist
 let staleness t = t.dist
 let current_lateness t = t.current
 
@@ -97,8 +96,6 @@ let push t snap =
   t.ring.(t.count mod Array.length t.ring) <- Some snap;
   t.count <- t.count + 1;
   t.current <- draw t
-
-let pushed t = t.count
 
 let view_at t r =
   if r < 0 || r >= t.count then None

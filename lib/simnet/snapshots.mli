@@ -39,10 +39,6 @@ val create_drawn : staleness:staleness -> rng:Prng.Stream.t -> 'a t
     distributions consume draws only from [rng], which the caller should
     dedicate (split) to this buffer. *)
 
-val lateness : 'a t -> int
-(** Maximum lateness the buffer can exhibit ({!staleness_max} of its
-    distribution); for {!create} this is the constructor argument. *)
-
 val staleness : 'a t -> staleness
 
 val current_lateness : 'a t -> int
@@ -51,9 +47,6 @@ val current_lateness : 'a t -> int
 val push : 'a t -> 'a -> unit
 (** Record the snapshot for the next round (first push = round 0), then
     redraw the round's lateness. *)
-
-val pushed : 'a t -> int
-(** Number of snapshots recorded so far. *)
 
 val view : 'a t -> 'a option
 (** Newest snapshot that is at least the current drawn lateness rounds

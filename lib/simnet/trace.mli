@@ -78,16 +78,12 @@ val enabled : t -> bool
 val make : emit:(event -> unit) -> close:(unit -> unit) -> t
 (** Custom sink; [emit] must be safe to call until [close]. *)
 
-val of_channel : ?format:format -> out_channel -> t
-(** Sink writing to the channel ([format] defaults to [Jsonl]).  [Jsonl]
-    writes one line per event; [Binary] writes the compact
-    record stream described below (header eagerly, records through a
-    64 KiB buffer).  {!close} flushes but does not close the channel. *)
-
 val open_file : ?format:format -> string -> t
 (** Sink writing to a fresh file (truncated).  Without [format], a path
-    ending in [.bin] selects [Binary], anything else [Jsonl].  {!close} flushes and closes the
-    file. *)
+    ending in [.bin] selects [Binary], anything else [Jsonl].  [Jsonl]
+    writes one line per event; [Binary] writes the compact record stream
+    described below (header eagerly, records through a 64 KiB buffer).
+    {!close} flushes and closes the file. *)
 
 val emit : t -> event -> unit
 (** No-op on {!null} and after {!close}. *)
@@ -135,14 +131,9 @@ val parse_jsonl_line : string -> (string * value) list option
     full record layout and the versioning rules are documented in
     [docs/observability.md]. *)
 
-val binary_magic : string
-(** First 8 bytes of every binary trace file. *)
-
-val binary_version : int
-
 val is_binary_file : string -> bool
-(** [true] when the file starts with {!binary_magic} ([false] on short
-    or unreadable files). *)
+(** [true] when the file starts with the 8-byte binary magic
+    ["OVTRACE\x00"] ([false] on short or unreadable files). *)
 
 val fold_binary_file : string -> init:'a -> f:('a -> event -> 'a) -> 'a
 (** Decode a binary trace file, folding over its events in order.

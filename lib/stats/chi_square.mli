@@ -2,21 +2,14 @@
     claims of the sampling primitives (Theorem 3) and of cycle
     reconfiguration (Lemma 10). *)
 
-val statistic : observed:int array -> expected:float array -> float
-(** Pearson X^2 = sum (O_i - E_i)^2 / E_i.  Cells with expected count 0 and
-    observed count 0 are skipped; expected 0 with observed > 0 yields
-    [infinity]. *)
-
 val statistic_uniform : int array -> float
-(** X^2 against the uniform distribution with the same total count. *)
+(** Pearson X^2 = sum (O_i - E_i)^2 / E_i against the uniform distribution
+    with the same total count. *)
 
 val cdf : df:int -> float -> float
 (** [cdf ~df x] is P(X <= x) for a chi-square distribution with [df] degrees
     of freedom, computed via the regularized lower incomplete gamma
     function. *)
-
-val p_value : df:int -> float -> float
-(** Upper-tail p-value: P(X >= statistic). *)
 
 val test_uniform : int array -> float
 (** [test_uniform counts] is the p-value of the hypothesis that [counts] are

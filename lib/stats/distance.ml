@@ -2,14 +2,6 @@ let check_same_length p q name =
   if Array.length p <> Array.length q then
     invalid_arg (name ^ ": length mismatch")
 
-let total_variation p q =
-  check_same_length p q "Distance.total_variation";
-  let acc = ref 0.0 in
-  for i = 0 to Array.length p - 1 do
-    acc := !acc +. abs_float (p.(i) -. q.(i))
-  done;
-  0.5 *. !acc
-
 let tv_from_uniform p =
   let n = Array.length p in
   if n = 0 then invalid_arg "Distance.tv_from_uniform: empty";

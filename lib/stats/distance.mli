@@ -2,10 +2,6 @@
     the sampling primitives come to the uniform distribution (Lemma 2 /
     Theorem 3 of the paper). *)
 
-val total_variation : float array -> float array -> float
-(** [total_variation p q] = (1/2) sum_i |p_i - q_i|.  Arrays must have equal
-    length. *)
-
 val tv_from_uniform : float array -> float
 (** Total variation distance from the uniform distribution over the same
     support size. *)

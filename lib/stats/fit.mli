@@ -9,12 +9,6 @@ val linear : (float * float) array -> line
 (** Ordinary least squares y = a x + b.  Requires >= 2 points with
     non-constant x. *)
 
-val against_log : (float * float) array -> line
-(** Fit y against log2 x. *)
-
-val against_loglog : (float * float) array -> line
-(** Fit y against log2 log2 x (requires x > 2). *)
-
 type growth = Constant | Log_log | Log | Polynomial
 
 val classify_growth : (float * float) array -> growth

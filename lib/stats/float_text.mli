@@ -16,7 +16,3 @@ val json_repr : float -> string
     when needed, so decoders that infer the numeric type from the token
     shape decode a float and not an integer.  [3.0] renders as ["3.0"],
     [-0.0] as ["-0.0"]. *)
-
-val is_float_looking : string -> bool
-(** [true] when the token contains a character that forces float
-    interpretation under {!Simnet.Trace.parse_jsonl_line}'s rules. *)

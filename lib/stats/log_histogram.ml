@@ -53,7 +53,6 @@ let add_many t v k =
 let add t v = add_many t v 1
 
 let total t = t.total
-let max_observed t = t.max_obs
 
 let percentile t p =
   if t.total = 0 then invalid_arg "Log_histogram.percentile: empty histogram";

@@ -1,7 +1,6 @@
 (** Log-bucketed histograms for latency-like quantities.
 
-    Unlike {!Histogram} (one exact cell per value, bounded domain), a
-    log-histogram covers all non-negative integers with bounded relative
+    A log-histogram covers all non-negative integers with bounded relative
     error: values below [sub_buckets] get one exact cell each, and every
     further power-of-two octave is divided into [sub_buckets] linear cells,
     so a recorded value is attributed to a cell whose width is at most
@@ -28,15 +27,13 @@ val add_many : t -> int -> int -> unit
 (** [add_many t v k] records value [v] [k] times ([k >= 0]). *)
 
 val total : t -> int
-val max_observed : t -> int
-(** Largest value recorded so far (0 when empty). *)
 
 val percentile : t -> float -> int
 (** [percentile t p] with [p] in [0,1]: upper bound of the lowest
     non-empty cell at which the cumulative count reaches the rank
     [max 1 (ceil (p * total))] — an overestimate of the exact order
-    statistic by at most one cell width, and never above
-    {!max_observed}.  [p = 0.0] selects the first observation, [p = 1.0]
+    statistic by at most one cell width, and never above the largest
+    value recorded.  [p = 0.0] selects the first observation, [p = 1.0]
     the last.  Raises [Invalid_argument] if the histogram is empty or
     [p] is outside [0,1] (including nan). *)
 
@@ -53,9 +50,6 @@ val buckets : t -> (int * int * int) list
 
 val merge : t -> t -> t
 (** Fresh histogram holding the exact cell-wise sum of both. *)
-
-val merge_into : into:t -> t -> unit
-(** In-place variant: add every cell of the second histogram to [into]. *)
 
 val equal : t -> t -> bool
 (** Cell-wise equality (same counts in every cell, same max). *)

@@ -17,15 +17,11 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0 with fewer than two observations. *)
 
-val stddev : t -> float
 val min : t -> float
 (** Smallest observation; [infinity] if none. *)
 
 val max : t -> float
 (** Largest observation; [neg_infinity] if none. *)
-
-val total : t -> float
-(** Sum of observations. *)
 
 val merge : t -> t -> t
 (** Combine two accumulators as if all observations were fed to one. *)

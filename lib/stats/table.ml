@@ -16,9 +16,6 @@ let add_row t cells =
   List.iteri (fun i c -> row.(i) <- c) cells;
   t.rows <- row :: t.rows
 
-let add_rowf t fmt =
-  Printf.ksprintf (fun s -> add_row t (String.split_on_char '|' s)) fmt
-
 let note t s = t.notes <- s :: t.notes
 
 let pp fmt t =

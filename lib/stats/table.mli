@@ -9,11 +9,6 @@ val add_row : t -> string list -> unit
 (** Rows may be added with fewer cells than columns; missing cells render
     empty.  Extra cells raise [Invalid_argument]. *)
 
-val add_rowf : t -> ('a, unit, string, unit) format4 -> 'a
-(** [add_rowf t fmt ...] formats a single string and splits it on ['|'] into
-    cells, convenient for numeric rows:
-    [add_rowf t "%d|%.2f|%s" n x label]. *)
-
 val note : t -> string -> unit
 (** Attach a free-form footnote printed under the table. *)
 

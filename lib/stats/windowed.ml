@@ -6,12 +6,18 @@
    a window it is "closed".  With [retain = false] closed windows are
    immediately folded into a running total, so memory stays O(1) in the
    run length — the property that lets million-node sweeps keep summary
-   statistics without multi-GB per-event state.  Because Mergeable.S
+   statistics without multi-GB per-event state.  Because Mergeable
    demands an associative merge with no data loss, the grand total is
    independent of the window width and of the retain flag (checked by a
    qcheck property in test_stats.ml). *)
 
-module Make (M : Mergeable.S) = struct
+module type Mergeable = sig
+  type t
+
+  val merge : t -> t -> t
+end
+
+module Make (M : Mergeable) = struct
   type t = {
     window : int;
     retain : bool;
@@ -20,8 +26,6 @@ module Make (M : Mergeable.S) = struct
     mutable current_index : int; (* window index; -1 before any observation *)
     mutable closed : (int * M.t) list; (* newest first; only when retain *)
     mutable folded : M.t; (* merge of discarded windows when not retain *)
-    mutable folded_windows : int;
-    mutable observations : int;
     mutable last_round : int;
   }
 
@@ -35,18 +39,13 @@ module Make (M : Mergeable.S) = struct
       current_index = -1;
       closed = [];
       folded = empty ();
-      folded_windows = 0;
-      observations = 0;
       last_round = -1;
     }
 
   let close_current t =
     if t.current_index >= 0 then
       if t.retain then t.closed <- (t.current_index, t.current) :: t.closed
-      else begin
-        t.folded <- M.merge t.folded t.current;
-        t.folded_windows <- t.folded_windows + 1
-      end
+      else t.folded <- M.merge t.folded t.current
 
   let observe t ~round f =
     if round < 0 then invalid_arg "Windowed.observe: negative round";
@@ -60,22 +59,11 @@ module Make (M : Mergeable.S) = struct
       t.current <- t.empty ();
       t.current_index <- w
     end;
-    f t.current;
-    t.observations <- t.observations + 1
-
-  let observations t = t.observations
-
-  let current_window t =
-    if t.current_index < 0 then None else Some t.current_index
-
-  let window_width t = t.window
+    f t.current
 
   let windows t =
     if t.current_index < 0 then []
     else List.rev ((t.current_index, t.current) :: t.closed)
-
-  let closed_windows t =
-    t.folded_windows + List.length t.closed
 
   let total t =
     let acc = List.fold_left (fun acc (_, m) -> M.merge acc m) t.folded t.closed in

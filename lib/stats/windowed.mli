@@ -1,4 +1,4 @@
-(** Streaming, windowed aggregation over any {!Mergeable.S} accumulator.
+(** Streaming, windowed aggregation over any shard-mergeable accumulator.
 
     [Make (M)] partitions the round axis into fixed-width windows and
     keeps one [M.t] per window, applying observations in place.  With
@@ -9,7 +9,27 @@
     therefore independent of both the window width and the retain flag
     (qcheck-checked in [test_stats.ml]). *)
 
-module Make (M : Mergeable.S) : sig
+(** A shard-mergeable accumulator, such as {!Log_histogram} or
+    {!Moments}.  Laws every argument satisfies, and that qcheck
+    properties in [test/test_stats.ml] exercise for both:
+
+    - {b associativity}: [merge a (merge b c)] and [merge (merge a b) c]
+      describe the same accumulated state, so shards may be grouped
+      arbitrarily;
+    - {b shard invariance}: feeding observations to one accumulator is
+      indistinguishable from splitting them across shards in any way and
+      merging;
+    - {b empty compatibility}: merging with a fresh (empty) accumulator
+      is the identity, so [empty] is a usable fold seed. *)
+module type Mergeable = sig
+  type t
+
+  val merge : t -> t -> t
+  (** Combine two accumulators as if every observation of both had been
+      fed to a single one.  Never mutates its arguments. *)
+end
+
+module Make (M : Mergeable) : sig
   type t
 
   val create : ?window:int -> ?retain:bool -> empty:(unit -> M.t) -> unit -> t
@@ -35,15 +55,4 @@ module Make (M : Mergeable.S) : sig
   val total : t -> M.t
   (** Merge of everything observed so far — folded, retained and current
       windows.  Equals what a single unwindowed [M.t] would hold. *)
-
-  val observations : t -> int
-  (** Number of [observe] calls so far. *)
-
-  val current_window : t -> int option
-  (** Index of the open window, or [None] before the first observation. *)
-
-  val window_width : t -> int
-
-  val closed_windows : t -> int
-  (** Number of windows the stream has moved past (retained or folded). *)
 end

@@ -31,10 +31,3 @@ let bench_of_pairs pairs =
   | Some rounds, Some total_bits, Some max_node_bits ->
       Some { rounds; total_bits; max_node_bits }
   | _ -> None
-
-module Merge (M : Stats.Mergeable.S) = struct
-  let fold ~empty shards = List.fold_left M.merge empty shards
-
-  let fold_with ~empty f shards =
-    List.fold_left (fun acc shard -> M.merge acc (f shard)) empty shards
-end

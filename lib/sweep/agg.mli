@@ -33,15 +33,3 @@ val bench_pairs : bench -> (string * Simnet.Trace.value) list
 
 val bench_of_pairs : (string * Simnet.Trace.value) list -> bench option
 (** Inverse of {!bench_pairs}; [None] if any counter is missing. *)
-
-(** Shard merging functorized over the {!Stats.Mergeable.S} contract
-    ({!Stats.Histogram}, {!Stats.Log_histogram}, {!Stats.Moments}, or
-    anything else satisfying its laws). *)
-module Merge (M : Stats.Mergeable.S) : sig
-  val fold : empty:M.t -> M.t list -> M.t
-  (** Left fold of [M.merge] over the shards; by the merge laws the
-      result equals feeding every observation to one accumulator. *)
-
-  val fold_with : empty:M.t -> ('a -> M.t) -> 'a list -> M.t
-  (** [fold_with ~empty f shards] extracts with [f] and merges. *)
-end

@@ -6,7 +6,7 @@ type binding = {
 type axis = { axis_name : string; values : binding list }
 
 (* Float axis labels use the shared shortest-roundtrip repr, so they are
-   both readable and lossless (same convention as Scenario.to_args). *)
+   both readable and lossless (same convention as Scenario.to_spec). *)
 let float_label = Stats.Float_text.repr
 
 let free name labels =
@@ -16,7 +16,6 @@ let free name labels =
   }
 
 let strings name labels = free name labels
-let ints name vs = free name (List.map string_of_int vs)
 let floats name vs = free name (List.map float_label vs)
 
 let scenario_key key labels =
@@ -30,15 +29,6 @@ let scenario_key key labels =
             apply = (fun sc -> Simnet.Scenario.of_args ~base:sc [ (key, label) ]);
           })
         labels;
-  }
-
-let mutators name pairs =
-  {
-    axis_name = name;
-    values =
-      List.map
-        (fun (label, f) -> { label; apply = (fun sc -> Ok (f sc)) })
-        pairs;
   }
 
 type cell = {

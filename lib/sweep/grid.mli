@@ -13,12 +13,11 @@
       randomness does not depend on expansion order, sharding, or which
       other cells exist — the property checkpoint resume relies on.
 
-    Axes come in three flavours: {!scenario_key} axes route their values
+    Axes come in two flavours: {!scenario_key} axes route their values
     through {!Simnet.Scenario.of_args} (so ["n"], ["faults"], ["retry"],
-    ... validate exactly like the CLI); free axes ({!ints}, {!floats},
+    ... validate exactly like the CLI); free axes ({!floats},
     {!strings}) only record a binding the cell function reads back with
-    {!binding} and friends; {!mutators} apply arbitrary scenario
-    transformations. *)
+    {!binding} and friends. *)
 
 type axis
 
@@ -27,19 +26,12 @@ val scenario_key : string -> string list -> axis
     scenario as [key=value] via {!Simnet.Scenario.of_args}; invalid
     values surface as an [Error] from {!expand} naming the cell. *)
 
-val ints : string -> int list -> axis
-(** Free axis over integers (recorded in the cell bindings only). *)
-
 val floats : string -> float list -> axis
 (** Free axis over floats; labels use the shortest decimal form that
     parses back to the same float. *)
 
 val strings : string -> string list -> axis
 (** Free axis over strings. *)
-
-val mutators : string -> (string * (Simnet.Scenario.t -> Simnet.Scenario.t)) list -> axis
-(** [mutators name [(label, f); ...]]: axis whose values transform the
-    scenario with [f] and appear as [name=label] in the cell id. *)
 
 type cell = {
   index : int;  (** position in expansion order, 0-based *)

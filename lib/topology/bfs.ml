@@ -59,39 +59,6 @@ let components ?(alive = always_alive) g =
   done;
   List.sort (fun a b -> compare (Array.length b) (Array.length a)) !comps
 
-let component_count ?(alive = always_alive) g =
-  List.length (components ~alive g)
-
-let eccentricity g src =
-  let dist = distances g src in
-  let ecc = ref 0 in
-  (try
-     Array.iter
-       (fun d ->
-         if d < 0 then begin
-           ecc := -1;
-           raise Exit
-         end
-         else if d > !ecc then ecc := d)
-       dist
-   with Exit -> ());
-  !ecc
-
-let diameter_exact g =
-  let n = Graph.n g in
-  let diam = ref 0 in
-  (try
-     for v = 0 to n - 1 do
-       let e = eccentricity g v in
-       if e < 0 then begin
-         diam := -1;
-         raise Exit
-       end;
-       if e > !diam then diam := e
-     done
-   with Exit -> ());
-  !diam
-
 let diameter_double_sweep g rng =
   let n = Graph.n g in
   let best = ref 0 in

@@ -15,16 +15,6 @@ val is_connected : ?alive:(int -> bool) -> Graph.t -> bool
 val components : ?alive:(int -> bool) -> Graph.t -> int array list
 (** The alive vertex sets of the connected components, largest first. *)
 
-val component_count : ?alive:(int -> bool) -> Graph.t -> int
-
-val eccentricity : Graph.t -> int -> int
-(** Greatest finite distance from the node; [-1] if some node is
-    unreachable. *)
-
-val diameter_exact : Graph.t -> int
-(** Exact diameter by all-pairs BFS; O(n (n + m)), intended for n up to a
-    few thousand.  Returns [-1] when disconnected. *)
-
 val diameter_double_sweep : Graph.t -> Prng.Stream.t -> int
 (** Lower bound on the diameter from a few BFS double sweeps; cheap and
     usually tight on expanders.  Returns [-1] when disconnected. *)

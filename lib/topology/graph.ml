@@ -1,8 +1,8 @@
-type t = { adj : Intvec.t array; mutable edge_count : int }
+type t = { adj : Intvec.t array }
 
 let create ~n =
   if n <= 0 then invalid_arg "Graph.create: n <= 0";
-  { adj = Array.init n (fun _ -> Intvec.create ()); edge_count = 0 }
+  { adj = Array.init n (fun _ -> Intvec.create ()) }
 
 let n t = Array.length t.adj
 
@@ -14,14 +14,11 @@ let add_edge t u v =
   check_node t v "add_edge";
   if u = v then invalid_arg "Graph.add_edge: self-loop";
   Intvec.push t.adj.(u) v;
-  Intvec.push t.adj.(v) u;
-  t.edge_count <- t.edge_count + 1
+  Intvec.push t.adj.(v) u
 
 let degree t v =
   check_node t v "degree";
   Intvec.length t.adj.(v)
-
-let edge_count t = t.edge_count
 
 let iter_neighbors t v f =
   check_node t v "iter_neighbors";
@@ -30,10 +27,6 @@ let iter_neighbors t v f =
 let neighbors t v =
   check_node t v "neighbors";
   Intvec.to_array t.adj.(v)
-
-let fold_neighbors t v f init =
-  check_node t v "fold_neighbors";
-  Intvec.fold f init t.adj.(v)
 
 let is_regular t =
   let nn = n t in
@@ -47,11 +40,6 @@ let is_regular t =
     if !ok then Some d else None
   end
 
-let has_edge t u v =
-  check_node t u "has_edge";
-  check_node t v "has_edge";
-  Intvec.exists (fun w -> w = v) t.adj.(u)
-
 let induced_mask t ~keep =
   let g = create ~n:(n t) in
   for u = 0 to n t - 1 do
@@ -60,11 +48,6 @@ let induced_mask t ~keep =
           (* Visit each undirected edge once: from its smaller endpoint. *)
           if u < v && keep v then add_edge g u v)
   done;
-  g
-
-let of_edges ~n:nn edges =
-  let g = create ~n:nn in
-  Array.iter (fun (u, v) -> add_edge g u v) edges;
   g
 
 let edges t =

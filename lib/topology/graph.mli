@@ -13,28 +13,20 @@ val add_edge : t -> int -> int -> unit
 (** Adds an undirected edge; parallel edges accumulate.  Raises
     [Invalid_argument] on out-of-range endpoints or self-loops. *)
 
-val degree : t -> int -> int
-val edge_count : t -> int
-(** Number of undirected edges (parallel edges counted separately). *)
-
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 (** Visits each incident edge's far endpoint; a parallel edge is visited as
     many times as its multiplicity. *)
 
 val neighbors : t -> int -> int array
-val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 
 val is_regular : t -> int option
 (** [Some d] if every node has degree [d]. *)
-
-val has_edge : t -> int -> int -> bool
 
 val induced_mask : t -> keep:(int -> bool) -> t
 (** Subgraph on the same vertex set keeping only edges between kept nodes
     (dropped nodes become isolated).  Used for "network restricted to its
     non-blocked nodes". *)
 
-val of_edges : n:int -> (int * int) array -> t
 val edges : t -> (int * int) array
 (** Each undirected edge once, with smaller endpoint first; parallel edges
     repeated. *)

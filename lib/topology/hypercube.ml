@@ -20,24 +20,3 @@ let flip t v i =
 let neighbors t v =
   check t v "neighbors";
   Array.init t.d (fun i -> v lxor (1 lsl i))
-
-let hamming a b =
-  let x = a lxor b in
-  let rec count x acc = if x = 0 then acc else count (x lsr 1) (acc + (x land 1)) in
-  count x 0
-
-let to_graph t =
-  let g = Graph.create ~n:(node_count t) in
-  for v = 0 to node_count t - 1 do
-    for i = 0 to t.d - 1 do
-      let w = v lxor (1 lsl i) in
-      if v < w then Graph.add_edge g v w
-    done
-  done;
-  g
-
-let random_node t rng = Prng.Stream.int rng (node_count t)
-
-let walk_step t rng v ~dim =
-  check t v "walk_step";
-  if Prng.Stream.bool rng then v else flip t v dim

@@ -18,14 +18,3 @@ val flip : t -> int -> int -> int
 (** [flip t v i] = the neighbor of [v] across dimension [i]. *)
 
 val neighbors : t -> int -> int array
-val hamming : int -> int -> int
-(** Hamming distance between two labels (graph distance in the cube). *)
-
-val to_graph : t -> Graph.t
-val contains : t -> int -> bool
-
-val random_node : t -> Prng.Stream.t -> int
-
-val walk_step : t -> Prng.Stream.t -> int -> dim:int -> int
-(** One step of the paper's d-round sampling walk (Section 2.3): with
-    probability 1/2 stay, otherwise cross dimension [dim]. *)

@@ -23,17 +23,7 @@ let get t i =
   check t i "get";
   t.data.(i)
 
-let unsafe_get t i = Array.unsafe_get t.data i
-
-let set t i x =
-  check t i "set";
-  t.data.(i) <- x
-
 let clear t = t.len <- 0
-
-let truncate_last t =
-  if t.len = 0 then invalid_arg "Intvec.truncate_last: empty";
-  t.len <- t.len - 1
 
 let iter f t =
   for i = 0 to t.len - 1 do
@@ -48,9 +38,3 @@ let fold f init t =
   !acc
 
 let to_array t = Array.sub t.data 0 t.len
-
-let of_array a = { data = (if Array.length a = 0 then Array.make 1 0 else Array.copy a); len = Array.length a }
-
-let exists p t =
-  let rec go i = i < t.len && (p (Array.unsafe_get t.data i) || go (i + 1)) in
-  go 0

@@ -9,16 +9,9 @@ val push : t -> int -> unit
 val get : t -> int -> int
 (** Raises [Invalid_argument] when out of bounds. *)
 
-val set : t -> int -> int -> unit
 val clear : t -> unit
 (** Drops all elements, keeps capacity. *)
-
-val truncate_last : t -> unit
-(** Drop the last element.  Raises [Invalid_argument] if empty. *)
 
 val iter : (int -> unit) -> t -> unit
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 val to_array : t -> int array
-val of_array : int array -> t
-val exists : (int -> bool) -> t -> bool
-val unsafe_get : t -> int -> int

@@ -30,55 +30,3 @@ let with_coord t v i c =
   if c < 0 || c >= t.k then invalid_arg "Kary_hypercube.with_coord: bad digit";
   let old = v / t.pow.(i) mod t.k in
   v + ((c - old) * t.pow.(i))
-
-let of_coords t coords =
-  if Array.length coords <> t.d then
-    invalid_arg "Kary_hypercube.of_coords: wrong arity";
-  Array.iteri
-    (fun _ c ->
-      if c < 0 || c >= t.k then invalid_arg "Kary_hypercube.of_coords: bad digit")
-    coords;
-  let v = ref 0 in
-  for i = t.d - 1 downto 0 do
-    v := (!v * t.k) + coords.(i)
-  done;
-  !v
-
-let to_coords t v =
-  check t v "to_coords";
-  Array.init t.d (fun i -> v / t.pow.(i) mod t.k)
-
-let degree t = (t.k - 1) * t.d
-
-let neighbors t v =
-  check t v "neighbors";
-  let out = Array.make (degree t) 0 in
-  let idx = ref 0 in
-  for i = 0 to t.d - 1 do
-    let own = v / t.pow.(i) mod t.k in
-    for c = 0 to t.k - 1 do
-      if c <> own then begin
-        out.(!idx) <- v + ((c - own) * t.pow.(i));
-        incr idx
-      end
-    done
-  done;
-  out
-
-let distance t a b =
-  check t a "distance";
-  check t b "distance";
-  let diff = ref 0 in
-  for i = 0 to t.d - 1 do
-    if a / t.pow.(i) mod t.k <> b / t.pow.(i) mod t.k then incr diff
-  done;
-  !diff
-
-let to_graph t =
-  let g = Graph.create ~n:t.count in
-  for v = 0 to t.count - 1 do
-    Array.iter (fun w -> if v < w then Graph.add_edge g v w) (neighbors t v)
-  done;
-  g
-
-let random_node t rng = Prng.Stream.int rng t.count

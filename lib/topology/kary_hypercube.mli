@@ -17,14 +17,3 @@ val coord : t -> int -> int -> int
 
 val with_coord : t -> int -> int -> int -> int
 (** [with_coord t v i c] replaces coordinate [i] of [v] by [c]. *)
-
-val of_coords : t -> int array -> int
-val to_coords : t -> int -> int array
-
-val degree : t -> int
-val neighbors : t -> int -> int array
-val distance : t -> int -> int -> int
-(** Number of coordinates in which the labels differ. *)
-
-val to_graph : t -> Graph.t
-val random_node : t -> Prng.Stream.t -> int

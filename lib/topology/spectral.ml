@@ -42,10 +42,3 @@ let second_eigenvalue ?(iterations = 100) g rng =
     done;
     !lambda
   end
-
-let expansion_ok ?(slack = 0.05) g rng =
-  match Graph.is_regular g with
-  | None -> false
-  | Some d ->
-      let l2 = second_eigenvalue g rng in
-      l2 <= 2.0 *. sqrt (float_of_int d) *. (1.0 +. slack)

@@ -9,7 +9,3 @@
 val second_eigenvalue : ?iterations:int -> Graph.t -> Prng.Stream.t -> float
 (** Estimate of |lambda_2| of the adjacency matrix of a regular graph.
     Raises [Invalid_argument] if the graph is not regular. *)
-
-val expansion_ok : ?slack:float -> Graph.t -> Prng.Stream.t -> bool
-(** True when the estimated |lambda_2| <= 2 sqrt(d) * (1 + slack) (default
-    slack 5%), i.e. the graph has the expansion required by Lemma 2. *)

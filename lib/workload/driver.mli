@@ -47,7 +47,7 @@ type chord_params = Backend_intf.chord_knobs = {
   period : int option;
 }
 (** Chord ring knobs; [None] takes the backend default
-    ({!Chord.Ring.default_succs}, fingers = [m], maintenance period =
+    ({!Chord.Ring.create}'s [succs], fingers = [m], maintenance period =
     the config [period]), resolved in one place — the Chord backend's
     [create]. *)
 
@@ -63,9 +63,6 @@ type backend = Robust | Chord of chord_params
     ({!Chord.Ring.holds}).  Messages are charged per contact leg, so
     iterative lookups pay request + reply where the robust path pays one
     message per hop. *)
-
-val chord_defaults : chord_params
-(** All [None]: every knob at its backend default. *)
 
 type config = {
   spec : Spec.t;

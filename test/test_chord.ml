@@ -302,6 +302,10 @@ let test_sim_deterministic () =
 
 (* ---------- workload driver backend ---------- *)
 
+(* The Chord backend with every knob at its default. *)
+let chord_backend =
+  Workload.Driver.Chord { fingers = None; succs = None; period = None }
+
 let small_spec =
   Workload.Spec.make ~clients:32 ~rounds:24 ~keys:128
     ~arrivals:(Workload.Spec.Open_loop { rate = 0.5 })
@@ -309,10 +313,7 @@ let small_spec =
     ~popularity:(Workload.Spec.Zipf 1.1) ~slo:8 ~timeout:16 ()
 
 let test_driver_chord_clean_serves_everything () =
-  let cfg =
-    Workload.Driver.config ~backend:(Workload.Driver.Chord Workload.Driver.chord_defaults)
-      small_spec
-  in
+  let cfg = Workload.Driver.config ~backend:chord_backend small_spec in
   let r = Workload.Driver.run ~seed:11L ~n:256 cfg in
   let t = r.Workload.Driver.total in
   Alcotest.(check bool) "issued > 0" true (t.Workload.Driver.issued > 0);
@@ -333,7 +334,7 @@ let test_driver_backends_same_requests () =
   in
   let r_robust = run Workload.Driver.Robust in
   let r_chord =
-    run (Workload.Driver.Chord Workload.Driver.chord_defaults)
+    run chord_backend
   in
   List.iter2
     (fun (a : Workload.Driver.class_report) (b : Workload.Driver.class_report) ->
@@ -355,7 +356,7 @@ let test_driver_e19_shape () =
     Workload.Driver.goodput r.Workload.Driver.total
   in
   let g_robust = run Workload.Driver.Robust in
-  let g_chord = run (Workload.Driver.Chord Workload.Driver.chord_defaults) in
+  let g_chord = run chord_backend in
   Alcotest.(check bool)
     (Printf.sprintf "reconfig holds (%.3f)" g_robust)
     true (g_robust >= 0.99);

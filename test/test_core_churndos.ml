@@ -31,7 +31,7 @@ let test_label_connected () =
     (Sm.connected (lbl 0b01 2) (lbl 0b1101 4) = Sm.connected (lbl 0b1101 4) (lbl 0b01 2));
   Alcotest.(check bool) "prefix-different-in-one" true
     (Sm.connected (lbl 0b00 2) (lbl 0b1101 4)
-    = (Topology.Hypercube.hamming 0b00 (0b1101 land 0b11) = 1))
+    = (Testutil.hamming 0b00 (0b1101 land 0b11) = 1))
 
 let test_label_guards () =
   Alcotest.check_raises "root has no parent"

@@ -190,7 +190,7 @@ let test_connectivity_matches_brute_force () =
             let gu = group_of.(u) and gv = group_of.(v) in
             if
               gu = gv
-              || Topology.Hypercube.hamming gu gv = 1
+              || Testutil.hamming gu gv = 1
                  && gu < 1 lsl d && gv < 1 lsl d
             then Topology.Graph.add_edge g u v
           end

@@ -432,7 +432,7 @@ let test_virtual_sampling_weighted_distribution () =
   Core.Split_merge.add_leaf tree { Core.Split_merge.bits = 0b11; dim = 2 } ();
   (* the virtual cube has only 4 labels, so give the schedule plenty of
      slack; a few underflows would merely shorten the pools *)
-  let proto = Core.Virtual_sampling.protocol ~eps:1.0 ~c:16.0 ~tree () in
+  let proto = Virtual_sampling.protocol ~eps:1.0 ~c:16.0 ~tree () in
   let n = 96 in
   (* 3 leaves; uniform_groups gives each a third of the nodes *)
   let counts = Array.make 3 0 in
@@ -454,7 +454,7 @@ let test_virtual_sampling_weighted_distribution () =
         | Some st ->
             Array.iter
               (fun leaf -> counts.(leaf) <- counts.(leaf) + 1)
-              (Core.Virtual_sampling.samples st)
+              (Virtual_sampling.samples st)
       done)
     [ 31L; 32L; 33L; 34L; 35L; 36L ];
   let total = float_of_int (Array.fold_left ( + ) 0 counts) in
@@ -477,7 +477,7 @@ let test_virtual_sampling_survives_blocking () =
   (* split one leaf so the tree is genuinely variable-dimension *)
   Core.Split_merge.split tree { Core.Split_merge.bits = 0; dim = 3 }
     (fun () -> ((), ()));
-  let proto = Core.Virtual_sampling.protocol ~c:2.0 ~tree () in
+  let proto = Virtual_sampling.protocol ~c:2.0 ~tree () in
   let k = Core.Split_merge.leaf_count tree in
   let n = 360 in
   let s = rng () in

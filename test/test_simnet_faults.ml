@@ -68,7 +68,7 @@ let test_different_fault_seed_differs () =
 let test_none_plan_metrics_identical () =
   let _, r_plain, m0 = run_workload ~n:10 ~rounds:8 () in
   let eng_none, r_none, m_none =
-    run_workload ~faults:Simnet.Faults.none ~n:10 ~rounds:8 ()
+    run_workload ~faults:(Simnet.Faults.make ()) ~n:10 ~rounds:8 ()
   in
   (* delay_p > 0 with delay_max = 0 can never fire either *)
   let inert = Simnet.Faults.make ~delay_p:0.5 ~delay_max:0 () in

@@ -38,7 +38,7 @@ let test_supported_plan_installs () =
 
 let test_inert_plan_not_installed () =
   let rt =
-    Simnet.Runtime.create ~faults:Simnet.Faults.none ~supports:[] ~n:8 ()
+    Simnet.Runtime.create ~faults:(Simnet.Faults.make ()) ~supports:[] ~n:8 ()
   in
   Alcotest.(check bool) "not faulty" false (Simnet.Runtime.faulty rt);
   Alcotest.(check bool) "legs arrive" true (Simnet.Runtime.leg rt ())

@@ -25,7 +25,10 @@ let expand_ok ~sweep axes =
 let test_expand_order_and_ids () =
   let cells =
     expand_ok ~sweep:"g"
-      [ Sweep.Grid.strings "a" [ "x"; "y" ]; Sweep.Grid.ints "b" [ 1; 2; 3 ] ]
+      [
+        Sweep.Grid.strings "a" [ "x"; "y" ];
+        Sweep.Grid.strings "b" [ "1"; "2"; "3" ];
+      ]
   in
   Alcotest.(check int) "6 cells" 6 (List.length cells);
   (* first axis slowest: a=x covers indices 0..2 *)
@@ -52,13 +55,14 @@ let test_expand_rejects_collisions () =
     "duplicate axis name" true
     (is_error
        (Sweep.Grid.expand ~sweep:"g"
-          [ Sweep.Grid.ints "a" [ 1 ]; Sweep.Grid.strings "a" [ "x" ] ]));
+          [ Sweep.Grid.strings "a" [ "1" ]; Sweep.Grid.strings "a" [ "x" ] ]));
   Alcotest.(check bool)
     "empty axis" true
-    (is_error (Sweep.Grid.expand ~sweep:"g" [ Sweep.Grid.ints "a" [] ]));
+    (is_error (Sweep.Grid.expand ~sweep:"g" [ Sweep.Grid.strings "a" [] ]));
   Alcotest.(check bool)
     "repeated value" true
-    (is_error (Sweep.Grid.expand ~sweep:"g" [ Sweep.Grid.ints "a" [ 2; 2 ] ]));
+    (is_error
+       (Sweep.Grid.expand ~sweep:"g" [ Sweep.Grid.strings "a" [ "2"; "2" ] ]));
   Alcotest.(check bool)
     "bad scenario value" true
     (is_error
@@ -85,8 +89,8 @@ let test_seed_depends_only_on_name_and_id () =
     "cell id matters" true
     (seed <> Sweep.Grid.seed_of ~sweep:"s" "a=2");
   (* the same cell produced by a bigger grid keeps its seed *)
-  let small = expand_ok ~sweep:"s" [ Sweep.Grid.ints "a" [ 1 ] ] in
-  let big = expand_ok ~sweep:"s" [ Sweep.Grid.ints "a" [ 1; 2; 3 ] ] in
+  let small = expand_ok ~sweep:"s" [ Sweep.Grid.strings "a" [ "1" ] ] in
+  let big = expand_ok ~sweep:"s" [ Sweep.Grid.strings "a" [ "1"; "2"; "3" ] ] in
   let seed_in cells =
     (List.find (fun c -> c.Sweep.Grid.id = "a=1") cells).Sweep.Grid.seed
   in

@@ -2,6 +2,35 @@
 
 let rng () = Testutil.rng ()
 
+let degree g v = Array.length (Topology.Graph.neighbors g v)
+let has_edge g v w = Array.mem w (Topology.Graph.neighbors g v)
+let edge_count g = Array.length (Topology.Graph.edges g)
+
+(* The graph joining each node [v] to every entry of [neighbors v]. *)
+let graph_of_neighbors ~n neighbors =
+  let g = Topology.Graph.create ~n in
+  for v = 0 to n - 1 do
+    Array.iter (fun w -> if v < w then Topology.Graph.add_edge g v w) (neighbors v)
+  done;
+  g
+
+(* Exact diameter by all-pairs BFS, the oracle for the double sweep;
+   [-1] when disconnected. *)
+let diameter_exact g =
+  let ecc v =
+    Array.fold_left
+      (fun e d -> if e < 0 || d < 0 then -1 else max e d)
+      0
+      (Topology.Bfs.distances g v)
+  in
+  let rec go v diam =
+    if v = Topology.Graph.n g then diam
+    else
+      let e = ecc v in
+      if e < 0 then -1 else go (v + 1) (max diam e)
+  in
+  go 0 0
+
 (* ---------- Intvec ---------- *)
 
 let test_intvec_basics () =
@@ -12,23 +41,20 @@ let test_intvec_basics () =
   done;
   Alcotest.(check int) "length" 100 (Topology.Intvec.length v);
   Alcotest.(check int) "get" 84 (Topology.Intvec.get v 42);
-  Topology.Intvec.set v 42 7;
-  Alcotest.(check int) "set" 7 (Topology.Intvec.get v 42);
-  Topology.Intvec.truncate_last v;
-  Alcotest.(check int) "truncate" 99 (Topology.Intvec.length v);
   let sum = Topology.Intvec.fold (fun a x -> a + x) 0 v in
   Alcotest.(check bool) "fold sums" true (sum > 0);
   Topology.Intvec.clear v;
   Alcotest.(check int) "clear" 0 (Topology.Intvec.length v)
 
 let test_intvec_bounds () =
-  let v = Topology.Intvec.of_array [| 1; 2 |] in
+  let v = Topology.Intvec.create () in
+  Topology.Intvec.push v 1;
+  Topology.Intvec.push v 2;
   Alcotest.check_raises "get oob" (Invalid_argument "Intvec.get: out of bounds")
     (fun () -> ignore (Topology.Intvec.get v 2));
-  Alcotest.check_raises "truncate empty"
-    (Invalid_argument "Intvec.truncate_last: empty") (fun () ->
-      let e = Topology.Intvec.create () in
-      Topology.Intvec.truncate_last e)
+  Alcotest.check_raises "get negative"
+    (Invalid_argument "Intvec.get: out of bounds") (fun () ->
+      ignore (Topology.Intvec.get v (-1)))
 
 (* ---------- Graph ---------- *)
 
@@ -39,11 +65,11 @@ let test_graph_basics () =
   Topology.Graph.add_edge g 0 1;
   (* parallel edge *)
   Alcotest.(check int) "n" 4 (Topology.Graph.n g);
-  Alcotest.(check int) "edges" 3 (Topology.Graph.edge_count g);
-  Alcotest.(check int) "deg 1 with parallel" 3 (Topology.Graph.degree g 1);
-  Alcotest.(check int) "deg isolated" 0 (Topology.Graph.degree g 3);
-  Alcotest.(check bool) "has edge" true (Topology.Graph.has_edge g 0 1);
-  Alcotest.(check bool) "no edge" false (Topology.Graph.has_edge g 0 3)
+  Alcotest.(check int) "edges" 3 (edge_count g);
+  Alcotest.(check int) "deg 1 with parallel" 3 (degree g 1);
+  Alcotest.(check int) "deg isolated" 0 (degree g 3);
+  Alcotest.(check bool) "has edge" true (has_edge g 0 1);
+  Alcotest.(check bool) "no edge" false (has_edge g 0 3)
 
 let test_graph_guards () =
   let g = Topology.Graph.create ~n:3 in
@@ -68,12 +94,13 @@ let test_graph_induced_mask () =
   Topology.Graph.add_edge g 1 2;
   Topology.Graph.add_edge g 2 3;
   let sub = Topology.Graph.induced_mask g ~keep:(fun v -> v <> 1) in
-  Alcotest.(check int) "only edge 2-3 kept" 1 (Topology.Graph.edge_count sub);
-  Alcotest.(check bool) "2-3 present" true (Topology.Graph.has_edge sub 2 3)
+  Alcotest.(check int) "only edge 2-3 kept" 1 (edge_count sub);
+  Alcotest.(check bool) "2-3 present" true (has_edge sub 2 3)
 
 let test_graph_edges_roundtrip () =
   let edges = [| (0, 1); (1, 2); (0, 2); (0, 1) |] in
-  let g = Topology.Graph.of_edges ~n:3 edges in
+  let g = Topology.Graph.create ~n:3 in
+  Array.iter (fun (a, b) -> Topology.Graph.add_edge g a b) edges;
   let back = Topology.Graph.edges g in
   Alcotest.(check int) "edge multiset size" 4 (Array.length back);
   let norm a = List.sort compare (Array.to_list a) in
@@ -82,16 +109,16 @@ let test_graph_edges_roundtrip () =
 (* ---------- Union-find ---------- *)
 
 let test_union_find () =
-  let u = Topology.Union_find.create 6 in
-  Alcotest.(check int) "initial components" 6 (Topology.Union_find.component_count u);
-  Topology.Union_find.union u 0 1;
-  Topology.Union_find.union u 1 2;
-  Topology.Union_find.union u 3 4;
-  Alcotest.(check int) "after unions" 3 (Topology.Union_find.component_count u);
-  Alcotest.(check bool) "same" true (Topology.Union_find.same u 0 2);
-  Alcotest.(check bool) "not same" false (Topology.Union_find.same u 2 3);
+  let u = Union_find.create 6 in
+  Alcotest.(check int) "initial components" 6 (Union_find.component_count u);
+  Union_find.union u 0 1;
+  Union_find.union u 1 2;
+  Union_find.union u 3 4;
+  Alcotest.(check int) "after unions" 3 (Union_find.component_count u);
+  Alcotest.(check bool) "same" true (Union_find.same u 0 2);
+  Alcotest.(check bool) "not same" false (Union_find.same u 2 3);
   Alcotest.(check int) "among subset" 2
-    (Topology.Union_find.component_count_among u [| 0; 2; 3 |])
+    (Union_find.component_count_among u [| 0; 2; 3 |])
 
 (* ---------- BFS ---------- *)
 
@@ -129,12 +156,12 @@ let test_bfs_components () =
 
 let test_bfs_diameter () =
   let g = path_graph 7 in
-  Alcotest.(check int) "path diameter" 6 (Topology.Bfs.diameter_exact g);
+  Alcotest.(check int) "path diameter" 6 (diameter_exact g);
   Alcotest.(check int) "double sweep exact on a path" 6
     (Topology.Bfs.diameter_double_sweep g (rng ()));
   let disconnected = Topology.Graph.create ~n:3 in
   Topology.Graph.add_edge disconnected 0 1;
-  Alcotest.(check int) "disconnected" (-1) (Topology.Bfs.diameter_exact disconnected)
+  Alcotest.(check int) "disconnected" (-1) (diameter_exact disconnected)
 
 let test_bfs_union_find_agree () =
   (* Random graphs: BFS component count equals union-find component count. *)
@@ -142,17 +169,17 @@ let test_bfs_union_find_agree () =
   for _ = 1 to 20 do
     let n = 2 + Prng.Stream.int r 50 in
     let g = Topology.Graph.create ~n in
-    let u = Topology.Union_find.create n in
+    let u = Union_find.create n in
     for _ = 1 to Prng.Stream.int r (3 * n) do
       let a = Prng.Stream.int r n and b = Prng.Stream.int r n in
       if a <> b then begin
         Topology.Graph.add_edge g a b;
-        Topology.Union_find.union u a b
+        Union_find.union u a b
       end
     done;
     Alcotest.(check int) "component counts agree"
-      (Topology.Union_find.component_count u)
-      (Topology.Bfs.component_count g)
+      (Union_find.component_count u)
+      (List.length (Topology.Bfs.components g))
   done
 
 (* ---------- Hypercube ---------- *)
@@ -161,30 +188,38 @@ let test_hypercube_basics () =
   let h = Topology.Hypercube.create 4 in
   Alcotest.(check int) "node count" 16 (Topology.Hypercube.node_count h);
   Alcotest.(check int) "flip" 0b1010 (Topology.Hypercube.flip h 0b0010 3);
-  Alcotest.(check int) "hamming" 2 (Topology.Hypercube.hamming 0b1010 0b0110);
+  Alcotest.(check int) "hamming" 2 (Testutil.hamming 0b1010 0b0110);
   let ns = Topology.Hypercube.neighbors h 0 in
   Alcotest.(check int) "degree" 4 (Array.length ns);
   Array.iter
     (fun w -> Alcotest.(check int) "neighbors at distance 1" 1
-        (Topology.Hypercube.hamming 0 w))
+        (Testutil.hamming 0 w))
     ns
 
 let test_hypercube_graph () =
   let h = Topology.Hypercube.create 5 in
-  let g = Topology.Hypercube.to_graph h in
+  let g =
+    graph_of_neighbors
+      ~n:(Topology.Hypercube.node_count h)
+      (Topology.Hypercube.neighbors h)
+  in
   Alcotest.(check (option int)) "5-regular" (Some 5) (Topology.Graph.is_regular g);
   Alcotest.(check bool) "connected" true (Topology.Bfs.is_connected g);
-  Alcotest.(check int) "diameter = d" 5 (Topology.Bfs.diameter_exact g)
+  Alcotest.(check int) "diameter = d" 5 (diameter_exact g)
 
 let test_hypercube_walk_uniform () =
-  (* The d-round walk of Section 2.3 ends at a uniform node. *)
+  (* The d-round walk of Section 2.3 ends at a uniform node.  Each step
+     stays with probability 1/2, else crosses dimension [dim]. *)
   let h = Topology.Hypercube.create 6 in
   let r = rng () in
+  let walk_step v ~dim =
+    if Prng.Stream.bool r then v else Topology.Hypercube.flip h v dim
+  in
   let counts = Array.make 64 0 in
   for _ = 1 to 64_000 do
     let v = ref 0 in
     for dim = 0 to 5 do
-      v := Topology.Hypercube.walk_step h r !v ~dim
+      v := walk_step !v ~dim
     done;
     counts.(!v) <- counts.(!v) + 1
   done;
@@ -193,37 +228,59 @@ let test_hypercube_walk_uniform () =
 
 (* ---------- k-ary hypercube ---------- *)
 
+module Kary = Topology.Kary_hypercube
+
+let kary_coords c v = Array.init (Kary.d c) (Kary.coord c v)
+
+(* Digit [i] of a label is coordinate [i]. *)
+let kary_of_coords c coords =
+  Array.fold_right (fun x v -> (v * Kary.k c) + x) coords 0
+
+(* The neighbours of Definition 1: every label that differs in exactly
+   one coordinate. *)
+let kary_neighbors c v =
+  Array.concat
+    (List.init (Kary.d c) (fun i ->
+         let own = Kary.coord c v i in
+         Array.of_list
+           (List.filter_map
+              (fun x -> if x = own then None else Some (Kary.with_coord c v i x))
+              (List.init (Kary.k c) Fun.id))))
+
+let kary_distance c a b =
+  List.length
+    (List.filter (fun i -> Kary.coord c a i <> Kary.coord c b i)
+       (List.init (Kary.d c) Fun.id))
+
 let test_kary_coords_roundtrip () =
-  let c = Topology.Kary_hypercube.create ~k:3 ~d:4 in
-  for v = 0 to Topology.Kary_hypercube.node_count c - 1 do
-    let coords = Topology.Kary_hypercube.to_coords c v in
-    Alcotest.(check int) "roundtrip" v (Topology.Kary_hypercube.of_coords c coords)
+  let c = Kary.create ~k:3 ~d:4 in
+  for v = 0 to Kary.node_count c - 1 do
+    Alcotest.(check int) "roundtrip" v (kary_of_coords c (kary_coords c v))
   done
 
 let test_kary_structure () =
-  let c = Topology.Kary_hypercube.create ~k:3 ~d:3 in
-  Alcotest.(check int) "node count" 27 (Topology.Kary_hypercube.node_count c);
-  Alcotest.(check int) "degree" 6 (Topology.Kary_hypercube.degree c);
-  let g = Topology.Kary_hypercube.to_graph c in
+  let c = Kary.create ~k:3 ~d:3 in
+  Alcotest.(check int) "node count" 27 (Kary.node_count c);
+  Alcotest.(check int) "degree" 6 (Array.length (kary_neighbors c 0));
+  let g = graph_of_neighbors ~n:(Kary.node_count c) (kary_neighbors c) in
   Alcotest.(check (option int)) "regular" (Some 6) (Topology.Graph.is_regular g);
   Alcotest.(check bool) "connected" true (Topology.Bfs.is_connected g);
-  Alcotest.(check int) "diameter = d" 3 (Topology.Bfs.diameter_exact g)
+  Alcotest.(check int) "diameter = d" 3 (diameter_exact g)
 
 let test_kary_neighbors_distance () =
-  let c = Topology.Kary_hypercube.create ~k:4 ~d:3 in
+  let c = Kary.create ~k:4 ~d:3 in
   let v = 37 in
   Array.iter
     (fun w ->
-      Alcotest.(check int) "neighbor at distance 1" 1
-        (Topology.Kary_hypercube.distance c v w))
-    (Topology.Kary_hypercube.neighbors c v)
+      Alcotest.(check int) "neighbor at distance 1" 1 (kary_distance c v w))
+    (kary_neighbors c v)
 
 let test_kary_with_coord () =
-  let c = Topology.Kary_hypercube.create ~k:5 ~d:3 in
-  let v = Topology.Kary_hypercube.of_coords c [| 1; 2; 3 |] in
-  let w = Topology.Kary_hypercube.with_coord c v 1 4 in
+  let c = Kary.create ~k:5 ~d:3 in
+  let v = kary_of_coords c [| 1; 2; 3 |] in
+  let w = Kary.with_coord c v 1 4 in
   Alcotest.(check (array int)) "coordinate replaced" [| 1; 4; 3 |]
-    (Topology.Kary_hypercube.to_coords c w)
+    (kary_coords c w)
 
 (* ---------- H-graphs ---------- *)
 
@@ -287,8 +344,9 @@ let test_hgraph_expander () =
   (* Corollary 1: random H-graphs have |lambda_2| <= 2 sqrt(d), w.h.p. *)
   let g = Topology.Hgraph.random (rng ()) ~n:400 ~d:8 in
   let gr = Topology.Hgraph.to_graph g in
+  let l2 = Topology.Spectral.second_eigenvalue gr (rng ()) in
   Alcotest.(check bool) "spectral expansion" true
-    (Topology.Spectral.expansion_ok gr (rng ()))
+    (l2 <= 2.0 *. sqrt 8.0 *. 1.05)
 
 let test_hgraph_diameter_logarithmic () =
   let g = Topology.Hgraph.random (rng ()) ~n:512 ~d:8 in
@@ -393,9 +451,9 @@ let qcheck_graph_model =
       let ok = ref true in
       for v = 0 to n - 1 do
         let deg = Array.fold_left ( + ) 0 adj.(v) in
-        if Topology.Graph.degree g v <> deg then ok := false;
+        if degree g v <> deg then ok := false;
         for w = 0 to n - 1 do
-          if Topology.Graph.has_edge g v w <> (adj.(v).(w) > 0) then ok := false
+          if has_edge g v w <> (adj.(v).(w) > 0) then ok := false
         done;
         (* neighbor multiset matches the matrix row *)
         let row = Array.make n 0 in
@@ -422,16 +480,14 @@ let qcheck_intvec_model =
               Topology.Intvec.push v x;
               model := !model @ [ x ]
           | 1 ->
-              if !model <> [] then begin
-                Topology.Intvec.truncate_last v;
-                model := List.filteri (fun i _ -> i < List.length !model - 1) !model
+              if Prng.Stream.int r 8 = 0 then begin
+                Topology.Intvec.clear v;
+                model := []
               end
           | 2 ->
               if !model <> [] then begin
                 let i = Prng.Stream.int r (List.length !model) in
-                let x = Prng.Stream.int r 1000 in
-                Topology.Intvec.set v i x;
-                model := List.mapi (fun j y -> if j = i then x else y) !model
+                if Topology.Intvec.get v i <> List.nth !model i then ok := false
               end
           | _ ->
               if Topology.Intvec.length v <> List.length !model then ok := false;
@@ -461,10 +517,9 @@ let qcheck_kary_coords_roundtrip =
   QCheck.Test.make ~name:"k-ary coords roundtrip" ~count:300
     QCheck.(triple (int_range 2 6) (int_range 1 6) (int_range 0 10_000))
     (fun (k, d, vraw) ->
-      let c = Topology.Kary_hypercube.create ~k ~d in
-      let v = vraw mod Topology.Kary_hypercube.node_count c in
-      Topology.Kary_hypercube.of_coords c (Topology.Kary_hypercube.to_coords c v)
-      = v)
+      let c = Kary.create ~k ~d in
+      let v = vraw mod Kary.node_count c in
+      kary_of_coords c (kary_coords c v) = v)
 
 let qcheck_induced_mask_subset =
   QCheck.Test.make ~name:"induced subgraph has no edges at dropped nodes"
@@ -481,7 +536,7 @@ let qcheck_induced_mask_subset =
       let sub = Topology.Graph.induced_mask g ~keep in
       let ok = ref true in
       for v = 0 to n - 1 do
-        if not (keep v) && Topology.Graph.degree sub v > 0 then ok := false
+        if not (keep v) && degree sub v > 0 then ok := false
       done;
       !ok)
 

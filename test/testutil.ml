@@ -61,36 +61,48 @@ let setup_words run =
    formulations of Algorithms 1 and 2 that the flat samplers are checked
    against are written over it. *)
 module Multiset = struct
-  module V = Topology.Intvec
+  type t = { mutable data : int array; mutable len : int }
 
-  let create = V.create
-  let size = V.length
-  let add = V.push
-  let clear = V.clear
-  let iter = V.iter
-  let of_array = V.of_array
-  let to_array = V.to_array
+  let create ?(capacity = 8) () = { data = Array.make (max 1 capacity) 0; len = 0 }
+  let size t = t.len
+  let clear t = t.len <- 0
+
+  let add t x =
+    if t.len = Array.length t.data then begin
+      let data = Array.make (2 * t.len) 0 in
+      Array.blit t.data 0 data 0 t.len;
+      t.data <- data
+    end;
+    t.data.(t.len) <- x;
+    t.len <- t.len + 1
+
+  let iter f t =
+    for i = 0 to t.len - 1 do
+      f t.data.(i)
+    done
+
+  let of_array a = { data = Array.append a [| 0 |]; len = Array.length a }
+  let to_array t = Array.sub t.data 0 t.len
 
   let extract_random t rng =
-    let len = size t in
-    if len = 0 then None
+    if t.len = 0 then None
     else begin
-      let i = Prng.Stream.int rng len in
-      let v = V.get t i in
-      V.set t i (V.get t (len - 1));
-      V.truncate_last t;
+      let i = Prng.Stream.int rng t.len in
+      let v = t.data.(i) in
+      t.len <- t.len - 1;
+      t.data.(i) <- t.data.(t.len);
       Some v
     end
 
   let peek_random t rng =
-    let len = size t in
-    if len = 0 then None else Some (V.get t (Prng.Stream.int rng len))
+    if t.len = 0 then None else Some t.data.(Prng.Stream.int rng t.len)
 end
 
 (* An engine inbox slice as an oldest-first (src, msg) list. *)
 let inbox_list inbox =
-  List.init (Simnet.Engine.slice_len inbox) (fun i ->
-      (Simnet.Engine.slice_src inbox i, Simnet.Engine.slice_msg inbox i))
+  let acc = ref [] in
+  Simnet.Engine.slice_iter (fun ~src msg -> acc := (src, msg) :: !acc) inbox;
+  List.rev !acc
 
 (* One engine round whose compute step sees each inbox as a list.  With
    [meter = (metrics, bits)], every delivered message is charged to its
@@ -110,3 +122,8 @@ let step ?meter eng f =
   match meter with
   | Some (m, _) -> ignore (Simnet.Metrics.finish_round m)
   | None -> ()
+
+(* Hamming distance between two hypercube labels. *)
+let hamming a b =
+  let rec count x acc = if x = 0 then acc else count (x lsr 1) (acc + (x land 1)) in
+  count (a lxor b) 0

@@ -1,6 +1,6 @@
-(** Disjoint-set forest with union by rank and path compression; used as an
-    independent oracle to cross-check BFS connectivity results in tests and
-    as the fast path for "is the surviving network connected?" checks. *)
+(** Disjoint-set forest with union by rank and path compression: the
+    independent oracle that the topology tests cross-check
+    {!Topology.Bfs} connectivity results against. *)
 
 type t
 

@@ -1,15 +1,15 @@
-module Sm = Split_merge
+module Sm = Core.Split_merge
 
 type state = {
   owned : int array;  (** virtual labels this leaf covers *)
-  vstates : Supernode_sampling.state array;  (** aligned with [owned] *)
+  vstates : Core.Supernode_sampling.state array;  (** aligned with [owned] *)
   leaf_of : int array;  (** virtual label -> dense leaf index (shared) *)
 }
 
 type msg = {
   vsrc : int;
   vdst : int;
-  payload : Supernode_sampling.msg;
+  payload : Core.Supernode_sampling.msg;
 }
 
 let samples st =
@@ -17,13 +17,8 @@ let samples st =
     (Array.to_list
        (Array.map
           (fun vst ->
-            Array.map (fun b -> st.leaf_of.(b)) (Supernode_sampling.samples vst))
+            Array.map (fun b -> st.leaf_of.(b)) (Core.Supernode_sampling.samples vst))
           st.vstates))
-
-let underflows st =
-  Array.fold_left
-    (fun acc vst -> acc + Supernode_sampling.underflows vst)
-    0 st.vstates
 
 let protocol ?(eps = 0.5) ?(c = 2.0) ~tree () =
   if not (Sm.covers tree) then
@@ -43,13 +38,13 @@ let protocol ?(eps = 0.5) ?(c = 2.0) ~tree () =
             b))
       leaves
   in
-  let base = Supernode_sampling.protocol ~eps ~c ~cube () in
+  let base = Core.Supernode_sampling.protocol ~eps ~c ~cube () in
   let init ~supernode ~rng =
     {
       owned = owned_of.(supernode);
       vstates =
         Array.map
-          (fun vl -> base.Group_sim.init ~supernode:vl ~rng)
+          (fun vl -> base.Core.Group_sim.init ~supernode:vl ~rng)
           owned_of.(supernode);
       leaf_of;
     }
@@ -66,7 +61,7 @@ let protocol ?(eps = 0.5) ?(c = 2.0) ~tree () =
               inbox
           in
           let vst', outs =
-            base.Group_sim.step ~supernode:vl ~step_index st.vstates.(i)
+            base.Core.Group_sim.step ~supernode:vl ~step_index st.vstates.(i)
               ~inbox:sub_inbox ~rng
           in
           List.iter
@@ -80,14 +75,14 @@ let protocol ?(eps = 0.5) ?(c = 2.0) ~tree () =
   in
   let vid_bits = Simnet.Msg_size.id_bits (max 2 virtuals) in
   {
-    Group_sim.init;
+    Core.Group_sim.init;
     step;
-    steps = base.Group_sim.steps;
+    steps = base.Core.Group_sim.steps;
     state_bits =
       (fun st ->
         Array.fold_left
-          (fun acc vst -> acc + base.Group_sim.state_bits vst)
+          (fun acc vst -> acc + base.Core.Group_sim.state_bits vst)
           Simnet.Msg_size.header_bits st.vstates);
     msg_bits =
-      (fun m -> base.Group_sim.msg_bits m.payload + (2 * vid_bits));
+      (fun m -> base.Core.Group_sim.msg_bits m.payload + (2 * vid_bits));
   }
