@@ -216,11 +216,9 @@ social-smoke:
 	  /tmp/overlay_social_a.jsonl
 	dune exec bench/main.exe -- e20 > /dev/null
 
-# Engine micro-benchmark: the mailbox A/B (flat buffers vs the seed's
-# lists) plus the sharded-engine scaling curve (n up to 10^6, worker
-# domains swept over 1/2/4/8 with a cross-domain checksum).  Writes
-# BENCH_engine.json to the repository root, then gates on it: the fresh
-# n=65536 domains=1 msgs/sec must stay within 80% of the committed
+# Engine micro-benchmark: the engine's scaling curve, one point per n up
+# to 10^6.  Writes BENCH_engine.json to the repository root, then gates
+# on it: the fresh n=65536 msgs/sec must stay within 80% of the committed
 # baseline (bin/bench_gate), so an engine-core regression fails CI
 # instead of silently shipping a slower curve.
 bench-engine:
@@ -229,7 +227,7 @@ bench-engine:
 	dune exec bench/main.exe -- engine
 	dune exec bin/bench_gate.exe -- \
 	  /tmp/overlay_bench_engine_baseline.json BENCH_engine.json \
-	  --n 65536 --domains 1 --min-ratio 0.8
+	  --n 65536 --min-ratio 0.8
 
 # Binary trace sink end to end: run the same seeded workload through the
 # JSONL and binary sinks, check the binary file decodes and its JSONL

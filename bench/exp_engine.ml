@@ -1,25 +1,23 @@
-(* Engine scaling curve: the sharded engine's one delivery path
+(* Engine scaling curve: the engine's one delivery path
    ({!Simnet.Engine.deliver_and_step}) at n up to 10^6 with a fixed
-   fan-out, sweeping the worker-domain count, and writes BENCH_engine.json
-   with throughput plus the engine's resident heap per node (live words
-   after a major GC, minus the pre-creation baseline — the steady-state
-   footprint of the grown-once planes).
+   fan-out, one point per n, and writes BENCH_engine.json with throughput
+   plus the engine's resident heap per node (live words after a major GC,
+   minus the pre-creation baseline — the steady-state footprint of the
+   grown-once message columns; the 32-bit id planes and the offsets live
+   outside the heap).
 
    Two guards keep the numbers honest: every point runs the same total
    message budget (never fewer than 4 timed rounds, so large-n points are
-   not a single noisy round), and one untimed warm-up round grows every
-   lane and shard plane to steady state before the clock starts.  The
-   delivered-payload checksum must agree across all domain counts at each
-   n — the determinism contract, spot-checked on every bench run.  The
-   file's header records the core count and the OCaml version. *)
+   not a single noisy round), and one untimed warm-up round grows the
+   staging plane to steady state before the clock starts.  The file's
+   header records the core count and the OCaml version. *)
 
 let curve_ns = [ 4096; 16384; 65536; 262144; 1048576 ]
-let curve_domains = [ 1; 2; 4; 8 ]
 let curve_fanout = 8
 let curve_budget = 16 * 1024 * 1024
 
-(* (rate, resident bytes/node, checksum) for one (n, domains) point. *)
-let curve_point ~domains:dd cn =
+(* The JSON curve entry for one n. *)
+let curve_point cn =
   let crounds = max 4 (curve_budget / (cn * curve_fanout)) in
   let coffsets =
     let rng = Prng.Stream.of_seed 7L in
@@ -27,7 +25,7 @@ let curve_point ~domains:dd cn =
   in
   Gc.full_major ();
   let live0 = (Gc.stat ()).Gc.live_words in
-  let eng = Simnet.Engine.create ~domains:dd ~n:cn () in
+  let eng = Simnet.Engine.create ~n:cn () in
   let acc = Array.make cn 0 in
   let step () =
     Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me ~inbox ->
@@ -51,49 +49,16 @@ let curve_point ~domains:dd cn =
   done;
   let wall = Unix.gettimeofday () -. wall0 in
   let rate = float_of_int (cn * curve_fanout * crounds) /. wall in
-  let checksum = Array.fold_left ( + ) 0 acc in
-  Printf.printf
-    "  n=%-8d domains=%d shards=%-3d rounds=%-5d %10.2f Mmsg/s  %8.1f \
-     bytes/node\n\
-     %!"
-    cn dd
-    (Simnet.Engine.shard_count eng)
+  Printf.printf "  n=%-8d rounds=%-5d %10.2f Mmsg/s  %8.1f bytes/node\n%!" cn
     crounds (rate /. 1e6) resident_per_node;
-  (rate, resident_per_node, checksum)
-
-let curve_points cn =
-  let entries =
-    List.map
-      (fun dd ->
-        let rate, resident, checksum = curve_point ~domains:dd cn in
-        ( Printf.sprintf
-            {|{"n":%d,"domains":%d,"rounds":%d,"msgs_per_sec":%.0f,"resident_bytes_per_node":%.1f}|}
-            cn dd
-            (max 4 (curve_budget / (cn * curve_fanout)))
-            rate resident,
-          checksum ))
-      curve_domains
-  in
-  (match entries with
-  | (_, reference) :: rest ->
-      List.iter
-        (fun (_, c) ->
-          if c <> reference then
-            failwith
-              (Printf.sprintf
-                 "engine bench: checksum diverged across domains at n=%d" cn))
-        rest
-  | [] -> ());
-  List.map fst entries
+  Printf.sprintf
+    {|{"n":%d,"rounds":%d,"msgs_per_sec":%.0f,"resident_bytes_per_node":%.1f}|}
+    cn crounds rate resident_per_node
 
 let run () =
-  Printf.printf
-    "engine scaling curve: fanout=%d, ~%d msgs per point, domains in \
-     {%s}\n\
-     %!"
-    curve_fanout curve_budget
-    (String.concat "," (List.map string_of_int curve_domains));
-  let curve = List.concat_map curve_points curve_ns in
+  Printf.printf "engine scaling curve: fanout=%d, ~%d msgs per point\n%!"
+    curve_fanout curve_budget;
+  let curve = List.map curve_point curve_ns in
   (* The header's "n" is the largest point of the curve; bench_gate skips
      the first "n" field before it scans the curve entries.  The header
      also records the host's core count and the compiler, since a rate

@@ -101,7 +101,7 @@ let row_codec : (string list * Sweep.Agg.bench) Sweep.Exec.codec =
   }
 
 (* Fan a grid of table cells out through Sweep.Exec and return the rows
-   (in cell order, as Parallel.map_list did) plus the summed counters. *)
+   (in cell order) plus the summed counters. *)
 let sweep_rows ?domains ~sweep cells f =
   let outcomes =
     Sweep.Exec.run ?domains ~sweep ~codec:row_codec cells

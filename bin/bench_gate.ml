@@ -1,10 +1,10 @@
 (* Throughput regression gate over BENCH_engine.json.
 
-   Usage: bench_gate BASELINE FRESH [--n N] [--domains D] [--min-ratio R]
+   Usage: bench_gate BASELINE FRESH [--n N] [--min-ratio R]
 
-   Reads the curve entries of both files, picks the (n, domains) point
-   (default n=65536, domains=1 — the mid-size single-domain point, the
-   least noisy on shared CI runners), and fails (exit 1) when the fresh
+   Reads the curve entries of both files, picks the point at n (default
+   65536, the mid-size point, the least noisy on shared CI runners), and
+   fails (exit 1) when the fresh
    msgs_per_sec falls below min-ratio (default 0.8) of the committed
    baseline.  The JSON is the bench's own fixed-shape output, so a
    hand-rolled scanner is enough; a malformed or incomplete file is a
@@ -41,43 +41,34 @@ let number_field s ~from key =
       done;
       Some (float_of_string (String.sub s start (!stop - start)), !stop)
 
-(* The msgs_per_sec of the curve entry with this (n, domains).  Entries
-   are flat objects in a fixed key order (n, domains, rounds,
-   msgs_per_sec, ...), so scanning n-fields and checking the following
-   domains-field is faithful.  The pre-sweep format had no domains field;
-   treat those entries as domains=1 so the gate still reads old
-   baselines. *)
-let curve_rate json ~n ~domains =
+(* The msgs_per_sec of the first curve entry with this n.  Entries are
+   flat objects in a fixed key order (n, rounds, msgs_per_sec, ...), so
+   scanning n-fields and reading the following msgs_per_sec is faithful.
+   A baseline from the older domain sweep lists the domains=1 entry first
+   at each n, so the gate still reads it. *)
+let curve_rate json ~n =
   let rec scan from =
     match number_field json ~from "n" with
     | None -> None
     | Some (nv, after_n) ->
-        let dv, after =
-          match number_field json ~from:after_n "domains" with
-          | Some (d, p) -> (int_of_float d, p)
-          | None -> (1, after_n)
-        in
-        if int_of_float nv = n && dv = domains then
-          match number_field json ~from:after "msgs_per_sec" with
+        if int_of_float nv = n then
+          match number_field json ~from:after_n "msgs_per_sec" with
           | Some (r, _) -> Some r
           | None -> None
         else scan after_n
   in
-  (* skip the top-level "n" of the mailbox A/B header *)
+  (* skip the header's top-level "n" *)
   match number_field json ~from:0 "n" with
   | None -> None
   | Some (_, after_header) -> scan after_header
 
 let () =
   let baseline = ref None and fresh = ref None in
-  let n = ref 65536 and domains = ref 1 and min_ratio = ref 0.8 in
+  let n = ref 65536 and min_ratio = ref 0.8 in
   let rec parse = function
     | [] -> ()
     | "--n" :: v :: rest ->
         n := int_of_string v;
-        parse rest
-    | "--domains" :: v :: rest ->
-        domains := int_of_string v;
         parse rest
     | "--min-ratio" :: v :: rest ->
         min_ratio := float_of_string v;
@@ -94,23 +85,19 @@ let () =
     | Some b, Some f -> (b, f)
     | _ ->
         die
-          "usage: bench_gate BASELINE FRESH [--n N] [--domains D] \
-           [--min-ratio R]"
+          "usage: bench_gate BASELINE FRESH [--n N] [--min-ratio R]"
   in
   let rate_of label path =
-    match curve_rate (read_file path) ~n:!n ~domains:!domains with
+    match curve_rate (read_file path) ~n:!n with
     | Some r -> r
-    | None ->
-        die "bench_gate: no curve entry n=%d domains=%d in %s (%s)" !n
-          !domains path label
+    | None -> die "bench_gate: no curve entry n=%d in %s (%s)" !n path label
   in
   let base = rate_of "baseline" baseline in
   let now = rate_of "fresh" fresh in
   let ratio = now /. base in
   Printf.printf
-    "bench_gate: n=%d domains=%d baseline=%.0f fresh=%.0f ratio=%.3f \
-     (floor %.2f)\n"
-    !n !domains base now ratio !min_ratio;
+    "bench_gate: n=%d baseline=%.0f fresh=%.0f ratio=%.3f (floor %.2f)\n" !n
+    base now ratio !min_ratio;
   if ratio < !min_ratio then begin
     Printf.eprintf
       "bench_gate: FAIL — msgs/sec regressed below %.0f%% of the committed \

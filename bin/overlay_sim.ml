@@ -119,10 +119,6 @@ let retry_policy (sc : Scenario.t) =
   if sc.retry = 0 then Core.Retry.fixed
   else Core.Retry.make ~max_retries:sc.retry ()
 
-(* Scenario.domains = 0 means "runtime default"; drivers take an option. *)
-let domains_opt (sc : Scenario.t) =
-  if sc.domains <= 0 then None else Some sc.domains
-
 (* Scenario.lateness = -1 means "the driver's default". *)
 let lateness_opt (sc : Scenario.t) =
   if sc.lateness < 0 then None else Some sc.lateness
@@ -281,8 +277,7 @@ let churn =
           let join_frac = float cell "join-frac" in
           let net =
             Core.Churn_network.create ~trace ?faults:sc.faults
-              ~retry:(retry_policy sc) ?domains:(domains_opt sc)
-              ~rng:(Prng.Stream.split rng) ~n:sc.n ()
+              ~retry:(retry_policy sc) ~rng:(Prng.Stream.split rng) ~n:sc.n ()
           in
           let epoch _ =
             let plan =
@@ -382,7 +377,7 @@ let dos =
           in
           let net =
             N.create ~c:2.0 ~trace ?faults:sc.faults ~retry:(retry_policy sc)
-              ?domains:(domains_opt sc) ~rng:(Prng.Stream.split rng) ~n ()
+              ~rng:(Prng.Stream.split rng) ~n ()
           in
           let p = N.period net in
           let lateness = Option.value (lateness_opt sc) ~default:p in
@@ -491,8 +486,7 @@ let stabilize =
           ( corruption,
             mode,
             Core.Stabilize.run ~trace ~mode ~max_epochs:(rounds sc 16)
-              ~retry:(retry_policy sc) ?faults:sc.faults
-              ?domains:(domains_opt sc) ~corruption
+              ~retry:(retry_policy sc) ?faults:sc.faults ~corruption
               ~rng:(Prng.Stream.split (Grid.cell_rng cell))
               ~n:sc.n ~d:sc.d () ));
       print =
@@ -567,8 +561,8 @@ let churndos =
           let sc = cell.scenario in
           let rng = Grid.cell_rng cell and gamma = float cell "gamma" in
           let net =
-            N.create ~trace ?faults:sc.faults ?domains:(domains_opt sc)
-              ~rng:(Prng.Stream.split rng) ~n:sc.n ()
+            N.create ~trace ?faults:sc.faults ~rng:(Prng.Stream.split rng)
+              ~n:sc.n ()
           in
           let lateness =
             Option.value (lateness_opt sc) ~default:(2 * N.period net)
@@ -656,8 +650,8 @@ let groupsim =
               ~fallback:(sc.retry > 0) ~cube ()
           in
           let gs =
-            G.create ~trace ?faults:sc.faults ?domains:(domains_opt sc)
-              ~rng:(Prng.Stream.split rng) ~n ~group_of proto
+            G.create ~trace ?faults:sc.faults ~rng:(Prng.Stream.split rng) ~n
+              ~group_of proto
           in
           let arng = Prng.Stream.split rng in
           G.run_all gs ~blocked_for_round:(fun ~round ->
@@ -951,7 +945,7 @@ let workload =
             W.config ~mode ~period:(int cell "period") ~backend ~attack
               ~frac:sc.frac ?lateness:(lateness_opt sc)
               ?staleness:sc.staleness ?churn ?faults:sc.faults
-              ~retries:sc.retry ?domains:(domains_opt sc) spec
+              ~retries:sc.retry spec
           in
           Workload.Driver.run ~trace ~seed:cell.seed ~n:sc.n cfg);
       print =
@@ -1055,7 +1049,7 @@ let chord =
                  else None)
               ?faults:sc.faults ~retries:sc.retry ~n:sc.n ()
           in
-          Chord.Sim.run ~trace ?domains:(domains_opt sc) ~seed:cell.seed cfg);
+          Chord.Sim.run ~trace ~seed:cell.seed cfg);
       print = (fun _ r -> List.iter print_endline (C.summary_lines r));
       json =
         Some
@@ -1130,8 +1124,7 @@ let social =
           let cfg =
             Workload.Social.config ~mode ~period:(int cell "period") ~backend
               ~attack ~frac:sc.frac ?lateness:(lateness_opt sc)
-              ?staleness:sc.staleness ?faults:sc.faults
-              ?domains:(domains_opt sc) app
+              ?staleness:sc.staleness ?faults:sc.faults app
           in
           (app, Workload.Social.run ~trace ~seed:cell.seed ~n:sc.n cfg));
       print =
@@ -1282,9 +1275,9 @@ let shared_term ~default_n =
         value & opt int 0
         & info [ "domains" ] ~docv:"D"
             ~doc:
-              "Worker domains for intra-round engine parallelism (0 = \
-               runtime default, honoring $(b,OVERLAY_DOMAINS)).  Results \
-               are byte-identical for every value.")
+              "Worker domains for a sweep's cells (0 = runtime default, \
+               honoring $(b,OVERLAY_DOMAINS)).  A single run is sequential \
+               and byte-identical at any value.")
     $ str_opt "faults" "SPEC"
         "Inject deterministic faults, e.g. \
          $(b,drop=0.05,dup=0.01,delay=2,crash=3).  Comma-separated \
@@ -1421,7 +1414,8 @@ let sweep_cmd =
   in
   let domains_arg =
     let doc =
-      "Worker domains (0 = runtime default, honours OVERLAY_DOMAINS); \
+      "Worker domains the sweep's cells are spread over (0 = runtime \
+       default, honours OVERLAY_DOMAINS); each cell runs sequentially, so \
        results and artifacts are identical for every value."
     in
     Arg.(value & opt int 0 & info [ "domains" ] ~docv:"D" ~doc)

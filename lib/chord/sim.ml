@@ -61,7 +61,7 @@ let percentile r p =
   if Stats.Log_histogram.total r.hist = 0 then 0
   else Stats.Log_histogram.percentile r.hist p
 
-let run ?(trace = Simnet.Trace.null) ?domains ~seed (cfg : config) =
+let run ?(trace = Simnet.Trace.null) ~seed (cfg : config) =
   (* fixed split order, mirroring Workload.Driver *)
   let root = Prng.Stream.of_seed seed in
   let ring_rng = Prng.Stream.split root in
@@ -94,7 +94,7 @@ let run ?(trace = Simnet.Trace.null) ?domains ~seed (cfg : config) =
   let rt =
     Simnet.Runtime.create ~trace ?faults:cfg.faults
       ~supports:[ `Drop; `Duplicate; `Delay; `Crash; `Recover ]
-      ~who:"Chord.Sim" ?domains ~n ()
+      ~who:"Chord.Sim" ~n ()
   in
   let retry =
     if cfg.retries = 0 then Core.Retry.fixed

@@ -76,11 +76,9 @@ val goodput : report -> float
 val percentile : report -> float -> int
 
 val run :
-  ?trace:Simnet.Trace.t -> ?domains:int -> seed:int64 -> config -> report
+  ?trace:Simnet.Trace.t -> seed:int64 -> config -> report
 (** Deterministic in [seed] (fixed stream split order, same discipline as
-    the workload driver): same seed, same config — byte-identical trace.
-    [domains] bounds the runtime's worker domains and never affects the
-    result. *)
+    the workload driver): same seed, same config — byte-identical trace. *)
 
 val summary_lines : report -> string list
 (** The [overlay_sim chord] table (also the cram golden). *)

@@ -44,7 +44,7 @@ type epoch_report = {
 }
 
 let create ?(d = 8) ?(sampler = Rapid) ?(trace = Simnet.Trace.null) ?faults
-    ?(retry = Retry.fixed) ?domains ~rng ~n () =
+    ?(retry = Retry.fixed) ?domains:_ ~rng ~n () =
   let graph = Hgraph.random (Prng.Stream.split rng) ~n ~d in
   (* Reorder is vacuous on single-reply legs, and a recovered node cannot
      rejoin a network it was forced to leave — reject both rather than
@@ -52,7 +52,7 @@ let create ?(d = 8) ?(sampler = Rapid) ?(trace = Simnet.Trace.null) ?faults
   let runtime =
     Simnet.Runtime.create ~trace ?faults
       ~supports:[ `Drop; `Duplicate; `Delay; `Crash ]
-      ~who:"Churn_network" ?domains ~n ()
+      ~who:"Churn_network" ~n ()
   in
   {
     rng;

@@ -104,7 +104,7 @@ let enforce_eq1 t =
   done;
   (!splits, !merges)
 
-let create ?(c = 8) ?(trace = Simnet.Trace.null) ?faults ?domains ~rng ~n () =
+let create ?(c = 8) ?(trace = Simnet.Trace.null) ?faults ~rng ~n () =
   if c < 2 then invalid_arg "Churndos_network.create: c < 2";
   if n < 64 then invalid_arg "Churndos_network.create: n too small";
   let d = base_dimension ~c ~n in
@@ -118,7 +118,7 @@ let create ?(c = 8) ?(trace = Simnet.Trace.null) ?faults ?domains ~rng ~n () =
   let runtime =
     Simnet.Runtime.create ~trace ?faults
       ~supports:[ `Crash; `Recover ]
-      ~who:"Churndos_network" ?domains ~n ()
+      ~who:"Churndos_network" ~n ()
   in
   let t =
     {

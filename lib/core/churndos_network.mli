@@ -41,7 +41,6 @@ val create :
   ?c:int ->
   ?trace:Simnet.Trace.t ->
   ?faults:Simnet.Faults.plan ->
-  ?domains:int ->
   rng:Prng.Stream.t ->
   n:int ->
   unit ->

@@ -79,9 +79,8 @@ let fresh_group_sim t =
     Supernode_sampling.protocol ~c ~trace ~fallback:(Retry.enabled t.retry)
       ~cube:t.cube ()
   in
-  Group_sim.create ~trace ?faults:t.faults
-    ~domains:(Simnet.Runtime.domains t.runtime)
-    ~rng:(Prng.Stream.split t.rng) ~n:t.n ~group_of:t.group_of proto
+  Group_sim.create ~trace ?faults:t.faults ~rng:(Prng.Stream.split t.rng)
+    ~n:t.n ~group_of:t.group_of proto
 
 let rebuild_members ~supernodes group_of =
   let vecs = Array.init supernodes (fun _ -> Topology.Intvec.create ()) in
@@ -91,7 +90,7 @@ let rebuild_members ~supernodes group_of =
   Array.map Topology.Intvec.to_array vecs
 
 let create ?(c = 1.0) ?(backend = Canonical) ?(trace = Simnet.Trace.null)
-    ?faults ?(retry = Retry.fixed) ?domains ~rng ~n () =
+    ?faults ?(retry = Retry.fixed) ~rng ~n () =
   if n < 16 then invalid_arg "Dos_network.create: n too small";
   let faults =
     match faults with
@@ -112,8 +111,8 @@ let create ?(c = 1.0) ?(backend = Canonical) ?(trace = Simnet.Trace.null)
     | Canonical ->
         Simnet.Runtime.create ~trace ?faults
           ~supports:[ `Drop; `Duplicate; `Delay; `Crash; `Recover ]
-          ~who:"Dos_network" ?domains ~n ()
-    | Message_level -> Simnet.Runtime.create ~trace ?domains ~n ()
+          ~who:"Dos_network" ~n ()
+    | Message_level -> Simnet.Runtime.create ~trace ~n ()
   in
   let t =
     {

@@ -76,7 +76,6 @@ val create :
   ?trace:Simnet.Trace.t ->
   ?faults:Simnet.Faults.plan ->
   ?retry:Retry.policy ->
-  ?domains:int ->
   rng:Prng.Stream.t ->
   n:int ->
   unit ->

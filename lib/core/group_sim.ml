@@ -71,8 +71,7 @@ let super t ~src msgs =
   in
   Super { step = t.step_index + 1; bits; src; msgs }
 
-let create ?(trace = Simnet.Trace.null) ?faults ?domains ~rng ~n ~group_of
-    protocol =
+let create ?(trace = Simnet.Trace.null) ?faults ~rng ~n ~group_of protocol =
   if Array.length group_of <> n then
     invalid_arg "Group_sim.create: group_of size mismatch";
   let supernodes = Array.fold_left (fun a x -> max a (x + 1)) 0 group_of in
@@ -88,7 +87,7 @@ let create ?(trace = Simnet.Trace.null) ?faults ?domains ~rng ~n ~group_of
       if Array.length m = 0 then
         invalid_arg (Printf.sprintf "Group_sim.create: empty group %d" x))
     members;
-  let engine = Simnet.Engine.create ~trace ?faults ?domains ~n () in
+  let engine = Simnet.Engine.create ~trace ?faults ~n () in
   (* Every member starts in sync with the (per-supernode deterministic)
      initial state, as the paper assumes. *)
   let node_state = Array.make n None in

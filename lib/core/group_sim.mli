@@ -46,7 +46,6 @@ type ('state, 'msg) t
 val create :
   ?trace:Simnet.Trace.t ->
   ?faults:Simnet.Faults.plan ->
-  ?domains:int ->
   rng:Prng.Stream.t ->
   n:int ->
   group_of:int array ->
@@ -64,9 +63,7 @@ val create :
     whether the group survives.  A delayed wire that arrives in a later
     supernode step than the one it was built for is late, and late means
     lost in the synchronous model: it is charged as received and
-    otherwise ignored.  [domains] bounds the engine's worker domains
-    (default {!Parallel.default_domains}); runs are byte-identical for
-    every value. *)
+    otherwise ignored. *)
 
 val network_rounds_total : _ t -> int
 (** 2 * steps. *)

@@ -44,7 +44,3 @@ let dos_dimension ~c ~n =
   let target = float_of_int n /. (c *. Float.max 1.0 (log2f (float_of_int n))) in
   let rec go d = if float_of_int (1 lsl (d + 1)) <= target then go (d + 1) else d in
   max 1 (go 0)
-
-let loglog_estimate ~n =
-  if n < 2 then invalid_arg "Params.loglog_estimate: n < 2";
-  log2i_ceil (max 2 (log2i_ceil n))

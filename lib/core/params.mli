@@ -29,7 +29,3 @@ val schedule_hypercube : eps:float -> c:float -> n:int -> iters:int -> int array
 
 val dos_dimension : c:float -> n:int -> int
 (** Section 5: the largest d with 2^d <= n / (c log2 n) (at least 1). *)
-
-val loglog_estimate : n:int -> int
-(** The upper bound k on log log n that nodes are assumed to know
-    (Section 4): ceil(log2 (ceil (log2 n))). *)

@@ -154,7 +154,7 @@ let splice_cycle rt ~attempts ~idb succ =
   (!splices, List.length (orbit_reps succ) - 1, !waves, !bits, !retries)
 
 let run ?(trace = Simnet.Trace.null) ?(mode = Repair) ?(max_epochs = 16)
-    ?(retry = Retry.fixed) ?faults ?domains ~corruption ~rng ~n ~d () =
+    ?(retry = Retry.fixed) ?faults ~corruption ~rng ~n ~d () =
   if n < 4 then invalid_arg "Stabilize.run: n must be >= 4";
   if d < 2 then invalid_arg "Stabilize.run: d must be >= 2";
   if max_epochs < 1 then invalid_arg "Stabilize.run: max_epochs must be >= 1";
@@ -166,7 +166,7 @@ let run ?(trace = Simnet.Trace.null) ?(mode = Repair) ?(max_epochs = 16)
   let rt =
     Simnet.Runtime.create ~trace ?faults
       ~supports:[ `Drop; `Duplicate; `Delay ]
-      ~who:"Core.Stabilize" ?domains ~n ()
+      ~who:"Core.Stabilize" ~n ()
   in
   let idb = Simnet.Msg_size.id_bits n in
   let attempts = 1 + retry.Retry.max_retries in

@@ -60,7 +60,6 @@ val run :
   ?max_epochs:int ->
   ?retry:Retry.policy ->
   ?faults:Simnet.Faults.plan ->
-  ?domains:int ->
   corruption:Simnet.Corruption.spec ->
   rng:Prng.Stream.t ->
   n:int ->

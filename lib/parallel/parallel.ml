@@ -42,40 +42,3 @@ let map ?domains f xs =
     (* every index was visited by exactly one stripe *)
     Array.map (function Some v -> v | None -> assert false) results
   end
-
-let map_list ?domains f xs =
-  Array.to_list (map ?domains f (Array.of_list xs))
-
-(* Indexed fork-join without a result array: the engine's per-shard round
-   phases (merge, inbox build, sharded compute) are unit tasks over a
-   small dense index range, run every round, so this avoids [map]'s
-   per-call option-array allocation on the hot path. *)
-let iter ?domains f count =
-  let workers =
-    min count (match domains with Some d -> max 1 d | None -> default_domains ())
-  in
-  if workers <= 1 || count <= 1 then
-    for i = 0 to count - 1 do
-      f i
-    done
-  else begin
-    let failure = Atomic.make None in
-    let run_stripe w =
-      let i = ref w in
-      while !i < count && Atomic.get failure = None do
-        (try f !i
-         with e ->
-           let bt = Printexc.get_raw_backtrace () in
-           ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-        i := !i + workers
-      done
-    in
-    let handles =
-      Array.init (workers - 1) (fun w -> Domain.spawn (fun () -> run_stripe (w + 1)))
-    in
-    run_stripe 0;
-    Array.iter Domain.join handles;
-    match Atomic.get failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-  end

@@ -30,16 +30,3 @@ val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
     order, same exceptions — so callers never pay spawn overhead for
     trivial inputs and sequential reference runs use the same code
     path. *)
-
-val map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** List version of {!map}, including its short-input sequential
-    degrade. *)
-
-val iter : ?domains:int -> (int -> unit) -> int -> unit
-(** [iter f count] runs [f 0 .. f (count - 1)], striping the indices
-    across worker domains like {!map} but collecting no results — shaped
-    for unit tasks over disjoint mutable state (the engine's per-shard
-    round phases).  Tasks must not touch state owned by another index.
-    Exceptions are re-raised in the caller; the same short-input
-    sequential degrade as {!map} applies ([domains <= 1] or
-    [count <= 1]). *)

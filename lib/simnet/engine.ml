@@ -5,86 +5,59 @@ type losses = {
   crash_lost : int;
 }
 
-(* ---------- sharded struct-of-arrays round core ----------
+(* ---------- flat struct-of-arrays round core ----------
 
-   Nodes are split into K = ceil(n / 2^shard_bits) destination shards.
-   A send is appended to the staging lane for its (sender-shard,
-   dest-shard) pair: three parallel planes (srcs, dsts, msgs) with a fill
-   pointer, grown by doubling and reused across rounds.  The int planes
-   are Bigarrays — unboxed, outside the scanned heap, and safely shared
-   across domains; the msgs plane is an [Obj.t array] so one immediate
-   dummy ([Obj.repr 0]) serves every message type (a polymorphic ['msg]
-   dummy would tempt the compiler into flat float arrays) and clearing a
-   consumed slot is a plain fill, so no round retains message payloads it
-   already delivered.
+   A send is appended to one staging plane: parallel (src, dst, msg)
+   columns with a fill pointer, grown by doubling and reused across
+   rounds.  Delivery runs one counting sort by destination over all n
+   nodes into one merged (src, msg) plane with n + 1 offsets, so node
+   [v]'s inbox is the slice [offs.(v) .. offs.(v+1)).
 
-   Delivery merges each dest shard's column of K lanes with a counting
-   sort: count per-destination arrivals, prefix-sum into offsets, then
-   scatter into one contiguous (srcs, msgs) run per shard.  A node's
-   inbox is then the slice [offs.(d) .. offs.(d+1)) of its shard — a
-   linear sweep instead of n random mailbox hops.
+   The id columns are 32-bit Bigarrays, unboxed and outside the scanned
+   heap; the offsets count messages, so they stay full-width.  The msg
+   columns are [Obj.t array]s so one immediate dummy ([Obj.repr 0])
+   serves every message type (a polymorphic ['msg] dummy would tempt the
+   compiler into flat float arrays), and clearing a consumed slot is a
+   plain fill, so no round retains a payload it already delivered.
 
-   Determinism: the scatter walks lanes in (sender-shard asc, push-order
-   asc) order, so a destination's inbox order is "sender shard first,
-   then send order".  Every driver in this repository sends only from the
-   compute step with [~src:me], and compute runs over ascending node ids,
-   so this equals the historical global send order at ANY shard count and
-   ANY domain count — same-seed traces are byte-identical whether the
-   round ran on 1 domain or 8.  (A manual out-of-compute send with
-   descending [src] across shard boundaries is the one case where the
-   order differs from strict chronology; the .mli documents the order
-   contract as sender-shard-major.)
-
-   Domain parallelism: with [domains > 1] the merge phase runs one shard
-   per task via [Parallel.iter].  Each task touches only its own shard's
-   planes and its own row of lanes, so the merge is data-race free, and
-   the merged order above is position-determined — parallelism cannot
-   reorder anything.  Fault rolls and compute stay sequential: the fault
-   stream's consumption must remain a pure function of the traffic, in
-   global destination order, and compute callbacks may share state. *)
+   Fault rolls and compute run sequentially in ascending destination
+   order: the fault stream's consumption is a pure function of the
+   traffic, and compute callbacks may share state. *)
 
 type iplane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type idplane = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let iplane len : iplane =
   Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max len 1)
 
+let idplane len : idplane =
+  Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (max len 1)
+
 let obj_nil : Obj.t = Obj.repr 0
 
-type lane = {
-  mutable l_srcs : iplane;
-  mutable l_dsts : iplane;
-  mutable l_msgs : Obj.t array;
-  mutable l_len : int;
-  mutable l_cap : int;
+type staging = {
+  mutable st_srcs : idplane;
+  mutable st_dsts : idplane;
+  mutable st_msgs : Obj.t array;
+  mutable st_len : int;
+  mutable st_cap : int;
 }
 
-type shard = {
-  sh_base : int;
-  sh_size : int;
-  sh_counts : iplane; (* per-dst arrival counts, reused as scatter cursors *)
-  sh_offs : iplane; (* sh_size + 1 prefix offsets into the merged planes *)
-  mutable sh_srcs : iplane; (* merged arrivals, grouped by destination *)
-  mutable sh_msgs : Obj.t array;
-  mutable sh_cap : int;
-  mutable sh_len : int;
+(* Messages grouped by destination, node [v]'s at [offs.(v) .. offs.(v+1)):
+   one for the sorted arrivals and, under a fault plan, one for the
+   messages that survive the fault pass. *)
+type inboxes = {
+  offs : iplane;
+  mutable srcs : idplane;
+  mutable msgs : Obj.t array;
+  mutable len : int;
+  mutable cap : int;
 }
 
-(* The messages that survive a round's fault pass, in global destination
-   order: node [v]'s inbox is [f_offs.(v) .. f_offs.(v+1)) of the planes.
-   One per faulted engine, grown by doubling and reused across rounds. *)
-type faulted = {
-  f_offs : iplane;
-  mutable f_srcs : iplane;
-  mutable f_msgs : Obj.t array;
-  mutable f_len : int;
-  mutable f_cap : int;
-}
-
-(* A node's inbox as a zero-allocation window over a shard's merged planes
-   or the faulted planes; reused across nodes, valid only during the
-   compute callback. *)
+(* A node's inbox as a zero-allocation window over an [inboxes]; reused
+   across nodes, valid only during the compute callback. *)
 type 'msg slice = {
-  mutable s_srcs : iplane;
+  mutable s_srcs : idplane;
   mutable s_msgs : Obj.t array;
   mutable s_lo : int;
   mutable s_hi : int;
@@ -92,11 +65,8 @@ type 'msg slice = {
 
 type 'msg t = {
   n : int;
-  shard_bits : int;
-  shard_count : int;
-  shards : shard array;
-  lanes : lane array; (* shard_count^2, row-major by sender shard *)
-  domains : int;
+  staging : staging;
+  merged : inboxes;
   mutable round : int;
   mutable blocked : int -> bool;
   (* Messages held back by a delay fault, keyed by destination:
@@ -107,7 +77,7 @@ type 'msg t = {
   (* Whether any [send] was attempted this round; a [set_blocked] after that
      point would mis-apply the blocking rule to already-queued messages. *)
   mutable sent_this_round : bool;
-  faults : (Faults.t * faulted) option;
+  faults : (Faults.t * inboxes) option;
   mutable lost_dropped : int;
   mutable lost_duplicated : int;
   mutable lost_delayed : int;
@@ -117,55 +87,17 @@ type 'msg t = {
 
 let nobody_blocked _ = false
 
-(* 2^14 destinations per shard keeps a shard's merged planes and offset
-   table L2-resident while bounding the lane table at K^2 = 4096 records
-   for n = 10^6.  OVERLAY_SHARD_BITS overrides for tests that want many
-   shards at small n. *)
-let default_shard_bits () =
-  let bits =
-    match Sys.getenv_opt "OVERLAY_SHARD_BITS" with
-    | Some s -> ( match int_of_string_opt (String.trim s) with Some b -> b | None -> 14)
-    | None -> 14
-  in
-  min 20 (max 4 bits)
+let inboxes ~n =
+  { offs = iplane (n + 1); srcs = idplane 0; msgs = [||]; len = 0; cap = 0 }
 
-let create ?(trace = Trace.null) ?faults ?domains ?shard_bits ~n () =
+let create ?(trace = Trace.null) ?faults ~n () =
   if n <= 0 then invalid_arg "Engine.create: n <= 0";
-  let shard_bits =
-    match shard_bits with
-    | Some b -> min 20 (max 4 b)
-    | None -> default_shard_bits ()
-  in
-  let size = 1 lsl shard_bits in
-  let shard_count = (n + size - 1) / size in
-  let shards =
-    Array.init shard_count (fun s ->
-        let base = s * size in
-        let sz = min size (n - base) in
-        {
-          sh_base = base;
-          sh_size = sz;
-          sh_counts = iplane sz;
-          sh_offs = iplane (sz + 1);
-          sh_srcs = iplane 0;
-          sh_msgs = [||];
-          sh_cap = 0;
-          sh_len = 0;
-        })
-  in
-  let lanes =
-    Array.init (shard_count * shard_count) (fun _ ->
-        { l_srcs = iplane 0; l_dsts = iplane 0; l_msgs = [||]; l_len = 0; l_cap = 0 })
-  in
+  if n > Int32.to_int Int32.max_int then invalid_arg "Engine.create: n >= 2^31";
   {
     n;
-    shard_bits;
-    shard_count;
-    shards;
-    lanes;
-    domains =
-      max 1
-        (match domains with Some d -> d | None -> Parallel.default_domains ());
+    staging =
+      { st_srcs = idplane 0; st_dsts = idplane 0; st_msgs = [||]; st_len = 0; st_cap = 0 };
+    merged = inboxes ~n;
     round = 0;
     blocked = nobody_blocked;
     delayed = [||];
@@ -173,15 +105,7 @@ let create ?(trace = Trace.null) ?faults ?domains ?shard_bits ~n () =
     faults =
       (match faults with
       | Some plan when not (Faults.is_none plan) ->
-          Some
-            ( Faults.install plan ~n,
-              {
-                f_offs = iplane (n + 1);
-                f_srcs = iplane 0;
-                f_msgs = [||];
-                f_len = 0;
-                f_cap = 0;
-              } )
+          Some (Faults.install plan ~n, inboxes ~n)
       | _ -> None);
     lost_dropped = 0;
     lost_duplicated = 0;
@@ -191,15 +115,10 @@ let create ?(trace = Trace.null) ?faults ?domains ?shard_bits ~n () =
   }
 
 let round t = t.round
-let shard_count t = t.shard_count
 
 let losses t =
-  {
-    dropped = t.lost_dropped;
-    duplicated = t.lost_duplicated;
-    delayed = t.lost_delayed;
-    crash_lost = t.lost_crash;
-  }
+  { dropped = t.lost_dropped; duplicated = t.lost_duplicated;
+    delayed = t.lost_delayed; crash_lost = t.lost_crash }
 
 let fault_plan t = Option.map (fun (f, _) -> Faults.plan f) t.faults
 
@@ -214,23 +133,24 @@ let set_blocked t f =
 let check_node t v name =
   if v < 0 || v >= t.n then invalid_arg ("Engine." ^ name ^ ": node out of range")
 
-let grow_lane lane =
-  let cap' = max 64 (2 * lane.l_cap) in
-  let srcs' = iplane cap' and dsts' = iplane cap' in
-  if lane.l_len > 0 then begin
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub lane.l_srcs 0 lane.l_len)
-      (Bigarray.Array1.sub srcs' 0 lane.l_len);
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub lane.l_dsts 0 lane.l_len)
-      (Bigarray.Array1.sub dsts' 0 lane.l_len)
-  end;
-  let msgs' = Array.make cap' obj_nil in
-  Array.blit lane.l_msgs 0 msgs' 0 lane.l_len;
-  lane.l_srcs <- srcs';
-  lane.l_dsts <- dsts';
-  lane.l_msgs <- msgs';
-  lane.l_cap <- cap'
+(* A copy of the first [len] ids of [src] in a fresh plane of [cap]. *)
+let grown_ids (src : idplane) len cap =
+  let dst = idplane cap in
+  if len > 0 then
+    Bigarray.Array1.blit (Bigarray.Array1.sub src 0 len) (Bigarray.Array1.sub dst 0 len);
+  dst
+
+let grown_msgs src len cap =
+  let dst = Array.make cap obj_nil in
+  Array.blit src 0 dst 0 len;
+  dst
+
+let grow_staging st =
+  let cap = max 1024 (2 * st.st_cap) in
+  st.st_srcs <- grown_ids st.st_srcs st.st_len cap;
+  st.st_dsts <- grown_ids st.st_dsts st.st_len cap;
+  st.st_msgs <- grown_msgs st.st_msgs st.st_len cap;
+  st.st_cap <- cap
 
 let send t ~src ~dst msg =
   check_node t src "send";
@@ -245,87 +165,54 @@ let send t ~src ~dst msg =
        and dst non-blocked in the send round. *)
     not (t.blocked src) && not (t.blocked dst)
   then begin
-    let lane =
-      Array.unsafe_get t.lanes
-        (((src lsr t.shard_bits) * t.shard_count) + (dst lsr t.shard_bits))
-    in
-    let len = lane.l_len in
-    if len = lane.l_cap then grow_lane lane;
-    Bigarray.Array1.unsafe_set lane.l_srcs len src;
-    Bigarray.Array1.unsafe_set lane.l_dsts len dst;
-    Array.unsafe_set lane.l_msgs len (Obj.repr msg);
-    lane.l_len <- len + 1
+    let st = t.staging in
+    let len = st.st_len in
+    if len = st.st_cap then grow_staging st;
+    Bigarray.Array1.unsafe_set st.st_srcs len (Int32.of_int src);
+    Bigarray.Array1.unsafe_set st.st_dsts len (Int32.of_int dst);
+    Array.unsafe_set st.st_msgs len (Obj.repr msg);
+    st.st_len <- len + 1
   end
 
-(* ---------- merge phase ---------- *)
+(* ---------- counting sort ---------- *)
 
-(* Merge dest shard [ki]'s column of lanes into its contiguous planes and
-   reset the lanes.  Pure per-shard work: safe to run one task per shard. *)
-let merge_shard t ki =
-  let sh = Array.unsafe_get t.shards ki in
-  let k = t.shard_count in
-  let counts = sh.sh_counts and offs = sh.sh_offs in
-  let base = sh.sh_base and sz = sh.sh_size in
-  Bigarray.Array1.fill counts 0;
-  let total = ref 0 in
-  for si = 0 to k - 1 do
-    let lane = Array.unsafe_get t.lanes ((si * k) + ki) in
-    let dsts = lane.l_dsts in
-    for i = 0 to lane.l_len - 1 do
-      let d = Bigarray.Array1.unsafe_get dsts i - base in
-      Bigarray.Array1.unsafe_set counts d (Bigarray.Array1.unsafe_get counts d + 1)
-    done;
-    total := !total + lane.l_len
-  done;
-  let acc = ref 0 in
-  for d = 0 to sz - 1 do
-    Bigarray.Array1.unsafe_set offs d !acc;
-    acc := !acc + Bigarray.Array1.unsafe_get counts d
-  done;
-  Bigarray.Array1.unsafe_set offs sz !acc;
-  (* counts become the scatter cursors *)
-  Bigarray.Array1.blit (Bigarray.Array1.sub offs 0 sz) counts;
-  if !total > sh.sh_cap then begin
-    let cap' = max 1024 (max !total (2 * sh.sh_cap)) in
-    sh.sh_srcs <- iplane cap';
-    sh.sh_msgs <- Array.make cap' obj_nil;
-    sh.sh_cap <- cap'
-  end;
-  sh.sh_len <- !total;
-  let m_srcs = sh.sh_srcs and m_msgs = sh.sh_msgs in
-  (* Scatter in (sender-shard, push-order) order — the engine's inbox
-     order contract — and clear each lane's payload refs behind us. *)
-  for si = 0 to k - 1 do
-    let lane = Array.unsafe_get t.lanes ((si * k) + ki) in
-    let dsts = lane.l_dsts and srcs = lane.l_srcs and msgs = lane.l_msgs in
-    for i = 0 to lane.l_len - 1 do
-      let d = Bigarray.Array1.unsafe_get dsts i - base in
-      let pos = Bigarray.Array1.unsafe_get counts d in
-      Bigarray.Array1.unsafe_set counts d (pos + 1);
-      Bigarray.Array1.unsafe_set m_srcs pos (Bigarray.Array1.unsafe_get srcs i);
-      Array.unsafe_set m_msgs pos (Array.unsafe_get msgs i)
-    done;
-    Array.fill msgs 0 lane.l_len obj_nil;
-    lane.l_len <- 0
-  done
-
-let staged_total t =
-  let total = ref 0 in
-  Array.iter (fun lane -> total := !total + lane.l_len) t.lanes;
-  !total
-
-(* Per-round domain spawning only pays for itself on real work; below
-   this many staged messages even an 8-domain merge runs sequentially. *)
-let parallel_threshold = 1 lsl 15
-
+(* Sort the staged sends by destination into [t.merged] and empty the
+   staging plane, clearing its payload refs behind us. *)
 let merge t =
-  let staged = staged_total t in
-  if t.domains > 1 && t.shard_count > 1 && staged >= parallel_threshold then
-    Parallel.iter ~domains:t.domains (merge_shard t) t.shard_count
-  else
-    for ki = 0 to t.shard_count - 1 do
-      merge_shard t ki
-    done
+  let st = t.staging and m = t.merged in
+  let offs = m.offs and dsts = st.st_dsts and len = st.st_len in
+  Bigarray.Array1.fill offs 0;
+  for i = 0 to len - 1 do
+    let d = Int32.to_int (Bigarray.Array1.unsafe_get dsts i) in
+    Bigarray.Array1.unsafe_set offs d (Bigarray.Array1.unsafe_get offs d + 1)
+  done;
+  (* Running sums: [offs.(d)] becomes the end of [d]'s run. *)
+  let acc = ref 0 in
+  for d = 0 to t.n - 1 do
+    acc := !acc + Bigarray.Array1.unsafe_get offs d;
+    Bigarray.Array1.unsafe_set offs d !acc
+  done;
+  Bigarray.Array1.unsafe_set offs t.n len;
+  if len > m.cap then begin
+    let cap = max 1024 (max len (2 * m.cap)) in
+    m.srcs <- idplane cap;
+    m.msgs <- Array.make cap obj_nil;
+    m.cap <- cap
+  end;
+  m.len <- len;
+  (* Walking the sends backwards fills each run from its end, so every
+     inbox is in global send order and [offs.(d)] ends at its start. *)
+  let srcs = st.st_srcs and msgs = st.st_msgs in
+  let m_srcs = m.srcs and m_msgs = m.msgs in
+  for i = len - 1 downto 0 do
+    let d = Int32.to_int (Bigarray.Array1.unsafe_get dsts i) in
+    let pos = Bigarray.Array1.unsafe_get offs d - 1 in
+    Bigarray.Array1.unsafe_set offs d pos;
+    Bigarray.Array1.unsafe_set m_srcs pos (Bigarray.Array1.unsafe_get srcs i);
+    Array.unsafe_set m_msgs pos (Array.unsafe_get msgs i)
+  done;
+  Array.fill msgs 0 len obj_nil;
+  st.st_len <- 0
 
 (* ---------- fault pass ---------- *)
 
@@ -333,22 +220,15 @@ let ensure_delayed t =
   if Array.length t.delayed = 0 then t.delayed <- Array.make t.n []
 
 let push fp src msg =
-  if fp.f_len = fp.f_cap then begin
-    let cap' = max 1024 (2 * fp.f_cap) in
-    let srcs' = iplane cap' in
-    if fp.f_len > 0 then
-      Bigarray.Array1.blit
-        (Bigarray.Array1.sub fp.f_srcs 0 fp.f_len)
-        (Bigarray.Array1.sub srcs' 0 fp.f_len);
-    let msgs' = Array.make cap' obj_nil in
-    Array.blit fp.f_msgs 0 msgs' 0 fp.f_len;
-    fp.f_srcs <- srcs';
-    fp.f_msgs <- msgs';
-    fp.f_cap <- cap'
+  if fp.len = fp.cap then begin
+    let cap = max 1024 (2 * fp.cap) in
+    fp.srcs <- grown_ids fp.srcs fp.len cap;
+    fp.msgs <- grown_msgs fp.msgs fp.len cap;
+    fp.cap <- cap
   end;
-  Bigarray.Array1.unsafe_set fp.f_srcs fp.f_len src;
-  Array.unsafe_set fp.f_msgs fp.f_len msg;
-  fp.f_len <- fp.f_len + 1
+  Bigarray.Array1.unsafe_set fp.srcs fp.len (Int32.of_int src);
+  Array.unsafe_set fp.msgs fp.len msg;
+  fp.len <- fp.len + 1
 
 let emit_fault t kind fields =
   Trace.emit t.trace (Trace.Fault { kind; round = t.round; fields })
@@ -383,35 +263,34 @@ let roll_message t f fp ~dst src msg =
       push fp src msg
     end
 
-(* One reorder roll over [dst]'s whole surviving inbox [lo, f_len). *)
+(* One reorder roll over [dst]'s whole surviving inbox [lo, len). *)
 let roll_reorder t f fp ~dst lo =
-  let len = fp.f_len - lo in
+  let len = fp.len - lo in
   if len > 1 then begin
     let perm = Array.init len (fun i -> lo + i) in
     if Faults.roll_reorder f perm then begin
       if Trace.enabled t.trace then
         emit_fault t "reorder" [ ("dst", Trace.Int dst); ("msgs", Trace.Int len) ];
-      let srcs = Array.map (Bigarray.Array1.unsafe_get fp.f_srcs) perm in
-      let msgs = Array.map (Array.unsafe_get fp.f_msgs) perm in
+      let srcs = Array.map (Bigarray.Array1.unsafe_get fp.srcs) perm in
+      let msgs = Array.map (Array.unsafe_get fp.msgs) perm in
       for i = 0 to len - 1 do
-        Bigarray.Array1.unsafe_set fp.f_srcs (lo + i) srcs.(i);
-        Array.unsafe_set fp.f_msgs (lo + i) msgs.(i)
+        Bigarray.Array1.unsafe_set fp.srcs (lo + i) srcs.(i);
+        Array.unsafe_set fp.msgs (lo + i) msgs.(i)
       done
     end
   end
 
 (* Crash and blocked losses, matured delays, and the per-message fault
-   rolls, in global destination order so the fault stream's consumption
-   is a pure function of the traffic at any shard count.  Sequential by
-   construction; fills [fp] with every node's surviving inbox. *)
+   rolls, in ascending destination order so the fault stream's consumption
+   is a pure function of the traffic.  Fills [fp] with every node's
+   surviving inbox. *)
 let fault_pass t f fp =
-  fp.f_len <- 0;
+  let m = t.merged in
+  fp.len <- 0;
   for dst = 0 to t.n - 1 do
-    let sh = Array.unsafe_get t.shards (dst lsr t.shard_bits) in
-    let d = dst - sh.sh_base in
-    let lo = Bigarray.Array1.unsafe_get sh.sh_offs d in
-    let hi = Bigarray.Array1.unsafe_get sh.sh_offs (d + 1) in
-    Bigarray.Array1.unsafe_set fp.f_offs dst fp.f_len;
+    let lo = Bigarray.Array1.unsafe_get m.offs dst in
+    let hi = Bigarray.Array1.unsafe_get m.offs (dst + 1) in
+    Bigarray.Array1.unsafe_set fp.offs dst fp.len;
     (* Messages whose delay expired this round re-enter ahead of fresh
        traffic, oldest first; they already passed their fault rolls when
        first delayed. *)
@@ -432,21 +311,21 @@ let fault_pass t f fp =
         (* Lost per the Section 1.1 blocking rule; not a fault, not counted. *)
         ()
       else begin
-        let start = fp.f_len in
+        let start = fp.len in
         List.iter (fun (src, msg) -> push fp src (Obj.repr msg)) matured;
         for i = lo to hi - 1 do
           roll_message t f fp ~dst
-            (Bigarray.Array1.unsafe_get sh.sh_srcs i)
-            (Array.unsafe_get sh.sh_msgs i)
+            (Int32.to_int (Bigarray.Array1.unsafe_get m.srcs i))
+            (Array.unsafe_get m.msgs i)
         done;
         roll_reorder t f fp ~dst start
       end
     end
   done;
-  Bigarray.Array1.unsafe_set fp.f_offs t.n fp.f_len;
-  (* The faulted planes hold their own refs; drop the merged planes'
+  Bigarray.Array1.unsafe_set fp.offs t.n fp.len;
+  (* The faulted planes hold their own refs; drop the merged plane's
      payload refs now so the round retains nothing it delivered. *)
-  Array.iter (fun sh -> Array.fill sh.sh_msgs 0 sh.sh_len obj_nil) t.shards
+  Array.fill m.msgs 0 m.len obj_nil
 
 let tick_faults t =
   (* Crash/recover transitions fire at the round boundary, before this
@@ -468,43 +347,32 @@ let tick_faults t =
 let slice_iter f s =
   for i = s.s_lo to s.s_hi - 1 do
     f
-      ~src:(Bigarray.Array1.unsafe_get s.s_srcs i)
+      ~src:(Int32.to_int (Bigarray.Array1.unsafe_get s.s_srcs i))
       (Obj.obj (Array.unsafe_get s.s_msgs i))
   done
 
 let deliver_and_step t f =
   tick_faults t;
   merge t;
+  let inb =
+    match t.faults with
+    | None -> t.merged
+    | Some (fl, fp) ->
+        fault_pass t fl fp;
+        fp
+  in
   let r = t.round in
-  (match t.faults with
-  | None ->
-      Array.iter
-        (fun sh ->
-          let offs = sh.sh_offs in
-          let view = { s_srcs = sh.sh_srcs; s_msgs = sh.sh_msgs; s_lo = 0; s_hi = 0 } in
-          for d = 0 to sh.sh_size - 1 do
-            let me = sh.sh_base + d in
-            (* A blocked node neither computes nor receives; its slice is
-               lost per the blocking rule (uncounted). *)
-            if not (t.blocked me) then begin
-              view.s_lo <- Bigarray.Array1.unsafe_get offs d;
-              view.s_hi <- Bigarray.Array1.unsafe_get offs (d + 1);
-              f ~round:r ~me ~inbox:view
-            end
-          done;
-          Array.fill sh.sh_msgs 0 sh.sh_len obj_nil)
-        t.shards
-  | Some (fl, fp) ->
-      fault_pass t fl fp;
-      let view = { s_srcs = fp.f_srcs; s_msgs = fp.f_msgs; s_lo = 0; s_hi = 0 } in
-      for me = 0 to t.n - 1 do
-        if not (t.blocked me) && not (Faults.crashed fl me) then begin
-          view.s_lo <- Bigarray.Array1.unsafe_get fp.f_offs me;
-          view.s_hi <- Bigarray.Array1.unsafe_get fp.f_offs (me + 1);
-          f ~round:r ~me ~inbox:view
-        end
-      done;
-      Array.fill fp.f_msgs 0 fp.f_len obj_nil);
+  let view = { s_srcs = inb.srcs; s_msgs = inb.msgs; s_lo = 0; s_hi = 0 } in
+  for me = 0 to t.n - 1 do
+    (* A blocked or crashed node neither computes nor receives; its slice
+       is lost (the fault pass already counted crash losses). *)
+    if not (t.blocked me || is_crashed t me) then begin
+      view.s_lo <- Bigarray.Array1.unsafe_get inb.offs me;
+      view.s_hi <- Bigarray.Array1.unsafe_get inb.offs (me + 1);
+      f ~round:r ~me ~inbox:view
+    end
+  done;
+  Array.fill inb.msgs 0 inb.len obj_nil;
   t.round <- t.round + 1;
   t.blocked <- nobody_blocked;
   t.sent_this_round <- false

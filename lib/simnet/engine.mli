@@ -22,25 +22,20 @@
     emits a typed {!Trace.Fault} event; without a plan the overhead is one
     [option] check per round.
 
-    {2 Sharded round core}
+    {2 Flat round core}
 
-    Internally nodes are split into K destination shards of [2^shard_bits]
-    nodes; sends stage into per-(sender-shard × dest-shard) lanes backed by
-    contiguous grow-once planes (Bigarrays for the int columns), and
-    delivery merges each dest shard's lanes with a counting sort — a linear
-    sweep per shard instead of n random mailbox hops.  With [domains > 1]
-    the merge runs one shard per worker domain.  With a fault plan, one
-    sequential pass in global destination order then applies the crash and
-    blocking losses and the fault rolls, writing the surviving messages into
-    one reused plane.
+    Sends stage into one plane of (src, dst, msg) columns; delivery sorts
+    the plane by destination with one counting sort over all n nodes into
+    one merged plane with n + 1 offsets, so a node's inbox is one
+    contiguous window.  The id columns are 32-bit Bigarrays outside the
+    OCaml heap.  With a fault plan, one sequential pass in ascending
+    destination order then applies the crash and blocking losses and the
+    fault rolls, writing the surviving messages into a second reused
+    plane.  The engine runs on the calling domain only.
 
-    Inbox order contract: a destination receives its messages grouped by
-    sender shard (ascending), in send order within each sender shard.
-    Sends issued from the compute step with [~src:me] — every driver in
-    this repository — arrive in exactly the historical global send order,
-    so same-seed traces are byte-identical at any shard count and any
-    domain count.  Only manual out-of-compute sends interleaving multiple
-    sender shards can observe the shard grouping.
+    Inbox order contract: a destination receives its messages in global
+    send order, whether they were sent from the compute step or outside
+    it; a fault plan's delays and reorders then act on that order.
 
     Typical use:
     {[
@@ -65,30 +60,17 @@ type losses = {
 val create :
   ?trace:Trace.t ->
   ?faults:Faults.plan ->
-  ?domains:int ->
-  ?shard_bits:int ->
   n:int ->
   unit ->
   'msg t
 (** [trace] (default {!Trace.null}) receives one [Fault] event per applied
     fault; the engine emits no other events.  [faults] installs a fault
     plan ({!Faults.install}); omitting it, or passing a plan for which
-    {!Faults.is_none} holds, runs the fault-free engine.
-
-    [domains] (default {!Parallel.default_domains}, so [OVERLAY_DOMAINS]
-    applies) bounds the worker domains used for the per-shard merge;
-    results are byte-identical for every value.  [shard_bits] (default
-    14, clamped to [4, 20]; the [OVERLAY_SHARD_BITS] environment variable
-    overrides the default) sets the destination-shard width — results are
-    independent of it for compute-driven sends, so it is a tuning/testing
-    knob, not a semantic one. *)
+    {!Faults.is_none} holds, runs the fault-free engine.  Raises
+    [Invalid_argument] unless [0 < n < 2^31]. *)
 
 val round : _ t -> int
 (** Index of the current round, starting at 0. *)
-
-val shard_count : _ t -> int
-(** Number of destination shards, [ceil (n / 2^shard_bits)].  A function
-    of [n] and [shard_bits] only — never of [domains]. *)
 
 val losses : _ t -> losses
 (** Running totals of injected faults and crash losses since creation. *)

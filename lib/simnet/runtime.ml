@@ -33,7 +33,6 @@ type losses = {
 type t = {
   trace : Trace.t;
   faults : Faults.t option;
-  domains : int;
   mutable n : int;
   mutable round : int;
   mutable epoch : int;
@@ -44,7 +43,7 @@ type t = {
 }
 
 let create ?(trace = Trace.null) ?faults ?(supports = all_features)
-    ?(who = "Simnet.Runtime") ?domains ~n () =
+    ?(who = "Simnet.Runtime") ~n () =
   if n <= 0 then invalid_arg (who ^ ": n <= 0");
   let faults =
     match faults with
@@ -63,13 +62,9 @@ let create ?(trace = Trace.null) ?faults ?(supports = all_features)
         Some (Faults.install plan ~n)
     | _ -> None
   in
-  let domains =
-    max 1 (match domains with Some d -> d | None -> Parallel.default_domains ())
-  in
   {
     trace;
     faults;
-    domains;
     n;
     round = 0;
     epoch = 0;
@@ -83,7 +78,6 @@ let trace t = t.trace
 let traced t = Trace.enabled t.trace
 let plan t = Option.map Faults.plan t.faults
 let faulty t = t.faults <> None
-let domains t = t.domains
 let round t = t.round
 let epoch t = t.epoch
 

@@ -40,7 +40,6 @@ val create :
   ?faults:Faults.plan ->
   ?supports:feature list ->
   ?who:string ->
-  ?domains:int ->
   n:int ->
   unit ->
   t
@@ -49,12 +48,8 @@ val create :
     a plan using an unsupported feature raises [Invalid_argument] naming
     [who] and the offending field, so users are never silently served a
     partial plan.  An inert plan ({!Faults.is_none}) is not installed and
-    costs one [option] check per call.  [domains] (default
-    {!Parallel.default_domains}, so [OVERLAY_DOMAINS] applies; clamped to
-    at least 1) is the worker-domain bound a driver hands to the engines
-    it creates ({!domains}); all results are byte-identical for every
-    value.  Raises
-    [Invalid_argument] if [n <= 0]. *)
+    costs one [option] check per call.  Raises [Invalid_argument] if
+    [n <= 0]. *)
 
 val trace : t -> Trace.t
 val traced : t -> bool
@@ -63,9 +58,6 @@ val plan : t -> Faults.plan option
 (** The installed plan, if any ([None] for inert plans). *)
 
 val faulty : t -> bool
-
-val domains : t -> int
-(** The runtime's worker-domain bound (at least 1). *)
 
 val round : t -> int
 

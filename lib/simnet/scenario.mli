@@ -54,9 +54,10 @@ type t = {
       (** rounds/epochs/windows to run; -1 = driver default (0 is
           rejected) *)
   domains : int;
-      (** worker domains for intra-round engine parallelism; 0 = runtime
-          default ({!Parallel.default_domains}, so [OVERLAY_DOMAINS]
-          applies).  Results are byte-identical for every value. *)
+      (** worker domains; 0 = runtime default.  Accepted by every run
+          kind and read by none: a run is sequential, so results are
+          byte-identical for every value ([sweep --domains] spreads a
+          sweep's cells over worker domains). *)
   trace : string option;  (** trace sink path ([None] = no tracing) *)
   trace_format : Trace.format option;
       (** trace sink format; [None] = by [trace] path suffix

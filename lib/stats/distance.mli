@@ -10,13 +10,6 @@ val tv_counts_uniform : int array -> float
 (** Same, starting from raw counts (normalized internally).  Returns 0 for an
     all-zero array. *)
 
-val l2 : float array -> float array -> float
-(** Euclidean distance between distributions. *)
-
-val kl_divergence : float array -> float array -> float
-(** [kl_divergence p q] = sum p_i log2 (p_i / q_i), with 0 log 0 = 0.
-    Infinite if p puts mass where q does not. *)
-
 val expected_tv_noise_floor : samples:int -> cells:int -> float
 (** Expected total-variation distance between the *empirical* distribution of
     [samples] i.i.d. uniform draws over [cells] values and the true uniform

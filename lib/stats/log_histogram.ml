@@ -75,20 +75,6 @@ let percentile t p =
   let _, hi = bounds_of (go 0 0) in
   min hi t.max_obs
 
-let mean t =
-  if t.total = 0 then 0.0
-  else begin
-    let sum = ref 0.0 in
-    Array.iteri
-      (fun i c ->
-        if c > 0 then
-          let lo, hi = bounds_of i in
-          let mid = (float_of_int lo +. float_of_int hi) /. 2.0 in
-          sum := !sum +. (float_of_int c *. mid))
-      t.counts;
-    !sum /. float_of_int t.total
-  end
-
 let buckets t =
   let out = ref [] in
   Array.iteri

@@ -37,13 +37,6 @@ val percentile : t -> float -> int
     the last.  Raises [Invalid_argument] if the histogram is empty or
     [p] is outside [0,1] (including nan). *)
 
-val mean : t -> float
-(** Mean of the cell midpoints, weighted by count (0 when empty): an
-    unbiased-within-a-cell estimate of the sample mean, exact whenever
-    every observation lands in a single-valued cell (values below
-    [2 * sub_buckets]), and otherwise off by at most half a cell width
-    per observation. *)
-
 val buckets : t -> (int * int * int) list
 (** Non-empty cells as [(lo, hi, count)] triples, increasing; exact
     representation of the histogram's state (used by tests and exporters). *)

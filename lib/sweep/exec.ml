@@ -159,7 +159,8 @@ let run ?domains ?checkpoint ?(trace = Simnet.Trace.null) ?cell_traces
               (fun () -> progress cell ~wall_s:0.0 ~was_cached:true);
             { cell; value; cached = true })
   in
-  let outcomes = Parallel.map ?domains compute cells_arr in
+  let domains = Option.value domains ~default:(Parallel.default_domains ()) in
+  let outcomes = Parallel.map ~domains compute cells_arr in
   Option.iter close_out oc;
   (* Canonical rewrite: the finished checkpoint is the sweep's artifact —
      one record per cell in expansion order, byte-identical however the

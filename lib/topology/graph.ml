@@ -40,16 +40,6 @@ let is_regular t =
     if !ok then Some d else None
   end
 
-let induced_mask t ~keep =
-  let g = create ~n:(n t) in
-  for u = 0 to n t - 1 do
-    if keep u then
-      iter_neighbors t u (fun v ->
-          (* Visit each undirected edge once: from its smaller endpoint. *)
-          if u < v && keep v then add_edge g u v)
-  done;
-  g
-
 let edges t =
   let out = ref [] in
   let count = ref 0 in

@@ -22,11 +22,6 @@ val neighbors : t -> int -> int array
 val is_regular : t -> int option
 (** [Some d] if every node has degree [d]. *)
 
-val induced_mask : t -> keep:(int -> bool) -> t
-(** Subgraph on the same vertex set keeping only edges between kept nodes
-    (dropped nodes become isolated).  Used for "network restricted to its
-    non-blocked nodes". *)
-
 val edges : t -> (int * int) array
 (** Each undirected edge once, with smaller endpoint first; parallel edges
     repeated. *)

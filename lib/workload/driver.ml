@@ -25,13 +25,12 @@ type config = {
   churn : churn option;
   faults : Simnet.Faults.plan option;
   retries : int;
-  domains : int option;
 }
 
 let config ?(k = 4) ?(mode = Reconfig) ?(period = 8) ?(backend = Robust)
     ?(attack = Attack.No_attack)
-    ?(frac = 0.1) ?lateness ?staleness ?churn ?faults ?(retries = 0) ?domains
-    spec =
+    ?(frac = 0.1) ?lateness ?staleness ?churn ?faults ?(retries = 0)
+    ?domains:_ spec =
   let lateness = Option.value lateness ~default:period in
   if k < 2 then invalid_arg "Workload.Driver: arity k < 2";
   if period <= 0 then invalid_arg "Workload.Driver: period <= 0";
@@ -56,7 +55,7 @@ let config ?(k = 4) ?(mode = Reconfig) ?(period = 8) ?(backend = Robust)
         invalid_arg "Workload.Driver: churn frac outside [0, 1)";
       if epoch <= 0 then invalid_arg "Workload.Driver: churn epoch <= 0");
   { spec; k; mode; period; backend; attack; frac; lateness; staleness; churn;
-    faults; retries; domains }
+    faults; retries }
 
 type class_report = {
   cls : string;
@@ -173,7 +172,7 @@ let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
   let rt =
     Simnet.Runtime.create ~trace ?faults:cfg.faults
       ~supports:[ `Drop; `Duplicate; `Delay; `Crash; `Recover ]
-      ~who ?domains:cfg.domains ~n ()
+      ~who ~n ()
   in
   let blocked = Array.make n false in
   let ctx =

@@ -29,8 +29,8 @@
     Determinism: every random decision draws from a stream that is a pure
     function of [(seed, purpose)] — per-client request streams
     ({!Gen.client_stream}), a service stream for entry picks, dedicated
-    churn/attack/topology streams, and the fault plan's own stream — so a
-    run is byte-identical for any [domains] value.  Sources generate
+    churn/attack/topology streams, and the fault plan's own stream — so
+    same-seed runs are byte-identical.  Sources generate
     arrivals round by round, so request-plane state is O(clients + in
     flight), independent of the run length. *)
 
@@ -82,9 +82,6 @@ type config = {
           crashed servers count as blocked until they recover.  Reorder
           (vacuous on single-message legs) raises [Invalid_argument]. *)
   retries : int;  (** re-attempts allowed beyond the first *)
-  domains : int option;
-      (** worker domains, passed on to {!Simnet.Runtime.create} ([None] =
-          its default); results are identical for every value *)
 }
 
 val config :
@@ -107,7 +104,9 @@ val config :
     [lateness = period], no churn, no faults, no retries.  Raises
     [Invalid_argument] on a non-positive period or arity, negative
     retries or lateness, a churn fraction outside [0, 1) / non-positive
-    epoch, or a chord knob that is neither positive nor [-1]. *)
+    epoch, or a chord knob that is neither positive nor [-1].  [domains]
+    is accepted and unused: a run is sequential until reconfiguration
+    runs on worker domains (ROADMAP item F). *)
 
 type class_report = {
   cls : string;  (** ["read"], ["write"], ["publish"] or ["all"] *)

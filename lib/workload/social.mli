@@ -25,7 +25,7 @@
       events whose [op] field carries the class name.
 
     Determinism: every decision draws from a [(seed, purpose)]-keyed
-    stream, so traces and reports are byte-identical for any [domains]. *)
+    stream, so same-seed traces and reports are byte-identical. *)
 
 type config = {
   app : Apps.Social.config;
@@ -49,7 +49,7 @@ val config :
   Apps.Social.config ->
   config
 (** Defaults and [Invalid_argument] bounds as {!Driver.config}, which
-    builds [base]. *)
+    builds [base]; like there, [domains] is accepted and unused. *)
 
 type report = Driver.report = {
   config : Driver.config;  (** the [base] config *)

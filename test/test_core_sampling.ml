@@ -57,10 +57,6 @@ let test_dos_dimension () =
   Alcotest.(check int) "c = 2 halves it" 7
     (Core.Params.dos_dimension ~c:2.0 ~n:4096)
 
-let test_loglog_estimate () =
-  Alcotest.(check int) "2^16" 4 (Core.Params.loglog_estimate ~n:65536);
-  Alcotest.(check int) "2^17" 5 (Core.Params.loglog_estimate ~n:(65536 * 2))
-
 (* ---------- Multiset ---------- *)
 
 let test_multiset_extract_all () =
@@ -689,7 +685,6 @@ let () =
           Alcotest.test_case "hypercube schedule" `Quick test_schedule_hypercube;
           Alcotest.test_case "eps guard" `Quick test_eps_guard;
           Alcotest.test_case "dos dimension" `Quick test_dos_dimension;
-          Alcotest.test_case "loglog estimate" `Quick test_loglog_estimate;
         ] );
       ( "multiset",
         [

@@ -11,10 +11,6 @@ let test_map_empty_and_singleton () =
   Alcotest.(check (array int)) "singleton" [| 42 |]
     (Parallel.map ~domains:8 (fun x -> x * 2) [| 21 |])
 
-let test_map_list () =
-  Alcotest.(check (list string)) "list version" [ "1"; "2"; "3" ]
-    (Parallel.map_list ~domains:2 string_of_int [ 1; 2; 3 ])
-
 let test_exception_propagates () =
   Alcotest.check_raises "task exception reaches the caller"
     (Invalid_argument "boom") (fun () ->
@@ -121,7 +117,6 @@ let () =
           Alcotest.test_case "matches sequential" `Quick
             test_map_matches_sequential;
           Alcotest.test_case "empty/singleton" `Quick test_map_empty_and_singleton;
-          Alcotest.test_case "list version" `Quick test_map_list;
           Alcotest.test_case "exceptions propagate" `Quick
             test_exception_propagates;
           Alcotest.test_case "exceptions keep backtraces" `Quick

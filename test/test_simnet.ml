@@ -789,6 +789,83 @@ let qcheck_snapshots_never_fresh =
       done;
       !ok)
 
+(* ---------- Engine inbox order and memory ---------- *)
+
+let test_manual_sends_inbox_order () =
+  (* Manual out-of-compute sends from senders far apart, issued in
+     descending-id order: the inbox lists them in global send order. *)
+  let eng = Simnet.Engine.create ~n:48 () in
+  Simnet.Engine.send eng ~src:40 ~dst:0 1;
+  Simnet.Engine.send eng ~src:5 ~dst:0 2;
+  Simnet.Engine.send eng ~src:40 ~dst:0 3;
+  Simnet.Engine.send eng ~src:6 ~dst:0 4;
+  let got = ref [] in
+  Testutil.step eng (fun ~round:_ ~me ~inbox ->
+      if me = 0 then got := inbox);
+  Alcotest.(check (list (pair int int)))
+    "strict send order"
+    [ (40, 1); (5, 2); (40, 3); (6, 4) ]
+    !got
+
+let test_create_rejects_wide_n () =
+  Alcotest.check_raises "n = 2^31"
+    (Invalid_argument "Engine.create: n >= 2^31") (fun () ->
+      ignore (Simnet.Engine.create ~n:(1 lsl 31) ()))
+
+(* Plant a weakly-held payload in a fresh stack frame so no local binding
+   keeps it alive after the send. *)
+let[@inline never] plant eng w =
+  let payload = Bytes.make 16 'x' in
+  Weak.set w 0 (Some payload);
+  Simnet.Engine.send eng ~src:0 ~dst:1 payload
+
+let delivered_payload_collected ?faults () =
+  let eng = Simnet.Engine.create ?faults ~n:8 () in
+  let w = Weak.create 1 in
+  plant eng w;
+  (* Deliver it (without keeping a reference) and finish the round. *)
+  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox ->
+      Simnet.Engine.slice_iter (fun ~src:_ _ -> ()) inbox);
+  Gc.full_major ();
+  Weak.get w 0 = None
+
+let test_no_stale_retention () =
+  Alcotest.(check bool) "payload collected after delivery" true
+    (delivered_payload_collected ())
+
+let test_no_stale_retention_faulted () =
+  (* A duplicate fault routes the payload through the faulted planes
+     twice; neither copy may outlive the round. *)
+  Alcotest.(check bool) "payload collected after faulted delivery" true
+    (delivered_payload_collected
+       ~faults:(Simnet.Faults.make ~duplicate:1.0 ())
+       ())
+
+let test_million_node_create_is_lean () =
+  (* A fault-free million-node engine must not eagerly allocate the
+     per-node delay array or the fault planes (8 MB each at n = 2^20):
+     creation stays under 4 MB of OCaml heap allocation, and a round on
+     sparse traffic does not change that. *)
+  let n = 1 lsl 20 in
+  let before = Gc.allocated_bytes () in
+  let eng = Simnet.Engine.create ~n () in
+  let created = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "create allocates < 4MB (got %.0f)" created)
+    true
+    (created < 4.0 *. 1024.0 *. 1024.0);
+  Simnet.Engine.send eng ~src:0 ~dst:(n - 1) 7;
+  let got = ref 0 in
+  let count ~src:_ _ = incr got in
+  Simnet.Engine.deliver_and_step eng (fun ~round:_ ~me:_ ~inbox ->
+      Simnet.Engine.slice_iter count inbox);
+  let total = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "message arrived" 1 !got;
+  Alcotest.(check bool)
+    (Printf.sprintf "a round stays < 4MB (got %.0f)" total)
+    true
+    (total < 4.0 *. 1024.0 *. 1024.0)
+
 let () =
   Alcotest.run "simnet"
     [
@@ -822,6 +899,22 @@ let () =
             test_blocked_node_does_not_compute;
           Alcotest.test_case "set_blocked after send raises" `Quick
             test_set_blocked_after_send_raises;
+          Alcotest.test_case "create rejects n >= 2^31" `Quick
+            test_create_rejects_wide_n;
+        ] );
+      ( "invariance",
+        [
+          Alcotest.test_case "cross-shard manual sends follow the contract"
+            `Quick test_manual_sends_inbox_order;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "no stale retention (faulted)" `Quick
+            test_no_stale_retention_faulted;
+          Alcotest.test_case "no stale retention (flat)" `Quick
+            test_no_stale_retention;
+          Alcotest.test_case "million-node create is lean" `Quick
+            test_million_node_create_is_lean;
         ] );
       ( "trace",
         [

@@ -139,10 +139,6 @@ let test_crashed_bounds_guarded () =
 
 (* The domain count a driver asked for is what it reads back: Dos_network
    hands it on to Group_sim. *)
-let test_domains_kept () =
-  let rt = Simnet.Runtime.create ~domains:3 ~n:8 () in
-  Alcotest.(check int) "domains" 3 (Simnet.Runtime.domains rt)
-
 (* ---------- epochs and rounds ---------- *)
 
 let test_run_epoch_accounts_rounds () =
@@ -264,7 +260,6 @@ let () =
             test_resize_does_not_shift_stream;
           Alcotest.test_case "crashed bounds-guarded" `Quick
             test_crashed_bounds_guarded;
-          Alcotest.test_case "domains kept" `Quick test_domains_kept;
         ] );
       ( "epochs",
         [

@@ -51,14 +51,6 @@ let test_tv_counts () =
   feq "counts vs uniform" (Stats.Distance.tv_counts_uniform [| 3; 1 |]) 0.25;
   feq "all zero" (Stats.Distance.tv_counts_uniform [| 0; 0; 0 |]) 0.0
 
-let test_l2 () =
-  feq "l2" (Stats.Distance.l2 [| 0.0; 0.0 |] [| 3.0; 4.0 |]) 5.0
-
-let test_kl () =
-  feq "kl of identical" (Stats.Distance.kl_divergence [| 0.5; 0.5 |] [| 0.5; 0.5 |]) 0.0;
-  Alcotest.(check bool) "kl infinite when unsupported" true
-    (Stats.Distance.kl_divergence [| 1.0; 0.0 |] [| 0.0; 1.0 |] = infinity)
-
 let test_noise_floor_monotone () =
   let f1 = Stats.Distance.expected_tv_noise_floor ~samples:1000 ~cells:100 in
   let f2 = Stats.Distance.expected_tv_noise_floor ~samples:100_000 ~cells:100 in
@@ -203,7 +195,18 @@ let test_log_histogram_small_exact () =
   done;
   Alcotest.(check int) "total" 32 (Stats.Log_histogram.total h);
   Alcotest.(check int) "median" 15 (Stats.Log_histogram.percentile h 0.5);
-  Alcotest.(check int) "p100" 31 (Stats.Log_histogram.percentile h 1.0)
+  Alcotest.(check int) "p100" 31 (Stats.Log_histogram.percentile h 1.0);
+  (* below 2 * sub_buckets every cell is single-valued; above, cells
+     widen: 100 lives in [100, 101] *)
+  let h = Stats.Log_histogram.create () in
+  List.iter (Stats.Log_histogram.add h) [ 0; 1; 1; 5; 17; 31; 32; 63; 63; 12 ];
+  Alcotest.(check bool) "single-valued cells below 2*sub_buckets" true
+    (List.for_all (fun (lo, hi, _) -> lo = hi) (Stats.Log_histogram.buckets h));
+  let h = Stats.Log_histogram.create () in
+  Stats.Log_histogram.add_many h 100 4;
+  Alcotest.(check (list (triple int int int))) "100 in [100, 101]"
+    [ (100, 101, 4) ]
+    (Stats.Log_histogram.buckets h)
 
 let test_log_histogram_relative_error () =
   (* one distinct value: every quantile is capped at the largest value v *)
@@ -245,35 +248,6 @@ let test_log_histogram_guards () =
   Alcotest.check_raises "p nan"
     (Invalid_argument "Log_histogram.percentile: p outside [0, 1]") (fun () ->
       ignore (Stats.Log_histogram.percentile h Float.nan))
-
-(* Regression for the upper-bound bias: every sample below 2*sub_buckets
-   sits in a single-valued cell, so the histogram mean must equal the
-   exact sample mean — the old implementation was exact here too, but
-   anything in a wider cell was pulled toward the cell's upper bound. *)
-let test_log_histogram_mean_exact () =
-  let h = Stats.Log_histogram.create () in
-  let sample = [ 0; 1; 1; 5; 17; 31; 32; 63; 63; 12 ] in
-  List.iter (Stats.Log_histogram.add h) sample;
-  let exact =
-    float_of_int (List.fold_left ( + ) 0 sample)
-    /. float_of_int (List.length sample)
-  in
-  Alcotest.(check (float 1e-9)) "mean exact below 2*sub_buckets" exact
-    (Stats.Log_histogram.mean h)
-
-let test_log_histogram_mean_midpoint () =
-  (* 100 lives in cell [100, 101]: the midpoint estimate is 100.5; the
-     pre-fix upper-bound weighting reported 101. *)
-  let h = Stats.Log_histogram.create () in
-  Stats.Log_histogram.add_many h 100 4;
-  Alcotest.(check (float 1e-9)) "midpoint, not upper bound" 100.5
-    (Stats.Log_histogram.mean h);
-  (* mixed-width cells: error stays within half a cell width per sample *)
-  let h = Stats.Log_histogram.create () in
-  let sample = [ 2; 4; 100; 100 ] in
-  List.iter (Stats.Log_histogram.add h) sample;
-  Alcotest.(check (float 1e-9)) "weighted midpoints" 51.75
-    (Stats.Log_histogram.mean h)
 
 let test_log_histogram_percentile_edges () =
   (* p = 0 selects the first observation, never an empty cell 0 (whose
@@ -536,10 +510,6 @@ let () =
           Alcotest.test_case "bounded relative error" `Quick
             test_log_histogram_relative_error;
           Alcotest.test_case "guards" `Quick test_log_histogram_guards;
-          Alcotest.test_case "mean exact on single-valued cells" `Quick
-            test_log_histogram_mean_exact;
-          Alcotest.test_case "mean uses midpoints" `Quick
-            test_log_histogram_mean_midpoint;
           Alcotest.test_case "percentile edges" `Quick
             test_log_histogram_percentile_edges;
         ] );
@@ -554,8 +524,6 @@ let () =
         [
           Alcotest.test_case "tv basics" `Quick test_tv_basics;
           Alcotest.test_case "tv counts" `Quick test_tv_counts;
-          Alcotest.test_case "l2" `Quick test_l2;
-          Alcotest.test_case "kl" `Quick test_kl;
           Alcotest.test_case "noise floor" `Quick test_noise_floor_monotone;
         ] );
       ( "chi-square",

@@ -88,15 +88,6 @@ let test_graph_regular () =
   Topology.Graph.add_edge g 0 1;
   Alcotest.(check (option int)) "irregular" None (Topology.Graph.is_regular g)
 
-let test_graph_induced_mask () =
-  let g = Topology.Graph.create ~n:4 in
-  Topology.Graph.add_edge g 0 1;
-  Topology.Graph.add_edge g 1 2;
-  Topology.Graph.add_edge g 2 3;
-  let sub = Topology.Graph.induced_mask g ~keep:(fun v -> v <> 1) in
-  Alcotest.(check int) "only edge 2-3 kept" 1 (edge_count sub);
-  Alcotest.(check bool) "2-3 present" true (has_edge sub 2 3)
-
 let test_graph_edges_roundtrip () =
   let edges = [| (0, 1); (1, 2); (0, 2); (0, 1) |] in
   let g = Topology.Graph.create ~n:3 in
@@ -521,25 +512,6 @@ let qcheck_kary_coords_roundtrip =
       let v = vraw mod Kary.node_count c in
       kary_of_coords c (kary_coords c v) = v)
 
-let qcheck_induced_mask_subset =
-  QCheck.Test.make ~name:"induced subgraph has no edges at dropped nodes"
-    ~count:100
-    QCheck.(pair int64 (int_range 2 60))
-    (fun (seed, n) ->
-      let r = Prng.Stream.of_seed seed in
-      let g = Topology.Graph.create ~n in
-      for _ = 1 to 2 * n do
-        let a = Prng.Stream.int r n and b = Prng.Stream.int r n in
-        if a <> b then Topology.Graph.add_edge g a b
-      done;
-      let keep v = v mod 2 = 0 in
-      let sub = Topology.Graph.induced_mask g ~keep in
-      let ok = ref true in
-      for v = 0 to n - 1 do
-        if not (keep v) && degree sub v > 0 then ok := false
-      done;
-      !ok)
-
 let () =
   Alcotest.run "topology"
     [
@@ -553,7 +525,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_graph_basics;
           Alcotest.test_case "guards" `Quick test_graph_guards;
           Alcotest.test_case "regular" `Quick test_graph_regular;
-          Alcotest.test_case "induced mask" `Quick test_graph_induced_mask;
           Alcotest.test_case "edges roundtrip" `Quick test_graph_edges_roundtrip;
         ] );
       ("union-find", [ Alcotest.test_case "basics" `Quick test_union_find ]);
@@ -614,6 +585,5 @@ let () =
             qcheck_hypercube_flip_involution;
             qcheck_random_cycle_hamiltonian;
             qcheck_kary_coords_roundtrip;
-            qcheck_induced_mask_subset;
           ] );
     ]
