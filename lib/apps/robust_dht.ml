@@ -6,7 +6,8 @@ type t = {
   n : int;
   mutable group_of : int array;
   mutable members : int array array;
-  stores : (int, string) Hashtbl.t array; (* per supernode *)
+  stores : (int, string) Hashtbl.t option array;
+      (* per supernode, made on its first write *)
   digit : int array; (* digit.(x * d + i): coordinate i of supernode x *)
   stride : int array; (* stride.(i) = k^i: the step of coordinate i *)
 }
@@ -71,7 +72,7 @@ let create ?(c = 1.0) ?(k = 4) ~rng ~n () =
     n;
     group_of;
     members = rebuild_members ~supernodes group_of;
-    stores = Array.init supernodes (fun _ -> Hashtbl.create 16);
+    stores = Array.make supernodes None;
     digit = digit_table ~k ~d supernodes;
     stride;
   }
@@ -167,7 +168,18 @@ let route t ~blocked ~load ~src ~dst =
 
 let group_members t x = Array.copy t.members.(x)
 
-let peek t key = Hashtbl.find_opt t.stores.(supernode_of_key t key) key
+let find_in t x key =
+  match t.stores.(x) with None -> None | Some s -> Hashtbl.find_opt s key
+
+let store_in t x key v =
+  match t.stores.(x) with
+  | Some s -> Hashtbl.replace s key v
+  | None ->
+      let s = Hashtbl.create 16 in
+      Hashtbl.replace s key v;
+      t.stores.(x) <- Some s
+
+let peek t key = find_in t (supernode_of_key t key) key
 
 (* Bounded rejection sampling: each draw lands on a non-blocked server with
    probability (non-blocked / n), so unless nearly every server is blocked
@@ -215,10 +227,10 @@ let execute_from t ~blocked ~load ~entry op =
     else
       match op with
       | Read key ->
-          let value = Hashtbl.find_opt t.stores.(dst) key in
+          let value = find_in t dst key in
           { ok = true; hops; value }
       | Write (key, v) ->
-          Hashtbl.replace t.stores.(dst) key v;
+          store_in t dst key v;
           { ok = true; hops; value = None }
 
 let execute t ~blocked op =

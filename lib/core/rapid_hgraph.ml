@@ -29,8 +29,9 @@ let run_attempt ~eps ~c ~alpha ~trace ~rng g =
     for e = 0 to d - 1 do
       nbr.(e) <- Hgraph.neighbor g v e
     done;
+    Prng.Stream.fill_int32 rng d plane ~pos:(v * m0) ~len:m0;
     for x = v * m0 to ((v + 1) * m0) - 1 do
-      set plane x nbr.(Prng.Stream.int rng d)
+      set plane x nbr.(get plane x)
     done
   done;
   (* Each iteration doubles the walk length behind the ids in M (Lemma 5):
@@ -47,12 +48,9 @@ let run_attempt ~eps ~c ~alpha ~trace ~rng g =
       let base = start.(v) and l = len.(v) in
       let e = min mi l in
       underflows := !underflows + mi - e;
-      for x = 0 to e - 1 do
-        let last = base + l - 1 - x in
-        let p = base + Prng.Stream.int rng (l - x) in
+      Prng.Stream.shuffle_tail_int32 rng plane ~pos:base ~len:l ~count:e;
+      for p = base + l - e to base + l - 1 do
         let u = get plane p in
-        set plane p (get plane last);
-        set plane last u;
         next.(u + 1) <- next.(u + 1) + 1;
         load.(u) <- load.(u) + 1
       done;
@@ -108,9 +106,10 @@ let run_attempt ~eps ~c ~alpha ~trace ~rng g =
      order of the responses. *)
   let samples =
     Array.init n (fun v ->
-        let a = Array.init len.(v) (fun x -> get plane (start.(v) + x)) in
-        Prng.Stream.shuffle_in_place rng a;
-        a)
+        let base = start.(v) and l = len.(v) in
+        Prng.Stream.shuffle_tail_int32 rng plane ~pos:base ~len:l
+          ~count:(max 0 (l - 1));
+        Array.init l (fun x -> get plane (base + x)))
   in
   Sampling_result.result tally ~samples ~rounds:(2 * t)
     ~walk_length:(1 lsl t) ~schedule ~underflows:!underflows

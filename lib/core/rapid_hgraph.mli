@@ -21,8 +21,13 @@
     in place into the requester's drained tail, from where its remainder
     ended after Phase 2 (a remainder only shrinks while its node serves,
     so replies never overwrite one); that tail is M for the next
-    iteration.  Memory: 4·n·(m_0 + m_1) bytes for the plane and the
-    request buffer, and no allocation per draw or message. *)
+    iteration.  Phase 1 draws node v's m_0 edge indices with one
+    {!Prng.Stream.fill_int32} call and maps each through v's neighbor
+    list; each node's Phase-2 picks, and the final shuffle of its samples,
+    are one {!Prng.Stream.shuffle_tail_int32} call (the same draws as the
+    per-slot [Prng.Stream.int] loops).  Memory: 4·n·(m_0 + m_1) bytes for
+    the plane and the request buffer, and no allocation per draw or
+    message. *)
 
 val run :
   ?eps:float ->

@@ -17,7 +17,9 @@
     the invariant of Lemma 8 is unaffected).
 
     Both entry points run on the k-ary implementation with a fair-coin
-    redraw ({!Rapid_kary.alg2}, {!Rapid_kary.token_walk}).  The buckets
+    redraw ({!Rapid_kary.alg2}, {!Rapid_kary.token_walk}): Phase 1 fills
+    bucket (u, j) slot by slot, one [Prng.Stream.bool] coin per slot in
+    (u, j, slot) order, keeping u or flipping coordinate j.  The buckets
     live in one flat plane of 32-bit ids of stride m_0, bucket [u·d + j]
     at offset [(u·d + j)·m_0]; Phase 3 writes each reply straight into the
     drained left bucket, since it reads only right siblings.  An attempt

@@ -19,7 +19,7 @@ let[@inline] set b i x = Bytes.set_int32_le b (4 * i) (Int32.of_int x)
    left bucket, its targets read, takes the replies in place.  A right
    sibling's index has lowest set bit i-1, so no later iteration reads it
    and it needs no clearing. *)
-let alg2 ~eps ~c ~trace ~rng ~n ~d ~redraw =
+let alg2 ~eps ~c ~trace ~rng ~n ~d ~phase1 =
   let iters = Params.iterations_hypercube ~d in
   let schedule = Params.schedule_hypercube ~eps ~c ~n ~iters in
   let m0 = schedule.(0) in
@@ -43,10 +43,7 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~redraw =
   (* Phase 1: bucket j holds m0 copies of u with coordinate j redrawn. *)
   for u = 0 to n - 1 do
     for j = 0 to d - 1 do
-      let base = ((u * d) + j) * m0 in
-      for x = base to base + m0 - 1 do
-        set plane x (redraw u j)
-      done
+      phase1 plane ~pos:(((u * d) + j) * m0) ~len:m0 u j
     done
   done;
   for i = 1 to iters do
@@ -62,12 +59,9 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~redraw =
         let base = b * m0 and len = mlen.(b) in
         let e = min mi len in
         underflows := !underflows + mi - e;
-        for x = 0 to e - 1 do
-          let last = base + len - 1 - x in
-          let p = base + Prng.Stream.int rng (len - x) in
-          let v = get plane p in
-          set plane p (get plane last);
-          set plane last v;
+        Prng.Stream.shuffle_tail_int32 rng plane ~pos:base ~len ~count:e;
+        for x = base + len - e to base + len - 1 do
+          let v = get plane x in
           next.(v + 1) <- next.(v + 1) + 1;
           load.(v) <- load.(v) + 1
         done;
@@ -127,10 +121,10 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~redraw =
      taking a prefix of the arrival order would see correlated samples. *)
   let samples =
     Array.init n (fun u ->
-        let base = u * d * m0 in
-        let a = Array.init mlen.(u * d) (fun x -> get plane (base + x)) in
-        Prng.Stream.shuffle_in_place rng a;
-        a)
+        let base = u * d * m0 and len = mlen.(u * d) in
+        Prng.Stream.shuffle_tail_int32 rng plane ~pos:base ~len
+          ~count:(max 0 (len - 1));
+        Array.init len (fun x -> get plane (base + x)))
   in
   Sampling_result.result tally ~samples ~rounds:(2 * iters) ~walk_length:d
     ~schedule ~underflows:!underflows
@@ -178,9 +172,21 @@ let redraw_digit cube rng =
   let k = Kary.k cube in
   fun u j -> Kary.with_coord cube u j (Prng.Stream.int rng k)
 
+(* Phase 1 of bucket (u, j): the m0 digits in one draw call, then each slot
+   becomes u with digit j replaced, rest + digit·k^j. *)
+let fill_digit cube rng =
+  let k = Kary.k cube in
+  let stride = Array.init (Kary.d cube) (fun j -> Kary.with_coord cube 0 j 1) in
+  fun plane ~pos ~len u j ->
+    Prng.Stream.fill_int32 rng k plane ~pos ~len;
+    let rest = Kary.with_coord cube u j 0 and kj = stride.(j) in
+    for x = pos to pos + len - 1 do
+      set plane x (rest + (get plane x * kj))
+    done
+
 let run ?(eps = 0.5) ?(c = 2.0) ~rng cube =
   alg2 ~eps ~c ~trace:Trace.null ~rng ~n:(Kary.node_count cube) ~d:(Kary.d cube)
-    ~redraw:(redraw_digit cube rng)
+    ~phase1:(fill_digit cube rng)
 
 let run_plain ~k ~rng cube =
   token_walk ~trace:Trace.null ~k ~n:(Kary.node_count cube) ~d:(Kary.d cube)

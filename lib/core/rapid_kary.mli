@@ -21,13 +21,20 @@ val alg2 :
   rng:Prng.Stream.t ->
   n:int ->
   d:int ->
-  redraw:(int -> int -> int) ->
+  phase1:(Bytes.t -> pos:int -> len:int -> int -> int -> unit) ->
   Sampling_result.t
 (** Algorithm 2 over any alphabet: the one implementation behind {!run} and
-    {!Rapid_hypercube.run}.  [redraw u j] is the Phase-1 draw, node [u] with
-    coordinate [j] randomized; it is called for every bucket slot in
-    (u, j, slot) order and may consume [rng].  [trace] receives one [Round]
-    event per communication round.
+    {!Rapid_hypercube.run}.  [phase1 plane ~pos ~len u j] fills bucket
+    (u, j): it writes [len] = m_0 copies of node [u] with coordinate [j]
+    randomized, as 32-bit little-endian ids, into words
+    [pos .. pos + len - 1] of [plane].  It is called once per bucket, in
+    (u, j) order, before any other draw, and may consume [rng]; {!run}'s
+    writer draws the bucket's m_0 digits with one
+    {!Prng.Stream.fill_int32} call, {!Rapid_hypercube.run}'s flips one coin
+    per slot.  Each Phase-2 bucket's picks are one
+    {!Prng.Stream.shuffle_tail_int32} call, and so is the final shuffle of
+    each node's samples.  [trace] receives one [Round] event per
+    communication round.
 
     Layout: all n·d buckets share one byte plane of 32-bit ids, of stride
     m_0 = [schedule.(0)], bucket [u·d + j] at offset [(u·d + j)·m_0], with a
@@ -63,7 +70,9 @@ val run :
   Sampling_result.t
 (** Defaults [eps = 0.5], [c = 2.0], as in {!Rapid_hypercube.run};
     [rounds = 2 ceil(log2 d)]; [walk_length] reports [d].  Phase 1 draws
-    the digit with [Prng.Stream.int rng k]. *)
+    each bucket's digits with one [Prng.Stream.fill_int32 rng k] call, the
+    same draws as one [Prng.Stream.int rng k] per slot in slot order, and
+    writes u with digit j replaced by each. *)
 
 val run_plain :
   k:int -> rng:Prng.Stream.t -> Topology.Kary_hypercube.t -> Sampling_result.t

@@ -31,6 +31,25 @@ val int : t -> int -> int
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform on the inclusive range [lo, hi]. *)
 
+val fill_int32 : t -> int -> Bytes.t -> pos:int -> len:int -> unit
+(** [fill_int32 t bound b ~pos ~len] is [len] successive [int t bound]
+    draws in one call, stored as 32-bit little-endian words (low 32 bits)
+    at word offsets [pos .. pos + len - 1] of [b]: the same values and the
+    same stream position afterwards.  Allocates nothing.  Raises
+    [Invalid_argument] if [bound <= 0], [pos] or [len] is negative, or the
+    range does not fit in [b]. *)
+
+val shuffle_tail_int32 : t -> Bytes.t -> pos:int -> len:int -> count:int -> unit
+(** [shuffle_tail_int32 t b ~pos ~len ~count] is [count] Fisher–Yates steps
+    from the end of the [len] 32-bit words at word offset [pos] of [b], in
+    one call: step [x] (from 0) swaps word [pos + int t (len - x)] with word
+    [pos + len - 1 - x], so the tail holds the picks, first pick last.  With
+    [count = len - 1] it consumes exactly the draws {!shuffle_in_place}
+    makes on the same [len] elements and leaves them in the same order.
+    Allocates nothing.  Raises [Invalid_argument] if [pos], [len] or
+    [count] is negative, [count > len], or the range does not fit in
+    [b]. *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform on [0, bound). *)
 

@@ -73,3 +73,86 @@ let float t bound =
   (* 53 random bits mapped to [0,1), scaled. *)
   let r = Int64.to_float (Int64.shift_right_logical (step t) 11) in
   bound *. (r *. 0x1p-53)
+
+let check_words name b ~pos ~len =
+  if pos < 0 || len < 0 || pos > (Bytes.length b / 4) - len then
+    invalid_arg (name ^ ": range out of bounds")
+
+(* The bulk kernels keep s0..s3 in local mutable int64s for the whole call
+   (the native compiler holds them unboxed; a helper taking them would box
+   them, so each kernel spells out the step of [step]).  Each step and each
+   rejection is the one [below] makes, so [t] ends where the per-call loop
+   leaves it.  Hoisting the bound's tests out of [fill_int32]'s loop is
+   what keeps it a separate loop from [shuffle_tail_int32]'s. *)
+let fill_int32 t bound b ~pos ~len =
+  if bound <= 0 then invalid_arg "Xoshiro256.fill_int32: bound <= 0";
+  check_words "Xoshiro256.fill_int32" b ~pos ~len;
+  let s0 = ref (get t 0) and s1 = ref (get t 1) in
+  let s2 = ref (get t 2) and s3 = ref (get t 3) in
+  let pow2 = bound land (bound - 1) = 0 and bl = Int64.of_int bound in
+  let mask = Int64.sub bl 1L in
+  let limit = Int64.sub Int64.max_int mask in
+  for w = pos to pos + len - 1 do
+    let drawing = ref true in
+    while !drawing do
+      let x0 = !s0 and x1 = !s1 in
+      let r =
+        Int64.shift_right_logical (Int64.mul (rotl (Int64.mul x1 5L) 7) 9L) 1
+      in
+      let x2 = Int64.logxor !s2 x0 and x3 = Int64.logxor !s3 x1 in
+      s1 := Int64.logxor x1 x2;
+      s0 := Int64.logxor x0 x3;
+      s2 := Int64.logxor x2 (Int64.shift_left x1 17);
+      s3 := rotl x3 45;
+      if pow2 then begin
+        Bytes.set_int32_le b (4 * w) (Int64.to_int32 (Int64.logand r mask));
+        drawing := false
+      end
+      else
+        let v = Int64.rem r bl in
+        if Int64.sub r v <= limit then begin
+          Bytes.set_int32_le b (4 * w) (Int64.to_int32 v);
+          drawing := false
+        end
+    done
+  done;
+  set t 0 !s0;
+  set t 1 !s1;
+  set t 2 !s2;
+  set t 3 !s3
+
+let shuffle_tail_int32 t b ~pos ~len ~count =
+  check_words "Xoshiro256.shuffle_tail_int32" b ~pos ~len;
+  if count < 0 || count > len then
+    invalid_arg "Xoshiro256.shuffle_tail_int32: count outside [0, len]";
+  let s0 = ref (get t 0) and s1 = ref (get t 1) in
+  let s2 = ref (get t 2) and s3 = ref (get t 3) in
+  for x = 0 to count - 1 do
+    let bound = len - x in
+    let bl = Int64.of_int bound in
+    let limit = Int64.sub Int64.max_int (Int64.sub bl 1L) in
+    let j = ref (-1) in
+    while !j < 0 do
+      let x0 = !s0 and x1 = !s1 in
+      let r =
+        Int64.shift_right_logical (Int64.mul (rotl (Int64.mul x1 5L) 7) 9L) 1
+      in
+      let x2 = Int64.logxor !s2 x0 and x3 = Int64.logxor !s3 x1 in
+      s1 := Int64.logxor x1 x2;
+      s0 := Int64.logxor x0 x3;
+      s2 := Int64.logxor x2 (Int64.shift_left x1 17);
+      s3 := rotl x3 45;
+      if bound land (bound - 1) = 0 then j := Int64.to_int r land (bound - 1)
+      else
+        let v = Int64.rem r bl in
+        if Int64.sub r v <= limit then j := Int64.to_int v
+    done;
+    let p = 4 * (pos + !j) and last = 4 * (pos + len - 1 - x) in
+    let v = Bytes.get_int32_le b p in
+    Bytes.set_int32_le b p (Bytes.get_int32_le b last);
+    Bytes.set_int32_le b last v
+  done;
+  set t 0 !s0;
+  set t 1 !s1;
+  set t 2 !s2;
+  set t 3 !s3

@@ -418,8 +418,8 @@ let recording () =
 (* [Rapid_hgraph.run] and the reference (under the same retry policy) on
    one graph and seed: equal results, equal traces and equal rng positions
    afterwards, i.e. the same draws. *)
-let alg1_agrees ~seed ~n ~eps ~c ~alpha ~retry =
-  let g = Topology.Hgraph.random (Prng.Stream.of_seed seed) ~n ~d:8 in
+let alg1_agrees ~seed ~n ~d ~eps ~c ~alpha ~retry =
+  let g = Topology.Hgraph.random (Prng.Stream.of_seed seed) ~n ~d in
   let rng_a = Prng.Stream.of_seed seed and rng_b = Prng.Stream.of_seed seed in
   let trace_a, events_a = recording () and trace_b, events_b = recording () in
   let a = Core.Rapid_hgraph.run ~eps ~c ~alpha ~retry ~trace:trace_a ~rng:rng_a g in
@@ -441,7 +441,7 @@ let test_alg1_oracle_underflow () =
   Alcotest.(check bool) "underflows occur" true
     (r.Core.Sampling_result.underflows > 0);
   Alcotest.(check bool) "underflowing run matches the reference" true
-    (alg1_agrees ~seed:11L ~n:512 ~eps:0.5 ~c:1.0 ~alpha:1.0
+    (alg1_agrees ~seed:11L ~n:512 ~d:8 ~eps:0.5 ~c:1.0 ~alpha:1.0
        ~retry:Core.Retry.fixed);
   let retry = Core.Retry.make ~max_retries:2 ~factor:2.0 () in
   let r =
@@ -450,26 +450,29 @@ let test_alg1_oracle_underflow () =
   Alcotest.(check bool) "escalated attempts run" true
     (r.Core.Sampling_result.escalations > 0);
   Alcotest.(check bool) "retried run matches the reference" true
-    (alg1_agrees ~seed:11L ~n:512 ~eps:0.5 ~c:1.0 ~alpha:1.0 ~retry);
+    (alg1_agrees ~seed:11L ~n:512 ~d:8 ~eps:0.5 ~c:1.0 ~alpha:1.0 ~retry);
   Alcotest.(check int) "alpha = 0.02 gives T = 0" 0
     (Core.Params.iterations_hgraph ~alpha:0.02 ~d:8 ~n:512);
   Alcotest.(check bool) "T = 0 matches the reference" true
-    (alg1_agrees ~seed:11L ~n:512 ~eps:0.5 ~c:1.0 ~alpha:0.02
+    (alg1_agrees ~seed:11L ~n:512 ~d:8 ~eps:0.5 ~c:1.0 ~alpha:0.02
        ~retry:Core.Retry.fixed)
 
+(* Degrees 6 and 10 are not powers of two, so Phase 1's edge draws take
+   the rejection path of [Prng.Stream.fill_int32]. *)
 let qcheck_alg1_matches_reference =
   QCheck.Test.make ~name:"flat Alg. 1 equals the Multiset reference"
     ~count:30
     QCheck.(
       pair
-        (triple int64 (int_range 3 512) (oneofl [ 1.0; 2.0; 4.0 ]))
+        (quad int64 (int_range 3 512) (oneofl [ 1.0; 2.0; 4.0 ])
+           (oneofl [ 6; 8; 10 ]))
         (triple (oneofl [ 0.5; 1.0 ]) (oneofl [ 0.02; 0.5; 1.0 ]) bool))
-    (fun ((seed, n, c), (eps, alpha, retried)) ->
+    (fun ((seed, n, c, d), (eps, alpha, retried)) ->
       let retry =
         if retried then Core.Retry.make ~max_retries:2 ~factor:1.5 ()
         else Core.Retry.fixed
       in
-      alg1_agrees ~seed ~n ~eps ~c ~alpha ~retry)
+      alg1_agrees ~seed ~n ~d ~eps ~c ~alpha ~retry)
 
 (* Words allocated by [f ()]: minor words, and all words (minor plus
    direct major allocations).  Single-domain; the minor heap is flushed

@@ -148,7 +148,14 @@ let test_draws_allocation_free () =
      itself allocates nothing. *)
   let w = words_per_draw (fun s -> ignore (Prng.Stream.float s 1.0)) in
   Alcotest.(check bool) (Printf.sprintf "float: %.3f words/draw" w) true
-    (w < 2.01)
+    (w < 2.01);
+  (* The bulk kernels: 0 words per call of 64 draws. *)
+  let b = Bytes.make (4 * 64) '\000' in
+  check "fill_int32" (fun s -> Prng.Stream.fill_int32 s 1000 b ~pos:0 ~len:64);
+  check "fill_int32 with rejection" (fun s ->
+      Prng.Stream.fill_int32 s (3 lsl 60) b ~pos:0 ~len:64);
+  check "shuffle_tail_int32" (fun s ->
+      Prng.Stream.shuffle_tail_int32 s b ~pos:0 ~len:64 ~count:63)
 
 let test_kary_sampler_allocation () =
   (* The robust DHT's reshuffle shape: only the result arrays and the
@@ -158,6 +165,32 @@ let test_kary_sampler_allocation () =
   ignore (Core.Rapid_kary.run ~c:6.8 ~rng:(stream ()) cube);
   let w = Gc.minor_words () -. w0 in
   Alcotest.(check bool) (Printf.sprintf "%.0f minor words" w) true (w < 1e6)
+
+let test_kernel_arguments () =
+  let s = stream () and b = Bytes.create (4 * 8) in
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
+  let fill = "Xoshiro256.fill_int32: range out of bounds"
+  and shuffle = "Xoshiro256.shuffle_tail_int32: range out of bounds"
+  and count = "Xoshiro256.shuffle_tail_int32: count outside [0, len]" in
+  raises "Xoshiro256.fill_int32: bound <= 0" (fun () ->
+      Prng.Stream.fill_int32 s 0 b ~pos:0 ~len:1);
+  raises fill (fun () -> Prng.Stream.fill_int32 s 5 b ~pos:(-1) ~len:1);
+  raises fill (fun () -> Prng.Stream.fill_int32 s 5 b ~pos:0 ~len:(-1));
+  raises fill (fun () -> Prng.Stream.fill_int32 s 5 b ~pos:4 ~len:5);
+  raises fill (fun () -> Prng.Stream.fill_int32 s 5 b ~pos:max_int ~len:1);
+  raises shuffle (fun () ->
+      Prng.Stream.shuffle_tail_int32 s b ~pos:(-1) ~len:2 ~count:1);
+  raises shuffle (fun () ->
+      Prng.Stream.shuffle_tail_int32 s b ~pos:0 ~len:(-1) ~count:0);
+  raises shuffle (fun () ->
+      Prng.Stream.shuffle_tail_int32 s b ~pos:7 ~len:2 ~count:1);
+  raises count (fun () ->
+      Prng.Stream.shuffle_tail_int32 s b ~pos:0 ~len:2 ~count:(-1));
+  raises count (fun () ->
+      Prng.Stream.shuffle_tail_int32 s b ~pos:0 ~len:2 ~count:3);
+  (* A rejected call consumes no draw. *)
+  Alcotest.(check int64) "stream untouched" (Prng.Stream.bits64 (stream ()))
+    (Prng.Stream.bits64 s)
 
 let test_stream_determinism () =
   let a = stream () and b = stream () in
@@ -503,6 +536,71 @@ let qcheck_zipf_draw_matches_reference =
         (List.init 64 Fun.id)
       && Prng.Stream.bits64 a = Prng.Stream.bits64 b)
 
+(* Bounds for the kernels: 1, powers of two, small non-powers, and bounds
+   just above 2^61 and 3·2^60, where about a quarter of the draws are
+   rejected. *)
+let kernel_bound =
+  QCheck.(
+    oneof
+      [
+        map (fun k -> 1 lsl k) (int_range 0 61);
+        int_range 1 1000;
+        map (fun k -> (1 lsl 61) + k) (int_range 1 1000);
+        map (fun k -> (3 lsl 60) + k) (int_range 1 1000);
+      ])
+
+(* A plane of distinct words, [pos] words of margin on the left and 3 on
+   the right, so a write outside the range shows. *)
+let kernel_plane ~pos ~len =
+  let b = Bytes.create (4 * (pos + len + 3)) in
+  for w = 0 to pos + len + 2 do
+    Bytes.set_int32_le b (4 * w) (Int32.of_int ((w * 7919) + 1))
+  done;
+  b
+
+let qcheck_fill_int32_matches_int =
+  QCheck.Test.make ~name:"fill_int32 equals successive int" ~count:300
+    QCheck.(quad int64 kernel_bound (int_range 0 5) (int_range 0 40))
+    (fun (seed, bound, pos, len) ->
+      let a = Prng.Stream.of_seed seed and r = Prng.Stream.of_seed seed in
+      let ba = kernel_plane ~pos ~len and br = kernel_plane ~pos ~len in
+      Prng.Stream.fill_int32 a bound ba ~pos ~len;
+      for w = pos to pos + len - 1 do
+        Bytes.set_int32_le br (4 * w) (Int32.of_int (Prng.Stream.int r bound))
+      done;
+      Bytes.equal ba br && Prng.Stream.bits64 a = Prng.Stream.bits64 r)
+
+let qcheck_shuffle_tail_matches_loop =
+  QCheck.Test.make ~name:"shuffle_tail_int32 equals the loop" ~count:300
+    QCheck.(quad int64 (int_range 0 5) (int_range 0 40) (int_range 0 100))
+    (fun (seed, pos, len, pct) ->
+      (* count runs over 0 .. len, both ends included. *)
+      let count = len * pct / 100 in
+      let a = Prng.Stream.of_seed seed and r = Prng.Stream.of_seed seed in
+      let ba = kernel_plane ~pos ~len and br = kernel_plane ~pos ~len in
+      Prng.Stream.shuffle_tail_int32 a ba ~pos ~len ~count;
+      for x = 0 to count - 1 do
+        let p = 4 * (pos + Prng.Stream.int r (len - x))
+        and last = 4 * (pos + len - 1 - x) in
+        let v = Bytes.get_int32_le br p in
+        Bytes.set_int32_le br p (Bytes.get_int32_le br last);
+        Bytes.set_int32_le br last v
+      done;
+      Bytes.equal ba br && Prng.Stream.bits64 a = Prng.Stream.bits64 r)
+
+(* count = len - 1 is [shuffle_in_place]: same order, same draws. *)
+let qcheck_shuffle_tail_is_shuffle =
+  QCheck.Test.make ~name:"shuffle_tail_int32 is shuffle_in_place" ~count:200
+    QCheck.(pair int64 (int_range 0 60))
+    (fun (seed, len) ->
+      let a = Prng.Stream.of_seed seed and r = Prng.Stream.of_seed seed in
+      let b = kernel_plane ~pos:0 ~len in
+      let arr = Array.init len (fun w -> Bytes.get_int32_le b (4 * w)) in
+      Prng.Stream.shuffle_tail_int32 a b ~pos:0 ~len ~count:(max 0 (len - 1));
+      Prng.Stream.shuffle_in_place r arr;
+      Array.init len (fun w -> Bytes.get_int32_le b (4 * w)) = arr
+      && Prng.Stream.bits64 a = Prng.Stream.bits64 r)
+
 let () =
   Alcotest.run "prng"
     [
@@ -541,6 +639,7 @@ let () =
             test_draws_allocation_free;
           Alcotest.test_case "k-ary sampler allocation" `Quick
             test_kary_sampler_allocation;
+          Alcotest.test_case "kernel arguments" `Quick test_kernel_arguments;
         ] );
       ( "dist",
         [
@@ -566,5 +665,8 @@ let () =
             qcheck_sample_distinct_distinct;
             qcheck_below_power_of_two;
             qcheck_zipf_draw_matches_reference;
+            qcheck_fill_int32_matches_int;
+            qcheck_shuffle_tail_matches_loop;
+            qcheck_shuffle_tail_is_shuffle;
           ] );
     ]
