@@ -38,7 +38,9 @@ trace-smoke:
 # Run a traced churn scenario and a traced message-level group
 # simulation under the fault model (see docs/fault_model.md) and validate
 # both traces.  FAULT_DROP is the per-message drop rate; at 0 the drop
-# leg is off and only the duplicate, delay and crash legs fire.  Then
+# leg is off and only the duplicate, delay and crash legs fire.  A Chord
+# run under a full plan then validates leg-level fault events that carry
+# src/dst endpoints, and a recover transition.  Then
 # check the inert plan end to end: churn, groupsim and a workload run each
 # write the same trace with --faults drop=0 as without --faults, and the
 # workload (the loop's last run) the same report; groupsim's report gains
@@ -56,6 +58,12 @@ fault-smoke:
 	  --faults drop=$(FAULT_DROP),dup=0.01,delay=2,crash=2 \
 	  --trace /tmp/overlay_fault_groupsim.jsonl > /dev/null
 	dune exec bin/trace_check.exe -- /tmp/overlay_fault_groupsim.jsonl
+	dune exec bin/overlay_sim.exe -- chord -n 256 --rounds 16 --seed 5 \
+	  --faults drop=0.02,dup=0.01,delay=2,crash=2,recover=4,seed=5 \
+	  --trace /tmp/overlay_fault_chord.jsonl > /dev/null
+	dune exec bin/trace_check.exe -- /tmp/overlay_fault_chord.jsonl
+	grep -q '"kind":"recover"' /tmp/overlay_fault_chord.jsonl
+	grep -q '"ev":"fault","kind":"delay","round":[0-9]*,"src"' /tmp/overlay_fault_chord.jsonl
 	for run in $(INERT_RUNS); do \
 	  dune exec bin/overlay_sim.exe -- $$run \
 	    --trace /tmp/overlay_inert_free.jsonl > /tmp/overlay_inert_free.out && \

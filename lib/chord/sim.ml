@@ -152,7 +152,7 @@ let run ?(trace = Simnet.Trace.null) ~seed (cfg : config) =
           [ ("round", Simnet.Trace.Int r); ("down", Simnet.Trace.Int down) ]
     | _ -> ());
     (* 3. scheduled crash / recover transitions *)
-    ignore (Simnet.Runtime.tick rt);
+    Simnet.Runtime.tick rt;
     (* 4. this round's blocked set: churn + crashes + adversary budget *)
     for v = 0 to n - 1 do
       blocked.(v) <- churn_down.(v) || Simnet.Runtime.crashed rt v

@@ -108,7 +108,7 @@ let run_one_epoch t ~leaves ~join_introducers =
      forced to leave at the next epoch boundary (victims are positions in
      the current namespace; a victim index past the current size hits
      nobody). *)
-  ignore (Simnet.Runtime.tick rt);
+  Simnet.Runtime.tick rt;
   for p = 0 to n - 1 do
     if Simnet.Runtime.crashed rt p then leaving.(p) <- true
   done;

@@ -200,7 +200,7 @@ let run_one_window t ~blocked_for_round ~joins ~leave_frac =
   let p = period t in
   let starved_rounds = ref 0 and disconnected_rounds = ref 0 in
   for _ = 1 to p do
-    ignore (Simnet.Runtime.tick rt);
+    Simnet.Runtime.tick rt;
     let blocked =
       blocked_for_round ~round:(Simnet.Runtime.round rt) ~group_of:t.group_of
         ~n:t.n

@@ -94,7 +94,7 @@ let create ?(c = 1.0) ?(backend = Canonical) ?(trace = Simnet.Trace.null)
   if n < 16 then invalid_arg "Dos_network.create: n too small";
   let faults =
     match faults with
-    | Some plan when not (Simnet.Faults.is_none plan) -> Some plan
+    | Some plan when Simnet.Faults.features plan <> [] -> Some plan
     | _ -> None
   in
   let d = Params.dos_dimension ~c ~n in
@@ -297,7 +297,7 @@ let run_round t ~blocked =
   (* Crash/recover transitions fire at the round boundary; a crashed node
      behaves like a blocked one for the rest of the round (the fault-free
      path never copies the array). *)
-  ignore (Simnet.Runtime.tick rt);
+  Simnet.Runtime.tick rt;
   let blocked =
     if Simnet.Runtime.faulty rt then begin
       let b = Array.copy blocked in

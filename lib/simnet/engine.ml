@@ -1,10 +1,3 @@
-type losses = {
-  dropped : int;
-  duplicated : int;
-  delayed : int;
-  crash_lost : int;
-}
-
 (* ---------- flat struct-of-arrays round core ----------
 
    A send is appended to one staging plane: parallel (src, dst, msg)
@@ -78,11 +71,6 @@ type 'msg t = {
      point would mis-apply the blocking rule to already-queued messages. *)
   mutable sent_this_round : bool;
   faults : (Faults.t * inboxes) option;
-  mutable lost_dropped : int;
-  mutable lost_duplicated : int;
-  mutable lost_delayed : int;
-  mutable lost_crash : int;
-  trace : Trace.t;
 }
 
 let nobody_blocked _ = false
@@ -104,21 +92,15 @@ let create ?(trace = Trace.null) ?faults ~n () =
     sent_this_round = false;
     faults =
       (match faults with
-      | Some plan when not (Faults.is_none plan) ->
-          Some (Faults.install plan ~n, inboxes ~n)
+      | Some plan when Faults.features plan <> [] ->
+          Some (Faults.install ~trace plan ~n, inboxes ~n)
       | _ -> None);
-    lost_dropped = 0;
-    lost_duplicated = 0;
-    lost_delayed = 0;
-    lost_crash = 0;
-    trace;
   }
 
 let round t = t.round
 
 let losses t =
-  { dropped = t.lost_dropped; duplicated = t.lost_duplicated;
-    delayed = t.lost_delayed; crash_lost = t.lost_crash }
+  match t.faults with Some (f, _) -> Faults.losses f | None -> Faults.no_losses
 
 let fault_plan t = Option.map (fun (f, _) -> Faults.plan f) t.faults
 
@@ -156,23 +138,23 @@ let send t ~src ~dst msg =
   check_node t src "send";
   check_node t dst "send";
   t.sent_this_round <- true;
-  if is_crashed t src || is_crashed t dst then
-    (* A crashed endpoint behaves like a permanently blocked one, except the
-       loss is observable in [losses]. *)
-    t.lost_crash <- t.lost_crash + 1
-  else if
-    (* Send-time half of the blocking rule: src non-blocked in the send round
-       and dst non-blocked in the send round. *)
-    not (t.blocked src) && not (t.blocked dst)
-  then begin
-    let st = t.staging in
-    let len = st.st_len in
-    if len = st.st_cap then grow_staging st;
-    Bigarray.Array1.unsafe_set st.st_srcs len (Int32.of_int src);
-    Bigarray.Array1.unsafe_set st.st_dsts len (Int32.of_int dst);
-    Array.unsafe_set st.st_msgs len (Obj.repr msg);
-    st.st_len <- len + 1
-  end
+  match t.faults with
+  | Some (f, _) when Faults.crashed f src || Faults.crashed f dst ->
+      (* A crashed endpoint behaves like a permanently blocked one, except the
+         loss is observable in [losses]. *)
+      Faults.charge_crash f 1
+  | _ ->
+      (* Send-time half of the blocking rule: src non-blocked in the send
+         round and dst non-blocked in the send round. *)
+      if not (t.blocked src) && not (t.blocked dst) then begin
+        let st = t.staging in
+        let len = st.st_len in
+        if len = st.st_cap then grow_staging st;
+        Bigarray.Array1.unsafe_set st.st_srcs len (Int32.of_int src);
+        Bigarray.Array1.unsafe_set st.st_dsts len (Int32.of_int dst);
+        Array.unsafe_set st.st_msgs len (Obj.repr msg);
+        st.st_len <- len + 1
+      end
 
 (* ---------- counting sort ---------- *)
 
@@ -230,55 +212,32 @@ let push fp src msg =
   Array.unsafe_set fp.msgs fp.len msg;
   fp.len <- fp.len + 1
 
-let emit_fault t kind fields =
-  Trace.emit t.trace (Trace.Fault { kind; round = t.round; fields })
-
-(* Roll one fresh arrival: drop, else delay, else duplicate, pushing what
-   survives this round onto the faulted planes. *)
+(* Apply one fresh arrival's roll, pushing what survives this round onto
+   the faulted planes. *)
 let roll_message t f fp ~dst src msg =
-  let traced = Trace.enabled t.trace in
-  if Faults.roll_drop f then begin
-    t.lost_dropped <- t.lost_dropped + 1;
-    if traced then
-      emit_fault t "drop" [ ("src", Trace.Int src); ("dst", Trace.Int dst) ]
-  end
-  else
-    let hold = Faults.roll_delay f in
-    if hold > 0 then begin
-      let due = t.round + hold in
-      t.lost_delayed <- t.lost_delayed + 1;
-      ensure_delayed t;
-      t.delayed.(dst) <- (due, src, Obj.obj msg) :: t.delayed.(dst);
-      if traced then
-        emit_fault t "delay"
-          [ ("src", Trace.Int src); ("dst", Trace.Int dst); ("until", Trace.Int due) ]
-    end
-    else begin
-      if Faults.roll_duplicate f then begin
-        t.lost_duplicated <- t.lost_duplicated + 1;
-        push fp src msg;
-        if traced then
-          emit_fault t "duplicate" [ ("src", Trace.Int src); ("dst", Trace.Int dst) ]
-      end;
+  match Faults.roll f ~round:t.round ~src ~dst () with
+  | Faults.Pass -> push fp src msg
+  | Faults.Duplicate ->
+      push fp src msg;
       push fp src msg
-    end
+  | Faults.Drop -> ()
+  | Faults.Delay hold ->
+      ensure_delayed t;
+      t.delayed.(dst) <- (t.round + hold, src, Obj.obj msg) :: t.delayed.(dst)
 
 (* One reorder roll over [dst]'s whole surviving inbox [lo, len). *)
 let roll_reorder t f fp ~dst lo =
-  let len = fp.len - lo in
-  if len > 1 then begin
-    let perm = Array.init len (fun i -> lo + i) in
-    if Faults.roll_reorder f perm then begin
-      if Trace.enabled t.trace then
-        emit_fault t "reorder" [ ("dst", Trace.Int dst); ("msgs", Trace.Int len) ];
-      let srcs = Array.map (Bigarray.Array1.unsafe_get fp.srcs) perm in
-      let msgs = Array.map (Array.unsafe_get fp.msgs) perm in
-      for i = 0 to len - 1 do
+  match Faults.reorder f ~round:t.round ~dst (fp.len - lo) with
+  | None -> ()
+  | Some perm ->
+      let srcs =
+        Array.map (fun i -> Bigarray.Array1.unsafe_get fp.srcs (lo + i)) perm
+      in
+      let msgs = Array.map (fun i -> Array.unsafe_get fp.msgs (lo + i)) perm in
+      for i = 0 to Array.length perm - 1 do
         Bigarray.Array1.unsafe_set fp.srcs (lo + i) srcs.(i);
         Array.unsafe_set fp.msgs (lo + i) msgs.(i)
       done
-    end
-  end
 
 (* Crash and blocked losses, matured delays, and the per-message fault
    rolls, in ascending destination order so the fault stream's consumption
@@ -306,7 +265,7 @@ let fault_pass t f fp =
     in
     if hi > lo || matured <> [] then begin
       if Faults.crashed f dst then
-        t.lost_crash <- t.lost_crash + (hi - lo) + List.length matured
+        Faults.charge_crash f ((hi - lo) + List.length matured)
       else if t.blocked dst then
         (* Lost per the Section 1.1 blocking rule; not a fault, not counted. *)
         ()
@@ -327,20 +286,10 @@ let fault_pass t f fp =
      payload refs now so the round retains nothing it delivered. *)
   Array.fill m.msgs 0 m.len obj_nil
 
+(* Crash/recover transitions fire at the round boundary, before this
+   round's deliveries. *)
 let tick_faults t =
-  (* Crash/recover transitions fire at the round boundary, before this
-     round's deliveries. *)
-  match t.faults with
-  | None -> ()
-  | Some (f, _) ->
-      let transitions = Faults.tick f ~round:t.round in
-      if Trace.enabled t.trace then
-        List.iter
-          (fun (node, kind) ->
-            emit_fault t
-              (match kind with `Crash -> "crash" | `Recover -> "recover")
-              [ ("node", Trace.Int node) ])
-          transitions
+  match t.faults with Some (f, _) -> Faults.tick f ~round:t.round | None -> ()
 
 (* ---------- delivery ---------- *)
 

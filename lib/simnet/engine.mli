@@ -16,11 +16,10 @@
     On top of the blocking rule the engine can apply a deterministic
     {!Faults.plan}: per-message drop, duplication, bounded delay and inbox
     reordering, plus node-level crash-stop / crash-recover schedules.
-    Faults fire at the delivery boundary, after the blocking rule, and draw
-    from the plan's own random stream, so the protocol's coin flips are
-    unperturbed and same-seed runs stay byte-identical.  Each applied fault
-    emits a typed {!Trace.Fault} event; without a plan the overhead is one
-    [option] check per round.
+    Faults fire at the delivery boundary, after the blocking rule; the
+    installed {!Faults.t} rolls, charges and traces each one, and the
+    engine applies the outcome (a delayed message is held and delivered
+    late).  Without a plan the overhead is one [option] check per round.
 
     {2 Flat round core}
 
@@ -50,13 +49,6 @@
 
 type 'msg t
 
-type losses = {
-  dropped : int;  (** messages killed by a drop fault *)
-  duplicated : int;  (** duplicate copies injected by a duplication fault *)
-  delayed : int;  (** messages held back by a delay fault (later delivered) *)
-  crash_lost : int;  (** messages lost to a crashed endpoint *)
-}
-
 val create :
   ?trace:Trace.t ->
   ?faults:Faults.plan ->
@@ -65,15 +57,16 @@ val create :
   'msg t
 (** [trace] (default {!Trace.null}) receives one [Fault] event per applied
     fault; the engine emits no other events.  [faults] installs a fault
-    plan ({!Faults.install}); omitting it, or passing a plan for which
-    {!Faults.is_none} holds, runs the fault-free engine.  Raises
+    plan ({!Faults.install}); omitting it, or passing a plan with no
+    {!Faults.features}, runs the fault-free engine.  Raises
     [Invalid_argument] unless [0 < n < 2^31]. *)
 
 val round : _ t -> int
 (** Index of the current round, starting at 0. *)
 
-val losses : _ t -> losses
-(** Running totals of injected faults and crash losses since creation. *)
+val losses : _ t -> Faults.losses
+(** Running totals of injected faults and crash losses since creation
+    ({!Faults.no_losses} without a plan). *)
 
 val fault_plan : _ t -> Faults.plan option
 (** The installed plan, if any ([None] when fault-free). *)

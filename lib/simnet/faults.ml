@@ -25,10 +25,18 @@ let none =
     seed = default_seed;
   }
 
-let is_none p =
-  p.drop = 0.0 && p.duplicate = 0.0
-  && (p.delay_p = 0.0 || p.delay_max = 0)
-  && p.reorder = 0.0 && p.crash = 0
+type feature = [ `Drop | `Duplicate | `Delay | `Reorder | `Crash | `Recover ]
+
+let features p =
+  List.filter
+    (function
+      | `Drop -> p.drop > 0.0
+      | `Duplicate -> p.duplicate > 0.0
+      | `Delay -> p.delay_p > 0.0 && p.delay_max > 0
+      | `Reorder -> p.reorder > 0.0
+      | `Crash -> p.crash > 0
+      | `Recover -> p.crash > 0 && p.recover_after > 0)
+    [ `Drop; `Duplicate; `Delay; `Reorder; `Crash; `Recover ]
 
 let check_prob name x =
   if x < 0.0 || x > 1.0 || Float.is_nan x then
@@ -134,16 +142,25 @@ let to_spec p =
   addf "drop" p.drop;
   if !out = [] then "none" else String.concat "," !out
 
+type losses = { dropped : int; duplicated : int; delayed : int; crash_lost : int }
+
+let no_losses = { dropped = 0; duplicated = 0; delayed = 0; crash_lost = 0 }
+
 type t = {
   plan : plan;
   stream : Prng.Stream.t;
+  trace : Trace.t;
   mutable crashed_now : bool array;
   (* Upcoming transitions, soonest first (rounds are strictly increasing
      per node; the whole list is sorted at install). *)
   mutable upcoming : (int * int * [ `Crash | `Recover ]) list;
+  mutable drops : int;
+  mutable dups : int;
+  mutable delays : int;
+  mutable crash_losses : int;
 }
 
-let install plan ~n =
+let install ?(trace = Trace.null) plan ~n =
   if n <= 0 then invalid_arg "Faults.install: n <= 0";
   let stream = Prng.Stream.of_seed plan.seed in
   let k = min plan.crash n in
@@ -159,20 +176,31 @@ let install plan ~n =
   {
     plan;
     stream;
+    trace;
     crashed_now = Array.make n false;
     upcoming =
       List.sort
         (fun (r1, n1, _) (r2, n2, _) -> compare (r1, n1) (r2, n2))
         !upcoming;
+    drops = 0;
+    dups = 0;
+    delays = 0;
+    crash_losses = 0;
   }
 
 let plan t = t.plan
+
+let losses t =
+  { dropped = t.drops; duplicated = t.dups; delayed = t.delays;
+    crash_lost = t.crash_losses }
 
 (* Size-independently keyed: a node index outside the install-time range is
    simply never crashed, so a network that grew past its initial n can keep
    querying without re-installing (and without aliasing the Bernoulli
    stream, which never depends on n). *)
 let crashed t v = v >= 0 && v < Array.length t.crashed_now && t.crashed_now.(v)
+
+let charge_crash t k = t.crash_losses <- t.crash_losses + k
 
 let resize t ~n =
   if n <= 0 then invalid_arg "Faults.resize: n <= 0";
@@ -183,29 +211,59 @@ let resize t ~n =
     t.crashed_now <- grown
   end
 
+(* Every fault event is built here.  Callers test [Trace.enabled] first,
+   so an untraced run builds no event fields. *)
+let emit t ~round kind fields =
+  Trace.emit t.trace (Trace.Fault { kind; round; fields })
+
 let tick t ~round =
-  let rec go acc = function
+  let rec go = function
     | (r, node, kind) :: rest when r <= round ->
         t.crashed_now.(node) <- (kind = `Crash);
-        go ((node, kind) :: acc) rest
-    | rest ->
-        t.upcoming <- rest;
-        List.rev acc
+        if Trace.enabled t.trace then
+          emit t ~round
+            (match kind with `Crash -> "crash" | `Recover -> "recover")
+            [ ("node", Trace.Int node) ];
+        go rest
+    | rest -> t.upcoming <- rest
   in
-  go [] t.upcoming
+  go t.upcoming
+
+type outcome = Pass | Drop | Delay of int | Duplicate
 
 let bernoulli t p = p > 0.0 && Prng.Stream.bernoulli t.stream p
 
-let roll_drop t = bernoulli t t.plan.drop
-let roll_duplicate t = bernoulli t t.plan.duplicate
+let endpoints ?src ?dst tail =
+  let tail = match dst with Some v -> ("dst", Trace.Int v) :: tail | None -> tail in
+  match src with Some v -> ("src", Trace.Int v) :: tail | None -> tail
 
-let roll_delay t =
-  if t.plan.delay_max = 0 || not (bernoulli t t.plan.delay_p) then 0
-  else 1 + Prng.Stream.int t.stream t.plan.delay_max
-
-let roll_reorder t arr =
-  if Array.length arr > 1 && bernoulli t t.plan.reorder then begin
-    Prng.Stream.shuffle_in_place t.stream arr;
-    true
+let roll t ~round ?src ?dst () =
+  let traced = Trace.enabled t.trace in
+  if bernoulli t t.plan.drop then begin
+    t.drops <- t.drops + 1;
+    if traced then emit t ~round "drop" (endpoints ?src ?dst []);
+    Drop
   end
-  else false
+  else if t.plan.delay_max > 0 && bernoulli t t.plan.delay_p then begin
+    let hold = 1 + Prng.Stream.int t.stream t.plan.delay_max in
+    t.delays <- t.delays + 1;
+    if traced then
+      emit t ~round "delay"
+        (endpoints ?src ?dst [ ("until", Trace.Int (round + hold)) ]);
+    Delay hold
+  end
+  else if bernoulli t t.plan.duplicate then begin
+    t.dups <- t.dups + 1;
+    if traced then emit t ~round "duplicate" (endpoints ?src ?dst []);
+    Duplicate
+  end
+  else Pass
+
+let reorder t ~round ~dst len =
+  if len > 1 && bernoulli t t.plan.reorder then begin
+    let perm = Prng.Stream.permutation t.stream len in
+    if Trace.enabled t.trace then
+      emit t ~round "reorder" [ ("dst", Trace.Int dst); ("msgs", Trace.Int len) ];
+    Some perm
+  end
+  else None

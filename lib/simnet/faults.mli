@@ -1,22 +1,23 @@
-(** Deterministic fault injection for the simulation engine.
+(** Deterministic fault injection: the one fault model of the simulator.
 
     A {!plan} describes *ordinary* infrastructure faults — per-message drop,
     duplication, bounded delay, inbox reordering, and node-level
     crash-stop / crash-recover schedules — none of which the paper's model
     covers (its only failure modes are the omniscient churner and the t-late
-    DoS blocker).  The plan is installed on {!Engine.create} via its
-    [?faults] parameter; faults then apply at the delivery boundary, *after*
-    the Section 1.1 blocking rule, and are charged independently of it (a
-    blocked message is never also rolled for faults; see
-    [docs/fault_model.md] for the exact composition).
+    DoS blocker).  An installed plan ({!t}) decides every fault, charges it
+    to {!losses} and emits its typed {!Trace.Fault} event.  Its two callers
+    only apply the outcome: {!Engine} to one message at its delivery
+    boundary, after the Section 1.1 blocking rule, and {!Runtime} to one
+    request/reply leg of a driver.  Both roll in one order — a crashed
+    endpoint loses the message, then drop → delay → duplicate (see
+    [docs/fault_model.md]).
 
     All randomness is drawn from a dedicated {!Prng.Stream} keyed by
     [plan.seed], never from a node's or an adversary's stream, so a fault
     plan perturbs *which* messages survive but not the protocol's own coin
     flips: two runs with the same seed and the same plan produce
     byte-identical traces, and installing a zero-rate plan leaves every
-    metric identical to a run without faults.  Each applied fault emits one
-    typed {!Trace.Fault} event. *)
+    metric identical to a run without faults. *)
 
 type plan = {
   drop : float;  (** per-message Bernoulli loss probability *)
@@ -34,11 +35,13 @@ type plan = {
   seed : int64;  (** seed of the dedicated fault stream *)
 }
 
-val is_none : plan -> bool
-(** Whether the plan can never fire a fault, e.g. [make ()].  Engines
-    reject such a plan at installation time ({!install} is never called
-    on it), so a run under it costs one boolean check per delivery and
-    nothing else. *)
+type feature = [ `Drop | `Duplicate | `Delay | `Reorder | `Crash | `Recover ]
+(** The independently supportable parts of a plan. *)
+
+val features : plan -> feature list
+(** The parts of the plan that can fire.  A plan with none, e.g.
+    [make ()], is never installed: {!Engine} and {!Runtime} run
+    fault-free under it, at the cost of one [option] check per message. *)
 
 val make :
   ?drop:float ->
@@ -69,15 +72,32 @@ val to_spec : plan -> string
     fields). *)
 
 type t
-(** An installed plan: the plan plus its dedicated random stream and the
-    materialized crash schedule for a network of a given size. *)
+(** An installed plan: the plan, its dedicated random stream, the
+    materialized crash schedule for a network of a given size, the loss
+    counters and the trace its fault events go to. *)
 
-val install : plan -> n:int -> t
+val install : ?trace:Trace.t -> plan -> n:int -> t
 (** Materialize the plan for [n] nodes: the crashed node set
     ([min plan.crash n] distinct nodes) is drawn from the fault stream
-    here, so it is a pure function of [(plan, n)]. *)
+    here, so it is a pure function of [(plan, n)].  [trace] (default
+    {!Trace.null}) receives one [Fault] event per applied fault and per
+    crash/recover transition. *)
 
 val plan : t -> plan
+
+type losses = {
+  dropped : int;  (** messages killed by a drop fault *)
+  duplicated : int;  (** extra copies injected by a duplication fault *)
+  delayed : int;
+      (** messages held back by a delay fault: the engine delivers them
+          late, a driver leg misses its attempt and is lost *)
+  crash_lost : int;  (** messages lost to a crashed endpoint *)
+}
+
+val no_losses : losses
+
+val losses : t -> losses
+(** Running totals since {!install}. *)
 
 val crashed : t -> int -> bool
 (** Whether the node is currently crashed.  Size-independently keyed:
@@ -85,6 +105,10 @@ val crashed : t -> int -> bool
     {!install}, or after the last {!resize}) are never crashed, so a
     growing network needs no re-install and the Bernoulli stream is
     never re-seeded. *)
+
+val charge_crash : t -> int -> unit
+(** Charge that many messages lost to a crashed endpoint to [crash_lost].
+    No stream draw, no event. *)
 
 val resize : t -> n:int -> unit
 (** Widen the crash bookkeeping to [n] nodes (grow-only; shrinking is a
@@ -94,17 +118,27 @@ val resize : t -> n:int -> unit
     [(plan, install-time n)] it was drawn as.  Raises [Invalid_argument]
     if [n <= 0]. *)
 
-val tick : t -> round:int -> (int * [ `Crash | `Recover ]) list
-(** Apply the crash/recover transitions scheduled at [round] (call once
-    per round, at the delivery boundary, with non-decreasing rounds) and
-    return them, oldest first. *)
+val tick : t -> round:int -> unit
+(** Apply the crash/recover transitions scheduled up to [round], oldest
+    first, emitting one [crash] or [recover] event each.  Call once per
+    round (or epoch) at the delivery boundary, with non-decreasing
+    rounds. *)
 
-val roll_drop : t -> bool
-val roll_duplicate : t -> bool
+type outcome =
+  | Pass  (** deliver it *)
+  | Drop  (** lost *)
+  | Delay of int  (** held back that many rounds, in [1, delay_max] *)
+  | Duplicate  (** deliver it and one extra copy *)
 
-val roll_delay : t -> int
-(** [0] = deliver now; otherwise the number of rounds to hold the
-    message, in [1, delay_max]. *)
+val roll : t -> round:int -> ?src:int -> ?dst:int -> unit -> outcome
+(** Roll one message sent at [round] between live endpoints: drop, else
+    delay, else duplicate, each at most one draw and none at rate 0.  A
+    fired fault is charged to {!losses} and traced with the given
+    endpoints (delays also with the round they end). *)
 
-val roll_reorder : t -> 'a array -> bool
-(** Maybe shuffle the inbox in place; returns whether it did. *)
+val reorder : t -> round:int -> dst:int -> int -> int array option
+(** [reorder t ~round ~dst len] rolls one shuffle of [dst]'s inbox of
+    [len] messages: [Some p] with [p] a uniform permutation of
+    [0 .. len-1], traced, when it fires.  An inbox of fewer than two
+    messages, or a plan without reorder, draws nothing and allocates
+    nothing. *)

@@ -1,8 +1,3 @@
-type feature = [ `Drop | `Duplicate | `Delay | `Reorder | `Crash | `Recover ]
-
-let all_features : feature list =
-  [ `Drop; `Duplicate; `Delay; `Reorder; `Crash; `Recover ]
-
 let feature_name = function
   | `Drop -> "drop"
   | `Duplicate -> "duplicate"
@@ -11,19 +6,7 @@ let feature_name = function
   | `Crash -> "crash"
   | `Recover -> "recover"
 
-let features_of_plan (p : Faults.plan) : feature list =
-  List.filter
-    (fun f ->
-      match f with
-      | `Drop -> p.Faults.drop > 0.0
-      | `Duplicate -> p.Faults.duplicate > 0.0
-      | `Delay -> p.Faults.delay_p > 0.0 && p.Faults.delay_max > 0
-      | `Reorder -> p.Faults.reorder > 0.0
-      | `Crash -> p.Faults.crash > 0
-      | `Recover -> p.Faults.crash > 0 && p.Faults.recover_after > 0)
-    all_features
-
-type losses = {
+type losses = Faults.losses = {
   dropped : int;
   duplicated : int;
   delayed : int;
@@ -36,43 +19,29 @@ type t = {
   mutable n : int;
   mutable round : int;
   mutable epoch : int;
-  mutable lost_dropped : int;
-  mutable lost_duplicated : int;
-  mutable lost_delayed : int;
-  mutable lost_crash : int;
 }
 
-let create ?(trace = Trace.null) ?faults ?(supports = all_features)
-    ?(who = "Simnet.Runtime") ~n () =
+let create ?(trace = Trace.null) ?faults ?supports ?(who = "Simnet.Runtime")
+    ~n () =
   if n <= 0 then invalid_arg (who ^ ": n <= 0");
   let faults =
     match faults with
-    | Some plan when not (Faults.is_none plan) ->
-        (match
-           List.find_opt
-             (fun f -> not (List.mem f supports))
-             (features_of_plan plan)
-         with
-        | Some f ->
-            invalid_arg
-              (Printf.sprintf
-                 "%s: fault plan field `%s' is not supported by this driver"
-                 who (feature_name f))
-        | None -> ());
-        Some (Faults.install plan ~n)
-    | _ -> None
+    | None -> None
+    | Some plan -> (
+        match Faults.features plan with
+        | [] -> None
+        | features ->
+            let supports = Option.value supports ~default:features in
+            (match List.find_opt (fun f -> not (List.mem f supports)) features with
+            | Some f ->
+                invalid_arg
+                  (Printf.sprintf
+                     "%s: fault plan field `%s' is not supported by this driver"
+                     who (feature_name f))
+            | None -> ());
+            Some (Faults.install ~trace plan ~n))
   in
-  {
-    trace;
-    faults;
-    n;
-    round = 0;
-    epoch = 0;
-    lost_dropped = 0;
-    lost_duplicated = 0;
-    lost_delayed = 0;
-    lost_crash = 0;
-  }
+  { trace; faults; n; round = 0; epoch = 0 }
 
 let trace t = t.trace
 let traced t = Trace.enabled t.trace
@@ -91,93 +60,42 @@ let resize t ~n =
   t.n <- n
 
 let tick t =
-  match t.faults with
-  | None -> []
-  | Some f ->
-      let transitions = Faults.tick f ~round:t.round in
-      if Trace.enabled t.trace then
-        List.iter
-          (fun (node, kind) ->
-            Trace.emit t.trace
-              (Trace.Fault
-                 {
-                   kind =
-                     (match kind with `Crash -> "crash" | `Recover -> "recover");
-                   round = t.round;
-                   fields = [ ("node", Trace.Int node) ];
-                 }))
-          transitions;
-      transitions
+  match t.faults with Some f -> Faults.tick f ~round:t.round | None -> ()
 
 let crashed t v =
   match t.faults with Some f -> Faults.crashed f v | None -> false
 
 let losses t =
-  {
-    dropped = t.lost_dropped;
-    duplicated = t.lost_duplicated;
-    delayed = t.lost_delayed;
-    crash_lost = t.lost_crash;
-  }
+  match t.faults with Some f -> Faults.losses f | None -> Faults.no_losses
 
-let fault_event t ~kind fields =
-  if Trace.enabled t.trace then
-    Trace.emit t.trace (Trace.Fault { kind; round = t.round; fields })
+let endpoint_crashed f = function Some v -> Faults.crashed f v | None -> false
 
 let leg t ?src ?dst () =
   match t.faults with
   | None -> true
   | Some f ->
-      let endpoint_crashed = function
-        | Some v -> Faults.crashed f v
-        | None -> false
-      in
-      if endpoint_crashed src || endpoint_crashed dst then begin
+      if endpoint_crashed f src || endpoint_crashed f dst then begin
         (* Mirrors [Engine.send]: a crashed endpoint loses the leg before
            any fault roll, observable in [losses] but not traced as an
            injected fault. *)
-        t.lost_crash <- t.lost_crash + 1;
+        Faults.charge_crash f 1;
         false
       end
-      else begin
-        let endpoints =
-          (match src with Some v -> [ ("src", Trace.Int v) ] | None -> [])
-          @ (match dst with Some v -> [ ("dst", Trace.Int v) ] | None -> [])
-        in
-        if Faults.roll_drop f then begin
-          t.lost_dropped <- t.lost_dropped + 1;
-          fault_event t ~kind:"drop" endpoints;
-          false
-        end
-        else
-          let hold = Faults.roll_delay f in
-          if hold > 0 then begin
-            (* A leg that arrives [hold] rounds late misses its attempt's
-               round: lost to the attempt, charged as delayed. *)
-            t.lost_delayed <- t.lost_delayed + 1;
-            fault_event t ~kind:"delay"
-              (endpoints @ [ ("until", Trace.Int (t.round + hold)) ]);
-            false
-          end
-          else begin
-            if Faults.roll_duplicate f then begin
-              (* The extra copy is benign at leg granularity; charge and
-                 trace it so the plan's consumption stays observable. *)
-              t.lost_duplicated <- t.lost_duplicated + 1;
-              fault_event t ~kind:"duplicate" endpoints
-            end;
-            true
-          end
-      end
+      else (
+        match Faults.roll f ~round:t.round ?src ?dst () with
+        (* The extra copy is benign at leg granularity. *)
+        | Faults.Pass | Faults.Duplicate -> true
+        (* A leg that arrives late misses its attempt's round. *)
+        | Faults.Drop | Faults.Delay _ -> false)
 
 let link_drop t =
   match t.faults with
   | None -> None
   | Some f ->
-      let p = Faults.plan f in
       if
-        p.Faults.drop > 0.0 || p.Faults.duplicate > 0.0
-        || (p.Faults.delay_p > 0.0 && p.Faults.delay_max > 0)
+        List.exists
+          (fun x -> x = `Drop || x = `Duplicate || x = `Delay)
+          (Faults.features (Faults.plan f))
       then Some (fun () -> not (leg t ()))
       else None
 

@@ -1,26 +1,20 @@
-(** Driver-level simulation runtime: the one place where a message can be
-    lost, traced, or charged.
+(** Driver-level simulation runtime: rounds, epochs, fault legs and trace
+    emission for the protocol drivers.
 
-    {!Engine} applies the paper's Section 1.1 blocking rule and the
-    {!Faults} plan at per-message granularity for protocols that run
-    *inside* the synchronous network (the group simulation).
-    The protocol drivers above it — churn/DoS/churn+DoS networks,
-    reconfiguration's reply-retry path, and the workload driver — model
-    whole request/reply {e legs} rather than individual inbox messages.
-    Before this module existed each of them hand-rolled its own round
-    counter, its own [Faults.bernoulli] calls (silently ignoring the
-    duplicate/delay/reorder/crash parts of the plan), and its own trace
-    plumbing.
+    {!Engine} runs protocols *inside* the synchronous network (the group
+    simulation) and applies the {!Faults} plan per inbox message.  The
+    protocol drivers above it — churn/DoS/churn+DoS networks,
+    reconfiguration's reply-retry path, Chord, and the workload driver —
+    model whole request/reply {e legs} instead, and apply the same plan
+    through this module.  In both, {!Faults} decides each fault, charges it
+    and traces it; the engine and this runtime only apply the outcome.
 
     A {!t} owns, for one driver run:
     - round and epoch progression ({!advance}, {!run_epoch});
     - the installed fault plan and its crash schedule ({!tick},
       {!crashed}), size-independently keyed so the network may grow past
       the install-time [n] ({!resize});
-    - full-plan fault application on communication legs ({!leg},
-      {!link_drop}) with the same roll order as the engine's delivery
-      boundary (drop → delay → duplicate; see [docs/fault_model.md]);
-    - loss accounting ({!losses}) mirroring {!Engine.losses};
+    - fault legs ({!leg}, {!link_drop}) and their losses ({!losses});
     - health/invariant re-validation ({!health}, {!validate_cycles});
     - typed trace emission ({!span}, {!note}, {!adversary},
       {!emit_round}) so drivers never touch {!Trace} constructors.
@@ -32,13 +26,10 @@
 
 type t
 
-type feature = [ `Drop | `Duplicate | `Delay | `Reorder | `Crash | `Recover ]
-(** The independently supportable parts of a {!Faults.plan}. *)
-
 val create :
   ?trace:Trace.t ->
   ?faults:Faults.plan ->
-  ?supports:feature list ->
+  ?supports:Faults.feature list ->
   ?who:string ->
   n:int ->
   unit ->
@@ -47,7 +38,7 @@ val create :
     features) declares which plan features the calling driver can honor;
     a plan using an unsupported feature raises [Invalid_argument] naming
     [who] and the offending field, so users are never silently served a
-    partial plan.  An inert plan ({!Faults.is_none}) is not installed and
+    partial plan.  A plan with no {!Faults.features} is not installed and
     costs one [option] check per call.  Raises [Invalid_argument] if
     [n <= 0]. *)
 
@@ -74,39 +65,35 @@ val resize : t -> n:int -> unit
     or re-draws anything: joins past the install-time [n] are simply
     never crash victims. *)
 
-val tick : t -> (int * [ `Crash | `Recover ]) list
+val tick : t -> unit
 (** Apply the crash/recover transitions scheduled up to the current
-    round, emit one typed [Fault] event per transition, and return them
-    (oldest first).  Call once per round (or once per epoch for
-    epoch-granular drivers), with non-decreasing rounds. *)
+    round ({!Faults.tick}).  Call once per round (or once per epoch for
+    epoch-granular drivers). *)
 
 val crashed : t -> int -> bool
 (** Whether the node is currently crashed (always [false] for nodes
     beyond the install-time range and without a plan). *)
 
-type losses = {
+type losses = Faults.losses = {
   dropped : int;
   duplicated : int;
   delayed : int;
   crash_lost : int;
 }
-(** Loss counters, mirroring {!Engine.losses}. *)
 
 val losses : t -> losses
 (** Running totals of the losses charged by {!leg} rolls. *)
 
 val leg : t -> ?src:int -> ?dst:int -> unit -> bool
 (** Roll the fault plan for one communication leg (a request or a reply
-    travelling one way); returns whether it arrives.  Roll order matches
-    the engine's delivery boundary: a crashed endpoint loses the leg
-    before any stream draw; then drop → delay → duplicate, each traced
-    and charged to {!losses}.  A delayed leg misses its attempt's round
-    and counts as lost to the attempt ([delayed]); a duplicated leg still
-    arrives (the extra copy is benign at leg granularity, [duplicated]).
-    Inbox reordering cannot fire on a single-leg inbox and consumes no
-    randomness, exactly as in the engine.  Without a plan: [true], no
-    draws.  For drop-only plans this consumes exactly one Bernoulli draw
-    per leg — the same consumption as the seed drivers. *)
+    travelling one way); returns whether it arrives.  A crashed endpoint
+    loses the leg before any stream draw; otherwise {!Faults.roll} decides.
+    A delayed leg misses its attempt's round and is lost to the attempt; a
+    duplicated leg still arrives (the extra copy is benign at leg
+    granularity).  Inbox reordering cannot fire on a single-leg inbox and
+    consumes no randomness, exactly as in the engine.  Without a plan:
+    [true], no draws.  For drop-only plans this consumes exactly one
+    Bernoulli draw per leg — the same consumption as the seed drivers. *)
 
 val link_drop : t -> (unit -> bool) option
 (** [Some f] when the plan has per-message link faults (drop, delay or

@@ -278,7 +278,7 @@ let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
         src.on_churn rt ~round:r ~epoch:(r / epoch) ~down
     | _ -> ());
     (* 4. scheduled crash / recover transitions *)
-    ignore (Simnet.Runtime.tick rt);
+    Simnet.Runtime.tick rt;
     (* 5. this round's blocked set: churn + crashes + adversary budget *)
     for v = 0 to n - 1 do
       blocked.(v) <- churn_down.(v) || Simnet.Runtime.crashed rt v

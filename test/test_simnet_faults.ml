@@ -4,7 +4,9 @@
    The load-bearing properties: same seed + same plan reproduce a traced
    run byte for byte; a plan that can never fire leaves every metric
    identical to a fault-free engine; every loss is accounted in
-   Engine.losses; invariant violations are typed, never silent. *)
+   Faults.losses, and an engine message and a driver leg consume the
+   fault stream identically; invariant violations are typed, never
+   silent. *)
 
 let msg_bits (_ : string) = 16
 
@@ -55,7 +57,7 @@ let test_same_seed_same_trace_bytes () =
   Alcotest.(check bool) "identical losses" true (l1 = l2);
   (* the run actually exercised the fault paths *)
   Alcotest.(check bool) "some faults fired" true
-    (l1.Simnet.Engine.dropped > 0 && String.length b1 > 0)
+    (l1.Simnet.Faults.dropped > 0 && String.length b1 > 0)
 
 let test_different_fault_seed_differs () =
   let other = { chaos_plan with Simnet.Faults.seed = 99L } in
@@ -72,7 +74,7 @@ let test_none_plan_metrics_identical () =
   in
   (* delay_p > 0 with delay_max = 0 can never fire either *)
   let inert = Simnet.Faults.make ~delay_p:0.5 ~delay_max:0 () in
-  Alcotest.(check bool) "inert plan is none" true (Simnet.Faults.is_none inert);
+  Alcotest.(check bool) "inert plan is none" true (Simnet.Faults.features inert = []);
   let eng_inert, r_inert, m_inert = run_workload ~faults:inert ~n:10 ~rounds:8 () in
   Alcotest.(check int) "none: same deliveries" r_plain r_none;
   Alcotest.(check int) "inert: same deliveries" r_plain r_inert;
@@ -89,9 +91,9 @@ let test_none_plan_metrics_identical () =
         (Simnet.Metrics.max_node_bits_ever m);
       let l = Simnet.Engine.losses eng in
       Alcotest.(check bool) "no losses" true
-        (l.Simnet.Engine.dropped = 0 && l.Simnet.Engine.duplicated = 0
-        && l.Simnet.Engine.delayed = 0
-        && l.Simnet.Engine.crash_lost = 0))
+        (l.Simnet.Faults.dropped = 0 && l.Simnet.Faults.duplicated = 0
+        && l.Simnet.Faults.delayed = 0
+        && l.Simnet.Faults.crash_lost = 0))
     [ (eng_none, m_none); (eng_inert, m_inert) ]
 
 (* ---------- per-fault accounting ---------- *)
@@ -110,15 +112,15 @@ let count_point_to_point ~faults ~sends =
 let test_drop_conserves_messages () =
   let plan = Simnet.Faults.make ~drop:0.3 () in
   let received, l = count_point_to_point ~faults:(Some plan) ~sends:200 in
-  Alcotest.(check bool) "some drops" true (l.Simnet.Engine.dropped > 0);
+  Alcotest.(check bool) "some drops" true (l.Simnet.Faults.dropped > 0);
   Alcotest.(check int) "delivered + dropped = sent" 200
-    (received + l.Simnet.Engine.dropped)
+    (received + l.Simnet.Faults.dropped)
 
 let test_duplicate_every_message () =
   let plan = Simnet.Faults.make ~duplicate:1.0 () in
   let received, l = count_point_to_point ~faults:(Some plan) ~sends:50 in
   Alcotest.(check int) "every message doubled" 100 received;
-  Alcotest.(check int) "duplicates counted" 50 l.Simnet.Engine.duplicated
+  Alcotest.(check int) "duplicates counted" 50 l.Simnet.Faults.duplicated
 
 let test_delay_shifts_arrival () =
   (* delay_p = 1, delay_max = 1: every message is held exactly one round. *)
@@ -133,7 +135,7 @@ let test_delay_shifts_arrival () =
   (* undelayed arrival round would be 1; the hold pushes it to 2 *)
   Alcotest.(check (list int)) "arrives one round late" [ 2 ] !arrivals;
   Alcotest.(check int) "counted as delayed" 1
-    (Simnet.Engine.losses eng).Simnet.Engine.delayed
+    (Simnet.Engine.losses eng).Simnet.Faults.delayed
 
 let test_crash_stop_and_accounting () =
   let plan = Simnet.Faults.make ~crash:1 ~crash_round:1 () in
@@ -151,7 +153,7 @@ let test_crash_stop_and_accounting () =
   Alcotest.(check int) "exactly one node crashed" 1 (List.length crashed);
   Alcotest.(check int) "crashed node never computes" 0 !computed_while_crashed;
   Alcotest.(check bool) "losses counted" true
-    ((Simnet.Engine.losses eng).Simnet.Engine.crash_lost > 0)
+    ((Simnet.Engine.losses eng).Simnet.Faults.crash_lost > 0)
 
 let test_crash_recover () =
   let plan = Simnet.Faults.make ~crash:1 ~crash_round:1 ~recover_after:2 () in
@@ -247,7 +249,47 @@ let qcheck_drop_conservation =
       Testutil.step eng (fun ~round:_ ~me:_ ~inbox ->
           received := !received + List.length inbox);
       let l = Simnet.Engine.losses eng in
-      !received + l.Simnet.Engine.dropped = !sent)
+      !received + l.Simnet.Faults.dropped = !sent)
+
+(* The kinds of the fault events a run emits, in order. *)
+let fault_kinds () =
+  let kinds = ref [] in
+  let trace =
+    Simnet.Trace.make
+      ~emit:(function
+        | Simnet.Trace.Fault { kind; _ } -> kinds := kind :: !kinds
+        | _ -> ())
+      ~close:ignore
+  in
+  (trace, fun () -> List.rev !kinds)
+
+let qcheck_engine_matches_leg =
+  QCheck.Test.make ~name:"engine messages and legs roll alike" ~count:100
+    QCheck.(
+      pair
+        (quad (float_bound_inclusive 0.5) (float_bound_inclusive 0.5)
+           (float_bound_inclusive 1.0) (int_bound 4))
+        (pair int64 (int_range 1 500)))
+    (fun ((drop, duplicate, delay_p, delay_max), (seed, k)) ->
+      let plan =
+        Simnet.Faults.make ~drop ~duplicate ~delay_p ~delay_max ~seed ()
+      in
+      (* k single messages 0 -> 1, one per round; the extra round delivers
+         the last.  Held messages mature next to fresh ones, so inboxes of
+         two or more meet the (zero-rate) reorder roll. *)
+      let trace, engine_kinds = fault_kinds () in
+      let eng = Simnet.Engine.create ~trace ~faults:plan ~n:2 () in
+      for _ = 0 to k do
+        Testutil.step eng (fun ~round ~me ~inbox:_ ->
+            if me = 0 && round < k then Simnet.Engine.send eng ~src:0 ~dst:1 "m")
+      done;
+      let trace, leg_kinds = fault_kinds () in
+      let rt = Simnet.Runtime.create ~trace ~faults:plan ~n:2 () in
+      for _ = 1 to k do
+        ignore (Simnet.Runtime.leg rt ~src:0 ~dst:1 ())
+      done;
+      Simnet.Engine.losses eng = Simnet.Runtime.losses rt
+      && engine_kinds () = leg_kinds ())
 
 let () =
   Alcotest.run "simnet-faults"
@@ -290,5 +332,6 @@ let () =
             test_invariants_connectivity;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_drop_conservation ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_drop_conservation; qcheck_engine_matches_leg ] );
     ]

@@ -81,7 +81,7 @@ let test_crashed_endpoint_loses_leg () =
   let faults = plan_of_spec "crash=8,crashround=0" in
   let rt = Simnet.Runtime.create ~faults ~n:8 () in
   for _ = 0 to 7 do
-    ignore (Simnet.Runtime.tick rt);
+    Simnet.Runtime.tick rt;
     Simnet.Runtime.advance rt ~rounds:1
   done;
   Alcotest.(check bool) "node crashed" true (Simnet.Runtime.crashed rt 0);
@@ -101,6 +101,28 @@ let test_link_drop_shape () =
   match Simnet.Runtime.link_drop rt1 with
   | None -> Alcotest.fail "drop plan must expose a link hook"
   | Some f -> Alcotest.(check bool) "p=1 always drops" true (f ())
+
+(* Minor-heap words per call of [f], over 10^5 calls. *)
+let words_per_call f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. 1e5
+
+let test_leg_allocation () =
+  (* The workload driver's hot path: about two untraced legs per request
+     under a drop-only plan.  Endpoints only feed trace fields, so an
+     untraced leg must not pay for them. *)
+  let rt = Simnet.Runtime.create ~faults:(plan_of_spec "drop=0.05") ~n:8 () in
+  let bare = words_per_call (fun () -> ignore (Simnet.Runtime.leg rt ())) in
+  let ends =
+    words_per_call (fun () -> ignore (Simnet.Runtime.leg rt ~src:3 ~dst:5 ()))
+  in
+  Alcotest.(check bool) (Printf.sprintf "leg: %.2f words/call" bare) true
+    (bare <= 2.0);
+  Alcotest.(check (float 1e-9)) "endpoints cost nothing untraced" bare ends
 
 (* ---------- size-independent keying ---------- *)
 
@@ -123,7 +145,7 @@ let test_crashed_bounds_guarded () =
   let rt = Simnet.Runtime.create ~faults ~n:8 () in
   (* Victim i crashes at round 1 + i; jump past all four schedules. *)
   Simnet.Runtime.advance rt ~rounds:5;
-  ignore (Simnet.Runtime.tick rt);
+  Simnet.Runtime.tick rt;
   (* Joins past the install-time n are never crash victims, even before a
      resize widens the table. *)
   Alcotest.(check bool) "beyond n" false (Simnet.Runtime.crashed rt 100);
@@ -253,6 +275,7 @@ let () =
           Alcotest.test_case "crashed endpoint" `Quick
             test_crashed_endpoint_loses_leg;
           Alcotest.test_case "link_drop shape" `Quick test_link_drop_shape;
+          Alcotest.test_case "allocation" `Quick test_leg_allocation;
         ] );
       ( "sizing",
         [
