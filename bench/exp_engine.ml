@@ -61,15 +61,15 @@ let run () =
   let curve = List.map curve_point curve_ns in
   (* The header's "n" is the largest point of the curve; bench_gate skips
      the first "n" field before it scans the curve entries.  The header
-     also records the host's core count and the compiler, since a rate
-     means little without them. *)
+     also records the host's core count, the compiler and the dune
+     profile, since a rate means little without them. *)
   let json =
     Printf.sprintf
-      {|{"name":"engine","n":%d,"fanout":%d,"budget":%d,"cores":%d,"ocaml_version":%S,"curve":[%s]}|}
+      {|{"name":"engine","n":%d,"fanout":%d,"budget":%d,"cores":%d,"ocaml_version":%S,"profile":%S,"curve":[%s]}|}
       (List.fold_left max 0 curve_ns)
       curve_fanout curve_budget
       (Domain.recommended_domain_count ())
-      Sys.ocaml_version (String.concat "," curve)
+      Sys.ocaml_version Build_profile.profile (String.concat "," curve)
   in
   let oc = open_out "BENCH_engine.json" in
   output_string oc json;

@@ -89,6 +89,8 @@ type kind =
       cannot : string list;
           (** scenario keys rejected, as the driver cannot honour them:
               ["faults"], ["retry"], ["trace"] and ["trace-format"] *)
+      reads : string list;
+          (** scenario keys the run reads that none of its knobs sets *)
       run : trace:Trace.t -> Grid.cell -> 'r;
       print : Grid.cell -> 'r -> unit;  (** the subcommand's report *)
       json : (Grid.cell -> 'r -> string) option;
@@ -152,6 +154,7 @@ let sample =
       doc = "run a node sampling primitive (Section 3)";
       default_n = 1024;
       cannot = [ "faults" ];
+      reads = [ "d" ];
       knobs =
         [
           knob "topology" ~default:"hgraph" ~docv:"T"
@@ -255,6 +258,7 @@ let churn =
       doc = "drive the churn-resistant expander network (Section 4)";
       default_n = 1024;
       cannot = [];
+      reads = [];
       knobs =
         [
           rounds_knob ~flag:"epochs" ~docv:"E" ~default:"10" "Epochs to run.";
@@ -358,6 +362,7 @@ let dos =
       doc = "drive the DoS-resistant hypercube network (Section 5)";
       default_n = 4096;
       cannot = [];
+      reads = [];
       knobs =
         [
           rounds_knob ~flag:"windows" ~docv:"W" ~default:"6" "Windows to run.";
@@ -460,6 +465,7 @@ let stabilize =
       doc = "repair a corrupted topology via detect-and-repair reconfiguration";
       default_n = 64;
       cannot = [];
+      reads = [ "d" ];
       knobs =
         [
           knob "corruption" ~key:"corruption" ~default:"class=split"
@@ -548,6 +554,7 @@ let churndos =
       doc = "drive the combined churn + DoS network (Section 6)";
       default_n = 4096;
       cannot = [ "retry" ];
+      reads = [];
       knobs =
         [
           rounds_knob ~flag:"windows" ~docv:"W" ~default:"10" "Windows to run.";
@@ -628,6 +635,7 @@ let groupsim =
          14/15)";
       default_n = 2048;
       cannot = [];
+      reads = [];
       knobs =
         [
           frac_knob "0.25" "Fraction of nodes blocked per round.";
@@ -724,6 +732,7 @@ let anonymize =
       doc = "issue anonymous requests through the relay overlay (Section 7.1)";
       default_n = 4096;
       cannot = [ "faults"; "retry"; "trace"; "trace-format" ];
+      reads = [];
       knobs =
         [
           knob "requests" ~default:"1000" ~ty:Int ~docv:"R"
@@ -773,6 +782,7 @@ let dht =
       doc = "run a read/write batch against the robust DHT (Section 7.2)";
       default_n = 2048;
       cannot = [ "faults"; "retry"; "trace"; "trace-format" ];
+      reads = [];
       knobs =
         [
           knob "ops" ~default:"1000" ~ty:Int ~docv:"OPS"
@@ -897,6 +907,7 @@ let workload =
          stack under reconfiguration, DoS, churn, and faults (Section 7)";
       default_n = 1024;
       cannot = [];
+      reads = [ "staleness" ];
       knobs =
         [
           rounds_knob ~flag:"rounds" ~docv:"R" ~default:"48"
@@ -1005,6 +1016,7 @@ let chord =
          faults, and the stale-view adversary";
       default_n = 256;
       cannot = [];
+      reads = [];
       knobs =
         [
           rounds_knob ~flag:"rounds" ~docv:"R" ~default:"64"
@@ -1088,6 +1100,7 @@ let social =
       default_n = 1024;
       (* each traffic class carries its own retry budget *)
       cannot = [ "retry" ];
+      reads = [ "app" ];
       knobs =
         [
           knob "users" ~default:"64" ~ty:Pos ~docv:"U" "Application users.";
@@ -1176,25 +1189,47 @@ let kinds =
 
 let kind_names = String.concat "|" (List.map (fun (Kind k) -> k.name) kinds)
 
-(* Checks a cell against its kind: every free binding names one of the
-   kind's free knobs and holds a well-typed value, and no fault plan or
-   retry budget reaches a driver that cannot honour it.  Then binds each
-   unbound free knob to its default. *)
+(* The scenario keys every kind reads: the shared flags. *)
+let shared_keys =
+  [ "n"; "seed"; "retry"; "domains"; "faults"; "trace"; "trace-format" ]
+
+(* Checks a cell against its kind: every scenario key the cell sets is a
+   shared key, a key the kind reads or one of its knobs' keys; every free
+   binding names one of the kind's free knobs and holds a well-typed
+   value; and no fault plan or retry budget reaches a driver that cannot
+   honour it.  Then binds each unbound free knob to its default. *)
 let prepare (Kind k) (cell : Grid.cell) =
   let sc = cell.scenario in
   let free = List.filter (fun kn -> kn.key = None) k.knobs in
+  let no_knob name =
+    Error
+      (Printf.sprintf "sweep: run=%s has no knob %S (knobs: %s)" k.name name
+         (String.concat ", " (List.map (fun kn -> kn.flag) free)))
+  in
+  let read key =
+    if
+      List.mem key shared_keys || List.mem key k.reads
+      || List.exists (fun kn -> kn.key = Some key) k.knobs
+    then Ok ()
+    else no_knob key
+  in
   let check ((name, v) as kv) =
     (* a scenario axis binds its label too; the scenario reflects it *)
-    if Scenario.of_args ~base:sc [ kv ] = Ok sc then Ok ()
+    if Scenario.of_args ~base:sc [ kv ] = Ok sc then read name
     else
       match List.find_opt (fun kn -> kn.flag = name) free with
       | Some kn -> check_knob kn v
-      | None ->
-          Error
-            (Printf.sprintf "sweep: run=%s has no knob %S (knobs: %s)" k.name
-               name
-               (String.concat ", " (List.map (fun kn -> kn.flag) free)))
+      | None -> no_knob name
   in
+  (* The keys set away from their defaults, by a spec's base segments or
+     an axis.  The trace path, a shared key, is left out: a file name may
+     hold the [;] that separates the segments. *)
+  let set =
+    String.split_on_char ';' (Scenario.to_spec { sc with trace = None })
+    |> List.filter_map (fun seg ->
+           Option.map (fun i -> String.sub seg 0 i) (String.index_opt seg '='))
+  in
+  let* () = all read set in
   let honour key =
     let given =
       match key with

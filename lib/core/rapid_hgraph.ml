@@ -51,18 +51,19 @@ let run_attempt ~eps ~c ~alpha ~trace ~rng g =
       Prng.Stream.shuffle_tail_int32 rng plane ~pos:base ~len:l ~count:e;
       for p = base + l - e to base + l - 1 do
         let u = get plane p in
-        next.(u + 1) <- next.(u + 1) + 1;
-        load.(u) <- load.(u) + 1
+        next.(u + 1) <- next.(u + 1) + 1
       done;
       load.(v) <- load.(v) + e;
       sent := !sent + e;
       len.(v) <- l - e;
       resp.(v) <- base + l
     done;
-    Sampling_result.finish_round tally ~round:(2 * (i - 1)) ~msgs:!sent;
+    (* A server's load this round is its request count, next.(u + 1). *)
     for u = 1 to n do
+      load.(u - 1) <- load.(u - 1) + next.(u);
       next.(u) <- next.(u) + next.(u - 1)
     done;
+    Sampling_result.finish_round tally ~round:(2 * (i - 1)) ~msgs:!sent;
     for v = 0 to n - 1 do
       let rest = start.(v) + len.(v) in
       for p = resp.(v) - 1 downto rest do
@@ -73,33 +74,35 @@ let run_attempt ~eps ~c ~alpha ~trace ~rng g =
       resp.(v) <- rest
     done;
     (* Phase 3 + 4 (one round): serve each request from the remainder of M
-       and deliver the response into the requester's tail. *)
+       and deliver the response into the requester's tail.  Serving k
+       requests by swap-removal draws with bounds len, len - 1, ..., i.e.
+       a Fisher-Yates tail: the x-th requester (arrival order) gets the
+       word the x-th step swapped to the end, and the live prefix matches
+       swap-removal after every step. *)
     let served = ref 0 and first = ref 0 in
     for u = 0 to n - 1 do
-      let base = start.(u) and rlen = ref len.(u) in
-      for q = !first to next.(u) - 1 do
-        let v = get reqs q in
-        if !rlen = 0 then incr underflows
-        else begin
-          let p = base + Prng.Stream.int rng !rlen in
-          let w = get plane p in
-          set plane p (get plane (base + !rlen - 1));
-          decr rlen;
-          set plane resp.(v) w;
-          resp.(v) <- resp.(v) + 1;
-          load.(u) <- load.(u) + 1;
-          load.(v) <- load.(v) + 1;
-          incr served
-        end
+      let k = next.(u) - !first and l = len.(u) in
+      let e = min k l in
+      Prng.Stream.shuffle_tail_int32 rng plane ~pos:start.(u) ~len:l ~count:e;
+      let last = start.(u) + l - 1 in
+      for x = 0 to e - 1 do
+        let v = get reqs (!first + x) in
+        set plane resp.(v) (get plane (last - x));
+        resp.(v) <- resp.(v) + 1
       done;
+      load.(u) <- load.(u) + e;
+      underflows := !underflows + k - e;
+      served := !served + e;
       first := next.(u)
     done;
-    Sampling_result.finish_round tally ~round:((2 * i) - 1) ~msgs:!served;
+    (* A requester's load is its response count, the length of its new M. *)
     for v = 0 to n - 1 do
       let rest = start.(v) + len.(v) in
+      load.(v) <- load.(v) + resp.(v) - rest;
       start.(v) <- rest;
       len.(v) <- resp.(v) - rest
-    done
+    done;
+    Sampling_result.finish_round tally ~round:((2 * i) - 1) ~msgs:!served
   done;
   (* M is a multiset: expose it in uniformly random order (a free local
      permutation) so prefix-consumers do not see the server-grouped arrival

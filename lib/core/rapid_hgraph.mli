@@ -23,11 +23,15 @@
     so replies never overwrite one); that tail is M for the next
     iteration.  Phase 1 draws node v's m_0 edge indices with one
     {!Prng.Stream.fill_int32} call and maps each through v's neighbor
-    list; each node's Phase-2 picks, and the final shuffle of its samples,
-    are one {!Prng.Stream.shuffle_tail_int32} call (the same draws as the
-    per-slot [Prng.Stream.int] loops).  Memory: 4·n·(m_0 + m_1) bytes for
-    the plane and the request buffer, and no allocation per draw or
-    message. *)
+    list; each node's Phase-2 picks, each server's Phase-3 serves (the
+    x-th requester in arrival order gets the word step x moved to the
+    end), and the final shuffle of its samples, are one
+    {!Prng.Stream.shuffle_tail_int32} call (the same draws as the
+    per-slot [Prng.Stream.int] loops).  Round loads are taken from the
+    counts rather than per message: a server's request count from the
+    counting sort, its served count, and a requester's response count.
+    Memory: 4·n·(m_0 + m_1) bytes for the plane and the request buffer,
+    and no allocation per draw or message. *)
 
 val run :
   ?eps:float ->

@@ -457,6 +457,23 @@ let test_alg1_oracle_underflow () =
     (alg1_agrees ~seed:11L ~n:512 ~d:8 ~eps:0.5 ~c:1.0 ~alpha:0.02
        ~retry:Core.Retry.fixed)
 
+let test_alg1_oracle_workload_shape () =
+  (* The hgraph-churn shape (d = 8, c = 2) at n = 2048, where all five
+     doubling iterations run and servers exhaust their remainders, so the
+     serve pass both delivers and underflows inside one server's queue;
+     the qcheck property below stays at n <= 512. *)
+  let n = 2048 and seed = 1L in
+  let g = Topology.Hgraph.random (Prng.Stream.of_seed seed) ~n ~d:8 in
+  let r = Core.Rapid_hgraph.run ~c:2.0 ~rng:(Prng.Stream.of_seed seed) g in
+  Alcotest.(check int) "five iterations" 10 r.Core.Sampling_result.rounds;
+  Alcotest.(check bool)
+    (Printf.sprintf "underflows occur (%d)" r.Core.Sampling_result.underflows)
+    true
+    (r.Core.Sampling_result.underflows > 0);
+  Alcotest.(check bool) "matches the reference" true
+    (alg1_agrees ~seed ~n ~d:8 ~eps:0.5 ~c:2.0 ~alpha:1.0
+       ~retry:Core.Retry.fixed)
+
 (* Degrees 6 and 10 are not powers of two, so Phase 1's edge draws take
    the rejection path of [Prng.Stream.fill_int32]. *)
 let qcheck_alg1_matches_reference =
@@ -712,6 +729,8 @@ let () =
             test_engine_matches_direct;
           Alcotest.test_case "oracle covers underflow" `Quick
             test_alg1_oracle_underflow;
+          Alcotest.test_case "oracle at workload shape" `Quick
+            test_alg1_oracle_workload_shape;
           Alcotest.test_case "allocation" `Quick test_alg1_allocation;
         ] );
       ( "rapid-hypercube",
