@@ -1201,10 +1201,20 @@ let shared_keys =
 let prepare (Kind k) (cell : Grid.cell) =
   let sc = cell.scenario in
   let free = List.filter (fun kn -> kn.key = None) k.knobs in
+  (* The refusal lists what the kind does take: its free knobs, and the
+     scenario keys it reads (shared, its knobs' and [reads]) less the ones
+     its driver cannot honour. *)
+  let keys =
+    shared_keys @ List.filter_map (fun kn -> kn.key) k.knobs @ k.reads
+    |> List.filter (fun key -> not (List.mem key k.cannot))
+  in
   let no_knob name =
     Error
-      (Printf.sprintf "sweep: run=%s has no knob %S (knobs: %s)" k.name name
-         (String.concat ", " (List.map (fun kn -> kn.flag) free)))
+      (Printf.sprintf
+         "sweep: run=%s has no knob %S (knobs: %s; scenario keys: %s)" k.name
+         name
+         (String.concat ", " (List.map (fun kn -> kn.flag) free))
+         (String.concat ", " keys))
   in
   let read key =
     if

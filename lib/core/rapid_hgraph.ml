@@ -1,9 +1,20 @@
 module Hgraph = Topology.Hgraph
 module Trace = Simnet.Trace
 
-(* Node ids are stored as 32-bit words: half the memory of an [int array]. *)
-let[@inline] get b i = Int32.to_int (Bytes.get_int32_le b (4 * i))
-let[@inline] set b i x = Bytes.set_int32_le b (4 * i) (Int32.of_int x)
+(* Node ids are stored as [w]-byte little-endian words, w = 2 when every id
+   fits in 16 bits and 4 otherwise: a quarter or half the memory of an
+   [int array].  The width is a plain argument at every access: bound into
+   a closure ([let get = get w]) each access would become a call, since the
+   dev profile compiles with [-opaque]. *)
+let width ~max_value = if max_value < 1 lsl 16 then 2 else 4
+
+let[@inline] get w b i =
+  if w = 2 then Bytes.get_uint16_le b (2 * i)
+  else Int32.to_int (Bytes.get_int32_le b (4 * i))
+
+let[@inline] set w b i x =
+  if w = 2 then Bytes.set_uint16_le b (2 * i) x
+  else Bytes.set_int32_le b (4 * i) (Int32.of_int x)
 
 (* Node v's M is plane.(start.(v) .. start.(v) + len.(v) - 1); see the .mli. *)
 let run_attempt ~eps ~c ~alpha ~trace ~rng g =
@@ -14,8 +25,10 @@ let run_attempt ~eps ~c ~alpha ~trace ~rng g =
   let m0 = schedule.(0) in
   let tally = Sampling_result.tally ~n trace in
   let load = Sampling_result.load tally in
-  let plane = Bytes.create (4 * n * m0) in
-  let reqs = Bytes.create (if t = 0 then 0 else 4 * n * schedule.(1)) in
+  (* The plane holds ids, the request buffer requesters: both below n. *)
+  let w = width ~max_value:(n - 1) in
+  let plane = Bytes.create (w * n * m0) in
+  let reqs = Bytes.create (if t = 0 then 0 else w * n * schedule.(1)) in
   let start = Array.init n (fun v -> v * m0) and len = Array.make n m0 in
   (* next.(u): during Phase 2 the count of requests to u-1, then u's cursor
      into [reqs], finally the end of u's requests. *)
@@ -23,16 +36,14 @@ let run_attempt ~eps ~c ~alpha ~trace ~rng g =
   let underflows = ref 0 in
   (* Phase 1: every node fills M with m_0 uniformly random neighbors, i.e.
      endpoints of independent walks of length 1, drawn as
-     [Hgraph.random_neighbor] draws them. *)
+     [Hgraph.random_neighbor] draws them: one kernel call maps each edge
+     index through v's neighbor list. *)
   let nbr = Array.make d 0 in
   for v = 0 to n - 1 do
     for e = 0 to d - 1 do
       nbr.(e) <- Hgraph.neighbor g v e
     done;
-    Prng.Stream.fill_int32 rng d plane ~pos:(v * m0) ~len:m0;
-    for x = v * m0 to ((v + 1) * m0) - 1 do
-      set plane x nbr.(get plane x)
-    done
+    Prng.Stream.fill_words rng ~width:w nbr plane ~pos:(v * m0) ~len:m0
   done;
   (* Each iteration doubles the walk length behind the ids in M (Lemma 5):
      an id w in M(v) is the endpoint of a walk of length 2^(i-1) from v; v
@@ -48,9 +59,10 @@ let run_attempt ~eps ~c ~alpha ~trace ~rng g =
       let base = start.(v) and l = len.(v) in
       let e = min mi l in
       underflows := !underflows + mi - e;
-      Prng.Stream.shuffle_tail_int32 rng plane ~pos:base ~len:l ~count:e;
+      Prng.Stream.shuffle_tail_words rng ~width:w plane ~pos:base ~len:l
+        ~count:e;
       for p = base + l - e to base + l - 1 do
-        let u = get plane p in
+        let u = get w plane p in
         next.(u + 1) <- next.(u + 1) + 1
       done;
       load.(v) <- load.(v) + e;
@@ -67,8 +79,8 @@ let run_attempt ~eps ~c ~alpha ~trace ~rng g =
     for v = 0 to n - 1 do
       let rest = start.(v) + len.(v) in
       for p = resp.(v) - 1 downto rest do
-        let u = get plane p in
-        set reqs next.(u) v;
+        let u = get w plane p in
+        set w reqs next.(u) v;
         next.(u) <- next.(u) + 1
       done;
       resp.(v) <- rest
@@ -83,11 +95,12 @@ let run_attempt ~eps ~c ~alpha ~trace ~rng g =
     for u = 0 to n - 1 do
       let k = next.(u) - !first and l = len.(u) in
       let e = min k l in
-      Prng.Stream.shuffle_tail_int32 rng plane ~pos:start.(u) ~len:l ~count:e;
+      Prng.Stream.shuffle_tail_words rng ~width:w plane ~pos:start.(u) ~len:l
+        ~count:e;
       let last = start.(u) + l - 1 in
       for x = 0 to e - 1 do
-        let v = get reqs (!first + x) in
-        set plane resp.(v) (get plane (last - x));
+        let v = get w reqs (!first + x) in
+        set w plane resp.(v) (get w plane (last - x));
         resp.(v) <- resp.(v) + 1
       done;
       load.(u) <- load.(u) + e;
@@ -110,9 +123,13 @@ let run_attempt ~eps ~c ~alpha ~trace ~rng g =
   let samples =
     Array.init n (fun v ->
         let base = start.(v) and l = len.(v) in
-        Prng.Stream.shuffle_tail_int32 rng plane ~pos:base ~len:l
+        Prng.Stream.shuffle_tail_words rng ~width:w plane ~pos:base ~len:l
           ~count:(max 0 (l - 1));
-        Array.init l (fun x -> get plane (base + x)))
+        let m = Array.make l 0 in
+        for x = 0 to l - 1 do
+          m.(x) <- get w plane (base + x)
+        done;
+        m)
   in
   Sampling_result.result tally ~samples ~rounds:(2 * t)
     ~walk_length:(1 lsl t) ~schedule ~underflows:!underflows

@@ -11,7 +11,7 @@
     requester's id, a response carries one sampled id; both are charged
     [Msg_size.header_bits] plus [Msg_size.id_bits n] per id.
 
-    Layout: every M lives in one byte plane of 32-bit ids, node v's as a
+    Layout: every M lives in one byte plane of w-byte ids, node v's as a
     slice of its own block of m_0 = [schedule.(0)] slots (the schedule
     decreases, so m_0 bounds M).  Phase 2 swaps each drawn target to the
     end of the live slice, so the live prefix evolves exactly as under
@@ -21,17 +21,22 @@
     in place into the requester's drained tail, from where its remainder
     ended after Phase 2 (a remainder only shrinks while its node serves,
     so replies never overwrite one); that tail is M for the next
-    iteration.  Phase 1 draws node v's m_0 edge indices with one
-    {!Prng.Stream.fill_int32} call and maps each through v's neighbor
-    list; each node's Phase-2 picks, each server's Phase-3 serves (the
-    x-th requester in arrival order gets the word step x moved to the
-    end), and the final shuffle of its samples, are one
-    {!Prng.Stream.shuffle_tail_int32} call (the same draws as the
+    iteration.  Phase 1 is one {!Prng.Stream.fill_words} call per node,
+    which draws v's m_0 edge indices and maps each through v's neighbor
+    list as it stores it; each node's Phase-2 picks, each server's Phase-3
+    serves (the x-th requester in arrival order gets the word step x moved
+    to the end), and the final shuffle of its samples, are one
+    {!Prng.Stream.shuffle_tail_words} call (the same draws as the
     per-slot [Prng.Stream.int] loops).  Round loads are taken from the
     counts rather than per message: a server's request count from the
     counting sort, its served count, and a requester's response count.
-    Memory: 4·n·(m_0 + m_1) bytes for the plane and the request buffer,
-    and no allocation per draw or message. *)
+    Memory: w·n·(m_0 + m_1) bytes for the plane and the request buffer,
+    where w = 2 if and only if every stored value (an id or a requester,
+    both below n) fits in 16 bits, i.e. n <= 2^16, and w = 4 otherwise;
+    no allocation per draw or message.  With d = 8 and the defaults
+    (c = 2, eps = 0.5) that is 26.9 MB at n = 2^12 (m_0 = 2344,
+    m_1 = 938), 573 MB at 2^16 (3125, 1250) and 6.09 GB at 2^17 (T = 6:
+    8301, 3321, 4-byte words). *)
 
 val run :
   ?eps:float ->

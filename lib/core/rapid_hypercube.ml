@@ -5,10 +5,13 @@ module Trace = Simnet.Trace
 let coin_flip cube rng u j =
   if Prng.Stream.bool rng then Hypercube.flip cube u j else u
 
-(* Phase 1 of bucket (u, j): one coin per slot, in slot order. *)
-let coin_flips cube rng plane ~pos ~len u j =
+(* Phase 1 of bucket (u, j): one coin per slot, in slot order, written as a
+   [width]-byte word. *)
+let coin_flips cube rng ~width plane ~pos ~len u j =
   for x = pos to pos + len - 1 do
-    Bytes.set_int32_le plane (4 * x) (Int32.of_int (coin_flip cube rng u j))
+    let id = coin_flip cube rng u j in
+    if width = 2 then Bytes.set_uint16_le plane (2 * x) id
+    else Bytes.set_int32_le plane (4 * x) (Int32.of_int id)
   done
 
 let run ?(eps = 0.5) ?(c = 2.0) ?(trace = Trace.null) ?(retry = Retry.fixed)

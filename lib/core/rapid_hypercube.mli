@@ -19,13 +19,15 @@
     Both entry points run on the k-ary implementation with a fair-coin
     redraw ({!Rapid_kary.alg2}, {!Rapid_kary.token_walk}): Phase 1 fills
     bucket (u, j) slot by slot, one [Prng.Stream.bool] coin per slot in
-    (u, j, slot) order, keeping u or flipping coordinate j.  The buckets
-    live in one flat plane of 32-bit ids of stride m_0, bucket [u·d + j]
-    at offset [(u·d + j)·m_0]; Phase 3 writes each reply straight into the
-    drained left bucket, since it reads only right siblings.  An attempt
-    holds 4·n·d·m_0 bytes of buckets plus the largest iteration's request
-    buffer (4 · max_i n · left segments · m_i bytes), and allocates
-    nothing per draw. *)
+    (u, j, slot) order, keeping u or flipping coordinate j, and written at
+    the plane's width.  The buckets live in one flat plane of w-byte ids
+    of stride m_0, bucket [u·d + j] at offset [(u·d + j)·m_0]; Phase 3
+    writes each reply straight into the drained left bucket, since it
+    reads only right siblings.  An attempt holds w·n·d·m_0 bytes of
+    buckets plus the largest iteration's request buffer
+    (w' · max_i n · left segments · m_i bytes), and allocates nothing per
+    draw; w = 2 if and only if the ids fit in 16 bits (n <= 2^16), w' = 2
+    if and only if the bucket indices do (n·d <= 2^16), else 4. *)
 
 val run :
   ?eps:float ->

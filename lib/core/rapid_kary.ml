@@ -2,9 +2,20 @@ module Kary = Topology.Kary_hypercube
 module Msg_size = Simnet.Msg_size
 module Trace = Simnet.Trace
 
-(* Ids are stored as 32-bit words: half the memory of an [int array]. *)
-let[@inline] get b i = Int32.to_int (Bytes.get_int32_le b (4 * i))
-let[@inline] set b i x = Bytes.set_int32_le b (4 * i) (Int32.of_int x)
+(* Ids and bucket indices are stored as [w]-byte little-endian words, w = 2
+   when every value a buffer holds fits in 16 bits and 4 otherwise.  The
+   width is a plain argument at every access: bound into a closure
+   ([let get = get w]) each access would become a call, since the dev
+   profile compiles with [-opaque]. *)
+let width ~max_value = if max_value < 1 lsl 16 then 2 else 4
+
+let[@inline] get w b i =
+  if w = 2 then Bytes.get_uint16_le b (2 * i)
+  else Int32.to_int (Bytes.get_int32_le b (4 * i))
+
+let[@inline] set w b i x =
+  if w = 2 then Bytes.set_uint16_le b (2 * i) x
+  else Bytes.set_int32_le b (4 * i) (Int32.of_int x)
 
 (* Bucket b = u*d + j (node u, coordinate j) is the slice
    plane.(b*m0) .. plane.(b*m0 + mlen.(b) - 1); m0 = schedule.(0) bounds
@@ -29,13 +40,15 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~phase1 =
     Sampling_result.tally ~index_bits:(Msg_size.id_bits (max 2 d)) ~n trace
   in
   let load = Sampling_result.load tally in
-  let plane = Bytes.create (4 * n * d * m0) and mlen = Array.make (n * d) m0 in
+  (* The plane holds node ids, the request buffer bucket indices. *)
+  let w = width ~max_value:(n - 1) and wr = width ~max_value:((n * d) - 1) in
+  let plane = Bytes.create (w * n * d * m0) and mlen = Array.make (n * d) m0 in
   let left_segments i = ((d - (1 lsl (i - 1)) - 1) lsr i) + 1 in
   let max_requests = ref 0 in
   for i = 1 to iters do
     max_requests := max !max_requests (n * left_segments i * schedule.(i))
   done;
-  let reqs = Bytes.create (4 * !max_requests) in
+  let reqs = Bytes.create (wr * !max_requests) in
   (* next.(v): during Phase 2 the count of requests to v-1, then v's
      cursor into [reqs], finally the end of v's requests. *)
   let next = Array.make (n + 1) 0 in
@@ -43,7 +56,7 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~phase1 =
   (* Phase 1: bucket j holds m0 copies of u with coordinate j redrawn. *)
   for u = 0 to n - 1 do
     for j = 0 to d - 1 do
-      phase1 plane ~pos:(((u * d) + j) * m0) ~len:m0 u j
+      phase1 ~width:w plane ~pos:(((u * d) + j) * m0) ~len:m0 u j
     done
   done;
   for i = 1 to iters do
@@ -59,9 +72,10 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~phase1 =
         let base = b * m0 and len = mlen.(b) in
         let e = min mi len in
         underflows := !underflows + mi - e;
-        Prng.Stream.shuffle_tail_int32 rng plane ~pos:base ~len ~count:e;
+        Prng.Stream.shuffle_tail_words rng ~width:w plane ~pos:base ~len
+          ~count:e;
         for x = base + len - e to base + len - 1 do
-          let v = get plane x in
+          let v = get w plane x in
           next.(v + 1) <- next.(v + 1) + 1;
           load.(v) <- load.(v) + 1
         done;
@@ -80,8 +94,8 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~phase1 =
         let b = (u * d) + !s in
         let top = (b * m0) + mlen.(b) - 1 in
         for x = 0 to min mi mlen.(b) - 1 do
-          let v = get plane (top - x) in
-          set reqs next.(v) b;
+          let v = get w plane (top - x) in
+          set wr reqs next.(v) b;
           next.(v) <- next.(v) + 1
         done;
         mlen.(b) <- 0;
@@ -93,7 +107,7 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~phase1 =
     let served = ref 0 and first = ref 0 in
     for v = 0 to n - 1 do
       for q = !first to next.(v) - 1 do
-        let b = get reqs q in
+        let b = get wr reqs q in
         let u = b / d in
         let r = (v * d) + (b - (u * d)) + half in
         let rlen = mlen.(r) in
@@ -101,10 +115,10 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~phase1 =
         else begin
           let rbase = r * m0 in
           let p = rbase + Prng.Stream.int rng rlen in
-          let w = get plane p in
-          set plane p (get plane (rbase + rlen - 1));
+          let id = get w plane p in
+          set w plane p (get w plane (rbase + rlen - 1));
           mlen.(r) <- rlen - 1;
-          set plane ((b * m0) + mlen.(b)) w;
+          set w plane ((b * m0) + mlen.(b)) id;
           mlen.(b) <- mlen.(b) + 1;
           load.(v) <- load.(v) + 1;
           load.(u) <- load.(u) + 1;
@@ -122,9 +136,13 @@ let alg2 ~eps ~c ~trace ~rng ~n ~d ~phase1 =
   let samples =
     Array.init n (fun u ->
         let base = u * d * m0 and len = mlen.(u * d) in
-        Prng.Stream.shuffle_tail_int32 rng plane ~pos:base ~len
+        Prng.Stream.shuffle_tail_words rng ~width:w plane ~pos:base ~len
           ~count:(max 0 (len - 1));
-        Array.init len (fun x -> get plane (base + x)))
+        let m = Array.make len 0 in
+        for x = 0 to len - 1 do
+          m.(x) <- get w plane (base + x)
+        done;
+        m)
   in
   Sampling_result.result tally ~samples ~rounds:(2 * iters) ~walk_length:d
     ~schedule ~underflows:!underflows
@@ -172,17 +190,18 @@ let redraw_digit cube rng =
   let k = Kary.k cube in
   fun u j -> Kary.with_coord cube u j (Prng.Stream.int rng k)
 
-(* Phase 1 of bucket (u, j): the m0 digits in one draw call, then each slot
-   becomes u with digit j replaced, rest + digit·k^j. *)
+(* Phase 1 of bucket (u, j): one kernel call draws the m0 digits and maps
+   each through the table of u with digit j replaced, rest + digit·k^j. *)
 let fill_digit cube rng =
   let k = Kary.k cube in
   let stride = Array.init (Kary.d cube) (fun j -> Kary.with_coord cube 0 j 1) in
-  fun plane ~pos ~len u j ->
-    Prng.Stream.fill_int32 rng k plane ~pos ~len;
+  let table = Array.make k 0 in
+  fun ~width plane ~pos ~len u j ->
     let rest = Kary.with_coord cube u j 0 and kj = stride.(j) in
-    for x = pos to pos + len - 1 do
-      set plane x (rest + (get plane x * kj))
-    done
+    for digit = 0 to k - 1 do
+      table.(digit) <- rest + (digit * kj)
+    done;
+    Prng.Stream.fill_words rng ~width table plane ~pos ~len
 
 let run ?(eps = 0.5) ?(c = 2.0) ~rng cube =
   alg2 ~eps ~c ~trace:Trace.null ~rng ~n:(Kary.node_count cube) ~d:(Kary.d cube)

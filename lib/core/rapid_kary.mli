@@ -21,22 +21,22 @@ val alg2 :
   rng:Prng.Stream.t ->
   n:int ->
   d:int ->
-  phase1:(Bytes.t -> pos:int -> len:int -> int -> int -> unit) ->
+  phase1:(width:int -> Bytes.t -> pos:int -> len:int -> int -> int -> unit) ->
   Sampling_result.t
 (** Algorithm 2 over any alphabet: the one implementation behind {!run} and
-    {!Rapid_hypercube.run}.  [phase1 plane ~pos ~len u j] fills bucket
-    (u, j): it writes [len] = m_0 copies of node [u] with coordinate [j]
-    randomized, as 32-bit little-endian ids, into words
-    [pos .. pos + len - 1] of [plane].  It is called once per bucket, in
-    (u, j) order, before any other draw, and may consume [rng]; {!run}'s
-    writer draws the bucket's m_0 digits with one
-    {!Prng.Stream.fill_int32} call, {!Rapid_hypercube.run}'s flips one coin
-    per slot.  Each Phase-2 bucket's picks are one
-    {!Prng.Stream.shuffle_tail_int32} call, and so is the final shuffle of
-    each node's samples.  [trace] receives one [Round] event per
-    communication round.
+    {!Rapid_hypercube.run}.  [phase1 ~width plane ~pos ~len u j] fills
+    bucket (u, j): it writes [len] = m_0 copies of node [u] with
+    coordinate [j] randomized, as [width]-byte little-endian ids, into
+    words [pos .. pos + len - 1] of [plane].  It is called once per
+    bucket, in (u, j) order, before any other draw, and may consume [rng];
+    {!run}'s writer is one {!Prng.Stream.fill_words} call that draws the
+    bucket's m_0 digits and maps each through a k-entry table of u with
+    digit j replaced, {!Rapid_hypercube.run}'s flips one coin per slot.
+    Each Phase-2 bucket's picks are one {!Prng.Stream.shuffle_tail_words}
+    call, and so is the final shuffle of each node's samples.  [trace]
+    receives one [Round] event per communication round.
 
-    Layout: all n·d buckets share one byte plane of 32-bit ids, of stride
+    Layout: all n·d buckets share one byte plane of w-byte ids, of stride
     m_0 = [schedule.(0)], bucket [u·d + j] at offset [(u·d + j)·m_0], with a
     length per bucket.  Phase 2 leaves each left bucket's drawn targets in
     its tail; a counting sort by target fills one request buffer with the
@@ -44,9 +44,14 @@ val alg2 :
     each reply straight into the drained left bucket (it reads only right
     siblings), so there is no second plane and no install copy.
 
-    Memory: 4·n·d·m_0 bytes of buckets plus the largest iteration's
-    request buffer, 4 · max_i n · (left segments of iteration i) · m_i
-    bytes, plus O(n·d) lengths and counters.  Besides those buffers and the
+    Memory: w·n·d·m_0 bytes of buckets plus the largest iteration's
+    request buffer, w' · max_i n · (left segments of iteration i) · m_i
+    bytes, plus O(n·d) lengths and counters.  Each width is 2 if and only
+    if every value its buffer stores fits in 16 bits, else 4: w = 2 when
+    the ids fit (n <= 2^16), w' = 2 when the bucket indices the requests
+    carry fit (n·d <= 2^16).  At the robust DHT's 4096 supernodes (k = 4,
+    d = 6) both are 2; the hypercube at n = 8192 (d = 13) has w = 2 and
+    w' = 4.  Besides those buffers and the
     returned samples nothing is allocated per draw. *)
 
 val token_walk :
@@ -70,9 +75,9 @@ val run :
   Sampling_result.t
 (** Defaults [eps = 0.5], [c = 2.0], as in {!Rapid_hypercube.run};
     [rounds = 2 ceil(log2 d)]; [walk_length] reports [d].  Phase 1 draws
-    each bucket's digits with one [Prng.Stream.fill_int32 rng k] call, the
-    same draws as one [Prng.Stream.int rng k] per slot in slot order, and
-    writes u with digit j replaced by each. *)
+    each bucket's digits with one [Prng.Stream.fill_words] call over the
+    k-entry table [rest + digit·k^j] (u with digit j replaced), the same
+    draws as one [Prng.Stream.int rng k] per slot in slot order. *)
 
 val run_plain :
   k:int -> rng:Prng.Stream.t -> Topology.Kary_hypercube.t -> Sampling_result.t

@@ -25,11 +25,11 @@ let int_in t lo hi =
   if lo > hi then invalid_arg "Stream.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let fill_int32 t bound b ~pos ~len =
-  Xoshiro256.fill_int32 t.gen bound b ~pos ~len
+let fill_words t ~width table b ~pos ~len =
+  Xoshiro256.fill_words t.gen ~width table b ~pos ~len
 
-let shuffle_tail_int32 t b ~pos ~len ~count =
-  Xoshiro256.shuffle_tail_int32 t.gen b ~pos ~len ~count
+let shuffle_tail_words t ~width b ~pos ~len ~count =
+  Xoshiro256.shuffle_tail_words t.gen ~width b ~pos ~len ~count
 
 let float t bound = Xoshiro256.float t.gen bound
 

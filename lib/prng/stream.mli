@@ -31,22 +31,29 @@ val int : t -> int -> int
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform on the inclusive range [lo, hi]. *)
 
-val fill_int32 : t -> int -> Bytes.t -> pos:int -> len:int -> unit
-(** [fill_int32 t bound b ~pos ~len] is [len] successive [int t bound]
-    draws in one call, stored as 32-bit little-endian words (low 32 bits)
-    at word offsets [pos .. pos + len - 1] of [b]: the same values and the
-    same stream position afterwards.  Allocates nothing.  Raises
-    [Invalid_argument] if [bound <= 0], [pos] or [len] is negative, or the
-    range does not fit in [b]. *)
+val fill_words :
+  t -> width:int -> int array -> Bytes.t -> pos:int -> len:int -> unit
+(** [fill_words t ~width table b ~pos ~len] is [len] successive
+    [table.(int t (Array.length table))] draws in one call, stored as
+    [width]-byte little-endian words at word offsets [pos .. pos + len - 1]
+    of [b]: the same values and the same stream position afterwards.
+    [width] is 2 or 4, so a buffer whose values all fit in 16 bits takes
+    half the bytes; the table maps each draw to the value stored, e.g. an
+    edge index to a neighbor's id.  Allocates nothing.  Raises
+    [Invalid_argument] if [width] is neither 2 nor 4, [table] is empty, an
+    entry is outside [0, 2^16) at width 2 or [0, 2^31) at width 4, [pos]
+    or [len] is negative, or the range does not fit in [b]. *)
 
-val shuffle_tail_int32 : t -> Bytes.t -> pos:int -> len:int -> count:int -> unit
-(** [shuffle_tail_int32 t b ~pos ~len ~count] is [count] Fisher–Yates steps
-    from the end of the [len] 32-bit words at word offset [pos] of [b], in
-    one call: step [x] (from 0) swaps word [pos + int t (len - x)] with word
-    [pos + len - 1 - x], so the tail holds the picks, first pick last.  With
-    [count = len - 1] it consumes exactly the draws {!shuffle_in_place}
-    makes on the same [len] elements and leaves them in the same order.
-    Allocates nothing.  Raises [Invalid_argument] if [pos], [len] or
+val shuffle_tail_words :
+  t -> width:int -> Bytes.t -> pos:int -> len:int -> count:int -> unit
+(** [shuffle_tail_words t ~width b ~pos ~len ~count] is [count]
+    Fisher–Yates steps from the end of the [len] [width]-byte words at word
+    offset [pos] of [b], in one call: step [x] (from 0) swaps word
+    [pos + int t (len - x)] with word [pos + len - 1 - x], so the tail
+    holds the picks, first pick last.  With [count = len - 1] it consumes
+    exactly the draws {!shuffle_in_place} makes on the same [len] elements
+    and leaves them in the same order.  Allocates nothing.  Raises
+    [Invalid_argument] if [width] is neither 2 nor 4, [pos], [len] or
     [count] is negative, [count > len], or the range does not fit in
     [b]. *)
 

@@ -74,19 +74,38 @@ let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (step t) 11) in
   bound *. (r *. 0x1p-53)
 
-let check_words name b ~pos ~len =
-  if pos < 0 || len < 0 || pos > (Bytes.length b / 4) - len then
+let check_words name ~width b ~pos ~len =
+  if width <> 2 && width <> 4 then invalid_arg (name ^ ": width not 2 or 4");
+  if pos < 0 || len < 0 || pos > (Bytes.length b / width) - len then
     invalid_arg (name ^ ": range out of bounds")
+
+(* Word [i] of a buffer of [width]-byte little-endian words.  Both kernels
+   call these with the width as a plain argument, so they inline to a
+   predictable branch. *)
+let[@inline] get_word width b i =
+  if width = 2 then Bytes.get_uint16_le b (2 * i)
+  else Int32.to_int (Bytes.get_int32_le b (4 * i))
+
+let[@inline] set_word width b i x =
+  if width = 2 then Bytes.set_uint16_le b (2 * i) x
+  else Bytes.set_int32_le b (4 * i) (Int32.of_int x)
 
 (* The bulk kernels keep s0..s3 in local mutable int64s for the whole call
    (the native compiler holds them unboxed; a helper taking them would box
    them, so each kernel spells out the step of [step]).  Each step and each
    rejection is the one [below] makes, so [t] ends where the per-call loop
-   leaves it.  Hoisting the bound's tests out of [fill_int32]'s loop is
-   what keeps it a separate loop from [shuffle_tail_int32]'s. *)
-let fill_int32 t bound b ~pos ~len =
-  if bound <= 0 then invalid_arg "Xoshiro256.fill_int32: bound <= 0";
-  check_words "Xoshiro256.fill_int32" b ~pos ~len;
+   leaves it.  Hoisting the bound's tests out of [fill_words]'s loop is
+   what keeps it a separate loop from [shuffle_tail_words]'s. *)
+let fill_words t ~width table b ~pos ~len =
+  let name = "Xoshiro256.fill_words" in
+  check_words name ~width b ~pos ~len;
+  let bound = Array.length table in
+  if bound = 0 then invalid_arg (name ^ ": empty table");
+  let bits = (8 * width) - if width = 2 then 0 else 1 in
+  for i = 0 to bound - 1 do
+    if table.(i) < 0 || table.(i) lsr bits <> 0 then
+      invalid_arg (Printf.sprintf "%s: table entry outside [0, 2^%d)" name bits)
+  done;
   let s0 = ref (get t 0) and s1 = ref (get t 1) in
   let s2 = ref (get t 2) and s3 = ref (get t 3) in
   let pow2 = bound land (bound - 1) = 0 and bl = Int64.of_int bound in
@@ -105,13 +124,13 @@ let fill_int32 t bound b ~pos ~len =
       s2 := Int64.logxor x2 (Int64.shift_left x1 17);
       s3 := rotl x3 45;
       if pow2 then begin
-        Bytes.set_int32_le b (4 * w) (Int64.to_int32 (Int64.logand r mask));
+        set_word width b w table.(Int64.to_int (Int64.logand r mask));
         drawing := false
       end
       else
         let v = Int64.rem r bl in
         if Int64.sub r v <= limit then begin
-          Bytes.set_int32_le b (4 * w) (Int64.to_int32 v);
+          set_word width b w table.(Int64.to_int v);
           drawing := false
         end
     done
@@ -121,10 +140,10 @@ let fill_int32 t bound b ~pos ~len =
   set t 2 !s2;
   set t 3 !s3
 
-let shuffle_tail_int32 t b ~pos ~len ~count =
-  check_words "Xoshiro256.shuffle_tail_int32" b ~pos ~len;
+let shuffle_tail_words t ~width b ~pos ~len ~count =
+  check_words "Xoshiro256.shuffle_tail_words" ~width b ~pos ~len;
   if count < 0 || count > len then
-    invalid_arg "Xoshiro256.shuffle_tail_int32: count outside [0, len]";
+    invalid_arg "Xoshiro256.shuffle_tail_words: count outside [0, len]";
   let s0 = ref (get t 0) and s1 = ref (get t 1) in
   let s2 = ref (get t 2) and s3 = ref (get t 3) in
   for x = 0 to count - 1 do
@@ -147,10 +166,10 @@ let shuffle_tail_int32 t b ~pos ~len ~count =
         let v = Int64.rem r bl in
         if Int64.sub r v <= limit then j := Int64.to_int v
     done;
-    let p = 4 * (pos + !j) and last = 4 * (pos + len - 1 - x) in
-    let v = Bytes.get_int32_le b p in
-    Bytes.set_int32_le b p (Bytes.get_int32_le b last);
-    Bytes.set_int32_le b last v
+    let p = pos + !j and last = pos + len - 1 - x in
+    let v = get_word width b p in
+    set_word width b p (get_word width b last);
+    set_word width b last v
   done;
   set t 0 !s0;
   set t 1 !s1;

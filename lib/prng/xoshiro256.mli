@@ -32,21 +32,29 @@ val float : t -> float -> float
 (** [float t bound] is the top 53 bits of the next output mapped to [0, 1)
     and scaled by [bound].  Only the returned float is allocated. *)
 
-val fill_int32 : t -> int -> Bytes.t -> pos:int -> len:int -> unit
-(** [fill_int32 t bound b ~pos ~len] draws [len] values and stores each as
-    a 32-bit little-endian word of [b], the [i]-th at byte [4·(pos + i)]:
-    the same values, low 32 bits kept, and the same final state as [len]
-    successive [below t bound] calls, rejections included.  The state
-    stays in locals for the whole call; allocates nothing.  Raises
-    [Invalid_argument] if [bound <= 0], [pos] or [len] is negative, or
-    words [pos .. pos + len - 1] do not fit in [b]. *)
+val fill_words :
+  t -> width:int -> int array -> Bytes.t -> pos:int -> len:int -> unit
+(** [fill_words t ~width table b ~pos ~len] draws [len] values and stores
+    each as a [width]-byte little-endian word of [b], the [i]-th at byte
+    [width·(pos + i)]: the [i]-th word is
+    [table.(below t (Array.length table))], with the same draws and the
+    same final state as [len] successive [below] calls, rejections
+    included.  [width] is 2 or 4; the table maps draws to stored values
+    (the identity table stores the draws).  The state stays in locals for
+    the whole call; allocates nothing.  Raises [Invalid_argument] if
+    [width] is neither 2 nor 4, [table] is empty, an entry of [table] is
+    outside [0, 2^16) at width 2 or outside [0, 2^31) at width 4, [pos] or
+    [len] is negative, or words [pos .. pos + len - 1] do not fit in
+    [b]. *)
 
-val shuffle_tail_int32 : t -> Bytes.t -> pos:int -> len:int -> count:int -> unit
-(** [shuffle_tail_int32 t b ~pos ~len ~count] runs [count] Fisher–Yates
-    steps from the end of the [len] 32-bit words starting at word [pos]:
-    step [x] (from 0) swaps word [pos + below t (len - x)] with word
-    [pos + len - 1 - x].  The last [count] words then hold the draws, first
-    draw last; [count = len - 1] is a full uniform shuffle.  Same draws and
-    final state as the per-call loop; allocates nothing.  Raises
-    [Invalid_argument] if [pos], [len] or [count] is negative,
+val shuffle_tail_words :
+  t -> width:int -> Bytes.t -> pos:int -> len:int -> count:int -> unit
+(** [shuffle_tail_words t ~width b ~pos ~len ~count] runs [count]
+    Fisher–Yates steps from the end of the [len] [width]-byte words
+    starting at word [pos]: step [x] (from 0) swaps word
+    [pos + below t (len - x)] with word [pos + len - 1 - x].  The last
+    [count] words then hold the draws, first draw last; [count = len - 1]
+    is a full uniform shuffle.  Same draws and final state as the per-call
+    loop, at either width; allocates nothing.  Raises [Invalid_argument]
+    if [width] is neither 2 nor 4, [pos], [len] or [count] is negative,
     [count > len], or the words do not fit in [b]. *)

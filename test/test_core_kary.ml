@@ -218,6 +218,29 @@ let hypercube_agrees ~seed ~d ~c =
         ~redraw:(fun u j ->
           if Prng.Stream.bool rng then Topology.Hypercube.flip cube u j else u))
 
+let test_allocated_bytes () =
+  (* The robust DHT's supernode cube (k = 4, d = 6, 4096 nodes): ids and
+     bucket indices (below n·d = 24576) fit in 16 bits, so the buffers take
+     2·(n·d·m_0 + max_i n·(left segments of iteration i)·m_i) bytes.  The
+     bound is Alg. 1's, 2·B·(m_0 + m_1) bytes plus 1 MB, over the B = n·d
+     buckets: every iteration's requests fit in n·d·m_1 slots, and the rest
+     of the 1 MB covers the samples and the counters.  A 4-byte plane
+     alone (4·n·d·m_0), or a 4-byte request buffer beside the 2-byte
+     plane, exceeds it. *)
+  let k = 4 and d = 6 in
+  let cube = Topology.Kary_hypercube.create ~k ~d in
+  let n = Topology.Kary_hypercube.node_count cube in
+  let r, bytes =
+    Testutil.allocated_bytes (fun () -> Core.Rapid_kary.run ~rng:(rng ()) cube)
+  in
+  let s = r.Core.Sampling_result.schedule in
+  let bound = (2 * n * d * (s.(0) + s.(1))) + (1 lsl 20) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes <= %d (m_0 = %d, m_1 = %d)" bytes bound s.(0)
+       s.(1))
+    true
+    (bytes <= float_of_int bound)
+
 let test_oracle_underflow () =
   (* c = 1 at k = 2, d = 7 underflows, so the oracle covers the path that
      records an underflow without consuming a draw. *)
@@ -258,6 +281,8 @@ let () =
             test_dht_reshuffle_balanced;
           Alcotest.test_case "oracle covers underflow" `Quick
             test_oracle_underflow;
+          Alcotest.test_case "allocated bytes at k = 4, d = 6" `Quick
+            test_allocated_bytes;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

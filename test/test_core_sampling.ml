@@ -506,16 +506,16 @@ let allocated f =
   (r, minor1 -. minor0, all1 -. all0)
 
 let test_alg1_allocation () =
-  (* The flat plane holds 32-bit ids: 4·n·(m_0 + m_1) bytes for M and the
-     request buffer, plus the samples and O(n) words of per-node cursors,
-     counters and sample-copying closures (about 12·n measured). *)
+  (* The flat plane holds 16-bit ids at this n: 2·n·(m_0 + m_1) bytes for
+     M and the request buffer, plus the samples and O(n) words of per-node
+     cursors and counters. *)
   let n = 1024 in
   let g = Topology.Hgraph.random (rng ()) ~n ~d:8 in
   let r, minor, all =
     allocated (fun () -> Core.Rapid_hgraph.run ~c:2.0 ~rng:(rng ()) g)
   in
   let s = r.Core.Sampling_result.schedule in
-  let plane_words = n * (s.(0) + s.(1)) / 2 in
+  let plane_words = n * (s.(0) + s.(1)) / 4 in
   let sample_words =
     Array.fold_left (fun a x -> a + Array.length x + 1) 0
       r.Core.Sampling_result.samples
@@ -528,6 +528,24 @@ let test_alg1_allocation () =
        plane_words sample_words)
     true
     (all <= float_of_int bound)
+
+let test_alg1_allocated_bytes () =
+  (* At the hgraph-churn shape every id fits in 16 bits, so the plane and
+     the request buffer take 2·n·(m_0 + m_1) bytes; 1 MB more covers the
+     samples and the per-node counters.  On 4-byte words the buffers alone
+     would take twice the first term. *)
+  let n = 4096 in
+  let g = Topology.Hgraph.random (rng ()) ~n ~d:8 in
+  let r, bytes =
+    Testutil.allocated_bytes (fun () -> Core.Rapid_hgraph.run ~rng:(rng ()) g)
+  in
+  let s = r.Core.Sampling_result.schedule in
+  let bound = (2 * n * (s.(0) + s.(1))) + (1 lsl 20) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes <= %d (m_0 = %d, m_1 = %d)" bytes bound s.(0)
+       s.(1))
+    true
+    (bytes <= float_of_int bound)
 
 (* ---------- Rapid sampling: hypercube (Algorithm 2 / Theorem 3) ---------- *)
 
@@ -732,6 +750,8 @@ let () =
           Alcotest.test_case "oracle at workload shape" `Quick
             test_alg1_oracle_workload_shape;
           Alcotest.test_case "allocation" `Quick test_alg1_allocation;
+          Alcotest.test_case "allocated bytes at n = 4096" `Quick
+            test_alg1_allocated_bytes;
         ] );
       ( "rapid-hypercube",
         [

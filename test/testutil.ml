@@ -56,6 +56,17 @@ let setup_words run =
   | _ -> Alcotest.fail "the run emitted no trace event"
   | exception First_event after -> after -. before
 
+(* [f ()] and the bytes it allocated, by [Gc.allocated_bytes]: exact for a
+   given seed and binary (promoted words are subtracted, so where
+   collections fall does not matter).  The minor heap is flushed at both
+   edges.  Single-domain runs only. *)
+let allocated_bytes f =
+  Gc.minor ();
+  let b0 = Gc.allocated_bytes () in
+  let r = f () in
+  Gc.minor ();
+  (r, Gc.allocated_bytes () -. b0)
+
 (* The multiset M of the paper's sampling algorithms (Section 3): O(1)
    insertion and uniform extraction by swap-removal.  The reference
    formulations of Algorithms 1 and 2 that the flat samplers are checked
