@@ -170,10 +170,27 @@ small-n-smoke:
 	  echo "small-n-smoke: $$k exits 0 or 2 at n = 3 8 16 40 64"; \
 	done
 
+# The experiments' BENCH_eNN.json files at the repository root are
+# committed baselines.  A smoke target reruns its experiments in
+# BENCH_SMOKE_DIR and requires each fresh file to equal the committed one
+# once the "wall_s" field, the only machine-dependent one, is removed
+# from both.  A baseline changes only when a fresh file is copied over it
+# on purpose.
+BENCH_SMOKE_DIR = _build/bench-smoke
+STRIP_WALL = sed 's/"wall_s":[0-9.]*,\{0,1\}//'
+BENCH_SMOKE = set -e; mkdir -p $(BENCH_SMOKE_DIR); cd $(BENCH_SMOKE_DIR); \
+  $(CURDIR)/_build/default/bench/main.exe $(1) > /dev/null; \
+  for e in $(1); do \
+    $(STRIP_WALL) BENCH_$$e.json > BENCH_$$e.fresh; \
+    $(STRIP_WALL) $(CURDIR)/BENCH_$$e.json | diff - BENCH_$$e.fresh \
+      || { echo "BENCH_$$e.json differs from the committed baseline"; \
+           exit 1; }; \
+  done
+
 # Run a small corrupted-topology repair twice with the same seed, check
 # the traces are byte-identical and the converged note was emitted, then
-# regenerate the self-stabilization experiments (writes BENCH_e17.json
-# and BENCH_e18.json to the repository root; see docs/fault_model.md for
+# rerun the self-stabilization experiments e17 and e18 against their
+# committed baselines (see BENCH_SMOKE above, and docs/fault_model.md for
 # the corruption spec grammar).
 STABILIZE_SPEC ?= class=split,severity=0.5
 stabilize-smoke:
@@ -189,13 +206,13 @@ stabilize-smoke:
 	  /tmp/overlay_stab_a.jsonl
 	dune exec bin/trace_check.exe -- --require 'repair/*' \
 	  /tmp/overlay_stab_a.jsonl
-	dune exec bench/main.exe -- e17 e18 > /dev/null
+	$(call BENCH_SMOKE,e17 e18)
 
 # Run the Chord backend twice with the same seed under churn, faults and
 # the stale-view successor-list attack, check the traces are
 # byte-identical and the staggered maintenance spans were emitted, then
-# regenerate the head-to-head comparison experiment (writes
-# BENCH_e19.json to the repository root; see docs/chord.md).
+# rerun the head-to-head comparison experiment e19 against its committed
+# baseline (see BENCH_SMOKE above, and docs/chord.md).
 CHORD_SPEC ?= --n 256 --rounds 32 --attack succ-kill --frac 0.2 --churn 0.1 --faults drop=0.02,seed=5 --retry 3
 chord-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe bench/main.exe
@@ -206,14 +223,14 @@ chord-smoke:
 	cmp /tmp/overlay_chord_a.jsonl /tmp/overlay_chord_b.jsonl
 	dune exec bin/trace_check.exe -- --require chord/maintain \
 	  /tmp/overlay_chord_a.jsonl
-	dune exec bench/main.exe -- e19 > /dev/null
+	$(call BENCH_SMOKE,e19)
 
 # Run the Reddit-style social application twice with the same seed, at
 # one and at two worker domains — sessions, hot-key group-kill and faults
 # all active — check the traces are byte-identical and the social/* span
 # family was emitted, then
-# regenerate the per-class SLO experiment (writes BENCH_e20.json to the
-# repository root; see docs/workloads.md).
+# rerun the per-class SLO experiment e20 against its committed baseline
+# (see BENCH_SMOKE above, and docs/workloads.md).
 SOCIAL_SPEC ?= --n 256 --users 32 --rounds 32 --session 0.85:8 --attack group-kill --frac 0.2 --faults drop=0.02,seed=5
 social-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe bench/main.exe
@@ -224,7 +241,7 @@ social-smoke:
 	cmp /tmp/overlay_social_a.jsonl /tmp/overlay_social_b.jsonl
 	dune exec bin/trace_check.exe -- --require 'social/*' \
 	  /tmp/overlay_social_a.jsonl
-	dune exec bench/main.exe -- e20 > /dev/null
+	$(call BENCH_SMOKE,e20)
 
 # Engine micro-benchmark: the engine's scaling curve, one point per n up
 # to 10^6.  Runs in _build/bench-engine, so the fresh BENCH_engine.json is

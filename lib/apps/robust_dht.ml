@@ -1,13 +1,172 @@
 module Kary = Topology.Kary_hypercube
 
+(* {!Prng.Splitmix64.mix}, restated so the hash stays unboxed: a call
+   across the library boundary boxes its int64 argument and result (six
+   words a request). *)
+let[@inline] mix x =
+  let x = Int64.(mul (logxor x (shift_right_logical x 30)) 0xBF58476D1CE4E5B9L) in
+  let x = Int64.(mul (logxor x (shift_right_logical x 27)) 0x94D049BB133111EBL) in
+  Int64.(logxor x (shift_right_logical x 31))
+
+(* The data of every supernode in one table.  A key's group is
+   [supernode_of_key key], a pure function of the key, so one table keyed
+   by the key alone is exactly the union of per-group stores, and a
+   reshuffle, which only moves servers between groups, never touches it.
+
+   Open addressing with linear probing over a power-of-two number of
+   slots, at most 3/4 full: [keys.(i)] is slot i's key and [offs.(i)] the
+   arena offset of its value, or [empty].  Marking emptiness in [offs]
+   keeps every int a valid key.  A value is stored as its length in
+   LEB128 (seven bits a byte, low group first, the high bit set on all
+   but the last byte) followed by its bytes, all in one byte arena, so an
+   entry costs the GC no block of its own.  An overwrite goes in place
+   when the new record is no longer than the old one; otherwise the value
+   is appended, and an append that does not fit compacts the live records
+   into a fresh arena of twice their size, so the arena grows with the
+   live bytes, not with the number of overwrites. *)
+module Store = struct
+  type t = {
+    mutable keys : int array;
+    mutable offs : int array;
+    mutable count : int;  (* occupied slots *)
+    mutable arena : Bytes.t;
+    mutable top : int;  (* arena bytes written *)
+    mutable live : int;  (* bytes of the records [offs] points at *)
+  }
+
+  let empty = -1
+  let min_slots = 16
+  let min_arena = 256
+
+  let create () =
+    {
+      keys = Array.make min_slots 0;
+      offs = Array.make min_slots empty;
+      count = 0;
+      arena = Bytes.create min_arena;
+      top = 0;
+      live = 0;
+    }
+
+  (* The slot holding [key], or the empty slot that ends its probe. *)
+  let slot t key =
+    let mask = Array.length t.keys - 1 in
+    let i = ref (Int64.to_int (mix (Int64.of_int key)) land mask) in
+    while t.offs.(!i) <> empty && t.keys.(!i) <> key do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let rec prefix_len len = if len < 0x80 then 1 else 1 + prefix_len (len lsr 7)
+  let record_len len = prefix_len len + len
+
+  let rec value_len_at arena off shift acc =
+    let b = Bytes.get_uint8 arena off in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b < 0x80 then acc else value_len_at arena (off + 1) (shift + 7) acc
+
+  let value_len arena off = value_len_at arena off 0 0
+
+  (* Writes [len]'s prefix at [off]; returns the offset after it. *)
+  let rec write_prefix arena off len =
+    if len < 0x80 then begin
+      Bytes.set_uint8 arena off len;
+      off + 1
+    end
+    else begin
+      Bytes.set_uint8 arena off (len land 0x7f lor 0x80);
+      write_prefix arena (off + 1) (len lsr 7)
+    end
+
+  let write_record arena off v =
+    let len = String.length v in
+    Bytes.blit_string v 0 arena (write_prefix arena off len) len
+
+  let find t key =
+    let off = t.offs.(slot t key) in
+    if off = empty then None
+    else
+      let len = value_len t.arena off in
+      Some (Bytes.sub_string t.arena (off + prefix_len len) len)
+
+  (* Copy the live records, in slot order, into a fresh arena with room
+     for [need] more bytes. *)
+  let compact t need =
+    let arena = Bytes.create (max min_arena (2 * (t.live + need))) in
+    let top = ref 0 in
+    Array.iteri
+      (fun i off ->
+        if off <> empty then begin
+          let r = record_len (value_len t.arena off) in
+          Bytes.blit t.arena off arena !top r;
+          t.offs.(i) <- !top;
+          top := !top + r
+        end)
+      t.offs;
+    t.arena <- arena;
+    t.top <- !top
+
+  let append t v =
+    let r = record_len (String.length v) in
+    if t.top + r > Bytes.length t.arena then compact t r;
+    let off = t.top in
+    write_record t.arena off v;
+    t.top <- off + r;
+    t.live <- t.live + r;
+    off
+
+  let grow t =
+    let keys = t.keys and offs = t.offs in
+    let slots = 2 * Array.length keys in
+    t.keys <- Array.make slots 0;
+    t.offs <- Array.make slots empty;
+    Array.iteri
+      (fun i off ->
+        if off <> empty then begin
+          let j = slot t keys.(i) in
+          t.keys.(j) <- keys.(i);
+          t.offs.(j) <- off
+        end)
+      offs
+
+  let replace t key v =
+    let i = slot t key in
+    let off = t.offs.(i) in
+    if off = empty then begin
+      let i =
+        if 4 * (t.count + 1) <= 3 * Array.length t.keys then i
+        else begin
+          grow t;
+          slot t key
+        end
+      in
+      t.keys.(i) <- key;
+      t.offs.(i) <- append t v;
+      t.count <- t.count + 1
+    end
+    else begin
+      let old = record_len (value_len t.arena off) in
+      let r = record_len (String.length v) in
+      if r <= old then begin
+        write_record t.arena off v;
+        t.live <- t.live - old + r
+      end
+      else begin
+        (* the old record is dead: keep a compaction from copying it *)
+        t.offs.(i) <- empty;
+        t.live <- t.live - old;
+        t.offs.(i) <- append t v
+      end
+    end
+end
+
 type t = {
   rng : Prng.Stream.t;
   cube : Kary.t;
   n : int;
   mutable group_of : int array;
   mutable members : int array array;
-  stores : (int, string) Hashtbl.t option array;
-      (* per supernode, made on its first write *)
+  store : Store.t;
   digit : int array; (* digit.(x * d + i): coordinate i of supernode x *)
   stride : int array; (* stride.(i) = k^i: the step of coordinate i *)
 }
@@ -72,7 +231,7 @@ let create ?(c = 1.0) ?(k = 4) ~rng ~n () =
     n;
     group_of;
     members = rebuild_members ~supernodes group_of;
-    stores = Array.make supernodes None;
+    store = Store.create ();
     digit = digit_table ~k ~d supernodes;
     stride;
   }
@@ -83,14 +242,6 @@ let dimension t = Kary.d t.cube
 let supernode_count t = Kary.node_count t.cube
 let group_of t = Array.copy t.group_of
 let cube t = t.cube
-
-(* {!Prng.Splitmix64.mix}, restated so the hash stays unboxed: a call
-   across the library boundary boxes its int64 argument and result (six
-   words a request). *)
-let[@inline] mix x =
-  let x = Int64.(mul (logxor x (shift_right_logical x 30)) 0xBF58476D1CE4E5B9L) in
-  let x = Int64.(mul (logxor x (shift_right_logical x 27)) 0x94D049BB133111EBL) in
-  Int64.(logxor x (shift_right_logical x 31))
 
 let supernode_of_key t key =
   let h = mix (Int64.of_int key) in
@@ -168,18 +319,7 @@ let route t ~blocked ~load ~src ~dst =
 
 let group_members t x = Array.copy t.members.(x)
 
-let find_in t x key =
-  match t.stores.(x) with None -> None | Some s -> Hashtbl.find_opt s key
-
-let store_in t x key v =
-  match t.stores.(x) with
-  | Some s -> Hashtbl.replace s key v
-  | None ->
-      let s = Hashtbl.create 16 in
-      Hashtbl.replace s key v;
-      t.stores.(x) <- Some s
-
-let peek t key = find_in t (supernode_of_key t key) key
+let peek t key = Store.find t.store key
 
 (* Bounded rejection sampling: each draw lands on a non-blocked server with
    probability (non-blocked / n), so unless nearly every server is blocked
@@ -227,10 +367,9 @@ let execute_from t ~blocked ~load ~entry op =
     else
       match op with
       | Read key ->
-          let value = find_in t dst key in
-          { ok = true; hops; value }
+          { ok = true; hops; value = Store.find t.store key }
       | Write (key, v) ->
-          store_in t dst key v;
+          Store.replace t.store key v;
           { ok = true; hops; value = None }
 
 let execute t ~blocked op =

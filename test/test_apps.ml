@@ -749,7 +749,8 @@ let test_dht_route_reference () =
 
 (* A warmed DHT serves a request without allocating: the only words are
    the [op_result] record (4 words) and, for a read that finds its key,
-   the [Some] around the value (2 words). *)
+   the [Some] around the value (2 words) and the value copied out of the
+   store's arena (2 words for a 1-byte string). *)
 let test_dht_execute_at_allocation () =
   let dht = make_dht () in
   let n = Apps.Robust_dht.n dht in
@@ -780,7 +781,42 @@ let test_dht_execute_at_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "write: %.2f words/call" w) true (w <= 4.01);
   Alcotest.(check bool) (Printf.sprintf "read: %.2f words/call" r) true
-    (r <= 6.01)
+    (r <= 8.01)
+
+(* The store's memory follows its live data, not its history.  10^5
+   overwrites of one key, alternating 1 and 100 bytes, leave the DHT as
+   large as a fresh one give or take one arena (the store compacts
+   instead of appending forever).  10^5 distinct 8-byte values cost under
+   8 words each: the memory model allows 7.6, 2 slot words at a load of
+   at least 3/8 (5.3) plus an arena of at most twice the 9 live bytes
+   (2.3). *)
+let test_dht_store_memory () =
+  let blocked = Array.make 256 false in
+  let write dht key v =
+    ignore
+      (Apps.Robust_dht.execute_at dht ~blocked ~entry:0
+         (Apps.Robust_dht.Write (key, v)))
+  in
+  let words dht = Obj.reachable_words (Obj.repr dht) in
+  let dht = make_dht ~n:256 () in
+  let fresh = words dht in
+  let short = "s" and long = String.make 100 'l' in
+  for i = 1 to 100_000 do
+    write dht 7 (if i land 1 = 0 then short else long)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "one key overwritten: %d words, fresh %d" (words dht) fresh)
+    true
+    (words dht - fresh <= 64);
+  let dht = make_dht ~n:256 () in
+  let fresh = words dht and entries = 100_000 in
+  for key = 1 to entries do
+    write dht key (Printf.sprintf "%08d" key)
+  done;
+  let per_entry = float_of_int (words dht - fresh) /. float_of_int entries in
+  Alcotest.(check bool)
+    (Printf.sprintf "distinct keys: %.2f words/entry" per_entry)
+    true (per_entry <= 8.0)
 
 let qcheck_pubsub_counter_monotone =
   QCheck.Test.make ~name:"pub-sub counters are monotone" ~count:10
@@ -800,6 +836,193 @@ let qcheck_pubsub_counter_monotone =
         | None -> ok := false
       done;
       !ok && !last = publications)
+
+(* ---------- the store against a reference map ---------- *)
+
+(* Keys at the edges of the int range and of the pub-sub key packing,
+   and a run of small ones, enough to grow the table several times. *)
+let model_keys =
+  Array.append
+    [|
+      min_int; min_int + 1; max_int; max_int - 1; -1;
+      Apps.Pubsub.counter_key 5; Apps.Pubsub.composite 5 1;
+      Apps.Pubsub.composite 5 Apps.Pubsub.max_seq;
+      Apps.Pubsub.composite 1000 3;
+    |]
+    (Array.init 91 (fun i -> i - 45))
+
+(* Value lengths around LEB128's prefix boundaries (a second byte at 128,
+   a third at 16384), past 64 KiB, and short ones, the empty one
+   included. *)
+let gen_value_len =
+  QCheck.Gen.(
+    frequency
+      [
+        (20, int_bound 8);
+        (6, oneofa [| 126; 127; 128; 129 |]);
+        (2, oneofa [| 16383; 16384 |]);
+        (1, return 65537);
+      ])
+
+let model_value len salt =
+  String.init len (fun i -> Char.unsafe_chr ((salt + (i * 31)) land 0xff))
+
+let print_store_op = function
+  | Apps.Robust_dht.Read key -> Printf.sprintf "Read %d" key
+  | Apps.Robust_dht.Write (key, v) ->
+      Printf.sprintf "Write (%d, <%d bytes>)" key (String.length v)
+
+let arb_store_ops =
+  let op =
+    QCheck.Gen.(
+      let key = oneofa model_keys in
+      frequency
+        [
+          (2, map (fun key -> Apps.Robust_dht.Read key) key);
+          ( 3,
+            map3
+              (fun key len salt ->
+                Apps.Robust_dht.Write (key, model_value len salt))
+              key gen_value_len (int_bound 255) );
+        ])
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list print_store_op)
+    QCheck.Gen.(list_size (int_range 1 400) op)
+
+(* Random reads and writes through [execute_at], nothing blocked: every
+   request is served, every read returns what a Hashtbl holding the same
+   writes returns, and so does a final read of every key. *)
+let qcheck_store_matches_model =
+  QCheck.Test.make ~name:"DHT store equals a Hashtbl model" ~count:100
+    arb_store_ops (fun ops ->
+      let dht = make_dht ~n:256 () in
+      let blocked = Array.make 256 false in
+      let model = Hashtbl.create 64 and entry = ref 0 in
+      let agrees op =
+        entry := (!entry + 37) mod 256;
+        let r = Apps.Robust_dht.execute_at dht ~blocked ~entry:!entry op in
+        r.Apps.Robust_dht.ok
+        &&
+        match op with
+        | Apps.Robust_dht.Read key ->
+            r.Apps.Robust_dht.value = Hashtbl.find_opt model key
+        | Apps.Robust_dht.Write (key, v) ->
+            Hashtbl.replace model key v;
+            r.Apps.Robust_dht.value = None
+      in
+      List.for_all agrees ops
+      && Array.for_all (fun key -> agrees (Apps.Robust_dht.Read key)) model_keys)
+
+type backend_op =
+  | Get of int
+  | Put of int * string
+  | Publish of int * string
+  | Last_seq of int
+
+(* Topics whose pub-sub keys no [Put] in [model_keys] touches. *)
+let model_topics = [| 6; 7; 8; 9 |]
+
+let print_backend_op = function
+  | Get key -> Printf.sprintf "Get %d" key
+  | Put (key, v) -> Printf.sprintf "Put (%d, <%d bytes>)" key (String.length v)
+  | Publish (topic, v) ->
+      Printf.sprintf "Publish (%d, <%d bytes>)" topic (String.length v)
+  | Last_seq topic -> Printf.sprintf "Last_seq %d" topic
+
+let arb_backend_ops =
+  let op =
+    QCheck.Gen.(
+      let topic = oneofa model_topics and salt = int_bound 255 in
+      let key =
+        frequency
+          [
+            (3, oneofa model_keys);
+            (1, map2 Apps.Pubsub.composite topic (int_bound 6));
+          ]
+      in
+      frequency
+        [
+          (3, map (fun key -> Get key) key);
+          ( 3,
+            map3
+              (fun key len salt -> Put (key, model_value len salt))
+              (oneofa model_keys) gen_value_len salt );
+          ( 2,
+            map3
+              (fun topic len salt -> Publish (topic, model_value len salt))
+              topic gen_value_len salt );
+          (1, map (fun topic -> Last_seq topic) topic);
+        ])
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list print_backend_op)
+    QCheck.Gen.(list_size (int_range 1 200) op)
+
+(* The same through [Workload.Backends.Robust] inside one attempt of a
+   driver run, nothing blocked: a read after an acknowledged write
+   returns it, a topic's publishes get sequence numbers 1, 2, 3, ... and
+   [last_seq] reads the number of acknowledged publishes. *)
+let qcheck_backend_matches_model =
+  QCheck.Test.make ~name:"robust backend equals a model" ~count:50
+    arb_backend_ops (fun ops ->
+      let model = Hashtbl.create 64 and agreed = ref false in
+      let seq topic =
+        Option.fold ~none:0 ~some:int_of_string
+          (Hashtbl.find_opt model (Apps.Pubsub.counter_key topic))
+      in
+      let agrees (server : Workload.Driver.server) ~entry op =
+        match op with
+        | Get key ->
+            let r = server.get ~entry key in
+            r.ok && r.value = Hashtbl.find_opt model key
+        | Put (key, v) ->
+            let r = server.put ~entry key v in
+            Hashtbl.replace model key v;
+            r.ok
+        | Publish (topic, v) ->
+            let next = seq topic + 1 in
+            let r = server.publish ~entry ~topic v in
+            Hashtbl.replace model (Apps.Pubsub.composite topic next) v;
+            Hashtbl.replace model (Apps.Pubsub.counter_key topic)
+              (string_of_int next);
+            r.ok && r.value = Some (string_of_int next)
+        | Last_seq topic ->
+            let r = server.last_seq ~entry ~topic in
+            let count = seq topic in
+            r.ok
+            && r.value = if count = 0 then None else Some (string_of_int count)
+      in
+      let exec server ~entry () =
+        agreed := List.for_all (agrees server ~entry) ops;
+        Workload.Driver.Served { service = 1; hops = 0 }
+      in
+      let source : unit Workload.Driver.source =
+        {
+          name = "test/model";
+          fields = [];
+          classes = [| "model" |];
+          class_of = (fun () -> 0);
+          arrival = (fun () -> 0);
+          client = (fun () -> 0);
+          slo = [| 8 |];
+          timeout = [| 16 |];
+          retries = [| 0 |];
+          admit = (fun ~round issue -> if round = 0 then issue ());
+          release = (fun () ~at:_ -> ());
+          exec;
+          on_churn = (fun _ ~round:_ ~epoch:_ ~down:_ -> ());
+          health = None;
+        }
+      in
+      let spec = Workload.Spec.make ~clients:1 ~rounds:1 ~keys:1 () in
+      ignore
+        (Workload.Driver.serve
+           (module Workload.Backends.Robust)
+           ~who:"test" ~seed:7L ~n:256
+           (Workload.Driver.config ~domains:1 spec)
+           source);
+      !agreed)
 
 let () =
   Alcotest.run "apps"
@@ -832,6 +1055,7 @@ let () =
           Alcotest.test_case "route reference" `Quick test_dht_route_reference;
           Alcotest.test_case "execute_at allocation" `Quick
             test_dht_execute_at_allocation;
+          Alcotest.test_case "store memory bound" `Quick test_dht_store_memory;
           Alcotest.test_case "random entry: all blocked" `Quick
             test_dht_random_entry_all_blocked;
           Alcotest.test_case "random entry: one survivor" `Quick
@@ -885,5 +1109,7 @@ let () =
             qcheck_butterfly_totals_conserved;
             qcheck_staged_matches_peek;
             qcheck_route_matches_reference;
+            qcheck_store_matches_model;
+            qcheck_backend_matches_model;
           ] );
     ]
