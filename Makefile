@@ -261,7 +261,9 @@ bench-engine:
 # Binary trace sink end to end: run the same seeded workload through the
 # JSONL and binary sinks, check the binary file decodes and its JSONL
 # export is byte-identical to the text sink, then run the trace
-# micro-benchmark (writes BENCH_trace.json, fails under 5x compression).
+# micro-benchmark in _build/bench-trace, so its BENCH_trace.json lands
+# there and not in the source tree (it fails under 5x compression).
+BENCH_TRACE_DIR = _build/bench-trace
 trace-bench-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe bench/main.exe
 	dune exec bin/overlay_sim.exe -- workload -n 256 --rounds 30 --clients 32 \
@@ -271,7 +273,8 @@ trace-bench-smoke:
 	dune exec bin/trace_check.exe -- --require request \
 	  --export-jsonl /tmp/overlay_tb_export.jsonl /tmp/overlay_tb.bin
 	cmp /tmp/overlay_tb_export.jsonl /tmp/overlay_tb.jsonl
-	dune exec bench/main.exe -- trace
+	mkdir -p $(BENCH_TRACE_DIR)
+	cd $(BENCH_TRACE_DIR) && $(CURDIR)/_build/default/bench/main.exe trace
 
 # End-to-end benchmark harness at smoke size (~2 s): every workload at
 # n = 256, untraced and traced, with each run's outputs checked.  Catches

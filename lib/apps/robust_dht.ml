@@ -160,20 +160,24 @@ module Store = struct
     end
 end
 
+type op = Read of int | Write of int * string
+
+type op_result = { ok : bool; hops : int; value : string option }
+
 type t = {
   rng : Prng.Stream.t;
   cube : Kary.t;
   n : int;
   mutable group_of : int array;
   mutable members : int array array;
+  mutable reshuffles : int;  (* how many reshuffles ran: a view's epoch *)
+  hop_results : op_result array;  (* .(h): the result of h hops, no value *)
   store : Store.t;
   digit : int array; (* digit.(x * d + i): coordinate i of supernode x *)
   stride : int array; (* stride.(i) = k^i: the step of coordinate i *)
 }
 
-type op = Read of int | Write of int * string
-
-type op_result = { ok : bool; hops : int; value : string option }
+type view = { blocked : bool array; occupied : Bytes.t; epoch : int }
 
 type batch_result = {
   served : int;
@@ -231,6 +235,8 @@ let create ?(c = 1.0) ?(k = 4) ~rng ~n () =
     n;
     group_of;
     members = rebuild_members ~supernodes group_of;
+    reshuffles = 0;
+    hop_results = Array.init (d + 1) (fun hops -> { ok = true; hops; value = None });
     store = Store.create ();
     digit = digit_table ~k ~d supernodes;
     stride;
@@ -274,16 +280,27 @@ let reshuffle t =
           t.group_of.(v) <- Prng.Stream.int t.rng supernodes)
       t.members.(x)
   done;
-  t.members <- rebuild_members ~supernodes t.group_of
+  t.members <- rebuild_members ~supernodes t.group_of;
+  t.reshuffles <- t.reshuffles + 1
 
-let occupied t ~blocked x =
-  let m = t.members.(x) in
-  let len = Array.length m in
-  let i = ref 0 in
-  while !i < len && blocked.(m.(!i)) do
-    incr i
-  done;
-  !i < len
+(* Each group's scan stops at its first non-blocked member, so a view
+   costs O(supernodes + blocked servers), at most O(n). *)
+let occupancy t ~blocked =
+  if Array.length blocked <> t.n then
+    invalid_arg "Robust_dht.occupancy: blocked size mismatch";
+  let occupied =
+    Bytes.init (supernode_count t) (fun x ->
+        let m = t.members.(x) in
+        let len = Array.length m in
+        let i = ref 0 in
+        while !i < len && blocked.(m.(!i)) do
+          incr i
+        done;
+        if !i < len then '\001' else '\000')
+  in
+  { blocked; occupied; epoch = t.reshuffles }
+
+let[@inline] occupied view x = Bytes.get view.occupied x <> '\000'
 
 (* Dimension-correction routing from supernode [src] to [dst]: repeatedly
    move to a neighboring occupied group that agrees with [dst] on one more
@@ -292,7 +309,7 @@ let occupied t ~blocked x =
    when every remaining correction leads to a starved group.  Returns the
    hop count, or -1 when stuck.  Digits and strides come from the tables
    [create] built, so a hop costs no division and no allocation. *)
-let route t ~blocked ~load ~src ~dst =
+let route t ~view ~load ~src ~dst =
   let d = dimension t in
   let digit = t.digit and stride = t.stride in
   let dst_row = dst * d in
@@ -303,7 +320,7 @@ let route t ~blocked ~load ~src ~dst =
     while !i < d do
       let ci = digit.(row + !i) and di = digit.(dst_row + !i) in
       let next = !cur + ((di - ci) * stride.(!i)) in
-      if ci <> di && occupied t ~blocked next then begin
+      if ci <> di && occupied view next then begin
         cur := next;
         incr hops;
         (match load with
@@ -331,73 +348,85 @@ let peek t key = Store.find t.store key
    request stream quadratic in n.) *)
 let entry_attempts = 30
 
+(* The fallback: the survivor at a uniform index among the survivors, in
+   server order — one draw, found by counting and then walking. *)
+let survivor_entry ~rng blocked =
+  let count = ref 0 in
+  for v = 0 to Array.length blocked - 1 do
+    if not blocked.(v) then incr count
+  done;
+  if !count = 0 then None
+  else begin
+    let skip = ref (Prng.Stream.int rng !count) and v = ref 0 in
+    while !skip > 0 || blocked.(!v) do
+      if not blocked.(!v) then decr skip;
+      incr v
+    done;
+    Some !v
+  end
+
 let random_entry_with t ~rng ~blocked =
   if Array.length blocked <> t.n then
     invalid_arg "Robust_dht.random_entry: blocked size mismatch";
-  let scan () =
-    let survivors = Topology.Intvec.create () in
-    Array.iteri
-      (fun v b -> if not b then Topology.Intvec.push survivors v)
-      blocked;
-    let len = Topology.Intvec.length survivors in
-    if len = 0 then None
-    else Some (Topology.Intvec.get survivors (Prng.Stream.int rng len))
-  in
-  let rec pick i =
-    if i >= entry_attempts then scan ()
-    else
-      let v = Prng.Stream.int rng t.n in
-      if blocked.(v) then pick (i + 1) else Some v
-  in
-  pick 0
+  let entry = ref (-1) and tries = ref 0 in
+  while !entry < 0 && !tries < entry_attempts do
+    let v = Prng.Stream.int rng t.n in
+    if not blocked.(v) then entry := v;
+    incr tries
+  done;
+  if !entry >= 0 then Some !entry else survivor_entry ~rng blocked
 
 let random_entry t ~blocked = random_entry_with t ~rng:t.rng ~blocked
 
-let pick_entry = random_entry
+let failure = { ok = false; hops = 0; value = None }
 
-let execute_from t ~blocked ~load ~entry op =
+let execute_from t ~view ~load ~entry op =
   let key = match op with Read key | Write (key, _) -> key in
   let dst = supernode_of_key t key in
   let src = t.group_of.(entry) in
   (match load with Some counts -> counts.(src) <- counts.(src) + 1 | None -> ());
-  if not (occupied t ~blocked dst) then { ok = false; hops = 0; value = None }
+  if not (occupied view dst) then failure
   else
-    let hops = route t ~blocked ~load ~src ~dst in
-    if hops < 0 then { ok = false; hops = 0; value = None }
+    let hops = route t ~view ~load ~src ~dst in
+    if hops < 0 then failure
     else
       match op with
-      | Read key ->
-          { ok = true; hops; value = Store.find t.store key }
+      | Read key -> (
+          match Store.find t.store key with
+          | None -> t.hop_results.(hops)
+          | value -> { ok = true; hops; value })
       | Write (key, v) ->
           Store.replace t.store key v;
-          { ok = true; hops; value = None }
+          t.hop_results.(hops)
 
 let execute t ~blocked op =
   if Array.length blocked <> t.n then
     invalid_arg "Robust_dht.execute: blocked size mismatch";
-  match pick_entry t ~blocked with
-  | None -> { ok = false; hops = 0; value = None }
-  | Some entry -> execute_from t ~blocked ~load:None ~entry op
+  match random_entry t ~blocked with
+  | None -> failure
+  | Some entry ->
+      execute_from t ~view:(occupancy t ~blocked) ~load:None ~entry op
 
-let execute_at t ~blocked ?load ~entry op =
-  if Array.length blocked <> t.n then
-    invalid_arg "Robust_dht.execute_at: blocked size mismatch";
+let execute_at t ~view ?load ~entry op =
+  if view.epoch <> t.reshuffles || Array.length view.blocked <> t.n then
+    invalid_arg "Robust_dht.execute_at: stale view";
   if entry < 0 || entry >= t.n then
     invalid_arg "Robust_dht.execute_at: entry out of range";
-  if blocked.(entry) then { ok = false; hops = 0; value = None }
-  else execute_from t ~blocked ~load ~entry op
+  if view.blocked.(entry) then failure
+  else execute_from t ~view ~load ~entry op
 
 let execute_batch t ~blocked ops =
   if Array.length blocked <> t.n then
     invalid_arg "Robust_dht.execute_batch: blocked size mismatch";
+  let view = occupancy t ~blocked in
   let load = Array.make (supernode_count t) 0 in
   let served = ref 0 and failed = ref 0 and max_hops = ref 0 in
   List.iter
     (fun op ->
-      match pick_entry t ~blocked with
+      match random_entry t ~blocked with
       | None -> incr failed
       | Some entry ->
-          let r = execute_from t ~blocked ~load:(Some load) ~entry op in
+          let r = execute_from t ~view ~load:(Some load) ~entry op in
           if r.ok then begin
             incr served;
             if r.hops > !max_hops then max_hops := r.hops

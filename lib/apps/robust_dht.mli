@@ -45,6 +45,8 @@ val k : t -> int
 val dimension : t -> int
 val supernode_count : t -> int
 val group_of : t -> int array
+(** Each server's supernode, in a fresh array the caller may keep. *)
+
 val cube : t -> Topology.Kary_hypercube.t
 val supernode_of_key : t -> int -> int
 
@@ -71,7 +73,26 @@ val random_entry_with :
 val reshuffle : t -> unit
 (** One reconfiguration: scatter all servers to uniformly random groups
     (the Section 5 machinery, extended to the k-ary cube as the paper
-    sketches).  Data stays with its supernode. *)
+    sketches).  Data stays with its supernode.  Every {!view} built before
+    it goes stale. *)
+
+type view
+(** Which supernodes a blocked set leaves occupied (some member not
+    blocked), one byte per supernode: the per-round state a request reads,
+    since the adversary fixes the blocked set once per round (Section
+    1.1).  A view is a snapshot: the occupancy is computed when the view
+    is built, so a later change to the blocked array is not seen by the
+    routing (the entry test of {!execute_at} reads the array itself, which
+    the view keeps); build a new view after changing it.  A view goes
+    stale when the DHT reshuffles, since the groups it summarizes are
+    gone; {!execute_at} refuses a stale view. *)
+
+val occupancy : t -> blocked:bool array -> view
+(** [occupancy t ~blocked] is the view of [blocked] ([true] = blocked
+    server) over [t]'s current groups.  Each group's scan stops at its
+    first non-blocked member, so it costs O(supernodes + blocked servers)
+    and allocates one byte per supernode.  Raises [Invalid_argument] if
+    [blocked] does not have one cell per server. *)
 
 type op = Read of int | Write of int * string
 
@@ -86,23 +107,27 @@ type op_result = {
 val execute : t -> blocked:bool array -> op -> op_result
 (** Execute one operation from a uniformly random non-blocked entry server.
     Fails only if no entry exists or routing hits a coordinate whose every
-    remaining correction order is starved. *)
+    remaining correction order is starved.  Builds its own {!view} for the
+    one request: a caller serving many requests under one blocked set
+    should build the view once and call {!execute_at}. *)
 
 val execute_at :
-  t -> blocked:bool array -> ?load:int array -> entry:int -> op -> op_result
-(** Execute one operation from a caller-chosen entry server (a blocked
-    entry yields [ok = false] without routing).  [load], if given, has one
-    cell per supernode and accumulates per-group congestion as in
-    {!execute_batch}.  Raises [Invalid_argument] if [entry] is out of
-    range.
+  t -> view:view -> ?load:int array -> entry:int -> op -> op_result
+(** Execute one operation from a caller-chosen entry server (an entry
+    blocked in the view's array yields [ok = false] without routing).
+    [load], if given, has one cell per supernode and accumulates
+    per-group congestion as in {!execute_batch}.  Raises
+    [Invalid_argument] if [view] is stale (built before the last
+    {!reshuffle}, or for another DHT's size) or [entry] is out of range.
 
-    Cost: O(d) hops of O(d) digit comparisons each, every correction
-    probing its target group with a scan that stops at the first
-    non-blocked member.  Digits and strides come from tables built once in
-    {!create} (d words per supernode), so a hop does no division.  The
-    call allocates nothing beyond its [op_result] and, for a read that
-    finds its key, the [Some] around the value and the value itself,
-    copied out of the store; a caller that passes [?load] as a
+    Cost: O(d) hops of O(d) digit comparisons each; the destination check
+    and each hop's probe of its target group read one byte of the view.
+    Digits and strides come from tables built once in {!create} (d words
+    per supernode), so a hop does no division.  The call allocates
+    nothing beyond its [op_result] and, for a read that finds its key,
+    the [Some] around the value and the value itself, copied out of the
+    store; every result without a value is a record shared by all
+    results with its hop count.  A caller that passes [?load] as a
     preallocated option avoids boxing it per call. *)
 
 type batch_result = {
@@ -116,4 +141,5 @@ type batch_result = {
 
 val execute_batch : t -> blocked:bool array -> op list -> batch_result
 (** Serve a whole batch (at most O(1) ops per non-blocked server in the
-    intended regime), accounting per-group congestion. *)
+    intended regime) under one {!view}, accounting per-group
+    congestion. *)

@@ -131,7 +131,8 @@ let offline cfg ~seed =
 let draw_topic zipf s = Prng.Dist.zipf_draw s zipf - 1
 
 let draw_class cfg s =
-  let r = Prng.Stream.float s 1.0 in
+  (* [Stream.float s 1.0]'s value, unboxed *)
+  let r = float_of_int (Prng.Stream.bits53 s) *. 0x1p-53 in
   let m = cfg.mix in
   if r < m.feed then Feed
   else if r < m.feed +. m.post then Post

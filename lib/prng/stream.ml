@@ -31,12 +31,18 @@ let fill_words t ~width table b ~pos ~len =
 let shuffle_tail_words t ~width b ~pos ~len ~count =
   Xoshiro256.shuffle_tail_words t.gen ~width b ~pos ~len ~count
 
-let float t bound = Xoshiro256.float t.gen bound
+let bits53 t = Xoshiro256.bits53 t.gen
+
+(* 53 random bits mapped to [0, 1).  Module-local, so the float stays
+   unboxed in [bernoulli]; only [float]'s result is boxed. *)
+let[@inline] unit t = float_of_int (Xoshiro256.bits53 t.gen) *. 0x1p-53
+
+let float t bound = bound *. unit t
 
 let bool t = Xoshiro256.bool t.gen
 
 let bernoulli t p =
-  if p <= 0. then false else if p >= 1. then true else float t 1.0 < p
+  if p <= 0. then false else if p >= 1. then true else unit t < p
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do

@@ -57,6 +57,13 @@ val shuffle_tail_words :
     [count] is negative, [count > len], or the range does not fit in
     [b]. *)
 
+val bits53 : t -> int
+(** The top 53 bits of the next 64-bit output, uniform on [0, 2^53):
+    [float t bound] is [bound *. (float_of_int (bits53 t) *. 0x1p-53)] on
+    the same stream state.  Allocates nothing, so a distribution kernel
+    in another module ({!Dist}) can keep its floats unboxed; {!float}'s
+    result is boxed (2 words a draw). *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform on [0, bound). *)
 
@@ -64,7 +71,9 @@ val bool : t -> bool
 (** Fair coin. *)
 
 val bernoulli : t -> float -> bool
-(** [bernoulli t p] is [true] with probability [p]. *)
+(** [bernoulli t p] is [true] with probability [p]: [float t 1.0 < p] for
+    [0 < p < 1], one draw; no draw at all for [p <= 0] or [p >= 1].
+    Allocates nothing. *)
 
 val shuffle_in_place : t -> 'a array -> unit
 (** Uniform Fisher–Yates shuffle. *)

@@ -69,10 +69,7 @@ let below t bound =
 
 let bool t = Int64.logand (step t) 1L = 1L
 
-let float t bound =
-  (* 53 random bits mapped to [0,1), scaled. *)
-  let r = Int64.to_float (Int64.shift_right_logical (step t) 11) in
-  bound *. (r *. 0x1p-53)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (step t) 11)
 
 let check_words name ~width b ~pos ~len =
   if width <> 2 && width <> 4 then invalid_arg (name ^ ": width not 2 or 4");

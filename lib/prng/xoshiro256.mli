@@ -28,9 +28,11 @@ val below : t -> int -> int
 val bool : t -> bool
 (** The low bit of the next output.  Allocates nothing. *)
 
-val float : t -> float -> float
-(** [float t bound] is the top 53 bits of the next output mapped to [0, 1)
-    and scaled by [bound].  Only the returned float is allocated. *)
+val bits53 : t -> int
+(** The top 53 bits of the next output, an int in [0, 2^53).  Allocates
+    nothing: a caller that needs a uniform float computes
+    [float_of_int (bits53 t) *. 0x1p-53] itself, unboxed, where a float
+    returned from another module would be boxed. *)
 
 val fill_words :
   t -> width:int -> int array -> Bytes.t -> pos:int -> len:int -> unit

@@ -76,8 +76,8 @@ let create ?(lateness = 0) ?staleness ?hot_keys ~strategy ~frac ~rng ~dht
 let observe t =
   match t.strategy with
   | Group_kill ->
-      Simnet.Snapshots.push t.snapshots
-        (Array.copy (Apps.Robust_dht.group_of t.dht))
+      (* [group_of] returns a fresh copy, which the snapshot may keep *)
+      Simnet.Snapshots.push t.snapshots (Apps.Robust_dht.group_of t.dht)
   | No_attack | Random_blocking -> ()
 
 let mark_random t ~into =

@@ -94,7 +94,9 @@ module type S = sig
   (** Spend the adversary's blocking budget into the blocked set. *)
 
   val begin_round : t -> unit
-  (** Reset per-round counters (message tallies, congestion loads). *)
+  (** Reset per-round counters (message tallies, congestion loads) and
+      take whatever the round's requests read of the blocked set, which
+      {!mark_attack} has just completed (robust: the occupancy view). *)
 
   val maintain : t -> unit
   (** One maintenance slice (chord: a staggered {!Chord.Net.tick} under

@@ -7,12 +7,6 @@
 
 open Backend_intf
 
-let ok_of_dht (r : Apps.Robust_dht.op_result) =
-  { ok = r.Apps.Robust_dht.ok;
-    hops = r.Apps.Robust_dht.hops;
-    waits = 0;
-    value = r.Apps.Robust_dht.value }
-
 (* The publish chain both backends run: counter read, payload write under
    the next sequence number, counter write.  The counter goes last, so a
    retried attempt re-reads the same value and rewrites (topic, seq) with
@@ -49,6 +43,8 @@ module Robust : S = struct
     adv : Attack.t;
     load : int array;  (* per-supernode congestion within the round *)
     load_arg : int array option;  (* [Some load], boxed once *)
+    hop_results : op_result array;  (* .(h): a result of h hops, no value *)
+    mutable view : Apps.Robust_dht.view;  (* this round's occupancy *)
     per_msg_bits : int;
     mutable round_msgs : int;
     mutable max_group_load : int;
@@ -67,8 +63,13 @@ module Robust : S = struct
       + 64
     in
     let load = Array.make sns 0 in
-    { ctx; dht; adv; load; load_arg = Some load; per_msg_bits; round_msgs = 0;
-      max_group_load = 0 }
+    let hop_results =
+      Array.init (Apps.Robust_dht.dimension dht + 1) (fun hops ->
+          { ok = true; hops; waits = 0; value = None })
+    in
+    { ctx; dht; adv; load; load_arg = Some load; hop_results;
+      view = Apps.Robust_dht.occupancy dht ~blocked:ctx.blocked; per_msg_bits;
+      round_msgs = 0; max_group_load = 0 }
 
   let note_fields _ = []
 
@@ -80,28 +81,36 @@ module Robust : S = struct
   let churn _ ~rng:_ ~was_down:_ ~down:_ = ()
   let mark_attack t ~into = Attack.mark t.adv ~into
 
+  (* The driver fixed this round's blocked set in [mark_attack], after
+     this round's reshuffle, so one view serves all of the round's
+     requests. *)
   let begin_round t =
     t.round_msgs <- 0;
-    Array.fill t.load 0 (Array.length t.load) 0
+    Array.fill t.load 0 (Array.length t.load) 0;
+    t.view <- Apps.Robust_dht.occupancy t.dht ~blocked:t.ctx.blocked
 
   let maintain _ = ()
 
   let entry t ~rng =
     Apps.Robust_dht.random_entry_with t.dht ~rng ~blocked:t.ctx.blocked
 
-  (* one DHT operation; accounts hop messages and per-group congestion *)
+  let failed = { ok = false; hops = 0; waits = 0; value = None }
+
+  (* One DHT operation; accounts hop messages and per-group congestion.
+     A result without a value is a shared record (a failed one has 0
+     hops); only a read that returns a value builds one. *)
   let sub_op t ~entry op =
     let r =
-      Apps.Robust_dht.execute_at t.dht ~blocked:t.ctx.blocked ?load:t.load_arg
-        ~entry op
+      Apps.Robust_dht.execute_at t.dht ~view:t.view ?load:t.load_arg ~entry op
     in
-    t.round_msgs <- t.round_msgs + 1 + r.Apps.Robust_dht.hops;
-    r
+    let hops = r.Apps.Robust_dht.hops in
+    t.round_msgs <- t.round_msgs + 1 + hops;
+    match r.Apps.Robust_dht.value with
+    | None -> if r.Apps.Robust_dht.ok then t.hop_results.(hops) else failed
+    | value -> { ok = r.Apps.Robust_dht.ok; hops; waits = 0; value }
 
-  let get t ~entry key = ok_of_dht (sub_op t ~entry (Apps.Robust_dht.Read key))
-
-  let put t ~entry key payload =
-    ok_of_dht (sub_op t ~entry (Apps.Robust_dht.Write (key, payload)))
+  let get t ~entry key = sub_op t ~entry (Apps.Robust_dht.Read key)
+  let put t ~entry key payload = sub_op t ~entry (Apps.Robust_dht.Write (key, payload))
 
   let publish t ~entry ~topic payload =
     publish_chain ~read:(get t ~entry) ~write:(put t ~entry)

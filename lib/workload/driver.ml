@@ -152,7 +152,30 @@ type 'r source = {
   health : string option;
 }
 
-type 'r pending = { req : 'r; mutable attempts : int }
+(* The pending requests in service order: [len] requests in [reqs], each
+   with the attempts it has made beside it in [atts].  The arrays grow by
+   doubling (the request that outgrew them fills the new slots until
+   they are written) and never shrink. *)
+type 'r pending = {
+  mutable reqs : 'r array;
+  mutable atts : int array;
+  mutable len : int;
+}
+
+let pending () = { reqs = [||]; atts = [||]; len = 0 }
+
+let push p req attempts =
+  if p.len = Array.length p.reqs then begin
+    let cap = max 16 (2 * p.len) in
+    let reqs = Array.make cap req and atts = Array.make cap 0 in
+    Array.blit p.reqs 0 reqs 0 p.len;
+    Array.blit p.atts 0 atts 0 p.len;
+    p.reqs <- reqs;
+    p.atts <- atts
+  end;
+  p.reqs.(p.len) <- req;
+  p.atts.(p.len) <- attempts;
+  p.len <- p.len + 1
 
 (* The one round loop.  Overlay decisions go through the backend's hooks,
    workload decisions through the source's.  The call order is part of
@@ -203,7 +226,10 @@ let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
   let churn_down = Array.make n false in
   let accs = Array.map acc_create src.classes in
   let hop_msgs = ref 0 and total_bits = ref 0 in
-  let queue = Queue.create () in
+  (* Double-buffered: [queue] holds this round's attempts, retries first,
+     then admissions; failures that may retry go to [requeue], which
+     becomes next round's [queue]. *)
+  let queue = ref (pending ()) and requeue = ref (pending ()) in
   Simnet.Runtime.note rt ~name:src.name
     ((("n", Simnet.Trace.Int n) :: B.note_fields b)
     @ src.fields
@@ -238,7 +264,7 @@ let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
     Stats.Log_histogram.add a.a_hist latency;
     finish req c ~round ~latency ~hops ~status:"ok" ~at:(round + service)
   in
-  let attempt p =
+  let attempt req =
     (* Request leg, then reply leg.  Both legs are always rolled (the seed
        driver drew both Bernoullis unconditionally, and drop-only plans
        must keep consuming the fault stream identically). *)
@@ -248,12 +274,12 @@ let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
     else
       match B.entry b ~rng:service_rng with
       | None -> Attempt_failed { hops = 0 }
-      | Some entry -> src.exec server ~entry p.req
+      | Some entry -> src.exec server ~entry req
   in
   let issue req =
     let a = accs.(src.class_of req) in
     a.a_issued <- a.a_issued + 1;
-    Queue.add { req; attempts = 0 } queue
+    push !queue req 0
   in
   for r = 0 to spec.Spec.rounds - 1 do
     (* 1. reconfiguration (the robust reshuffle; Chord has none — its
@@ -300,21 +326,26 @@ let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
     src.admit ~round:r issue;
     (* 8. one service attempt per pending request; retries requeue behind
        this round's snapshot and wait for the next round *)
-    let in_flight = Queue.length queue in
-    for _ = 1 to in_flight do
-      let p = Queue.pop queue in
-      p.attempts <- p.attempts + 1;
-      let c = src.class_of p.req in
-      match attempt p with
-      | Served { service; hops } ->
-          record_served p.req c ~round:r ~service ~hops
+    let q = !queue and next = !requeue in
+    for i = 0 to q.len - 1 do
+      let req = q.reqs.(i) and attempts = q.atts.(i) + 1 in
+      let c = src.class_of req in
+      match attempt req with
+      | Served { service; hops } -> record_served req c ~round:r ~service ~hops
       | Attempt_failed { hops } ->
-          if p.attempts > src.retries.(c) then
-            record_gave_up p.req c ~round:r ~status:`Failed ~hops
-          else if r + 1 > src.arrival p.req + src.timeout.(c) then
-            record_gave_up p.req c ~round:r ~status:`Timeout ~hops
-          else Queue.add p queue
+          if attempts > src.retries.(c) then
+            record_gave_up req c ~round:r ~status:`Failed ~hops
+          else if r + 1 > src.arrival req + src.timeout.(c) then
+            record_gave_up req c ~round:r ~status:`Timeout ~hops
+          else push next req attempts
     done;
+    (* Overwrite the attempted requests' slots: a finished request left
+       there would stay reachable and be promoted by the next minor
+       collection. *)
+    if q.len > 0 then Array.fill q.reqs 0 q.len q.reqs.(0);
+    q.len <- 0;
+    queue := next;
+    requeue := q;
     (* 9. round boundary *)
     let e = B.emit_round b in
     hop_msgs := !hop_msgs + e.Backend_intf.req_msgs;
@@ -325,12 +356,12 @@ let serve (module B : Backend_intf.S) ?(trace = Simnet.Trace.null) ?hot_keys
     Simnet.Runtime.advance rt ~rounds:1
   done;
   (* drain: whatever is still pending never completed in time *)
-  Queue.iter
-    (fun p ->
-      record_gave_up p.req (src.class_of p.req) ~round:spec.Spec.rounds
-        ~status:`Timeout ~hops:0)
-    queue;
-  Queue.clear queue;
+  let q = !queue in
+  for i = 0 to q.len - 1 do
+    let req = q.reqs.(i) in
+    record_gave_up req (src.class_of req) ~round:spec.Spec.rounds
+      ~status:`Timeout ~hops:0
+  done;
   let classes = Array.to_list (Array.map freeze accs) in
   {
     config = cfg;

@@ -35,7 +35,8 @@ let draw_request (spec : Spec.t) =
   let read = spec.Spec.mix.Spec.read in
   let read_write = read +. spec.Spec.mix.Spec.write in
   fun s ->
-    let r = Prng.Stream.float s 1.0 in
+    (* [Stream.float s 1.0]'s value, unboxed *)
+    let r = float_of_int (Prng.Stream.bits53 s) *. 0x1p-53 in
     let op =
       if r < read then Read else if r < read_write then Write else Publish
     in

@@ -135,25 +135,34 @@ let test_stream_known_answers () =
   Alcotest.(check (list (float 0.0))) "float" float_kat
     (draws (fun () -> Prng.Stream.float s 1.0) float_kat)
 
-(* Minor-heap words per call of [f], over 10^5 calls. *)
-let words_per_draw f =
+(* Minor-heap words per call of [f], over [calls] calls. *)
+let words_per_draw ?(calls = 100_000) f =
   let s = stream () in
   f s;
   let w0 = Gc.minor_words () in
-  for _ = 1 to 100_000 do
+  for _ = 1 to calls do
     f s
   done;
-  (Gc.minor_words () -. w0) /. 1e5
+  (Gc.minor_words () -. w0) /. float_of_int calls
 
 let test_draws_allocation_free () =
-  let check name f =
-    let w = words_per_draw f in
+  let check ?calls name f =
+    let w = words_per_draw ?calls f in
     Alcotest.(check bool) (Printf.sprintf "%s: %.3f words/draw" name w) true
       (w < 0.01)
   in
   check "int" (fun s -> ignore (Prng.Stream.int s 1000));
   check "int with rejection" (fun s -> ignore (Prng.Stream.int s (3 lsl 60)));
   check "bool" (fun s -> ignore (Prng.Stream.bool s));
+  check "bits53" (fun s -> ignore (Prng.Stream.bits53 s));
+  check "bernoulli" (fun s -> ignore (Prng.Stream.bernoulli s 0.3));
+  (* the distributions do their float arithmetic on [bits53] ints *)
+  let zipf = Prng.Dist.zipf_table ~n:1000 ~s:1.1 in
+  check "zipf_draw" (fun s -> ignore (Prng.Dist.zipf_draw s zipf));
+  check "poisson 1" (fun s -> ignore (Prng.Dist.poisson s 1.0));
+  check "poisson 7" (fun s -> ignore (Prng.Dist.poisson s 7.0));
+  check ~calls:100 "poisson 2000 (four pieces)" (fun s ->
+      ignore (Prng.Dist.poisson s 2000.0));
   (* A float returned across a module boundary is boxed (2 words); the draw
      itself allocates nothing. *)
   let w = words_per_draw (fun s -> ignore (Prng.Stream.float s 1.0)) in
@@ -562,19 +571,69 @@ let qcheck_below_power_of_two =
           && Prng.Xoshiro256.next g = Prng.Xoshiro256.next h)
         (List.init 62 Fun.id))
 
-(* The table API draws what the cached [zipf] drew, from the same stream
-   state, over several (n, s) pairs and seeds. *)
+(* Seeds whose stream's first uniform lies in the top 2^-16 of [0, 1),
+   so a Zipf draw from it lands within that fraction of the total weight:
+   the last guide buckets, and the run of tied cumulative weights of a
+   saturated table.  Found by scanning seeds: about one in 2^16
+   qualifies. *)
+let near_total_seeds =
+  lazy
+    (let threshold = (1 lsl 53) - (1 lsl 37) in
+     let rec scan seed found =
+       if List.length found = 8 then List.rev found
+       else if Prng.Stream.bits53 (Prng.Stream.of_seed seed) >= threshold then
+         scan (Int64.succ seed) (seed :: found)
+       else scan (Int64.succ seed) found
+     in
+     scan 0L [])
+
+(* The guide table draws what the binary search drew, from the same
+   stream state: over random (n, s) pairs and seeds, at n = 1, and on a
+   saturating table (n = 2^20 - 1, s = 3: past rank ~2·10^5 each weight
+   is below half an ulp of the sum, so the cumulative weights tie), for
+   64 draws from the seed and one from each near-total seed. *)
 let qcheck_zipf_draw_matches_reference =
   QCheck.Test.make ~name:"zipf_draw equals the old zipf" ~count:50
-    QCheck.(triple int64 (int_range 1 300) (float_range 0.1 3.0))
+    QCheck.(
+      frequency
+        [
+          (8, triple int64 (int_range 1 300) (float_range 0.1 3.0));
+          (1, triple int64 (always 1) (float_range 0.1 3.0));
+          (1, triple int64 (always ((1 lsl 20) - 1)) (always 3.0));
+        ])
     (fun (seed, n, s) ->
       let table = Prng.Dist.zipf_table ~n ~s in
+      let cum = Testutil.reference_zipf_table ~n ~s in
+      let agree a b =
+        Prng.Dist.zipf_draw a table = Testutil.reference_zipf_draw b cum
+      in
       let a = Prng.Stream.of_seed seed and b = Prng.Stream.of_seed seed in
-      List.for_all
-        (fun _ ->
-          Prng.Dist.zipf_draw a table = Testutil.reference_zipf b ~n ~s)
-        (List.init 64 Fun.id)
-      && Prng.Stream.bits64 a = Prng.Stream.bits64 b)
+      List.for_all (fun _ -> agree a b) (List.init 64 Fun.id)
+      && Prng.Stream.bits64 a = Prng.Stream.bits64 b
+      && List.for_all
+           (fun seed ->
+             agree (Prng.Stream.of_seed seed) (Prng.Stream.of_seed seed))
+           (Lazy.force near_total_seeds))
+
+(* Knuth's loop without the closure and the boxed floats draws what the
+   closure loop drew, and leaves the stream where the loop left it: at
+   lambda = 0 (one uniform, always 0), at small rates, at 500 (one piece,
+   on the boundary) and at 2000 (four pieces). *)
+let test_poisson_matches_reference () =
+  List.iter
+    (fun lambda ->
+      let a = stream () and b = stream () in
+      let draws = if lambda > 500.0 then 50 else 500 in
+      for i = 1 to draws do
+        Alcotest.(check int)
+          (Printf.sprintf "lambda %g, draw %d" lambda i)
+          (Testutil.reference_poisson b lambda)
+          (Prng.Dist.poisson a lambda)
+      done;
+      Alcotest.(check int64)
+        (Printf.sprintf "lambda %g: same stream position" lambda)
+        (Prng.Stream.bits64 b) (Prng.Stream.bits64 a))
+    [ 0.0; 0.25; 1.0; 7.0; 500.0; 2000.0 ]
 
 (* xoshiro256**'s next output is rotl(s1·5, 7)·9, so s1 =
    rotr(o·9⁻¹, 7)·5⁻¹ mod 2^64 makes it any chosen o.  Inverses of odd
@@ -771,6 +830,8 @@ let () =
           Alcotest.test_case "zipf" `Slow test_dist_zipf;
           Alcotest.test_case "poisson at mean 2000" `Slow
             test_dist_poisson_large;
+          Alcotest.test_case "poisson equals Knuth's loop" `Quick
+            test_poisson_matches_reference;
         ] );
       ( "quality",
         [

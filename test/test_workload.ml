@@ -379,6 +379,36 @@ let test_driver_reconfig_survives_static_collapses () =
     true (g_s < 0.9);
   Alcotest.(check bool) "visible gap" true (g_r -. g_s >= 0.1)
 
+(* What a run allocates per issued request, at a shape that takes every
+   per-request path: Poisson arrivals over a Zipf key space, all three
+   classes, dropped legs, retries, and timeouts and failures under
+   group-kill.  The count covers the whole run, set-up and the eight
+   reshuffles included.  Per request, the plane allocates its record, a
+   write's payload and a read's value, plus a few words per attempt (the
+   entry's option, the outcome, a result that carries a value): 44 words
+   a request in all.  A plane with a queue cell and a record per pending
+   request, closures in the entry pick and boxed floats in its draws and
+   fault legs took 94. *)
+let test_driver_allocation () =
+  let spec =
+    Workload.Spec.make ~clients:512 ~rounds:64
+      ~arrivals:(Workload.Spec.Open_loop { rate = 1.0 })
+      ()
+  in
+  let cfg =
+    Workload.Driver.config ~attack:Workload.Attack.Group_kill ~frac:0.2
+      ~faults:(Simnet.Faults.make ~drop:0.05 ~seed:3L ())
+      ~retries:3 spec
+  in
+  let r, bytes = Testutil.allocated_bytes (fun () -> run_with ~n:1024 cfg) in
+  let issued, _, timed_out, failed = counts r in
+  let words = bytes /. 8.0 /. float_of_int issued in
+  Alcotest.(check bool) "timeouts and failures" true
+    (timed_out > 0 && failed > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per issued request (%d issued)" words issued)
+    true (words <= 55.0)
+
 (* Payloads and counters are formatted without Printf; the text must be
    what Printf and string_of_int print, byte for byte. *)
 let decimal_agrees a b =
@@ -441,6 +471,8 @@ let () =
             test_driver_setup_independent_of_rounds;
           Alcotest.test_case "full topic fails the attempt" `Quick
             test_driver_full_topic_fails_attempt;
+          Alcotest.test_case "allocation per request" `Quick
+            test_driver_allocation;
           Alcotest.test_case "reconfig survives, static collapses (Thm 8)"
             `Slow test_driver_reconfig_survives_static_collapses;
         ] );

@@ -16,16 +16,20 @@ let admitted ~rounds admit =
   done;
   Array.of_list (List.rev !out)
 
-(* The Zipf draw as [Prng.Dist] wrote it before it had tables: the
-   cumulative weights (cached per (n, s) there), then a binary search on
-   one [Stream.float].  [Dist.zipf_draw] must reproduce it draw for draw. *)
-let reference_zipf st ~n ~s =
+(* The Zipf draw as [Prng.Dist] wrote it before it had a guide table:
+   the cumulative weights, then a binary search on one [Stream.float].
+   [Dist.zipf_draw] must reproduce it draw for draw. *)
+let reference_zipf_table ~n ~s =
   let table = Array.make n 0.0 in
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
     acc := !acc +. (1.0 /. Float.pow (float_of_int (i + 1)) s);
     table.(i) <- !acc
   done;
+  table
+
+let reference_zipf_draw st table =
+  let n = Array.length table in
   let u = Prng.Stream.float st table.(n - 1) in
   let lo = ref 0 and hi = ref (n - 1) in
   while !lo < !hi do
@@ -33,6 +37,27 @@ let reference_zipf st ~n ~s =
     if table.(mid) > u then hi := mid else lo := mid + 1
   done;
   !lo + 1
+
+let reference_zipf st ~n ~s = reference_zipf_draw st (reference_zipf_table ~n ~s)
+
+(* The Poisson draw as [Prng.Dist] wrote it with a closure and a boxed
+   float per uniform: Knuth's loop per piece of mean at most 500.
+   [Dist.poisson] must reproduce it draw for draw. *)
+let reference_poisson st lambda =
+  let knuth lambda =
+    let l = exp (-.lambda) in
+    let rec go k p =
+      let p = p *. (1.0 -. Prng.Stream.float st 1.0) in
+      if p <= l then k else go (k + 1) p
+    in
+    go 0 1.0
+  in
+  let total = ref 0 and left = ref lambda in
+  while !left > 500.0 do
+    total := !total + knuth 500.0;
+    left := !left -. 500.0
+  done;
+  !total + knuth !left
 
 exception First_event of float
 
