@@ -47,7 +47,7 @@ trace-smoke:
 # a `faults:` line, so only its trace is compared.
 FAULT_DROP ?= 0.1
 INERT_RUNS = "churn -n 256 --epochs 3 --retry 3" "groupsim -n 256" \
-  "workload -n 256 --rounds 30 --clients 32 --attack group-kill --frac 0.2 --retry 3 --domains 1"
+  "workload -n 256 --rounds 30 --clients 32 --attack group-kill --frac 0.2 --retry 3"
 fault-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe
 	dune exec bin/overlay_sim.exe -- churn -n 256 --epochs 3 \
@@ -73,9 +73,8 @@ fault-smoke:
 	done; \
 	cmp /tmp/overlay_inert_free.out /tmp/overlay_inert.out
 
-# Run a traced workload (group-kill DoS + message drops + retries) at one
-# and at two worker domains, check the traces are byte-identical and
-# validate them; then validate the request plane's other hooks: the closed
+# Run a traced workload (group-kill DoS + message drops + retries) and
+# validate its trace; then validate the request plane's other hooks: the closed
 # loop with churn, and the Chord backend (see docs/workloads.md).  Last,
 # overflow one pub-sub topic with 1.2 M open-loop publishes: the run must
 # exit 0 with the publishes past the topic's capacity counted as failed.
@@ -87,11 +86,7 @@ workload-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe
 	dune exec bin/overlay_sim.exe -- workload -n 256 --rounds 30 --clients 32 \
 	  --attack group-kill --frac 0.2 --faults drop=$(WORKLOAD_DROP) --retry 3 \
-	  --domains 1 --trace /tmp/overlay_workload_trace.jsonl > /dev/null
-	dune exec bin/overlay_sim.exe -- workload -n 256 --rounds 30 --clients 32 \
-	  --attack group-kill --frac 0.2 --faults drop=$(WORKLOAD_DROP) --retry 3 \
-	  --domains 2 --trace /tmp/overlay_workload_trace_d2.jsonl > /dev/null
-	cmp /tmp/overlay_workload_trace.jsonl /tmp/overlay_workload_trace_d2.jsonl
+	  --trace /tmp/overlay_workload_trace.jsonl > /dev/null
 	dune exec bin/trace_check.exe -- /tmp/overlay_workload_trace.jsonl
 	dune exec bin/overlay_sim.exe -- workload $(WORKLOAD_HOOKS) \
 	  --arrivals closed:2 --churn 0.2 --churn-epoch 8 --faults drop=0.05,seed=3 \
@@ -102,7 +97,7 @@ workload-smoke:
 	  --trace /tmp/overlay_workload_chord.jsonl > /dev/null
 	dune exec bin/trace_check.exe -- /tmp/overlay_workload_chord.jsonl
 	dune exec bin/overlay_sim.exe -- workload -n 64 --keys 1 --mix publish=1 \
-	  --clients 4096 --rounds 300 --arrivals open:1 --static --domains 1 \
+	  --clients 4096 --rounds 300 --arrivals open:1 --static \
 	  > /tmp/overlay_workload_topic_full.txt
 	awk '$$1 == "publish" && $$10 > 0 { full = 1 } END { exit !full }' \
 	  /tmp/overlay_workload_topic_full.txt
@@ -225,20 +220,15 @@ chord-smoke:
 	  /tmp/overlay_chord_a.jsonl
 	$(call BENCH_SMOKE,e19)
 
-# Run the Reddit-style social application twice with the same seed, at
-# one and at two worker domains — sessions, hot-key group-kill and faults
-# all active — check the traces are byte-identical and the social/* span
-# family was emitted, then
+# Run the Reddit-style social application — sessions, hot-key group-kill
+# and faults all active — check the social/* span family was emitted, then
 # rerun the per-class SLO experiment e20 against its committed baseline
 # (see BENCH_SMOKE above, and docs/workloads.md).
 SOCIAL_SPEC ?= --n 256 --users 32 --rounds 32 --session 0.85:8 --attack group-kill --frac 0.2 --faults drop=0.02,seed=5
 social-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe bench/main.exe
-	dune exec bin/overlay_sim.exe -- social $(SOCIAL_SPEC) --domains 1 \
+	dune exec bin/overlay_sim.exe -- social $(SOCIAL_SPEC) \
 	  --trace /tmp/overlay_social_a.jsonl > /dev/null
-	dune exec bin/overlay_sim.exe -- social $(SOCIAL_SPEC) --domains 2 \
-	  --trace /tmp/overlay_social_b.jsonl > /dev/null
-	cmp /tmp/overlay_social_a.jsonl /tmp/overlay_social_b.jsonl
 	dune exec bin/trace_check.exe -- --require 'social/*' \
 	  /tmp/overlay_social_a.jsonl
 	$(call BENCH_SMOKE,e20)

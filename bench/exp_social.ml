@@ -36,7 +36,7 @@ let slo_held_frac = 0.9
 let cells =
   match
     Sweep.Grid.expand
-      ~base:{ Simnet.Scenario.default with n; app = Some "social" }
+      ~base:{ Simnet.Scenario.default with n }
       ~sweep:"e20"
       [
         Sweep.Grid.scenario_key "backend" [ "reconfig"; "static"; "chord" ];

@@ -6,17 +6,13 @@
    JSONL and the binary sink, and writes BENCH_trace.json with bytes per
    event and events per second for each plus the compression ratio.
 
-   Two correctness gates ride along, so the bench doubles as an
-   end-to-end check of the pipeline it measures:
+   An export-equivalence gate rides along, so the bench doubles as an
+   end-to-end check of the pipeline it measures: decoding the binary file
+   and rendering each event with [Trace.jsonl_of_event] must reproduce
+   the JSONL file byte for byte (the property test/cram/trace_bin.t pins
+   by md5).
 
-   - export equivalence: decoding the binary file and rendering each
-     event with [Trace.jsonl_of_event] must reproduce the JSONL file
-     byte for byte (the property test/cram/trace_bin.t pins by md5);
-   - windowed-stats equivalence: request latencies accumulated through
-     [Stats.Windowed.Make (Stats.Log_histogram)] (both retain modes)
-     must equal a single unwindowed histogram cell for cell.
-
-   The bench fails hard if either gate breaks or the binary sink falls
+   The bench fails hard if that gate breaks or the binary sink falls
    under 5x fewer bytes per event than JSONL on this mix. *)
 
 let rounds = 2000
@@ -97,31 +93,6 @@ let check_export_equivalence ~jsonl_path ~bin_path =
   if Buffer.contents buf <> read_file jsonl_path then
     failwith "trace bench: binary export does not match the JSONL sink"
 
-module Windowed_hist = Stats.Windowed.Make (Stats.Log_histogram)
-
-let check_windowed_equivalence events =
-  let flat = Stats.Log_histogram.create () in
-  let mk retain =
-    Windowed_hist.create ~window:100 ~retain
-      ~empty:Stats.Log_histogram.create ()
-  in
-  let retained = mk true and folded = mk false in
-  List.iter
-    (function
-      | Simnet.Trace.Request { round; latency; _ } ->
-          Stats.Log_histogram.add flat latency;
-          Windowed_hist.observe retained ~round (fun h ->
-              Stats.Log_histogram.add h latency);
-          Windowed_hist.observe folded ~round (fun h ->
-              Stats.Log_histogram.add h latency)
-      | _ -> ())
-    events;
-  List.iter
-    (fun w ->
-      if not (Stats.Log_histogram.equal (Windowed_hist.total w) flat) then
-        failwith "trace bench: windowed latency total diverges from flat")
-    [ retained; folded ]
-
 let with_temp suffix f =
   let path = Filename.temp_file "trace_bench" suffix in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (
@@ -142,7 +113,6 @@ let run () =
             measure_sink ~format:Simnet.Trace.Binary ~path:bin_path events
           in
           check_export_equivalence ~jsonl_path ~bin_path;
-          check_windowed_equivalence events;
           let per_event bytes = float_of_int bytes /. float_of_int n in
           let ratio = per_event jsonl_bytes /. per_event bin_bytes in
           Printf.printf "  %-8s %9d bytes  %6.1f bytes/event  %8.2f Mev/s\n%!"

@@ -88,7 +88,7 @@ type kind =
       knobs : knob list;
       cannot : string list;
           (** scenario keys rejected, as the driver cannot honour them:
-              ["faults"], ["retry"], ["trace"] and ["trace-format"] *)
+              ["faults"], ["retry"] and ["trace"] *)
       reads : string list;
           (** scenario keys the run reads that none of its knobs sets *)
       run : trace:Trace.t -> Grid.cell -> 'r;
@@ -731,7 +731,7 @@ let anonymize =
       name = "anonymize";
       doc = "issue anonymous requests through the relay overlay (Section 7.1)";
       default_n = 4096;
-      cannot = [ "faults"; "retry"; "trace"; "trace-format" ];
+      cannot = [ "faults"; "retry"; "trace" ];
       reads = [];
       knobs =
         [
@@ -781,7 +781,7 @@ let dht =
       name = "dht";
       doc = "run a read/write batch against the robust DHT (Section 7.2)";
       default_n = 2048;
-      cannot = [ "faults"; "retry"; "trace"; "trace-format" ];
+      cannot = [ "faults"; "retry"; "trace" ];
       reads = [];
       knobs =
         [
@@ -1100,7 +1100,7 @@ let social =
       default_n = 1024;
       (* each traffic class carries its own retry budget *)
       cannot = [ "retry" ];
-      reads = [ "app" ];
+      reads = [];
       knobs =
         [
           knob "users" ~default:"64" ~ty:Pos ~docv:"U" "Application users.";
@@ -1125,9 +1125,6 @@ let social =
       run =
         (fun ~trace cell ->
           let sc = cell.scenario in
-          (match sc.app with
-          | None | Some "social" -> ()
-          | Some other -> usage "run=social cannot serve app=%s" other);
           let app =
             Apps.Social.config ~users:(int cell "users") ~rounds:(rounds sc 48)
               ~rate:(float cell "rate") ~zipf:(float cell "zipf")
@@ -1191,7 +1188,7 @@ let kind_names = String.concat "|" (List.map (fun (Kind k) -> k.name) kinds)
 
 (* The scenario keys every kind reads: the shared flags. *)
 let shared_keys =
-  [ "n"; "seed"; "retry"; "domains"; "faults"; "trace"; "trace-format" ]
+  [ "n"; "seed"; "retry"; "faults"; "trace" ]
 
 (* Checks a cell against its kind: every scenario key the cell sets is a
    shared key, a key the kind reads or one of its knobs' keys; every free
@@ -1246,7 +1243,6 @@ let prepare (Kind k) (cell : Grid.cell) =
       | "faults" -> sc.faults <> None
       | "retry" -> sc.retry <> 0
       | "trace" -> sc.trace <> None
-      | "trace-format" -> sc.trace_format <> None
       | _ -> invalid_arg ("overlay_sim: unknown scenario key " ^ key)
     in
     if given then
@@ -1291,17 +1287,13 @@ let str_opt name docv doc =
 
 let shared_term ~default_n =
   Term.(
-    const (fun n seed retry domains faults trace trace_format ->
+    const (fun n seed retry faults trace ->
         let given key = Option.map (fun v -> (key, v)) in
         [
           ("n", string_of_int n); ("seed", string_of_int seed);
-          ("retry", string_of_int retry); ("domains", string_of_int domains);
+          ("retry", string_of_int retry);
         ]
-        @ List.filter_map Fun.id
-            [
-              given "faults" faults; given "trace" trace;
-              given "trace-format" trace_format;
-            ])
+        @ List.filter_map Fun.id [ given "faults" faults; given "trace" trace ])
     $ Arg.(
         value & opt int default_n
         & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
@@ -1316,13 +1308,6 @@ let shared_term ~default_n =
               "Give the protocol drivers a recovery budget of $(docv) \
                retries with escalating provisioning (0, the default, \
                reproduces the paper's fault-free drivers).")
-    $ Arg.(
-        value & opt int 0
-        & info [ "domains" ] ~docv:"D"
-            ~doc:
-              "Worker domains for a sweep's cells (0 = runtime default, \
-               honoring $(b,OVERLAY_DOMAINS)).  A single run is sequential \
-               and byte-identical at any value.")
     $ str_opt "faults" "SPEC"
         "Inject deterministic faults, e.g. \
          $(b,drop=0.05,dup=0.01,delay=2,crash=3).  Comma-separated \
@@ -1331,14 +1316,10 @@ let shared_term ~default_n =
          byte for byte.  See docs/fault_model.md."
     $ str_opt "trace" "FILE"
         "Write structured trace events to $(docv) as JSONL (compact binary \
-         if the name ends in .bin).  See \
-         docs/observability.md for the schema.  The $(b,dht) and \
-         $(b,anonymize) kinds emit no trace and reject this flag."
-    $ str_opt "trace-format" "FORMAT"
-        "Trace sink format: $(b,jsonl) or $(b,bin) (default: by \
-         the --trace path suffix).  Binary traces decode back to the exact \
-         JSONL bytes via trace_check --export-jsonl.  Rejected, like \
-         --trace, by $(b,dht) and $(b,anonymize).")
+         if the name ends in .bin; it decodes back to the exact JSONL bytes \
+         via trace_check --export-jsonl).  See docs/observability.md for \
+         the schema.  The $(b,dht) and $(b,anonymize) kinds emit no trace \
+         and reject this flag.")
 
 (* A kind's knobs as (knob, value) pairs: each given or defaulted one. *)
 let knobs_term knobs =

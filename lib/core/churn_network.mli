@@ -89,9 +89,9 @@ val create :
     {!Retry.fixed}) gives both the sampler (escalating re-runs) and the
     doubling replies (per-node re-issues) a recovery budget.  A reply loss
     past the budget fails the epoch with a typed reason in the report — the
-    old topology stands, never a wrong cycle.  [domains] is accepted and
-    unused: an epoch is sequential until reconfiguration runs on worker
-    domains (ROADMAP item F). *)
+    old topology stands, never a wrong cycle.  [domains] is ignored (an
+    epoch is sequential); it stays only because [perfbench/harness.ml]
+    passes it, until ROADMAP item A's benchmark change drops it. *)
 
 val size : t -> int
 val graph : t -> Topology.Hgraph.t

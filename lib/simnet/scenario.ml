@@ -2,7 +2,6 @@ type t = {
   n : int;
   d : int;
   seed : int;
-  sampler : string option;
   adversary : string option;
   frac : float;
   lateness : int;
@@ -10,19 +9,15 @@ type t = {
   corruption : Corruption.spec option;
   faults : Faults.plan option;
   retry : int;
-  workload : string option;
   backend : string option;
   chord_fingers : int option;
   chord_succs : int option;
   chord_period : int option;
-  app : string option;
   topics : int option;
   fanout : int option;
   session : (float * int) option;
   rounds : int;
-  domains : int;
   trace : string option;
-  trace_format : Trace.format option;
 }
 
 let default =
@@ -30,7 +25,6 @@ let default =
     n = 1024;
     d = 8;
     seed = 42;
-    sampler = None;
     adversary = None;
     frac = 0.0;
     lateness = -1;
@@ -38,29 +32,16 @@ let default =
     corruption = None;
     faults = None;
     retry = 0;
-    workload = None;
     backend = None;
     chord_fingers = None;
     chord_succs = None;
     chord_period = None;
-    app = None;
     topics = None;
     fanout = None;
     session = None;
     rounds = -1;
-    domains = 0;
     trace = None;
-    trace_format = None;
   }
-
-let format_of_string = function
-  | "jsonl" -> Ok Trace.Jsonl
-  | "bin" | "binary" -> Ok Trace.Binary
-  | other -> Error other
-
-let string_of_format = function
-  | Trace.Jsonl -> "jsonl"
-  | Trace.Binary -> "bin"
 
 let err key what = Error (Printf.sprintf "scenario: %s %s" key what)
 
@@ -84,10 +65,10 @@ let parse_chord_knob key v k =
 
 let keys =
   [
-    "n"; "d"; "seed"; "sampler"; "adversary"; "frac"; "lateness"; "staleness";
-    "corruption"; "faults"; "retry"; "workload"; "backend"; "chord-fingers";
-    "chord-succs"; "chord-period"; "app"; "topics"; "fanout"; "session";
-    "rounds"; "domains"; "trace"; "trace-format";
+    "n"; "d"; "seed"; "adversary"; "frac"; "lateness"; "staleness";
+    "corruption"; "faults"; "retry"; "backend"; "chord-fingers";
+    "chord-succs"; "chord-period"; "topics"; "fanout"; "session"; "rounds";
+    "trace";
   ]
 
 (* Plain Levenshtein distance, for the unknown-key suggestion.  Key names
@@ -132,7 +113,6 @@ let apply t (key, v) =
       parse_int key v (fun d ->
           if d < 2 then err key "must be >= 2" else Ok { t with d })
   | "seed" -> parse_int key v (fun seed -> Ok { t with seed })
-  | "sampler" -> Ok { t with sampler = Some (String.trim v) }
   | "adversary" -> Ok { t with adversary = Some (String.trim v) }
   | "frac" ->
       parse_float key v (fun frac ->
@@ -158,7 +138,6 @@ let apply t (key, v) =
   | "retry" ->
       parse_int key v (fun retry ->
           if retry < 0 then err key "must be >= 0" else Ok { t with retry })
-  | "workload" -> Ok { t with workload = Some (String.trim v) }
   | "backend" -> Ok { t with backend = Some (String.trim v) }
   | "chord-fingers" ->
       parse_chord_knob key v (fun chord_fingers -> Ok { t with chord_fingers })
@@ -166,7 +145,6 @@ let apply t (key, v) =
       parse_chord_knob key v (fun chord_succs -> Ok { t with chord_succs })
   | "chord-period" ->
       parse_chord_knob key v (fun chord_period -> Ok { t with chord_period })
-  | "app" -> Ok { t with app = Some (String.trim v) }
   | "topics" ->
       parse_int key v (fun topics ->
           if topics <= 0 then err key "must be > 0"
@@ -194,16 +172,7 @@ let apply t (key, v) =
           if rounds = 0 then err key "must be > 0, got 0"
           else if rounds < -1 then err key "must be >= -1"
           else Ok { t with rounds })
-  | "domains" ->
-      parse_int key v (fun domains ->
-          if domains < 0 then err key "must be >= 0 (0 = runtime default)"
-          else Ok { t with domains })
   | "trace" -> Ok { t with trace = Some (String.trim v) }
-  | "trace-format" -> (
-      match format_of_string (String.trim v) with
-      | Ok f -> Ok { t with trace_format = Some f }
-      | Error other ->
-          err key (Printf.sprintf "expects jsonl or bin, got %S" other))
   | other -> unknown_key other
 
 let of_args ?(base = default) kvs =
@@ -236,7 +205,6 @@ let to_args t =
   if t.n <> default.n then add "n" (string_of_int t.n);
   if t.d <> default.d then add "d" (string_of_int t.d);
   if t.seed <> default.seed then add "seed" (string_of_int t.seed);
-  Option.iter (add "sampler") t.sampler;
   Option.iter (add "adversary") t.adversary;
   if t.frac <> 0.0 then add "frac" (Stats.Float_text.repr t.frac);
   if t.lateness <> -1 then add "lateness" (string_of_int t.lateness);
@@ -246,12 +214,10 @@ let to_args t =
   Option.iter (fun c -> add "corruption" (Corruption.to_spec c)) t.corruption;
   Option.iter (fun p -> add "faults" (Faults.to_spec p)) t.faults;
   if t.retry <> 0 then add "retry" (string_of_int t.retry);
-  Option.iter (add "workload") t.workload;
   Option.iter (add "backend") t.backend;
   Option.iter (fun v -> add "chord-fingers" (string_of_int v)) t.chord_fingers;
   Option.iter (fun v -> add "chord-succs" (string_of_int v)) t.chord_succs;
   Option.iter (fun v -> add "chord-period" (string_of_int v)) t.chord_period;
-  Option.iter (add "app") t.app;
   Option.iter (fun v -> add "topics" (string_of_int v)) t.topics;
   Option.iter (fun v -> add "fanout" (string_of_int v)) t.fanout;
   Option.iter
@@ -260,9 +226,7 @@ let to_args t =
         (Printf.sprintf "%s:%d" (Stats.Float_text.repr online) epoch))
     t.session;
   if t.rounds <> -1 then add "rounds" (string_of_int t.rounds);
-  if t.domains <> 0 then add "domains" (string_of_int t.domains);
   Option.iter (add "trace") t.trace;
-  Option.iter (fun f -> add "trace-format" (string_of_format f)) t.trace_format;
   List.rev !kvs
 
 let to_spec t = String.concat ";" (to_args t)
@@ -270,6 +234,6 @@ let to_spec t = String.concat ";" (to_args t)
 let trace_sink t =
   match t.trace with
   | None -> Trace.null
-  | Some path -> Trace.open_file ?format:t.trace_format path
+  | Some path -> Trace.open_file path
 
 let fault_model_active t = t.faults <> None || t.retry > 0

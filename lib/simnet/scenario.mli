@@ -1,24 +1,20 @@
 (** One value describing a simulation run.
 
-    Every entry point used to re-parse the same knobs independently:
-    [bin/overlay_sim] duplicated [--faults]/[--retry]/[--trace] plumbing
-    across five subcommands, and bench/test drivers hard-coded their own
-    [(n, seed, plan)] tuples.  A {!t} is the single spec they all build
-    runs from: construct one with {!of_args} (key/value pairs, e.g. from
+    A {!t} is the single spec every entry point builds runs from:
+    construct one with {!of_args} (key/value pairs, e.g. from
     command-line flags) or {!parse} (a [;]-separated spec string), then
     hand its fields to the driver and its {!trace_sink} to the tracer.
 
     The spec is deliberately driver-agnostic: [retry] is a plain budget
-    (drivers map it to their own policy type), [sampler]/[adversary]/
-    [workload] are uninterpreted strings validated by the consumer, and
-    unknown keys are rejected rather than ignored so a typo never
-    silently drops a knob. *)
+    (drivers map it to their own policy type), [adversary] and [backend]
+    are uninterpreted strings validated by the consumer, and unknown keys
+    are rejected rather than ignored so a typo never silently drops a
+    knob. *)
 
 type t = {
   n : int;  (** number of nodes (default 1024) *)
   d : int;  (** H-graph degree (default 8) *)
   seed : int;  (** PRNG seed (default 42) *)
-  sampler : string option;  (** e.g. ["rapid"] or ["plain"] *)
   adversary : string option;  (** e.g. ["random"], ["group-kill"] *)
   frac : float;  (** adversary blocking/churn fraction (default 0) *)
   lateness : int;  (** adversary lateness in rounds; -1 = driver default *)
@@ -29,7 +25,6 @@ type t = {
       (** corrupted initial topology for {!Core.Stabilize} runs *)
   faults : Faults.plan option;  (** installed fault plan, if any *)
   retry : int;  (** recovery budget; 0 reproduces the fault-free drivers *)
-  workload : string option;  (** workload arrival spec, e.g. ["open:0.25"] *)
   backend : string option;
       (** overlay backend, e.g. ["reconfig"] or ["chord"]; uninterpreted
           here — the workload driver and sweep runners validate it *)
@@ -40,8 +35,6 @@ type t = {
       (** Chord successor-list length; [None] = backend default *)
   chord_period : int option;
       (** Chord maintenance period; [None] = backend default *)
-  app : string option;
-      (** composite application, e.g. ["social"]; uninterpreted here *)
   topics : int option;  (** app topic count ([None] = app default) *)
   fanout : int option;
       (** app repost fan-out: follower-topic publishes triggered per post
@@ -53,15 +46,9 @@ type t = {
   rounds : int;
       (** rounds/epochs/windows to run; -1 = driver default (0 is
           rejected) *)
-  domains : int;
-      (** worker domains; 0 = runtime default.  Accepted by every run
-          kind and read by none: a run is sequential, so results are
-          byte-identical for every value ([sweep --domains] spreads a
-          sweep's cells over worker domains). *)
-  trace : string option;  (** trace sink path ([None] = no tracing) *)
-  trace_format : Trace.format option;
-      (** trace sink format; [None] = by [trace] path suffix
-          ([.bin] → binary, else JSONL) *)
+  trace : string option;
+      (** trace sink path ([None] = no tracing); a [.bin] suffix selects
+          the binary format, anything else JSONL *)
 }
 
 val default : t
@@ -69,14 +56,13 @@ val default : t
 
 val of_args : ?base:t -> (string * string) list -> (t, string) result
 (** Fold key/value pairs over [base] (default {!default}).  Keys: [n],
-    [d], [seed], [sampler], [adversary], [frac], [lateness], [staleness]
+    [d], [seed], [adversary], [frac], [lateness], [staleness]
     (a {!Snapshots.staleness_of_string} value), [corruption] (a
     {!Corruption.parse_spec} sub-spec), [faults]
-    (a {!Faults.parse_spec} sub-spec), [retry], [workload], [backend],
+    (a {!Faults.parse_spec} sub-spec), [retry], [backend],
     [chord-fingers], [chord-succs], [chord-period] ([-1] = default, i.e.
-    [None]), [app], [topics], [fanout], [session] ([ONLINE:EPOCH]),
-    [rounds], [domains], [trace], [trace-format] ([jsonl] or
-    [bin]).  Later pairs override earlier ones.  Returns [Error] on an
+    [None]), [topics], [fanout], [session] ([ONLINE:EPOCH]), [rounds]
+    and [trace].  Later pairs override earlier ones.  Returns [Error] on an
     unknown key (suggesting the nearest valid key when the typo is
     close), an unparsable value, or a violated bound ([n <= 0],
     [retry < 0], ...) — with a message naming the key. *)
@@ -98,8 +84,8 @@ val to_spec : t -> string
 
 val trace_sink : t -> Trace.t
 (** {!Trace.open_file} on the [trace] path ([Trace.null] when unset),
-    honoring [trace_format] when set.  The caller owns the sink and must
-    {!Trace.close} it. *)
+    its format picked by the path's suffix.  The caller owns the sink and
+    must {!Trace.close} it. *)
 
 val fault_model_active : t -> bool
 (** Whether the run leaves the paper's fault-free model: a plan is

@@ -105,8 +105,9 @@ val config :
     [Invalid_argument] on a non-positive period or arity, negative
     retries or lateness, a churn fraction outside [0, 1) / non-positive
     epoch, or a chord knob that is neither positive nor [-1].  [domains]
-    is accepted and unused: a run is sequential until reconfiguration
-    runs on worker domains (ROADMAP item F). *)
+    is ignored (a run is sequential); it stays only because
+    [perfbench/harness.ml] passes it, until ROADMAP item A's benchmark
+    change drops it. *)
 
 type class_report = {
   cls : string;  (** ["read"], ["write"], ["publish"] or ["all"] *)

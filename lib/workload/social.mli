@@ -49,7 +49,8 @@ val config :
   Apps.Social.config ->
   config
 (** Defaults and [Invalid_argument] bounds as {!Driver.config}, which
-    builds [base]; like there, [domains] is accepted and unused. *)
+    builds [base]; like there, [domains] is ignored and stays only
+    because [perfbench/harness.ml] passes it. *)
 
 type report = Driver.report = {
   config : Driver.config;  (** the [base] config *)

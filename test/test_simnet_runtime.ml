@@ -228,7 +228,7 @@ let test_scenario_parse () =
     (Simnet.Scenario.fault_model_active Simnet.Scenario.default)
 
 let test_scenario_roundtrip () =
-  let sc = scenario_ok "n=512;d=4;sampler=plain;frac=0.25;trace=/tmp/x.jsonl" in
+  let sc = scenario_ok "n=512;d=4;frac=0.25;trace=/tmp/x.jsonl" in
   let sc' = scenario_ok (Simnet.Scenario.to_spec sc) in
   Alcotest.(check bool) "to_spec round-trips" true (sc = sc')
 

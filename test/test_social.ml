@@ -319,11 +319,9 @@ let test_config_validation () =
       Apps.Social.config ~session:(0.5, 0) ())
 
 let test_scenario_social_keys () =
-  match Simnet.Scenario.parse "app=social;topics=24;fanout=3;session=0.8:6" with
+  match Simnet.Scenario.parse "topics=24;fanout=3;session=0.8:6" with
   | Error e -> Alcotest.failf "parse: %s" e
   | Ok sc ->
-      Alcotest.(check (option string)) "app" (Some "social")
-        sc.Simnet.Scenario.app;
       Alcotest.(check (option int)) "topics" (Some 24)
         sc.Simnet.Scenario.topics;
       Alcotest.(check (option int)) "fanout" (Some 3)

@@ -318,7 +318,6 @@ let scenario_gen =
   let* n = int_range 1 100_000 in
   let* d = int_range 2 64 in
   let* seed = int_range 0 1_000_000 in
-  let* sampler = opt_string [ "rapid"; "plain" ] in
   let* adversary = opt_string [ "random"; "group-kill" ] in
   let* frac = float_bound_inclusive 1.0 in
   let* lateness = int_range (-1) 64 in
@@ -341,13 +340,11 @@ let scenario_gen =
        return (Simnet.Corruption.make ~severity ~seed:cseed cls))
   in
   let* retry = int_range 0 9 in
-  let* workload = opt_string [ "open:0.25"; "closed:4" ] in
   let* backend = opt_string [ "reconfig"; "chord" ] in
   let chord_knob = opt (int_range 1 32) in
   let* chord_fingers = chord_knob in
   let* chord_succs = chord_knob in
   let* chord_period = chord_knob in
-  let* app = opt_string [ "social" ] in
   let* topics = opt (int_range 1 64) in
   let* fanout = opt (int_range 0 8) in
   let* session =
@@ -355,37 +352,28 @@ let scenario_gen =
   in
   (* -1 is the unset default; 0 is not a valid round count *)
   let* rounds = oneof [ return (-1); int_range 1 99 ] in
-  let* domains = int_range 0 8 in
   let* trace = opt_string [ "/tmp/t.jsonl" ] in
-  let* trace_format =
-    opt (oneofl [ Simnet.Trace.Jsonl; Simnet.Trace.Binary ])
-  in
   return
     {
       Simnet.Scenario.default with
       n;
       d;
       seed;
-      sampler;
       adversary;
       frac;
       lateness;
       staleness;
       corruption;
       retry;
-      workload;
       backend;
       chord_fingers;
       chord_succs;
       chord_period;
-      app;
       topics;
       fanout;
       session;
       rounds;
-      domains;
       trace;
-      trace_format;
     }
 
 let qcheck_scenario_roundtrip =
