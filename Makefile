@@ -96,6 +96,10 @@ workload-smoke:
 	  --backend chord --churn 0.1 --faults drop=0.02,seed=5 \
 	  --trace /tmp/overlay_workload_chord.jsonl > /dev/null
 	dune exec bin/trace_check.exe -- /tmp/overlay_workload_chord.jsonl
+	dune exec bin/overlay_sim.exe -- workload -n 65536 --rounds 24 --clients 256 \
+	  --period 8 --attack group-kill --frac 0.2 \
+	  --trace /tmp/overlay_workload_reshuffle.jsonl > /dev/null
+	dune exec bin/trace_check.exe -- /tmp/overlay_workload_reshuffle.jsonl
 	dune exec bin/overlay_sim.exe -- workload -n 64 --keys 1 --mix publish=1 \
 	  --clients 4096 --rounds 300 --arrivals open:1 --static \
 	  > /tmp/overlay_workload_topic_full.txt

@@ -247,6 +247,7 @@ let k t = Kary.k t.cube
 let dimension t = Kary.d t.cube
 let supernode_count t = Kary.node_count t.cube
 let group_of t = Array.copy t.group_of
+let epoch t = t.reshuffles
 let cube t = t.cube
 
 let supernode_of_key t key =

@@ -47,6 +47,13 @@ val supernode_count : t -> int
 val group_of : t -> int array
 (** Each server's supernode, in a fresh array the caller may keep. *)
 
+val epoch : t -> int
+(** How many {!reshuffle}s have run: 0 after {!create}, one more after
+    each.  The assignment changes only in a reshuffle, so two calls of
+    {!group_of} at the same epoch return equal arrays; an observer that
+    copied the assignment at epoch [e] need not copy it again until the
+    epoch moves.  Views carry the same counter. *)
+
 val cube : t -> Topology.Kary_hypercube.t
 val supernode_of_key : t -> int -> int
 

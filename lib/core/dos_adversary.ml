@@ -7,11 +7,21 @@ let to_string = function
   | Group_kill -> "group-kill"
   | Isolate_node -> "isolate"
 
+(* One observed assignment and what the strategies read of it, each
+   built at most once per snapshot, the first round a strategy asks:
+   the group membership and the groups' smallest-first order. *)
+type snapshot = {
+  group_of : int array;
+  members : int array array Lazy.t;
+  order : int array Lazy.t;
+}
+
 type t = {
   strategy : strategy;
   rng : Prng.Stream.t;
   frac : float;
-  snapshots : int array Simnet.Snapshots.t;
+  snapshots : snapshot Simnet.Snapshots.t;
+  mutable latest : snapshot option;  (* the last snapshot pushed *)
   trace : Simnet.Trace.t;
 }
 
@@ -28,10 +38,7 @@ let create ?(trace = Simnet.Trace.null) ?staleness strategy ~rng ~lateness
     | Some staleness ->
         Simnet.Snapshots.create_drawn ~staleness ~rng:(Prng.Stream.split rng)
   in
-  { strategy; rng; frac; snapshots; trace }
-
-let observe t ~group_of =
-  Simnet.Snapshots.push t.snapshots (Array.copy group_of)
+  { strategy; rng; frac; snapshots; latest = None; trace }
 
 let budget t ~n = int_of_float (Float.round (t.frac *. float_of_int n))
 
@@ -57,6 +64,34 @@ let members_of view =
   Array.iteri (fun v x -> if x >= 0 then Topology.Intvec.push vecs.(x) v) view;
   Array.map Topology.Intvec.to_array vecs
 
+(* Smallest groups first: starving a group costs its whole size, so
+   small groups are the cheapest kills. *)
+let smallest_first members =
+  let order = Array.init (Array.length members) (fun x -> x) in
+  Array.sort
+    (fun x y -> compare (Array.length members.(x)) (Array.length members.(y)))
+    order;
+  order
+
+let snapshot group_of =
+  let members = lazy (members_of group_of) in
+  { group_of; members; order = lazy (smallest_first (Lazy.force members)) }
+
+(* The assignment changes only when the network reconfigures, so a round
+   whose assignment equals the last one pushes that snapshot again: one
+   scan, no copy, and the window holds one snapshot per distinct
+   assignment it spans. *)
+let observe t ~group_of =
+  let snap =
+    match t.latest with
+    | Some last when last.group_of = group_of -> last
+    | _ ->
+        let snap = snapshot (Array.copy group_of) in
+        t.latest <- Some snap;
+        snap
+  in
+  Simnet.Snapshots.push t.snapshots snap
+
 let blocked_set t ~cube ~n =
   let blocked = Array.make n false in
   let b = budget t ~n in
@@ -64,13 +99,7 @@ let blocked_set t ~cube ~n =
     match (t.strategy, Simnet.Snapshots.view t.snapshots) with
     | Random_blocking, _ | _, None -> random_fill t blocked ~n ~budget:b
     | Group_kill, Some view ->
-        let members = members_of view in
-        (* Smallest groups first: starving a group costs its whole size, so
-           small groups are the cheapest kills. *)
-        let order = Array.init (Array.length members) (fun x -> x) in
-        Array.sort
-          (fun x y -> compare (Array.length members.(x)) (Array.length members.(y)))
-          order;
+        let members = Lazy.force view.members in
         let spent = ref 0 in
         (try
            Array.iter
@@ -83,13 +112,14 @@ let blocked_set t ~cube ~n =
                    members.(x);
                  spent := !spent + size
                end)
-             order
+             (Lazy.force view.order)
          with Exit -> ());
         if !spent < b then random_fill t blocked ~n ~budget:(b - !spent)
     | Isolate_node, Some view ->
-        let members = members_of view in
-        let victim = Prng.Stream.int t.rng (min n (Array.length view)) in
-        let x = view.(victim) in
+        let members = Lazy.force view.members in
+        let group_of = view.group_of in
+        let victim = Prng.Stream.int t.rng (min n (Array.length group_of)) in
+        let x = group_of.(victim) in
         let spent = ref 0 in
         let block v =
           if v <> victim && v < n && (not blocked.(v)) && !spent < b then begin

@@ -6,7 +6,14 @@
     internal {!Simnet.Snapshots} buffer enforces the delay, so strategy code
     can never touch fresher data.  With [lateness = 0] the adversary is
     fully informed, the regime in which the paper shows any low-degree
-    network must die. *)
+    network must die.
+
+    Memory: the assignment changes only when the network reconfigures, so
+    the buffer keeps one copy per distinct assignment among the rounds it
+    spans, not one per round (at most [1 + ceil (lateness / period)] with
+    a reconfiguration every [period] rounds), each with the group
+    membership and the groups' size order built once, the first round a
+    strategy reads them. *)
 
 type strategy =
   | Random_blocking  (** budget spent on uniformly random nodes (control) *)
@@ -41,6 +48,9 @@ val create :
     the pre-staleness behavior. *)
 
 val observe : t -> group_of:int array -> unit
+(** Record this round's assignment.  [group_of] is compared with the last
+    one recorded, an O(n) scan that allocates nothing, and copied only if
+    it differs; the caller may change or reuse the array afterwards. *)
 
 val blocked_set : t -> cube:Topology.Hypercube.t -> n:int -> bool array
 (** The blocked set for the current round.  Until a snapshot old enough to

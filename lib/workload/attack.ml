@@ -13,12 +13,18 @@ let strategy_to_string = function
   | Random_blocking -> "random"
   | Group_kill -> "group-kill"
 
+(* The adversary's picture of one assignment, inverted: supernode sn's
+   servers, ascending, are [ids.(offs.(sn)) .. ids.(offs.(sn + 1) - 1)]. *)
+type picture = { offs : int array; ids : int array }
+
 type t = {
   strategy : strategy;
   budget : int;
   rng : Prng.Stream.t;
   dht : Apps.Robust_dht.t;
-  snapshots : int array Simnet.Snapshots.t;
+  snapshots : picture Simnet.Snapshots.t;
+  mutable latest : picture;  (* the picture of epoch [seen] *)
+  mutable seen : int;  (* the DHT epoch [latest] was taken at; -1: none *)
   hot : int array;  (* supernode indices, hottest first *)
 }
 
@@ -70,14 +76,48 @@ let create ?(lateness = 0) ?staleness ?hot_keys ~strategy ~frac ~rng ~dht
     rng;
     dht;
     snapshots;
+    latest = { offs = [||]; ids = [||] };
+    seen = -1;
     hot = hot_supernodes ?hot_keys ~dht ~spec ();
   }
 
+(* Counting sort of the servers by supernode: one pass counts, one
+   places, so each supernode's servers come out ascending. *)
+let invert ~sns group_of =
+  let offs = Array.make (sns + 1) 0 in
+  Array.iter
+    (fun sn -> if sn >= 0 && sn < sns then offs.(sn + 1) <- offs.(sn + 1) + 1)
+    group_of;
+  for sn = 1 to sns do
+    offs.(sn) <- offs.(sn) + offs.(sn - 1)
+  done;
+  let ids = Array.make offs.(sns) 0 in
+  let next = Array.sub offs 0 sns in
+  Array.iteri
+    (fun v sn ->
+      if sn >= 0 && sn < sns then begin
+        ids.(next.(sn)) <- v;
+        next.(sn) <- next.(sn) + 1
+      end)
+    group_of;
+  { offs; ids }
+
+(* The assignment changes only when the DHT reshuffles, so it is copied
+   and inverted once per epoch; the rounds in between push the same
+   picture again, and the window holds one picture per distinct
+   assignment it spans. *)
 let observe t =
   match t.strategy with
   | Group_kill ->
-      (* [group_of] returns a fresh copy, which the snapshot may keep *)
-      Simnet.Snapshots.push t.snapshots (Apps.Robust_dht.group_of t.dht)
+      let epoch = Apps.Robust_dht.epoch t.dht in
+      if epoch <> t.seen then begin
+        t.latest <-
+          invert
+            ~sns:(Apps.Robust_dht.supernode_count t.dht)
+            (Apps.Robust_dht.group_of t.dht);
+        t.seen <- epoch
+      end;
+      Simnet.Snapshots.push t.snapshots t.latest
   | No_attack | Random_blocking -> ()
 
 let mark_random t ~into =
@@ -98,26 +138,17 @@ let mark_random t ~into =
 let mark_group_kill t ~into =
   match Simnet.Snapshots.view t.snapshots with
   | None -> ()
-  | Some view ->
-      let sns = Apps.Robust_dht.supernode_count t.dht in
-      (* invert the (stale) assignment once: members.(sn) = servers the
-         adversary believes represent supernode sn, ascending *)
-      let members = Array.make sns [] in
-      for v = Array.length view - 1 downto 0 do
-        let sn = view.(v) in
-        if sn >= 0 && sn < sns then members.(sn) <- v :: members.(sn)
-      done;
+  | Some { offs; ids } ->
       let left = ref t.budget in
       let hot_i = ref 0 in
       while !left > 0 && !hot_i < Array.length t.hot do
         let sn = t.hot.(!hot_i) in
-        List.iter
-          (fun v ->
-            if !left > 0 then begin
-              into.(v) <- true;
-              decr left
-            end)
-          members.(sn);
+        let i = ref offs.(sn) in
+        while !left > 0 && !i < offs.(sn + 1) do
+          into.(ids.(!i)) <- true;
+          decr left;
+          incr i
+        done;
         incr hot_i
       done
 

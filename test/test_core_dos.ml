@@ -315,6 +315,41 @@ let test_random_blocking_harmless () =
   done;
   Alcotest.(check int) "random blocking never hurts" 0 !bad
 
+(* [observe] keeps the last assignment and copies only one that differs,
+   so a caller that changes one array in place between rounds must see
+   the same blocked sets as one that hands over a fresh copy each round,
+   and a round whose assignment is unchanged copies nothing. *)
+let test_observe_copies_changed_assignment () =
+  let n = 1024 and cube = Topology.Hypercube.create 6 in
+  List.iter
+    (fun strat ->
+      let adv () =
+        Core.Dos_adversary.create strat ~rng:(Prng.Stream.of_seed 13L)
+          ~lateness:3 ~frac:0.25
+      in
+      let in_place = adv () and copied = adv () in
+      let draw = Prng.Stream.of_seed 14L in
+      let group_of = Array.init n (fun v -> v mod 64) in
+      for round = 0 to 23 do
+        if round mod 5 = 2 then
+          Array.iteri (fun v _ -> group_of.(v) <- Prng.Stream.int draw 64) group_of;
+        let (), bytes =
+          Testutil.allocated_bytes (fun () ->
+              Core.Dos_adversary.observe in_place ~group_of)
+        in
+        if round > 0 && round mod 5 <> 2 then
+          Alcotest.(check bool)
+            (Printf.sprintf "round %d: %.0f bytes for an unchanged assignment"
+               round bytes)
+            true (bytes <= 256.0);
+        Core.Dos_adversary.observe copied ~group_of:(Array.copy group_of);
+        Alcotest.(check (array bool))
+          (Printf.sprintf "%s, round %d" (Core.Dos_adversary.to_string strat) round)
+          (Core.Dos_adversary.blocked_set copied ~cube ~n)
+          (Core.Dos_adversary.blocked_set in_place ~cube ~n)
+      done)
+    Core.Dos_adversary.all
+
 (* ---------- message-level backend ---------- *)
 
 let test_message_level_clean_window () =
@@ -489,6 +524,8 @@ let () =
         [
           Alcotest.test_case "budget exact" `Quick test_adversary_budget;
           Alcotest.test_case "frac guard" `Quick test_adversary_frac_guard;
+          Alcotest.test_case "observe copies a changed assignment" `Quick
+            test_observe_copies_changed_assignment;
           Alcotest.test_case "0-late group-kill starves" `Slow
             test_group_kill_0late_starves;
           Alcotest.test_case "period-late group-kill harmless (Thm 6)" `Slow

@@ -409,6 +409,217 @@ let test_driver_allocation () =
     (Printf.sprintf "%.1f words per issued request (%d issued)" words issued)
     true (words <= 55.0)
 
+(* ---------- Attack ---------- *)
+
+(* The group-kill adversary as it was before it observed by reference: it
+   copies the assignment into the snapshot window every round and inverts
+   the viewed copy into per-supernode lists every round.  Its draws and
+   marks are the specification the shared-snapshot adversary must keep. *)
+module Copying_attack = struct
+  type t = {
+    strategy : Workload.Attack.strategy;
+    budget : int;
+    rng : Prng.Stream.t;
+    dht : Apps.Robust_dht.t;
+    snapshots : int array Simnet.Snapshots.t;
+    hot : int array;
+  }
+
+  let hot_supernodes ~dht ~(spec : Workload.Spec.t) =
+    let sns = Apps.Robust_dht.supernode_count dht in
+    let heat = Array.make sns 0.0 in
+    for key = 0 to spec.Workload.Spec.keys - 1 do
+      let sn = Apps.Robust_dht.supernode_of_key dht key in
+      let w =
+        match spec.Workload.Spec.popularity with
+        | Workload.Spec.Uniform -> 1.0
+        | Workload.Spec.Zipf s -> 1.0 /. Float.pow (float_of_int (key + 1)) s
+      in
+      heat.(sn) <- heat.(sn) +. w
+    done;
+    let order = Array.init sns Fun.id in
+    Array.sort
+      (fun a b -> match compare heat.(b) heat.(a) with 0 -> compare a b | c -> c)
+      order;
+    order
+
+  let create ~lateness ?staleness ~strategy ~frac ~rng ~dht ~spec () =
+    let snapshots =
+      match staleness with
+      | None -> Simnet.Snapshots.create ~lateness
+      | Some staleness ->
+          Simnet.Snapshots.create_drawn ~staleness ~rng:(Prng.Stream.split rng)
+    in
+    {
+      strategy;
+      budget = int_of_float (frac *. float_of_int (Apps.Robust_dht.n dht));
+      rng;
+      dht;
+      snapshots;
+      hot = hot_supernodes ~dht ~spec;
+    }
+
+  let observe t =
+    if t.strategy = Workload.Attack.Group_kill then
+      Simnet.Snapshots.push t.snapshots (Apps.Robust_dht.group_of t.dht)
+
+  let mark t ~into =
+    let n = Apps.Robust_dht.n t.dht in
+    if t.budget > 0 then
+      match (t.strategy, Simnet.Snapshots.view t.snapshots) with
+      | Workload.Attack.No_attack, _ | Workload.Attack.Group_kill, None -> ()
+      | Workload.Attack.Random_blocking, _ ->
+          let chosen = Array.make n false in
+          let picked = ref 0 in
+          while !picked < t.budget do
+            let v = Prng.Stream.int t.rng n in
+            if not chosen.(v) then begin
+              chosen.(v) <- true;
+              into.(v) <- true;
+              incr picked
+            end
+          done
+      | Workload.Attack.Group_kill, Some view ->
+          let sns = Apps.Robust_dht.supernode_count t.dht in
+          let members = Array.make sns [] in
+          for v = Array.length view - 1 downto 0 do
+            let sn = view.(v) in
+            if sn >= 0 && sn < sns then members.(sn) <- v :: members.(sn)
+          done;
+          let left = ref t.budget in
+          let hot_i = ref 0 in
+          while !left > 0 && !hot_i < Array.length t.hot do
+            List.iter
+              (fun v ->
+                if !left > 0 then begin
+                  into.(v) <- true;
+                  decr left
+                end)
+              members.(t.hot.(!hot_i));
+            incr hot_i
+          done
+end
+
+let gen_attack_case =
+  QCheck.Gen.(
+    let* strategy =
+      oneofl
+        Workload.Attack.[ No_attack; Random_blocking; Group_kill ]
+    in
+    let* period = int_range 2 6 in
+    let* staleness =
+      frequency
+        [
+          ( 3,
+            map
+              (fun l -> `Fixed l)
+              (oneofl [ 0; 1; period - 1; period; 3 * period ]) );
+          ( 1,
+            map
+              (fun f -> `Drawn (Simnet.Snapshots.Mixed f))
+              (float_range 0.0 (float_of_int (3 * period))) );
+          ( 1,
+            let* lo = int_range 0 (2 * period) in
+            let* w = int_range 0 (2 * period) in
+            return (`Drawn (Simnet.Snapshots.Uniform (lo, lo + w))) );
+        ]
+    in
+    let* rounds = int_range 1 40 in
+    (* a reshuffle at each round with probability 1/period *)
+    let* reshuffles = list_repeat rounds (map (fun x -> x = 0) (int_bound (period - 1))) in
+    let* frac = oneofl [ 0.0; 0.05; 0.2; 0.45 ] in
+    let* zipf = bool in
+    let* seed = ui64 in
+    return (strategy, staleness, reshuffles, frac, zipf, seed))
+
+let print_attack_case (strategy, staleness, reshuffles, frac, zipf, seed) =
+  Printf.sprintf "%s, %s, reshuffles at [%s], frac %g, %s, seed %Ld"
+    (Workload.Attack.strategy_to_string strategy)
+    (match staleness with
+    | `Fixed l -> Printf.sprintf "lateness %d" l
+    | `Drawn d -> "staleness " ^ Simnet.Snapshots.staleness_to_string d)
+    (String.concat ";"
+       (List.concat
+          (List.mapi (fun r b -> if b then [ string_of_int r ] else []) reshuffles)))
+    frac
+    (if zipf then "zipf" else "uniform")
+    seed
+
+(* Between reshuffles the adversary pushes one shared inverted assignment
+   where the copying adversary pushed a fresh copy every round; the marks
+   must not tell them apart, in any round, whatever the lateness. *)
+let qcheck_attack_matches_copying =
+  QCheck.Test.make ~name:"shared-snapshot attack marks what the copying one does"
+    ~count:300
+    (QCheck.make ~print:print_attack_case gen_attack_case)
+    (fun (strategy, staleness, reshuffles, frac, zipf, seed) ->
+      let n = 256 in
+      let dht = Apps.Robust_dht.create ~rng:(Prng.Stream.of_seed seed) ~n () in
+      let spec =
+        Workload.Spec.make ~keys:64
+          ~popularity:(if zipf then Workload.Spec.Zipf 1.1 else Workload.Spec.Uniform)
+          ()
+      in
+      let lateness, staleness =
+        match staleness with
+        | `Fixed l -> (l, None)
+        | `Drawn d -> (0, Some d)
+      in
+      let rng () = Prng.Stream.of_seed (Int64.add seed 1L) in
+      let adv =
+        Workload.Attack.create ~lateness ?staleness ~strategy ~frac ~rng:(rng ())
+          ~dht ~spec ()
+      in
+      let oracle =
+        Copying_attack.create ~lateness ?staleness ~strategy ~frac ~rng:(rng ())
+          ~dht ~spec ()
+      in
+      List.for_all
+        (fun reshuffle ->
+          if reshuffle then Apps.Robust_dht.reshuffle dht;
+          Workload.Attack.observe adv;
+          Copying_attack.observe oracle;
+          let got = Array.make n false and want = Array.make n false in
+          Workload.Attack.mark adv ~into:got;
+          Copying_attack.mark oracle ~into:want;
+          got = want)
+        reshuffles)
+
+(* Between two reshuffles a round's observe and mark share the snapshot
+   taken at the first: O(1) words a round where copying the assignment
+   and inverting it into lists took about 4n. *)
+let test_attack_allocation_between_reshuffles () =
+  let n = 1 lsl 14 and period = 8 in
+  let dht = Apps.Robust_dht.create ~rng:(Prng.Stream.of_seed seed) ~n () in
+  let adv =
+    Workload.Attack.create ~lateness:period ~strategy:Workload.Attack.Group_kill
+      ~frac:0.2 ~rng:(Prng.Stream.of_seed 7L) ~dht
+      ~spec:(Workload.Spec.make ()) ()
+  in
+  let into = Array.make n false in
+  let round r =
+    if r > 0 && r mod period = 0 then Apps.Robust_dht.reshuffle dht;
+    Workload.Attack.observe adv;
+    Array.fill into 0 n false;
+    Workload.Attack.mark adv ~into
+  in
+  for r = 0 to 2 * period do
+    round r
+  done;
+  let quiet = period - 1 in
+  let (), bytes =
+    Testutil.allocated_bytes (fun () ->
+        for r = (2 * period) + 1 to (3 * period) - 1 do
+          round r
+        done)
+  in
+  let words = bytes /. 8.0 /. float_of_int quiet in
+  let marked = Array.fold_left (fun a b -> if b then a + 1 else a) 0 into in
+  Alcotest.(check int) "the last round spends the budget" (n / 5) marked;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words a round between reshuffles" words)
+    true (words <= 64.0)
+
 (* Payloads and counters are formatted without Printf; the text must be
    what Printf and string_of_int print, byte for byte. *)
 let decimal_agrees a b =
@@ -476,4 +687,9 @@ let () =
           Alcotest.test_case "reconfig survives, static collapses (Thm 8)"
             `Slow test_driver_reconfig_survives_static_collapses;
         ] );
+      ( "attack",
+        Alcotest.test_case "allocation between reshuffles" `Quick
+          test_attack_allocation_between_reshuffles
+        :: List.map QCheck_alcotest.to_alcotest [ qcheck_attack_matches_copying ]
+      );
     ]
