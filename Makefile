@@ -75,7 +75,8 @@ fault-smoke:
 
 # Run a traced workload (group-kill DoS + message drops + retries) and
 # validate its trace; then validate the request plane's other hooks: the closed
-# loop with churn, and the Chord backend (see docs/workloads.md).  Last,
+# loop with churn, the Chord backend, and random blocking (see
+# docs/workloads.md).  Last,
 # overflow one pub-sub topic with 1.2 M open-loop publishes: the run must
 # exit 0 with the publishes past the topic's capacity counted as failed.
 # WORKLOAD_DROP is the per-attempt message drop rate; at 0 the fault plan
@@ -96,6 +97,10 @@ workload-smoke:
 	  --backend chord --churn 0.1 --faults drop=0.02,seed=5 \
 	  --trace /tmp/overlay_workload_chord.jsonl > /dev/null
 	dune exec bin/trace_check.exe -- /tmp/overlay_workload_chord.jsonl
+	dune exec bin/overlay_sim.exe -- workload -n 1024 --rounds 40 --clients 64 \
+	  --attack random --frac 0.2 --seed 3 \
+	  --trace /tmp/overlay_workload_random.jsonl > /dev/null
+	dune exec bin/trace_check.exe -- /tmp/overlay_workload_random.jsonl
 	dune exec bin/overlay_sim.exe -- workload -n 65536 --rounds 24 --clients 256 \
 	  --period 8 --attack group-kill --frac 0.2 \
 	  --trace /tmp/overlay_workload_reshuffle.jsonl > /dev/null
@@ -209,10 +214,12 @@ stabilize-smoke:
 
 # Run the Chord backend twice with the same seed under churn, faults and
 # the stale-view successor-list attack, check the traces are
-# byte-identical and the staggered maintenance spans were emitted, then
-# rerun the head-to-head comparison experiment e19 against its committed
-# baseline (see BENCH_SMOKE above, and docs/chord.md).
+# byte-identical and the staggered maintenance spans were emitted; do the
+# same (identity and trace validation) for the attack under drawn
+# lateness, then rerun the head-to-head comparison experiment e19 against
+# its committed baseline (see BENCH_SMOKE above, and docs/chord.md).
 CHORD_SPEC ?= --n 256 --rounds 32 --attack succ-kill --frac 0.2 --churn 0.1 --faults drop=0.02,seed=5 --retry 3
+CHORD_STALE_SPEC = --n 256 --rounds 40 --seed 7 --attack succ-kill --frac 0.2 --churn 0.1 --staleness 0..6
 chord-smoke:
 	dune build bin/overlay_sim.exe bin/trace_check.exe bench/main.exe
 	dune exec bin/overlay_sim.exe -- chord $(CHORD_SPEC) \
@@ -222,6 +229,12 @@ chord-smoke:
 	cmp /tmp/overlay_chord_a.jsonl /tmp/overlay_chord_b.jsonl
 	dune exec bin/trace_check.exe -- --require chord/maintain \
 	  /tmp/overlay_chord_a.jsonl
+	dune exec bin/overlay_sim.exe -- chord $(CHORD_STALE_SPEC) \
+	  --trace /tmp/overlay_chord_stale_a.jsonl > /dev/null
+	dune exec bin/overlay_sim.exe -- chord $(CHORD_STALE_SPEC) \
+	  --trace /tmp/overlay_chord_stale_b.jsonl > /dev/null
+	cmp /tmp/overlay_chord_stale_a.jsonl /tmp/overlay_chord_stale_b.jsonl
+	dune exec bin/trace_check.exe -- /tmp/overlay_chord_stale_a.jsonl
 	$(call BENCH_SMOKE,e19)
 
 # Run the Reddit-style social application — sessions, hot-key group-kill

@@ -32,7 +32,8 @@ let run_anonymizer ~n ~strategy ~lateness ~frac ~windows ~requests_per_round =
   let exit_counts = Array.make (Core.Dos_network.supernode_count net) 0 in
   let relays = Stats.Moments.create () in
   for _ = 1 to windows * Core.Dos_network.period net do
-    Core.Dos_adversary.observe adv ~group_of:(Core.Dos_network.group_of net);
+    Core.Dos_adversary.observe adv ~epoch:(Core.Dos_network.epoch net)
+      (fun () -> Core.Dos_network.group_of net);
     let blocked = Core.Dos_adversary.blocked_set adv ~cube ~n in
     for _ = 1 to requests_per_round do
       incr total;
@@ -124,7 +125,7 @@ let e11 () =
       let s = rng_for "e11b" lateness in
       let net = Core.Dos_network.create ~c:2.0 ~rng:(Prng.Stream.split s) ~n () in
       let anon = Apps.Anonymizer.create ~net ~rng:(Prng.Stream.split s) in
-      let snaps = Simnet.Snapshots.create ~lateness in
+      let snaps = Simnet.Snapshots.create ~lateness s in
       let hits = ref 0 and total = ref 0 in
       let guess_sizes = Stats.Moments.create () in
       let blocked = Array.make n false in

@@ -107,7 +107,8 @@ let run_dos_scenario ~n ~strategy ~lateness ~frac ~windows =
   let starved = ref 0 and disconnected = ref 0 in
   let rounds = windows * Core.Dos_network.period net in
   for _ = 1 to rounds do
-    Core.Dos_adversary.observe adv ~group_of:(Core.Dos_network.group_of net);
+    Core.Dos_adversary.observe adv ~epoch:(Core.Dos_network.epoch net)
+      (fun () -> Core.Dos_network.group_of net);
     let blocked = Core.Dos_adversary.blocked_set adv ~cube ~n in
     let r = Core.Dos_network.run_round net ~blocked in
     if r.Core.Dos_network.starved_groups > 0 then incr starved;
@@ -190,7 +191,8 @@ let e10 () =
           ~frac:0.25
       in
       let blocked_for_round ~round:_ ~group_of ~n =
-        Core.Dos_adversary.observe adv ~group_of;
+        Core.Dos_adversary.observe adv ~epoch:(Core.Churndos_network.epoch net)
+          (fun () -> Array.copy group_of);
         Core.Dos_adversary.blocked_set adv ~cube ~n
       in
       let ok = ref 0 and starved = ref 0 and disc = ref 0 in

@@ -165,8 +165,8 @@ let e13 () =
         let rounds = 5 * p in
         let starved = ref 0 in
         for _ = 1 to rounds do
-          Core.Dos_adversary.observe adv
-            ~group_of:(Core.Dos_network.group_of net);
+          Core.Dos_adversary.observe adv ~epoch:(Core.Dos_network.epoch net)
+            (fun () -> Core.Dos_network.group_of net);
           let blocked = Core.Dos_adversary.blocked_set adv ~cube ~n in
           let r = Core.Dos_network.run_round net ~blocked in
           if r.Core.Dos_network.starved_groups > 0 then incr starved

@@ -162,7 +162,8 @@ let run_e18_cell ~n ~strategy ~staleness ~frac =
   let ok = ref 0 in
   let rounds = e18_windows * Core.Dos_network.period net in
   for _ = 1 to rounds do
-    Core.Dos_adversary.observe adv ~group_of:(Core.Dos_network.group_of net);
+    Core.Dos_adversary.observe adv ~epoch:(Core.Dos_network.epoch net)
+      (fun () -> Core.Dos_network.group_of net);
     let blocked = Core.Dos_adversary.blocked_set adv ~cube ~n in
     let r = Core.Dos_network.run_round net ~blocked in
     if r.Core.Dos_network.starved_groups = 0 && r.Core.Dos_network.connected

@@ -394,7 +394,8 @@ let dos =
           let window _ =
             let starved = ref 0 and disconnected = ref 0 in
             for _ = 1 to p do
-              Core.Dos_adversary.observe adv ~group_of:(N.group_of net);
+              Core.Dos_adversary.observe adv ~epoch:(N.epoch net) (fun () ->
+                  N.group_of net);
               let blocked = Core.Dos_adversary.blocked_set adv ~cube ~n in
               let r = N.run_round net ~blocked in
               if r.starved_groups > 0 then incr starved;
@@ -580,7 +581,8 @@ let churndos =
               ~rng:(Prng.Stream.split rng) ~lateness ~frac:sc.frac
           in
           let blocked_for_round ~round:_ ~group_of ~n =
-            Core.Dos_adversary.observe adv ~group_of;
+            Core.Dos_adversary.observe adv ~epoch:(N.epoch net) (fun () ->
+                Array.copy group_of);
             Core.Dos_adversary.blocked_set adv ~cube ~n
           in
           (* the 1st, 3rd, ... window grows the network by gamma, the

@@ -186,11 +186,6 @@ type batch_result = {
   max_group_load : int;
 }
 
-let rebuild_members ~supernodes group_of =
-  let vecs = Array.init supernodes (fun _ -> Topology.Intvec.create ()) in
-  Array.iteri (fun v x -> Topology.Intvec.push vecs.(x) v) group_of;
-  Array.map Topology.Intvec.to_array vecs
-
 (* Every supernode's coordinates, row x = x written in base k (least
    significant digit first).  Row x is row x - 1 plus one, counted up
    odometer-style in one pass, so the table costs no division. *)
@@ -234,7 +229,7 @@ let create ?(c = 1.0) ?(k = 4) ~rng ~n () =
     cube;
     n;
     group_of;
-    members = rebuild_members ~supernodes group_of;
+    members = Topology.Groups.members ~groups:supernodes group_of;
     reshuffles = 0;
     hop_results = Array.init (d + 1) (fun hops -> { ok = true; hops; value = None });
     store = Store.create ();
@@ -281,7 +276,7 @@ let reshuffle t =
           t.group_of.(v) <- Prng.Stream.int t.rng supernodes)
       t.members.(x)
   done;
-  t.members <- rebuild_members ~supernodes t.group_of;
+  t.members <- Topology.Groups.members ~groups:supernodes t.group_of;
   t.reshuffles <- t.reshuffles + 1
 
 (* Each group's scan stops at its first non-blocked member, so a view

@@ -13,88 +13,71 @@ let strategy_to_string = function
   | Random_blocking -> "random"
   | Succ_kill -> "succ-kill"
 
-type view = { v_alive : bool array; v_succs : int array array }
-
 type t = {
   strategy : strategy;
   budget : int;
   rng : Prng.Stream.t;
   ring : Ring.t;
-  snapshots : view Simnet.Snapshots.t;
+  snapshots : int array Simnet.Snapshots.t;  (* succ-kill's targets *)
+  picks : Simnet.Picks.t;
+  scratch : int array;  (* [budget] cells that [targets] fills *)
   hot : int array;  (* key ids, hottest first *)
 }
 
 let create ?(lateness = 0) ?staleness ~strategy ~frac ~rng ~ring ~hot_ids () =
   if frac < 0.0 || frac >= 1.0 || not (Float.is_finite frac) then
     invalid_arg "Chord.Adversary: frac must be in [0, 1)";
-  let snapshots =
-    match staleness with
-    | None -> Simnet.Snapshots.create ~lateness
-    | Some staleness ->
-        Simnet.Snapshots.create_drawn ~staleness ~rng:(Prng.Stream.split rng)
-  in
+  let budget = int_of_float (frac *. float_of_int (Ring.n ring)) in
   {
     strategy;
-    budget = int_of_float (frac *. float_of_int (Ring.n ring));
+    budget;
     rng;
     ring;
-    snapshots;
+    snapshots = Simnet.Snapshots.create ?staleness ~lateness rng;
+    picks = Simnet.Picks.create ();
+    scratch = Array.make budget 0;
     hot = hot_ids;
   }
 
+(* Succ-kill's targets under the current topology: hottest key first, its
+   owner and the owner's successor list, each node once, up to the budget.
+   [Ring.owner_with] reads only the static id order and the membership. *)
+let targets t =
+  let n = Ring.n t.ring and alive = Ring.alive t.ring in
+  let k = ref 0 in
+  Simnet.Picks.start t.picks ~n;
+  let block v =
+    if !k < t.budget && v >= 0 && v < n && Simnet.Picks.take t.picks v
+    then begin
+      t.scratch.(!k) <- v;
+      incr k
+    end
+  in
+  Array.iter
+    (fun kid ->
+      if !k < t.budget then begin
+        let owner = Ring.owner_with t.ring ~alive kid in
+        if owner >= 0 then begin
+          block owner;
+          Array.iter block (Ring.node t.ring owner).Ring.succs
+        end
+      end)
+    t.hot;
+  Array.sub t.scratch 0 !k
+
 let observe t =
   match t.strategy with
-  | Succ_kill ->
-      let n = Ring.n t.ring in
-      Simnet.Snapshots.push t.snapshots
-        {
-          v_alive = Array.copy (Ring.alive t.ring);
-          v_succs =
-            Array.init n (fun v -> Array.copy (Ring.node t.ring v).Ring.succs);
-        }
+  | Succ_kill -> Simnet.Snapshots.push t.snapshots (targets t)
   | No_attack | Random_blocking -> ()
-
-let mark_random t ~into =
-  let n = Ring.n t.ring in
-  let chosen = Array.make n false in
-  let picked = ref 0 in
-  while !picked < t.budget do
-    let v = Prng.Stream.int t.rng n in
-    if not chosen.(v) then begin
-      chosen.(v) <- true;
-      into.(v) <- true;
-      incr picked
-    end
-  done
-
-let mark_succ_kill t ~into =
-  match Simnet.Snapshots.view t.snapshots with
-  | None -> ()
-  | Some view ->
-      let n = Ring.n t.ring in
-      let chosen = Array.make n false in
-      let left = ref t.budget in
-      let block v =
-        if !left > 0 && v >= 0 && v < n && not chosen.(v) then begin
-          chosen.(v) <- true;
-          into.(v) <- true;
-          decr left
-        end
-      in
-      Array.iter
-        (fun kid ->
-          if !left > 0 then begin
-            let owner = Ring.owner_with t.ring ~alive:view.v_alive kid in
-            if owner >= 0 then begin
-              block owner;
-              Array.iter block view.v_succs.(owner)
-            end
-          end)
-        t.hot
 
 let mark t ~into =
   if t.budget > 0 then
     match t.strategy with
     | No_attack -> ()
-    | Random_blocking -> mark_random t ~into
-    | Succ_kill -> mark_succ_kill t ~into
+    | Random_blocking ->
+        Simnet.Picks.start t.picks ~n:(Ring.n t.ring);
+        Simnet.Picks.fill t.picks t.rng t.budget ~into
+    | Succ_kill -> (
+        match Simnet.Snapshots.view t.snapshots with
+        | None -> ()
+        | Some ids -> Array.iter (fun v -> into.(v) <- true) ids)

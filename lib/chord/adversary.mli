@@ -10,7 +10,11 @@
     static, the snapshot's aim never goes stale: only membership changes
     age, which is exactly why Chord collapses where the reconfiguration
     networks (whose assignment is redrawn every period) shrug the same
-    budget off. *)
+    budget off.
+
+    Memory: succ-kill's marks depend only on the viewed topology, the hot
+    order and the budget, so a snapshot is the target list, at most
+    [budget] ids, and the window holds [1 + lateness] of them. *)
 
 type strategy = No_attack | Random_blocking | Succ_kill
 
@@ -19,9 +23,6 @@ val parse_strategy : string -> (strategy, string) result
     for succ-kill, so one scenario spec drives both backends. *)
 
 val strategy_to_string : strategy -> string
-
-type view = { v_alive : bool array; v_succs : int array array }
-(** One observation: membership bitmap and per-node successor lists. *)
 
 type t
 
@@ -41,8 +42,8 @@ val create :
     [0 <= frac < 1]. *)
 
 val observe : t -> unit
-(** Push this round's topology into the t-late snapshot buffer (succ-kill
-    only; the other strategies keep no state). *)
+(** Push this round's succ-kill targets into the t-late snapshot buffer
+    (succ-kill only; the other strategies keep no state). *)
 
 val mark : t -> into:bool array -> unit
 (** Spend the budget into the blocked set.  Each node costs one unit the

@@ -92,14 +92,13 @@ let owner_with t ~alive target =
     let mid = (!lo + !hi) / 2 in
     if t.nodes.(t.sorted.(mid)).id >= target then hi := mid else lo := mid + 1
   done;
-  let start = !lo mod len in
-  let rec scan p left =
-    if left = 0 then -1
-    else
-      let v = t.sorted.(p) in
-      if alive.(v) then v else scan ((p + 1) mod len) (left - 1)
-  in
-  scan start len
+  (* a loop, not a local recursive function: no closure per call *)
+  let p = ref (!lo mod len) and left = ref len in
+  while !left > 0 && not alive.(t.sorted.(!p)) do
+    p := (!p + 1) mod len;
+    decr left
+  done;
+  if !left = 0 then -1 else t.sorted.(!p)
 
 let oracle_owner t target = owner_with t ~alive:t.alive target
 

@@ -32,7 +32,8 @@ type t = {
   runtime : Simnet.Runtime.t;
   mutable n : int;
   mutable labels : Sm.label array;
-  mutable group_of : int array;
+  mutable group_of : int array;  (* replaced, never changed in place *)
+  mutable epoch : int;  (* how many times [group_of] was replaced *)
   mutable prev_blocked : bool array;
 }
 
@@ -53,7 +54,8 @@ let densify t =
       Intvec.iter (fun v -> group_of.(v) <- gi) members)
     ls;
   t.labels <- labels;
-  t.group_of <- group_of
+  t.group_of <- group_of;
+  t.epoch <- t.epoch + 1
 
 let eq1_low c dim = (c * dim) - c
 let eq1_high c dim = 2 * c * dim
@@ -129,6 +131,7 @@ let create ?(c = 8) ?(trace = Simnet.Trace.null) ?faults ~rng ~n () =
       n;
       labels = [||];
       group_of = [||];
+      epoch = 0;
       prev_blocked = Array.make n false;
     }
   in
@@ -147,6 +150,7 @@ let create ?(c = 8) ?(trace = Simnet.Trace.null) ?faults ~rng ~n () =
 let n t = t.n
 let supernode_count t = Sm.leaf_count t.tree
 let group_of t = Array.copy t.group_of
+let epoch t = t.epoch
 let dims t = Array.map (fun (l : Sm.label) -> l.Sm.dim) t.labels
 
 let period t =
@@ -230,7 +234,7 @@ let run_one_window t ~blocked_for_round ~joins ~leave_frac =
     let starved = Array.exists not avail in
     if starved then incr starved_rounds;
     if not (occupied_connected t ~blocked) then incr disconnected_rounds;
-    t.prev_blocked <- Array.copy blocked;
+    Array.blit blocked 0 t.prev_blocked 0 t.n;
     if Simnet.Runtime.traced rt then begin
       (* The canonical simulation exchanges no individual messages; the
          Round event carries the availability picture only. *)

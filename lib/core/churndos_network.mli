@@ -69,6 +69,10 @@ val group_of : t -> int array
 (** Current node -> group assignment as dense group indices aligned with
     {!dims}. *)
 
+val epoch : t -> int
+(** Moves whenever a window boundary replaces the assignment, so rounds of
+    one epoch have equal {!group_of}. *)
+
 val dims : t -> int array
 
 val run_window :

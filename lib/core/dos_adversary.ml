@@ -7,13 +7,13 @@ let to_string = function
   | Group_kill -> "group-kill"
   | Isolate_node -> "isolate"
 
-(* One observed assignment and what the strategies read of it, each
-   built at most once per snapshot, the first round a strategy asks:
-   the group membership and the groups' smallest-first order. *)
+(* One observed assignment and what the strategies read of it, built
+   once per epoch: the group membership and the groups' smallest-first
+   order. *)
 type snapshot = {
   group_of : int array;
-  members : int array array Lazy.t;
-  order : int array Lazy.t;
+  members : int array array;
+  order : int array;
 }
 
 type t = {
@@ -21,7 +21,8 @@ type t = {
   rng : Prng.Stream.t;
   frac : float;
   snapshots : snapshot Simnet.Snapshots.t;
-  mutable latest : snapshot option;  (* the last snapshot pushed *)
+  picks : Simnet.Picks.t;  (* this round's blocked nodes *)
+  mutable blocked : bool array;  (* the array [blocked_set] returns *)
   trace : Simnet.Trace.t;
 }
 
@@ -29,100 +30,71 @@ let create ?(trace = Simnet.Trace.null) ?staleness strategy ~rng ~lateness
     ~frac =
   if frac < 0.0 || frac >= 1.0 then
     invalid_arg "Dos_adversary.create: frac out of [0, 1)";
-  let snapshots =
-    (* The drawn-staleness buffer gets its own child stream so observation
-       jitter never perturbs the strategy's draws; the fixed-lateness path
-       splits nothing, keeping pre-staleness runs byte-identical. *)
-    match staleness with
-    | None -> Simnet.Snapshots.create ~lateness
-    | Some staleness ->
-        Simnet.Snapshots.create_drawn ~staleness ~rng:(Prng.Stream.split rng)
-  in
-  { strategy; rng; frac; snapshots; latest = None; trace }
+  {
+    strategy;
+    rng;
+    frac;
+    snapshots = Simnet.Snapshots.create ?staleness ~lateness rng;
+    picks = Simnet.Picks.create ();
+    blocked = [||];
+    trace;
+  }
 
-let budget t ~n = int_of_float (Float.round (t.frac *. float_of_int n))
-
-let random_fill ?(avoid = -1) t blocked ~n ~budget =
-  (* Block uniformly random not-yet-blocked nodes until the budget is met. *)
-  let remaining = ref (min budget (n - 1)) in
-  while !remaining > 0 do
-    let v = Prng.Stream.int t.rng n in
-    if (not blocked.(v)) && v <> avoid then begin
-      blocked.(v) <- true;
-      decr remaining
-    end
-  done
-
-(* Group membership as recorded in a (possibly stale) view.  The view may
-   describe an older node population: entries can be [-1] (departed) and the
-   group index space can differ from the current one, so the group count is
-   derived from the view itself and consumers clamp node ids to the current
-   population. *)
-let members_of view =
-  let supernodes = Array.fold_left (fun a x -> max a (x + 1)) 1 view in
-  let vecs = Array.init supernodes (fun _ -> Topology.Intvec.create ()) in
-  Array.iteri (fun v x -> if x >= 0 then Topology.Intvec.push vecs.(x) v) view;
-  Array.map Topology.Intvec.to_array vecs
-
-(* Smallest groups first: starving a group costs its whole size, so
-   small groups are the cheapest kills. *)
-let smallest_first members =
-  let order = Array.init (Array.length members) (fun x -> x) in
+(* The view may describe an older node population: entries can be [-1]
+   (departed) and the group index space can differ from the current one,
+   so the group count is derived from the view itself and consumers clamp
+   node ids to the current population.  Smallest groups come first in
+   [order]: starving a group costs its whole size, so small groups are the
+   cheapest kills. *)
+let snapshot group_of =
+  let groups = Array.fold_left (fun a x -> max a (x + 1)) 1 group_of in
+  let members = Topology.Groups.members ~groups group_of in
+  let order = Array.init groups Fun.id in
   Array.sort
     (fun x y -> compare (Array.length members.(x)) (Array.length members.(y)))
     order;
-  order
+  { group_of; members; order }
 
-let snapshot group_of =
-  let members = lazy (members_of group_of) in
-  { group_of; members; order = lazy (smallest_first (Lazy.force members)) }
-
-(* The assignment changes only when the network reconfigures, so a round
-   whose assignment equals the last one pushes that snapshot again: one
-   scan, no copy, and the window holds one snapshot per distinct
-   assignment it spans. *)
-let observe t ~group_of =
-  let snap =
-    match t.latest with
-    | Some last when last.group_of = group_of -> last
-    | _ ->
-        let snap = snapshot (Array.copy group_of) in
-        t.latest <- Some snap;
-        snap
-  in
-  Simnet.Snapshots.push t.snapshots snap
+let observe t ~epoch group_of =
+  Simnet.Snapshots.observe t.snapshots ~epoch (fun () -> snapshot (group_of ()))
 
 let blocked_set t ~cube ~n =
-  let blocked = Array.make n false in
-  let b = budget t ~n in
+  if Array.length t.blocked <> n then t.blocked <- Array.make n false
+  else Array.fill t.blocked 0 n false;
+  let blocked = t.blocked in
+  Simnet.Picks.start t.picks ~n;
+  (* Block uniformly random not-yet-blocked nodes until [k] more are. *)
+  let random_fill ?avoid k =
+    Simnet.Picks.fill ?avoid t.picks t.rng (min k (n - 1)) ~into:blocked
+  in
+  let b = int_of_float (Float.round (t.frac *. float_of_int n)) in
   if b > 0 then begin
     match (t.strategy, Simnet.Snapshots.view t.snapshots) with
-    | Random_blocking, _ | _, None -> random_fill t blocked ~n ~budget:b
+    | Random_blocking, _ | _, None -> random_fill b
     | Group_kill, Some view ->
-        let members = Lazy.force view.members in
-        let spent = ref 0 in
-        (try
-           Array.iter
-             (fun x ->
-               let size = Array.length members.(x) in
-               if size > 0 then begin
-                 if !spent + size > b then raise Exit;
-                 Array.iter
-                   (fun v -> if v < n then blocked.(v) <- true)
-                   members.(x);
-                 spent := !spent + size
-               end)
-             (Lazy.force view.order)
-         with Exit -> ());
-        if !spent < b then random_fill t blocked ~n ~budget:(b - !spent)
+        let members = view.members and order = view.order in
+        let block v =
+          if v < n && Simnet.Picks.take t.picks v then blocked.(v) <- true
+        in
+        (* whole groups, smallest first, while the next one fits *)
+        let spent = ref 0 and i = ref 0 in
+        while
+          !i < Array.length order
+          && !spent + Array.length members.(order.(!i)) <= b
+        do
+          Array.iter block members.(order.(!i));
+          spent := !spent + Array.length members.(order.(!i));
+          incr i
+        done;
+        random_fill (b - !spent)
     | Isolate_node, Some view ->
-        let members = Lazy.force view.members in
-        let group_of = view.group_of in
+        let members = view.members and group_of = view.group_of in
         let victim = Prng.Stream.int t.rng (min n (Array.length group_of)) in
         let x = group_of.(victim) in
         let spent = ref 0 in
         let block v =
-          if v <> victim && v < n && (not blocked.(v)) && !spent < b then begin
+          if v <> victim && v < n && !spent < b && Simnet.Picks.take t.picks v
+          then begin
             blocked.(v) <- true;
             incr spent
           end
@@ -134,8 +106,7 @@ let blocked_set t ~cube ~n =
               if y < Array.length members then Array.iter block members.(y))
             (Topology.Hypercube.neighbors cube x)
         end;
-        if !spent < b then
-          random_fill ~avoid:victim t blocked ~n ~budget:(b - !spent)
+        random_fill ~avoid:victim (b - !spent)
   end;
   if Simnet.Trace.enabled t.trace then begin
     let count = Array.fold_left (fun a x -> if x then a + 1 else a) 0 blocked in

@@ -8,12 +8,11 @@
     fully informed, the regime in which the paper shows any low-degree
     network must die.
 
-    Memory: the assignment changes only when the network reconfigures, so
-    the buffer keeps one copy per distinct assignment among the rounds it
-    spans, not one per round (at most [1 + ceil (lateness / period)] with
-    a reconfiguration every [period] rounds), each with the group
-    membership and the groups' size order built once, the first round a
-    strategy reads them. *)
+    Memory: the buffer keeps one snapshot per topology epoch among the
+    rounds it spans, at most [1 + ceil (lateness / period)] with a
+    reconfiguration every [period] rounds.  A snapshot is one assignment
+    (whole, as [Isolate_node] draws its victim at {!blocked_set} time), its
+    group membership and the groups' size order. *)
 
 type strategy =
   | Random_blocking  (** budget spent on uniformly random nodes (control) *)
@@ -47,11 +46,12 @@ val create :
     dedicated child of [rng]); omitting it keeps runs byte-identical to
     the pre-staleness behavior. *)
 
-val observe : t -> group_of:int array -> unit
-(** Record this round's assignment.  [group_of] is compared with the last
-    one recorded, an O(n) scan that allocates nothing, and copied only if
-    it differs; the caller may change or reuse the array afterwards. *)
+val observe : t -> epoch:int -> (unit -> int array) -> unit
+(** Record this round's assignment, of topology epoch [epoch]: the function
+    is called only when [epoch] moved, and returns a copy nobody changes
+    afterwards, e.g. {!Dos_network.group_of}. *)
 
 val blocked_set : t -> cube:Topology.Hypercube.t -> n:int -> bool array
 (** The blocked set for the current round.  Until a snapshot old enough to
-    see exists, strategies fall back to random blocking. *)
+    see exists, strategies fall back to random blocking.  The next call
+    overwrites the array, so a caller that keeps a round's set copies it. *)

@@ -43,8 +43,9 @@ type t = {
   runtime : Simnet.Runtime.t;
   faults : Simnet.Faults.plan option;
   retry : Retry.policy;
-  mutable group_of : int array;
+  mutable group_of : int array;  (* replaced, never changed in place *)
   mutable members : int array array; (* supernode -> sorted member ids *)
+  mutable epoch : int;  (* how many times [group_of] was replaced *)
   mutable prev_blocked : bool array;
   (* Cross-window escalation: after a window whose reorganization needed
      underflow recovery, the next windows provision sampling with
@@ -82,13 +83,6 @@ let fresh_group_sim t =
   Group_sim.create ~trace ?faults:t.faults ~rng:(Prng.Stream.split t.rng)
     ~n:t.n ~group_of:t.group_of proto
 
-let rebuild_members ~supernodes group_of =
-  let vecs = Array.init supernodes (fun _ -> Topology.Intvec.create ()) in
-  Array.iteri (fun v x -> Topology.Intvec.push vecs.(x) v) group_of;
-  (* Node indices are pushed in increasing order, so each member array is
-     already sorted by id — the order the reorganization phase relies on. *)
-  Array.map Topology.Intvec.to_array vecs
-
 let create ?(c = 1.0) ?(backend = Canonical) ?(trace = Simnet.Trace.null)
     ?faults ?(retry = Retry.fixed) ~rng ~n () =
   if n < 16 then invalid_arg "Dos_network.create: n too small";
@@ -125,7 +119,10 @@ let create ?(c = 1.0) ?(backend = Canonical) ?(trace = Simnet.Trace.null)
       faults;
       retry;
       group_of;
-      members = rebuild_members ~supernodes group_of;
+      (* each member array ascends by id, the order the reorganization
+         phase relies on *)
+      members = Topology.Groups.members ~groups:supernodes group_of;
+      epoch = 0;
       prev_blocked = Array.make n false;
       boost_attempt = 0;
       boost = 1.0;
@@ -144,6 +141,7 @@ let supernode_count t = Hypercube.node_count t.cube
 let dimension t = Hypercube.dimension t.cube
 let period t = t.period
 let group_of t = Array.copy t.group_of
+let epoch t = t.epoch
 let group_members t x = Array.copy t.members.(x)
 let last_window t = t.last_window
 let windows_completed t = t.windows
@@ -347,7 +345,8 @@ let run_round t ~blocked =
       match (if healthy then reorganize t else None) with
       | Some (stats, new_group_of) ->
           t.group_of <- new_group_of;
-          t.members <- rebuild_members ~supernodes new_group_of;
+          t.members <- Topology.Groups.members ~groups:supernodes new_group_of;
+          t.epoch <- t.epoch + 1;
           (stats, true)
       | None ->
           ( { underflows = 0; fallback_draws = 0; retries = 0; escalations = 0 },

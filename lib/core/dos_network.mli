@@ -115,6 +115,10 @@ val group_of : t -> int array
 (** Copy of the current node -> supernode assignment (this is exactly the
     topological information a t-late adversary observes, with delay). *)
 
+val epoch : t -> int
+(** Moves whenever a window boundary replaces the assignment, so rounds of
+    one epoch have equal {!group_of}. *)
+
 val group_members : t -> int -> int array
 
 val run_round : t -> blocked:bool array -> round_report

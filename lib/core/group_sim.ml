@@ -75,13 +75,10 @@ let create ?(trace = Simnet.Trace.null) ?faults ~rng ~n ~group_of protocol =
   if Array.length group_of <> n then
     invalid_arg "Group_sim.create: group_of size mismatch";
   let supernodes = Array.fold_left (fun a x -> max a (x + 1)) 0 group_of in
-  let vecs = Array.init supernodes (fun _ -> Topology.Intvec.create ()) in
-  Array.iteri
-    (fun v x ->
-      if x < 0 then invalid_arg "Group_sim.create: negative supernode";
-      Topology.Intvec.push vecs.(x) v)
+  Array.iter
+    (fun x -> if x < 0 then invalid_arg "Group_sim.create: negative supernode")
     group_of;
-  let members = Array.map Topology.Intvec.to_array vecs in
+  let members = Topology.Groups.members ~groups:supernodes group_of in
   Array.iteri
     (fun x m ->
       if Array.length m = 0 then

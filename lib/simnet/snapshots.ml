@@ -42,7 +42,7 @@ let staleness_to_string = function
 
 type 'a t = {
   dist : staleness;
-  rng : Prng.Stream.t option;
+  rng : Prng.Stream.t;  (* drawn from only by [Mixed] and [Uniform] *)
   (* Ring of the last [max lateness + 1] snapshots; older ones can never be
      the newest-visible again but [view_at] may still want a small window,
      so we keep exactly max lateness + 1. *)
@@ -50,52 +50,55 @@ type 'a t = {
   mutable count : int;
   (* Lateness in force for the current round, redrawn on every [push]. *)
   mutable current : int;
+  mutable epoch : int;  (* the epoch of the newest snapshot [observe] built *)
 }
 
-let create ~lateness =
-  if lateness < 0 then invalid_arg "Snapshots.create: negative lateness";
-  {
-    dist = Fixed lateness;
-    rng = None;
-    ring = Array.make (lateness + 1) None;
-    count = 0;
-    current = lateness;
-  }
-
-let create_drawn ~staleness ~rng =
-  (match staleness with
-  | Fixed n when n < 0 -> invalid_arg "Snapshots.create_drawn: negative"
+let create ?staleness ~lateness rng =
+  let dist = Option.value staleness ~default:(Fixed lateness) in
+  (match dist with
+  | Fixed n when n < 0 -> invalid_arg "Snapshots.create: negative lateness"
   | Mixed f when (not (Float.is_finite f)) || f < 0.0 ->
-      invalid_arg "Snapshots.create_drawn: bad expected lateness"
+      invalid_arg "Snapshots.create: bad expected lateness"
   | Uniform (lo, hi) when lo < 0 || lo > hi ->
-      invalid_arg "Snapshots.create_drawn: bad range"
+      invalid_arg "Snapshots.create: bad range"
   | _ -> ());
-  let max_l = staleness_max staleness in
+  let max_l = staleness_max dist in
   {
-    dist = staleness;
-    rng = (match staleness with Fixed _ -> None | _ -> Some rng);
+    dist;
+    rng = (if Option.is_none staleness then rng else Prng.Stream.split rng);
     ring = Array.make (max_l + 1) None;
     count = 0;
     current = max_l;
+    epoch = 0;
   }
 
 let staleness t = t.dist
 let current_lateness t = t.current
 
 let draw t =
-  match (t.dist, t.rng) with
-  | Fixed n, _ -> n
-  | Mixed f, Some rng ->
+  match t.dist with
+  | Fixed n -> n
+  | Mixed f ->
       let base = int_of_float (Float.floor f) in
       let frac = f -. Float.of_int base in
-      base + (if frac > 0.0 && Prng.Stream.bernoulli rng frac then 1 else 0)
-  | Uniform (lo, hi), Some rng -> Prng.Stream.int_in rng lo hi
-  | _, None -> staleness_max t.dist
+      base + (if frac > 0.0 && Prng.Stream.bernoulli t.rng frac then 1 else 0)
+  | Uniform (lo, hi) -> Prng.Stream.int_in t.rng lo hi
 
-let push t snap =
-  t.ring.(t.count mod Array.length t.ring) <- Some snap;
+let push_slot t slot =
+  t.ring.(t.count mod Array.length t.ring) <- slot;
   t.count <- t.count + 1;
   t.current <- draw t
+
+let push t snap = push_slot t (Some snap)
+
+(* An unmoved epoch pushes the newest slot again: no build, no copy, and
+   the ring holds one snapshot per distinct epoch it spans. *)
+let observe t ~epoch build =
+  if t.count = 0 || epoch <> t.epoch then begin
+    t.epoch <- epoch;
+    push t (build ())
+  end
+  else push_slot t t.ring.((t.count - 1) mod Array.length t.ring)
 
 let view_at t r =
   if r < 0 || r >= t.count then None

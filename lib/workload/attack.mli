@@ -10,13 +10,9 @@
     reconfiguration invalidates its aim while a static network leaves the
     stale view accurate forever.
 
-    Memory: the assignment changes only when the DHT reshuffles
-    ({!Apps.Robust_dht.epoch}), so [Group_kill] copies and inverts it once
-    per reshuffle, and the window holds one inverted assignment (n +
-    supernodes + 1 words) per distinct assignment among its rounds, not
-    one copy per round: at most [1 + ceil (lateness / period)] of them
-    with a reshuffle every [period] rounds, 2 at the default
-    [lateness = period]. *)
+    Memory: a snapshot is [Group_kill]'s target list, at most [budget] ids,
+    built once per reshuffle ({!Apps.Robust_dht.epoch}); the window holds
+    [1 + ceil (lateness / period)] of them, 2 at [lateness = period]. *)
 
 type strategy =
   | No_attack
@@ -59,12 +55,12 @@ val observe : t -> unit
 (** Push the current server-to-group assignment into the adversary's
     delayed-snapshot window; call once per round, after any
     reconfiguration.  A round whose DHT epoch is the one last observed
-    pushes the inverted assignment it already holds again, allocating
-    O(1) words; a round after a reshuffle copies and inverts it, O(n). *)
+    pushes the target list it already holds again, allocating nothing; a
+    round after a reshuffle builds it from the hot supernodes' members. *)
 
 val mark : t -> into:bool array -> unit
 (** Spend this round's budget: set [into.(v) <- true] for each server the
     adversary blocks.  [Group_kill] blocks nothing while no snapshot is old
-    enough to see, and reads the viewed snapshot's inverted assignment
-    without building anything, so it allocates nothing.  The budget counts the adversary's own picks, whether or
-    not churn or faults already blocked the same server. *)
+    enough to see, and otherwise the viewed target list.  Neither strategy
+    allocates.  The budget counts the adversary's own picks, whether or not
+    churn or faults already blocked the same server. *)

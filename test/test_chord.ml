@@ -233,6 +233,170 @@ let test_lookup_own_id () =
 
 (* ---------- adversary ---------- *)
 
+(* The Chord adversary as it was before its snapshots became target
+   lists: every round a copy of the membership bitmap and of every node's
+   successor list, and a fresh n-cell array per mark to reject repeats.
+   It draws exactly what [Chord.Adversary] draws. *)
+module Copying_chord = struct
+  type view = { v_alive : bool array; v_succs : int array array }
+
+  type t = {
+    strategy : Chord.Adversary.strategy;
+    budget : int;
+    rng : Prng.Stream.t;
+    ring : Chord.Ring.t;
+    snapshots : view Simnet.Snapshots.t;
+    hot : int array;
+  }
+
+  let create ~lateness ?staleness ~strategy ~frac ~rng ~ring ~hot_ids () =
+    let snapshots =
+      Simnet.Snapshots.create ?staleness ~lateness rng
+    in
+    {
+      strategy;
+      budget = int_of_float (frac *. float_of_int (Chord.Ring.n ring));
+      rng;
+      ring;
+      snapshots;
+      hot = hot_ids;
+    }
+
+  let observe t =
+    if t.strategy = Chord.Adversary.Succ_kill then
+      let n = Chord.Ring.n t.ring in
+      Simnet.Snapshots.push t.snapshots
+        {
+          v_alive = Array.copy (Chord.Ring.alive t.ring);
+          v_succs =
+            Array.init n (fun v ->
+                Array.copy (Chord.Ring.node t.ring v).Chord.Ring.succs);
+        }
+
+  let mark t ~into =
+    let n = Chord.Ring.n t.ring in
+    let chosen = Array.make n false in
+    let left = ref t.budget in
+    let block v =
+      if !left > 0 && v >= 0 && v < n && not chosen.(v) then begin
+        chosen.(v) <- true;
+        into.(v) <- true;
+        decr left
+      end
+    in
+    if t.budget > 0 then
+      match (t.strategy, Simnet.Snapshots.view t.snapshots) with
+      | Chord.Adversary.No_attack, _ | Chord.Adversary.Succ_kill, None -> ()
+      | Chord.Adversary.Random_blocking, _ ->
+          while !left > 0 do
+            block (Prng.Stream.int t.rng n)
+          done
+      | Chord.Adversary.Succ_kill, Some view ->
+          Array.iter
+            (fun kid ->
+              if !left > 0 then begin
+                let owner =
+                  Chord.Ring.owner_with t.ring ~alive:view.v_alive kid
+                in
+                if owner >= 0 then begin
+                  block owner;
+                  Array.iter block view.v_succs.(owner)
+                end
+              end)
+            t.hot
+end
+
+(* Target-list snapshots against the copying adversary, round by round,
+   while churn flips membership and maintenance rewrites successor lists
+   (here: random members and random list entries, [-1] included). *)
+let qcheck_adversary_matches_copying =
+  QCheck.Test.make ~name:"target-list adversary marks what the copying one does"
+    ~count:200
+    QCheck.(
+      quad int64 (int_bound 2)
+        (oneofl [ `Late 0; `Late 1; `Late 8; `Late 24; `Uniform; `Mixed ])
+        (oneofl [ 0.0; 0.05; 0.2; 0.45 ]))
+    (fun (seed, strat_i, late, frac) ->
+      let n = 64 in
+      let world = Prng.Stream.of_seed seed in
+      let ring = Chord.Ring.create ~rng:(Prng.Stream.of_seed seed) ~n () in
+      Chord.Ring.reset_ideal ring;
+      let strategy =
+        List.nth
+          Chord.Adversary.[ No_attack; Random_blocking; Succ_kill ]
+          strat_i
+      in
+      let lateness, staleness =
+        match late with
+        | `Late l -> (l, None)
+        | `Uniform -> (0, Some (Simnet.Snapshots.Uniform (1, 12)))
+        | `Mixed -> (0, Some (Simnet.Snapshots.Mixed 2.5))
+      in
+      let hot_ids = Array.init 16 (fun k -> Chord.Ring.key_id ring k) in
+      let rng () = Prng.Stream.of_seed (Int64.add seed 1L) in
+      let adv =
+        Chord.Adversary.create ~lateness ?staleness ~strategy ~frac
+          ~rng:(rng ()) ~ring ~hot_ids ()
+      and copying =
+        Copying_chord.create ~lateness ?staleness ~strategy ~frac
+          ~rng:(rng ()) ~ring ~hot_ids ()
+      in
+      let ok = ref true in
+      for _ = 1 to 30 do
+        for _ = 1 to Prng.Stream.int world 4 do
+          let v = Prng.Stream.int world n in
+          Chord.Ring.set_alive ring v (not (Chord.Ring.is_alive ring v))
+        done;
+        for _ = 1 to Prng.Stream.int world 8 do
+          let succs = (Chord.Ring.node ring (Prng.Stream.int world n)).Chord.Ring.succs in
+          succs.(Prng.Stream.int world (Array.length succs)) <-
+            Prng.Stream.int world (n + 1) - 1
+        done;
+        Chord.Adversary.observe adv;
+        Copying_chord.observe copying;
+        let got = Array.make n false and want = Array.make n false in
+        Chord.Adversary.mark adv ~into:got;
+        Copying_chord.mark copying ~into:want;
+        ok := !ok && got = want
+      done;
+      !ok)
+
+(* A succ-kill round builds one target list of at most [budget] ids, and
+   a random round allocates nothing: no copy of the membership or of the
+   successor lists, and no per-round array to reject repeats. *)
+let test_adversary_allocation () =
+  let n = 1 lsl 14 in
+  let ring = make_ring n in
+  let hot_ids = Array.init 4096 (fun k -> Chord.Ring.key_id ring k) in
+  List.iter
+    (fun strategy ->
+      let adv =
+        Chord.Adversary.create ~lateness:8 ~strategy ~frac:0.2 ~rng:(rng ())
+          ~ring ~hot_ids ()
+      in
+      let budget = n / 5 and into = Array.make n false in
+      let round () =
+        Chord.Adversary.observe adv;
+        Chord.Adversary.mark adv ~into
+      in
+      for _ = 1 to 10 do
+        round ()
+      done;
+      let rounds = 8 in
+      let (), bytes =
+        Testutil.allocated_bytes (fun () ->
+            for _ = 1 to rounds do
+              round ()
+            done)
+      in
+      let words = bytes /. 8.0 /. float_of_int rounds in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words a round (budget %d)"
+           (Chord.Adversary.strategy_to_string strategy) words budget)
+        true
+        (words <= float_of_int (budget + 64)))
+    Chord.Adversary.[ Random_blocking; Succ_kill ]
+
 let test_adversary_budget () =
   let n = 100 in
   let ring = make_ring n in
@@ -415,6 +579,9 @@ let () =
         [
           Alcotest.test_case "budget discipline" `Quick test_adversary_budget;
           Alcotest.test_case "group-kill alias" `Quick test_adversary_alias;
+          Alcotest.test_case "allocation per round" `Quick
+            test_adversary_allocation;
+          QCheck_alcotest.to_alcotest qcheck_adversary_matches_copying;
         ] );
       ( "sim",
         [ Alcotest.test_case "deterministic" `Quick test_sim_deterministic ] );

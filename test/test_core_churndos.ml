@@ -257,7 +257,8 @@ let test_combined_attack_and_churn () =
       ~frac:0.25
   in
   let blocked_for_round ~round:_ ~group_of ~n =
-    Core.Dos_adversary.observe adv ~group_of;
+    Core.Dos_adversary.observe adv ~epoch:(Core.Churndos_network.epoch net)
+      (fun () -> Array.copy group_of);
     Core.Dos_adversary.blocked_set adv ~cube ~n
   in
   let grow = ref true in
@@ -335,6 +336,59 @@ let qcheck_windows_keep_lemma18 =
       done;
       !ok)
 
+(* The epoch-keyed adversary against the copying one on the network whose
+   size changes every window: the assignment it views may describe a
+   population of another size, and its blocked array is resized with n.
+   The network runs on the epoch-keyed adversary's own (reused) array. *)
+let qcheck_adversary_matches_copying =
+  QCheck.Test.make ~name:"epoch-keyed adversary blocks what the copying one does"
+    ~count:20
+    QCheck.(
+      quad int64 (int_range 256 600) (int_bound 2)
+        (oneofl [ `Late 0; `Late 1; `Period 1; `Period 3; `Uniform; `Mixed ]))
+    (fun (seed, n, strat_i, late) ->
+      let s = Prng.Stream.of_seed seed in
+      let net = Core.Churndos_network.create ~rng:(Prng.Stream.split s) ~n () in
+      let p = Core.Churndos_network.period net in
+      let lateness, staleness =
+        match late with
+        | `Late l -> (l, None)
+        | `Period k -> (k * p, None)
+        | `Uniform -> (0, Some (Simnet.Snapshots.Uniform (1, 3 * p)))
+        | `Mixed -> (0, Some (Simnet.Snapshots.Mixed (float_of_int p +. 0.5)))
+      in
+      let strat = List.nth Core.Dos_adversary.all strat_i in
+      let cube = Topology.Hypercube.create 12 in
+      let rng () = Prng.Stream.of_seed (Int64.add seed 1L) in
+      let adv =
+        Core.Dos_adversary.create ?staleness strat ~rng:(rng ()) ~lateness
+          ~frac:0.25
+      and copying =
+        Copying_dos.create ?staleness strat ~rng:(rng ()) ~lateness ~frac:0.25
+      in
+      let ok = ref true in
+      let blocked_for_round ~round:_ ~group_of ~n =
+        Core.Dos_adversary.observe adv
+          ~epoch:(Core.Churndos_network.epoch net) (fun () ->
+            Array.copy group_of);
+        Copying_dos.observe copying ~group_of;
+        let want = Copying_dos.blocked_set copying ~cube ~n in
+        let got = Core.Dos_adversary.blocked_set adv ~cube ~n in
+        ok := !ok && got = want;
+        got
+      in
+      for w = 0 to 3 do
+        let cur = Core.Churndos_network.n net in
+        ignore
+          (if w mod 2 = 0 then
+             Core.Churndos_network.run_window net ~blocked_for_round
+               ~joins:(cur / 2) ~leave_frac:0.0
+           else
+             Core.Churndos_network.run_window net ~blocked_for_round ~joins:0
+               ~leave_frac:(1.0 /. 3.0))
+      done;
+      !ok)
+
 let () =
   Alcotest.run "core-churndos"
     [
@@ -376,5 +430,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_tree_split_preserves_cover; qcheck_windows_keep_lemma18 ] );
+          [
+            qcheck_tree_split_preserves_cover;
+            qcheck_windows_keep_lemma18;
+            qcheck_adversary_matches_copying;
+          ] );
     ]

@@ -216,8 +216,8 @@ let test_adversary_budget () =
         Core.Dos_adversary.create strat ~rng:(Prng.Stream.split s) ~lateness:0
           ~frac:0.25
       in
-      Core.Dos_adversary.observe adv
-        ~group_of:(Array.init 1024 (fun v -> v mod 256));
+      Core.Dos_adversary.observe adv ~epoch:0 (fun () ->
+          Array.init 1024 (fun v -> v mod 256));
       let blocked = Core.Dos_adversary.blocked_set adv ~cube ~n:1024 in
       let count = Array.fold_left (fun a b -> if b then a + 1 else a) 0 blocked in
       Alcotest.(check int)
@@ -244,7 +244,8 @@ let test_group_kill_0late_starves () =
   in
   let starved = ref 0 in
   for _ = 1 to 2 * Core.Dos_network.period net do
-    Core.Dos_adversary.observe adv ~group_of:(Core.Dos_network.group_of net);
+    Core.Dos_adversary.observe adv ~epoch:(Core.Dos_network.epoch net)
+      (fun () -> Core.Dos_network.group_of net);
     let blocked = Core.Dos_adversary.blocked_set adv ~cube ~n in
     let r = Core.Dos_network.run_round net ~blocked in
     if r.Core.Dos_network.starved_groups > 0 then incr starved
@@ -266,7 +267,8 @@ let test_group_kill_late_harmless () =
   in
   let starved = ref 0 and disconnected = ref 0 in
   for _ = 1 to 6 * p do
-    Core.Dos_adversary.observe adv ~group_of:(Core.Dos_network.group_of net);
+    Core.Dos_adversary.observe adv ~epoch:(Core.Dos_network.epoch net)
+      (fun () -> Core.Dos_network.group_of net);
     let blocked = Core.Dos_adversary.blocked_set adv ~cube ~n in
     let r = Core.Dos_network.run_round net ~blocked in
     if r.Core.Dos_network.starved_groups > 0 then incr starved;
@@ -286,7 +288,8 @@ let test_isolate_0late_disconnects () =
   in
   let disconnected = ref 0 in
   for _ = 1 to Core.Dos_network.period net do
-    Core.Dos_adversary.observe adv ~group_of:(Core.Dos_network.group_of net);
+    Core.Dos_adversary.observe adv ~epoch:(Core.Dos_network.epoch net)
+      (fun () -> Core.Dos_network.group_of net);
     let blocked = Core.Dos_adversary.blocked_set adv ~cube ~n in
     let r = Core.Dos_network.run_round net ~blocked in
     if not r.Core.Dos_network.connected then incr disconnected
@@ -307,7 +310,8 @@ let test_random_blocking_harmless () =
   in
   let bad = ref 0 in
   for _ = 1 to 4 * Core.Dos_network.period net do
-    Core.Dos_adversary.observe adv ~group_of:(Core.Dos_network.group_of net);
+    Core.Dos_adversary.observe adv ~epoch:(Core.Dos_network.epoch net)
+      (fun () -> Core.Dos_network.group_of net);
     let blocked = Core.Dos_adversary.blocked_set adv ~cube ~n in
     let r = Core.Dos_network.run_round net ~blocked in
     if r.Core.Dos_network.starved_groups > 0 || not r.Core.Dos_network.connected
@@ -315,39 +319,153 @@ let test_random_blocking_harmless () =
   done;
   Alcotest.(check int) "random blocking never hurts" 0 !bad
 
-(* [observe] keeps the last assignment and copies only one that differs,
-   so a caller that changes one array in place between rounds must see
-   the same blocked sets as one that hands over a fresh copy each round,
-   and a round whose assignment is unchanged copies nothing. *)
+(* [observe] copies the assignment only when the epoch moves, so a caller
+   that changes one array in place and moves the epoch with it must see
+   the blocked sets of the adversary that copies every round, and a round
+   whose epoch did not move copies nothing. *)
 let test_observe_copies_changed_assignment () =
   let n = 1024 and cube = Topology.Hypercube.create 6 in
   List.iter
     (fun strat ->
-      let adv () =
+      let adv =
         Core.Dos_adversary.create strat ~rng:(Prng.Stream.of_seed 13L)
           ~lateness:3 ~frac:0.25
+      and copying =
+        Copying_dos.create strat ~rng:(Prng.Stream.of_seed 13L) ~lateness:3
+          ~frac:0.25
       in
-      let in_place = adv () and copied = adv () in
       let draw = Prng.Stream.of_seed 14L in
       let group_of = Array.init n (fun v -> v mod 64) in
+      let epoch = ref 0 and copies = ref 0 in
       for round = 0 to 23 do
-        if round mod 5 = 2 then
+        if round mod 5 = 2 then begin
           Array.iteri (fun v _ -> group_of.(v) <- Prng.Stream.int draw 64) group_of;
+          incr epoch
+        end;
         let (), bytes =
           Testutil.allocated_bytes (fun () ->
-              Core.Dos_adversary.observe in_place ~group_of)
+              Core.Dos_adversary.observe adv ~epoch:!epoch (fun () ->
+                  incr copies;
+                  Array.copy group_of))
         in
         if round > 0 && round mod 5 <> 2 then
           Alcotest.(check bool)
-            (Printf.sprintf "round %d: %.0f bytes for an unchanged assignment"
-               round bytes)
+            (Printf.sprintf "round %d: %.0f bytes for an unmoved epoch" round
+               bytes)
             true (bytes <= 256.0);
-        Core.Dos_adversary.observe copied ~group_of:(Array.copy group_of);
+        Copying_dos.observe copying ~group_of;
         Alcotest.(check (array bool))
           (Printf.sprintf "%s, round %d" (Core.Dos_adversary.to_string strat) round)
-          (Core.Dos_adversary.blocked_set copied ~cube ~n)
-          (Core.Dos_adversary.blocked_set in_place ~cube ~n)
-      done)
+          (Copying_dos.blocked_set copying ~cube ~n)
+          (Core.Dos_adversary.blocked_set adv ~cube ~n)
+      done;
+      Alcotest.(check int) "one copy per epoch" (!epoch + 1) !copies)
+    Core.Dos_adversary.all
+
+let gen_lateness period =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun l -> (l, None)) (oneofl [ 0; 1; period; 3 * period ]));
+        ( 1,
+          map
+            (fun f -> (0, Some (Simnet.Snapshots.Mixed f)))
+            (float_range 0.0 (float_of_int (3 * period))) );
+        ( 1,
+          let* lo = int_range 0 (2 * period) in
+          let* w = int_range 0 (2 * period) in
+          return (0, Some (Simnet.Snapshots.Uniform (lo, lo + w))) );
+      ])
+
+let print_lateness (lateness, staleness) =
+  match staleness with
+  | None -> Printf.sprintf "lateness %d" lateness
+  | Some d -> "staleness " ^ Simnet.Snapshots.staleness_to_string d
+
+(* Epoch-keyed snapshots, the shared group inversion, the stamp-based
+   fill and the reused blocked array against the copying adversary, round
+   by round.  The assignment is replaced at random rounds, sometimes with
+   a different node count and group count (as the churn-and-DoS network
+   does at its window boundaries), so views of another population, with
+   departed nodes' [-1] entries, are exercised too. *)
+let qcheck_adversary_matches_copying =
+  QCheck.Test.make ~name:"epoch-keyed adversary blocks what the copying one does"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (strat_i, period, late, _, frac, seed) ->
+         Printf.sprintf "%s, period %d, %s, frac %g, seed %Ld"
+           (Core.Dos_adversary.to_string (List.nth Core.Dos_adversary.all strat_i))
+           period (print_lateness late) frac seed)
+       QCheck.Gen.(
+         let* strat_i = int_bound 2 in
+         let* period = int_range 2 6 in
+         let* late = gen_lateness period in
+         let* rounds = int_range 1 40 in
+         let* frac = oneofl [ 0.0; 0.05; 0.25; 0.45 ] in
+         let* seed = ui64 in
+         return (strat_i, period, late, rounds, frac, seed)))
+    (fun (strat_i, period, (lateness, staleness), rounds, frac, seed) ->
+      let strat = List.nth Core.Dos_adversary.all strat_i in
+      let world = Prng.Stream.of_seed seed in
+      let cube = Topology.Hypercube.create 4 in
+      let rng () = Prng.Stream.of_seed (Int64.add seed 1L) in
+      let adv =
+        Core.Dos_adversary.create ?staleness strat ~rng:(rng ()) ~lateness ~frac
+      and copying = Copying_dos.create ?staleness strat ~rng:(rng ()) ~lateness ~frac in
+      let reassign n =
+        let groups = 1 + Prng.Stream.int world 16 in
+        Array.init n (fun _ ->
+            if Prng.Stream.int world 20 = 0 then -1 else Prng.Stream.int world groups)
+      in
+      let n = ref (32 + Prng.Stream.int world 96) in
+      let group_of = ref (reassign !n) and epoch = ref 0 in
+      let ok = ref true in
+      for _ = 1 to rounds do
+        if Prng.Stream.int world period = 0 then begin
+          if Prng.Stream.bool world then n := 32 + Prng.Stream.int world 96;
+          group_of := reassign !n;
+          incr epoch
+        end;
+        let g = !group_of in
+        Core.Dos_adversary.observe adv ~epoch:!epoch (fun () -> Array.copy g);
+        Copying_dos.observe copying ~group_of:g;
+        let want = Copying_dos.blocked_set copying ~cube ~n:!n in
+        ok := !ok && Core.Dos_adversary.blocked_set adv ~cube ~n:!n = want
+      done;
+      !ok)
+
+(* Between two epoch moves a round's observe and blocked set reuse the
+   snapshot, the stamps and the blocked array: O(1) words a round where
+   copying the assignment and a fresh blocked array cost 2n. *)
+let test_adversary_allocation_between_epochs () =
+  let n = 1 lsl 14 and d = 8 in
+  let cube = Topology.Hypercube.create d in
+  let group_of = Array.init n (fun v -> v mod (1 lsl d)) in
+  List.iter
+    (fun strat ->
+      let adv =
+        Core.Dos_adversary.create strat ~rng:(Prng.Stream.of_seed 15L)
+          ~lateness:2 ~frac:0.25
+      in
+      let round () =
+        Core.Dos_adversary.observe adv ~epoch:0 (fun () -> Array.copy group_of);
+        Core.Dos_adversary.blocked_set adv ~cube ~n
+      in
+      for _ = 1 to 4 do
+        ignore (round ())
+      done;
+      let rounds = 8 in
+      let (), bytes =
+        Testutil.allocated_bytes (fun () ->
+            for _ = 1 to rounds do
+              ignore (round ())
+            done)
+      in
+      let words = bytes /. 8.0 /. float_of_int rounds in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words a round"
+           (Core.Dos_adversary.to_string strat) words)
+        true (words <= 64.0))
     Core.Dos_adversary.all
 
 (* ---------- message-level backend ---------- *)
@@ -479,7 +597,8 @@ let qcheck_blocked_set_within_budget =
           ~rng:(Prng.Stream.split s) ~lateness:0 ~frac
       in
       let n = 512 in
-      Core.Dos_adversary.observe adv ~group_of:(Array.init n (fun v -> v mod 64));
+      Core.Dos_adversary.observe adv ~epoch:0 (fun () ->
+          Array.init n (fun v -> v mod 64));
       let blocked = Core.Dos_adversary.blocked_set adv ~cube ~n in
       let count = Array.fold_left (fun a b -> if b then a + 1 else a) 0 blocked in
       count <= int_of_float (Float.round (frac *. float_of_int n)))
@@ -526,6 +645,8 @@ let () =
           Alcotest.test_case "frac guard" `Quick test_adversary_frac_guard;
           Alcotest.test_case "observe copies a changed assignment" `Quick
             test_observe_copies_changed_assignment;
+          Alcotest.test_case "allocation between epochs" `Quick
+            test_adversary_allocation_between_epochs;
           Alcotest.test_case "0-late group-kill starves" `Slow
             test_group_kill_0late_starves;
           Alcotest.test_case "period-late group-kill harmless (Thm 6)" `Slow
@@ -540,5 +661,6 @@ let () =
           [
             qcheck_reconfigured_groups_still_partition;
             qcheck_blocked_set_within_budget;
+            qcheck_adversary_matches_copying;
           ] );
     ]

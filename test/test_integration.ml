@@ -51,7 +51,8 @@ let test_soak_dos_with_anonymizer () =
   in
   let delivered = ref 0 and total = ref 0 in
   for _ = 1 to 12 * p do
-    Core.Dos_adversary.observe adv ~group_of:(Core.Dos_network.group_of net);
+    Core.Dos_adversary.observe adv ~epoch:(Core.Dos_network.epoch net)
+      (fun () -> Core.Dos_network.group_of net);
     let blocked = Core.Dos_adversary.blocked_set adv ~cube ~n in
     for _ = 1 to 3 do
       incr total;
@@ -80,7 +81,8 @@ let test_soak_churndos_with_dht_pattern () =
       ~frac:0.2
   in
   let blocked_for_round ~round:_ ~group_of ~n =
-    Core.Dos_adversary.observe adv ~group_of;
+    Core.Dos_adversary.observe adv ~epoch:(Core.Churndos_network.epoch net)
+      (fun () -> Array.copy group_of);
     Core.Dos_adversary.blocked_set adv ~cube ~n
   in
   for w = 1 to 30 do

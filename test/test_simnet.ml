@@ -508,7 +508,7 @@ let qcheck_trace_jsonl_float_roundtrip =
 (* ---------- Snapshots ---------- *)
 
 let test_snapshots_lateness () =
-  let s = Simnet.Snapshots.create ~lateness:3 in
+  let s = Simnet.Snapshots.create ~lateness:3 (Prng.Stream.of_seed 1L) in
   Alcotest.(check (option int)) "empty" None (Simnet.Snapshots.view s);
   Simnet.Snapshots.push s 100;
   Simnet.Snapshots.push s 101;
@@ -521,7 +521,7 @@ let test_snapshots_lateness () =
   Alcotest.(check (option int)) "sees round 1" (Some 101) (Simnet.Snapshots.view s)
 
 let test_snapshots_zero_late () =
-  let s = Simnet.Snapshots.create ~lateness:0 in
+  let s = Simnet.Snapshots.create ~lateness:0 (Prng.Stream.of_seed 1L) in
   Simnet.Snapshots.push s 7;
   Alcotest.(check (option int)) "0-late sees current" (Some 7)
     (Simnet.Snapshots.view s);
@@ -529,7 +529,7 @@ let test_snapshots_zero_late () =
   Alcotest.(check (option int)) "still current" (Some 8) (Simnet.Snapshots.view s)
 
 let test_snapshots_view_at () =
-  let s = Simnet.Snapshots.create ~lateness:2 in
+  let s = Simnet.Snapshots.create ~lateness:2 (Prng.Stream.of_seed 1L) in
   List.iter (Simnet.Snapshots.push s) [ 10; 11; 12; 13; 14 ];
   (* current round 4; visible rounds are <= 2 *)
   Alcotest.(check (option int)) "round 2 visible" (Some 12)
@@ -639,10 +639,10 @@ let test_staleness_strings () =
     [ "-1"; "-0.5"; "nan"; "4..1"; "-2..3"; "1.5..2"; "x"; "" ]
 
 let test_staleness_fixed_drawn_matches_create () =
-  let a = Simnet.Snapshots.create ~lateness:3
+  let a = Simnet.Snapshots.create ~lateness:3 (Prng.Stream.of_seed 1L)
   and b =
-    Simnet.Snapshots.create_drawn ~staleness:(Simnet.Snapshots.Fixed 3)
-      ~rng:(Prng.Stream.of_seed 1L)
+    Simnet.Snapshots.create ~staleness:(Simnet.Snapshots.Fixed 3) ~lateness:0
+      (Prng.Stream.of_seed 1L)
   in
   for i = 0 to 9 do
     Simnet.Snapshots.push a i;
@@ -654,8 +654,8 @@ let test_staleness_fixed_drawn_matches_create () =
 
 let test_staleness_mixed_fractional () =
   let s =
-    Simnet.Snapshots.create_drawn ~staleness:(Simnet.Snapshots.Mixed 0.25)
-      ~rng:(Prng.Stream.of_seed 7L)
+    Simnet.Snapshots.create ~staleness:(Simnet.Snapshots.Mixed 0.25) ~lateness:0
+      (Prng.Stream.of_seed 7L)
   in
   let pushes = 400 in
   let total = ref 0 in
@@ -673,8 +673,8 @@ let test_staleness_mixed_fractional () =
 
 let test_staleness_uniform_bounds () =
   let s =
-    Simnet.Snapshots.create_drawn ~staleness:(Simnet.Snapshots.Uniform (1, 4))
-      ~rng:(Prng.Stream.of_seed 9L)
+    Simnet.Snapshots.create ~staleness:(Simnet.Snapshots.Uniform (1, 4)) ~lateness:0
+      (Prng.Stream.of_seed 9L)
   in
   let hit = Array.make 5 false in
   for i = 0 to 199 do
@@ -690,8 +690,8 @@ let test_staleness_uniform_bounds () =
 let test_staleness_drawn_deterministic () =
   let draws seed =
     let s =
-      Simnet.Snapshots.create_drawn ~staleness:(Simnet.Snapshots.Mixed 1.5)
-        ~rng:(Prng.Stream.of_seed seed)
+      Simnet.Snapshots.create ~staleness:(Simnet.Snapshots.Mixed 1.5) ~lateness:0
+        (Prng.Stream.of_seed seed)
     in
     List.init 50 (fun i ->
         Simnet.Snapshots.push s i;
@@ -779,7 +779,7 @@ let qcheck_snapshots_never_fresh =
     ~count:200
     QCheck.(pair (int_range 0 10) (int_range 1 40))
     (fun (lateness, pushes) ->
-      let s = Simnet.Snapshots.create ~lateness in
+      let s = Simnet.Snapshots.create ~lateness (Prng.Stream.of_seed 1L) in
       let ok = ref true in
       for i = 0 to pushes - 1 do
         Simnet.Snapshots.push s i;

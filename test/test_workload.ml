@@ -411,10 +411,12 @@ let test_driver_allocation () =
 
 (* ---------- Attack ---------- *)
 
-(* The group-kill adversary as it was before it observed by reference: it
-   copies the assignment into the snapshot window every round and inverts
-   the viewed copy into per-supernode lists every round.  Its draws and
-   marks are the specification the shared-snapshot adversary must keep. *)
+(* The workload adversary as it was before it observed by reference: for
+   group-kill it copies the assignment into the snapshot window every
+   round and inverts the viewed copy into per-supernode lists every round;
+   for random blocking it rejects repeats through a fresh n-cell array
+   every round.  Its draws and marks are the specification the
+   target-list adversary, with its stamps, must keep. *)
 module Copying_attack = struct
   type t = {
     strategy : Workload.Attack.strategy;
@@ -445,10 +447,7 @@ module Copying_attack = struct
 
   let create ~lateness ?staleness ~strategy ~frac ~rng ~dht ~spec () =
     let snapshots =
-      match staleness with
-      | None -> Simnet.Snapshots.create ~lateness
-      | Some staleness ->
-          Simnet.Snapshots.create_drawn ~staleness ~rng:(Prng.Stream.split rng)
+      Simnet.Snapshots.create ?staleness ~lateness rng
     in
     {
       strategy;
@@ -585,40 +584,46 @@ let qcheck_attack_matches_copying =
           got = want)
         reshuffles)
 
-(* Between two reshuffles a round's observe and mark share the snapshot
-   taken at the first: O(1) words a round where copying the assignment
-   and inverting it into lists took about 4n. *)
+(* Between two reshuffles a round's observe and mark share the target
+   list built at the first, and random blocking rejects repeats through
+   the adversary's stamps: O(1) words a round where copying the
+   assignment and inverting it, or a fresh array to reject repeats, took
+   n words or more. *)
 let test_attack_allocation_between_reshuffles () =
   let n = 1 lsl 14 and period = 8 in
-  let dht = Apps.Robust_dht.create ~rng:(Prng.Stream.of_seed seed) ~n () in
-  let adv =
-    Workload.Attack.create ~lateness:period ~strategy:Workload.Attack.Group_kill
-      ~frac:0.2 ~rng:(Prng.Stream.of_seed 7L) ~dht
-      ~spec:(Workload.Spec.make ()) ()
-  in
-  let into = Array.make n false in
-  let round r =
-    if r > 0 && r mod period = 0 then Apps.Robust_dht.reshuffle dht;
-    Workload.Attack.observe adv;
-    Array.fill into 0 n false;
-    Workload.Attack.mark adv ~into
-  in
-  for r = 0 to 2 * period do
-    round r
-  done;
-  let quiet = period - 1 in
-  let (), bytes =
-    Testutil.allocated_bytes (fun () ->
-        for r = (2 * period) + 1 to (3 * period) - 1 do
-          round r
-        done)
-  in
-  let words = bytes /. 8.0 /. float_of_int quiet in
-  let marked = Array.fold_left (fun a b -> if b then a + 1 else a) 0 into in
-  Alcotest.(check int) "the last round spends the budget" (n / 5) marked;
-  Alcotest.(check bool)
-    (Printf.sprintf "%.1f words a round between reshuffles" words)
-    true (words <= 64.0)
+  List.iter
+    (fun strategy ->
+      let dht = Apps.Robust_dht.create ~rng:(Prng.Stream.of_seed seed) ~n () in
+      let adv =
+        Workload.Attack.create ~lateness:period ~strategy ~frac:0.2
+          ~rng:(Prng.Stream.of_seed 7L) ~dht ~spec:(Workload.Spec.make ()) ()
+      in
+      let into = Array.make n false in
+      let round r =
+        if r > 0 && r mod period = 0 then Apps.Robust_dht.reshuffle dht;
+        Workload.Attack.observe adv;
+        Array.fill into 0 n false;
+        Workload.Attack.mark adv ~into
+      in
+      for r = 0 to 2 * period do
+        round r
+      done;
+      let quiet = period - 1 in
+      let (), bytes =
+        Testutil.allocated_bytes (fun () ->
+            for r = (2 * period) + 1 to (3 * period) - 1 do
+              round r
+            done)
+      in
+      let words = bytes /. 8.0 /. float_of_int quiet in
+      let marked = Array.fold_left (fun a b -> if b then a + 1 else a) 0 into in
+      let name = Workload.Attack.strategy_to_string strategy in
+      Alcotest.(check int) (name ^ ": the last round spends the budget") (n / 5)
+        marked;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words a round between reshuffles" name words)
+        true (words <= 64.0))
+    Workload.Attack.[ Random_blocking; Group_kill ]
 
 (* Payloads and counters are formatted without Printf; the text must be
    what Printf and string_of_int print, byte for byte. *)
